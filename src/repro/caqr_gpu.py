@@ -34,7 +34,7 @@ from .core.caqr import CAQRFactors, caqr
 from .runtime.policy import UNSET, ExecutionPolicy, resolve_policy
 from .core.householder import qr_flops
 from .core.tree import build_tree
-from .core.tsqr import row_blocks
+from .core.tsqr import level0_rows, row_blocks
 from .gpusim.counters import Counters
 from .gpusim.device import C2050, DeviceSpec
 from .gpusim.launch import LaunchSpec, occupancy_blocks_per_sm
@@ -163,7 +163,7 @@ def enumerate_caqr_launches(
         pw_p = min(pw, k - c0)
         r0 = c0  # the grid is redrawn lower by the panel width
         hp = m - r0
-        bh = max(cfg.block_rows, pw_p)
+        bh = level0_rows(cfg.block_rows, pw_p)
         blocks = row_blocks(hp, bh)
         nb0 = len(blocks)
         tree = build_tree(nb0, cfg.tree_shape)

@@ -47,7 +47,16 @@ from repro.smallblas.wy import apply_wy, geqr2_blocked, wy_factors
 from .structured import StructuredStackFactor, structured_stack_qr
 from .tree import TreeSchedule, batch_level, build_tree
 
-__all__ = ["row_blocks", "TSQRFactors", "tsqr", "tsqr_qr", "apply_wy_plan"]
+__all__ = ["row_blocks", "level0_rows", "TSQRFactors", "tsqr", "tsqr_qr", "apply_wy_plan"]
+
+# Level-0 height, in panel widths, for a requested block height below the
+# width.  Blocks much taller than wide keep the reduction tree cheap
+# (Demmel et al., arXiv 0808.2664): at 110592 x 100, factor plus form_q
+# with 32n-row blocks runs about 3x faster than with n-row squares
+# (benchmarks/bench_block_height.py).  32n is not a measured optimum:
+# at 80-100 columns, 128n blocks ran about 30% faster still, while at
+# 256 columns the times were flat from 32n on.
+TALL_BLOCK_WIDTHS = 32
 
 
 def row_blocks(m: int, block_rows: int) -> list[tuple[int, int]]:
@@ -62,6 +71,21 @@ def row_blocks(m: int, block_rows: int) -> list[tuple[int, int]]:
     if block_rows < 1:
         raise ValueError("block_rows must be positive")
     return [(i, min(i + block_rows, m)) for i in range(0, m, block_rows)]
+
+
+def level0_rows(block_rows: int, width: int) -> int:
+    """Level-0 row-block height for a ``width``-column panel.
+
+    ``block_rows`` itself when it is at least ``width``: the paper's
+    64 x 16 geometry, and every C2050 configuration (``KernelConfig``
+    requires it).  A shorter block cannot hold a full ``width x width``
+    R triangle; rather than square ``width``-row blocks, whose level 0
+    reduces nothing and leaves all the work to the tree, it becomes
+    ``TALL_BLOCK_WIDTHS * width`` rows.  Every consumer of the level-0
+    geometry (the numerics, the plans, the task DAGs and the C2050
+    launch model) goes through this one rule.
+    """
+    return block_rows if block_rows >= width else TALL_BLOCK_WIDTHS * width
 
 
 @dataclass
@@ -669,10 +693,9 @@ def _tsqr_impl(
     entry point, so this path never re-scans it.
     """
     m, n = A.shape
-    # TSQR requires the block height to be at least the panel width so every
-    # level-0 R is a full n x n triangle and the final R lands contiguously
-    # in the first block (the paper always has block height 64 >= width 16).
-    block_rows = max(block_rows, n)
+    # Every level-0 R must be a full n x n triangle so the final R lands
+    # contiguously in the first block (see level0_rows).
+    block_rows = level0_rows(block_rows, n)
     ranges = row_blocks(m, block_rows)
     tree = build_tree(len(ranges), tree_shape)
     if batched:
@@ -700,7 +723,8 @@ def tsqr(
     Args:
         A: ``m x n`` matrix (any aspect ratio is accepted; TSQR pays off
             for ``m >> n``).
-        block_rows: height of the level-0 row blocks.
+        block_rows: requested height of the level-0 row blocks; a request
+            below ``n`` gets ``32 * n``-row blocks (:func:`level0_rows`).
         tree_shape: reduction-tree shape (see :mod:`repro.core.tree`).
         structured: (deprecated) eliminate the stacked Rs with the
             sparsity-exploiting structured QR (~3x fewer tree flops);

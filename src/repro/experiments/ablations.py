@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from repro.baselines.cpu import CPUPanelModel
 from repro.caqr_gpu import simulate_caqr
 from repro.core.tree import build_tree
-from repro.core.tsqr import row_blocks
+from repro.core.tsqr import level0_rows, row_blocks
 from repro.gpusim.device import C2050, NEHALEM_8CORE, PCIE_GEN2, CPUSpec, DeviceSpec, PCIeLink
 from repro.kernels.config import REFERENCE_CONFIG, KernelConfig
 
@@ -139,7 +139,7 @@ def simulate_hybrid_caqr(
     for c0 in range(0, k, pw):
         pw_p = min(pw, k - c0)
         hp = m - c0
-        bh = max(cfg.block_rows, pw_p)
+        bh = level0_rows(cfg.block_rows, pw_p)
         nb0 = len(row_blocks(hp, bh))
         tree = build_tree(nb0, cfg.tree_shape)
         panel_bytes = hp * pw_p * 4.0

@@ -42,7 +42,7 @@ import warnings
 from dataclasses import dataclass, field
 
 from repro.core.tree import build_tree
-from repro.core.tsqr import row_blocks
+from repro.core.tsqr import level0_rows, row_blocks
 from repro.gpusim.device import C2050, DeviceSpec
 from repro.gpusim.launch import LaunchSpec, time_launch
 from repro.graph.highlevel import TaskGraph
@@ -194,7 +194,7 @@ def emit_caqr_layers(
         pw_p = min(pw, k - c0)
         r0 = c0
         hp = m - r0
-        bh = max(cfg.block_rows, pw_p)
+        bh = level0_rows(cfg.block_rows, pw_p)
         nb0 = len(row_blocks(hp, bh))
         tree = build_tree(nb0, cfg.tree_shape)
         arities = tree.level_arities()

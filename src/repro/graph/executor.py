@@ -45,7 +45,7 @@ import numpy as np
 
 from repro.core.dtypes import as_float_array, working_dtype
 from repro.core.tree import batch_level, build_tree
-from repro.core.tsqr import _WyPlan, _tsqr_impl, apply_wy_plan, row_blocks
+from repro.core.tsqr import _WyPlan, _tsqr_impl, apply_wy_plan, level0_rows, row_blocks
 from repro.graph.highlevel import TaskGraph
 from repro.graph.order import static_order
 from repro.obs import tracer as _obs
@@ -607,7 +607,7 @@ def build_lookahead_schedule(m: int, n: int, policy: ExecutionPolicy) -> Lookahe
     for p, c0 in enumerate(range(0, k, policy.panel_width)):
         pw_p = min(policy.panel_width, k - c0)
         r0 = c0
-        bh = max(policy.block_rows, pw_p)
+        bh = level0_rows(policy.block_rows, pw_p)
         wt = n - (c0 + pw_p)
         panels.append((c0, pw_p, r0, bh, wt))
 

@@ -36,7 +36,7 @@ class PanelSpec:
     col_stop: int
     row_start: int
     height: int  # rows below the diagonal redraw (m - row_start)
-    block_rows: int  # effective level-0 block height (>= panel width)
+    block_rows: int  # effective level-0 block height (tsqr.level0_rows)
     blocks: int  # level-0 row blocks
     tree_levels: int
     trailing_cols: int  # columns updated by this panel's Q^T
@@ -56,7 +56,7 @@ def _plan_dtype(dtype) -> np.dtype:
 
 def _panel_specs(m: int, n: int, policy: ExecutionPolicy) -> tuple[PanelSpec, ...]:
     from repro.core.tree import build_tree
-    from repro.core.tsqr import row_blocks
+    from repro.core.tsqr import level0_rows, row_blocks
 
     k = min(m, n)
     specs = []
@@ -64,7 +64,7 @@ def _panel_specs(m: int, n: int, policy: ExecutionPolicy) -> tuple[PanelSpec, ..
         pw_p = min(policy.panel_width, k - c0)
         r0 = c0  # the grid is redrawn lower by the panel width
         hp = m - r0
-        bh = max(policy.block_rows, pw_p)
+        bh = level0_rows(policy.block_rows, pw_p)
         nb = len(row_blocks(hp, bh))
         tree = build_tree(nb, policy.tree_shape)
         specs.append(

@@ -32,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.tree import batch_level, build_tree
-from repro.core.tsqr import row_blocks
+from repro.core.tsqr import level0_rows, row_blocks
 from repro.runtime.policy import ExecutionPolicy
 from repro.smallblas.wy import apply_wy, geqr2_wy
 
@@ -62,7 +62,7 @@ class _PanelPlan:
 
     def __init__(self, c0: int, pw: int, hp: int, block_rows: int, tree_shape: str):
         self.c0, self.pw, self.r0, self.hp = c0, pw, c0, hp
-        bh = max(block_rows, pw)
+        bh = level0_rows(block_rows, pw)
         self.ranges = row_blocks(hp, bh)
         nb = len(self.ranges)
         h_last = self.ranges[-1][1] - self.ranges[-1][0]

@@ -6,13 +6,17 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from repro.core.tsqr import row_blocks, tsqr, tsqr_qr
+from repro.core.tsqr import TALL_BLOCK_WIDTHS, level0_rows, row_blocks, tsqr, tsqr_qr
 from repro.core.validation import (
     factorization_error,
     orthogonality_error,
     sign_canonical,
     triangularity_error,
 )
+from repro.graph.executor import build_lookahead_schedule
+from repro.runtime import ExecutionPolicy
+from repro.runtime.plan import plan_qr
+from repro.serving.batch import _PanelPlan
 
 
 class TestRowBlocks:
@@ -50,11 +54,15 @@ class TestTSQRFactorization:
         _, R_sp_c = sign_canonical(np.zeros((24, 24)), R_sp)
         assert np.allclose(R_c, R_sp_c, atol=1e-10)
 
-    def test_block_rows_smaller_than_width_auto_bumped(self, rng):
-        # block_rows=8 < n=16 must still produce a valid factorization.
-        A = rng.standard_normal((200, 16))
-        Q, R = tsqr_qr(A, block_rows=8)
-        assert factorization_error(A, Q, R) < 1e-13
+    def test_block_rows_smaller_than_width_uses_tall_blocks(self, rng):
+        # block_rows=8 < n=16: level-0 blocks of 32 * 16 = 512 rows.
+        A = rng.standard_normal((2000, 16))
+        f = tsqr(A, block_rows=8)
+        assert [b.rows for b in f.blocks] == row_blocks(2000, 512)
+        assert f.tree.n_levels == 1  # four blocks, one quad-tree merge
+        Q = f.form_q()
+        assert factorization_error(A, Q, f.R) < 1e-13
+        assert orthogonality_error(Q) < 1e-13
 
     def test_single_block_degenerates_to_geqr2(self, rng):
         A = rng.standard_normal((40, 10))
@@ -92,6 +100,55 @@ class TestTSQRFactorization:
     def test_rejects_1d(self, rng):
         with pytest.raises(ValueError):
             tsqr(rng.standard_normal(10))
+
+
+class TestLevel0Height:
+    def test_rule(self):
+        assert TALL_BLOCK_WIDTHS == 32
+        assert level0_rows(64, 16) == 64  # the paper's geometry
+        assert level0_rows(16, 16) == 16
+        assert level0_rows(15, 16) == 512
+        assert level0_rows(64, 100) == 3200
+
+    @pytest.mark.parametrize("m,n,br", [(1000, 16, 64), (100, 16, 16), (130, 16, 64)])
+    def test_geometry_unchanged_when_block_rows_covers_width(self, rng, m, n, br):
+        f = tsqr(rng.standard_normal((m, n)), block_rows=br)
+        assert [b.rows for b in f.blocks] == row_blocks(m, br)
+
+    @pytest.mark.parametrize("path", ["batched", "seed", "structured"])
+    def test_ragged_tail_shorter_than_width(self, rng, path):
+        # 512-row blocks leave a 10-row tail whose R is a 10 x 16 trapezoid.
+        A = rng.standard_normal((1034, 16))
+        f = tsqr(A, policy=ExecutionPolicy(path=path, block_rows=8))
+        assert [b.rows for b in f.blocks] == [(0, 512), (512, 1024), (1024, 1034)]
+        assert f.tree.n_levels == 1
+        Q = f.form_q()
+        assert factorization_error(A, Q, f.R) < 1e-13
+        assert orthogonality_error(Q) < 1e-13
+        assert triangularity_error(f.R) == 0.0
+        B = rng.standard_normal((1034, 5))
+        assert np.allclose(f.apply_q(f.apply_qt(B.copy())), B, atol=1e-12)
+
+    def test_paper_shape(self, rng):
+        # 110592 x 100 with the default 64-row request: 34 blocks of 3200
+        # rows plus a 1792-row tail, reduced by a three-level quad tree.
+        A = rng.standard_normal((110592, 100))
+        f = tsqr(A)
+        assert len(f.blocks) == 35 and f.blocks[0].rows == (0, 3200)
+        assert f.blocks[-1].rows == (108800, 110592)
+        assert f.tree.n_levels == 3
+        Q = f.form_q()
+        assert factorization_error(A, Q, f.R) <= 1e-14
+        assert orthogonality_error(Q) <= 1e-13
+
+    def test_plans_share_the_rule(self):
+        # A 32-wide panel over 8-row requests: every planner sizes 1024-row blocks.
+        policy = ExecutionPolicy(path="lookahead", panel_width=32, block_rows=8)
+        plan = plan_qr(5000, 64, policy=policy)
+        assert [p.block_rows for p in plan.panels] == [1024, 1024]
+        sched = build_lookahead_schedule(5000, 64, policy)
+        assert [bh for _, _, _, bh, _ in sched.panels] == [1024, 1024]
+        assert _PanelPlan(0, 32, 5000, 8, "quad").ranges == row_blocks(5000, 1024)
 
 
 class TestTSQRApply:

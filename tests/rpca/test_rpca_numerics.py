@@ -8,12 +8,18 @@ import pytest
 from repro.rpca.ialm import rpca_ialm
 from repro.rpca.shrinkage import shrink
 from repro.rpca.svt import singular_value_threshold
+from repro.rpca.video import generate_video
 
 
 class TestShrink:
     def test_soft_threshold_values(self):
         x = np.array([-3.0, -0.5, 0.0, 0.5, 3.0])
         assert np.allclose(shrink(x, 1.0), [-2.0, 0.0, 0.0, 0.0, 2.0])
+
+    def test_scalar_input(self):
+        assert shrink(2.0, 0.5) == 1.5
+        assert shrink(-2.0, 0.5) == -1.5
+        assert shrink(0.25, 0.5) == 0.0
 
     def test_zero_threshold_identity(self, rng):
         x = rng.standard_normal((4, 5))
@@ -30,6 +36,21 @@ class TestShrink:
     def test_sparsifies(self, rng):
         x = rng.standard_normal(1000)
         assert np.count_nonzero(shrink(x, 1.0)) < np.count_nonzero(x)
+
+    def test_matches_sign_times_clamped_magnitude(self, rng):
+        x = rng.standard_normal((50, 20))
+        x[0, :3] = [np.inf, -np.inf, np.nan]
+        ref = np.sign(x) * np.maximum(np.abs(x) - 0.4, 0.0)
+        assert np.array_equal(shrink(x, 0.4), ref, equal_nan=True)
+
+    def test_input_untouched_and_signed_zeros(self):
+        x = np.array([-0.0, 0.0, -0.2, 0.2, -1.5])
+        before = x.copy()
+        out = shrink(x, 0.5)
+        assert np.array_equal(x, before) and np.array_equal(np.signbit(x), np.signbit(before))
+        assert out.tolist() == [0.0, 0.0, 0.0, 0.0, -1.0]
+        # -0.0 and negatives shrunk to zero keep their sign bit
+        assert np.signbit(out).tolist() == [True, False, True, False, True]
 
 
 class TestSVT:
@@ -136,3 +157,12 @@ class TestRPCA:
 
         rpca_ialm(rng.standard_normal((30, 10)), max_iter=3, tol=0.0, svd=probe_svd)
         assert len(calls) == 3
+
+    def test_graph_engine_bit_identical_at_video_shape(self):
+        # 3072 x 72: wider than the 64-row default request, so TSQR runs
+        # 2304-row level-0 blocks (one full block plus a 768-row tail).
+        M = generate_video(48, 64, 72, seed=0).M
+        direct = rpca_ialm(M, tol=0.0, max_iter=4)
+        graph = rpca_ialm(M, tol=0.0, max_iter=4, engine="graph")
+        assert graph.residuals == direct.residuals and graph.ranks == direct.ranks
+        assert np.array_equal(graph.L, direct.L) and np.array_equal(graph.S, direct.S)
