@@ -53,9 +53,9 @@ __all__ = ["row_blocks", "level0_rows", "TSQRFactors", "tsqr", "tsqr_qr", "apply
 # width.  Blocks much taller than wide keep the reduction tree cheap
 # (Demmel et al., arXiv 0808.2664): at 110592 x 100, factor plus form_q
 # with 32n-row blocks runs about 3x faster than with n-row squares
-# (benchmarks/bench_block_height.py).  32n is not a measured optimum:
-# at 80-100 columns, 128n blocks ran about 30% faster still, while at
-# 256 columns the times were flat from 32n on.
+# (benchmarks/bench_block_height.py).  With the geqrt block factor the
+# curve is nearly flat from 16n on: 64n and 128n blocks ran 4-12%
+# faster than 32n at 80-256 columns, about the sweep's run-to-run noise.
 TALL_BLOCK_WIDTHS = 32
 
 

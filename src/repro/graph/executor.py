@@ -28,8 +28,10 @@ simulator, run for real over the batched compact-WY kernels of
   ``(V, T)`` until a Q application actually needs them.
 
 Numerically the executor matches ``caqr(batched=True)`` to roundoff
-(the factor kernel is the same LAPACK ``geqrf``; only operation *order*
-across independent tiles differs), and matches itself exactly across
+(its factor kernel is LAPACK ``geqrf`` on every slice, where the batched
+path takes ``geqrt`` for slices of at least ``GEQRT_MIN_ELEMS``
+elements; operation *order* across independent tiles differs too), and
+matches itself exactly across
 ``threaded=True/False``.  The ``structured`` tree elimination is not
 supported here — use :func:`repro.core.caqr.caqr` for that path.
 """

@@ -5,17 +5,21 @@ compact-WY work *across tree nodes*.  This module folds a second axis
 into those same kernels — ``requests``: ``r`` independent ``(m, n)``
 problems are stacked into an ``(r, m, n)`` array and every level-0
 factorization, tree combine, trailing update and Q application runs as
-one gufunc/GEMM call over ``r * nodes`` slices instead of ``nodes``
+one batched kernel call over ``r * nodes`` slices instead of ``nodes``
 slices ``r`` times.
 
-**Bit-identity.**  Every kernel involved — the stacked-QR gufunc behind
-:func:`repro.smallblas.wy.geqr2_wy`, :func:`~repro.smallblas.wy.larft`,
-and the three batched GEMMs of :func:`~repro.smallblas.wy.apply_wy` —
-computes each batch slice independently and deterministically, so slice
+**Bit-identity.**  Every kernel involved computes each batch slice
+independently and deterministically.  :func:`repro.smallblas.wy.geqr2_wy`
+runs the same per-slice factor kernel as the ``geqr2_blocked`` that
+``QRPlan.factor``'s TSQR calls, and picks LAPACK ``geqrt`` or the
+stacked-QR gufunc plus ``larft`` from the slice shape alone (``m >= n``
+and at least ``GEQRT_MIN_ELEMS`` elements), never from how many slices
+are stacked; the three batched GEMMs of
+:func:`~repro.smallblas.wy.apply_wy` work slice by slice too.  So slice
 ``i`` of the stacked result equals what ``QRPlan.factor`` produces for
-request ``i`` alone, bit for bit.  The serving tests pin this; it is the
-contract that lets the coalescer merge tenants' requests without
-changing anyone's answer.
+request ``i`` alone, bit for bit.  The serving tests pin this on both
+sides of the threshold; it is the contract that lets the coalescer
+merge tenants' requests without changing anyone's answer.
 
 **Why a plan object.**  At serving shapes (hundreds of rows, tens of
 columns) the per-batch Python work — building the reduction tree,
@@ -199,7 +203,7 @@ def _factor_panel(panel, pp: _PanelPlan, r: int) -> dict:
         batch0 = panel
     else:
         # A strided view whenever the (requests, blocks) axes merge
-        # cleanly; np.linalg.qr copies internally either way.
+        # cleanly; the factor kernel copies each slice either way.
         batch0 = panel[:, : pp.l0 * pp.eff_h, :].reshape(r * pp.l0, pp.eff_h, pw)
     V0, T0, h0 = geqr2_wy(batch0, pp.vmask0)
     current = {}

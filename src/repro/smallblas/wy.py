@@ -5,10 +5,10 @@ QRs across a batch but formulates every contraction as ``np.einsum``,
 which NumPy evaluates with its own C loop instead of BLAS.  At paper
 scale (thousands of 64x16 blocks per panel) the batched matmuls below
 run roughly an order of magnitude faster because ``np.matmul`` dispatches
-each batch slice to a GEMM microkernel, and because the blocked
-factorization produces the ``V`` and ``T`` factors of ``Q = I - V T V^T``
-as byproducts, so trailing updates and repeated Q applications never
-rebuild them.
+each batch slice to a GEMM microkernel, and because the factor kernel
+produces the ``V`` and ``T`` factors of ``Q = I - V T V^T``
+as byproducts (LAPACK ``geqrt`` returns ``T`` itself for tall slices),
+so trailing updates and repeated Q applications never rebuild them.
 
 Everything here accepts strided views (e.g. a trailing-matrix slice
 reshaped into ``(blocks, block_rows, width)`` without a copy) — GEMM
@@ -28,7 +28,10 @@ import numpy as np
 
 from repro.core.dtypes import working_dtype
 
+from .gram import _lapack
+
 __all__ = [
+    "GEQRT_MIN_ELEMS",
     "extract_v",
     "larft",
     "apply_wy",
@@ -45,6 +48,15 @@ __all__ = [
 # updates concurrently without sharing (and corrupting) the buffer.
 _TLS = threading.local()
 
+# Smallest slice (m * n elements, m >= n) factored by LAPACK geqrt rather
+# than the stacked-QR gufunc plus larft.  Measured crossover on a 2-core
+# Xeon (benchmarks/test_bench_smallblas.py::test_bench_geqrt_crossover):
+# below 4096 elements one gufunc loop over the batch beats a geqrt call
+# per slice (0.64-0.78x at the paper's 64x16 blocks), at 4096 the winner
+# depends on the width, and from 8192 on geqrt wins at every measured
+# shape (1.6-2.8x at TSQR's 3200x100 level-0 blocks).
+GEQRT_MIN_ELEMS = 8192
+
 
 def _scratch(count: int, dtype: np.dtype) -> np.ndarray:
     """Flat reusable buffer of at least ``count`` elements of ``dtype``."""
@@ -59,18 +71,19 @@ def _scratch(count: int, dtype: np.dtype) -> np.ndarray:
     return buf
 
 
-def extract_v(VR: np.ndarray, k: int | None = None) -> np.ndarray:
+def extract_v(VR: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
     """Unit-lower-trapezoidal ``V`` from a packed ``(batch, m, n)`` stack.
 
     Equivalent to the reference ``_extract_v_batch`` but done with one
     boolean-mask pass instead of ``np.tril`` + diagonal fill per call.
+    ``mask`` is an optional precomputed ``np.tri(m, k, -1, bool)``.
     """
     b, m, n = VR.shape
-    if k is None:
-        k = min(m, n)
-    mask = np.tri(m, k, -1, dtype=bool)
+    k = min(m, n)
+    if mask is None:
+        mask = np.tri(m, k, -1, dtype=bool)
     V = np.where(mask, VR[:, :, :k], 0.0)
-    idx = np.arange(min(m, k))
+    idx = np.arange(k)
     V[:, idx, idx] = 1.0
     return V
 
@@ -158,165 +171,108 @@ def wy_factors(VR: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return V, larft(V, tau)
 
 
+def _factor_slices(
+    A: np.ndarray, vmask: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The per-slice QR kernel behind both batched factor entry points.
+
+    A slice with ``m >= n`` and at least :data:`GEQRT_MIN_ELEMS` elements
+    is factored in place by LAPACK's recursive compact-WY ``geqrt`` with
+    ``nb = n``: one BLAS3 call per slice that also returns the whole
+    ``T``, so ``tau = diag(T)`` and :func:`larft` never runs.  Smaller
+    or wide slices go through the stacked-QR gufunc (``geqrf``) plus
+    :func:`larft`.  The choice depends on the slice shape only, never on
+    the batch size, and each slice is factored on its own, so stacking
+    slices (TSQR blocks, serving requests) never changes their bits.
+
+    Returns ``(h, tau, V, T)``: the ``(batch, n, m)`` packed factor in
+    ``np.linalg.qr(mode="raw")`` layout (each slice column-major), the
+    coefficients, the unit-lower-trapezoidal reflectors and ``T``.
+    """
+    b, m, n = A.shape
+    T = None
+    if _lapack is not None and m >= n and m * n >= GEQRT_MIN_ELEMS:
+        h = np.empty((b, n, m), dtype=A.dtype)
+        np.copyto(h.transpose(0, 2, 1), A)
+        T = np.empty((b, n, n), dtype=A.dtype)
+        geqrt = _lapack.dgeqrt if A.dtype == np.float64 else _lapack.sgeqrt
+        for i in range(b):
+            # h[i].T is the Fortran-order (m, n) slice: factored in place.
+            _, T[i], _ = geqrt(n, h[i].T, overwrite_a=1)
+        tau = T.diagonal(axis1=1, axis2=2).copy()
+    else:
+        h, tau = np.linalg.qr(A, mode="raw")
+    V = extract_v(h.transpose(0, 2, 1), vmask)
+    return h, tau, V, larft(V, tau) if T is None else T
+
+
 def geqr2_wy(
     A: np.ndarray,
     vmask: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lean batched QR for stacked *independent* problems: ``(V, T, h)``.
 
-    The same arithmetic as the float path of :func:`geqr2_blocked` — the
-    stacked-QR gufunc per slice, :func:`larft` for ``T`` — minus the
-    materialization of the full contiguous packed factor, which the
-    serving coalescer (:mod:`repro.serving`) never reads: it extracts
-    ``V`` and the triangular ``R`` block straight from the LAPACK output
-    ``h`` through strided views.  Because every contraction is computed
-    per batch slice, stacking independent same-shape matrices along the
-    batch axis produces factors bit-identical to factoring each matrix
-    alone — that is the property the request coalescer is built on.
+    The same per-slice kernel as :func:`geqr2_blocked` (``geqrt`` for
+    slices with ``m >= n`` and at least :data:`GEQRT_MIN_ELEMS` elements,
+    the stacked-QR gufunc plus :func:`larft` otherwise), minus the packed
+    ``VR`` view and ``tau``, which the serving coalescer
+    (:mod:`repro.serving`) never reads: it takes the triangular ``R``
+    block straight from ``h`` through strided views.  Because every slice
+    is factored on its own by a kernel chosen from its shape alone,
+    stacking independent same-shape matrices along the batch axis
+    produces factors bit-identical to factoring each matrix alone, and to
+    what :func:`geqr2_blocked` returns for it — the property the request
+    coalescer is built on.
 
     Args:
-        A: ``(batch, m, n)`` stack, float32/float64 (the only dtypes the
-            gufunc fast path covers; other dtypes belong in
-            :func:`geqr2_blocked`).
+        A: ``(batch, m, n)`` stack, float32/float64 (other dtypes belong
+            in :func:`geqr2_blocked`, which casts them).
         vmask: optional precomputed ``np.tri(m, k, -1, bool)`` strict
             lower-trapezoid mask; per-shape callers cache it.
 
     Returns:
         ``(V, T, h)``: the unit-lower-trapezoidal reflectors ``(batch,
-        m, k)``, the block-reflector ``T`` ``(batch, k, k)``, and the raw
-        ``(batch, n, m)`` packed factor from ``np.linalg.qr(mode="raw")``
-        (rows of ``h`` are columns of VR; ``R`` is its upper ``k x n``
-        corner, transposed).
+        m, k)``, the block-reflector ``T`` ``(batch, k, k)``, and the
+        ``(batch, n, m)`` packed factor in ``np.linalg.qr(mode="raw")``
+        layout (rows of ``h`` are columns of VR; ``R`` is its upper
+        ``k x n`` corner, transposed).
     """
     if A.ndim != 3:
         raise ValueError("A must be a (batch, m, n) stack")
     if A.dtype not in (np.float32, np.float64):
         raise TypeError(
-            f"geqr2_wy covers the gufunc fast path (float32/float64) only, "
-            f"got {A.dtype}; use geqr2_blocked"
+            f"geqr2_wy covers float32/float64 only, got {A.dtype}; "
+            f"use geqr2_blocked"
         )
-    b, m, n = A.shape
-    k = min(m, n)
-    h, tau = np.linalg.qr(A, mode="raw")
-    if vmask is None:
-        vmask = np.tri(m, k, -1, dtype=bool)
-    VRk = h[:, :k, :].transpose(0, 2, 1)
-    V = np.where(vmask, VRk, 0.0)
-    idx = np.arange(k)
-    V[:, idx, idx] = 1.0
-    return V, larft(V, tau), h
+    h, _, V, T = _factor_slices(A, vmask)
+    return V, T, h
 
 
 def geqr2_blocked(
     A: np.ndarray,
-    ib: int = 8,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Blocked batched QR returning the compact-WY factors as byproducts.
+    """Batched QR returning the compact-WY factors as byproducts.
 
-    Factors a ``(batch, m, n)`` stack right-looking in column sub-blocks
-    of width ``ib`` — the batched ``sgeqrf`` to the seed's batched
-    ``sgeqr2``.  The whole panel is staged through one transposed
-    ``(batch, n, m)`` scratch so every column the inner reflector loop
-    touches is a contiguous row; reflector vectors are normalized in
-    place (no per-column copies), and each sub-block's trailing update is
-    three batched GEMMs executed directly in the transposed layout.
+    Casts to the working dtype (float32 or float64) and factors every
+    slice with the kernel :func:`geqr2_wy` shares: LAPACK's recursive
+    compact-WY ``geqrt`` for slices with ``m >= n`` and at least
+    :data:`GEQRT_MIN_ELEMS` elements (TSQR's tall level-0 blocks and
+    the stacked-R tree nodes of wide panels), the stacked-QR gufunc
+    (``geqrf``) plus :func:`larft` below that (the paper's 64x16
+    blocks).  Both use the reflector convention of the reference
+    ``batched_house`` (``beta = -sign(alpha)|x|``, ``tau = 0`` for
+    already-reduced columns).  The input is never mutated.
 
     Returns:
-        ``(VR, tau, V, T)``: the packed factor and coefficients exactly as
-        :func:`repro.smallblas.batched.batched_geqr2` lays them out (up to
-        roundoff in the trailing updates), plus the assembled ``(batch,
-        m, k)`` reflectors and ``(batch, k, k)`` block-reflector T with
-        ``Q_b = I - V_b T_b V_b^T``.
+        ``(VR, tau, V, T)``: the packed factor and coefficients laid out
+        as :func:`repro.smallblas.batched.batched_geqr2` lays them out
+        (up to roundoff; ``VR`` is a transposed view of the column-major
+        LAPACK output), plus the assembled ``(batch, m, k)`` reflectors
+        and ``(batch, k, k)`` block-reflector T with ``Q_b = I - V_b T_b
+        V_b^T``.
     """
     A = np.asarray(A)
     if A.ndim != 3:
         raise ValueError("A must be a (batch, m, n) stack")
-    dt = working_dtype(A)
-    b, m, n = A.shape
-    k = min(m, n)
-    tau = np.zeros((b, k), dtype=dt)
-    if k == 0:
-        VR = np.array(A, dtype=dt, copy=True)
-        return VR, tau, np.zeros((b, m, 0), dtype=dt), np.zeros((b, 0, 0), dtype=dt)
-    if dt in (np.float32, np.float64):
-        # LAPACK geqrf through the stacked-QR gufunc: the whole batch is
-        # factored in one C loop with no per-column Python dispatch.
-        # dlarfg uses the same reflector convention as the reference
-        # batched_house (beta = -sign(alpha)|x|, tau = (beta-alpha)/beta,
-        # tau = 0 for already-reduced columns), so the packed factor is
-        # interchangeable with batched_geqr2 output up to roundoff.
-        h, tau = np.linalg.qr(np.asarray(A, dtype=dt), mode="raw")
-        VR = np.ascontiguousarray(h.transpose(0, 2, 1))
-        V = extract_v(VR)
-        return VR, tau, V, larft(V, tau)
-    # .copy() (not ascontiguousarray) — a size-1 axis can make the
-    # transposed view already contiguous, and the input must not be
-    # mutated by the in-place reflector loop below.
-    St = np.asarray(A, dtype=dt).transpose(0, 2, 1).copy()  # (b, n, m)
-    ib = max(1, min(ib, k))
-    starts = list(range(0, k, ib))
-    V = np.zeros((b, m, k), dtype=dt)
-    sub_T: list[np.ndarray] = []
-    for j0 in starts:
-        j1 = min(j0 + ib, k)
-        w = j1 - j0
-        # Unblocked reflector loop on columns j0:j1 (St rows), rows j0:.
-        # Same arithmetic as the reference batched_house/batched_geqr2,
-        # inlined: v_rest overwrites the column storage directly and the
-        # rank-1 trailing update touches at most `w` columns.
-        for i in range(w):
-            c = j0 + i  # global column index == pivot row index
-            row = St[:, c, c:]  # (b, m - c), contiguous
-            if row.shape[1] == 1:
-                continue  # length-1 vector: tau = 0, beta = alpha
-            alpha = row[:, 0].copy()
-            rest = row[:, 1:]
-            sigma = np.einsum("bi,bi->b", rest, rest)
-            norm_x = np.sqrt(alpha * alpha + sigma)
-            beta = -np.copysign(norm_x, alpha)
-            active = sigma != 0.0
-            denom = np.where(active, alpha - beta, 1.0)
-            rest /= denom[:, None]
-            with np.errstate(invalid="ignore", divide="ignore"):
-                t = np.where(
-                    active, (beta - alpha) / np.where(beta == 0.0, 1.0, beta), 0.0
-                )
-            tau[:, c] = t
-            row[:, 0] = np.where(active, beta, alpha)
-            if i + 1 < w:
-                # C_j -= t (C_j . v) v for the sub-block's remaining
-                # columns, with v = [1, rest] never materialized.
-                Ct = St[:, c + 1 : j1, c:]  # (b, w - i - 1, m - c)
-                c0 = Ct[:, :, 0]
-                cv = c0 + np.matmul(Ct[:, :, 1:], rest[:, :, None])[:, :, 0]
-                s = t[:, None] * cv
-                c0 -= s
-                Ct[:, :, 1:] -= s[:, :, None] * rest[:, None, :]
-        # Assemble the sub-block's unit-lower V and its T.
-        Vb = V[:, j0:, j0:j1]
-        for i in range(w):
-            c = j0 + i
-            Vb[:, i, i] = 1.0
-            Vb[:, i + 1 :, i] = St[:, c, c + 1 :]
-        Tb = larft(np.ascontiguousarray(Vb), tau[:, j0:j1])
-        sub_T.append(Tb)
-        if j1 < n:
-            # Trailing update in the transposed layout:
-            # C <- (I - V T' V^T) C  ==>  Ct <- Ct - ((Ct V) T) V^T.
-            Ct = St[:, j1:, j0:]  # (b, n - j1, m - j0)
-            W1 = np.matmul(Ct, Vb)
-            W2 = np.matmul(W1, Tb)
-            prod = _scratch(Ct.size, dt)[: Ct.size].reshape(Ct.shape)
-            np.matmul(W2, Vb.transpose(0, 2, 1), out=prod)
-            Ct -= prod
-    VR = np.ascontiguousarray(St.transpose(0, 2, 1))
-    T = np.zeros((b, k, k), dtype=dt)
-    T[:, : min(ib, k), : min(ib, k)] = sub_T[0]
-    for bi, i0 in enumerate(starts[1:], start=1):
-        i1 = min(i0 + ib, k)
-        T[:, i0:i1, i0:i1] = sub_T[bi]
-        # Prefix merge: T[:i0, i0:i1] = -T[:i0, :i0] (V_pref^T V_blk) T_blk,
-        # contracted over the block's row support (zero above row i0).
-        cross = np.matmul(V[:, i0:, :i0].transpose(0, 2, 1), V[:, i0:, i0:i1])
-        T[:, :i0, i0:i1] = -np.matmul(np.matmul(T[:, :i0, :i0], cross), sub_T[bi])
-    return VR, tau, V, T
+    h, tau, V, T = _factor_slices(np.asarray(A, dtype=working_dtype(A)))
+    return h.transpose(0, 2, 1), tau, V, T

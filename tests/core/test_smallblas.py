@@ -258,48 +258,116 @@ class TestCompactWY:
         assert np.allclose(B.reshape(6, 16, 5), ref, atol=1e-11)
 
     def test_geqr2_blocked_matches_reference(self, rng):
-        from repro.smallblas.wy import geqr2_blocked
+        from repro.smallblas.wy import GEQRT_MIN_ELEMS, geqr2_blocked
 
-        for shape, ib in [
-            ((7, 20, 11), 4),
-            ((3, 6, 10), 4),  # wide
-            ((5, 64, 16), 8),
-            ((1, 8, 8), 3),
-            ((4, 1, 3), 2),  # single row
-            ((2, 9, 1), 4),  # single column
-            ((2, 5, 5), 1),
-        ]:
+        gufunc_shapes = [
+            (7, 20, 11),
+            (3, 6, 10),  # wide
+            (5, 64, 16),  # the paper's block
+            (1, 8, 8),
+            (4, 1, 3),  # single row
+            (2, 9, 1),  # single column
+            (2, 5, 5),
+        ]
+        geqrt_shapes = [
+            (3, 400, 40),  # tall
+            (3, 96, 96),  # m == n
+            (2, GEQRT_MIN_ELEMS, 1),  # single column, at the threshold
+        ]
+        for b, m, n in gufunc_shapes:
+            assert m < n or m * n < GEQRT_MIN_ELEMS
+        for b, m, n in geqrt_shapes:
+            assert m >= n and m * n >= GEQRT_MIN_ELEMS
+        for shape in gufunc_shapes + geqrt_shapes:
             A = rng.standard_normal(shape)
             if shape[1] > 2 and shape[0] > 1:
                 A[0, 1:, 0] = 0.0  # already-reduced column
                 A[1, :, :] = 0.0  # fully zero block
             A0 = A.copy()
-            VR, tau, V, T = geqr2_blocked(A, ib=ib)
+            VR, tau, V, T = geqr2_blocked(A)
             assert np.array_equal(A, A0), "input must not be mutated"
             VR0, tau0 = batched_geqr2(A)
             assert np.allclose(VR, VR0, atol=1e-11), shape
             assert np.allclose(tau, tau0, atol=1e-11), shape
+            assert np.array_equal(tau, np.diagonal(T, axis1=1, axis2=2)), shape
+            assert np.array_equal(T, np.triu(T)), shape
+            if shape[1] > 2 and shape[0] > 1:
+                assert tau[0, 0] == 0.0  # reduced column: identity reflector
+                assert not tau[1].any() and not VR[1].any()
 
     def test_geqr2_blocked_wy_reconstructs(self, rng):
         from repro.smallblas.wy import apply_wy, geqr2_blocked
 
-        b, m, n = 5, 24, 9
-        A = rng.standard_normal((b, m, n))
-        VR, tau, V, T = geqr2_blocked(A, ib=4)
-        QR = np.concatenate(
-            [np.triu(VR[:, :n, :]), np.zeros((b, m - n, n))], axis=1
-        )
-        apply_wy(V, T, QR, transpose=False)  # Q @ [R; 0] == A
-        assert np.allclose(QR, A, atol=1e-11)
+        # gufunc; geqrt tall; geqrt square
+        for b, m, n in [(5, 24, 9), (3, 400, 40), (2, 96, 96)]:
+            A = rng.standard_normal((b, m, n))
+            VR, tau, V, T = geqr2_blocked(A)
+            QR = np.concatenate(
+                [np.triu(VR[:, :n, :]), np.zeros((b, m - n, n))], axis=1
+            )
+            apply_wy(V, T, QR, transpose=False)  # Q @ [R; 0] == A
+            assert np.allclose(QR, A, atol=1e-11), (b, m, n)
 
     def test_geqr2_blocked_float32(self, rng):
+        from repro.smallblas.wy import apply_wy, geqr2_blocked
+
+        for b, m, n in [(4, 32, 8), (3, 400, 40)]:  # gufunc; sgeqrt
+            A = rng.standard_normal((b, m, n)).astype(np.float32)
+            A0 = A.copy()
+            VR, tau, V, T = geqr2_blocked(A)
+            assert np.array_equal(A, A0)
+            assert VR.dtype == tau.dtype == V.dtype == T.dtype == np.float32
+            VR0, tau0 = batched_geqr2(A)
+            assert np.allclose(VR, VR0, atol=1e-4)
+            assert np.array_equal(tau, np.diagonal(T, axis1=1, axis2=2))
+            QR = np.concatenate(
+                [np.triu(VR[:, :n, :]), np.zeros((b, m - n, n), np.float32)], axis=1
+            )
+            apply_wy(V, T, QR, transpose=False)
+            assert np.allclose(QR, A, atol=1e-4)
+
+    def test_factor_kernel_follows_slice_shape_only(self, rng, monkeypatch):
+        """geqrt runs exactly for tall slices at or above the threshold."""
+        from repro.smallblas import wy
+
+        if wy._lapack is None:
+            pytest.skip("SciPy LAPACK not available")
+        calls = []
+        real = wy._lapack
+
+        class Spy:
+            def __getattr__(self, name):
+                fn = getattr(real, name)
+
+                def counted(*args, **kwargs):
+                    calls.append(name)
+                    return fn(*args, **kwargs)
+
+                return counted
+
+        monkeypatch.setattr(wy, "_lapack", Spy())
+        t = wy.GEQRT_MIN_ELEMS
+        for b in (1, 5):
+            calls.clear()
+            wy.geqr2_blocked(rng.standard_normal((b, t // 16, 16)))
+            assert calls == ["dgeqrt"] * b
+            calls.clear()
+            wy.geqr2_wy(rng.standard_normal((b, t // 16, 16)).astype(np.float32))
+            assert calls == ["sgeqrt"] * b
+            calls.clear()
+            wy.geqr2_blocked(rng.standard_normal((b, t // 16 - 1, 16)))
+            wy.geqr2_blocked(rng.standard_normal((b, 16, t // 16)))  # wide
+            assert calls == []
+
+    def test_geqr2_blocked_empty_slices(self):
         from repro.smallblas.wy import geqr2_blocked
 
-        A = rng.standard_normal((4, 32, 8)).astype(np.float32)
-        VR, tau, V, T = geqr2_blocked(A)
-        assert VR.dtype == tau.dtype == V.dtype == T.dtype == np.float32
-        VR0, tau0 = batched_geqr2(A)
-        assert np.allclose(VR, VR0, atol=1e-4)
+        for b, m, n in [(2, 0, 3), (2, 3, 0), (0, 4, 3)]:
+            VR, tau, V, T = geqr2_blocked(np.zeros((b, m, n), np.float32))
+            k = min(m, n)
+            assert VR.shape == (b, m, n) and tau.shape == (b, k)
+            assert V.shape == (b, m, k) and T.shape == (b, k, k)
+            assert VR.dtype == tau.dtype == V.dtype == T.dtype == np.float32
 
     def test_geqr2_blocked_rejects_bad_shape(self):
         from repro.smallblas.wy import geqr2_blocked

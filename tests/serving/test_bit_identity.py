@@ -14,6 +14,7 @@ import pytest
 from repro.dispatch import QRDispatcher
 from repro.runtime import ExecutionPolicy, plan_qr
 from repro.serving import QRServer
+from repro.smallblas.wy import GEQRT_MIN_ELEMS, geqr2_blocked, geqr2_wy
 
 from .conftest import M, N
 
@@ -70,6 +71,56 @@ def test_custom_batched_policy_stacks_and_matches_plan(gated_server):
     for got, exp in zip(results, expected):
         assert np.array_equal(got.Q, exp.form_q())
         assert np.array_equal(got.R, exp.R)
+
+
+def test_geqrt_slices_stack_and_match_plan(gated_server):
+    """Level-0 and tree slices above the geqrt threshold stay bit-exact."""
+    m, n = 2048, 64
+    policy = ExecutionPolicy(path="batched", panel_width=64, block_rows=256)
+    # The 256x64 level-0 blocks and the quad tree's 256x64 and 128x64
+    # stacked-R nodes all take LAPACK geqrt; the default serving shapes
+    # stay on the gufunc.
+    assert 128 * n >= GEQRT_MIN_ELEMS > M * N
+    mats = _mats(4, m=m, n=n)
+    plan = plan_qr(m, n, policy=policy)
+    expected = [plan.execute(A.copy()) for A in mats]
+
+    gated_server.hold()
+    futures = [
+        gated_server.server.submit(A, policy=policy) for A in mats
+    ]
+    gated_server.release()
+    results = [f.result(timeout=10.0) for f in futures]
+
+    assert gated_server.server.stats().coalesced_requests == len(mats)
+    for got, (Q, R) in zip(results, expected):
+        assert np.array_equal(got.Q, Q)
+        assert np.array_equal(got.R, R)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize(
+    "m, n",
+    [
+        (64, 16),
+        (GEQRT_MIN_ELEMS // 16 - 1, 16),
+        (GEQRT_MIN_ELEMS // 16, 16),
+        (200, 100),
+    ],
+    ids=["paper-block", "below-threshold", "at-threshold", "tall-geqrt"],
+)
+def test_factor_kernel_stack_equals_slices(m, n, dtype):
+    """Stacking never changes a slice's factors, on either kernel."""
+    A = np.asarray(np.random.default_rng(3).standard_normal((5, m, n)), dtype=dtype)
+    V, T, h = geqr2_wy(A)
+    VR, tau, Vb, Tb = geqr2_blocked(A)
+    assert np.array_equal(V, Vb) and np.array_equal(T, Tb)
+    assert np.array_equal(h.transpose(0, 2, 1), VR)
+    for i in range(len(A)):
+        Vi, Ti, hi = geqr2_wy(A[i : i + 1])
+        assert np.array_equal(Vi[0], V[i])
+        assert np.array_equal(Ti[0], T[i])
+        assert np.array_equal(hi[0], h[i])
 
 
 def test_cholqr2_policy_stops_at_shared_plan(gated_server):
