@@ -46,7 +46,7 @@ class CAQRFactors:
     m: int
     n: int
     panel_width: int
-    block_rows: int
+    block_rows: int | None  # as requested; None is the host default
     tree_shape: str
     panels: list[PanelFactor]
     R: np.ndarray  # min(m, n) x n upper trapezoidal
@@ -158,7 +158,9 @@ def caqr(
         A: ``m x n`` matrix.
         panel_width: width of each column panel (the paper's reference GPU
             configuration uses 16, matching the 64x16 block).
-        block_rows: height of the level-0 row blocks within each panel.
+        block_rows: height of the level-0 row blocks within each panel;
+            unset means 32 panel widths
+            (:func:`~repro.core.tsqr.level0_rows`).
         tree_shape: TSQR reduction-tree shape (paper: quad-tree on the GPU).
         structured: (deprecated) maps to ``path="structured"``.
         batched: (deprecated) ``False`` maps to the seed reference path.

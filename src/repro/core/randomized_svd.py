@@ -16,7 +16,7 @@ from repro.runtime.policy import UNSET, ExecutionPolicy, resolve_policy
 from repro.verify.guards import validate_matrix
 
 from .jacobi_svd import jacobi_svd
-from .tsqr import _tsqr_impl
+from .tsqr import _tsqr_impl, level0_rows
 
 __all__ = [
     "emit_rsvd_layers",
@@ -106,7 +106,7 @@ def randomized_range_finder(
     Q = _tsqr_q(Y, policy)
     for _ in range(power_iters):
         Z = A.T @ Q
-        if n < policy.block_rows:
+        if n < level0_rows(policy.block_rows, ell):
             Zq, _ = np.linalg.qr(Z)
         else:
             Zq = _tsqr_q(Z, policy)
@@ -223,7 +223,7 @@ def emit_rsvd_layers(
         st["Z"] = st["A"].T @ st["Q"]
 
     def do_power_qr() -> None:
-        if n < policy.block_rows:
+        if n < level0_rows(policy.block_rows, ell):
             st["Zq"] = np.linalg.qr(st["Z"])[0]
         else:
             st["Zq"] = _tsqr_q(st["Z"], policy)

@@ -49,13 +49,17 @@ from .tree import TreeSchedule, batch_level, build_tree
 
 __all__ = ["row_blocks", "level0_rows", "TSQRFactors", "tsqr", "tsqr_qr", "apply_wy_plan"]
 
-# Level-0 height, in panel widths, for a requested block height below the
-# width.  Blocks much taller than wide keep the reduction tree cheap
-# (Demmel et al., arXiv 0808.2664): at 110592 x 100, factor plus form_q
-# with 32n-row blocks runs about 3x faster than with n-row squares
-# (benchmarks/bench_block_height.py).  With the geqrt block factor the
-# curve is nearly flat from 16n on: 64n and 128n blocks ran 4-12%
-# faster than 32n at 80-256 columns, about the sweep's run-to-run noise.
+# Level-0 height, in panel widths, for an unset block height (every host
+# engine's default) or a requested height below the width.  Blocks much
+# taller than wide keep the reduction tree cheap (Demmel et al., arXiv
+# 0808.2664).  Wide TSQR panels: at 110592 x 100, factor plus form_q with
+# 32n-row blocks runs about 3x faster than with n-row squares, and with
+# the geqrt block factor the curve is nearly flat from 16n on (64n and
+# 128n ran 4-12% faster than 32n at 80-256 columns, about the sweep's
+# noise).  Narrow CAQR panels: the look-ahead tree (factor plus form_q)
+# on the graded 110592 x 100 input at panel width 16 ran 1.0-1.2 s with
+# the paper's 64-row blocks and 0.64-0.71 s from 32n = 512 rows up to
+# 128n (benchmarks/bench_block_height.py has both sweeps).
 TALL_BLOCK_WIDTHS = 32
 
 
@@ -73,19 +77,24 @@ def row_blocks(m: int, block_rows: int) -> list[tuple[int, int]]:
     return [(i, min(i + block_rows, m)) for i in range(0, m, block_rows)]
 
 
-def level0_rows(block_rows: int, width: int) -> int:
+def level0_rows(block_rows: int | None, width: int) -> int:
     """Level-0 row-block height for a ``width``-column panel.
 
-    ``block_rows`` itself when it is at least ``width``: the paper's
-    64 x 16 geometry, and every C2050 configuration (``KernelConfig``
-    requires it).  A shorter block cannot hold a full ``width x width``
-    R triangle; rather than square ``width``-row blocks, whose level 0
-    reduces nothing and leaves all the work to the tree, it becomes
-    ``TALL_BLOCK_WIDTHS * width`` rows.  Every consumer of the level-0
-    geometry (the numerics, the plans, the task DAGs and the C2050
-    launch model) goes through this one rule.
+    ``None`` (unset, the default of every host engine) means the host
+    rule: ``TALL_BLOCK_WIDTHS * width`` rows, sized for the host's
+    caches rather than for one C2050 SM.  An explicit ``block_rows`` is
+    kept when it is at least ``width``: the paper's 64 x 16 geometry,
+    and every C2050 configuration (``KernelConfig`` requires it).  A
+    shorter explicit block cannot hold a full ``width x width`` R
+    triangle; rather than square ``width``-row blocks, whose level 0
+    reduces nothing and leaves all the work to the tree, it gets the
+    host rule too.  Every consumer of the level-0 geometry (the
+    numerics, the plans, the task DAGs and the C2050 launch model) goes
+    through this one rule.
     """
-    return block_rows if block_rows >= width else TALL_BLOCK_WIDTHS * width
+    if block_rows is None or block_rows < width:
+        return TALL_BLOCK_WIDTHS * width
+    return block_rows
 
 
 @dataclass
@@ -521,7 +530,7 @@ def _tsqr_batched(
         # its exact height, so neither the factor nor later Q applies
         # ever touch pad rows.
         stack = A[: l0_count * block_rows].reshape(l0_count, block_rows, n)
-    with _obs.span("tsqr.level0", cat="factor.level0", blocks=nb):
+    with _obs.span("tsqr.level0", cat="factor.level0", blocks=nb, block_rows=block_rows):
         VRb, taub, Vb, Tb = geqr2_blocked(stack)
     bh = stack.shape[1]
     k0 = min(bh, n)
@@ -538,7 +547,7 @@ def _tsqr_batched(
     l0_tail = []
     if ragged:
         s, e = ranges[-1]
-        with _obs.span("tsqr.level0", cat="factor.level0", blocks=1):
+        with _obs.span("tsqr.level0", cat="factor.level0", blocks=1, block_rows=block_rows):
             VRl, taul, Vl, Tl = geqr2_blocked(A[s:e][None, :, :])
         blocks.append(_LevelZeroFactor(rows=(s, e), VR=VRl[0], tau=taul[0]))
         kl = min(h_last, n)
@@ -628,7 +637,7 @@ def _tsqr_reference(
     blocks = []
     current_r: dict[int, np.ndarray] = {}
     n_full = sum(1 for (s, e) in ranges if e - s == block_rows)
-    with _obs.span("tsqr.level0", cat="factor.level0", blocks=len(ranges)):
+    with _obs.span("tsqr.level0", cat="factor.level0", blocks=len(ranges), block_rows=block_rows):
         if n_full > 1 and m >= block_rows:
             stack = np.ascontiguousarray(A[: n_full * block_rows]).reshape(n_full, block_rows, n)
             VRb, taub = batched_geqr2(stack)
@@ -723,7 +732,7 @@ def tsqr(
     Args:
         A: ``m x n`` matrix (any aspect ratio is accepted; TSQR pays off
             for ``m >> n``).
-        block_rows: requested height of the level-0 row blocks; a request
+        block_rows: requested height of the level-0 row blocks; unset or
             below ``n`` gets ``32 * n``-row blocks (:func:`level0_rows`).
         tree_shape: reduction-tree shape (see :mod:`repro.core.tree`).
         structured: (deprecated) eliminate the stacked Rs with the

@@ -17,23 +17,23 @@ simulator, run for real over the batched compact-WY kernels of
   ``workers`` alone, never on ``threaded``).
 
 * **Lean replay.**  The panel factorization keeps only what the apply
-  plan needs: the packed QR output is consumed through strided views
-  (no ``ascontiguousarray`` repack of the reflector stacks), tree-level
+  plan needs: level-0 blocks are strided views of the panel, tree-level
   R stacks are zero-copy reshapes of a contiguous backing array instead
   of per-node gathers, no per-block/per-node factor objects are built,
   and the shape-dependent schedule (row maps, batch slicing) is computed
   once per ``(panel_height, width, block_rows, tree)`` and replayed from
   an LRU cache — the CUDA-Graphs capture/replay idiom, host-side.
-  Panels with no trailing matrix defer building their compact-WY
-  ``(V, T)`` until a Q application actually needs them.
 
-Numerically the executor matches ``caqr(batched=True)`` to roundoff
-(its factor kernel is LAPACK ``geqrf`` on every slice, where the batched
-path takes ``geqrt`` for slices of at least ``GEQRT_MIN_ELEMS``
-elements; operation *order* across independent tiles differs too), and
-matches itself exactly across
-``threaded=True/False``.  The ``structured`` tree elimination is not
-supported here — use :func:`repro.core.caqr.caqr` for that path.
+Every slice (level-0 block, ragged tail, tree node) is factored by the
+kernel TSQR and the serving coalescer share,
+:func:`repro.smallblas.wy._factor_slices`: LAPACK ``geqrt`` for slices
+of at least ``GEQRT_MIN_ELEMS`` elements, the ``geqrf`` gufunc plus
+``larft`` below that, each returning its compact-WY ``(V, T)`` with the
+factor.  Numerically the executor matches ``caqr(batched=True)`` to
+roundoff (operation *order* across independent tiles differs), and
+matches itself exactly across ``threaded=True/False``.  The
+``structured`` tree elimination is not supported here — use
+:func:`repro.core.caqr.caqr` for that path.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from repro.graph.highlevel import TaskGraph
 from repro.graph.order import static_order
 from repro.obs import tracer as _obs
 from repro.runtime.policy import UNSET, ExecutionPolicy, resolve_executor_policy
-from repro.smallblas.wy import extract_v, larft
+from repro.smallblas.wy import _factor_slices
 from repro.verify.guards import validate_matrix
 
 __all__ = [
@@ -197,107 +197,56 @@ def _recipe(hp: int, width: int, bh: int, tree_shape: str) -> _PanelRecipe | Non
 
 @dataclass
 class _PanelPlan:
-    """One factored panel: its R, and a lazily-built apply plan.
+    """One factored panel: its R and its compact-WY apply plan.
 
-    The factor task stores the raw packed QR outputs (``VR`` stacks as
-    strided views plus ``tau``); the compact-WY ``(V, T)`` factors are
-    assembled on first use — immediately for panels that have a trailing
-    matrix, lazily (and lock-protected) for panels that do not.
+    The factor task fills both; the trailing updates and every later Q
+    application replay the plan.
     """
 
     row_start: int
     col_start: int
     col_stop: int
-    hp: int
     R: np.ndarray | None = None  # (width, width) upper triangular
-    _raw: tuple | None = field(default=None, repr=False)
-    _fallback: object | None = field(default=None, repr=False)  # TSQRFactors
-    _plan: _WyPlan | None = field(default=None, repr=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-
-    def plan(self) -> _WyPlan:
-        plan = self._plan
-        if plan is None:
-            with self._lock:
-                plan = self._plan
-                if plan is None:
-                    plan = self._plan = self._build_plan()
-                    self._raw = None  # raw stacks no longer needed
-        return plan
-
-    def _build_plan(self) -> _WyPlan:
-        if self._fallback is not None:
-            return self._fallback._plan_for(working_dtype(self.R))
-        rec, VR0, tau0, tail_raw, levels_raw = self._raw
-        V0 = extract_v(VR0)
-        T0 = larft(V0, tau0)
-        l0_tail = []
-        if tail_raw is not None:
-            VRt, taut = tail_raw
-            Vt = extract_v(VRt)
-            l0_tail.append((rec.tail_start, rec.tail_h, Vt, larft(Vt, taut)))
-        levels = []
-        for entries_raw in levels_raw:
-            entries = []
-            for idx, VRl, taul in entries_raw:
-                Vl = extract_v(VRl)
-                entries.append(("wy", idx, Vl, larft(Vl, taul)))
-            levels.append(entries)
-        return _WyPlan(
-            dtype=np.dtype(V0.dtype),
-            l0_count=rec.l0_count,
-            l0_h=rec.l0_h,
-            l0_V=V0,
-            l0_T=T0,
-            l0_tail=l0_tail,
-            levels=levels,
-        )
+    plan: _WyPlan | None = field(default=None, repr=False)
 
     def apply_qt(self, B: np.ndarray) -> None:
-        apply_wy_plan(self.plan(), B, transpose=True)
+        apply_wy_plan(self.plan, B, transpose=True)
 
     def apply_q(self, B: np.ndarray) -> None:
-        apply_wy_plan(self.plan(), B, transpose=False)
+        apply_wy_plan(self.plan, B, transpose=False)
 
 
-def _factor_panel(
-    pp: _PanelPlan, Wp: np.ndarray, bh: int, tree_shape: str, eager: bool
-) -> None:
+def _factor_panel(pp: _PanelPlan, Wp: np.ndarray, bh: int, tree_shape: str) -> None:
     """Factor one panel (TSQR) into ``pp`` — the ``factor`` +
     ``factor_tree`` launches of the DAG, replayed from the cached recipe."""
     hp, width = Wp.shape
     rec = _recipe(hp, width, bh, tree_shape)
     if rec is None:
         f = _tsqr_impl(Wp, block_rows=bh, tree_shape=tree_shape, structured=False, batched=True)
-        pp._fallback = f
         pp.R = f.R[:width, :]
-        if eager:
-            pp.plan()
+        pp.plan = f._plan_for(Wp.dtype)
         return
-    # Level 0: one batched geqrf over the uniform blocks, consumed as a
-    # strided view — R rows are sliced out, reflectors stay packed.
+    # Level 0: the uniform blocks are one strided view of the panel; only
+    # their R rows are copied out, into the backing slab the tree reads.
     if rec.nb == 1:
         stack = Wp[None, :, :]
     else:
         stack = Wp[: rec.l0_count * bh].reshape(rec.l0_count, bh, width)
-    with _obs.span("panel.level0", cat="factor.level0", blocks=rec.nb):
-        h, tau0 = np.linalg.qr(stack, mode="raw")
-        VR0 = h.transpose(0, 2, 1)  # (l0_count, l0_h, width) view
-        dt = VR0.dtype
-        backing = np.empty((rec.nb, width, width), dtype=dt)
-        backing[: rec.l0_count] = VR0[:, :width, :]
-        tail_raw = None
+    with _obs.span("panel.level0", cat="factor.level0", blocks=rec.nb, block_rows=rec.l0_h):
+        h0, _, V0, T0 = _factor_slices(stack)
+        backing = np.empty((rec.nb, width, width), dtype=Wp.dtype)
+        backing[: rec.l0_count] = h0[:, :, :width].transpose(0, 2, 1)
+        tail = []
         if rec.ragged:
-            ht, taut = np.linalg.qr(Wp[rec.tail_start :][None, :, :], mode="raw")
-            VRt = ht.transpose(0, 2, 1)
-            backing[rec.nb - 1] = VRt[0, :width, :]
-            tail_raw = (VRt, taut)
+            ht, _, Vt, Tt = _factor_slices(Wp[rec.tail_start :][None, :, :])
+            backing[rec.nb - 1] = ht[0, :, :width].T
+            tail.append((rec.tail_start, rec.tail_h, Vt, Tt))
         backing[:, rec.low_mask] = 0.0
     # Tree levels: every stacked-R input is a zero-copy reshape of the
     # backing slab; the outputs become the next slab.
-    levels_raw = []
+    levels = []
     for batches, n_ride in zip(rec.levels, rec.carried):
-        entries_raw = []
+        entries = []
         outs = []
         used = 0
         with _obs.span("panel.tree", cat="factor.tree", batches=len(batches)):
@@ -305,10 +254,9 @@ def _factor_panel(
                 src = backing[lb.pos0 : lb.pos0 + lb.g * lb.arity].reshape(
                     lb.g, lb.arity * width, width
                 )
-                hh, taul = np.linalg.qr(src, mode="raw")
-                VRl = hh.transpose(0, 2, 1)
-                entries_raw.append((lb.idx, VRl, taul))
-                Rt = VRl[:, :width, :].copy()
+                hh, _, Vl, Tl = _factor_slices(src)
+                entries.append(("wy", lb.idx, Vl, Tl))
+                Rt = hh[:, :, :width].transpose(0, 2, 1).copy()
                 Rt[:, rec.low_mask] = 0.0
                 outs.append(Rt)
                 used += lb.g * lb.arity
@@ -316,11 +264,17 @@ def _factor_panel(
                 backing = outs[0]
             else:
                 backing = np.concatenate(outs + ([backing[used:]] if n_ride else []))
-        levels_raw.append(entries_raw)
+        levels.append(entries)
     pp.R = backing[0]
-    pp._raw = (rec, VR0, tau0, tail_raw, levels_raw)
-    if eager:
-        pp.plan()
+    pp.plan = _WyPlan(
+        dtype=np.dtype(Wp.dtype),
+        l0_count=rec.l0_count,
+        l0_h=rec.l0_h,
+        l0_V=V0,
+        l0_T=T0,
+        l0_tail=tail,
+        levels=levels,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -335,13 +289,13 @@ class LookaheadCAQRFactors:
     Duck-type compatible with :class:`repro.core.caqr.CAQRFactors`:
     ``apply_qt`` / ``apply_q`` / ``form_q`` and the explicit ``R``.
     Q applications run through the same compact-WY plans the trailing
-    updates used (built on demand for trailing-free panels).
+    updates used.
     """
 
     m: int
     n: int
     panel_width: int
-    block_rows: int
+    block_rows: int | None  # as requested; None is the host default
     tree_shape: str
     panels: list[_PanelPlan]
     R: np.ndarray  # min(m, n) x n upper trapezoidal
@@ -368,11 +322,19 @@ class LookaheadCAQRFactors:
         return B
 
     def form_q(self) -> np.ndarray:
-        """Form the explicit thin ``m x min(m, n)`` orthonormal Q."""
+        """Form the explicit thin ``m x min(m, n)`` orthonormal Q.
+
+        Panel ``p`` is applied only to the columns at or right of its
+        ``col_start``: every column to its left is still an identity
+        column, exactly zero in the rows ``p`` touches, so the result is
+        bit-identical to ``apply_q(I)``.
+        """
         k = min(self.m, self.n)
         Q = np.zeros((self.m, k), dtype=working_dtype(self.R))
         np.fill_diagonal(Q, 1.0)
-        return self.apply_q(Q)
+        for p in reversed(self.panels):
+            p.apply_q(Q[p.row_start :, p.col_start :])
+        return Q
 
 
 def form_q_columns(
@@ -403,16 +365,17 @@ def form_q_columns(
         return factors.form_q()
     Q = np.zeros((factors.m, k), dtype=working_dtype(factors.R))
     np.fill_diagonal(Q, 1.0)
-    # Build apply plans serially up front: the tile applies run
-    # concurrently and must only read them.
     panels = getattr(factors, "panels", None)
     if panels is not None:
-        for p in panels:
-            p.plan()
+        # As in LookaheadCAQRFactors.form_q: a panel skips the tile
+        # columns left of its col_start (and tiles entirely left of it).
         def run(lo: int, hi: int) -> None:
             for p in reversed(panels):
-                p.apply_q(Q[p.row_start :, lo:hi])
+                if p.col_start < hi:
+                    p.apply_q(Q[p.row_start :, max(lo, p.col_start) : hi])
     else:
+        # Build the apply plan serially up front: the tile applies run
+        # concurrently and must only read it.
         plan_for = getattr(factors, "_plan_for", None)
         if plan_for is not None and getattr(factors, "batched", False):
             plan_for(np.dtype(Q.dtype))
@@ -703,18 +666,18 @@ def run_lookahead_schedule(
     tree_shape = policy.tree_shape
 
     panels = [
-        _PanelPlan(row_start=r0, col_start=c0, col_stop=c0 + pw_p, hp=m - r0)
+        _PanelPlan(row_start=r0, col_start=c0, col_stop=c0 + pw_p)
         for c0, pw_p, r0, _bh, _wt in sched.panels
     ]
     bind: list = []
     for ts in sched.tasks:
-        c0, pw_p, r0, bh, wt = sched.panels[ts.panel]
+        c0, pw_p, r0, bh, _wt = sched.panels[ts.panel]
         pp = panels[ts.panel]
         if ts.kind == "factor":
 
-            def fn(pp=pp, c0=c0, pw_p=pw_p, r0=r0, bh=bh, wt=wt, p=ts.panel):
-                with _obs.span("factor", cat="factor", panel=p, rows=m - r0):
-                    _factor_panel(pp, W[r0:, c0 : c0 + pw_p], bh, tree_shape, eager=wt > 0)
+            def fn(pp=pp, c0=c0, pw_p=pw_p, r0=r0, bh=bh, p=ts.panel):
+                with _obs.span("factor", cat="factor", panel=p, rows=m - r0, block_rows=bh):
+                    _factor_panel(pp, W[r0:, c0 : c0 + pw_p], bh, tree_shape)
 
         else:
 

@@ -118,9 +118,12 @@ def load_tsqr(path: str | Path) -> TSQRFactors:
 
 def save_caqr(path: str | Path, factors: CAQRFactors) -> None:
     """Persist a CAQR factorization to a ``.npz`` archive."""
+    # An unset block_rows (the host default) is stored as 0, which no
+    # explicit height can be, and loads back as None.
+    br = 0 if factors.block_rows is None else factors.block_rows
     d: dict = {
         "caqr_meta": np.array(
-            [_FORMAT_VERSION, factors.m, factors.n, factors.panel_width, factors.block_rows, len(factors.panels)],
+            [_FORMAT_VERSION, factors.m, factors.n, factors.panel_width, br, len(factors.panels)],
             dtype=np.int64,
         ),
         "caqr_tree_shape": np.array(factors.tree_shape),
@@ -153,7 +156,7 @@ def load_caqr(path: str | Path) -> CAQRFactors:
             m=m,
             n=n,
             panel_width=pw,
-            block_rows=br,
+            block_rows=br or None,
             tree_shape=str(z["caqr_tree_shape"]),
             panels=panels,
             R=z["caqr_R"],

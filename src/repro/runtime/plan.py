@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -80,6 +81,18 @@ def _panel_specs(m: int, n: int, policy: ExecutionPolicy) -> tuple[PanelSpec, ..
             )
         )
     return tuple(specs)
+
+
+def _warm_recipes(schedule) -> tuple:
+    """Capture (and pin) a look-ahead schedule's per-panel tree recipes,
+    so the first execute on the tree replays them instead of capturing."""
+    from repro.graph.executor import _recipe
+
+    tree_shape = schedule.policy.tree_shape
+    return tuple(
+        _recipe(schedule.m - r0, w, bh, tree_shape)
+        for _c0, w, r0, bh, _wt in schedule.panels
+    )
 
 
 def _wy_scratch_bytes(
@@ -323,9 +336,24 @@ class QRPlan:
             lookahead=self.policy.lookahead_edge,
         )
 
+    def _level0_heights(self) -> tuple[int, ...]:
+        """Effective level-0 block height of each Householder-tree panel."""
+        sched = self._schedule
+        if self.policy.path == "auto" and sched is not None:
+            return tuple(bh for _c0, _w, _r0, bh, _wt in sched.panels)
+        if self.policy.path == "sharded" and sched is not None and sched.rows:
+            s0, e0 = sched.rows[0]
+            return tuple(p.block_rows for p in _panel_specs(e0 - s0, self.n, self.policy))
+        return tuple(p.block_rows for p in self.panels)
+
     def describe(self) -> str:
         """One human-readable block summarizing the plan."""
         p = self.policy
+        heights = ", ".join(
+            f"{h} x{len(list(run))}" for h, run in groupby(self._level0_heights())
+        )
+        scope = {"auto": " (tree fallback)", "sharded": " (tallest shard)",
+                 "streaming": " (per chunk)"}.get(p.path, "")
         lines = [
             f"QR plan for {self.m} x {self.n} ({self.dtype})",
             f"  path         {p.path}"
@@ -336,8 +364,8 @@ class QRPlan:
                 else ""
             )
             + (f" (chunk_rows={p.chunk_rows})" if p.path == "streaming" else ""),
-            f"  geometry     panel_width={p.panel_width} block_rows={p.block_rows} "
-            f"tree={p.tree_shape}",
+            f"  geometry     panel_width={p.panel_width} tree={p.tree_shape}",
+            f"  block rows   {heights or 'none'}{scope if heights else ''}",
             f"  panels       {len(self.panels)}",
             f"  wy scratch   {self.wy_scratch_bytes / 1e6:.2f} MB",
         ]
@@ -380,16 +408,19 @@ def _plan_qr_impl(m: int, n: int, dtype, policy: ExecutionPolicy) -> QRPlan:
         # The cheap path has no panel/tree structure: its scratch is the
         # n x n Gram + triangular smalls (and the float32 Gram cast
         # buffer on the mixed path); "auto" additionally prebuilds the
-        # look-ahead fallback schedule so a guarded execute never plans.
+        # look-ahead fallback schedule and warms its tree recipes so a
+        # guarded execute never plans.
         k = min(m, n)
         scratch = 3 * k * k * dt.itemsize
         if policy.path == "cholqr2_mixed" and dt == np.dtype(np.float64):
             scratch += m * k * np.dtype(np.float32).itemsize
         schedule = None
+        recipes: tuple = ()
         if policy.path == "auto" and m >= 1 and n >= 1:
             from repro.runtime.cholqr import _fallback_schedule
 
             schedule = _fallback_schedule(m, n, policy)
+            recipes = _warm_recipes(schedule)
         return QRPlan(
             m=m,
             n=n,
@@ -397,7 +428,7 @@ def _plan_qr_impl(m: int, n: int, dtype, policy: ExecutionPolicy) -> QRPlan:
             policy=policy,
             panels=(),
             schedule=schedule,
-            recipes=(),
+            recipes=recipes,
             wy_scratch_bytes=scratch,
         )
     if policy.path == "sharded":
@@ -456,14 +487,10 @@ def _plan_qr_impl(m: int, n: int, dtype, policy: ExecutionPolicy) -> QRPlan:
     schedule = None
     recipes: tuple = ()
     if policy.path == "lookahead":
-        from repro.graph.executor import _recipe, build_lookahead_schedule
+        from repro.graph.executor import build_lookahead_schedule
 
         schedule = build_lookahead_schedule(m, n, policy)
-        # Warm (and pin) the per-panel tree recipes so the first execute
-        # replays them instead of capturing.
-        recipes = tuple(
-            _recipe(p.height, p.width, p.block_rows, policy.tree_shape) for p in panels
-        )
+        recipes = _warm_recipes(schedule)
     return QRPlan(
         m=m,
         n=n,

@@ -130,6 +130,13 @@ class ExecutionPolicy:
             grid exercises geometries (e.g. ``block_rows < panel_width``,
             free-form tree names) that the modeled-domain
             :class:`~repro.kernels.config.KernelConfig` cannot represent.
+            ``block_rows`` is the requested level-0 row-block height;
+            ``None`` (the default) means the host rule of
+            :func:`repro.core.tsqr.level0_rows`: blocks
+            ``TALL_BLOCK_WIDTHS`` panel widths tall.  An explicit height
+            is kept whenever it is at least the panel width — the
+            paper's 64 x 16, which ``KernelConfig``, the dispatcher and
+            serving pin.
         workers: column tiles per trailing update / thread-pool width for
             the look-ahead executor (``None`` means 1).  Only meaningful
             for ``path="lookahead"`` (and the threaded explicit-Q
@@ -182,7 +189,7 @@ class ExecutionPolicy:
 
     path: str = "batched"
     panel_width: int = 16
-    block_rows: int = 64
+    block_rows: int | None = None
     tree_shape: str = "quad"
     workers: int | None = None
     lookahead_edge: bool = True
@@ -205,7 +212,7 @@ class ExecutionPolicy:
             )
         if self.panel_width < 1:
             raise ValueError("panel_width must be positive")
-        if self.block_rows < 1:
+        if self.block_rows is not None and self.block_rows < 1:
             raise ValueError("block_rows must be positive")
         if self.workers is not None and self.workers < 1:
             raise ValueError("workers must be positive")
@@ -502,6 +509,6 @@ def resolve_executor_policy(
         lookahead_edge=bool(lookahead) if _is_set(lookahead) else True,
         nonfinite=nonfinite if _is_set(nonfinite) else "raise",
         panel_width=panel_width if _is_set(panel_width) else 16,
-        block_rows=block_rows if _is_set(block_rows) else 64,
+        block_rows=block_rows if _is_set(block_rows) else None,
         tree_shape=tree_shape if _is_set(tree_shape) else "quad",
     )

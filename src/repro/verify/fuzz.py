@@ -99,7 +99,7 @@ _EXPLICIT_CHOLQR = ("cholqr2", "cholqr2_mixed")
 def policy_for(
     name: str,
     panel_width: int = 16,
-    block_rows: int = 64,
+    block_rows: int | None = 64,
     tree_shape: str = "quad",
     nonfinite: str = "raise",
 ) -> ExecutionPolicy:
@@ -128,7 +128,7 @@ class FuzzCase:
     order: str = "C"  # "C" | "F" | "strided"
     kind: str = "gauss"  # "gauss" | "graded" | "huge" | "tiny"
     panel_width: int = 16
-    block_rows: int = 64
+    block_rows: int | None = 64  # None: the host default (tsqr.level0_rows)
     tree_shape: str = "quad"
     seed: int = 0
 
@@ -366,11 +366,15 @@ CORE_SHAPES: tuple[tuple[int, int], ...] = (
     (64, 16),
     (97, 13),
     (130, 20),
+    # Two 512-row default blocks of a 16-wide panel (8192 elements, so
+    # geqrt) plus a ragged tail.
+    (1100, 20),
 )
 
 # (dtype, order, kind, panel_width, block_rows, tree_shape)
-CORE_VARIANTS: tuple[tuple[str, str, str, int, int, str], ...] = (
+CORE_VARIANTS: tuple[tuple[str, str, str, int, int | None, str], ...] = (
     ("float64", "C", "gauss", 16, 64, "quad"),
+    ("float64", "C", "gauss", 16, None, "quad"),  # the host default geometry
     ("float32", "C", "gauss", 16, 64, "quad"),
     ("float64", "F", "graded", 4, 8, "binary"),
     # A float32 graded spectrum overwhelms the float32 Gram condition
@@ -389,7 +393,7 @@ _RANDOM_AXES = {
     "order": ("C", "F", "strided"),
     "kind": ("gauss", "graded", "huge", "tiny"),
     "panel_width": (3, 4, 5, 8, 16, 17),
-    "block_rows": (4, 8, 16, 64),
+    "block_rows": (4, 8, 16, 64, None),
     "tree_shape": ("quad", "binary", "binomial", "flat"),
 }
 
@@ -425,7 +429,9 @@ def generate_cases(seed: int = 0, n_random: int = 60, quick: bool = False) -> li
                 order=str(rng.choice(_RANDOM_AXES["order"])),
                 kind=str(rng.choice(_RANDOM_AXES["kind"])),
                 panel_width=int(rng.choice(_RANDOM_AXES["panel_width"])),
-                block_rows=int(rng.choice(_RANDOM_AXES["block_rows"])),
+                block_rows=_RANDOM_AXES["block_rows"][
+                    int(rng.integers(len(_RANDOM_AXES["block_rows"])))
+                ],
                 tree_shape=str(rng.choice(_RANDOM_AXES["tree_shape"])),
                 seed=seed + 1 + i,
             )

@@ -5,7 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.randomized_svd import randomized_range_finder, randomized_svd
+from repro.core.randomized_svd import (
+    randomized_range_finder,
+    randomized_svd,
+    randomized_svd_graph,
+)
+from repro.runtime import ExecutionPolicy
 
 
 def low_rank(rng, m, n, r, noise=0.0):
@@ -47,6 +52,20 @@ class TestRandomizedSVD:
         assert np.linalg.norm((U * s) @ Vt - A) < 1e-8 * np.linalg.norm(A)
         s_true = np.linalg.svd(A, compute_uv=False)[:5]
         assert np.allclose(s, s_true, rtol=1e-8)
+
+    def test_default_policy(self, rng):
+        # ExecutionPolicy() leaves block_rows unset; the power-iteration
+        # shortcut compares n against the level-0 height TSQR would use
+        # for the n x ell sketch (32 * ell rows), on both the direct and
+        # the task-graph pipeline.
+        A = low_rank(rng, 800, 60, 5)
+        policy = ExecutionPolicy()
+        Q = randomized_range_finder(A, k=5, power_iters=2, policy=policy)
+        assert np.allclose(Q.T @ Q, np.eye(Q.shape[1]), atol=1e-10)
+        U, s, Vt = randomized_svd(A, k=5, policy=policy)
+        assert np.linalg.norm((U * s) @ Vt - A) < 1e-8 * np.linalg.norm(A)
+        Ug, sg, Vtg = randomized_svd_graph(A, k=5, policy=policy)
+        assert np.array_equal(Ug, U) and np.array_equal(sg, s)
 
     def test_truncates_to_k(self, rng):
         A = rng.standard_normal((100, 20))

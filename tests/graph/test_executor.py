@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core.caqr import caqr
+from repro.core.tsqr import level0_rows
 from repro.graph import caqr_lookahead, form_q_columns
+from repro.graph.executor import _MIN_TILE, build_lookahead_schedule
+from repro.runtime import ExecutionPolicy
 
 SHAPES = [
     ((1000, 50), {}),
@@ -14,6 +17,10 @@ SHAPES = [
     ((500, 40), {"tree_shape": "binomial"}),
     ((500, 40), {"tree_shape": "flat"}),
     ((130, 10), {"panel_width": 7, "block_rows": 8}),  # tiny ragged tail
+    # The default geometry's 512-row geqrt blocks: a 4-row first-panel
+    # tail (generic TSQR fallback), a 500-row ragged tail, an 8-wide
+    # last panel with 256-row gufunc blocks.
+    ((4100, 40), {}),
 ]
 
 
@@ -127,3 +134,38 @@ def test_bad_inputs():
         f.apply_qt(rng.standard_normal((5, 2)))
     with pytest.raises(ValueError):
         f.apply_q(rng.standard_normal((5, 2)))
+
+
+# The default (unset block_rows) geometry: 16-wide panels get 512-row
+# level-0 blocks (8192 elements, so the shared kernel takes geqrt).
+DEFAULT_SHAPE = (4100, 40)
+
+
+def test_default_level0_rule_and_schedule():
+    assert [level0_rows(None, w) for w in (1, 8, 16, 100)] == [32, 256, 512, 3200]
+    sched = build_lookahead_schedule(*DEFAULT_SHAPE, ExecutionPolicy(path="lookahead"))
+    assert [(w, bh) for _, w, _, bh, _ in sched.panels] == [(16, 512), (16, 512), (8, 256)]
+    # An explicit height at least the panel width is kept as given.
+    sched = build_lookahead_schedule(
+        *DEFAULT_SHAPE, ExecutionPolicy(path="lookahead", block_rows=64)
+    )
+    assert [bh for _, _, _, bh, _ in sched.panels] == [64, 64, 64]
+
+
+@pytest.mark.parametrize("shape", [DEFAULT_SHAPE, (1000, 37)])
+@pytest.mark.parametrize("block_rows", [None, 64])
+def test_form_q_skipping_columns_is_bit_identical(shape, block_rows):
+    """form_q applies each panel only right of its col_start; the skipped
+    columns are exact zeros in the panel's rows, so nothing changes."""
+    A = np.random.default_rng(31).standard_normal(shape)
+    f = caqr_lookahead(A, policy=ExecutionPolicy(path="lookahead", block_rows=block_rows))
+    k = min(shape)
+    assert np.array_equal(f.form_q(), f.apply_q(np.eye(shape[0], k)))
+    # The tiled formation skips per tile: each tile equals apply_q on the
+    # same identity columns.
+    ref = np.eye(shape[0], k)
+    step = max(_MIN_TILE, -(-k // 3))
+    for lo in range(0, k, step):
+        f.apply_q(ref[:, lo : lo + step])
+    assert np.array_equal(form_q_columns(f, workers=3), ref)
+    assert np.array_equal(form_q_columns(f, workers=3, threaded=False), ref)

@@ -72,6 +72,22 @@ class TestCAQRRoundtrip:
         assert np.allclose(g.apply_qt(B.copy()), f.apply_qt(B.copy()), atol=1e-14)
         assert np.allclose(g.form_q(), f.form_q(), atol=1e-14)
 
+    def test_default_geometry_roundtrip(self, rng, tmp_path):
+        # An unset block_rows (the host default: 32-panel-width blocks)
+        # is stored as a sentinel and loads back as None.
+        A = rng.standard_normal((1100, 20))
+        f = caqr(A)
+        assert f.block_rows is None
+        assert f.panels[0].factors.blocks[0].rows == (0, 512)
+        path = tmp_path / "default.npz"
+        save_caqr(path, f)
+        g = load_caqr(path)
+        assert g.block_rows is None and g.panel_width == 16
+        assert np.array_equal(g.R, f.R)
+        B = rng.standard_normal((1100, 3))
+        assert np.allclose(g.apply_qt(B.copy()), f.apply_qt(B.copy()), atol=1e-14)
+        assert np.allclose(g.form_q(), f.form_q(), atol=1e-14)
+
     def test_least_squares_through_loaded_factors(self, rng, tmp_path):
         from repro.core.triangular import solve_upper
 

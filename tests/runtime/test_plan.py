@@ -137,3 +137,66 @@ class TestPlanMetadata:
     def test_wy_scratch_positive_for_nonempty(self):
         assert plan_qr(256, 32).wy_scratch_bytes > 0
         assert plan_qr(0, 0).wy_scratch_bytes == 0
+
+
+def _graded(m: int, n: int) -> np.ndarray:
+    """A cond ~1e12 input the auto guard rejects (column grading mixed
+    by a random orthogonal V, so equilibration cannot undo it)."""
+    rng = np.random.default_rng(37)
+    V, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return (rng.standard_normal((m, n)) * np.logspace(0, -12, n)) @ V
+
+
+class TestDefaultGeometry:
+    """Unset block_rows: 32-panel-width level-0 blocks on every engine."""
+
+    SHAPE = (4100, 40)  # geqrt blocks, ragged tails, a narrow last panel
+
+    def test_execute_matches_direct_call(self, rng):
+        A = rng.standard_normal(self.SHAPE)
+        for path in ("lookahead", "batched"):
+            policy = ExecutionPolicy(path=path)
+            Qp, Rp = plan_qr(*self.SHAPE, policy=policy).execute(A)
+            Qd, Rd = caqr_qr(A, policy=policy)
+            np.testing.assert_array_equal(Qp, Qd)
+            np.testing.assert_array_equal(Rp, Rd)
+
+    def test_auto_fallback_matches_lookahead(self):
+        from repro.runtime import count_fallbacks
+
+        A = _graded(*self.SHAPE)
+        with count_fallbacks() as fb:
+            Qa, Ra = plan_qr(*self.SHAPE, policy=ExecutionPolicy(path="auto")).execute(A)
+        assert fb.fallbacks == 1
+        Ql, Rl = caqr_qr(A, policy=ExecutionPolicy(path="lookahead"))
+        np.testing.assert_array_equal(Qa, Ql)
+        np.testing.assert_array_equal(Ra, Rl)
+
+    def test_auto_fallback_schedule_at_paper_shape(self):
+        plan = plan_qr(110592, 100, policy=ExecutionPolicy(path="auto"))
+        assert [bh for _, _, _, bh, _ in plan._schedule.panels] == [512] * 6 + [128]
+        assert "512 x6, 128 x1 (tree fallback)" in plan.describe()
+        pinned = plan_qr(110592, 100, policy=ExecutionPolicy(path="auto", block_rows=64))
+        assert [bh for _, _, _, bh, _ in pinned._schedule.panels] == [64] * 7
+        assert "64 x7" in pinned.describe()
+
+    def test_auto_plan_warms_fallback_recipes(self, monkeypatch):
+        """plan_qr(path="auto") captures the fallback's tree recipes, so
+        the first guarded fallback replays them instead of capturing."""
+        from collections import OrderedDict
+
+        import repro.graph.executor as executor
+        from repro.runtime import count_fallbacks
+
+        monkeypatch.setattr(executor, "_RECIPES", OrderedDict())
+        calls = []
+        build = executor._build_recipe
+        monkeypatch.setattr(
+            executor, "_build_recipe", lambda *key: calls.append(key) or build(*key)
+        )
+        plan = plan_qr(*self.SHAPE, policy=ExecutionPolicy(path="auto"))
+        assert len(calls) == 3  # one capture per fallback panel
+        with count_fallbacks() as fb:
+            plan.execute(_graded(*self.SHAPE))
+        assert fb.fallbacks == 1
+        assert len(calls) == 3
