@@ -12,7 +12,7 @@ stream and residuals matching the seed path to near machine precision.
 Protocol: both paths get one untimed warmup call, then the minimum of
 ``--reps`` timed runs is reported (standard min-of-N for a
 single-process, single-core measurement).  The seed per-node execution
-path is kept callable behind ``batched=False`` precisely so this
+path is kept callable as ``path="seed"`` precisely so this
 comparison stays honest as the batched path evolves.
 
 Beyond the per-call paths, the benchmark times ``plan.factor`` on a

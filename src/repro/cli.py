@@ -26,6 +26,8 @@ __all__ = ["main", "build_parser"]
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.runtime.policy import PATH_NAMES
+
     p = argparse.ArgumentParser(
         prog="repro",
         description="Reproduce the tables and figures of 'Communication-Avoiding QR Decomposition for GPUs' (IPDPS 2011).",
@@ -64,11 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--n", type=int, required=True)
     pl.add_argument("--dtype", type=str, default="float64")
     pl.add_argument(
-        "--path",
-        type=str,
-        default="batched",
-        help="execution path: seed | batched | structured | lookahead | "
-        "cholqr2 | cholqr2_mixed | auto | sharded",
+        "--path", type=str, default="batched", choices=PATH_NAMES, help="execution path"
     )
     pl.add_argument("--workers", type=int, default=None, help="look-ahead worker count")
     pl.add_argument(
@@ -92,11 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--shape", type=str, default="4096x128", help="matrix shape as MxN"
     )
     tr.add_argument(
-        "--policy",
-        type=str,
-        default="batched",
-        help="execution path: seed | batched | structured | lookahead | "
-        "cholqr2 | cholqr2_mixed | auto",
+        "--policy", type=str, default="batched", choices=PATH_NAMES, help="execution path"
     )
     tr.add_argument("--workers", type=int, default=None, help="look-ahead worker count")
     tr.add_argument("--seed", type=int, default=0, help="matrix RNG seed")
@@ -164,12 +158,22 @@ def _ints(csv: str | None) -> tuple[int, ...] | None:
     return tuple(int(x) for x in csv.split(",") if x)
 
 
-def _cmd_trace(args) -> int:
+def _policy(parser: argparse.ArgumentParser, **fields):
+    """An ExecutionPolicy from parsed flags; a policy error is a usage error."""
+    from repro.runtime import ExecutionPolicy
+
+    try:
+        return ExecutionPolicy(**fields)
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
+def _cmd_trace(args, parser) -> int:
     """One traced factorization: capture, export, modeled-vs-measured."""
     import numpy as np
 
     from repro import obs
-    from repro.runtime import ExecutionPolicy, plan_qr
+    from repro.runtime import plan_qr
 
     try:
         m_s, n_s = args.shape.lower().split("x")
@@ -177,7 +181,7 @@ def _cmd_trace(args) -> int:
     except ValueError:
         print(f"trace: --shape must look like 4096x128, got {args.shape!r}")
         return 2
-    policy = ExecutionPolicy(path=args.policy, workers=args.workers)
+    policy = _policy(parser, path=args.policy, workers=args.workers)
     A = np.random.default_rng(args.seed).standard_normal((m, n))
     with obs.capture(meta={"shape": f"{m}x{n}", "path": policy.path}) as session:
         plan = plan_qr(m, n, policy=policy)
@@ -259,7 +263,8 @@ def _cmd_serve_bench(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.command == "verify":
         # Handled first: the correctness gate must not depend on the
         # experiments stack, and it is the only command with a failure
@@ -278,9 +283,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "plan":
         import numpy as np
 
-        from repro.runtime import ExecutionPolicy, plan_qr
+        from repro.runtime import plan_qr
 
-        policy = ExecutionPolicy(
+        policy = _policy(
+            parser,
             path=args.path,
             workers=args.workers,
             shards=args.shards,
@@ -291,7 +297,7 @@ def main(argv: list[str] | None = None) -> int:
         print(plan.describe())
         return 0
     if args.command == "trace":
-        return _cmd_trace(args)
+        return _cmd_trace(args, parser)
     if args.command == "serve-bench":
         return _cmd_serve_bench(args)
     # Imports deferred so `--help` stays instant.

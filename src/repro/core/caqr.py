@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.obs import tracer as _obs
-from repro.runtime.policy import UNSET, ExecutionPolicy, resolve_policy
+from repro.runtime.plan import plan_qr
+from repro.runtime.policy import ExecutionPolicy
 from repro.verify.guards import validate_matrix
 
 from .dtypes import as_float_array, working_dtype
@@ -79,10 +80,9 @@ class CAQRFactors:
 
 
 def _caqr_serial(A: np.ndarray, policy: ExecutionPolicy) -> CAQRFactors:
-    """The serial panel loop on an *already validated* matrix.
+    """The serial engine's panel loop on an *already validated* matrix.
 
-    Shared by the public :func:`caqr` shim and :class:`repro.runtime.plan.QRPlan`
-    (which pre-validates), so both drive the identical arithmetic.  Each
+    Run by :class:`repro.runtime.plan.QRPlan` for the serial paths.  Each
     panel goes straight to :func:`~repro.core.tsqr._tsqr_impl`: the input
     was validated exactly once at the public entry point, so per-panel
     re-scans never happen.
@@ -132,127 +132,33 @@ def _caqr_serial(A: np.ndarray, policy: ExecutionPolicy) -> CAQRFactors:
     )
 
 
-def caqr(
-    A: np.ndarray,
-    panel_width: int = UNSET,
-    block_rows: int = UNSET,
-    tree_shape: str = UNSET,
-    structured: bool = UNSET,
-    batched: bool = UNSET,
-    lookahead: bool = UNSET,
-    workers: int | None = UNSET,
-    nonfinite: str = UNSET,
-    *,
-    policy: ExecutionPolicy | None = None,
-) -> CAQRFactors:
+def caqr(A: np.ndarray, *, policy: ExecutionPolicy | None = None):
     """Factor a matrix with CAQR (Figure 3 / the host pseudocode of Figure 4).
 
-    Prefer ``policy=`` (an :class:`~repro.runtime.policy.ExecutionPolicy`
-    naming the execution path, geometry, worker count and guard
-    behaviour); reusable shape plans come from
-    :func:`repro.runtime.plan.plan_qr`.  The loose kwargs remain as
-    deprecation shims mapped by
-    :func:`~repro.runtime.policy.resolve_policy`:
-
-    Args:
-        A: ``m x n`` matrix.
-        panel_width: width of each column panel (the paper's reference GPU
-            configuration uses 16, matching the 64x16 block).
-        block_rows: height of the level-0 row blocks within each panel;
-            unset means 32 panel widths
-            (:func:`~repro.core.tsqr.level0_rows`).
-        tree_shape: TSQR reduction-tree shape (paper: quad-tree on the GPU).
-        structured: (deprecated) maps to ``path="structured"``.
-        batched: (deprecated) ``False`` maps to the seed reference path.
-        lookahead: (deprecated) maps to ``path="lookahead"`` — the
-            dependency-task-graph executor
-            (:func:`repro.graph.executor.caqr_lookahead`); returns a
-            duck-type-compatible
-            :class:`~repro.graph.executor.LookaheadCAQRFactors`.
-        workers: (deprecated) column tiles per trailing update /
-            thread-pool width; > 1 implies the look-ahead path.
-        nonfinite: (deprecated) non-finite input policy (``"raise"``
-            rejects NaN/Inf; ``"propagate"`` lets them flow through).
-        policy: the execution policy; mutually exclusive with the legacy
-            kwargs above.
+    ``policy`` (an :class:`~repro.runtime.policy.ExecutionPolicy`, default
+    ``ExecutionPolicy()``) names the execution path, panel geometry,
+    worker count and guard behaviour.  The matrix is validated once here,
+    then factored by a one-shot plan: ``caqr(A, policy=p)`` is exactly
+    ``plan_qr(m, n, A.dtype, p).factor(A)``, so a reusable
+    :func:`repro.runtime.plan.plan_qr` plan gives the same bits.
 
     Returns:
-        :class:`CAQRFactors` with the implicit Q (per-panel TSQR factors)
-        and the explicit upper-trapezoidal R.
+        The path's implicit-Q factors with the explicit upper-trapezoidal
+        R: :class:`CAQRFactors` on the serial paths, and a duck-type
+        compatible object elsewhere (e.g.
+        :class:`~repro.graph.executor.LookaheadCAQRFactors`).
     """
-    policy = resolve_policy(
-        "caqr",
-        policy,
-        batched=batched,
-        structured=structured,
-        lookahead=lookahead,
-        workers=workers,
-        nonfinite=nonfinite,
-        panel_width=panel_width,
-        block_rows=block_rows,
-        tree_shape=tree_shape,
-    )
-    if policy.path == "lookahead":
-        from repro.graph.executor import caqr_lookahead
-
-        return caqr_lookahead(A, policy=policy)
-    if policy.uses_cholqr:
-        from repro.runtime.cholqr import run_cholqr
-
-        with _obs.maybe_trace(policy.trace):
-            A = validate_matrix(A, where="caqr", nonfinite=policy.nonfinite)
-            with _obs.span(
-                "caqr", cat="entry", m=A.shape[0], n=A.shape[1], path=policy.path
-            ):
-                return run_cholqr(A, policy)
-    if policy.path == "sharded":
-        from repro.distributed.sharded import run_sharded
-
-        with _obs.maybe_trace(policy.trace):
-            A = validate_matrix(A, where="caqr", nonfinite=policy.nonfinite)
-            with _obs.span(
-                "caqr", cat="entry", m=A.shape[0], n=A.shape[1], path=policy.path
-            ):
-                return run_sharded(A, policy)
-    if policy.path == "streaming":
-        from repro.streaming.qr import run_streaming_matrix
-
-        with _obs.maybe_trace(policy.trace):
-            A = validate_matrix(A, where="caqr", nonfinite=policy.nonfinite)
-            with _obs.span(
-                "caqr", cat="entry", m=A.shape[0], n=A.shape[1], path=policy.path
-            ):
-                return run_streaming_matrix(A, policy)
+    policy = policy if policy is not None else ExecutionPolicy()
     with _obs.maybe_trace(policy.trace):
         A = validate_matrix(A, where="caqr", nonfinite=policy.nonfinite)
-        with _obs.span("caqr", cat="entry", m=A.shape[0], n=A.shape[1], path=policy.path):
-            return _caqr_serial(A, policy)
+        m, n = A.shape
+        with _obs.span("caqr", cat="entry", m=m, n=n, path=policy.path):
+            return plan_qr(m, n, A.dtype, policy).factor(A, validated=True)
 
 
 def caqr_qr(
-    A: np.ndarray,
-    panel_width: int = UNSET,
-    block_rows: int = UNSET,
-    tree_shape: str = UNSET,
-    structured: bool = UNSET,
-    batched: bool = UNSET,
-    lookahead: bool = UNSET,
-    workers: int | None = UNSET,
-    nonfinite: str = UNSET,
-    *,
-    policy: ExecutionPolicy | None = None,
+    A: np.ndarray, *, policy: ExecutionPolicy | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Convenience: explicit thin ``(Q, R)`` via CAQR."""
-    f = caqr(
-        A,
-        panel_width=panel_width,
-        block_rows=block_rows,
-        tree_shape=tree_shape,
-        structured=structured,
-        batched=batched,
-        lookahead=lookahead,
-        workers=workers,
-        nonfinite=nonfinite,
-        policy=policy,
-    )
+    f = caqr(A, policy=policy)
     return f.form_q(), f.R

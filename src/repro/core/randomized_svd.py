@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.runtime.policy import UNSET, ExecutionPolicy, resolve_policy
+from repro.runtime.policy import ExecutionPolicy
 from repro.verify.guards import validate_matrix
 
 from .jacobi_svd import jacobi_svd
@@ -52,34 +52,12 @@ def _tsqr_q(Y: np.ndarray, policy: ExecutionPolicy) -> np.ndarray:
     return f.form_q()
 
 
-def _resolve_rsvd_policy(where, policy, batched, workers, nonfinite, block_rows=UNSET):
-    """Shared legacy-kwarg shim for the SVD pipeline entry points.
-
-    ``workers`` here threads the explicit-Q formation
-    (:func:`repro.graph.executor.form_q_columns`), which the policy layer
-    models as the look-ahead path's worker count.
-    """
-    return resolve_policy(
-        where,
-        policy,
-        batched=batched,
-        workers=workers,
-        nonfinite=nonfinite,
-        block_rows=block_rows,
-        default=_RSVD_DEFAULT,
-    )
-
-
 def randomized_range_finder(
     A: np.ndarray,
     k: int,
     oversample: int = 8,
     power_iters: int = 1,
     rng: np.random.Generator | None = None,
-    block_rows: int = UNSET,
-    batched: bool = UNSET,
-    workers: int | None = UNSET,
-    nonfinite: str = UNSET,
     *,
     policy: ExecutionPolicy | None = None,
 ) -> np.ndarray:
@@ -91,9 +69,7 @@ def randomized_range_finder(
     formation through :func:`repro.graph.executor.form_q_columns`.  The
     SVD pipeline computes in float64 regardless of input precision.
     """
-    policy = _resolve_rsvd_policy(
-        "randomized_range_finder", policy, batched, workers, nonfinite, block_rows
-    )
+    policy = policy if policy is not None else _RSVD_DEFAULT
     A = validate_matrix(
         A, where="randomized_range_finder", nonfinite=policy.nonfinite, dtype=np.float64
     )
@@ -121,9 +97,6 @@ def randomized_svd(
     oversample: int = 8,
     power_iters: int = 1,
     rng: np.random.Generator | None = None,
-    batched: bool = UNSET,
-    workers: int | None = UNSET,
-    nonfinite: str = UNSET,
     *,
     policy: ExecutionPolicy | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -133,7 +106,7 @@ def randomized_svd(
     bounds: near-exact when A's spectrum decays past rank k (exactly the
     Robust PCA situation, where L is low-rank by construction).
     """
-    policy = _resolve_rsvd_policy("randomized_svd", policy, batched, workers, nonfinite)
+    policy = policy if policy is not None else _RSVD_DEFAULT
     A = validate_matrix(A, where="randomized_svd", nonfinite=policy.nonfinite, dtype=np.float64)
     m, n = A.shape
     if m < n:
@@ -273,7 +246,7 @@ def randomized_svd_graph(
     result is bit-identical to the direct call — while every stage gets
     an obs span and the pipeline composes with other graphs.
     """
-    policy = _resolve_rsvd_policy("randomized_svd_graph", policy, UNSET, UNSET, UNSET)
+    policy = policy if policy is not None else _RSVD_DEFAULT
     A = validate_matrix(
         A, where="randomized_svd_graph", nonfinite=policy.nonfinite, dtype=np.float64
     )

@@ -41,7 +41,7 @@ import numpy as np
 from .dtypes import as_float_array, working_dtype
 from .householder import geqr2, orm2r
 from repro.obs import tracer as _obs
-from repro.runtime.policy import UNSET, ExecutionPolicy, resolve_policy
+from repro.runtime.policy import ExecutionPolicy
 from repro.smallblas.batched import batched_apply_blocked, batched_geqr2
 from repro.smallblas.wy import apply_wy, geqr2_blocked, wy_factors
 from .structured import StructuredStackFactor, structured_stack_qr
@@ -712,53 +712,27 @@ def _tsqr_impl(
     return _tsqr_reference(A, m, n, block_rows, ranges, tree, structured)
 
 
-def tsqr(
-    A: np.ndarray,
-    block_rows: int = UNSET,
-    tree_shape: str = UNSET,
-    structured: bool = UNSET,
-    batched: bool = UNSET,
-    nonfinite: str = UNSET,
-    *,
-    policy: ExecutionPolicy | None = None,
-) -> TSQRFactors:
+def tsqr(A: np.ndarray, *, policy: ExecutionPolicy | None = None) -> TSQRFactors:
     """Factor a tall-skinny matrix with TSQR (Figure 2).
-
-    Prefer ``policy=`` (an :class:`~repro.runtime.policy.ExecutionPolicy`
-    naming the execution path, geometry and guard behaviour).  The loose
-    kwargs remain as deprecation shims mapped by
-    :func:`~repro.runtime.policy.resolve_policy`:
 
     Args:
         A: ``m x n`` matrix (any aspect ratio is accepted; TSQR pays off
             for ``m >> n``).
-        block_rows: requested height of the level-0 row blocks; unset or
-            below ``n`` gets ``32 * n``-row blocks (:func:`level0_rows`).
-        tree_shape: reduction-tree shape (see :mod:`repro.core.tree`).
-        structured: (deprecated) eliminate the stacked Rs with the
-            sparsity-exploiting structured QR (~3x fewer tree flops);
-            maps to ``path="structured"``.
-        batched: (deprecated) vectorize the factorization and all later
-            Q applications; ``False`` maps to the seed reference path.
-        nonfinite: (deprecated) non-finite input policy (``"raise"`` /
-            ``"propagate"``); see :mod:`repro.verify.guards`.
-        policy: the execution policy; mutually exclusive with the
-            legacy kwargs above.
+        policy: the execution policy (default ``ExecutionPolicy()``).
+            TSQR reads its level-0 ``block_rows`` (unset or below ``n``
+            gets ``32 * n``-row blocks, :func:`level0_rows`), its
+            ``tree_shape`` (see :mod:`repro.core.tree`), its ``nonfinite``
+            guard, and whether its path is batched (``seed`` paths run
+            the per-node reference) and structured (the
+            sparsity-exploiting stacked-triangle elimination, ~3x fewer
+            tree flops).
 
     Returns:
         A :class:`TSQRFactors` holding the implicit Q and the final R.
     """
     from repro.verify.guards import validate_matrix
 
-    policy = resolve_policy(
-        "tsqr",
-        policy,
-        batched=batched,
-        structured=structured,
-        nonfinite=nonfinite,
-        block_rows=block_rows,
-        tree_shape=tree_shape,
-    )
+    policy = policy if policy is not None else ExecutionPolicy()
     with _obs.maybe_trace(policy.trace):
         A = validate_matrix(A, where="tsqr", nonfinite=policy.nonfinite)
         with _obs.span(
@@ -774,23 +748,8 @@ def tsqr(
 
 
 def tsqr_qr(
-    A: np.ndarray,
-    block_rows: int = UNSET,
-    tree_shape: str = UNSET,
-    structured: bool = UNSET,
-    batched: bool = UNSET,
-    nonfinite: str = UNSET,
-    *,
-    policy: ExecutionPolicy | None = None,
+    A: np.ndarray, *, policy: ExecutionPolicy | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Convenience: explicit thin ``(Q, R)`` via TSQR."""
-    f = tsqr(
-        A,
-        block_rows=block_rows,
-        tree_shape=tree_shape,
-        structured=structured,
-        batched=batched,
-        nonfinite=nonfinite,
-        policy=policy,
-    )
+    f = tsqr(A, policy=policy)
     return f.form_q(), f.R

@@ -18,13 +18,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baselines import CULAQR, MAGMAQR, MKLQR
-from .caqr_gpu import simulate_caqr, simulate_cholqr2, simulate_sharded
 from .core.blocked import blocked_qr
 from .gpusim.device import C2050, DeviceSpec
 from .kernels.config import REFERENCE_CONFIG, KernelConfig
 from .obs import tracer as _obs
-from .runtime import ExecutionPolicy, QRPlan, plan_qr, resolve_policy
-from .runtime.policy import UNSET
+from .runtime import ExecutionPolicy, QRPlan, plan_qr
 from .verify.guards import validate_matrix
 
 __all__ = ["EnginePrediction", "DispatchedQR", "QRDispatcher"]
@@ -132,12 +130,8 @@ class QRDispatcher:
         device: DeviceSpec = C2050,
         config: KernelConfig = REFERENCE_CONFIG,
         include_cpu: bool = True,
-        batched: bool = UNSET,
-        lookahead: bool = UNSET,
-        workers: int | None = UNSET,
         cache_size: int = 128,
         cache_shards: int = 8,
-        nonfinite: str = UNSET,
         policy: ExecutionPolicy | None = None,
     ) -> None:
         self.device = device
@@ -145,22 +139,13 @@ class QRDispatcher:
         self.include_cpu = include_cpu
         # The dispatcher's default policy mirrors its KernelConfig: the
         # CAQR engine runs with the modeled geometry it was predicted at.
-        default = ExecutionPolicy(
+        self.policy = policy if policy is not None else ExecutionPolicy(
             path="structured" if config.structured_tree else "batched",
             panel_width=config.panel_width,
             block_rows=config.block_rows,
             tree_shape=config.tree_shape,
             device=device,
             config=config,
-        )
-        self.policy = resolve_policy(
-            "QRDispatcher",
-            policy,
-            batched=batched,
-            lookahead=lookahead,
-            workers=workers,
-            nonfinite=nonfinite,
-            default=default,
         )
         self._magma = MAGMAQR(gpu=device)
         self._cula = CULAQR(gpu=device)
@@ -181,24 +166,6 @@ class QRDispatcher:
         self._crossover_cache: dict[tuple[int, int], int | None] = {}
         self._crossover_lock = threading.Lock()
 
-    # -- legacy attribute views (pre-policy API) ---------------------------
-
-    @property
-    def batched(self) -> bool:
-        return self.policy.uses_batched
-
-    @property
-    def lookahead(self) -> bool:
-        return self.policy.path == "lookahead"
-
-    @property
-    def workers(self) -> int | None:
-        return self.policy.workers
-
-    @property
-    def nonfinite(self) -> str:
-        return self.policy.nonfinite
-
     def predict(self, m: int, n: int) -> list[EnginePrediction]:
         """Modeled runtimes, fastest first (cached per shape)."""
         if m < 1 or n < 1:
@@ -209,31 +176,11 @@ class QRDispatcher:
             _obs.counters(pred_cache_hits=1)
             return list(cached)
         _obs.counters(pred_cache_misses=1)
-        preds = []
-        if self.policy.uses_cholqr:
-            # The dispatcher's CAQR engine runs whatever path the policy
-            # names; predict with the matching modeled launch stream.
-            r = simulate_cholqr2(
-                m,
-                n,
-                self.config,
-                self.device,
-                mixed=self.policy.path == "cholqr2_mixed",
-                guard=self.policy.path == "auto",
-            )
-        elif self.policy.path == "sharded":
-            r = simulate_sharded(
-                m,
-                n,
-                self.config,
-                self.device,
-                shards=self.policy.shards,
-                fanin=self.policy.effective_fanin,
-                interconnect=self.policy.resolved_interconnect(),
-            )
-        else:
-            r = simulate_caqr(m, n, self.config, self.device)
-        preds.append(EnginePrediction("caqr", r.seconds, r.gflops))
+        # The dispatcher's CAQR engine runs whatever path the policy
+        # names; predict with that engine's modeled launch stream (the
+        # streaming engine has none, and refuses like QRPlan.simulate).
+        r = self.policy.engine.simulate(m, n, self.policy, self.config, self.device)
+        preds = [EnginePrediction("caqr", r.seconds, r.gflops)]
         best_hybrid = min(
             (self._magma.simulate(m, n), self._cula.simulate(m, n)), key=lambda b: b.seconds
         )

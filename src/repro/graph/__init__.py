@@ -30,13 +30,11 @@ subsystem makes those dependencies explicit — and, since PR 9, generic:
 from .dag import (
     LaunchGraph,
     LaunchNode,
-    build_caqr_graph,
     caqr_launch_graph,
     emit_caqr_layers,
 )
 from .executor import (
     LookaheadCAQRFactors,
-    caqr_lookahead,
     emit_lookahead_layers,
     form_q_columns,
     run_task_graph,
@@ -48,11 +46,9 @@ from .overlap import OverlapResult, simulate_caqr_overlap
 __all__ = [
     "LaunchGraph",
     "LaunchNode",
-    "build_caqr_graph",
     "caqr_launch_graph",
     "emit_caqr_layers",
     "LookaheadCAQRFactors",
-    "caqr_lookahead",
     "emit_lookahead_layers",
     "form_q_columns",
     "run_task_graph",

@@ -4,7 +4,7 @@ This is the executor half of the launch-graph subsystem: the same
 dependency structure that :mod:`repro.graph.dag` builds for the
 simulator, run for real over the batched compact-WY kernels of
 :mod:`repro.smallblas.wy`.  Two things distinguish it from the serial
-``caqr(batched=True)`` driver:
+``batched`` path's driver:
 
 * **Task graph.**  The factorization is a list of tasks — one panel
   factor ``F(p)`` plus one trailing update ``U(p, j)`` per column tile —
@@ -29,7 +29,7 @@ kernel TSQR and the serving coalescer share,
 :func:`repro.smallblas.wy._factor_slices`: LAPACK ``geqrt`` for slices
 of at least ``GEQRT_MIN_ELEMS`` elements, the ``geqrf`` gufunc plus
 ``larft`` below that, each returning its compact-WY ``(V, T)`` with the
-factor.  Numerically the executor matches ``caqr(batched=True)`` to
+factor.  Numerically the executor matches the ``batched`` path to
 roundoff (operation *order* across independent tiles differs), and
 matches itself exactly across ``threaded=True/False``.  The
 ``structured`` tree elimination is not supported here — use
@@ -51,15 +51,13 @@ from repro.core.tsqr import _WyPlan, _tsqr_impl, apply_wy_plan, level0_rows, row
 from repro.graph.highlevel import TaskGraph
 from repro.graph.order import static_order
 from repro.obs import tracer as _obs
-from repro.runtime.policy import UNSET, ExecutionPolicy, resolve_executor_policy
+from repro.runtime.policy import ExecutionPolicy
 from repro.smallblas.wy import _factor_slices
-from repro.verify.guards import validate_matrix
 
 __all__ = [
     "LookaheadCAQRFactors",
     "LookaheadSchedule",
     "build_lookahead_schedule",
-    "caqr_lookahead",
     "emit_lookahead_layers",
     "form_q_columns",
     "run_lookahead_schedule",
@@ -349,9 +347,9 @@ def form_q_columns(
     embarrassingly.  Accepts :class:`LookaheadCAQRFactors` or any factor
     object with ``m``/``n``/``R``/``apply_q`` (e.g.
     :class:`~repro.core.tsqr.TSQRFactors`, which is how the randomized
-    range finder threads its Q formation).  As in :func:`caqr_lookahead`,
-    ``workers`` alone fixes the tiling and ``threaded`` picks the engine,
-    so the threaded result is bit-identical to the serial run of the same
+    range finder threads its Q formation).  As in
+    :func:`run_lookahead_schedule`, ``workers`` alone fixes the tiling
+    and ``threaded`` picks the engine, so the threaded result is bit-identical to the serial run of the same
     tiles (and matches the untiled ``form_q`` to roundoff — GEMM
     accumulation order differs with tile width).  ``workers=None`` uses
     the factors' worker count (1 if absent); 1 means plain ``form_q``.
@@ -711,54 +709,3 @@ def run_lookahead_schedule(
         R=R.astype(dt, copy=False),
         workers=workers,
     )
-
-
-def caqr_lookahead(
-    A: np.ndarray,
-    panel_width: int = UNSET,
-    block_rows: int = UNSET,
-    tree_shape: str = UNSET,
-    workers: int | None = UNSET,
-    threaded: bool | None = None,
-    lookahead: bool = UNSET,
-    nonfinite: str = UNSET,
-    *,
-    policy: ExecutionPolicy | None = None,
-) -> LookaheadCAQRFactors:
-    """Factor ``A`` with CAQR executed as a dependency graph.
-
-    Prefer ``policy=`` (an :class:`~repro.runtime.policy.ExecutionPolicy`
-    with ``path="lookahead"``); the loose kwargs are deprecation shims.
-    ``threaded`` stays a live engine knob: it picks thread pool vs
-    program-order loop over the same schedule (defaults to
-    ``workers > 1``) and never changes the bits.
-
-    Legacy kwargs (deprecated): ``workers`` — column tiles per trailing
-    update / pool width; ``lookahead`` — the look-ahead dependency edge
-    (``False`` restores the panel barrier); ``nonfinite`` — input guard
-    policy; plus the panel geometry.
-
-    Returns:
-        :class:`LookaheadCAQRFactors` with the implicit Q and explicit R.
-    """
-    policy = resolve_executor_policy(
-        "caqr_lookahead",
-        policy,
-        workers=workers,
-        lookahead=lookahead,
-        nonfinite=nonfinite,
-        panel_width=panel_width,
-        block_rows=block_rows,
-        tree_shape=tree_shape,
-    )
-    with _obs.maybe_trace(policy.trace):
-        A = validate_matrix(A, where="caqr_lookahead", nonfinite=policy.nonfinite)
-        with _obs.span(
-            "caqr_lookahead",
-            cat="entry",
-            m=A.shape[0],
-            n=A.shape[1],
-            workers=policy.effective_workers,
-        ):
-            sched = build_lookahead_schedule(A.shape[0], A.shape[1], policy)
-            return run_lookahead_schedule(sched, A, threaded=threaded)

@@ -194,7 +194,11 @@ class TraceSession:
         self.end_ns: int | None = None
         self._ids = 0
         self._lock = threading.Lock()
-        self._tids: dict[int, int] = {}  # threading.get_ident() -> small int
+        # Per-thread tid slot.  Keyed on the thread object, not on
+        # threading.get_ident(): the OS reuses an exited thread's ident,
+        # which would merge two short-lived workers into one tid.
+        self._local = threading.local()
+        self._ntids = 0
         self._prev: list[TraceSession | None] = []
 
     # -- bookkeeping -------------------------------------------------------
@@ -205,11 +209,11 @@ class TraceSession:
             return self._ids
 
     def _tid(self) -> int:
-        ident = threading.get_ident()
-        tid = self._tids.get(ident)
+        tid = getattr(self._local, "tid", None)
         if tid is None:
             with self._lock:
-                tid = self._tids.setdefault(ident, len(self._tids))
+                tid = self._local.tid = self._ntids
+                self._ntids += 1
         return tid
 
     # -- activation --------------------------------------------------------
@@ -237,7 +241,7 @@ class TraceSession:
         """The capture as an immutable-ish :class:`Trace` snapshot."""
         start = self.start_ns if self.start_ns is not None else 0
         end = self.end_ns if self.end_ns is not None else time.perf_counter_ns()
-        names = {tid: ("main" if tid == 0 else f"worker-{tid}") for tid in self._tids.values()}
+        names = {tid: ("main" if tid == 0 else f"worker-{tid}") for tid in range(self._ntids)}
         return Trace(
             spans=list(self.spans),
             start_ns=start,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.randomized_svd import _RSVD_DEFAULT, randomized_svd
-from repro.runtime.policy import UNSET, ExecutionPolicy, resolve_policy
+from repro.runtime.policy import ExecutionPolicy
 from repro.core.ts_svd import tall_skinny_svd
 from repro.verify.guards import validate_matrix
 
@@ -35,18 +35,13 @@ class AdaptiveSVT:
     :func:`repro.rpca.ialm.rpca_ialm` via the ``svd`` hook or directly.
 
     Execution is configured by ``policy`` (an
-    :class:`~repro.runtime.policy.ExecutionPolicy`); the ``batched`` /
-    ``workers`` / ``nonfinite`` fields are deprecation shims that build
-    one, and after construction they read back as plain values resolved
-    from the policy.
+    :class:`~repro.runtime.policy.ExecutionPolicy`; default: the
+    randomized SVD's, with 256-row TSQR blocks).
     """
 
     buffer: int = 5  # extra singular triplets beyond the predicted rank
     max_tries: int = 3
     seed: int = 0
-    batched: bool = UNSET  # (deprecated) compact-WY TSQR inside the SVD
-    workers: int | None = UNSET  # (deprecated) thread the TSQR Q formation
-    nonfinite: str = UNSET  # (deprecated) input guard policy
     policy: ExecutionPolicy | None = None
     predicted_rank: int = 1
     full_svd_calls: int = 0
@@ -56,18 +51,8 @@ class AdaptiveSVT:
     def __post_init__(self) -> None:
         if self.buffer < 1 or self.max_tries < 1:
             raise ValueError("buffer and max_tries must be >= 1")
-        self.policy = resolve_policy(
-            "AdaptiveSVT",
-            self.policy,
-            batched=self.batched,
-            workers=self.workers,
-            nonfinite=self.nonfinite,
-            default=_RSVD_DEFAULT,
-        )
-        # Back-fill the legacy fields so attribute reads keep working.
-        self.batched = self.policy.uses_batched
-        self.workers = self.policy.workers
-        self.nonfinite = self.policy.nonfinite
+        if self.policy is None:
+            self.policy = _RSVD_DEFAULT
         self._rng = np.random.default_rng(self.seed)
 
     def __call__(self, X: np.ndarray, tau: float) -> tuple[np.ndarray, int]:

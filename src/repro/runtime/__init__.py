@@ -1,21 +1,21 @@
 """Runtime policy/plan layer: one object naming *how* a factorization runs.
 
-PRs 1-3 each threaded a growing set of execution kwargs (``batched``,
-``structured``, ``lookahead``, ``workers``, ``nonfinite``, panel/tree
-geometry) by hand through every public entry point.  This package
-collapses that sprawl into a Parla-style policy/plan/execute separation:
+A Parla-style policy/plan/execute separation:
 
 * :class:`ExecutionPolicy` — a frozen dataclass naming the execution
   path, its geometry, worker count, numerics policy and the modeled
-  device/kernel configuration.  Every entry point accepts ``policy=``;
-  the old kwargs survive as thin deprecation shims that build a policy
-  internally (:func:`resolve_policy`).
+  device/kernel configuration.  Every entry point takes ``policy=``.
+* :data:`~repro.runtime.policy.PATHS` — the engine table, next to the
+  policy that validates against it: each of the ten path names maps to
+  one of five engines (serial Householder, look-ahead, CholeskyQR2,
+  sharded, streaming), which plans, runs, models and compiles it.  No
+  other module compares a path name.
 * :func:`plan_qr` / :class:`QRPlan` — everything shape-dependent about a
   factorization (panel schedule, reduction-tree recipes, look-ahead task
-  DAG, compact-WY scratch sizes, the validated policy) computed once and
-  replayed by ``plan.execute(A)`` for repeated bit-identical
-  factorizations; ``plan.simulate()`` gives the modeled GPU cost of the
-  same shape.
+  DAG, the validated policy) computed once and replayed by
+  ``plan.execute(A)`` for repeated bit-identical factorizations;
+  ``plan.simulate()`` gives the modeled GPU cost of the same shape.  A
+  direct ``caqr(A, policy=p)`` is ``plan_qr(...).factor(A)``.
 * :mod:`repro.runtime.cholqr` — the condition guard and tree fallback
   behind the CholeskyQR2 fast paths (``path="cholqr2"`` /
   ``"cholqr2_mixed"`` / ``"auto"``); every accept/reject threshold and
@@ -24,19 +24,13 @@ collapses that sprawl into a Parla-style policy/plan/execute separation:
 
 Layering: ``repro.core`` / ``repro.graph`` / ``repro.dispatch`` import
 :mod:`repro.runtime.policy` (which only depends on the guard layer);
-:mod:`repro.runtime.plan` lazily imports the heavy numeric modules at
-call time, so no import cycle exists.
+the engines and :mod:`repro.runtime.plan` import the heavy numeric
+modules at call time, so no import cycle exists.
 """
 
 from .cholqr import CholQRFactors, CholQRGuard, count_fallbacks, run_cholqr
 from .plan import QRPlan, plan_qr
-from .policy import (
-    CHOLQR_PATHS,
-    PATH_NAMES,
-    ExecutionPolicy,
-    resolve_executor_policy,
-    resolve_policy,
-)
+from .policy import CHOLQR_PATHS, PATH_NAMES, ExecutionPolicy
 
 __all__ = [
     "CHOLQR_PATHS",
@@ -47,6 +41,4 @@ __all__ = [
     "QRPlan",
     "count_fallbacks",
     "plan_qr",
-    "resolve_executor_policy",
-    "resolve_policy",
 ]

@@ -138,7 +138,7 @@ class CholQRGuard:
         """
         dt = np.dtype(dtype)
         gram_is_f32 = dt == np.dtype(np.float32) or (
-            policy.path == "cholqr2_mixed" and dt == np.dtype(np.float64)
+            policy.spec.mixed and dt == np.dtype(np.float64)
         )
         if policy.condition_limit is not None:
             limit = float(policy.condition_limit)
@@ -150,7 +150,7 @@ class CholQRGuard:
             limit = 0.5 / math.sqrt(float(np.finfo(np.float32).eps))
         else:
             limit = 1.0 / (8.0 * math.sqrt(float(np.finfo(np.float64).eps)))
-        return cls(condition_limit=limit, fallback=policy.path == "auto")
+        return cls(condition_limit=limit, fallback=policy.spec.fallback)
 
     def _refuse(self, stage: str, value: float, limit: float):
         if self.fallback:
@@ -257,7 +257,7 @@ def run_cholqr(
     m, n = A.shape
     k = min(m, n)
     guard = CholQRGuard.for_policy(policy, A.dtype)
-    mixed = policy.path == "cholqr2_mixed"
+    mixed = policy.spec.mixed
     left = A if n <= m else np.ascontiguousarray(A[:, :m])
     try:
         with _obs.span(
@@ -269,7 +269,7 @@ def run_cholqr(
     except _FallbackRequested as req:
         return _run_fallback(A, policy, schedule, req.stage)
     except CholeskyBreakdownError as exc:
-        if policy.path == "auto":
+        if policy.spec.fallback:
             # Breakdown mid-factorization (not a guard refusal): the
             # adaptive path still owes the caller a factorization.
             return _run_fallback(A, policy, schedule, exc.stage)

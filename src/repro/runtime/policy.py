@@ -3,56 +3,59 @@
 An :class:`ExecutionPolicy` is the single source of truth for *how* a
 factorization runs: which execution path, what panel/tree geometry, how
 many workers, which non-finite policy, and which modeled device/kernel
-configuration the cost model should use.  It replaces the five loose
-kwargs (``batched``, ``structured``, ``lookahead``, ``workers``,
-``nonfinite``) that every entry point used to plumb by hand.
+configuration the cost model should use.  Every entry point takes it as
+``policy=``; a direct call such as ``caqr(A, policy=p)`` is
+``plan_qr(m, n, A.dtype, p).factor(A)``.
 
-The legacy kwargs are mapped onto policies in exactly one place —
-:func:`resolve_policy` — which every shimmed entry point calls.  Passing
-any of the path-selection kwargs emits a :class:`DeprecationWarning`;
-geometry kwargs (``panel_width`` / ``block_rows`` / ``tree_shape``) map
-silently since they stay meaningful per-call.
+Path names and engines
+----------------------
+Ten path names select five engines.  Each engine supplies everything a
+:class:`~repro.runtime.plan.QRPlan` does with a path — its plan build,
+``factor``, ``simulate``, ``task_graph``, the extras ``describe`` prints
+— and the policy fields it requires or permits, which
+:class:`ExecutionPolicy` validates against.  The per-path flags of
+:class:`PathSpec` are the only other facts any module reads off a path
+name.  The table, :data:`PATHS`, is the one place path names are read;
+each name below is followed by its engine.
 
-Path names
-----------
-``seed``
-    The per-node reference implementation (``batched=False``), kept as
-    the correctness oracle and benchmark baseline.
-``batched``
+``seed`` (serial)
+    The per-node reference implementation, kept as the correctness
+    oracle and benchmark baseline.
+``batched`` (serial)
     Level-batched compact-WY execution (the default).
-``structured``
+``structured`` (serial)
     Batched execution with the sparsity-exploiting stacked-triangle
     tree elimination.
-``lookahead``
+``lookahead`` (lookahead)
     The task-graph executor (:mod:`repro.graph.executor`); ``workers``
     sets the column tiling / thread-pool width and ``lookahead_edge``
     selects the look-ahead dependency edge vs the panel barrier.
-``seed_structured``
-    The oracle combination ``batched=False, structured=True`` — used
-    only by the parity tests; not a production path.
-``cholqr2``
+``seed_structured`` (serial)
+    The oracle combination of the seed loop with the structured tree —
+    used by the parity tests; not a production path.
+``cholqr2`` (cholqr)
     The BLAS3 fast path: CholeskyQR2 (two Gram/Cholesky/triangular
     passes, ~4mn^2 flops, O(1) kernel launches).  Condition-guarded —
     breaks down (raises) near ``cond(A) ~ 1/sqrt(eps)`` instead of
     silently losing orthogonality.
-``cholqr2_mixed``
+``cholqr2_mixed`` (cholqr)
     CholeskyQR2 with a float32 first-pass Gram accumulation; the
     reorthogonalization pass runs in float64, restoring full
     orthogonality.  Guarded at the float32 condition limit.
-``auto``
+``auto`` (cholqr)
     Adaptive: runs ``cholqr2`` when a cheap condition estimate admits
     it and transparently falls back to ``lookahead`` otherwise
     (including on Cholesky breakdown mid-factorization).  Never
     raises on ill-conditioned input; ``condition_limit`` overrides the
     guard threshold.
-``sharded``
+``sharded`` (sharded)
     Multi-device parallel CAQR (:mod:`repro.distributed.sharded`): the
     matrix is row-partitioned across ``shards`` simulated ranks, each
     runs the local batched compact-WY machinery, and per-rank R factors
     reduce through a ``fanin``-ary tree over ``FakeComm``, with traffic
     charged to a calibrated ``interconnect`` alpha-beta model.
     Requires ``shards=``; ``fanin`` and ``interconnect`` are optional.
-``streaming``
+``streaming`` (streaming)
     Out-of-core sequential CAQR (:mod:`repro.streaming`): the tall axis
     is cut into ``chunk_rows``-row chunks, each chunk runs the local
     batched compact-WY machinery, and the chunk's R folds into the
@@ -63,60 +66,359 @@ Path names
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Any
 
 from repro.verify.guards import validate_nonfinite_policy
 
 __all__ = [
-    "PATH_NAMES",
-    "CHOLQR_PATHS",
-    "ExecutionPolicy",
-    "resolve_policy",
-    "resolve_executor_policy",
+    "CHOLQR", "CHOLQR_PATHS", "ENGINES", "LOOKAHEAD", "PATHS", "PATH_NAMES",
+    "SERIAL", "SHARDED", "STREAMING", "Engine", "ExecutionPolicy", "PathSpec",
 ]
 
-PATH_NAMES = (
-    "seed",
-    "batched",
-    "structured",
-    "lookahead",
-    "seed_structured",
-    "cholqr2",
-    "cholqr2_mixed",
-    "auto",
-    "sharded",
-    "streaming",
+
+# -- the engine table ------------------------------------------------------
+#
+# Every execution-path name is read here and nowhere else
+# (tools/lint_layering.py flags a ``.path`` compared with a string literal
+# in any other module).  Engines import their numerics inside each
+# method, so the table costs nothing at import time.
+
+
+class Engine:
+    """How plans of one family build, run, model and compile.
+
+    ``required`` policy fields must be set for the engine's paths and
+    ``permits`` fields may be; every other gated field is refused.
+    ``modeled`` says whether ``simulate`` has a timeline to return.  The
+    defaults are in-core CAQR's (launch-stream model, panel/tree/trailing
+    layers, one panel spec per column panel), which the serial and
+    look-ahead engines share.
+    """
+
+    required: tuple[str, ...] = ()
+    permits: tuple[str, ...] = ()
+    modeled = True
+
+    def build(self, plan) -> tuple:
+        """Shape-dependent state built once per plan: ``(schedule, recipes)``."""
+        return None, ()
+
+    def factor(self, plan, A):
+        raise NotImplementedError
+
+    def simulate(self, m, n, policy, cfg, dev, streams=None):
+        from repro.caqr_gpu import simulate_caqr
+
+        return simulate_caqr(m, n, cfg, dev, streams=streams)
+
+    def task_graph(self, plan):
+        from repro.graph.dag import emit_caqr_layers
+
+        p = plan.policy
+        return emit_caqr_layers(
+            plan.m, plan.n, p.resolved_config(), p.resolved_device(),
+            lookahead=p.lookahead_edge,
+        )
+
+    def panels(self, plan) -> tuple:
+        from repro.runtime.plan import _panel_specs
+
+        return _panel_specs(plan.m, plan.n, plan.policy)
+
+    def scratch_bytes(self, plan) -> int:
+        from repro.runtime.plan import _wy_scratch_bytes
+
+        return _wy_scratch_bytes(plan.policy, plan.panels, plan.dtype.itemsize)
+
+    def level0(self, plan) -> tuple[tuple[int, ...], str]:
+        """Effective level-0 block heights and what they describe."""
+        return tuple(p.block_rows for p in plan.panels), ""
+
+    def detail(self, policy) -> str:
+        """The ``describe`` suffix after the path name."""
+        return ""
+
+
+class _Serial(Engine):
+    def factor(self, plan, A):
+        from repro.core.caqr import _caqr_serial
+
+        return _caqr_serial(A, plan.policy)
+
+
+class _Lookahead(Engine):
+    permits = ("workers",)
+
+    def build(self, plan):
+        from repro.graph.executor import build_lookahead_schedule
+        from repro.runtime.plan import _warm_recipes
+
+        schedule = build_lookahead_schedule(plan.m, plan.n, plan.policy)
+        return schedule, _warm_recipes(schedule)
+
+    def factor(self, plan, A):
+        # Looked up at call time: benchmarks wrap this attribute.
+        from repro.graph.executor import run_lookahead_schedule
+
+        return run_lookahead_schedule(plan._schedule, A)
+
+    def task_graph(self, plan):
+        from repro.graph.executor import emit_lookahead_layers
+
+        return emit_lookahead_layers(plan._schedule)
+
+    def detail(self, policy):
+        return f" (workers={policy.effective_workers})"
+
+
+class _CholQR(Engine):
+    permits = ("condition_limit",)
+
+    def build(self, plan):
+        # A fallback path prebuilds the look-ahead schedule and warms its
+        # tree recipes, so a guarded execute never plans.
+        if not plan.policy.spec.fallback or plan.m < 1 or plan.n < 1:
+            return None, ()
+        from repro.runtime.cholqr import _fallback_schedule
+        from repro.runtime.plan import _warm_recipes
+
+        schedule = _fallback_schedule(plan.m, plan.n, plan.policy)
+        return schedule, _warm_recipes(schedule)
+
+    def factor(self, plan, A):
+        from repro.runtime.cholqr import run_cholqr
+
+        return run_cholqr(
+            A, plan.policy, workspace=plan._cholqr_workspace(), schedule=plan._schedule
+        )
+
+    def simulate(self, m, n, policy, cfg, dev, streams=None):
+        # O(1) launches on one stream: ``streams`` has no effect.
+        from repro.caqr_gpu import simulate_cholqr2
+
+        spec = policy.spec
+        return simulate_cholqr2(m, n, cfg, dev, mixed=spec.mixed, guard=spec.fallback)
+
+    def task_graph(self, plan):
+        raise ValueError(
+            "task_graph: CholeskyQR2 paths are O(1) launch chains; "
+            "there is no task graph to compile"
+        )
+
+    def panels(self, plan):
+        return ()
+
+    def scratch_bytes(self, plan):
+        # The n x n Gram + triangular smalls, plus the float32 Gram cast
+        # buffer on the mixed path.
+        import numpy as np
+
+        k = min(plan.m, plan.n)
+        scratch = 3 * k * k * plan.dtype.itemsize
+        if plan.policy.spec.mixed and plan.dtype == np.dtype(np.float64):
+            scratch += plan.m * k * np.dtype(np.float32).itemsize
+        return scratch
+
+    def level0(self, plan):
+        sched = plan._schedule
+        if sched is None:
+            return (), ""
+        return tuple(bh for _c0, _w, _r0, bh, _wt in sched.panels), " (tree fallback)"
+
+
+class _Sharded(Engine):
+    required = ("shards",)
+    permits = ("fanin", "interconnect")
+
+    def build(self, plan):
+        # The row deal and fan-in tree are pure functions of the shape:
+        # built once, every execute replays the tree the fingerprint pins.
+        from repro.distributed.sharded import build_shard_schedule
+
+        p = plan.policy
+        return build_shard_schedule(plan.m, plan.n, p.shards, p.effective_fanin), ()
+
+    def factor(self, plan, A):
+        from repro.distributed.sharded import run_sharded
+
+        return run_sharded(A, plan.policy, schedule=plan._schedule)
+
+    def simulate(self, m, n, policy, cfg, dev, streams=None):
+        # Per-device local CAQR + modeled reduction traffic; ``streams``
+        # is per-device and does not apply.
+        from repro.caqr_gpu import simulate_sharded
+
+        return simulate_sharded(
+            m, n, cfg, dev,
+            shards=policy.shards,
+            fanin=policy.effective_fanin,
+            interconnect=policy.resolved_interconnect(),
+        )
+
+    def task_graph(self, plan):
+        from repro.distributed.sharded import emit_sharded_layers
+
+        return emit_sharded_layers(plan._schedule)
+
+    def panels(self, plan):
+        return ()
+
+    def _tallest_shard_panels(self, plan):
+        from repro.runtime.plan import _panel_specs
+
+        rows = plan._schedule.rows
+        if not rows:
+            return ()
+        s0, e0 = rows[0]  # the first shard is the tallest
+        return _panel_specs(e0 - s0, plan.n, plan.policy)
+
+    def scratch_bytes(self, plan):
+        from repro.runtime.plan import _wy_scratch_bytes
+
+        shard_panels = self._tallest_shard_panels(plan)
+        if not shard_panels:
+            return 0
+        return plan._schedule.shards * _wy_scratch_bytes(
+            plan.policy, shard_panels, plan.dtype.itemsize
+        )
+
+    def level0(self, plan):
+        heights = tuple(p.block_rows for p in self._tallest_shard_panels(plan))
+        return heights, " (tallest shard)"
+
+    def detail(self, policy):
+        return f" (shards={policy.shards}, fanin={policy.effective_fanin})"
+
+
+class _Streaming(Engine):
+    required = ("chunk_rows",)
+    modeled = False
+
+    def build(self, plan):
+        from repro.streaming.qr import build_stream_schedule
+
+        return build_stream_schedule(plan.m, plan.n, plan.policy.chunk_rows), ()
+
+    def factor(self, plan, A):
+        from repro.streaming.qr import run_streaming_matrix
+
+        return run_streaming_matrix(A, plan.policy, schedule=plan._schedule)
+
+    def simulate(self, m, n, policy, cfg, dev, streams=None):
+        raise ValueError(
+            "simulate: the streaming path is out-of-core (no single "
+            "modeled timeline); simulate the per-chunk shape "
+            f"({policy.chunk_rows} x {n}) instead"
+        )
+
+    def task_graph(self, plan):
+        from repro.streaming.graphs import emit_streaming_layers
+
+        return emit_streaming_layers(
+            plan.m, plan.n, plan.policy.chunk_rows, schedule=plan._schedule
+        )
+
+    def panels(self, plan):
+        # One full-height chunk: the shape every steady-state chunk replays.
+        from repro.runtime.plan import _panel_specs
+
+        m, chunk = plan.m, plan.policy.chunk_rows
+        ch = min(chunk, m) if m else chunk
+        return _panel_specs(ch, plan.n, plan.policy) if ch and plan.n else ()
+
+    def scratch_bytes(self, plan):
+        # The out-of-core resident bound: one chunk's compact-WY factors
+        # plus the n x n carry and the (2n) x n merge stack — not a
+        # function of m.
+        from repro.runtime.plan import _wy_scratch_bytes
+
+        itemsize = plan.dtype.itemsize
+        scratch = _wy_scratch_bytes(plan.policy, plan.panels, itemsize)
+        return scratch + 3 * min(plan.m, plan.n) * plan.n * itemsize
+
+    def level0(self, plan):
+        return super().level0(plan)[0], " (per chunk)"
+
+    def detail(self, policy):
+        return f" (chunk_rows={policy.chunk_rows})"
+
+
+SERIAL, LOOKAHEAD, CHOLQR, SHARDED, STREAMING = ENGINES = (
+    _Serial(), _Lookahead(), _CholQR(), _Sharded(), _Streaming()
 )
 
-# The CholeskyQR2 family: condition-guarded BLAS3 fast paths.  ``auto``
-# belongs here too — it *starts* on the cheap path and owns the fallback.
-CHOLQR_PATHS = ("cholqr2", "cholqr2_mixed", "auto")
 
-# Kwargs whose explicit use triggers a DeprecationWarning at the shims.
-DEPRECATED_KWARGS = ("batched", "structured", "lookahead", "workers", "nonfinite")
+@dataclass(frozen=True)
+class PathSpec:
+    """One path name's engine and the flags its engine reads.
+
+    Attributes:
+        engine: the :class:`Engine` that plans and runs the path.
+        batched: compact-WY batched kernels (``False``: the seed loop).
+        structured: stacked-triangle tree elimination.
+        mixed: float32 first-pass Gram (CholeskyQR2).
+        fallback: guard refusals fall back to the look-ahead tree
+            instead of raising, so the path also permits what the
+            look-ahead engine permits.
+        coalescable: the serving layer's stacked arithmetic reproduces
+            this path bit for bit.
+    """
+
+    engine: Engine
+    batched: bool = True
+    structured: bool = False
+    mixed: bool = False
+    fallback: bool = False
+    coalescable: bool = False
+
+    @property
+    def permits(self) -> tuple[str, ...]:
+        extra = LOOKAHEAD.permits if self.fallback else ()
+        return self.engine.required + self.engine.permits + extra
 
 
-class _Unset:
-    """Sentinel distinguishing 'caller omitted' from any real value."""
+PATHS: dict[str, PathSpec] = {
+    "seed": PathSpec(SERIAL, batched=False),
+    "batched": PathSpec(SERIAL, coalescable=True),
+    "structured": PathSpec(SERIAL, structured=True),
+    "lookahead": PathSpec(LOOKAHEAD),
+    "seed_structured": PathSpec(SERIAL, batched=False, structured=True),
+    "cholqr2": PathSpec(CHOLQR),
+    "cholqr2_mixed": PathSpec(CHOLQR, mixed=True),
+    "auto": PathSpec(CHOLQR, fallback=True),
+    "sharded": PathSpec(SHARDED),
+    "streaming": PathSpec(STREAMING),
+}
 
-    _instance = None
+PATH_NAMES = tuple(PATHS)
 
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return "<unset>"
+# The condition-guarded BLAS3 paths (``auto`` starts on the cheap path
+# and owns the fallback).
+CHOLQR_PATHS = tuple(name for name, spec in PATHS.items() if spec.engine is CHOLQR)
 
 
-UNSET = _Unset()
+# Fields only some engines take, in validation order: each engine
+# requires or permits a subset.
+_GATED = ("workers", "condition_limit", "shards", "fanin", "chunk_rows", "interconnect")
+# What a required field means, for the "requires" error.
+_REQUIRED_MEANING = {
+    "shards": "the simulated rank count",
+    "chunk_rows": "the tall-axis chunk height",
+}
+# Out-of-scope errors whose wording names more than the permitting paths.
+_SCOPE_ERRORS = {
+    "workers": "workers > 1 requires path='lookahead' (or 'auto', whose "
+    "fallback is the look-ahead path)",
+    "condition_limit": f"condition_limit applies to the CholeskyQR2 paths {CHOLQR_PATHS}",
+}
 
 
-def _is_set(value: Any) -> bool:
-    return value is not UNSET
+def _scope_error(name: str) -> str:
+    if name in _SCOPE_ERRORS:
+        return _SCOPE_ERRORS[name]
+    scope = " or ".join(f"path={p!r}" for p, spec in PATHS.items() if name in spec.permits)
+    return f"{name} applies only to {scope}"
 
 
 @dataclass(frozen=True)
@@ -150,8 +452,6 @@ class ExecutionPolicy:
             used by ``plan.simulate()``; ``None`` resolves lazily to the
             C2050 reference setup so constructing a policy never imports
             the simulator stack.
-        tuning: optional :class:`repro.tuning.cache.TuningCache` handle
-            for callers that want sweep-informed geometry.
         condition_limit: guard threshold for the CholeskyQR2 paths —
             the largest Gram-diagonal condition estimate the cheap path
             accepts before raising (``cholqr2`` / ``cholqr2_mixed``) or
@@ -202,11 +502,11 @@ class ExecutionPolicy:
     coalesce: bool = True
     device: Any | None = field(default=None, compare=False)
     config: Any | None = field(default=None, compare=False)
-    tuning: Any | None = field(default=None, compare=False)
     trace: Any | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.path not in PATH_NAMES:
+        spec = PATHS.get(self.path)
+        if spec is None:
             raise ValueError(
                 f"unknown execution path {self.path!r}; known: {PATH_NAMES}"
             )
@@ -216,57 +516,28 @@ class ExecutionPolicy:
             raise ValueError("block_rows must be positive")
         if self.workers is not None and self.workers < 1:
             raise ValueError("workers must be positive")
-        if self.effective_workers > 1 and self.path not in ("lookahead", "auto"):
-            # "auto" may fall back to the executor, where workers applies.
-            raise ValueError(
-                f"workers > 1 requires path='lookahead' (or 'auto', whose "
-                f"fallback is the look-ahead path), got path={self.path!r}"
+        for name in _GATED:
+            # workers=1 is the serial default every path accepts.
+            is_set = (
+                self.effective_workers > 1
+                if name == "workers"
+                else getattr(self, name) is not None
             )
-        if self.condition_limit is not None:
-            if self.path not in CHOLQR_PATHS:
+            if name in spec.engine.required and not is_set:
                 raise ValueError(
-                    f"condition_limit applies to the CholeskyQR2 paths "
-                    f"{CHOLQR_PATHS}, got path={self.path!r}"
+                    f"path={self.path!r} requires {name}= ({_REQUIRED_MEANING[name]})"
                 )
-            if not self.condition_limit > 0:
-                raise ValueError("condition_limit must be positive")
-        if self.path == "sharded":
-            if self.shards is None:
-                raise ValueError(
-                    "path='sharded' requires shards= (the simulated rank count)"
-                )
-            if self.shards < 1:
-                raise ValueError("shards must be positive")
-        elif self.shards is not None:
-            raise ValueError(
-                f"shards applies only to path='sharded', got path={self.path!r}"
-            )
-        if self.fanin is not None:
-            if self.path != "sharded":
-                raise ValueError(
-                    f"fanin applies only to path='sharded', got path={self.path!r}"
-                )
-            if self.fanin < 2:
-                raise ValueError("fanin must be at least 2")
-        if self.path == "streaming":
-            if self.chunk_rows is None:
-                raise ValueError(
-                    "path='streaming' requires chunk_rows= (the tall-axis "
-                    "chunk height)"
-                )
-            if self.chunk_rows < 1:
-                raise ValueError("chunk_rows must be positive")
-        elif self.chunk_rows is not None:
-            raise ValueError(
-                f"chunk_rows applies only to path='streaming', "
-                f"got path={self.path!r}"
-            )
+            if is_set and name not in spec.permits:
+                raise ValueError(f"{_scope_error(name)}, got path={self.path!r}")
+        if self.condition_limit is not None and not self.condition_limit > 0:
+            raise ValueError("condition_limit must be positive")
+        if self.shards is not None and self.shards < 1:
+            raise ValueError("shards must be positive")
+        if self.fanin is not None and self.fanin < 2:
+            raise ValueError("fanin must be at least 2")
+        if self.chunk_rows is not None and self.chunk_rows < 1:
+            raise ValueError("chunk_rows must be positive")
         if self.interconnect is not None:
-            if self.path != "sharded":
-                raise ValueError(
-                    f"interconnect applies only to path='sharded', "
-                    f"got path={self.path!r}"
-                )
             from repro.distributed.comm import INTERCONNECTS
 
             if self.interconnect not in INTERCONNECTS:
@@ -279,23 +550,33 @@ class ExecutionPolicy:
     # -- derived views -----------------------------------------------------
 
     @property
+    def spec(self):
+        """This path's row of the engine table (a :class:`PathSpec`)."""
+        return PATHS[self.path]
+
+    @property
+    def engine(self):
+        """The :class:`Engine` that plans and runs this path."""
+        return self.spec.engine
+
+    @property
     def effective_workers(self) -> int:
         return 1 if self.workers is None else self.workers
 
     @property
     def uses_batched(self) -> bool:
         """Whether the compact-WY batched kernels run (vs the seed loop)."""
-        return self.path not in ("seed", "seed_structured")
+        return self.spec.batched
 
     @property
     def uses_structured(self) -> bool:
         """Whether tree nodes use the stacked-triangle elimination."""
-        return self.path in ("structured", "seed_structured")
+        return self.spec.structured
 
     @property
     def uses_cholqr(self) -> bool:
         """Whether the CholeskyQR2 fast-path engine runs first."""
-        return self.path in CHOLQR_PATHS
+        return self.spec.engine is CHOLQR
 
     @property
     def effective_fanin(self) -> int:
@@ -329,186 +610,3 @@ class ExecutionPolicy:
         if nonfinite == self.nonfinite:
             return self
         return replace(self, nonfinite=nonfinite)
-
-    # -- legacy kwarg mapping ----------------------------------------------
-
-    @classmethod
-    def from_legacy(
-        cls,
-        base: "ExecutionPolicy | None" = None,
-        *,
-        batched: Any = UNSET,
-        structured: Any = UNSET,
-        lookahead: Any = UNSET,
-        workers: Any = UNSET,
-        nonfinite: Any = UNSET,
-        panel_width: Any = UNSET,
-        block_rows: Any = UNSET,
-        tree_shape: Any = UNSET,
-    ) -> "ExecutionPolicy":
-        """Map the pre-policy kwargs onto a policy (no warnings here).
-
-        Unset values inherit from ``base`` (default: a fresh default
-        policy), so a caller that only overrides ``workers`` keeps the
-        base's geometry and guard policy.  The error cases reproduce the
-        pre-policy entry points exactly: ``structured`` and
-        ``batched=False`` are rejected in combination with look-ahead.
-        """
-        base = base if base is not None else cls()
-        b = batched if _is_set(batched) else base.uses_batched
-        s = structured if _is_set(structured) else base.uses_structured
-        la = lookahead if _is_set(lookahead) else (
-            base.path == "lookahead" and base.lookahead_edge
-        )
-        w = workers if _is_set(workers) else base.workers
-        if la or (w is not None and w > 1):
-            if s:
-                raise ValueError(
-                    "structured tree elimination is not supported with lookahead"
-                )
-            if not b:
-                raise ValueError("lookahead requires the batched execution path")
-            path = "lookahead"
-        elif s:
-            path = "structured" if b else "seed_structured"
-        else:
-            path = "batched" if b else "seed"
-        return replace(
-            base,
-            path=path,
-            workers=w,
-            lookahead_edge=bool(la) if path == "lookahead" else True,
-            nonfinite=nonfinite if _is_set(nonfinite) else base.nonfinite,
-            panel_width=panel_width if _is_set(panel_width) else base.panel_width,
-            block_rows=block_rows if _is_set(block_rows) else base.block_rows,
-            tree_shape=tree_shape if _is_set(tree_shape) else base.tree_shape,
-        )
-
-
-def _warn_deprecated(where: str, names: list[str], stacklevel: int) -> None:
-    warnings.warn(
-        f"{where}: the {', '.join(names)} keyword"
-        f"{'s are' if len(names) > 1 else ' is'} deprecated; pass "
-        "policy=repro.runtime.ExecutionPolicy(...) instead "
-        "(see docs/architecture.md, 'Execution policy & plans')",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-
-
-def _check_no_mixing(where: str, explicit: dict) -> None:
-    if explicit:
-        raise ValueError(
-            f"{where}: pass either policy= or the legacy keywords "
-            f"({', '.join(sorted(explicit))}), not both"
-        )
-
-
-def resolve_policy(
-    where: str,
-    policy: ExecutionPolicy | None = None,
-    *,
-    batched: Any = UNSET,
-    structured: Any = UNSET,
-    lookahead: Any = UNSET,
-    workers: Any = UNSET,
-    nonfinite: Any = UNSET,
-    panel_width: Any = UNSET,
-    block_rows: Any = UNSET,
-    tree_shape: Any = UNSET,
-    default: ExecutionPolicy | None = None,
-    stacklevel: int = 4,
-) -> ExecutionPolicy:
-    """The legacy-kwarg shim every policy-accepting entry point uses.
-
-    ``policy`` wins when given (mixing it with any legacy kwarg is an
-    error); otherwise the legacy kwargs are mapped onto ``default`` via
-    :meth:`ExecutionPolicy.from_legacy`, warning once per call for the
-    deprecated path-selection kwargs (geometry kwargs map silently).
-    """
-    explicit = {
-        name: value
-        for name, value in (
-            ("batched", batched),
-            ("structured", structured),
-            ("lookahead", lookahead),
-            ("workers", workers),
-            ("nonfinite", nonfinite),
-            ("panel_width", panel_width),
-            ("block_rows", block_rows),
-            ("tree_shape", tree_shape),
-        )
-        if _is_set(value)
-    }
-    if policy is not None:
-        _check_no_mixing(where, explicit)
-        return policy
-    deprecated = sorted(set(explicit) & set(DEPRECATED_KWARGS))
-    if deprecated:
-        _warn_deprecated(where, deprecated, stacklevel)
-    return ExecutionPolicy.from_legacy(
-        default,
-        batched=batched,
-        structured=structured,
-        lookahead=lookahead,
-        workers=workers,
-        nonfinite=nonfinite,
-        panel_width=panel_width,
-        block_rows=block_rows,
-        tree_shape=tree_shape,
-    )
-
-
-def resolve_executor_policy(
-    where: str,
-    policy: ExecutionPolicy | None = None,
-    *,
-    workers: Any = UNSET,
-    lookahead: Any = UNSET,
-    nonfinite: Any = UNSET,
-    panel_width: Any = UNSET,
-    block_rows: Any = UNSET,
-    tree_shape: Any = UNSET,
-    stacklevel: int = 4,
-) -> ExecutionPolicy:
-    """Shim for :func:`repro.graph.executor.caqr_lookahead`.
-
-    The executor entry is always the look-ahead path; its legacy
-    ``lookahead`` kwarg selects the look-ahead *edge* (vs the panel
-    barrier), not the path, so it maps to ``lookahead_edge``.
-    """
-    explicit = {
-        name: value
-        for name, value in (
-            ("workers", workers),
-            ("lookahead", lookahead),
-            ("nonfinite", nonfinite),
-            ("panel_width", panel_width),
-            ("block_rows", block_rows),
-            ("tree_shape", tree_shape),
-        )
-        if _is_set(value)
-    }
-    if policy is not None:
-        _check_no_mixing(where, explicit)
-        if policy.path != "lookahead":
-            raise ValueError(
-                f"{where}: the executor runs the 'lookahead' path, "
-                f"got policy.path={policy.path!r}"
-            )
-        return policy
-    deprecated = sorted(set(explicit) & set(DEPRECATED_KWARGS))
-    if deprecated:
-        _warn_deprecated(where, deprecated, stacklevel)
-    w = workers if _is_set(workers) else None
-    if w is not None and w < 1:
-        raise ValueError("workers must be positive")
-    return ExecutionPolicy(
-        path="lookahead",
-        workers=w,
-        lookahead_edge=bool(lookahead) if _is_set(lookahead) else True,
-        nonfinite=nonfinite if _is_set(nonfinite) else "raise",
-        panel_width=panel_width if _is_set(panel_width) else 16,
-        block_rows=block_rows if _is_set(block_rows) else None,
-        tree_shape=tree_shape if _is_set(tree_shape) else "quad",
-    )

@@ -131,7 +131,7 @@ class ServingPlan:
     """
 
     def __init__(self, m: int, n: int, dtype, policy: ExecutionPolicy):
-        if policy.path != "batched":
+        if not policy.spec.coalescable:
             raise ValueError(
                 f"ServingPlan implements the 'batched' path arithmetic, "
                 f"got path={policy.path!r}"

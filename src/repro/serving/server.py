@@ -275,7 +275,7 @@ class QRServer:
     def _stack_eligible(
         self, m: int, n: int, dtstr: str, policy, pol, count: int
     ) -> bool:
-        if count < 2 or not pol.coalesce or pol.path != "batched":
+        if count < 2 or not pol.coalesce or not pol.spec.coalescable:
             return False
         if pol.nonfinite != "raise":
             # "propagate" semantics are per-matrix; keep NaN traffic out

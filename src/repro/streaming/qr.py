@@ -34,7 +34,7 @@ import numpy as np
 from repro.core.householder import geqr2, orm2r
 from repro.core.structured import StructuredStackFactor, structured_stack_qr
 from repro.obs import tracer as _obs
-from repro.runtime.policy import ExecutionPolicy
+from repro.runtime.policy import STREAMING, ExecutionPolicy
 from repro.verify.guards import validate_stream_chunk
 
 __all__ = [
@@ -235,7 +235,7 @@ class StreamingQR:
     ) -> None:
         if policy is None:
             policy = ExecutionPolicy(path="streaming", chunk_rows=DEFAULT_CHUNK_ROWS)
-        if policy.path != "streaming":
+        if policy.engine is not STREAMING:
             raise ValueError(
                 f"StreamingQR needs a path='streaming' policy, got {policy.path!r}"
             )

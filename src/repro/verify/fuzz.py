@@ -7,9 +7,10 @@ strided views) and matrix kinds (Gaussian, graded spectrum, extreme
 "huge"/"tiny" scales that stress the rescaled reflector path), each
 factored through every execution path —
 
-* ``seed``          — the per-node reference path (``batched=False``)
+* ``seed``          — the per-node reference loop
 * ``batched``       — level-batched compact-WY (the default)
 * ``structured``    — sparsity-exploiting stacked-triangle tree
+* ``seed_structured`` — the reference loop with the structured tree
 * ``lookahead``     — the task-graph executor, serial
 * ``lookahead_mt``  — the task-graph executor on a thread pool
 * ``cholqr2``       — BLAS3 CholeskyQR2 (guard *refuses* ill-conditioned)
@@ -18,7 +19,9 @@ factored through every execution path —
 * ``sharded``       — multi-device CAQR over 3 simulated ranks
 * ``streaming``     — out-of-core chunked CAQR (11-row chunks)
 
-— and cross-checked three ways: the QR invariants of
+— one identity per path name of the engine table
+(:data:`repro.runtime.policy.PATHS`), so a new path cannot skip the grid —
+and cross-checked three ways: the QR invariants of
 :mod:`repro.verify.invariants` (orthogonality, residual,
 triangularity, shape/dtype contracts vs ``np.linalg.qr``), direct
 factor agreement with ``np.linalg.qr`` after sign canonicalization
@@ -51,7 +54,8 @@ from repro.core.cholesky_qr import CholeskyBreakdownError
 from repro.core.gram_schmidt import cgs2
 from repro.core.validation import sign_canonical
 from repro.runtime.cholqr import count_fallbacks
-from repro.runtime.policy import ExecutionPolicy
+from repro.runtime.policy import CHOLQR, ExecutionPolicy, PathSpec
+from repro.runtime.policy import PATHS as ENGINE_TABLE
 
 from .invariants import launch_fingerprint, qr_invariants, qr_tolerance
 
@@ -67,33 +71,29 @@ __all__ = [
 ]
 
 
-# ExecutionPolicy field overrides per fuzz path, keyed by the name the
-# report uses.  ``lookahead_mt`` is the same policy path with a thread
-# pool — kept as a distinct fuzz identity because it exercises the
-# concurrent executor engine.
-PATHS: dict[str, dict] = {
-    "seed": {"path": "seed"},
-    "batched": {"path": "batched"},
-    "structured": {"path": "structured"},
-    "lookahead": {"path": "lookahead"},
-    "lookahead_mt": {"path": "lookahead", "workers": 3},
-    "cholqr2": {"path": "cholqr2"},
-    "cholqr2_mixed": {"path": "cholqr2_mixed"},
-    "auto": {"path": "auto"},
-    # Sharded multi-device CAQR: 3 ranks (uneven deals on most shapes)
-    # over the default binomial fan-in; the effective rank count clamps
-    # to the row count, so degenerate grid shapes run too.
-    "sharded": {"path": "sharded", "shards": 3},
-    # Streaming out-of-core CAQR: an 11-row chunk leaves a ragged tail
-    # on most grid shapes and forces chunks narrower than the panel
-    # width, exercising both merge regimes (dense start-up + structured
-    # steady state) against the in-core paths.
-    "streaming": {"path": "streaming", "chunk_rows": 11},
-}
+# The fuzz's values for the policy fields an engine requires.  Sharded:
+# 3 ranks (uneven deals on most shapes) over the default binomial fan-in;
+# the effective rank count clamps to the row count, so degenerate grid
+# shapes run too.  Streaming: an 11-row chunk leaves a ragged tail on
+# most grid shapes and forces chunks narrower than the panel width,
+# exercising both merge regimes (dense start-up + structured steady
+# state) against the in-core paths.
+_REQUIRED_VALUES = {"shards": 3, "chunk_rows": 11}
 
-# Fuzz names whose policy is a CholeskyQR2 path that may *refuse*
-# (raise CholeskyBreakdownError) rather than fall back.
-_EXPLICIT_CHOLQR = ("cholqr2", "cholqr2_mixed")
+# ExecutionPolicy field overrides per fuzz identity, keyed by the name
+# the report uses: one per path name of the engine table, plus
+# ``lookahead_mt`` — the same policy path with a thread pool, kept as a
+# distinct identity because it exercises the concurrent executor engine.
+PATHS: dict[str, dict] = {
+    name: {"path": name, **{f: _REQUIRED_VALUES[f] for f in spec.engine.required}}
+    for name, spec in ENGINE_TABLE.items()
+}
+PATHS["lookahead_mt"] = {"path": "lookahead", "workers": 3}
+
+
+def _spec(name: str) -> PathSpec:
+    """The engine-table row of a fuzz identity."""
+    return ENGINE_TABLE[PATHS[name]["path"]]
 
 
 def policy_for(
@@ -264,7 +264,6 @@ def run_case(case: FuzzCase, paths: list[str] | None = None) -> list[Divergence]
 
     results: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for name in names:
-        path = PATHS[name].get("path")
         try:
             with count_fallbacks() as counter:
                 Q, R = caqr_qr(A, policy=case.policy(name))
@@ -273,20 +272,21 @@ def run_case(case: FuzzCase, paths: list[str] | None = None) -> list[Divergence]
             # guard deems too ill-conditioned — an accepted refusal on
             # the adversarial kinds, a finding on Gaussian input.  The
             # adaptive path must never surface a breakdown.
-            if name in _EXPLICIT_CHOLQR and case.kind != "gauss":
+            refuses = _spec(name).engine is CHOLQR and not _spec(name).fallback
+            if refuses and case.kind != "gauss":
                 continue
             divs.append(Divergence(case, name, "exception", f"{type(exc).__name__}: {exc}"))
             continue
         except Exception as exc:  # a crash on valid input is a finding
             divs.append(Divergence(case, name, "exception", f"{type(exc).__name__}: {exc}"))
             continue
-        if path == "auto" and case.kind == "gauss" and counter.fallbacks:
+        if _spec(name).fallback and case.kind == "gauss" and counter.fallbacks:
             divs.append(
                 Divergence(
                     case,
                     name,
                     "fallback",
-                    f"auto fell back on a Gaussian matrix "
+                    f"{name} fell back on a Gaussian matrix "
                     f"(stages={counter.stages!r}) — the guard is too tight",
                 )
             )
@@ -475,14 +475,16 @@ def run_grid(
     # includes adversarial kinds and the auto path but never took the
     # tree means the guard went soft (or the fallback counter broke).
     adversarial = [c for c in cases if c.kind != "gauss" and min(c.m, c.n) >= 2]
-    if "auto" in names and adversarial and sweep_counter.fallbacks == 0:
+    falling_back = [name for name in names if _spec(name).fallback]
+    if falling_back and adversarial and sweep_counter.fallbacks == 0:
         divergences.append(
             Divergence(
                 adversarial[0],
-                "auto",
+                falling_back[0],
                 "fallback",
-                f"{len(adversarial)} adversarial case(s) swept but the auto path "
-                f"never fell back to the tree — the condition guard is inert",
+                f"{len(adversarial)} adversarial case(s) swept but the "
+                f"{falling_back[0]} path never fell back to the tree — the "
+                f"condition guard is inert",
             )
         )
     return FuzzReport(cases_run=len(cases), paths_run=len(names), divergences=divergences)

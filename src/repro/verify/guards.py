@@ -2,7 +2,7 @@
 
 One validation policy, enforced in one place (this module) and wired
 through ``caqr`` / ``caqr_qr``, ``tsqr`` / ``tsqr_qr``,
-``caqr_gpu_factor``, ``caqr_lookahead``, ``QRDispatcher.qr``,
+``caqr_gpu_factor``, ``QRPlan.execute``, ``QRDispatcher.qr``,
 ``randomized_svd`` / ``randomized_range_finder``, ``AdaptiveSVT`` and
 the numeric baselines (``blocked_qr``, ``cholesky_qr``, ``cgs2``):
 

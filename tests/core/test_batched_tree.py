@@ -1,10 +1,9 @@
 """Batched tree-level execution vs the per-node reference path.
 
-The batched path (``batched=True``, the default) must be a pure
+The ``batched`` path (the default) must be a pure
 performance transformation: same block structure, same tree, same
 factors up to roundoff, same results from every application method, on
-every ragged/edge shape.  The per-node seed path (``batched=False``) is
-the oracle.
+every ragged/edge shape.  The per-node ``seed`` path is the oracle.
 """
 
 from __future__ import annotations
@@ -15,6 +14,7 @@ import pytest
 from repro.core.caqr import caqr, caqr_qr
 from repro.core.tsqr import tsqr, tsqr_qr
 from repro.io import load_tsqr, save_tsqr
+from repro.runtime import ExecutionPolicy
 
 ATOL = 1e-10
 
@@ -37,8 +37,11 @@ SHAPES = [
 
 def _pair(rng, m, n, br, shape, structured):
     A = rng.standard_normal((m, n))
-    fb = tsqr(A, block_rows=br, tree_shape=shape, structured=structured, batched=True)
-    fr = tsqr(A, block_rows=br, tree_shape=shape, structured=structured, batched=False)
+    geometry = {"block_rows": br, "tree_shape": shape}
+    batched = "structured" if structured else "batched"
+    seed = "seed_structured" if structured else "seed"
+    fb = tsqr(A, policy=ExecutionPolicy(path=batched, **geometry))
+    fr = tsqr(A, policy=ExecutionPolicy(path=seed, **geometry))
     return A, fb, fr
 
 
@@ -88,8 +91,8 @@ class TestApplyParity:
 
     def test_vector_rhs(self, rng):
         A = rng.standard_normal((301, 9))
-        fb = tsqr(A, block_rows=64, batched=True)
-        fr = tsqr(A, block_rows=64, batched=False)
+        fb = tsqr(A, policy=ExecutionPolicy(block_rows=64))
+        fr = tsqr(A, policy=ExecutionPolicy(path="seed", block_rows=64))
         b = rng.standard_normal(301)
         out = fb.apply_qt(b.copy())
         np.testing.assert_allclose(out, fr.apply_qt(b.copy()), atol=ATOL)
@@ -100,8 +103,8 @@ class TestApplyParity:
         versa) builds the missing plan lazily and agrees."""
         A = rng.standard_normal((301, 12))
         B = rng.standard_normal((301, 4))
-        fb = tsqr(A, block_rows=64, batched=True)
-        fr = tsqr(A, block_rows=64, batched=False)
+        fb = tsqr(A, policy=ExecutionPolicy(block_rows=64))
+        fr = tsqr(A, policy=ExecutionPolicy(path="seed", block_rows=64))
         fr.batched = True
         fb.batched = False
         np.testing.assert_allclose(
@@ -112,8 +115,8 @@ class TestApplyParity:
     def test_float32_input(self, rng):
         A = rng.standard_normal((300, 10)).astype(np.float32)
         B = rng.standard_normal((300, 3)).astype(np.float32)
-        fb = tsqr(A, block_rows=64, batched=True)
-        fr = tsqr(A, block_rows=64, batched=False)
+        fb = tsqr(A, policy=ExecutionPolicy(block_rows=64))
+        fr = tsqr(A, policy=ExecutionPolicy(path="seed", block_rows=64))
         assert fb.R.dtype == np.float32
         np.testing.assert_allclose(fb.R, fr.R, atol=1e-4)
         np.testing.assert_allclose(
@@ -123,7 +126,7 @@ class TestApplyParity:
     def test_mixed_dtype_rhs(self, rng):
         """Factor in float64, apply to float32: plan converts once."""
         A = rng.standard_normal((301, 8))
-        f = tsqr(A, block_rows=64, batched=True)
+        f = tsqr(A, policy=ExecutionPolicy(block_rows=64))
         B64 = rng.standard_normal((301, 3))
         B32 = B64.astype(np.float32)
         out64 = f.apply_qt(B64.copy())
@@ -136,9 +139,9 @@ class TestNumericalQuality:
     @pytest.mark.parametrize("m,n,br,shape,structured", SHAPES)
     def test_residual_and_orthogonality(self, rng, m, n, br, shape, structured):
         A = rng.standard_normal((m, n))
-        Q, R = tsqr_qr(
-            A, block_rows=br, tree_shape=shape, structured=structured, batched=True
-        )
+        path = "structured" if structured else "batched"
+        policy = ExecutionPolicy(path=path, block_rows=br, tree_shape=shape)
+        Q, R = tsqr_qr(A, policy=policy)
         k = min(m, n)
         assert Q.shape == (m, k)
         np.testing.assert_allclose(Q @ R, A, atol=1e-10)
@@ -157,8 +160,8 @@ class TestCAQRParity:
     )
     def test_caqr_batched_vs_reference(self, rng, m, n, br, pw):
         A = rng.standard_normal((m, n))
-        fb = caqr(A, block_rows=br, panel_width=pw, batched=True)
-        fr = caqr(A, block_rows=br, panel_width=pw, batched=False)
+        fb = caqr(A, policy=ExecutionPolicy(panel_width=pw, block_rows=br))
+        fr = caqr(A, policy=ExecutionPolicy(path="seed", panel_width=pw, block_rows=br))
         np.testing.assert_allclose(fb.R, fr.R, atol=ATOL)
         B = rng.standard_normal((m, 4))
         np.testing.assert_allclose(
@@ -167,7 +170,7 @@ class TestCAQRParity:
         np.testing.assert_allclose(
             fb.apply_q(B.copy()), fr.apply_q(B.copy()), atol=ATOL
         )
-        Qb, Rb = caqr_qr(A, block_rows=br, panel_width=pw, batched=True)
+        Qb, Rb = caqr_qr(A, policy=ExecutionPolicy(panel_width=pw, block_rows=br))
         np.testing.assert_allclose(Qb @ Rb, A, atol=1e-10)
         np.testing.assert_allclose(Qb.T @ Qb, np.eye(n), atol=1e-10)
 
@@ -183,8 +186,8 @@ class TestCAQRParity:
         # The factor structure the launches describe is the same object
         # both paths produce: same blocks, same tree groups.
         A = rng.standard_normal((301, 37))
-        fb = caqr(A, batched=True)
-        fr = caqr(A, batched=False)
+        fb = caqr(A, policy=ExecutionPolicy())
+        fr = caqr(A, policy=ExecutionPolicy(path="seed"))
         for pb, pr in zip(fb.panels, fr.panels):
             assert [b.rows for b in pb.factors.blocks] == [
                 b.rows for b in pr.factors.blocks
@@ -195,7 +198,7 @@ class TestCAQRParity:
 class TestIORoundTrip:
     def test_batched_factor_survives_save_load(self, rng, tmp_path):
         A = rng.standard_normal((301, 12))
-        f = tsqr(A, block_rows=64, batched=True)
+        f = tsqr(A, policy=ExecutionPolicy(block_rows=64))
         path = tmp_path / "f.npz"
         save_tsqr(path, f)
         g = load_tsqr(path)

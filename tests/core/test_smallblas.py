@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.householder import geqr2, house, org2r, orm2r
+from repro.runtime import ExecutionPolicy
 from repro.smallblas import (
     batched_apply_q,
     batched_apply_qt,
@@ -200,7 +201,7 @@ class TestBatchedBlockedApply:
         from repro.core.validation import factorization_error, orthogonality_error
 
         A = rng.standard_normal((1024, 24))
-        Q, R = tsqr_qr(A, block_rows=128)
+        Q, R = tsqr_qr(A, policy=ExecutionPolicy(block_rows=128))
         assert factorization_error(A, Q, R) < 1e-13
         assert orthogonality_error(Q) < 1e-12
 

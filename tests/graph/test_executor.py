@@ -5,8 +5,8 @@ import pytest
 
 from repro.core.caqr import caqr
 from repro.core.tsqr import level0_rows
-from repro.graph import caqr_lookahead, form_q_columns
-from repro.graph.executor import _MIN_TILE, build_lookahead_schedule
+from repro.graph import form_q_columns
+from repro.graph.executor import _MIN_TILE, build_lookahead_schedule, run_lookahead_schedule
 from repro.runtime import ExecutionPolicy
 
 SHAPES = [
@@ -24,6 +24,13 @@ SHAPES = [
 ]
 
 
+def _lookahead(A, threaded=None, **fields):
+    """The look-ahead executor on one matrix: schedule, then run."""
+    policy = ExecutionPolicy(path="lookahead", **fields)
+    sched = build_lookahead_schedule(*A.shape, policy)
+    return run_lookahead_schedule(sched, A, threaded=threaded)
+
+
 def _residuals(A, f):
     Q = f.form_q()
     resid = np.linalg.norm(Q @ f.R - A) / np.linalg.norm(A)
@@ -35,8 +42,8 @@ def _residuals(A, f):
 def test_matches_serial_batched(shape, kw):
     rng = np.random.default_rng(7)
     A = rng.standard_normal(shape)
-    f = caqr_lookahead(A, **kw)
-    ref = caqr(A, batched=True, **kw)
+    f = _lookahead(A, **kw)
+    ref = caqr(A, policy=ExecutionPolicy(**kw))
     resid, orth = _residuals(A, f)
     assert resid < 1e-13
     assert orth < 1e-12
@@ -48,8 +55,8 @@ def test_threaded_bit_identical_to_serial(shape, kw):
     """Same tiling (workers), different engine (threaded) -> same bits."""
     rng = np.random.default_rng(3)
     A = rng.standard_normal(shape)
-    ft = caqr_lookahead(A, workers=3, threaded=True, **kw)
-    fs = caqr_lookahead(A, workers=3, threaded=False, **kw)
+    ft = _lookahead(A, workers=3, threaded=True, **kw)
+    fs = _lookahead(A, workers=3, threaded=False, **kw)
     assert np.array_equal(ft.R, fs.R)
     assert np.array_equal(ft.form_q(), fs.form_q())
 
@@ -57,8 +64,8 @@ def test_threaded_bit_identical_to_serial(shape, kw):
 def test_lookahead_false_matches_lookahead_true():
     rng = np.random.default_rng(11)
     A = rng.standard_normal((600, 96))
-    fa = caqr_lookahead(A, workers=3, lookahead=True)
-    fb = caqr_lookahead(A, workers=3, lookahead=False)
+    fa = _lookahead(A, workers=3, lookahead_edge=True)
+    fb = _lookahead(A, workers=3, lookahead_edge=False)
     # The barrier graph runs the same tasks in a compatible order; the
     # per-task arithmetic is identical, so so are the results.
     assert np.array_equal(fa.R, fb.R)
@@ -68,8 +75,8 @@ def test_apply_qt_apply_q_match_reference():
     rng = np.random.default_rng(5)
     A = rng.standard_normal((800, 64))
     B = rng.standard_normal((800, 5))
-    f = caqr_lookahead(A)
-    ref = caqr(A, batched=True)
+    f = _lookahead(A)
+    ref = caqr(A, policy=ExecutionPolicy())
     assert np.max(np.abs(f.apply_qt(B.copy()) - ref.apply_qt(B.copy()))) < 1e-12
     assert np.max(np.abs(f.apply_q(B.copy()) - ref.apply_q(B.copy()))) < 1e-12
     # 1-D right-hand side round-trips like the reference factors.
@@ -81,7 +88,7 @@ def test_apply_qt_apply_q_match_reference():
 def test_form_q_columns_bit_identity_and_accuracy():
     rng = np.random.default_rng(9)
     A = rng.standard_normal((700, 90))
-    ft = caqr_lookahead(A, workers=3)
+    ft = _lookahead(A, workers=3)
     Qt = form_q_columns(ft, workers=3, threaded=True)
     Qs = form_q_columns(ft, workers=3, threaded=False)
     assert np.array_equal(Qt, Qs)
@@ -102,7 +109,7 @@ def test_form_q_columns_tsqr_factors():
 def test_float32_supported():
     rng = np.random.default_rng(17)
     A = rng.standard_normal((500, 60)).astype(np.float32)
-    f = caqr_lookahead(A, workers=2)
+    f = _lookahead(A, workers=2)
     assert f.R.dtype == np.float32
     Q = f.form_q()
     assert Q.dtype == np.float32
@@ -112,24 +119,27 @@ def test_float32_supported():
 def test_plumbed_through_caqr():
     rng = np.random.default_rng(19)
     A = rng.standard_normal((400, 60))
-    f = caqr(A, lookahead=True, workers=2)
+    f = caqr(A, policy=ExecutionPolicy(path="lookahead", workers=2))
     resid, orth = _residuals(A, f)
     assert resid < 1e-13 and orth < 1e-12
-    with pytest.raises(ValueError):
-        caqr(A, lookahead=True, structured=True)
-    with pytest.raises(ValueError):
-        caqr(A, lookahead=True, batched=False)
+    # caqr runs the same schedule: bit-identical to the executor itself.
+    direct = _lookahead(A, workers=2)
+    assert np.array_equal(f.R, direct.R)
+    assert np.array_equal(f.form_q(), direct.form_q())
 
 
 def test_bad_inputs():
     rng = np.random.default_rng(23)
+    lookahead = ExecutionPolicy(path="lookahead")
     with pytest.raises(ValueError):
-        caqr_lookahead(rng.standard_normal(8))
+        caqr(rng.standard_normal(8), policy=lookahead)
     with pytest.raises(ValueError):
-        caqr_lookahead(rng.standard_normal((8, 4)), panel_width=0)
+        ExecutionPolicy(path="lookahead", panel_width=0)
     with pytest.raises(ValueError):
-        caqr_lookahead(rng.standard_normal((8, 4)), workers=0)
-    f = caqr_lookahead(rng.standard_normal((64, 8)))
+        ExecutionPolicy(path="lookahead", workers=0)
+    with pytest.raises(ValueError, match="does not match the scheduled shape"):
+        run_lookahead_schedule(build_lookahead_schedule(8, 4, lookahead), np.zeros((8, 5)))
+    f = _lookahead(rng.standard_normal((64, 8)))
     with pytest.raises(ValueError):
         f.apply_qt(rng.standard_normal((5, 2)))
     with pytest.raises(ValueError):
@@ -158,7 +168,7 @@ def test_form_q_skipping_columns_is_bit_identical(shape, block_rows):
     """form_q applies each panel only right of its col_start; the skipped
     columns are exact zeros in the panel's rows, so nothing changes."""
     A = np.random.default_rng(31).standard_normal(shape)
-    f = caqr_lookahead(A, policy=ExecutionPolicy(path="lookahead", block_rows=block_rows))
+    f = _lookahead(A, block_rows=block_rows)
     k = min(shape)
     assert np.array_equal(f.form_q(), f.apply_q(np.eye(shape[0], k)))
     # The tiled formation skips per tile: each tile equals apply_q on the

@@ -70,3 +70,40 @@ class TestCommands:
         assert main(["sensitivity"]) == 0
         out = capsys.readouterr().out
         assert "PCIe latency" in out and "DRAM bandwidth" in out
+
+
+class TestPathChoices:
+    """``plan --path`` and ``trace --policy`` take their names from the
+    engine table, and a policy the flags cannot complete is a usage error."""
+
+    def test_choices_are_the_table(self):
+        from repro.runtime.policy import PATH_NAMES
+
+        sub = next(a for a in build_parser()._actions if a.choices and "plan" in a.choices)
+        for command, flag in (("plan", "--path"), ("trace", "--policy")):
+            action = next(
+                a for a in sub.choices[command]._actions if flag in a.option_strings
+            )
+            assert tuple(action.choices) == PATH_NAMES
+
+    def test_unknown_path_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["plan", "--m", "64", "--n", "8", "--path", "warp-drive"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'warp-drive'" in capsys.readouterr().err
+
+    def test_plan_streaming_names_the_missing_field(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["plan", "--m", "64", "--n", "8", "--path", "streaming"])
+        assert exc.value.code == 2
+        assert "requires chunk_rows=" in capsys.readouterr().err
+
+    def test_trace_sharded_names_the_missing_field(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", "--shape", "256x16", "--policy", "sharded"])
+        assert exc.value.code == 2
+        assert "requires shards=" in capsys.readouterr().err
+
+    def test_plan_seed_structured(self, capsys):
+        assert main(["plan", "--m", "1000", "--n", "40", "--path", "seed_structured"]) == 0
+        assert "seed_structured" in capsys.readouterr().out

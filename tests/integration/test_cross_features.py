@@ -16,18 +16,19 @@ from repro.core.validation import factorization_error, orthogonality_error, sign
 from repro.dispatch import QRDispatcher
 from repro.io import load_tsqr, save_tsqr
 from repro.kernels.config import REFERENCE_CONFIG, KernelConfig
+from repro.runtime import ExecutionPolicy
 
 
 class TestStructuredCombinations:
     def test_structured_plus_float32(self, rng):
         A = rng.standard_normal((400, 12)).astype(np.float32)
-        Q, R = tsqr_qr(A, block_rows=32, structured=True)
+        Q, R = tsqr_qr(A, policy=ExecutionPolicy(path="structured", block_rows=32))
         assert Q.dtype == np.float32
         assert factorization_error(A, Q, R) < 5e-5
 
     def test_structured_serialized_float32(self, rng, tmp_path):
         A = rng.standard_normal((200, 8)).astype(np.float32)
-        f = tsqr(A, block_rows=32, structured=True)
+        f = tsqr(A, policy=ExecutionPolicy(path="structured", block_rows=32))
         save_tsqr(tmp_path / "sf.npz", f)
         g = load_tsqr(tmp_path / "sf.npz")
         assert g.R.dtype == np.float32
@@ -38,7 +39,9 @@ class TestStructuredCombinations:
         results = []
         for shape in ("binary", "quad", "binomial"):
             for structured in (False, True):
-                Q, R = tsqr_qr(A, block_rows=64, tree_shape=shape, structured=structured)
+                path = "structured" if structured else "batched"
+                policy = ExecutionPolicy(path=path, block_rows=64, tree_shape=shape)
+                Q, R = tsqr_qr(A, policy=policy)
                 _, Rc = sign_canonical(Q, R)
                 results.append(Rc)
         for Rc in results[1:]:
@@ -86,7 +89,7 @@ class TestStreamingCombinations:
         stq = StreamingTSQR(n_cols=8)
         for i in range(0, 160, 32):
             stq.push(A[i : i + 32])
-        f = tsqr(A, block_rows=32, tree_shape="flat")
+        f = tsqr(A, policy=ExecutionPolicy(block_rows=32, tree_shape="flat"))
         assert np.allclose(np.abs(np.diag(stq.R)), np.abs(np.diag(f.R)), atol=1e-11)
 
 
@@ -95,8 +98,8 @@ class TestBatchedPathConsistency:
         """The batched level-0 path (uniform blocks) and the scalar path
         (ragged last block) must agree on overlapping data."""
         A = rng.standard_normal((256, 8))
-        f_uniform = tsqr(A, block_rows=64)  # 4 full blocks -> batched
-        f_ragged = tsqr(A[:250], block_rows=64)  # ragged tail -> mixed
+        f_uniform = tsqr(A, policy=ExecutionPolicy(block_rows=64))  # 4 full blocks -> batched
+        f_ragged = tsqr(A[:250], policy=ExecutionPolicy(block_rows=64))  # ragged tail -> mixed
         R1 = np.abs(np.diag(f_uniform.R))
         R_np = np.abs(np.diag(np.triu(np.linalg.qr(A, mode="r"))))
         assert np.allclose(R1, R_np, atol=1e-10)
@@ -108,7 +111,7 @@ class TestBatchedPathConsistency:
         """CAQR passes non-contiguous trailing views into TSQR applies;
         the batched path must handle them (copy-back) correctly."""
         A = rng.standard_normal((512, 96))
-        f = caqr(A, panel_width=16, block_rows=64)
+        f = caqr(A, policy=ExecutionPolicy(panel_width=16, block_rows=64))
         Q = f.form_q()
         assert factorization_error(A, Q, f.R) < 1e-12
 
@@ -122,7 +125,8 @@ class TestEndToEndPipelines:
         A = rng.standard_normal((400, 20))
         x_true = rng.standard_normal(20)
         b = (A @ x_true).reshape(-1, 1)
-        save_caqr(tmp_path / "f.npz", caqr(A, panel_width=8, block_rows=64))
+        f = caqr(A, policy=ExecutionPolicy(panel_width=8, block_rows=64))
+        save_caqr(tmp_path / "f.npz", f)
         g = load_caqr(tmp_path / "f.npz")
         qtb = g.apply_qt(b.copy())
         x = solve_upper(g.R[:20, :20], qtb[:20]).ravel()

@@ -49,16 +49,17 @@ class TestPrediction:
 
 class TestPredictionCache:
     def test_predict_memoizes_per_shape(self, monkeypatch):
-        import repro.dispatch as dispatch_mod
+        # predict models the serial engine's launch stream.
+        import repro.caqr_gpu as caqr_gpu_mod
 
         calls = {"n": 0}
-        real = dispatch_mod.simulate_caqr
+        real = caqr_gpu_mod.simulate_caqr
 
         def counting(*args, **kwargs):
             calls["n"] += 1
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(dispatch_mod, "simulate_caqr", counting)
+        monkeypatch.setattr(caqr_gpu_mod, "simulate_caqr", counting)
         d = QRDispatcher()
         first = d.predict(50_000, 96)
         again = d.predict(50_000, 96)
@@ -70,16 +71,17 @@ class TestPredictionCache:
         assert calls["n"] == 2
 
     def test_crossover_reuses_cached_predictions(self, monkeypatch):
-        import repro.dispatch as dispatch_mod
+        # predict models the serial engine's launch stream.
+        import repro.caqr_gpu as caqr_gpu_mod
 
         calls = {"n": 0}
-        real = dispatch_mod.simulate_caqr
+        real = caqr_gpu_mod.simulate_caqr
 
         def counting(*args, **kwargs):
             calls["n"] += 1
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(dispatch_mod, "simulate_caqr", counting)
+        monkeypatch.setattr(caqr_gpu_mod, "simulate_caqr", counting)
         d = QRDispatcher()
         d.crossover_width(8192)
         probes = calls["n"]
@@ -112,16 +114,15 @@ class TestPredictionCache:
 
 class TestLookaheadPlumbing:
     def test_qr_forwards_execution_options(self, rng):
-        with pytest.warns(DeprecationWarning):
-            d = QRDispatcher(lookahead=True, workers=2)
-        # The legacy kwargs resolve into the dispatcher's policy, and the
-        # pre-policy attributes still read back through it.
-        assert d.policy.path == "lookahead" and d.policy.workers == 2
-        assert d.lookahead is True and d.workers == 2 and d.batched is True
+        from repro.runtime import ExecutionPolicy
+
+        policy = ExecutionPolicy(path="lookahead", workers=2, block_rows=64)
+        d = QRDispatcher(policy=policy)
+        assert d.policy is policy
         A = rng.standard_normal((2000, 24))
         out = d.qr(A)
         assert out.engine == "caqr"
-        # The cached plan carries the same policy the kwargs named.
+        # The cached plan carries the dispatcher's policy.
         plan = d.plan_for(2000, 24)
         assert plan.policy is d.policy
         assert factorization_error(A, out.Q, out.R) < 1e-12
@@ -333,3 +334,31 @@ class TestDispatchedFactorization:
     def test_rejects_1d(self, dispatcher):
         with pytest.raises(ValueError):
             dispatcher.qr(np.zeros(5))
+
+
+class TestPredictReadsTheEngine:
+    """predict models the policy's engine exactly as QRPlan.simulate does."""
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"path": "batched"}, {"path": "lookahead"}, {"path": "cholqr2_mixed"},
+         {"path": "auto"}, {"path": "sharded", "shards": 4}],
+        ids=lambda f: f["path"],
+    )
+    def test_predict_matches_plan_simulate(self, fields):
+        from repro.runtime import ExecutionPolicy, plan_qr
+
+        policy = ExecutionPolicy(**fields)
+        caqr = next(p for p in QRDispatcher(policy=policy).predict(8192, 64) if p.engine == "caqr")
+        assert caqr.seconds == plan_qr(8192, 64, policy=policy).simulate().seconds
+
+    def test_streaming_has_no_model_in_either(self):
+        """A streaming policy has no single modeled timeline: the plan and
+        the dispatcher both refuse instead of modeling in-core CAQR."""
+        from repro.runtime import ExecutionPolicy, plan_qr
+
+        policy = ExecutionPolicy(path="streaming", chunk_rows=1024)
+        with pytest.raises(ValueError, match="out-of-core"):
+            plan_qr(8192, 64, policy=policy).simulate()
+        with pytest.raises(ValueError, match="out-of-core"):
+            QRDispatcher(policy=policy).predict(8192, 64)

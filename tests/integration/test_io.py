@@ -8,12 +8,13 @@ import pytest
 from repro.core.caqr import caqr
 from repro.core.tsqr import tsqr
 from repro.io import load_caqr, load_tsqr, save_caqr, save_tsqr
+from repro.runtime import ExecutionPolicy
 
 
 class TestTSQRRoundtrip:
     def test_r_and_apply_preserved(self, rng, tmp_path):
         A = rng.standard_normal((300, 12))
-        f = tsqr(A, block_rows=64)
+        f = tsqr(A, policy=ExecutionPolicy(block_rows=64))
         path = tmp_path / "f.npz"
         save_tsqr(path, f)
         g = load_tsqr(path)
@@ -25,7 +26,7 @@ class TestTSQRRoundtrip:
     @pytest.mark.parametrize("shape", ["binary", "quad", "binomial", "flat"])
     def test_all_tree_shapes(self, rng, tmp_path, shape):
         A = rng.standard_normal((200, 8))
-        f = tsqr(A, block_rows=32, tree_shape=shape)
+        f = tsqr(A, policy=ExecutionPolicy(block_rows=32, tree_shape=shape))
         path = tmp_path / f"{shape}.npz"
         save_tsqr(path, f)
         g = load_tsqr(path)
@@ -34,7 +35,7 @@ class TestTSQRRoundtrip:
 
     def test_structured_factors_roundtrip(self, rng, tmp_path):
         A = rng.standard_normal((400, 10))
-        f = tsqr(A, block_rows=32, structured=True)
+        f = tsqr(A, policy=ExecutionPolicy(path="structured", block_rows=32))
         path = tmp_path / "s.npz"
         save_tsqr(path, f)
         g = load_tsqr(path)
@@ -44,14 +45,14 @@ class TestTSQRRoundtrip:
 
     def test_single_block(self, rng, tmp_path):
         A = rng.standard_normal((20, 6))
-        f = tsqr(A, block_rows=64)
+        f = tsqr(A, policy=ExecutionPolicy(block_rows=64))
         save_tsqr(tmp_path / "one.npz", f)
         g = load_tsqr(tmp_path / "one.npz")
         assert np.allclose(g.form_q() @ g.R, A, atol=1e-12)
 
     def test_float32_dtype_preserved(self, rng, tmp_path):
         A = rng.standard_normal((100, 6)).astype(np.float32)
-        f = tsqr(A, block_rows=32)
+        f = tsqr(A, policy=ExecutionPolicy(block_rows=32))
         save_tsqr(tmp_path / "f32.npz", f)
         g = load_tsqr(tmp_path / "f32.npz")
         assert g.R.dtype == np.float32
@@ -61,7 +62,7 @@ class TestTSQRRoundtrip:
 class TestCAQRRoundtrip:
     def test_full_roundtrip(self, rng, tmp_path):
         A = rng.standard_normal((160, 48))
-        f = caqr(A, panel_width=16, block_rows=32)
+        f = caqr(A, policy=ExecutionPolicy(panel_width=16, block_rows=32))
         path = tmp_path / "caqr.npz"
         save_caqr(path, f)
         g = load_caqr(path)
@@ -94,7 +95,7 @@ class TestCAQRRoundtrip:
         A = rng.standard_normal((200, 10))
         x_true = rng.standard_normal(10)
         b = (A @ x_true).reshape(-1, 1)
-        f = caqr(A, panel_width=4, block_rows=32)
+        f = caqr(A, policy=ExecutionPolicy(panel_width=4, block_rows=32))
         save_caqr(tmp_path / "ls.npz", f)
         g = load_caqr(tmp_path / "ls.npz")
         qtb = g.apply_qt(b.copy())
@@ -104,6 +105,7 @@ class TestCAQRRoundtrip:
     def test_no_pickle_in_archive(self, rng, tmp_path):
         """Archives must load with allow_pickle=False (safe to share)."""
         A = rng.standard_normal((80, 8))
-        save_caqr(tmp_path / "safe.npz", caqr(A, panel_width=4, block_rows=16))
+        f = caqr(A, policy=ExecutionPolicy(panel_width=4, block_rows=16))
+        save_caqr(tmp_path / "safe.npz", f)
         with np.load(tmp_path / "safe.npz", allow_pickle=False) as z:
             assert "caqr_R" in z

@@ -78,6 +78,23 @@ def test_worker_threads_get_own_tids():
             assert s.parent is None
 
 
+def test_sequential_workers_get_distinct_tids():
+    # The second thread starts after the first has exited, so the OS may
+    # hand it the same thread ident; it is still a different thread.
+    def worker():
+        with obs.span("task", cat="t"):
+            pass
+
+    with obs.capture() as session:
+        for _ in range(2):
+            th = threading.Thread(target=worker)
+            th.start()
+            th.join()
+    tids = [s.tid for s in session.trace.spans]
+    assert tids == [1, 2]
+    assert session.trace.thread_names == {0: "main", 1: "worker-1", 2: "worker-2"}
+
+
 def test_nested_sessions_shadow():
     with obs.capture() as outer_s:
         with obs.span("before", cat="x"):

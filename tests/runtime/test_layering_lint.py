@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 REPO = Path(__file__).resolve().parents[2]
 LINT = REPO / "tools" / "lint_layering.py"
 
@@ -33,13 +35,43 @@ class TestScanner:
         f.write_text(source)
         return lint_layering.scan_file(f)
 
-    def test_detects_path_kwarg_on_entry_point(self, tmp_path):
+    @pytest.mark.parametrize(
+        "comparison",
+        [
+            "policy.path == 'seed'",
+            "policy.path != 'batched'",
+            "plan.policy.path in ('cholqr2', 'auto')",
+            "self.path not in ['sharded']",
+            "'lookahead' == p.path",
+        ],
+        ids=["eq", "ne", "in", "not-in", "reversed"],
+    )
+    def test_path_literal_comparison_is_flagged(self, tmp_path, comparison):
         hits = self._scan(
-            "from repro.core.caqr import caqr_qr\n"
-            "Q, R = caqr_qr(A, batched=False)\n",
+            "import repro\n"
+            f"if {comparison}:\n"
+            "    pass\n",
             tmp_path,
         )
-        assert hits == [(2, "caqr_qr", "batched")]
+        assert hits == [(2, "path", "path comparison")]
+
+    def test_path_none_and_file_path_checks_pass(self, tmp_path):
+        hits = self._scan(
+            "ok = x.path is None or x.path is not None\n"
+            "other = policy.path == name\n"
+            "if self.path is not None and self.path.exists():\n"
+            "    data = self.path.read_text()\n",
+            tmp_path,
+        )
+        assert hits == []
+
+    def test_tuning_cache_file_paths_pass(self):
+        sys.path.insert(0, str(LINT.parent))
+        try:
+            import lint_layering
+        finally:
+            sys.path.pop(0)
+        assert lint_layering.scan_file(REPO / "src" / "repro" / "tuning" / "cache.py") == []
 
     def test_ignores_unrelated_workers_kwarg(self, tmp_path):
         hits = self._scan(
@@ -55,26 +87,6 @@ class TestScanner:
         )
         assert hits == []
 
-    def test_shim_forwarding_is_exempt(self, tmp_path):
-        hits = self._scan(
-            "def caqr_qr(A, batched=UNSET):\n"
-            "    return caqr(A, batched=batched)\n",
-            tmp_path,
-        )
-        assert hits == []
-
-    def test_nested_helper_inside_shim_still_exempt_only_in_shim(self, tmp_path):
-        hits = self._scan(
-            "def helper(A):\n"
-            "    return caqr(A, lookahead=True)\n",
-            tmp_path,
-        )
-        assert hits == [(2, "caqr", "lookahead")]
-
-    def test_attribute_calls_are_flagged(self, tmp_path):
-        hits = self._scan("repro.core.caqr.caqr(A, workers=3)\n", tmp_path)
-        assert hits == [(1, "caqr", "workers")]
-
     def test_guard_construction_is_flagged(self, tmp_path):
         hits = self._scan(
             "from repro.runtime.cholqr import CholQRGuard\n"
@@ -88,10 +100,6 @@ class TestScanner:
             "g = CholQRGuard.for_policy(policy, dtype)\n", tmp_path
         )
         assert hits == [(1, "for_policy", "guard construction")]
-
-    def test_condition_limit_kwarg_on_entry_point_is_flagged(self, tmp_path):
-        hits = self._scan("caqr_qr(A, condition_limit=100.0)\n", tmp_path)
-        assert hits == [(1, "caqr_qr", "condition_limit")]
 
     def test_condition_limit_on_policy_is_sanctioned(self, tmp_path):
         # The policy object IS the runtime construct — carrying the
@@ -124,6 +132,101 @@ class TestScanner:
             tmp_path,
         )
         assert hits == []
+
+
+class TestPathRuleEndToEnd:
+    """A path-literal comparison is flagged anywhere but the engine table."""
+
+    def _run_main(self, tmp_path, monkeypatch, capsys):
+        sys.path.insert(0, str(LINT.parent))
+        try:
+            import lint_layering
+        finally:
+            sys.path.pop(0)
+        monkeypatch.setattr(lint_layering, "REPO", tmp_path)
+        rc = lint_layering.main()
+        return rc, capsys.readouterr().out
+
+    def test_injected_path_comparison_is_caught(self, tmp_path, monkeypatch, capsys):
+        runtime = tmp_path / "src" / "repro" / "runtime"
+        runtime.mkdir(parents=True)
+        source = "def f(policy):\n    return policy.path in ('seed', 'batched')\n"
+        (runtime / "policy.py").write_text(source)
+        (runtime / "plan.py").write_text(source)
+        rc, out = self._run_main(tmp_path, monkeypatch, capsys)
+        assert rc == 1
+        assert "src/repro/runtime/plan.py:2" in out
+        assert "policy.py" not in out
+
+
+# The keywords each former entry point took before the policy API; the
+# signatures now refuse them, which is what the lint's old keyword rule
+# used to police.
+REMOVED_KEYWORDS = {
+    "caqr": ("panel_width", "block_rows", "tree_shape", "structured", "batched",
+             "lookahead", "workers", "nonfinite"),
+    "caqr_qr": ("panel_width", "block_rows", "tree_shape", "structured", "batched",
+                "lookahead", "workers", "nonfinite"),
+    "tsqr": ("block_rows", "tree_shape", "structured", "batched", "nonfinite"),
+    "tsqr_qr": ("block_rows", "tree_shape", "structured", "batched", "nonfinite"),
+    "caqr_gpu_factor": ("batched", "lookahead", "workers", "nonfinite"),
+    "randomized_range_finder": ("block_rows", "batched", "workers", "nonfinite"),
+    "randomized_svd": ("batched", "workers", "nonfinite"),
+    "QRDispatcher": ("batched", "lookahead", "workers", "nonfinite"),
+    "AdaptiveSVT": ("batched", "workers", "nonfinite"),
+}
+LEGACY_VALUES = {
+    "panel_width": 4, "block_rows": 8, "tree_shape": "binary", "structured": True,
+    "batched": False, "lookahead": True, "workers": 2, "nonfinite": "propagate",
+}
+
+
+def _entry_point(name):
+    import numpy as np
+
+    from repro.caqr_gpu import caqr_gpu_factor
+    from repro.core.caqr import caqr, caqr_qr
+    from repro.core.randomized_svd import randomized_range_finder, randomized_svd
+    from repro.core.tsqr import tsqr, tsqr_qr
+    from repro.dispatch import QRDispatcher
+    from repro.rpca.adaptive import AdaptiveSVT
+
+    A = np.random.default_rng(0).standard_normal((64, 8))
+    return {
+        "caqr": lambda **kw: caqr(A, **kw),
+        "caqr_qr": lambda **kw: caqr_qr(A, **kw),
+        "tsqr": lambda **kw: tsqr(A, **kw),
+        "tsqr_qr": lambda **kw: tsqr_qr(A, **kw),
+        "caqr_gpu_factor": lambda **kw: caqr_gpu_factor(A, **kw),
+        "randomized_range_finder": lambda **kw: randomized_range_finder(A, 2, **kw),
+        "randomized_svd": lambda **kw: randomized_svd(A, 2, **kw),
+        "QRDispatcher": lambda **kw: QRDispatcher(**kw),
+        "AdaptiveSVT": lambda **kw: AdaptiveSVT(**kw),
+    }[name]
+
+
+@pytest.mark.parametrize(
+    "entry,keyword",
+    [(entry, kw) for entry, kws in REMOVED_KEYWORDS.items() for kw in kws],
+)
+def test_removed_keyword_raises_type_error(entry, keyword):
+    call = _entry_point(entry)
+    with pytest.raises(TypeError, match=keyword):
+        call(**{keyword: LEGACY_VALUES[keyword]})
+
+
+def test_removed_entry_points_are_gone():
+    import repro.graph
+    import repro.graph.dag
+    import repro.graph.executor
+    import repro.runtime.policy
+
+    assert not hasattr(repro.graph.executor, "caqr_lookahead")
+    assert not hasattr(repro.graph, "build_caqr_graph")
+    assert not hasattr(repro.graph.dag, "build_caqr_graph")
+    for name in ("resolve_policy", "resolve_executor_policy", "UNSET"):
+        assert not hasattr(repro.runtime.policy, name)
+    assert not hasattr(repro.runtime.policy.ExecutionPolicy, "from_legacy")
 
 
 class TestQueueRuleEndToEnd:

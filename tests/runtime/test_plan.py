@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.caqr import caqr_qr
+from repro.core.caqr import caqr, caqr_qr
 from repro.runtime import ExecutionPolicy, QRPlan, plan_qr
 from repro.verify.fuzz import PATHS, policy_for
 
@@ -200,3 +200,39 @@ class TestDefaultGeometry:
             plan.execute(_graded(*self.SHAPE))
         assert fb.fallbacks == 1
         assert len(calls) == 3
+
+
+class TestDirectIsAPlan:
+    """``caqr`` validates, then factors a one-shot plan: same code path."""
+
+    def test_caqr_factors_a_validated_plan(self, rng, monkeypatch):
+        seen = []
+        real = QRPlan.factor
+
+        def spy(self, A, validated=False):
+            seen.append((self.policy, validated))
+            return real(self, A, validated=validated)
+
+        monkeypatch.setattr(QRPlan, "factor", spy)
+        policy = ExecutionPolicy(path="lookahead")
+        caqr(rng.standard_normal((64, 12)), policy=policy)
+        assert seen == [(policy, True)]
+
+    def test_direct_call_skips_plan_metadata(self, rng, monkeypatch):
+        import repro.runtime.plan as plan_mod
+
+        calls = []
+        for name in ("_panel_specs", "_wy_scratch_bytes"):
+            real = getattr(plan_mod, name)
+            monkeypatch.setattr(
+                plan_mod, name, lambda *a, _n=name, _r=real: calls.append(_n) or _r(*a)
+            )
+        policy = ExecutionPolicy(path="lookahead", block_rows=64)
+        caqr(rng.standard_normal((1100, 40)), policy=policy)
+        plan = plan_qr(1100, 40, policy=policy)
+        assert calls == []
+        # Computed on first read, once.
+        assert plan.panels and plan.wy_scratch_bytes > 0
+        assert plan.panels is plan.panels
+        assert sorted(set(calls)) == ["_panel_specs", "_wy_scratch_bytes"]
+        assert calls.count("_panel_specs") == 1

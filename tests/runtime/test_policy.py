@@ -1,8 +1,8 @@
-"""ExecutionPolicy: validation, legacy-kwarg mapping, deprecation contract.
+"""ExecutionPolicy: validation against the engine table.
 
-The policy layer is the single place the five legacy kwargs are mapped
-onto execution paths; these tests pin that mapping (including the error
-cases the pre-policy entry points raised) and the deprecation surface.
+Every path name, its engine, and the policy fields that engine requires
+or permits live in one table, ``repro.runtime.policy.PATHS``; these tests pin the
+validation rules and messages the table drives.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.runtime import ExecutionPolicy
-from repro.runtime.policy import UNSET, resolve_executor_policy, resolve_policy
+from repro.runtime.policy import CHOLQR, CHOLQR_PATHS, ENGINES, PATH_NAMES, PATHS
 from repro.verify.guards import GuardError
 
 
@@ -57,106 +57,43 @@ class TestValidation:
         assert p.with_nonfinite("propagate").nonfinite == "propagate"
 
 
-class TestFromLegacy:
-    @pytest.mark.parametrize(
-        "kwargs,path",
-        [
-            ({}, "batched"),
-            ({"batched": False}, "seed"),
-            ({"structured": True}, "structured"),
-            ({"batched": False, "structured": True}, "seed_structured"),
-            ({"lookahead": True}, "lookahead"),
-            ({"workers": 3}, "lookahead"),
-        ],
-    )
-    def test_mapping(self, kwargs, path):
-        assert ExecutionPolicy.from_legacy(**kwargs).path == path
+class TestEngineTable:
+    def test_every_path_maps_to_one_engine(self):
+        assert set(PATH_NAMES) == set(PATHS)
+        assert len(PATH_NAMES) == 10
+        assert {spec.engine for spec in PATHS.values()} == set(ENGINES)
+        for name, spec in PATHS.items():
+            fields = {f: 2 for f in spec.engine.required}
+            assert ExecutionPolicy(path=name, **fields).engine is spec.engine
 
-    def test_lookahead_rejects_structured(self):
-        with pytest.raises(ValueError, match="not supported with lookahead"):
-            ExecutionPolicy.from_legacy(lookahead=True, structured=True)
+    def test_flags_drive_the_policy_views(self):
+        for name, spec in PATHS.items():
+            p = ExecutionPolicy(path=name, **{f: 2 for f in spec.engine.required})
+            assert p.uses_batched == spec.batched
+            assert p.uses_structured == spec.structured
+            assert p.uses_cholqr == (spec.engine is CHOLQR)
+        assert CHOLQR_PATHS == ("cholqr2", "cholqr2_mixed", "auto")
 
-    def test_lookahead_rejects_seed(self):
-        with pytest.raises(ValueError, match="requires the batched"):
-            ExecutionPolicy.from_legacy(lookahead=True, batched=False)
-
-    def test_unset_inherits_base(self):
-        base = ExecutionPolicy(panel_width=8, block_rows=32, nonfinite="propagate")
-        p = ExecutionPolicy.from_legacy(base, workers=2, lookahead=True)
-        assert p.path == "lookahead" and p.workers == 2
-        assert p.panel_width == 8 and p.block_rows == 32
-        assert p.nonfinite == "propagate"
-
-
-class TestResolvePolicy:
-    def test_policy_wins(self):
-        p = ExecutionPolicy(path="seed")
-        assert resolve_policy("t", p) is p
-
-    def test_mixing_policy_and_legacy_rejected(self):
-        with pytest.raises(ValueError, match="not both"):
-            resolve_policy("t", ExecutionPolicy(), batched=False)
-
-    def test_deprecated_kwargs_warn(self):
-        with pytest.warns(DeprecationWarning, match="docs/architecture.md"):
-            p = resolve_policy("t", None, batched=False, stacklevel=2)
-        assert p.path == "seed"
-
-    def test_geometry_kwargs_map_silently(self, recwarn):
-        p = resolve_policy("t", None, panel_width=4, block_rows=8, tree_shape="binary")
-        assert not [w for w in recwarn if w.category is DeprecationWarning]
-        assert (p.panel_width, p.block_rows, p.tree_shape) == (4, 8, "binary")
-
-    def test_unset_sentinel_is_singleton_and_falsy_free(self):
-        from repro.runtime.policy import _Unset
-
-        assert _Unset() is UNSET
-
-    def test_executor_policy_maps_lookahead_to_edge(self):
-        with pytest.warns(DeprecationWarning):
-            p = resolve_executor_policy("t", None, lookahead=False, stacklevel=2)
-        assert p.path == "lookahead" and p.lookahead_edge is False
-
-    def test_executor_rejects_non_lookahead_policy(self):
-        with pytest.raises(ValueError, match="'lookahead' path"):
-            resolve_executor_policy("t", ExecutionPolicy(path="batched"))
+    @pytest.mark.parametrize("name", PATH_NAMES)
+    def test_fields_outside_an_engine_are_refused(self, name):
+        spec = PATHS[name]
+        base = {f: 2 for f in spec.engine.required}
+        for field, value in (
+            ("workers", 2), ("condition_limit", 10.0), ("shards", 2),
+            ("fanin", 2), ("chunk_rows", 8), ("interconnect", "pcie2"),
+        ):
+            if field in spec.engine.required:
+                continue
+            kwargs = {**base, field: value}
+            if field in spec.permits:
+                ExecutionPolicy(path=name, **kwargs)
+            else:
+                with pytest.raises(ValueError, match=f"got path='{name}'"):
+                    ExecutionPolicy(path=name, **kwargs)
 
 
 class TestEntryPointShims:
-    """Every public entry point accepts policy= and warns on legacy kwargs."""
-
-    def test_caqr_qr_legacy_warns_and_matches_policy(self, rng):
-        import numpy as np
-
-        from repro.core.caqr import caqr_qr
-
-        A = rng.standard_normal((64, 12))
-        with pytest.warns(DeprecationWarning):
-            Q1, R1 = caqr_qr(A, batched=False, panel_width=4, block_rows=8)
-        Q2, R2 = caqr_qr(
-            A, policy=ExecutionPolicy(path="seed", panel_width=4, block_rows=8)
-        )
-        np.testing.assert_array_equal(Q1, Q2)
-        np.testing.assert_array_equal(R1, R2)
-
-    def test_tsqr_legacy_warns(self, rng):
-        from repro.core.tsqr import tsqr
-
-        with pytest.warns(DeprecationWarning):
-            tsqr(rng.standard_normal((64, 8)), batched=False)
-
-    def test_rsvd_legacy_warns(self, rng):
-        from repro.core.randomized_svd import randomized_svd
-
-        with pytest.warns(DeprecationWarning):
-            randomized_svd(rng.standard_normal((60, 30)), k=4, batched=False)
-
-    def test_adaptive_svt_legacy_warns(self):
-        from repro.rpca.adaptive import AdaptiveSVT
-
-        with pytest.warns(DeprecationWarning):
-            svt = AdaptiveSVT(batched=False)
-        assert svt.policy.path == "seed"
+    """The keyword shims are gone; default calls stay warning-free."""
 
     def test_default_calls_do_not_warn(self, rng, recwarn):
         from repro.core.caqr import caqr_qr

@@ -22,6 +22,14 @@ class TestGridIsClean:
         assert report.paths_run == len(fuzz.PATHS)
         assert report.cases_run >= 50
 
+    def test_every_table_path_has_a_fuzz_identity(self):
+        from repro.runtime.policy import PATH_NAMES
+
+        for name in PATH_NAMES:
+            assert fuzz.PATHS[name]["path"] == name
+            fuzz.policy_for(name)  # the fuzz supplies every required field
+        assert set(fuzz.PATHS) == set(PATH_NAMES) | {"lookahead_mt"}
+
     def test_random_cases_sample(self):
         # A slice of the randomized portion (the full grid runs in CI).
         report = run_grid(seed=0, n_random=10, quick=False)

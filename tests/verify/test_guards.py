@@ -15,14 +15,14 @@ import pytest
 
 from repro.caqr_gpu import caqr_gpu_factor
 from repro.core.blocked import blocked_qr
-from repro.core.caqr import caqr_qr
+from repro.core.caqr import caqr, caqr_qr
 from repro.core.cholesky_qr import cholesky_qr
 from repro.core.gram_schmidt import cgs2
 from repro.core.randomized_svd import randomized_svd
 from repro.core.tsqr import tsqr_qr
 from repro.dispatch import QRDispatcher
-from repro.graph.executor import caqr_lookahead
 from repro.rpca.adaptive import AdaptiveSVT
+from repro.runtime import ExecutionPolicy
 from repro.verify.guards import GuardError, validate_matrix, validate_nonfinite_policy
 
 # Every public entry point, normalized to a callable taking one matrix.
@@ -30,7 +30,8 @@ ENTRY_POINTS = {
     "caqr_qr": lambda A: caqr_qr(A),
     "tsqr_qr": lambda A: tsqr_qr(A),
     "blocked_qr": lambda A: blocked_qr(A),
-    "caqr_lookahead": lambda A: caqr_lookahead(A),
+    # The look-ahead path's entry: caqr on a lookahead policy.
+    "caqr_lookahead": lambda A: caqr(A, policy=ExecutionPolicy(path="lookahead")),
     "caqr_gpu_factor": lambda A: caqr_gpu_factor(A),
     "dispatcher": lambda A: QRDispatcher().qr(A),
     "randomized_svd": lambda A: randomized_svd(A, k=2),
@@ -89,7 +90,7 @@ class TestNonFiniteGuard:
     def test_propagate_opt_in(self, rng):
         A = rng.standard_normal((64, 8))
         A[17, 3] = np.nan
-        Q, R = caqr_qr(A, nonfinite="propagate")
+        Q, R = caqr_qr(A, policy=ExecutionPolicy(nonfinite="propagate"))
         assert not np.isfinite(Q).all() or not np.isfinite(R).all()
 
     def test_dispatcher_propagate_is_constructor_state(self, rng):
@@ -97,16 +98,14 @@ class TestNonFiniteGuard:
         A[1, 1] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
             QRDispatcher().qr(A)
-        res = QRDispatcher(nonfinite="propagate").qr(A)
+        res = QRDispatcher(policy=ExecutionPolicy(nonfinite="propagate")).qr(A)
         assert not np.isfinite(res.R).all()
 
     def test_unknown_policy_is_guard_error(self):
         with pytest.raises(GuardError, match="nonfinite"):
             validate_nonfinite_policy("explode")
         with pytest.raises(GuardError):
-            QRDispatcher(nonfinite="explode")
-        with pytest.raises(GuardError):
-            AdaptiveSVT(nonfinite="explode")
+            ExecutionPolicy(nonfinite="explode")
 
 
 class TestNormalization:
@@ -132,7 +131,7 @@ class TestNormalization:
 
     def test_int_matrix_factors_end_to_end(self):
         A = np.arange(1, 33).reshape(8, 4)
-        Q, R = caqr_qr(A, panel_width=2, block_rows=4)
+        Q, R = caqr_qr(A, policy=ExecutionPolicy(panel_width=2, block_rows=4))
         assert Q.dtype == np.float64
         assert np.allclose(Q @ R, A.astype(np.float64))
 

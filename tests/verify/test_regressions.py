@@ -14,20 +14,23 @@ import pytest
 
 from repro.core.caqr import caqr_qr
 from repro.core.householder import house
+from repro.runtime import ExecutionPolicy
 from repro.smallblas.batched import batched_house
 from repro.verify.invariants import check_qr, qr_invariants
 
 
 class TestLookaheadZeroPanelDeadlock:
-    """BUG: ``caqr(A, lookahead=True, workers>1)`` hung forever on inputs
-    producing zero panels (0 rows, 0 columns): the thread pool waited on
-    a completion event that no task would ever set.  Found by the fuzz
-    grid's first case, ``FuzzCase(0, 5)`` on path ``lookahead_mt``."""
+    """BUG: ``caqr`` on a ``lookahead`` policy with ``workers > 1`` hung
+    forever on inputs producing zero panels (0 rows, 0 columns): the
+    thread pool waited on a completion event that no task would ever
+    set.  Found by the fuzz grid's first case, ``FuzzCase(0, 5)`` on
+    path ``lookahead_mt``."""
 
     @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
     def test_degenerate_threaded_lookahead_completes(self, shape):
         ex = ThreadPoolExecutor(1)
-        fut = ex.submit(caqr_qr, np.zeros(shape), lookahead=True, workers=3)
+        policy = ExecutionPolicy(path="lookahead", workers=3)
+        fut = ex.submit(caqr_qr, np.zeros(shape), policy=policy)
         try:
             Q, R = fut.result(timeout=30)  # deadlock -> TimeoutError, not a hang
         finally:
@@ -48,14 +51,11 @@ class TestFloat32ReflectorOverflow:
         rng = np.random.default_rng(7)
         return (1e30 * rng.standard_normal((90, 10))).astype(np.float32)
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [{"batched": False}, {}, {"structured": True}, {"lookahead": True}],
-        ids=["seed", "batched", "structured", "lookahead"],
-    )
-    def test_huge_float32_stays_finite(self, kwargs):
+    @pytest.mark.parametrize("path", ["seed", "batched", "structured", "lookahead"])
+    def test_huge_float32_stays_finite(self, path):
         A = self._huge()
-        Q, R = caqr_qr(A, panel_width=4, block_rows=16, **kwargs)
+        policy = ExecutionPolicy(path=path, panel_width=4, block_rows=16)
+        Q, R = caqr_qr(A, policy=policy)
         check_qr(A, Q, R)
 
     def test_house_rescales(self):
@@ -86,8 +86,9 @@ class TestFloat32ReflectorUnderflow:
     def test_tiny_float32_factors_accurately(self):
         rng = np.random.default_rng(7)
         A = (1e-30 * rng.standard_normal((60, 6))).astype(np.float32)
-        for kwargs in ({"batched": False}, {}, {"structured": True}):
-            Q, R = caqr_qr(A, panel_width=3, block_rows=12, **kwargs)
+        for path in ("seed", "batched", "structured"):
+            policy = ExecutionPolicy(path=path, panel_width=3, block_rows=12)
+            Q, R = caqr_qr(A, policy=policy)
             check_qr(A, Q, R)
 
 

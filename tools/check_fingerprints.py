@@ -70,6 +70,8 @@ try:  # self-locating: only extend sys.path when repro is not installed
 except ImportError:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.runtime.policy import CHOLQR, PATHS as _ENGINE_PATHS  # noqa: E402
+
 GOLDEN = REPO_ROOT / "tests" / "data" / "fingerprints.json"
 
 # (m, n) grid: the CI smoke shape, the bench grid, and a wide matrix
@@ -81,11 +83,13 @@ PANEL_WIDTH = 16
 
 SERIAL_PATHS = ("seed", "batched", "structured")
 LOOKAHEAD_PATHS = {"lookahead": None, "lookahead_mt": 3}  # name -> workers
-# name -> (mixed, guard); mirrors CHOLQR_PATHS in repro.runtime.policy.
+# name -> (mixed, guard), read from the engine table: every CholeskyQR2
+# path, its mixed-precision flag, and whether its guard precheck launches
+# (the fallback path's).
 CHOLQR_PATHS = {
-    "cholqr2": (False, False),
-    "cholqr2_mixed": (True, False),
-    "auto": (False, True),
+    name: (spec.mixed, spec.fallback)
+    for name, spec in _ENGINE_PATHS.items()
+    if spec.engine is CHOLQR
 }
 # name -> (shards, fanin); the reference sharded configuration.
 SHARDED_PATHS = {"sharded": (4, 2)}

@@ -1,20 +1,22 @@
 #!/usr/bin/env python
-"""Layering lint: path-selection kwargs live in ``repro.runtime`` only.
+"""Layering lint: path names are read in the engine table only.
 
-The policy refactor routed every execution-path decision through
-``repro.runtime.ExecutionPolicy``.  The legacy keywords (``batched``,
-``structured``, ``lookahead``, ``workers``) survive on the public entry
-points as deprecation shims for *external* callers — but no module
-inside this repository may construct them directly anymore: internal
-code passes ``policy=`` (or calls the ``_impl`` layers), so future
-backends/telemetry hook in at exactly one place.
+Every execution-path decision goes through the engine table,
+``PATHS`` in :mod:`repro.runtime.policy`: each of the ten path names
+maps to one engine and a few flags there, and every other module asks
+the policy (``policy.engine``, ``policy.spec``, ``policy.uses_*``)
+instead of spelling a path name.  So a ``.path`` attribute compared
+with a string literal, or a tuple of them (``==``, ``!=``, ``in``,
+``not in``), is a violation anywhere outside the table module: a new
+path would silently skip that comparison.  ``x.path is None`` and ``Path`` checks such as
+``self.path.exists()`` are not comparisons with a literal and pass.
 
 The same ownership rule covers the CholeskyQR2 condition guard: every
 accept/reject threshold and fallback decision is a *policy*, so
 constructing :class:`repro.runtime.cholqr.CholQRGuard` (directly or via
 ``CholQRGuard.for_policy``) anywhere outside ``repro.runtime`` is a
-violation, as is smuggling a ``condition_limit=`` keyword into an entry
-point instead of carrying it on the ``ExecutionPolicy``.
+violation; the threshold itself rides on
+``ExecutionPolicy.condition_limit``.
 
 The serving subsystem gets the same treatment: constructing
 :class:`repro.serving.coalesce.CoalescingQueue` anywhere outside
@@ -49,14 +51,12 @@ streaming package, so a privately built engine would produce rows no
 soak gate ever accounts for.  External code calls ``stream_qr`` /
 ``stream_chunks`` or the policy-routed entry points.
 
-AST-based, not regex: a call like ``caqr_qr(A, batched=False)`` is
-flagged wherever the callee name matches a policy-accepting entry point,
-while unrelated keywords named ``workers`` on non-entry-point calls
-(e.g. ``ThreadPoolExecutor(max_workers=...)``) are not.
+AST-based, not regex: only a real comparison node is flagged, so a path
+name inside a string, a docstring or a ``policy=ExecutionPolicy(path=...)``
+construction never is.
 
-Scanned: ``src/repro`` (minus ``repro/runtime``, which owns the
-mapping), ``benchmarks/``, ``examples/``.  Tests are exempt — they
-deliberately exercise the deprecation shims.
+Scanned: ``src/repro``, ``benchmarks/``, ``examples/``.  Tests are
+exempt — they compare paths to pin behaviour.
 
 Exit status 1 lists every violation as ``file:line``.
 """
@@ -69,26 +69,9 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 
-# Public entry points that accept (deprecated) path-selection kwargs.
-ENTRY_POINTS = {
-    "caqr",
-    "caqr_qr",
-    "tsqr",
-    "tsqr_qr",
-    "caqr_gpu_factor",
-    "caqr_lookahead",
-    "randomized_svd",
-    "randomized_range_finder",
-    "QRDispatcher",
-    "AdaptiveSVT",
-}
-
-# Keywords whose construction is reserved to repro.runtime and the shims.
-# ``nonfinite`` stays off this list: it is a guard knob, not a path
-# selector, and the numeric baselines legitimately take it.
-# ``condition_limit`` is an ExecutionPolicy field, never an entry-point
-# kwarg: the CholeskyQR2 guard threshold must ride on the policy object.
-PATH_KWARGS = {"batched", "structured", "lookahead", "workers", "condition_limit"}
+# The one module allowed to compare a path name with a literal.
+TABLE_MODULE = "src/repro/runtime/policy.py"
+PATH_OPS = (ast.Eq, ast.NotEq, ast.In, ast.NotIn)
 
 # Classes whose *construction* is reserved to repro.runtime: the
 # CholeskyQR2 accept/reject/fallback decisions live there and nowhere
@@ -124,7 +107,8 @@ GRAPH_CONSTRUCTORS = {"TaskGraph", "Layer"}
 STREAM_CONSTRUCTORS = {"StreamingQR", "ChunkBuffer"}
 
 SCAN_ROOTS = ("src/repro", "benchmarks", "examples")
-EXEMPT = ("src/repro/runtime/",)
+# Per-rule exemption: only repro.runtime may construct the guard.
+GUARD_EXEMPT = ("src/repro/runtime/",)
 # Per-rule exemption: only the serving package may construct the queue.
 QUEUE_EXEMPT = ("src/repro/serving/",)
 # Per-rule exemption: only the distributed package may construct the comm.
@@ -159,7 +143,11 @@ def scan_file(path: Path) -> list[tuple[int, str, str]]:
     except SyntaxError as exc:  # a broken file is its own finding
         return [(exc.lineno or 0, "<syntax>", str(exc))]
     hits = []
-    for node, enclosing in _walk_with_function(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            if _compares_path_with_literal(node):
+                hits.append((node.lineno, "path", "path comparison"))
+            continue
         if not isinstance(node, ast.Call):
             continue
         name = _callee_name(node)
@@ -167,31 +155,41 @@ def scan_file(path: Path) -> list[tuple[int, str, str]]:
             hits.append(
                 (node.lineno, name or "CholQRGuard", "guard construction")
             )
-            continue
-        if name in QUEUE_CONSTRUCTORS:
+        elif name in QUEUE_CONSTRUCTORS:
             hits.append((node.lineno, name, "queue construction"))
-            continue
-        if name in COMM_CONSTRUCTORS:
+        elif name in COMM_CONSTRUCTORS:
             hits.append((node.lineno, name, "comm construction"))
-            continue
-        if name in GRAPH_CONSTRUCTORS:
+        elif name in GRAPH_CONSTRUCTORS:
             hits.append((node.lineno, name, "graph construction"))
-            continue
-        if name in STREAM_CONSTRUCTORS:
+        elif name in STREAM_CONSTRUCTORS:
             hits.append((node.lineno, name, "stream construction"))
+    return sorted(hits)
+
+
+def _is_path_attr(node: ast.AST) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "path"
+
+
+def _is_str_literal(node: ast.AST) -> bool:
+    """A string constant, or a tuple/list/set of string constants."""
+    if isinstance(node, ast.Constant):
+        return isinstance(node.value, str)
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return bool(node.elts) and all(_is_str_literal(e) for e in node.elts)
+    return False
+
+
+def _compares_path_with_literal(node: ast.Compare) -> bool:
+    """``x.path == "seed"``, ``"seed" != x.path``, ``x.path in ("a", "b")``..."""
+    operands = [node.left, *node.comparators]
+    for op, left, right in zip(node.ops, operands, operands[1:]):
+        if not isinstance(op, PATH_OPS):
             continue
-        if name not in ENTRY_POINTS:
-            continue
-        if enclosing in ENTRY_POINTS:
-            # A shim forwarding to its sibling (caqr_qr -> caqr): the
-            # shims themselves are the sanctioned legacy surface.
-            continue
-        bad = sorted(
-            kw.arg for kw in node.keywords if kw.arg in PATH_KWARGS
-        )
-        if bad:
-            hits.append((node.lineno, name, ", ".join(bad)))
-    return hits
+        if (_is_path_attr(left) and _is_str_literal(right)) or (
+            _is_path_attr(right) and _is_str_literal(left)
+        ):
+            return True
+    return False
 
 
 def _is_guard_construction(call: ast.Call) -> bool:
@@ -204,22 +202,6 @@ def _is_guard_construction(call: ast.Call) -> bool:
     return False
 
 
-def _walk_with_function(tree: ast.AST):
-    """Yield ``(node, enclosing_function_name)`` over the whole tree."""
-
-    def visit(node: ast.AST, fn: str | None):
-        yield node, fn
-        inner = (
-            node.name
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            else fn
-        )
-        for child in ast.iter_child_nodes(node):
-            yield from visit(child, inner)
-
-    yield from visit(tree, None)
-
-
 def main() -> int:
     violations = []
     for root in SCAN_ROOTS:
@@ -228,10 +210,18 @@ def main() -> int:
             continue
         for path in sorted(base.rglob("*.py")):
             rel = path.relative_to(REPO).as_posix()
-            if any(rel.startswith(pref) for pref in EXEMPT):
-                continue
             for lineno, name, kwargs in scan_file(path):
-                if kwargs == "guard construction":
+                if kwargs == "path comparison":
+                    if rel == TABLE_MODULE:
+                        continue  # the engine table owns the path names
+                    violations.append(
+                        f"{rel}:{lineno}: .path compared with a string "
+                        f"literal — read the engine table instead "
+                        f"(policy.engine / policy.spec / policy.uses_*)"
+                    )
+                elif kwargs == "guard construction":
+                    if any(rel.startswith(pref) for pref in GUARD_EXEMPT):
+                        continue  # repro.runtime owns the guard
                     violations.append(
                         f"{rel}:{lineno}: {name}(...) — CholQRGuard constructed "
                         f"outside repro.runtime"
@@ -269,18 +259,18 @@ def main() -> int:
                         f"(use stream_qr / stream_chunks, or "
                         f"ExecutionPolicy(path='streaming', chunk_rows=...))"
                     )
-                else:
-                    violations.append(f"{rel}:{lineno}: {name}(..., {kwargs}=...)")
+                else:  # a file that does not parse
+                    violations.append(f"{rel}:{lineno}: {kwargs}")
     if violations:
-        print("layering lint: path-selection kwargs constructed outside repro.runtime:")
+        print("layering lint: layering violations:")
         for v in violations:
             print(f"  {v}")
         print(
-            f"\n{len(violations)} violation(s). Pass policy=ExecutionPolicy(...) "
-            "instead (see docs/architecture.md, 'Execution policy & plans')."
+            f"\n{len(violations)} violation(s) (see docs/architecture.md, "
+            "'Execution policy & plans')."
         )
         return 1
-    print("layering lint: clean (no path-selection kwargs outside repro.runtime)")
+    print("layering lint: clean (path names read only in the engine table)")
     return 0
 
 
