@@ -16,11 +16,20 @@ panel widths 16 and 32, with explicit level-0 heights of 4w to 128w
 rows (w the panel width; 4w at width 16 is the paper's 64 x 16) and the
 default geometry, whose last, narrower panel gets 32 of its own widths.
 
+``--sweep handoff`` probes the two-pool handoff: NumPy and SciPy link
+separate OpenBLAS builds, each with its own thread pool, and a threaded
+call in one runs slower while the other's workers are still spinning.
+It times a NumPy 110592 x 100 x 100 GEMM at 0 to 0.4 s after a burst of
+ten SciPy ``dgeqrt`` calls on 3200 x 100 blocks (TSQR's level-0
+factor), the burst at the same gaps after the GEMM, and both after a
+1 s rest (median of ``--reps`` rounds, each probe from a rested start).
+
 Usage::
 
-    python benchmarks/bench_block_height.py                      # both sweeps, a few minutes
+    python benchmarks/bench_block_height.py                      # tsqr and lookahead sweeps, a few minutes
     python benchmarks/bench_block_height.py --sweep tsqr --shape 110592x100 --reps 1
     python benchmarks/bench_block_height.py --sweep lookahead --reps 3
+    python benchmarks/bench_block_height.py --sweep handoff --reps 7   # ~1 min
 """
 
 from __future__ import annotations
@@ -47,6 +56,10 @@ HEIGHTS = (1, 4, 8, 16, 32, 64, 128)  # level-0 block height in multiples of n
 LOOKAHEAD_SHAPE = (110592, 100)
 LOOKAHEAD_WIDTHS = (16, 32)
 LOOKAHEAD_HEIGHTS = (4, 8, 16, 32, 64, 128)  # in multiples of the panel width
+HANDOFF_SHAPE = (110592, 100)
+HANDOFF_BLOCK_ROWS, HANDOFF_BURST = 3200, 10  # ten dgeqrt calls on level-0 blocks
+HANDOFF_GAPS = (0.0, 0.05, 0.1, 0.2, 0.4)  # idle seconds between the two calls
+REST_S = 1.0
 SEED = 0
 
 
@@ -110,9 +123,63 @@ def sweep_lookahead(reps: int) -> None:
         del f, Q
 
 
+def _median(xs: list[float]) -> float:
+    return sorted(xs)[len(xs) // 2]
+
+
+def sweep_handoff(reps: int) -> None:
+    from scipy.linalg import lapack
+
+    m, n = HANDOFF_SHAPE
+    rng = np.random.default_rng(SEED)
+    A = rng.standard_normal((m, n))
+    B = rng.standard_normal((n, n))
+    C = np.empty((m, n))
+    blocks = [np.asfortranarray(A[i * HANDOFF_BLOCK_ROWS : (i + 1) * HANDOFF_BLOCK_ROWS])
+              for i in range(HANDOFF_BURST)]
+
+    def gemm() -> None:
+        np.matmul(A, B, out=C)
+
+    def burst() -> None:
+        for blk in blocks:
+            lapack.dgeqrt(n, blk)
+
+    def timed(second, first=None, gap: float = 0.0) -> float:
+        """Seconds of ``second``, ``gap`` s after ``first``, from rest."""
+        time.sleep(REST_S)
+        if first is not None:
+            first()
+            time.sleep(gap)
+        t0 = time.perf_counter()
+        second()
+        return time.perf_counter() - t0
+
+    rows = (
+        (f"NumPy {m}×{n}×{n} GEMM, after the SciPy burst", gemm, burst),
+        (f"SciPy burst ({HANDOFF_BURST} `dgeqrt`, {HANDOFF_BLOCK_ROWS}×{n}), after the NumPy GEMM",
+         burst, gemm),
+    )
+    cells = [(second, first, g) for _, second, first in rows for g in HANDOFF_GAPS]
+    cells += [(second, None, 0.0) for _, second, _ in rows]
+    # Rounds run every cell once, so a slow spell on a shared host
+    # lands on all of them rather than on one.
+    samples = [[] for _ in cells]
+    for _ in range(reps):
+        for ts, cell in zip(samples, cells):
+            ts.append(timed(*cell))
+    ms = [f"{_median(ts) * 1e3:.0f} ms" for ts in samples]
+    g = len(HANDOFF_GAPS)
+    gaps = " | ".join(f"after {gap:g} s" for gap in HANDOFF_GAPS)
+    print(f"| timed call (median of {reps}) | {gaps} | rested ({REST_S:g} s idle) |")
+    print("|---" * (g + 2) + "|")
+    for i, (label, _, _) in enumerate(rows):
+        print(f"| {label} | " + " | ".join(ms[i * g : (i + 1) * g] + [ms[2 * g + i]]) + " |")
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--sweep", choices=("tsqr", "lookahead", "all"), default="all")
+    ap.add_argument("--sweep", choices=("tsqr", "lookahead", "handoff", "all"), default="all")
     ap.add_argument("--shape", action="append", metavar="MxN",
                     help="TSQR sweep shape (repeatable; default: the four below)")
     ap.add_argument("--reps", type=int, default=2)
@@ -124,6 +191,8 @@ def main() -> int:
         print()
     if args.sweep in ("lookahead", "all"):
         sweep_lookahead(args.reps)
+    if args.sweep == "handoff":
+        sweep_handoff(args.reps)
     return 0
 
 

@@ -18,7 +18,9 @@ Two numeric execution strategies coexist:
     run through a precomputed :class:`_WyPlan`: fancy-index gather /
     scatter row maps plus cached compact-WY ``(V, T)`` factors, so each
     level of the tree is three batched GEMMs (``C -= V (T' (V' C))``)
-    instead of a Python loop of per-reflector rank-1 updates.
+    instead of a Python loop of per-reflector rank-1 updates.  The
+    explicit Q is formed from the same plan the way LAPACK ``orgqr``
+    forms it (:func:`_plan_form_q`), on SciPy's BLAS when available.
 
 ``batched=False``
     The seed per-node reference path, kept verbatim: per-block loops,
@@ -43,7 +45,7 @@ from .householder import geqr2, orm2r
 from repro.obs import tracer as _obs
 from repro.runtime.policy import ExecutionPolicy
 from repro.smallblas.batched import batched_apply_blocked, batched_geqr2
-from repro.smallblas.wy import apply_wy, geqr2_blocked, wy_factors
+from repro.smallblas.wy import apply_wy, blas_name, geqr2_blocked, orgqr_wy, wy_factors
 from .structured import StructuredStackFactor, structured_stack_qr
 from .tree import TreeSchedule, batch_level, build_tree
 
@@ -326,6 +328,50 @@ def apply_wy_plan(plan: _WyPlan, B: np.ndarray, transpose: bool) -> None:
         _plan_apply_level0(plan, B, transpose=False)
 
 
+def _plan_form_q(plan: _WyPlan, m: int, k: int) -> np.ndarray:
+    """Explicit thin ``m x k`` Q from an apply plan, as LAPACK ``orgqr`` forms it.
+
+    Q is the implicit Q applied to ``[I_k; 0]``, and until level 0 every
+    nonzero row of that product lies in the top rows of a level-0 block:
+    the identity starts in block 0's, and the tree only touches the R
+    rows its merges stacked.  So the tree's reflectors run on a small
+    stack of those top rows, and each level-0 block is then formed in
+    one pass that writes its rows of Q (:func:`orgqr_wy`), instead of
+    applying the block's reflectors to an ``h``-row slab of mostly zeros.
+    """
+    starts = np.array(
+        [i * plan.l0_h for i in range(plan.l0_count)] + [s for s, _, _, _ in plan.l0_tail],
+        dtype=np.intp,
+    )
+    # Block 0 is the tallest, so its R height bounds every block's top rows.
+    V_first = plan.l0_V if plan.l0_count else plan.l0_tail[0][2]
+    r_max = V_first.shape[2]
+    top = np.zeros((len(starts), r_max, k), dtype=plan.dtype)
+    np.fill_diagonal(top[0], 1.0)
+    flat = top.reshape(-1, k)
+    for entries in reversed(plan.levels):
+        for entry in entries:
+            idx = entry[1] if entry[0] == "wy" else entry[2]
+            blk = np.searchsorted(starts, idx, side="right") - 1
+            pos = blk * r_max + (idx - starts[blk])
+            sub = flat[pos]
+            if entry[0] == "wy":
+                flat[pos] = orgqr_wy(entry[2], entry[3], sub, np.empty_like(sub))
+            else:
+                entry[1].apply_q_stack(sub)
+                flat[pos] = sub
+    Q = np.empty((m, k), dtype=plan.dtype)
+    count, h = plan.l0_count, plan.l0_h
+    if count:
+        r = plan.l0_V.shape[2]
+        orgqr_wy(plan.l0_V, plan.l0_T, top[:count, :r], Q[: count * h].reshape(count, h, k))
+    for t, (start, h_real, V1, T1) in enumerate(plan.l0_tail, start=count):
+        # V rows past h_real are zero padding: Q's rows need only the real ones.
+        r = min(h_real, V1.shape[2])
+        orgqr_wy(V1[:, :h_real], T1, top[t : t + 1, :r], Q[start : start + h_real][None])
+    return Q
+
+
 def _plan_apply_level(entries: list[tuple], B: np.ndarray, transpose: bool) -> None:
     """One tree level (``apply_qt_tree``): gather, batched WY, scatter."""
     if _obs.enabled():
@@ -500,11 +546,23 @@ class TSQRFactors:
         return B
 
     def form_q(self) -> np.ndarray:
-        """Form the explicit thin ``m x min(m, n)`` orthonormal Q."""
+        """Form the explicit thin ``m x min(m, n)`` orthonormal Q.
+
+        The batched path forms Q as LAPACK ``orgqr`` does
+        (:func:`_plan_form_q`), on the BLAS that factored it when SciPy's
+        binding is importable, so it equals ``apply_q(I)`` to roundoff,
+        not bit for bit.  The reference path (``batched=False``) applies
+        Q to the identity.
+        """
         k = min(self.m, self.n)
-        Q = np.zeros((self.m, k), dtype=working_dtype(self.R))
-        np.fill_diagonal(Q, 1.0)
-        return self.apply_q(Q)
+        dt = np.dtype(working_dtype(self.R))
+        blas = blas_name(dt) if self.batched else "numpy"
+        with _obs.span("tsqr.form_q", cat="form_q", m=self.m, n=self.n, blas=blas):
+            if self.batched and k:
+                return _plan_form_q(self._plan_for(dt), self.m, k)
+            Q = np.zeros((self.m, k), dtype=dt)
+            np.fill_diagonal(Q, 1.0)
+            return self.apply_q(Q)
 
 
 def _tsqr_batched(
@@ -702,6 +760,13 @@ def _tsqr_impl(
     entry point, so this path never re-scans it.
     """
     m, n = A.shape
+    if m == 0 or n == 0:
+        # No reflectors: Q is the identity and R is empty, in
+        # np.linalg.qr's reduced shapes.
+        return TSQRFactors(
+            m=m, n=n, blocks=[], tree=build_tree(0, tree_shape), tree_factors=[],
+            R=np.zeros((min(m, n), n), dtype=working_dtype(A)), batched=batched,
+        )
     # Every level-0 R must be a full n x n triangle so the final R lands
     # contiguously in the first block (see level0_rows).
     block_rows = level0_rows(block_rows, n)

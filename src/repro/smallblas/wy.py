@@ -18,6 +18,10 @@ copies at all.
 
 The seed einsum kernels are kept untouched as the reference
 implementations; these routines are tested against them block by block.
+
+:func:`orgqr_wy` forms explicit Q blocks the way LAPACK ``orgqr`` does,
+on SciPy's BLAS when it is importable: the OpenBLAS that ``geqrt`` just
+factored on, rather than NumPy's separate build.
 """
 
 from __future__ import annotations
@@ -28,13 +32,15 @@ import numpy as np
 
 from repro.core.dtypes import working_dtype
 
-from .gram import _lapack
+from .gram import _blas, _lapack
 
 __all__ = [
     "GEQRT_MIN_ELEMS",
     "extract_v",
     "larft",
     "apply_wy",
+    "blas_name",
+    "orgqr_wy",
     "geqr2_blocked",
     "geqr2_wy",
     "wy_factors",
@@ -163,6 +169,66 @@ def apply_wy(
         np.matmul(Vc, W2, out=VW)
         np.subtract(Cc, VW, out=Cc)
     return C
+
+
+def _gemm(dtype: np.dtype):
+    """SciPy's BLAS ``gemm`` for ``dtype``, or ``None`` (run on NumPy)."""
+    if _blas is None:
+        return None
+    return {np.float64: _blas.dgemm, np.float32: _blas.sgemm}.get(np.dtype(dtype).type)
+
+
+def blas_name(dtype: np.dtype) -> str:
+    """Which BLAS :func:`orgqr_wy` runs ``dtype`` on: ``"scipy"`` or ``"numpy"``."""
+    return "numpy" if _gemm(dtype) is None else "scipy"
+
+
+def orgqr_wy(V: np.ndarray, T: np.ndarray, C: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out_b = Q_b [C_b; 0]`` for ``Q_b = I - V_b T_b V_b^T``: orgqr's form.
+
+    Applying Q to a block whose rows below ``r = C.shape[1]`` are zero
+    needs only the top ``r`` rows of ``V`` in ``V^T [C; 0] = V_top^T C``,
+    so each slice costs two small products and one ``h x k x w`` GEMM
+    written straight into ``out``::
+
+        out_b = -V_b (T_b (V_b,top^T C_b));  out_b[:r] += C_b
+
+    LAPACK's ``orgqr`` forms Q this way, and Demmel et al. (arXiv
+    0809.2407) form the explicit TSQR Q by applying the implicit Q to
+    ``[I; 0]``.  With ``r = h`` it is the plain application ``Q C`` into
+    a separate buffer.
+
+    On SciPy's BLAS, ``gemm`` runs once per product per slice on
+    transposed views: a C-ordered array is its own transpose in Fortran
+    order, so nothing is copied and the last GEMM writes ``out`` in
+    place.  Without the binding (or for other dtypes) the same three
+    products run as batched NumPy ``matmul``.
+
+    Args:
+        V: ``(batch, h, kk)`` unit-lower-trapezoidal reflectors.
+        T: ``(batch, kk, kk)`` upper-triangular block-reflector factors.
+        C: ``(batch, r, w)`` top rows, ``r <= h``; never written.
+        out: ``(batch, h, w)`` destination, fully overwritten; must not
+            overlap ``C``.
+    """
+    r = C.shape[1]
+    gemm = _gemm(V.dtype)
+    if gemm is None or C.dtype != V.dtype or out.dtype != V.dtype or 0 in out.shape:
+        W = np.matmul(T, np.matmul(V[:, :r].transpose(0, 2, 1), C))
+        np.negative(W, out=W)
+        np.matmul(V, W, out=out)
+        out[:, :r] += C
+        return out
+    for i in range(V.shape[0]):
+        Vi, Ci, Oi = V[i], C[i], out[i]
+        # Fortran view: W^T = (V_top^T C)^T then (T W)^T = W^T T^T.
+        W = gemm(1.0, Ci.T, Vi[:r].T, trans_b=1)
+        W = gemm(1.0, W, T[i].T)
+        got = gemm(-1.0, W, Vi.T, beta=0.0, c=Oi.T, overwrite_c=1)
+        if not np.shares_memory(got, Oi):  # a strided out was copied
+            Oi[:] = got.T
+        Oi[:r] += Ci
+    return out
 
 
 def wy_factors(VR: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

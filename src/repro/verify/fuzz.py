@@ -38,7 +38,11 @@ never fall back on a Gaussian matrix, and must provably fall back
 (fallback counter > 0) somewhere in any sweep that includes
 ill-conditioned kinds.  Tall well-conditioned cases additionally factor
 through :func:`repro.core.gram_schmidt.cgs2` as an independent
-"twice is enough" reference.
+"twice is enough" reference.  Every case also factors the whole matrix
+through :func:`repro.core.tsqr.tsqr_qr` at the case's geometry, with
+the batched and the structured tree (:data:`TSQR_PATHS`): the QR the
+RPCA SVD runs, with its orgqr-form Q.  Both references are checked for
+the invariants, and well-conditioned ones against ``np.linalg.qr``.
 
 Any divergence is reported with a minimal standalone repro snippet.
 """
@@ -52,6 +56,7 @@ import numpy as np
 from repro.core.caqr import caqr_qr
 from repro.core.cholesky_qr import CholeskyBreakdownError
 from repro.core.gram_schmidt import cgs2
+from repro.core.tsqr import tsqr_qr
 from repro.core.validation import sign_canonical
 from repro.runtime.cholqr import count_fallbacks
 from repro.runtime.policy import CHOLQR, ExecutionPolicy, PathSpec
@@ -61,6 +66,7 @@ from .invariants import launch_fingerprint, qr_invariants, qr_tolerance
 
 __all__ = [
     "PATHS",
+    "TSQR_PATHS",
     "FuzzCase",
     "Divergence",
     "FuzzReport",
@@ -89,6 +95,11 @@ PATHS: dict[str, dict] = {
     for name, spec in ENGINE_TABLE.items()
 }
 PATHS["lookahead_mt"] = {"path": "lookahead", "workers": 3}
+
+# Whole-matrix TSQR references: fuzz name -> the policy path whose tree
+# ``tsqr_qr`` runs.  They are not engine-table identities (TSQR is the
+# panel kernel under them), so they sit beside ``cgs2``, not in PATHS.
+TSQR_PATHS: dict[str, str] = {"tsqr": "batched", "tsqr_structured": "structured"}
 
 
 def _spec(name: str) -> PathSpec:
@@ -169,23 +180,32 @@ class FuzzCase:
             tree_shape=self.tree_shape,
         )
 
+    def tsqr_policy(self, name: str) -> ExecutionPolicy:
+        """The policy whole-matrix TSQR reference ``name`` runs under."""
+        return ExecutionPolicy(
+            path=TSQR_PATHS[name], block_rows=self.block_rows, tree_shape=self.tree_shape
+        )
+
     def repro(self, path: str) -> str:
         """Minimal standalone snippet reproducing this case on ``path``."""
-        kw = ", ".join(
-            f"{k}={v!r}"
-            for k, v in dict(
-                panel_width=self.panel_width,
-                block_rows=self.block_rows,
-                tree_shape=self.tree_shape,
-                **PATHS[path],
-            ).items()
-        )
+        build = f"from repro.verify.fuzz import FuzzCase\nA = {self!r}.build()\n"
+        if path == "cgs2":
+            return f"from repro.core.gram_schmidt import cgs2\n{build}Q, R = cgs2(A)"
+        if path in TSQR_PATHS:
+            fields = dict(path=TSQR_PATHS[path], block_rows=self.block_rows,
+                          tree_shape=self.tree_shape)
+            module, fn = "tsqr", "tsqr_qr"
+        elif path in PATHS:
+            fields = dict(panel_width=self.panel_width, block_rows=self.block_rows,
+                          tree_shape=self.tree_shape, **PATHS[path])
+            module, fn = "caqr", "caqr_qr"
+        else:  # a grid-level finding (e.g. the fingerprint check)
+            return build.rstrip("\n")
+        kw = ", ".join(f"{k}={v!r}" for k, v in fields.items())
         return (
-            "from repro.core.caqr import caqr_qr\n"
+            f"from repro.core.{module} import {fn}\n"
             "from repro.runtime import ExecutionPolicy\n"
-            f"from repro.verify.fuzz import FuzzCase\n"
-            f"A = {self!r}.build()\n"
-            f"Q, R = caqr_qr(A, policy=ExecutionPolicy({kw}))"
+            f"{build}Q, R = {fn}(A, policy=ExecutionPolicy({kw}))"
         )
 
 
@@ -226,9 +246,10 @@ class FuzzReport:
         return not self.divergences
 
     def format(self, max_shown: int = 20) -> str:
+        refs = ", ".join([*TSQR_PATHS, "cgs2"])
         lines = [
             f"differential fuzz: {self.cases_run} cases x {self.paths_run} paths "
-            f"-> {len(self.divergences)} divergence(s)"
+            f"+ references ({refs}) -> {len(self.divergences)} divergence(s)"
         ]
         for d in self.divergences[:max_shown]:
             lines.append(d.format())
@@ -261,6 +282,30 @@ def run_case(case: FuzzCase, paths: list[str] | None = None) -> list[Divergence]
     # Scaled Gaussians ("huge"/"tiny") stay well-conditioned; only graded
     # spectra get invariants-only treatment.
     well_conditioned = case.kind != "graded" and min(m, n) > 0
+
+    def vs_numpy(name: str, Q: np.ndarray, R: np.ndarray) -> None:
+        dq, dr = _factor_diff(Q, R, ref_Q, ref_R, scale)
+        if dq > pair_tol or dr > pair_tol:
+            divs.append(
+                Divergence(
+                    case,
+                    name,
+                    "vs-numpy",
+                    f"max|dQ|={dq:.3e} max|dR|/||A||={dr:.3e} > tol {pair_tol:.3e}",
+                )
+            )
+
+    def reference(name: str, qr, compare: bool) -> None:
+        try:
+            Q, R = qr(A)
+        except Exception as exc:
+            divs.append(Divergence(case, name, "exception", f"{type(exc).__name__}: {exc}"))
+            return
+        failures = qr_invariants(A, Q, R).failures()
+        if failures:
+            divs.append(Divergence(case, name, "invariants", "; ".join(failures)))
+        elif compare:
+            vs_numpy(name, Q, R)
 
     results: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for name in names:
@@ -297,40 +342,17 @@ def run_case(case: FuzzCase, paths: list[str] | None = None) -> list[Divergence]
             continue
         results[name] = (Q, R)
         if well_conditioned:
-            dq, dr = _factor_diff(Q, R, ref_Q, ref_R, scale)
-            if dq > pair_tol or dr > pair_tol:
-                divs.append(
-                    Divergence(
-                        case,
-                        name,
-                        "vs-numpy",
-                        f"max|dQ|={dq:.3e} max|dR|/||A||={dr:.3e} > tol {pair_tol:.3e}",
-                    )
-                )
+            vs_numpy(name, Q, R)
     # Independent reference: CGS2 ("twice is enough") through the same
     # guard-validated entry point, cross-checked on tall well-conditioned
     # Gaussian cases — a non-Householder, non-Cholesky orthogonalizer
     # that the BLAS3 paths must agree with.
     if case.kind == "gauss" and 0 < n <= m:
-        try:
-            Qg, Rg = cgs2(A)
-        except Exception as exc:
-            divs.append(Divergence(case, "cgs2", "exception", f"{type(exc).__name__}: {exc}"))
-        else:
-            failures = qr_invariants(A, Qg, Rg).failures()
-            if failures:
-                divs.append(Divergence(case, "cgs2", "invariants", "; ".join(failures)))
-            else:
-                dq, dr = _factor_diff(Qg, Rg, ref_Q, ref_R, scale)
-                if dq > pair_tol or dr > pair_tol:
-                    divs.append(
-                        Divergence(
-                            case,
-                            "cgs2",
-                            "vs-numpy",
-                            f"max|dQ|={dq:.3e} max|dR|/||A||={dr:.3e} > tol {pair_tol:.3e}",
-                        )
-                    )
+        reference("cgs2", cgs2, compare=True)
+    # Whole-matrix TSQR, on every case: no engine above runs it unpaneled.
+    for name in TSQR_PATHS:
+        policy = case.tsqr_policy(name)
+        reference(name, lambda X: tsqr_qr(X, policy=policy), compare=well_conditioned)
     # Pairwise: every surviving path against the first surviving one.
     if well_conditioned and len(results) > 1:
         base_name = next(iter(results))

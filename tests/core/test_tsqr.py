@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+from repro import obs
 from repro.core.tsqr import TALL_BLOCK_WIDTHS, level0_rows, row_blocks, tsqr, tsqr_qr
 from repro.core.validation import (
     factorization_error,
@@ -17,6 +20,9 @@ from repro.graph.executor import build_lookahead_schedule
 from repro.runtime import ExecutionPolicy
 from repro.runtime.plan import plan_qr
 from repro.serving.batch import _PanelPlan
+from repro.smallblas import wy
+
+tsqr_mod = importlib.import_module("repro.core.tsqr")
 
 
 class TestRowBlocks:
@@ -140,6 +146,7 @@ class TestLevel0Height:
         Q = f.form_q()
         assert factorization_error(A, Q, f.R) <= 1e-14
         assert orthogonality_error(Q) <= 1e-13
+        assert np.abs(Q - _identity_q(f)).max() < 1e-15
 
     def test_plans_share_the_rule(self):
         # A 32-wide panel over 8-row requests: every planner sizes 1024-row blocks.
@@ -210,3 +217,153 @@ class TestTreeShapeEquivalence:
         for level in f.tree_factors:
             for tf in level:
                 assert len(tf.group) <= 4
+
+
+# Roundoff bound for comparing two Q formations and for the QR checks.
+_TOL = {np.float64: 1e-13, np.float32: 2e-5}
+
+# (m, n, block_rows, path, tree_shape): ragged tails (one shorter than
+# the width), one block, m < n, n = 1, every tree shape, structured.
+FORM_Q_CASES = [
+    (1000, 13, 64, "batched", "quad"),
+    (1034, 16, 8, "batched", "quad"),
+    (40, 10, 64, "batched", "quad"),
+    (10, 25, 64, "batched", "quad"),
+    (300, 1, 64, "batched", "quad"),
+    (700, 12, 64, "batched", "binary"),
+    (700, 12, 64, "batched", "binomial"),
+    (700, 12, 64, "batched", "flat"),
+    (700, 12, 64, "structured", "quad"),
+    (1034, 16, 8, "structured", "binary"),
+]
+
+
+def _identity_q(f):
+    return f.apply_q(np.eye(f.m, min(f.m, f.n), dtype=f.R.dtype))
+
+
+class TestFormQ:
+    """The batched form_q (orgqr form) against apply_q(I) and the QR checks."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("m,n,br,path,tree", FORM_Q_CASES)
+    def test_matches_apply_q_identity(self, rng, dtype, m, n, br, path, tree):
+        A = rng.standard_normal((m, n)).astype(dtype)
+        f = tsqr(A, policy=ExecutionPolicy(path=path, block_rows=br, tree_shape=tree))
+        Q = f.form_q()
+        tol = _TOL[dtype]
+        assert Q.shape == (m, min(m, n)) and Q.dtype == dtype
+        assert orthogonality_error(Q) < tol
+        assert factorization_error(A, Q, f.R) < tol
+        assert np.abs(Q - _identity_q(f)).max() < tol
+
+    @pytest.mark.parametrize("path", ["batched", "structured"])
+    def test_loaded_factors(self, rng, tmp_path, path):
+        from repro.io import load_tsqr, save_tsqr
+
+        A = rng.standard_normal((1100, 20))
+        f = tsqr(A, policy=ExecutionPolicy(path=path, block_rows=64))
+        save_tsqr(tmp_path / "f.npz", f)
+        g = load_tsqr(tmp_path / "f.npz")
+        Q = g.form_q()
+        assert np.abs(Q - _identity_q(g)).max() < 1e-13
+        assert np.abs(Q - f.form_q()).max() < 1e-13
+        assert factorization_error(A, Q, g.R) < 1e-13
+
+    def test_reference_path_keeps_apply_q_identity(self, rng):
+        f = tsqr(rng.standard_normal((1000, 13)), policy=ExecutionPolicy(path="seed", block_rows=64))
+        assert np.array_equal(f.form_q(), _identity_q(f))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_numpy_path_without_the_binding(self, rng, monkeypatch, dtype):
+        A = rng.standard_normal((1034, 16)).astype(dtype)
+        f = tsqr(A, policy=ExecutionPolicy(block_rows=8))
+        Q_blas = f.form_q()
+        monkeypatch.setattr(wy, "_blas", None)
+        with obs.capture() as session:
+            Q = f.form_q()
+        (span,) = session.trace.by_cat("form_q")
+        assert span.args["blas"] == "numpy"
+        tol = _TOL[dtype]
+        assert np.abs(Q - Q_blas).max() < tol
+        assert np.abs(Q - _identity_q(f)).max() < tol
+        assert orthogonality_error(Q) < tol
+
+    @pytest.mark.parametrize("dtype,gemm", [(np.float64, "dgemm"), (np.float32, "sgemm")])
+    def test_runs_on_scipy_blas_never_apply_wy(self, rng, monkeypatch, dtype, gemm):
+        if wy._blas is None:
+            pytest.skip("SciPy BLAS not available")
+        f = tsqr(rng.standard_normal((1034, 16)).astype(dtype), policy=ExecutionPolicy(block_rows=8))
+        f._plan_for(np.dtype(dtype))  # plan built before the spies go in
+        calls = []
+        real = wy._blas
+
+        class Spy:
+            def __getattr__(self, name):
+                fn = getattr(real, name)
+
+                def counted(*args, **kwargs):
+                    calls.append(name)
+                    return fn(*args, **kwargs)
+
+                return counted
+
+        def no_apply_wy(*args, **kwargs):
+            raise AssertionError("form_q ran the NumPy apply_wy")
+
+        monkeypatch.setattr(wy, "_blas", Spy())
+        monkeypatch.setattr(wy, "apply_wy", no_apply_wy)
+        monkeypatch.setattr(tsqr_mod, "apply_wy", no_apply_wy)
+        Q = f.form_q()
+        assert calls and set(calls) == {gemm}
+        assert orthogonality_error(Q) < _TOL[dtype]
+
+    def test_span_names_the_blas(self, rng):
+        A = rng.standard_normal((700, 12))
+        with obs.capture() as session:
+            Q, _ = tsqr_qr(A, policy=ExecutionPolicy(block_rows=64))
+        (span,) = session.trace.by_cat("form_q")
+        assert span.name == "tsqr.form_q"
+        assert span.args["m"] == 700 and span.args["n"] == 12
+        assert span.args["blas"] == wy.blas_name(np.float64)
+        # Q formation shows up as its own span, not as anonymous applies.
+        assert not session.trace.by_cat("apply.level0")
+
+    def test_auto_plan_never_forms_a_tsqr_q(self, rng, monkeypatch):
+        """qr_paper's auto plan, on a Gaussian and a graded input, runs
+        CholeskyQR2 and the look-ahead fallback: neither reaches here."""
+        from repro.runtime.cholqr import count_fallbacks
+
+        def boom(self):
+            raise AssertionError("TSQRFactors.form_q was called")
+
+        monkeypatch.setattr(tsqr_mod.TSQRFactors, "form_q", boom)
+        m, n = 110592, 100
+        plan = plan_qr(m, n, np.float64, ExecutionPolicy(path="auto"))
+        V, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        graded = (rng.standard_normal((m, n)) * np.logspace(0, -12, n)) @ V
+        with count_fallbacks() as fb:
+            for A in (rng.standard_normal((m, n)), graded):
+                Q, R = plan.execute(A)
+                assert factorization_error(A, Q, R) < 1e-12
+                del Q, R
+        assert fb.fallbacks == 1
+
+
+class TestEmptyShapes:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("path", ["batched", "seed", "structured"])
+    @pytest.mark.parametrize("m,n", [(0, 5), (5, 0), (0, 0)])
+    def test_matches_numpy_shapes(self, dtype, path, m, n):
+        A = np.zeros((m, n), dtype=dtype)
+        Qn, Rn = np.linalg.qr(A)
+        f = tsqr(A, policy=ExecutionPolicy(path=path))
+        Q = f.form_q()
+        assert Q.shape == Qn.shape and f.R.shape == Rn.shape
+        assert Q.dtype == dtype and f.R.dtype == dtype
+        Q, R = tsqr_qr(A, policy=ExecutionPolicy(path=path))
+        assert Q.shape == Qn.shape and R.shape == Rn.shape
+        # No reflectors: Q and Q^T act as the identity.
+        B = np.arange(3.0 * m, dtype=dtype).reshape(m, 3)
+        assert np.array_equal(f.apply_qt(B.copy()), B)
+        assert np.array_equal(f.apply_q(B.copy()), B)

@@ -166,3 +166,16 @@ class TestRPCA:
         graph = rpca_ialm(M, tol=0.0, max_iter=4, engine="graph")
         assert graph.residuals == direct.residuals and graph.ranks == direct.ranks
         assert np.array_equal(graph.L, direct.L) and np.array_equal(graph.S, direct.S)
+
+    def test_graph_qr_task_separates_factor_from_q(self):
+        from repro import obs
+
+        M = generate_video(48, 64, 72, seed=0).M
+        with obs.capture() as session:
+            rpca_ialm(M, tol=0.0, max_iter=2, engine="graph")
+        t = session.trace
+        qr_tasks = [s for s in t.spans if s.name == "qr"]
+        assert len(qr_tasks) == 2
+        for task in qr_tasks:
+            names = [c.name for c in t.children(task.id)]
+            assert "tsqr" in names and "tsqr.form_q" in names

@@ -77,6 +77,29 @@ class TestHarnessDetects:
         assert divs, "harness failed to flag a corrupted factorization"
         assert any(d.check in ("vs-numpy", "pairwise", "invariants") for d in divs)
 
+    def test_broken_tsqr_is_reported(self, monkeypatch):
+        """Whole-matrix TSQR is checked on every case, each tree apart."""
+        real = fuzz.tsqr_qr
+
+        def corrupted(A, **kw):
+            Q, R = real(A, **kw)
+            if kw["policy"].path == "structured" and Q.size:
+                Q = Q.copy()
+                Q[-1, 0] += 1e-3
+            return Q, R
+
+        monkeypatch.setattr(fuzz, "tsqr_qr", corrupted)
+        divs = run_case(FuzzCase(1100, 20, block_rows=None), paths=["batched"])
+        assert {d.path for d in divs} == {"tsqr_structured"}
+        assert divs[0].check == "invariants"
+        assert run_case(FuzzCase(0, 5), paths=["batched"]) == []
+
+    @pytest.mark.parametrize("name", ["tsqr", "tsqr_structured", "cgs2"])
+    def test_reference_snippets_are_executable(self, name):
+        ns: dict = {}
+        exec(FuzzCase(40, 6, block_rows=8, tree_shape="binary").repro(name), ns)  # noqa: S102
+        assert ns["Q"].shape == (40, 6)
+
     def test_crashing_path_is_a_finding(self, monkeypatch):
         def boom(A, **kw):
             raise RuntimeError("injected")
