@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Level-0 block-height sweeps: TSQR on wide panels, look-ahead CAQR on narrow ones.
+"""Level-0 block-height and panel-width sweeps for TSQR and look-ahead CAQR.
 
 ``--sweep tsqr`` times ``tsqr`` factor plus ``form_q`` (best of
 ``--reps``) with level-0 blocks of n, 4n, 8n, 16n, 32n, 64n and 128n
@@ -16,6 +16,18 @@ panel widths 16 and 32, with explicit level-0 heights of 4w to 128w
 rows (w the panel width; 4w at width 16 is the paper's 64 x 16) and the
 default geometry, whose last, narrower panel gets 32 of its own widths.
 
+``--sweep panel`` times the look-ahead plan's ``execute`` (validation,
+factor and ``form_q``) at panel widths 16, 32, 64, 128 and 256 and
+unset, which on a tall matrix is one full-width panel, and prints the
+median and range of ``--reps`` rounds per cell.  The cells of a shape
+are interleaved, so a slow spell on a shared host lands on all of them,
+and each timed call runs right after an untimed one of the same cell,
+as a reused plan runs: one cell's BLAS pool never slows the next (see
+``--sweep handoff``).  Widths of at least ``min(m, n)`` are one panel,
+the unset cell, and are skipped.  The 110592 x 100 input is the graded
+one; the rest are Gaussian, and 300 x 2000 is the wide case, where
+unset means 16.
+
 ``--sweep handoff`` probes the two-pool handoff: NumPy and SciPy link
 separate OpenBLAS builds, each with its own thread pool, and a threaded
 call in one runs slower while the other's workers are still spinning.
@@ -29,6 +41,7 @@ Usage::
     python benchmarks/bench_block_height.py                      # tsqr and lookahead sweeps, a few minutes
     python benchmarks/bench_block_height.py --sweep tsqr --shape 110592x100 --reps 1
     python benchmarks/bench_block_height.py --sweep lookahead --reps 3
+    python benchmarks/bench_block_height.py --sweep panel --reps 5     # ~6 min
     python benchmarks/bench_block_height.py --sweep handoff --reps 7   # ~1 min
 """
 
@@ -56,6 +69,9 @@ HEIGHTS = (1, 4, 8, 16, 32, 64, 128)  # level-0 block height in multiples of n
 LOOKAHEAD_SHAPE = (110592, 100)
 LOOKAHEAD_WIDTHS = (16, 32)
 LOOKAHEAD_HEIGHTS = (4, 8, 16, 32, 64, 128)  # in multiples of the panel width
+PANEL_SHAPES = ((110592, 100), (200000, 80), (50000, 256), (16384, 64), (16384, 128),
+                (16384, 512), (4096, 1024), (2048, 2048), (300, 2000))
+PANEL_WIDTHS = (16, 32, 64, 128, 256, None)  # None: unset, the engine's default
 HANDOFF_SHAPE = (110592, 100)
 HANDOFF_BLOCK_ROWS, HANDOFF_BURST = 3200, 10  # ten dgeqrt calls on level-0 blocks
 HANDOFF_GAPS = (0.0, 0.05, 0.1, 0.2, 0.4)  # idle seconds between the two calls
@@ -127,6 +143,40 @@ def _median(xs: list[float]) -> float:
     return sorted(xs)[len(xs) // 2]
 
 
+def sweep_panel(shapes, reps: int) -> None:
+    head = " | ".join("unset" if w is None else f"{w}" for w in PANEL_WIDTHS)
+    print(f"| shape, ms: median [min–max] of {reps} | {head} | unset / 16 |")
+    print("|---" * (len(PANEL_WIDTHS) + 2) + "|")
+    for m, n in shapes:
+        if (m, n) == LOOKAHEAD_SHAPE:
+            A = graded(m, n)
+        else:
+            A = np.random.default_rng(SEED).standard_normal((m, n))
+        plans = {
+            w: plan_qr(m, n, policy=ExecutionPolicy(path="lookahead", panel_width=w))
+            for w in PANEL_WIDTHS
+            if w is None or w < min(m, n)
+        }
+        samples: dict = {w: [] for w in plans}
+        for _ in range(reps):
+            for w, plan in plans.items():
+                plan.execute(A)  # back to back: the timed call's pool is its own
+                t0 = time.perf_counter()
+                plan.execute(A)
+                samples[w].append(time.perf_counter() - t0)
+        cells = [
+            f"{_median(samples[w]) * 1e3:.0f} [{min(samples[w]) * 1e3:.0f}–"
+            f"{max(samples[w]) * 1e3:.0f}]" if w in samples else "—"
+            for w in PANEL_WIDTHS
+        ]
+        ratio = (f"{_median(samples[None]) / _median(samples[16]):.2f}"
+                 if 16 in samples else "—")
+        unset_w = plans[None].policy.effective_panel_width(m, n)
+        label = f"{m}×{n}" + (" graded" if (m, n) == LOOKAHEAD_SHAPE else "")
+        print(f"| {label} (unset = {unset_w}) | {' | '.join(cells)} | {ratio} |", flush=True)
+        del A, plans
+
+
 def sweep_handoff(reps: int) -> None:
     from scipy.linalg import lapack
 
@@ -179,18 +229,21 @@ def sweep_handoff(reps: int) -> None:
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--sweep", choices=("tsqr", "lookahead", "handoff", "all"), default="all")
+    ap.add_argument("--sweep", choices=("tsqr", "lookahead", "panel", "handoff", "all"),
+                    default="all")
     ap.add_argument("--shape", action="append", metavar="MxN",
-                    help="TSQR sweep shape (repeatable; default: the four below)")
+                    help="TSQR or panel sweep shape (repeatable; default: the sweep's own)")
     ap.add_argument("--reps", type=int, default=2)
     args = ap.parse_args()
-    shapes = [tuple(map(int, s.split("x"))) for s in args.shape] if args.shape else SHAPES
+    shapes = [tuple(map(int, s.split("x"))) for s in args.shape] if args.shape else None
     if args.sweep in ("tsqr", "all"):
-        sweep_tsqr(shapes, args.reps)
+        sweep_tsqr(shapes or SHAPES, args.reps)
     if args.sweep == "all":
         print()
     if args.sweep in ("lookahead", "all"):
         sweep_lookahead(args.reps)
+    if args.sweep == "panel":
+        sweep_panel(shapes or PANEL_SHAPES, args.reps)
     if args.sweep == "handoff":
         sweep_handoff(args.reps)
     return 0

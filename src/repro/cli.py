@@ -173,6 +173,7 @@ def _cmd_trace(args, parser) -> int:
     import numpy as np
 
     from repro import obs
+    from repro.kernels.config import REFERENCE_CONFIG
     from repro.runtime import plan_qr
 
     try:
@@ -181,7 +182,11 @@ def _cmd_trace(args, parser) -> int:
     except ValueError:
         print(f"trace: --shape must look like 4096x128, got {args.shape!r}")
         return 2
-    policy = _policy(parser, path=args.policy, workers=args.workers)
+    # The overlay compares with the modeled timeline, so the run takes the
+    # modeled config's panel width (unset, a tall look-ahead run would be
+    # one panel with no update phase to compare).
+    policy = _policy(parser, path=args.policy, workers=args.workers,
+                     panel_width=REFERENCE_CONFIG.panel_width)
     A = np.random.default_rng(args.seed).standard_normal((m, n))
     with obs.capture(meta={"shape": f"{m}x{n}", "path": policy.path}) as session:
         plan = plan_qr(m, n, policy=policy)

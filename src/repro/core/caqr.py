@@ -46,7 +46,7 @@ class CAQRFactors:
 
     m: int
     n: int
-    panel_width: int
+    panel_width: int  # effective (an unset request resolved by the engine)
     block_rows: int | None  # as requested; None is the host default
     tree_shape: str
     panels: list[PanelFactor]
@@ -91,12 +91,13 @@ def _caqr_serial(A: np.ndarray, policy: ExecutionPolicy) -> CAQRFactors:
     k = min(m, n)
     with _obs.span("setup", cat="host"):
         W = A.copy()
+    width = policy.effective_panel_width(m, n)
     panels: list[PanelFactor] = []
-    for col_start in range(0, k, policy.panel_width):
-        pw = min(policy.panel_width, k - col_start)
+    for col_start in range(0, k, width):
+        pw = min(width, k - col_start)
         row_start = col_start  # grid redrawn lower by the panel width
         panel_view = W[row_start:, col_start : col_start + pw]
-        with _obs.span("factor", cat="factor", panel=col_start // policy.panel_width, rows=m - row_start):
+        with _obs.span("factor", cat="factor", panel=col_start // width, rows=m - row_start):
             f = _tsqr_impl(
                 panel_view,
                 block_rows=policy.block_rows,
@@ -108,7 +109,7 @@ def _caqr_serial(A: np.ndarray, policy: ExecutionPolicy) -> CAQRFactors:
         # remaining columns (apply_qt_h + apply_qt_tree in the GPU code).
         trailing = W[row_start:, col_start + pw :]
         if trailing.size:
-            with _obs.span("update", cat="update", panel=col_start // policy.panel_width, cols=n - col_start - pw):
+            with _obs.span("update", cat="update", panel=col_start // width, cols=n - col_start - pw):
                 f.apply_qt(trailing)
         # Record the panel's R back into the working matrix so the final
         # R can be read off the top k rows.
@@ -123,7 +124,7 @@ def _caqr_serial(A: np.ndarray, policy: ExecutionPolicy) -> CAQRFactors:
     return CAQRFactors(
         m=m,
         n=n,
-        panel_width=policy.panel_width,
+        panel_width=width,
         block_rows=policy.block_rows,
         tree_shape=policy.tree_shape,
         panels=panels,

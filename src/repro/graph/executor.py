@@ -29,8 +29,9 @@ kernel TSQR and the serving coalescer share,
 :func:`repro.smallblas.wy._factor_slices`: LAPACK ``geqrt`` for slices
 of at least ``GEQRT_MIN_ELEMS`` elements, the ``geqrf`` gufunc plus
 ``larft`` below that, each returning its compact-WY ``(V, T)`` with the
-factor.  Numerically the executor matches the ``batched`` path to
-roundoff (operation *order* across independent tiles differs), and
+factor.  Numerically the executor matches the ``batched`` path at the
+same panel width to roundoff (operation *order* across independent
+tiles differs; an unset width is one panel here and 16 there), and
 matches itself exactly across ``threaded=True/False``.  The
 ``structured`` tree elimination is not supported here — use
 :func:`repro.core.caqr.caqr` for that path.
@@ -47,11 +48,13 @@ import numpy as np
 
 from repro.core.dtypes import as_float_array, working_dtype
 from repro.core.tree import batch_level, build_tree
-from repro.core.tsqr import _WyPlan, _tsqr_impl, apply_wy_plan, level0_rows, row_blocks
+from repro.core.tsqr import (
+    _plan_form_q, _tsqr_impl, _WyPlan, apply_wy_plan, level0_rows, row_blocks,
+)
 from repro.graph.highlevel import TaskGraph
 from repro.graph.order import static_order
 from repro.obs import tracer as _obs
-from repro.runtime.policy import ExecutionPolicy
+from repro.runtime.policy import LOOKAHEAD, ExecutionPolicy
 from repro.smallblas.wy import _factor_slices
 
 __all__ = [
@@ -292,7 +295,7 @@ class LookaheadCAQRFactors:
 
     m: int
     n: int
-    panel_width: int
+    panel_width: int  # effective (an unset request resolved by the engine)
     block_rows: int | None  # as requested; None is the host default
     tree_shape: str
     panels: list[_PanelPlan]
@@ -322,12 +325,18 @@ class LookaheadCAQRFactors:
     def form_q(self) -> np.ndarray:
         """Form the explicit thin ``m x min(m, n)`` orthonormal Q.
 
-        Panel ``p`` is applied only to the columns at or right of its
-        ``col_start``: every column to its left is still an identity
-        column, exactly zero in the rows ``p`` touches, so the result is
-        bit-identical to ``apply_q(I)``.
+        One panel is TSQR of the whole matrix, so its Q is formed as
+        TSQR forms it (:func:`~repro.core.tsqr._plan_form_q`, LAPACK
+        ``orgqr``'s form on the BLAS that factored it): equal to
+        ``tsqr_qr``'s Q bit for bit, and to ``apply_q(I)`` to roundoff.
+        With more panels, panel ``p`` is applied only to the columns at
+        or right of its ``col_start``: every column to its left is still
+        an identity column, exactly zero in the rows ``p`` touches, so
+        the result is bit-identical to ``apply_q(I)``.
         """
         k = min(self.m, self.n)
+        if len(self.panels) == 1:
+            return _plan_form_q(self.panels[0].plan, self.m, k)
         Q = np.zeros((self.m, k), dtype=working_dtype(self.R))
         np.fill_diagonal(Q, 1.0)
         for p in reversed(self.panels):
@@ -544,7 +553,8 @@ class LookaheadSchedule:
     (and cached inside a :class:`repro.runtime.plan.QRPlan`), then run on
     any conforming matrix by :func:`run_lookahead_schedule`.  ``panels``
     holds ``(col_start, width, row_start, block_rows, trailing)`` per
-    panel; ``tasks`` is the dependency-wired task list.
+    panel; ``tasks`` is the dependency-wired task list; ``panel_width``
+    is the effective width (the engine's resolution of an unset one).
     """
 
     m: int
@@ -552,6 +562,12 @@ class LookaheadSchedule:
     policy: ExecutionPolicy
     panels: tuple[tuple[int, int, int, int, int], ...]
     tasks: tuple[_TaskSpec, ...]
+    panel_width: int
+
+    @property
+    def has_updates(self) -> bool:
+        """Whether any task writes the working matrix (a trailing update)."""
+        return any(t.kind == "update" for t in self.tasks)
 
 
 def build_lookahead_schedule(m: int, n: int, policy: ExecutionPolicy) -> LookaheadSchedule:
@@ -564,11 +580,12 @@ def build_lookahead_schedule(m: int, n: int, policy: ExecutionPolicy) -> Lookahe
     """
     workers = policy.effective_workers
     k = min(m, n)
+    width = LOOKAHEAD.panel_width(policy, m, n)
     panels: list[tuple[int, int, int, int, int]] = []
     tasks: list[_TaskSpec] = []
     prev_updates: list[tuple[int, tuple[int, int]]] = []  # (task id, cols)
-    for p, c0 in enumerate(range(0, k, policy.panel_width)):
-        pw_p = min(policy.panel_width, k - c0)
+    for p, c0 in enumerate(range(0, k, width)):
+        pw_p = min(width, k - c0)
         r0 = c0
         bh = level0_rows(policy.block_rows, pw_p)
         wt = n - (c0 + pw_p)
@@ -583,7 +600,7 @@ def build_lookahead_schedule(m: int, n: int, policy: ExecutionPolicy) -> Lookahe
 
         updates: list[tuple[int, tuple[int, int]]] = []
         if wt > 0:
-            next_w = min(policy.panel_width, max(k - (c0 + pw_p), 1))
+            next_w = min(width, max(k - (c0 + pw_p), 1))
             for lo, hi in _col_tiles(c0 + pw_p, n, next_w, workers):
                 deps = (f_id,) + tuple(
                     t for t, (a, b) in prev_updates if a < hi and lo < b
@@ -593,7 +610,8 @@ def build_lookahead_schedule(m: int, n: int, policy: ExecutionPolicy) -> Lookahe
                 updates.append((u_id, (lo, hi)))
         prev_updates = updates
     return LookaheadSchedule(
-        m=m, n=n, policy=policy, panels=tuple(panels), tasks=tuple(tasks)
+        m=m, n=n, policy=policy, panels=tuple(panels), tasks=tuple(tasks),
+        panel_width=width,
     )
 
 
@@ -658,8 +676,13 @@ def run_lookahead_schedule(
             f"the scheduled shape ({m}, {n})"
         )
     k = min(m, n)
-    with _obs.span("setup", cat="host"):
-        W = A.copy()
+    if sched.has_updates:
+        with _obs.span("setup", cat="host"):
+            W = A.copy()
+    else:
+        # Panel factors only read their columns, so with no trailing
+        # update (one tall panel) nothing writes W: factor A in place.
+        W = A
     dt = np.dtype(working_dtype(W))
     tree_shape = policy.tree_shape
 
@@ -702,7 +725,7 @@ def run_lookahead_schedule(
     return LookaheadCAQRFactors(
         m=m,
         n=n,
-        panel_width=policy.panel_width,
+        panel_width=sched.panel_width,
         block_rows=policy.block_rows,
         tree_shape=tree_shape,
         panels=panels,

@@ -226,10 +226,15 @@ def _run_fallback(A, policy, schedule, stage: str):
 
     _record_fallback(stage)
     m, n = A.shape
-    with _obs.span("cholqr.fallback", cat="cholqr", m=m, n=n, stage=stage):
+    if schedule is None:
+        schedule = _fallback_schedule(m, n, policy)
+    # The span names the tree's geometry: panel count and level-0 height
+    # (a refusal needs a nonempty matrix, so there is a first panel).
+    with _obs.span(
+        "cholqr.fallback", cat="cholqr", m=m, n=n, stage=stage,
+        panels=len(schedule.panels), block_rows=schedule.panels[0][3],
+    ):
         _obs.counters(cholqr_fallbacks=1)
-        if schedule is None:
-            schedule = _fallback_schedule(m, n, policy)
         factors = run_lookahead_schedule(schedule, A)
         Q = factors.form_q()
     return CholQRFactors(Q, factors.R, fell_back=True, fallback_stage=stage)

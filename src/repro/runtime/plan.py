@@ -62,9 +62,10 @@ def _panel_specs(m: int, n: int, policy: ExecutionPolicy) -> tuple[PanelSpec, ..
     from repro.core.tsqr import level0_rows, row_blocks
 
     k = min(m, n)
+    pw = policy.effective_panel_width(m, n)
     specs = []
-    for c0 in range(0, k, policy.panel_width):
-        pw_p = min(policy.panel_width, k - c0)
+    for c0 in range(0, k, pw):
+        pw_p = min(pw, k - c0)
         r0 = c0  # the grid is redrawn lower by the panel width
         hp = m - r0
         bh = level0_rows(policy.block_rows, pw_p)
@@ -250,7 +251,8 @@ class QRPlan:
         lines = [
             f"QR plan for {self.m} x {self.n} ({self.dtype})",
             f"  path         {p.path}{self._engine.detail(p)}",
-            f"  geometry     panel_width={p.panel_width} tree={p.tree_shape}",
+            f"  geometry     panel_width={p.effective_panel_width(self.m, self.n)} "
+            f"tree={p.tree_shape}",
             f"  block rows   {runs or 'none'}{scope if runs else ''}",
             f"  panels       {len(self.panels)}",
             f"  wy scratch   {self.wy_scratch_bytes / 1e6:.2f} MB",

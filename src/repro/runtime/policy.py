@@ -76,6 +76,11 @@ __all__ = [
     "SERIAL", "SHARDED", "STREAMING", "Engine", "ExecutionPolicy", "PathSpec",
 ]
 
+# The paper's panel width (Section IV's 64 x 16 blocks, sized for the
+# C2050 kernels): what an unset ``panel_width`` means on every engine
+# except the look-ahead one, and on wide matrices there.
+PAPER_PANEL_WIDTH = 16
+
 
 # -- the engine table ------------------------------------------------------
 #
@@ -103,6 +108,13 @@ class Engine:
     def build(self, plan) -> tuple:
         """Shape-dependent state built once per plan: ``(schedule, recipes)``."""
         return None, ()
+
+    def panel_width(self, policy, m: int, n: int) -> int:
+        """The panel width ``policy`` factors an ``m x n`` matrix with.
+
+        An explicit width is used as given; unset means the paper's 16.
+        """
+        return PAPER_PANEL_WIDTH if policy.panel_width is None else policy.panel_width
 
     def factor(self, plan, A):
         raise NotImplementedError
@@ -150,6 +162,15 @@ class _Serial(Engine):
 class _Lookahead(Engine):
     permits = ("workers",)
 
+    def panel_width(self, policy, m, n):
+        # Unset on a tall matrix: one full-width panel, which is TSQR of
+        # the whole matrix (no trailing update).  On a 2-core Xeon it beat
+        # width 16 at every tall shape measured (EXPERIMENTS.md, "The
+        # `auto` fallback as one panel"); wide matrices keep 16.
+        if policy.panel_width is None and m >= n:
+            return max(1, n)
+        return super().panel_width(policy, m, n)
+
     def build(self, plan):
         from repro.graph.executor import build_lookahead_schedule
         from repro.runtime.plan import _warm_recipes
@@ -174,6 +195,12 @@ class _Lookahead(Engine):
 
 class _CholQR(Engine):
     permits = ("condition_limit",)
+
+    def panel_width(self, policy, m, n):
+        # A fallback path's panels are its look-ahead fallback's.
+        if policy.spec.fallback:
+            return LOOKAHEAD.panel_width(policy, m, n)
+        return super().panel_width(policy, m, n)
 
     def build(self, plan):
         # A fallback path prebuilds the look-ahead schedule and warms its
@@ -207,24 +234,23 @@ class _CholQR(Engine):
         )
 
     def panels(self, plan):
-        return ()
+        # A fallback path's Householder panels are its tree fallback's.
+        return super().panels(plan) if plan.policy.spec.fallback else ()
 
     def scratch_bytes(self, plan):
         # The n x n Gram + triangular smalls, plus the float32 Gram cast
-        # buffer on the mixed path.
+        # buffer on the mixed path; a fallback allocates its tree's
+        # compact-WY factors instead, so it needs the larger of the two.
         import numpy as np
 
         k = min(plan.m, plan.n)
         scratch = 3 * k * k * plan.dtype.itemsize
         if plan.policy.spec.mixed and plan.dtype == np.dtype(np.float64):
             scratch += plan.m * k * np.dtype(np.float32).itemsize
-        return scratch
+        return max(scratch, super().scratch_bytes(plan))
 
     def level0(self, plan):
-        sched = plan._schedule
-        if sched is None:
-            return (), ""
-        return tuple(bh for _c0, _w, _r0, bh, _wt in sched.panels), " (tree fallback)"
+        return super().level0(plan)[0], " (tree fallback)"
 
 
 class _Sharded(Engine):
@@ -432,6 +458,12 @@ class ExecutionPolicy:
             grid exercises geometries (e.g. ``block_rows < panel_width``,
             free-form tree names) that the modeled-domain
             :class:`~repro.kernels.config.KernelConfig` cannot represent.
+            ``panel_width`` is the requested column-panel width; ``None``
+            (the default) lets the engine choose
+            (:meth:`effective_panel_width`): one full-width panel on the
+            look-ahead engine (and ``auto``'s fallback) when ``m >= n``,
+            the paper's ``PAPER_PANEL_WIDTH = 16`` on a wide matrix and
+            on every other engine.  An explicit width is used as given.
             ``block_rows`` is the requested level-0 row-block height;
             ``None`` (the default) means the host rule of
             :func:`repro.core.tsqr.level0_rows`: blocks
@@ -488,7 +520,7 @@ class ExecutionPolicy:
     """
 
     path: str = "batched"
-    panel_width: int = 16
+    panel_width: int | None = None
     block_rows: int | None = None
     tree_shape: str = "quad"
     workers: int | None = None
@@ -510,7 +542,7 @@ class ExecutionPolicy:
             raise ValueError(
                 f"unknown execution path {self.path!r}; known: {PATH_NAMES}"
             )
-        if self.panel_width < 1:
+        if self.panel_width is not None and self.panel_width < 1:
             raise ValueError("panel_width must be positive")
         if self.block_rows is not None and self.block_rows < 1:
             raise ValueError("block_rows must be positive")
@@ -577,6 +609,10 @@ class ExecutionPolicy:
     def uses_cholqr(self) -> bool:
         """Whether the CholeskyQR2 fast-path engine runs first."""
         return self.spec.engine is CHOLQR
+
+    def effective_panel_width(self, m: int, n: int) -> int:
+        """The panel width this path's engine uses on an ``m x n`` matrix."""
+        return self.engine.panel_width(self, m, n)
 
     @property
     def effective_fanin(self) -> int:

@@ -140,15 +140,10 @@ class ServingPlan:
         self.dtype = np.dtype(dtype)
         self.policy = policy
         self.k = min(m, n)
+        pw = policy.effective_panel_width(m, n)
         self.panels = [
-            _PanelPlan(
-                c0,
-                min(policy.panel_width, self.k - c0),
-                m - c0,
-                policy.block_rows,
-                policy.tree_shape,
-            )
-            for c0 in range(0, self.k, policy.panel_width)
+            _PanelPlan(c0, min(pw, self.k - c0), m - c0, policy.block_rows, policy.tree_shape)
+            for c0 in range(0, self.k, pw)
         ]
         self._diag = np.arange(self.k)
         self._staging: np.ndarray | None = None

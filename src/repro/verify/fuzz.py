@@ -109,7 +109,7 @@ def _spec(name: str) -> PathSpec:
 
 def policy_for(
     name: str,
-    panel_width: int = 16,
+    panel_width: int | None = 16,
     block_rows: int | None = 64,
     tree_shape: str = "quad",
     nonfinite: str = "raise",
@@ -138,7 +138,7 @@ class FuzzCase:
     dtype: str = "float64"  # "float64" | "float32"
     order: str = "C"  # "C" | "F" | "strided"
     kind: str = "gauss"  # "gauss" | "graded" | "huge" | "tiny"
-    panel_width: int = 16
+    panel_width: int | None = 16  # None: the engine's default (one tall look-ahead panel)
     block_rows: int | None = 64  # None: the host default (tsqr.level0_rows)
     tree_shape: str = "quad"
     seed: int = 0
@@ -394,9 +394,13 @@ CORE_SHAPES: tuple[tuple[int, int], ...] = (
 )
 
 # (dtype, order, kind, panel_width, block_rows, tree_shape)
-CORE_VARIANTS: tuple[tuple[str, str, str, int, int | None, str], ...] = (
+CORE_VARIANTS: tuple[tuple[str, str, str, int | None, int | None, str], ...] = (
     ("float64", "C", "gauss", 16, 64, "quad"),
-    ("float64", "C", "gauss", 16, None, "quad"),  # the host default geometry
+    ("float64", "C", "gauss", 16, None, "quad"),  # the host default blocks
+    # The unset width: one full-width look-ahead panel on tall shapes.
+    # The float32 graded spectrum makes auto take that one-panel fallback.
+    ("float64", "C", "gauss", None, None, "quad"),
+    ("float32", "C", "graded", None, None, "binary"),
     ("float32", "C", "gauss", 16, 64, "quad"),
     ("float64", "F", "graded", 4, 8, "binary"),
     # A float32 graded spectrum overwhelms the float32 Gram condition
@@ -414,10 +418,16 @@ _RANDOM_AXES = {
     "dtype": ("float64", "float32"),
     "order": ("C", "F", "strided"),
     "kind": ("gauss", "graded", "huge", "tiny"),
-    "panel_width": (3, 4, 5, 8, 16, 17),
+    "panel_width": (3, 4, 5, 8, 16, 17, None),
     "block_rows": (4, 8, 16, 64, None),
     "tree_shape": ("quad", "binary", "binomial", "flat"),
 }
+
+
+def _pick(rng: np.random.Generator, axis: str):
+    """One draw from a random axis that may hold ``None`` (not an ndarray dtype)."""
+    values = _RANDOM_AXES[axis]
+    return values[int(rng.integers(len(values)))]
 
 
 def generate_cases(seed: int = 0, n_random: int = 60, quick: bool = False) -> list[FuzzCase]:
@@ -450,10 +460,8 @@ def generate_cases(seed: int = 0, n_random: int = 60, quick: bool = False) -> li
                 dtype=str(rng.choice(_RANDOM_AXES["dtype"])),
                 order=str(rng.choice(_RANDOM_AXES["order"])),
                 kind=str(rng.choice(_RANDOM_AXES["kind"])),
-                panel_width=int(rng.choice(_RANDOM_AXES["panel_width"])),
-                block_rows=_RANDOM_AXES["block_rows"][
-                    int(rng.integers(len(_RANDOM_AXES["block_rows"])))
-                ],
+                panel_width=_pick(rng, "panel_width"),
+                block_rows=_pick(rng, "block_rows"),
                 tree_shape=str(rng.choice(_RANDOM_AXES["tree_shape"])),
                 seed=seed + 1 + i,
             )

@@ -31,6 +31,12 @@ def _lookahead(A, threaded=None, **fields):
     return run_lookahead_schedule(sched, A, threaded=threaded)
 
 
+# An unset width is one full-width panel on a tall matrix (no trailing
+# update); the multi-panel tests below pin the paper's 16.  The one-panel
+# default is pinned against tsqr_qr in tests/runtime/test_plan.py.
+MULTI = {"panel_width": 16}
+
+
 def _residuals(A, f):
     Q = f.form_q()
     resid = np.linalg.norm(Q @ f.R - A) / np.linalg.norm(A)
@@ -42,6 +48,7 @@ def _residuals(A, f):
 def test_matches_serial_batched(shape, kw):
     rng = np.random.default_rng(7)
     A = rng.standard_normal(shape)
+    kw = {**MULTI, **kw}
     f = _lookahead(A, **kw)
     ref = caqr(A, policy=ExecutionPolicy(**kw))
     resid, orth = _residuals(A, f)
@@ -55,6 +62,7 @@ def test_threaded_bit_identical_to_serial(shape, kw):
     """Same tiling (workers), different engine (threaded) -> same bits."""
     rng = np.random.default_rng(3)
     A = rng.standard_normal(shape)
+    kw = {**MULTI, **kw}
     ft = _lookahead(A, workers=3, threaded=True, **kw)
     fs = _lookahead(A, workers=3, threaded=False, **kw)
     assert np.array_equal(ft.R, fs.R)
@@ -64,8 +72,8 @@ def test_threaded_bit_identical_to_serial(shape, kw):
 def test_lookahead_false_matches_lookahead_true():
     rng = np.random.default_rng(11)
     A = rng.standard_normal((600, 96))
-    fa = _lookahead(A, workers=3, lookahead_edge=True)
-    fb = _lookahead(A, workers=3, lookahead_edge=False)
+    fa = _lookahead(A, workers=3, lookahead_edge=True, **MULTI)
+    fb = _lookahead(A, workers=3, lookahead_edge=False, **MULTI)
     # The barrier graph runs the same tasks in a compatible order; the
     # per-task arithmetic is identical, so so are the results.
     assert np.array_equal(fa.R, fb.R)
@@ -75,7 +83,7 @@ def test_apply_qt_apply_q_match_reference():
     rng = np.random.default_rng(5)
     A = rng.standard_normal((800, 64))
     B = rng.standard_normal((800, 5))
-    f = _lookahead(A)
+    f = _lookahead(A, **MULTI)
     ref = caqr(A, policy=ExecutionPolicy())
     assert np.max(np.abs(f.apply_qt(B.copy()) - ref.apply_qt(B.copy()))) < 1e-12
     assert np.max(np.abs(f.apply_q(B.copy()) - ref.apply_q(B.copy()))) < 1e-12
@@ -88,7 +96,7 @@ def test_apply_qt_apply_q_match_reference():
 def test_form_q_columns_bit_identity_and_accuracy():
     rng = np.random.default_rng(9)
     A = rng.standard_normal((700, 90))
-    ft = _lookahead(A, workers=3)
+    ft = _lookahead(A, workers=3, **MULTI)
     Qt = form_q_columns(ft, workers=3, threaded=True)
     Qs = form_q_columns(ft, workers=3, threaded=False)
     assert np.array_equal(Qt, Qs)
@@ -153,13 +161,17 @@ DEFAULT_SHAPE = (4100, 40)
 
 def test_default_level0_rule_and_schedule():
     assert [level0_rows(None, w) for w in (1, 8, 16, 100)] == [32, 256, 512, 3200]
-    sched = build_lookahead_schedule(*DEFAULT_SHAPE, ExecutionPolicy(path="lookahead"))
+    sched = build_lookahead_schedule(*DEFAULT_SHAPE, ExecutionPolicy(path="lookahead", **MULTI))
     assert [(w, bh) for _, w, _, bh, _ in sched.panels] == [(16, 512), (16, 512), (8, 256)]
     # An explicit height at least the panel width is kept as given.
     sched = build_lookahead_schedule(
-        *DEFAULT_SHAPE, ExecutionPolicy(path="lookahead", block_rows=64)
+        *DEFAULT_SHAPE, ExecutionPolicy(path="lookahead", block_rows=64, **MULTI)
     )
     assert [bh for _, _, _, bh, _ in sched.panels] == [64, 64, 64]
+    # Unset, the width is one 40-column panel with 32 widths per block.
+    sched = build_lookahead_schedule(*DEFAULT_SHAPE, ExecutionPolicy(path="lookahead"))
+    assert [(w, bh) for _, w, _, bh, _ in sched.panels] == [(40, 1280)]
+    assert sched.panel_width == 40 and not sched.has_updates
 
 
 @pytest.mark.parametrize("shape", [DEFAULT_SHAPE, (1000, 37)])
@@ -168,7 +180,8 @@ def test_form_q_skipping_columns_is_bit_identical(shape, block_rows):
     """form_q applies each panel only right of its col_start; the skipped
     columns are exact zeros in the panel's rows, so nothing changes."""
     A = np.random.default_rng(31).standard_normal(shape)
-    f = _lookahead(A, block_rows=block_rows)
+    f = _lookahead(A, block_rows=block_rows, **MULTI)
+    assert len(f.panels) > 1
     k = min(shape)
     assert np.array_equal(f.form_q(), f.apply_q(np.eye(shape[0], k)))
     # The tiled formation skips per tile: each tile equals apply_q on the

@@ -140,7 +140,7 @@ class TestRegistry:
             producer("rpca_ialm")(400, 30),
             producer("sharded_reduction")(build_shard_schedule(4096, 64, shards=4)),
             producer("lookahead")(
-                build_lookahead_schedule(1024, 96, ExecutionPolicy(path="lookahead"))
+                build_lookahead_schedule(1024, 96, ExecutionPolicy(path="lookahead", panel_width=16))
             ),
         ]
         for tg in graphs:

@@ -37,7 +37,7 @@ def _producer_graphs():
             build_shard_schedule(8192, 64, shards=6, fanin=2)
         ),
         "lookahead": producer("lookahead")(
-            build_lookahead_schedule(2048, 96, ExecutionPolicy(path="lookahead"))
+            build_lookahead_schedule(2048, 96, ExecutionPolicy(path="lookahead", panel_width=16))
         ),
     }
 

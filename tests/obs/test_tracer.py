@@ -152,7 +152,8 @@ def test_coverage_serial_paths(rng):
 
 def test_coverage_threaded_lookahead(rng):
     A = rng.standard_normal((4096, 128))
-    policy = ExecutionPolicy(path="lookahead", workers=3)
+    # 16-wide panels, so the pool runs tiled trailing updates.
+    policy = ExecutionPolicy(path="lookahead", workers=3, panel_width=16)
     cov, t = _best_coverage(A, policy)
     assert len(t.thread_names) > 1  # pool workers were attributed
     assert cov >= 0.90

@@ -114,6 +114,22 @@ class TestFallbackSemantics:
         np.testing.assert_array_equal(auto.form_q(), Qla)
         np.testing.assert_array_equal(auto.R, Rla)
 
+    def test_fallback_span_names_its_geometry(self):
+        """The ``cholqr.fallback`` span records the tree's panel count and
+        level-0 height: unset, the fallback runs as one 32n-row panel."""
+        from repro import obs
+
+        A = _graded(4100, 40, 1e10)
+        for width, panels, block_rows in ((None, 1, 1280), (16, 3, 512)):
+            with obs.capture() as session:
+                f = run_cholqr(A, ExecutionPolicy(path="auto", panel_width=width))
+            assert f.fell_back
+            (span,) = [s for s in session.trace.spans if s.name == "cholqr.fallback"]
+            assert span.args["panels"] == panels
+            assert span.args["block_rows"] == block_rows
+            assert span.args["stage"] == f.fallback_stage
+            assert span.counters == {"cholqr_fallbacks": 1}
+
     def test_counters_nest_and_unwind(self):
         pol = ExecutionPolicy(path="auto", condition_limit=1.001)
         with count_fallbacks() as outer:

@@ -173,10 +173,13 @@ class TestDefaultGeometry:
         np.testing.assert_array_equal(Ra, Rl)
 
     def test_auto_fallback_schedule_at_paper_shape(self):
-        plan = plan_qr(110592, 100, policy=ExecutionPolicy(path="auto"))
+        # 16-wide panels (unset, the fallback is one panel: TestOnePanelDefault).
+        plan = plan_qr(110592, 100, policy=ExecutionPolicy(path="auto", panel_width=16))
         assert [bh for _, _, _, bh, _ in plan._schedule.panels] == [512] * 6 + [128]
         assert "512 x6, 128 x1 (tree fallback)" in plan.describe()
-        pinned = plan_qr(110592, 100, policy=ExecutionPolicy(path="auto", block_rows=64))
+        pinned = plan_qr(
+            110592, 100, policy=ExecutionPolicy(path="auto", panel_width=16, block_rows=64)
+        )
         assert [bh for _, _, _, bh, _ in pinned._schedule.panels] == [64] * 7
         assert "64 x7" in pinned.describe()
 
@@ -194,12 +197,179 @@ class TestDefaultGeometry:
         monkeypatch.setattr(
             executor, "_build_recipe", lambda *key: calls.append(key) or build(*key)
         )
-        plan = plan_qr(*self.SHAPE, policy=ExecutionPolicy(path="auto"))
+        plan = plan_qr(*self.SHAPE, policy=ExecutionPolicy(path="auto", panel_width=16))
         assert len(calls) == 3  # one capture per fallback panel
         with count_fallbacks() as fb:
             plan.execute(_graded(*self.SHAPE))
         assert fb.fallbacks == 1
         assert len(calls) == 3
+        # Unset, the fallback is one panel: one capture.
+        calls.clear()
+        plan = plan_qr(*self.SHAPE, policy=ExecutionPolicy(path="auto"))
+        assert calls == [(self.SHAPE[0], self.SHAPE[1], 1280, "quad")]
+        with count_fallbacks() as fb:
+            plan.execute(_graded(*self.SHAPE))
+        assert fb.fallbacks == 1 and len(calls) == 1
+
+
+class TestOnePanelDefault:
+    """Unset panel_width: one full-width look-ahead panel when m >= n.
+
+    One panel has no trailing update, so the look-ahead plan is TSQR of
+    the whole matrix: its Q and R equal ``tsqr_qr``'s bit for bit, and
+    so do ``auto``'s fallbacks.  Wide matrices and every other engine
+    keep the paper's 16; an explicit width is used as given.
+    """
+
+    # A ragged tail, a tail thinner than the panel (the generic TSQR
+    # path), one block, m = n and n = 1, over every tree shape.
+    CASES = [
+        ((4100, 40), "quad"),  # three 1280-row blocks + a 260-row tail
+        ((6000, 20), "binary"),  # nine 640-row blocks + a 240-row tail
+        ((4100, 40), "binomial"),
+        ((2580, 40), "flat"),  # a 20-row tail, thinner than the panel
+        ((63, 17), "quad"),  # one block
+        ((300, 300), "binary"),  # m = n
+        ((2000, 1), "quad"),  # n = 1
+    ]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("shape,tree", CASES)
+    def test_default_lookahead_is_tsqr_bit_for_bit(self, shape, tree, dtype):
+        from repro.core.tsqr import tsqr_qr
+
+        A = np.random.default_rng(43).standard_normal(shape).astype(dtype)
+        plan = plan_qr(*shape, dtype, ExecutionPolicy(path="lookahead", tree_shape=tree))
+        assert [(p.width, p.trailing_cols) for p in plan.panels] == [(shape[1], 0)]
+        Q, R = plan.execute(A)
+        Qt, Rt = tsqr_qr(A, policy=ExecutionPolicy(tree_shape=tree))
+        assert Q.dtype == R.dtype == dtype
+        np.testing.assert_array_equal(Q, Qt)
+        np.testing.assert_array_equal(R, Rt)
+
+    def test_auto_fallback_is_tsqr(self):
+        from repro.core.tsqr import tsqr_qr
+        from repro.runtime import count_fallbacks
+
+        # 100 columns: wide enough that forming Q as apply_q(I) would
+        # differ from TSQR's orgqr form in the last bits.
+        A = _graded(5000, 100)
+        before = A.copy()
+        plan = plan_qr(*A.shape, policy=ExecutionPolicy(path="auto"))
+        with count_fallbacks() as fb:
+            Qa, Ra = plan.execute(A)
+        assert fb.fallbacks == 1
+        Qt, Rt = tsqr_qr(A)
+        np.testing.assert_array_equal(Qa, Qt)
+        np.testing.assert_array_equal(Ra, Rt)
+        np.testing.assert_array_equal(A, before)
+
+    @pytest.mark.parametrize("order", ["C", "F", "strided"])
+    def test_one_panel_reads_a_in_place(self, order):
+        """No trailing update: no working copy, and A is left unchanged."""
+        from repro import obs
+
+        A = np.random.default_rng(47).standard_normal((4100, 40))
+        if order == "F":
+            A = np.asfortranarray(A)
+        elif order == "strided":
+            A = np.repeat(A, 2, axis=1)[:, ::2]
+        before = A.copy()
+        one = plan_qr(*A.shape, policy=ExecutionPolicy(path="lookahead"))
+        multi = plan_qr(*A.shape, policy=ExecutionPolicy(path="lookahead", panel_width=16))
+        with obs.capture() as session:
+            f = one.factor(A)
+        assert not [s for s in session.trace.spans if s.name == "setup"]
+        np.testing.assert_array_equal(A, before)
+        Qc, Rc = one.execute(np.ascontiguousarray(A))
+        np.testing.assert_array_equal(f.form_q(), Qc)
+        np.testing.assert_array_equal(f.R, Rc)
+        with obs.capture() as session:
+            multi.factor(A)
+        assert len([s for s in session.trace.spans if s.name == "setup"]) == 1
+        np.testing.assert_array_equal(A, before)
+
+    def test_one_panel_form_q_is_tsqrs(self, monkeypatch):
+        """One panel forms Q as TSQR does (to roundoff of ``apply_q(I)``);
+        more panels keep the column-skipping ``apply_q``."""
+        import repro.graph.executor as executor
+
+        calls = []
+        real = executor._plan_form_q
+        monkeypatch.setattr(
+            executor, "_plan_form_q", lambda *a: calls.append(a[1:]) or real(*a)
+        )
+        A = np.random.default_rng(53).standard_normal((20000, 64))
+        f = plan_qr(*A.shape, policy=ExecutionPolicy(path="lookahead")).factor(A)
+        assert len(f.panels) == 1 and f.panel_width == 64
+        Q = f.form_q()
+        assert calls == [(20000, 64)]
+        assert np.abs(Q - f.apply_q(np.eye(*Q.shape))).max() < 1e-15
+        pinned = ExecutionPolicy(path="lookahead", panel_width=16)
+        plan_qr(*A.shape, policy=pinned).factor(A).form_q()
+        assert calls == [(20000, 64)]
+
+    def test_wide_and_other_engines_keep_sixteen(self):
+        from repro.graph.executor import build_lookahead_schedule
+
+        def widths(m, n, **kw):
+            return [p.width for p in plan_qr(m, n, policy=ExecutionPolicy(**kw)).panels]
+
+        # Wide: the unset width is the paper's 16, schedule for schedule.
+        for path in ("lookahead", "auto"):
+            assert widths(300, 2000, path=path) == [16] * 18 + [12]
+        unset = build_lookahead_schedule(300, 2000, ExecutionPolicy(path="lookahead"))
+        pinned = build_lookahead_schedule(
+            300, 2000, ExecutionPolicy(path="lookahead", panel_width=16)
+        )
+        assert (unset.panels, unset.tasks) == (pinned.panels, pinned.tasks)
+        # Every other engine keeps 16 on tall matrices too.
+        for kw in ({"path": "batched"}, {"path": "structured"}, {"path": "seed"},
+                   {"path": "sharded", "shards": 2}, {"path": "streaming", "chunk_rows": 512}):
+            assert "panel_width=16 " in plan_qr(1000, 40, policy=ExecutionPolicy(**kw)).describe()
+            if kw["path"] != "sharded":  # a sharded plan's panels are per rank
+                assert widths(1000, 40, **kw)[:2] == [16, 16], kw
+        assert widths(1000, 40, path="cholqr2") == []
+
+    @pytest.mark.parametrize("width", [1, 8, 16, 32, 40, 64])
+    def test_explicit_width_used_as_given(self, width):
+        from repro.core.tsqr import level0_rows
+        from repro.graph.executor import build_lookahead_schedule
+
+        m, n = 1000, 40
+        for path in ("lookahead", "auto", "batched"):
+            plan = plan_qr(m, n, policy=ExecutionPolicy(path=path, panel_width=width))
+            starts = list(range(0, n, width))
+            assert [p.col_start for p in plan.panels] == starts
+            assert [p.width for p in plan.panels] == [min(width, n - c) for c in starts]
+        sched = build_lookahead_schedule(
+            m, n, ExecutionPolicy(path="lookahead", panel_width=width)
+        )
+        assert sched.panels == tuple(
+            (c, min(width, n - c), c, level0_rows(None, min(width, n - c)),
+             n - c - min(width, n - c))
+            for c in range(0, n, width)
+        )
+        f = caqr(np.random.default_rng(59).standard_normal((m, n)),
+                 policy=ExecutionPolicy(path="lookahead", panel_width=width))
+        assert f.panel_width == width
+
+    def test_auto_scratch_counts_its_fallback(self):
+        """An ``auto`` plan reports the larger of its Gram smalls and its
+        fallback's compact-WY factors, the scratch a fallback allocates."""
+        m, n = 110592, 100
+        auto = plan_qr(m, n, policy=ExecutionPolicy(path="auto"))
+        tree = plan_qr(m, n, policy=ExecutionPolicy(path="lookahead"))
+        assert auto.wy_scratch_bytes == tree.wy_scratch_bytes == 97_040_000
+        assert auto.panels == tree.panels and len(auto.panels) == 1
+        text = auto.describe()
+        assert "panel_width=100" in text and "panels       1" in text
+        assert "wy scratch   97.04 MB" in text and "3200 x1 (tree fallback)" in text
+        sixteen = plan_qr(m, n, policy=ExecutionPolicy(path="auto", panel_width=16))
+        assert sixteen.wy_scratch_bytes == 95_858_816
+        # No fallback, no tree: the Gram and triangular smalls only.
+        strict = plan_qr(m, n, policy=ExecutionPolicy(path="cholqr2"))
+        assert strict.wy_scratch_bytes == 3 * n * n * 8 and strict.panels == ()
 
 
 class TestDirectIsAPlan:

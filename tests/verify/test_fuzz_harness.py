@@ -47,6 +47,14 @@ class TestDeterminism:
         c = FuzzCase(17, 5, seed=9)
         np.testing.assert_array_equal(c.build(), c.build())
 
+    def test_unset_width_is_covered(self):
+        """The grid runs the engines' default width, where ``lookahead``
+        (and ``auto``'s fallback) is one full-width panel."""
+        quick = generate_cases(seed=0, quick=True)
+        unset = {(c.dtype, c.kind) for c in quick if c.panel_width is None}
+        assert {("float64", "gauss"), ("float32", "graded")} <= unset
+        assert any(c.panel_width is None for c in generate_cases(seed=0)[len(quick):])
+
     def test_wide_matrix_coverage_guaranteed(self):
         cases = generate_cases(seed=0)
         assert any(c.m < c.n for c in cases)
@@ -93,6 +101,22 @@ class TestHarnessDetects:
         assert {d.path for d in divs} == {"tsqr_structured"}
         assert divs[0].check == "invariants"
         assert run_case(FuzzCase(0, 5), paths=["batched"]) == []
+
+    def test_unset_width_repro_reproduces_the_case(self):
+        from repro.core.caqr import caqr_qr
+        from repro.runtime import count_fallbacks
+
+        case = FuzzCase(1100, 20, dtype="float32", kind="graded", panel_width=None,
+                        block_rows=None, tree_shape="binary")
+        snippet = case.repro("auto")
+        assert "panel_width=None" in snippet
+        ns: dict = {}
+        with count_fallbacks() as fb:
+            exec(snippet, ns)  # noqa: S102 - the point of the test
+        assert fb.fallbacks == 1  # the one-panel fallback ran
+        Q, R = caqr_qr(case.build(), policy=case.policy("auto"))
+        np.testing.assert_array_equal(ns["Q"], Q)
+        np.testing.assert_array_equal(ns["R"], R)
 
     @pytest.mark.parametrize("name", ["tsqr", "tsqr_structured", "cgs2"])
     def test_reference_snippets_are_executable(self, name):
