@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Level-0 block-height and panel-width sweeps for TSQR and look-ahead CAQR.
+"""Row-block sweeps: TSQR level-0 heights, look-ahead panel widths, IALM chunks.
 
 ``--sweep tsqr`` times ``tsqr`` factor plus ``form_q`` (best of
 ``--reps``) with level-0 blocks of n, 4n, 8n, 16n, 32n, 64n and 128n
@@ -36,6 +36,15 @@ ten SciPy ``dgeqrt`` calls on 3200 x 100 blocks (TSQR's level-0
 factor), the burst at the same gaps after the GEMM, and both after a
 1 s rest (median of ``--reps`` rounds, each probe from a rested start).
 
+``--sweep ialm`` times the IALM loop's two elementwise passes
+(:class:`repro.rpca.ialm.IALMWorkspace`: pass 1 forms the SVT input,
+pass 2 the shrinkage, residual and dual update) at 110592 x 100 with
+row chunks of 16 KB to 8 MB per operand, next to the whole-array
+expressions they replace.  Rounds run every cell once, each cell on a
+fresh workspace after an untimed pass of each kind, and the table
+reports the best of ``--reps`` rounds; the fastest budget is
+``repro.rpca.ialm.CHUNK_BYTES``.
+
 Usage::
 
     python benchmarks/bench_block_height.py                      # tsqr and lookahead sweeps, a few minutes
@@ -43,6 +52,7 @@ Usage::
     python benchmarks/bench_block_height.py --sweep lookahead --reps 3
     python benchmarks/bench_block_height.py --sweep panel --reps 5     # ~6 min
     python benchmarks/bench_block_height.py --sweep handoff --reps 7   # ~1 min
+    python benchmarks/bench_block_height.py --sweep ialm --reps 7      # ~1 min
 """
 
 from __future__ import annotations
@@ -62,6 +72,8 @@ except ImportError:
 
 from repro.core.tsqr import tsqr  # noqa: E402
 from repro.core.validation import factorization_error, orthogonality_error  # noqa: E402
+from repro.rpca.ialm import CHUNK_BYTES, IALMWorkspace  # noqa: E402
+from repro.rpca.shrinkage import shrink  # noqa: E402
 from repro.runtime import ExecutionPolicy, plan_qr  # noqa: E402
 
 SHAPES = ((110592, 100), (200000, 80), (50000, 256), (16384, 128))
@@ -76,6 +88,8 @@ HANDOFF_SHAPE = (110592, 100)
 HANDOFF_BLOCK_ROWS, HANDOFF_BURST = 3200, 10  # ten dgeqrt calls on level-0 blocks
 HANDOFF_GAPS = (0.0, 0.05, 0.1, 0.2, 0.4)  # idle seconds between the two calls
 REST_S = 1.0
+IALM_SHAPE = (110592, 100)
+IALM_BUDGETS = tuple(16 * 1024 * 2**k for k in range(10))  # 16 KB .. 8 MB per operand chunk
 SEED = 0
 
 
@@ -227,9 +241,66 @@ def sweep_handoff(reps: int) -> None:
         print(f"| {label} | " + " | ".join(ms[i * g : (i + 1) * g] + [ms[2 * g + i]]) + " |")
 
 
+def sweep_ialm(reps: int) -> None:
+    m, n = IALM_SHAPE
+    rng = np.random.default_rng(SEED)
+    M = rng.standard_normal((m, n))
+    Y0 = M / 10.0
+    L0 = np.outer(rng.standard_normal(m), rng.standard_normal(n))
+    mu, tau = 1.0, 0.5
+
+    def workspace(budget: int) -> IALMWorkspace:
+        ws = IALMWorkspace(M, Y0.copy(), chunk_bytes=budget)
+        np.copyto(ws.L, L0)
+        return ws
+
+    def whole_array(ws: IALMWorkspace):
+        def pass1() -> None:
+            ws.X = M - ws.S + ws.Y / mu
+
+        def pass2() -> None:
+            ws.S = shrink(M - ws.L + ws.Y / mu, tau)
+            residual = M - ws.L - ws.S
+            ws.Y = ws.Y + mu * residual
+            ws.X = residual
+
+        return pass1, pass2
+
+    def fused(ws: IALMWorkspace):
+        return (lambda: ws.svt_input(mu)), (lambda: ws.update(ws.L, mu, tau))
+
+    cells = [(b, fused) for b in IALM_BUDGETS] + [(CHUNK_BYTES, whole_array)]
+    best = [[float("inf"), float("inf")] for _ in cells]
+    for _ in range(reps):
+        for cell, (budget, kind) in zip(best, cells):
+            ws = workspace(budget)
+            passes = kind(ws)
+            for k, fn in enumerate(passes):
+                fn()  # untimed: faults in the pages the timed call writes
+                t0 = time.perf_counter()
+                fn()
+                cell[k] = min(cell[k], time.perf_counter() - t0)
+            del ws, passes
+    totals = [sum(c) for c in best[:-1]]
+    win = int(np.argmin(totals))
+    print(f"IALM passes at {m}×{n}, ms, best of {reps}")
+    print()
+    print("| chunk per operand | rows | pass 1 | pass 2 | total |")
+    print("|---|---|---|---|---|")
+    for i, ((budget, kind), (p1, p2)) in enumerate(zip(cells, best)):
+        if kind is whole_array:
+            label, rows = "whole array", f"{m}"
+        else:
+            label = f"{budget // 1024} KB" if budget < 2**20 else f"{budget // 2**20} MB"
+            label += " (fastest)" if i == win else ""
+            rows = f"{max(1, min(m, budget // (n * 8)))}"
+        print(f"| {label} | {rows} | {p1 * 1e3:.1f} | {p2 * 1e3:.1f} | {(p1 + p2) * 1e3:.1f} |",
+              flush=True)
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--sweep", choices=("tsqr", "lookahead", "panel", "handoff", "all"),
+    ap.add_argument("--sweep", choices=("tsqr", "lookahead", "panel", "handoff", "ialm", "all"),
                     default="all")
     ap.add_argument("--shape", action="append", metavar="MxN",
                     help="TSQR or panel sweep shape (repeatable; default: the sweep's own)")
@@ -246,6 +317,8 @@ def main() -> int:
         sweep_panel(shapes or PANEL_SHAPES, args.reps)
     if args.sweep == "handoff":
         sweep_handoff(args.reps)
+    if args.sweep == "ialm":
+        sweep_ialm(args.reps)
     return 0
 
 

@@ -39,10 +39,12 @@ matches itself exactly across ``threaded=True/False``.  The
 
 from __future__ import annotations
 
+import os
 import threading
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -431,8 +433,44 @@ def _col_tiles(lo: int, hi: int, first_w: int, workers: int) -> list[tuple[int, 
     return tiles
 
 
+_POOLS: dict[int, tuple[int, ThreadPoolExecutor]] = {}
+_POOLS_LOCK = threading.Lock()
+_POOL_THREAD = threading.local()
+
+
+def _mark_pool_thread() -> None:
+    _POOL_THREAD.inside = True
+
+
+def _shared_pool(workers: int) -> ThreadPoolExecutor | None:
+    """The process's pool of ``workers`` threads, started once and reused.
+
+    Starting and joining the threads of a fresh pool took ~1.6 ms of a
+    ~27 ms threaded look-ahead run at 4096 x 128 (three spawns and three
+    joins, with no task running).  ``None`` inside a pool thread: a
+    nested run gets a pool of its own, so no task waits on the threads it
+    occupies.  A forked child starts its own pool.
+    """
+    if getattr(_POOL_THREAD, "inside", False):
+        return None
+    pid = os.getpid()
+    with _POOLS_LOCK:
+        entry = _POOLS.get(workers)
+        if entry is None or entry[0] != pid:
+            entry = _POOLS[workers] = (pid, ThreadPoolExecutor(
+                max_workers=workers, thread_name_prefix=f"repro-graph-{workers}",
+                initializer=_mark_pool_thread,
+            ))
+    return entry[1]
+
+
 def _run_threaded(tasks: list[_Task], workers: int) -> None:
-    """Dependency-counting execution of ``tasks`` on a thread pool."""
+    """Dependency-counting execution of ``tasks`` on a thread pool.
+
+    A worker that finishes a task runs its first newly ready dependent
+    itself and submits only the rest, so a dependency chain (factor ->
+    first-tile update -> next factor) never waits for a pool hand-off.
+    """
     n = len(tasks)
     if n == 0:
         # A degenerate factorization (0 panels) has no tasks; waiting on
@@ -448,36 +486,59 @@ def _run_threaded(tasks: list[_Task], workers: int) -> None:
     done = threading.Event()
     state = {"remaining": n, "error": None}
 
-    def submit(pool: ThreadPoolExecutor, i: int) -> None:
-        pool.submit(run, pool, i)
-
     def run(pool: ThreadPoolExecutor, i: int) -> None:
-        try:
-            if state["error"] is None:
-                tasks[i].fn()
-        except BaseException as exc:  # propagate the first failure
-            with lock:
+        while True:
+            try:
                 if state["error"] is None:
-                    state["error"] = exc
-        ready: list[int] = []
-        with lock:
-            state["remaining"] -= 1
-            if state["remaining"] == 0:
-                done.set()
-            for j in dependents[i]:
-                indegree[j] -= 1
-                if indegree[j] == 0:
-                    ready.append(j)
-        for j in ready:
-            submit(pool, j)
+                    tasks[i].fn()
+            except BaseException as exc:  # propagate the first failure
+                with lock:
+                    if state["error"] is None:
+                        state["error"] = exc
+            ready: list[int] = []
+            with lock:
+                state["remaining"] -= 1
+                if state["remaining"] == 0:
+                    done.set()
+                for j in dependents[i]:
+                    indegree[j] -= 1
+                    if indegree[j] == 0:
+                        ready.append(j)
+            if not ready:
+                return
+            for j in ready[1:]:
+                pool.submit(run, pool, j)
+            i = ready[0]
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        roots = [i for i in range(n) if indegree[i] == 0]
+    roots = [i for i in range(n) if indegree[i] == 0]
+
+    def start(pool: ThreadPoolExecutor) -> None:
         for i in roots:
-            submit(pool, i)
+            pool.submit(run, pool, i)
         done.wait()
+
+    pool = _shared_pool(workers)
+    if pool is None:
+        with ThreadPoolExecutor(max_workers=workers, initializer=_mark_pool_thread) as own:
+            start(own)
+    else:
+        start(pool)
     if state["error"] is not None:
         raise state["error"]
+
+
+def _execute(fns: list, deps: list, workers: int, threaded: bool) -> None:
+    """Run ``fns`` (in static order; ``None`` entries are skipped) whose
+    ``deps`` are positions in that order: serially, or on the pool."""
+    if not threaded or workers <= 1:
+        for fn in fns:
+            if fn is not None:
+                fn()
+        return
+    _run_threaded(
+        [_Task(fn=fn if fn is not None else (lambda: None), deps=d) for fn, d in zip(fns, deps)],
+        workers,
+    )
 
 
 def run_task_graph(
@@ -517,21 +578,13 @@ def run_task_graph(
                 fn()
         return run
 
-    if not threaded or workers <= 1:
-        for key in order:
-            fn = payload(key)
-            if fn is not None:
-                fn()
-        return
     pos = {key: i for i, key in enumerate(order)}
-    tasks = []
-    for key in order:
-        fn = payload(key)
-        tasks.append(
-            _Task(fn=fn if fn is not None else (lambda: None),
-                  deps=[pos[d] for d in tg.task(key).deps])
-        )
-    _run_threaded(tasks, workers)
+    _execute(
+        [payload(key) for key in order],
+        [[pos[d] for d in tg.task(key).deps] for key in order],
+        workers,
+        threaded,
+    )
 
 
 @dataclass(frozen=True)
@@ -568,6 +621,23 @@ class LookaheadSchedule:
     def has_updates(self) -> bool:
         """Whether any task writes the working matrix (a trailing update)."""
         return any(t.kind == "update" for t in self.tasks)
+
+    @cached_property
+    def compiled_order(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """The task graph's static order, compiled once per schedule.
+
+        ``(order, deps)``: ``order[k]`` is the schedule index of the k-th
+        task to issue and ``deps[k]`` the positions in ``order`` it waits
+        on — what :func:`run_task_graph` derives from
+        :func:`emit_lookahead_layers` on every call, kept so a run only
+        binds its payloads.
+        """
+        tg = emit_lookahead_layers(self)
+        keys = static_order(tg)
+        pos = {key: k for k, key in enumerate(keys)}
+        order = tuple(tg.task(key).seq for key in keys)
+        deps = tuple(tuple(pos[d] for d in tg.task(key).deps) for key in keys)
+        return order, deps
 
 
 def build_lookahead_schedule(m: int, n: int, policy: ExecutionPolicy) -> LookaheadSchedule:
@@ -609,10 +679,12 @@ def build_lookahead_schedule(m: int, n: int, policy: ExecutionPolicy) -> Lookahe
                 tasks.append(_TaskSpec(kind="update", panel=p, lo=lo, hi=hi, deps=deps))
                 updates.append((u_id, (lo, hi)))
         prev_updates = updates
-    return LookaheadSchedule(
+    sched = LookaheadSchedule(
         m=m, n=n, policy=policy, panels=tuple(panels), tasks=tuple(tasks),
         panel_width=width,
     )
+    sched.compiled_order  # compiled here, at plan time, not on the first run
+    return sched
 
 
 def emit_lookahead_layers(
@@ -708,11 +780,11 @@ def run_lookahead_schedule(
 
         bind.append(fn)
 
-    # Compile to the shared graph representation and run on the shared
-    # engine — serial static order and the thread pool execute the same
+    # Run the schedule's compiled task graph on the shared engine, in its
+    # static order — serial order and the thread pool execute the same
     # tasks on the same operands, so both are bit-identical.
-    tg = emit_lookahead_layers(sched, bind=bind)
-    run_task_graph(tg, workers=workers, threaded=threaded and workers > 1)
+    order, deps = sched.compiled_order
+    _execute([bind[i] for i in order], deps, workers, threaded)
 
     # Assemble R: the trailing updates left every super-diagonal entry in
     # W; panel diagonal blocks come from the panels' own R factors (the

@@ -6,19 +6,20 @@ The Section VI-C loop body — singular-value threshold via QR (Figure
 same executor (and gets the same per-task obs spans) as CAQR, rSVD and
 the sharded reduction:
 
-* ``qr`` — form ``X = M - S + Y/mu`` and factor it with the tall-skinny
-  QR engine (the step worth 30x end to end per Table II);
-* ``svt`` — small Jacobi SVD of R, soft-threshold, reassemble ``L``;
-* ``shrink`` — ``S = shrink(M - L + Y/mu, lam/mu)``;
-* ``residual`` — ``M - L - S``, the dual update ``Y += mu·residual``
-  and the penalty growth ``mu = min(mu·rho, mu_max)``.
+* ``qr`` — pass 1 (``X = M - S + Y/mu``) and the tall-skinny QR of X
+  (the step worth 30x end to end per Table II);
+* ``svt`` — small Jacobi SVD of R, ``Q @ U_small``, soft-threshold and
+  rebuild of ``L``;
+* ``shrink`` — pass 2: ``S = shrink(M - L + Y/mu, lam/mu)``, the
+  residual ``M - L - S`` and the dual update ``Y += mu·residual``;
+* ``residual`` — the residual norm and the penalty growth
+  ``mu = min(mu·rho, mu_max)``.
 
-The tasks replicate, operation for operation, what
-:func:`repro.rpca.ialm.rpca_ialm` does through
-:func:`~repro.rpca.svt.singular_value_threshold` /
-:func:`~repro.core.ts_svd.tall_skinny_svd` with the default engines —
-``rpca_ialm(..., engine="graph")`` is therefore bit-identical to the
-direct loop.  Registered as the ``rpca_ialm`` producer in
+The tasks call the kernels the direct loop calls
+(:class:`~repro.rpca.ialm.IALMWorkspace`,
+:func:`~repro.rpca.svt.svt_from_qr`) on the same workspace, so
+``rpca_ialm(..., engine="graph")`` is bit-identical to the direct loop
+by construction.  Registered as the ``rpca_ialm`` producer in
 :data:`repro.graph.highlevel.PRODUCERS`.
 """
 
@@ -26,12 +27,10 @@ from __future__ import annotations
 
 from typing import Callable
 
-import numpy as np
-
-from repro.core.jacobi_svd import jacobi_svd
 from repro.core.tsqr import tsqr_qr
 
-from .shrinkage import shrink
+from .ialm import IALMWorkspace, RPCAResult
+from .svt import svt_from_qr
 
 __all__ = ["emit_ialm_layers", "run_ialm_graph"]
 
@@ -43,9 +42,9 @@ def emit_ialm_layers(m: int, n: int, bind: dict | None = None):
     re-run every iteration (the closures read their operands from the
     ``bind`` state each time, so no re-emission is needed as ``mu``
     grows).  Without ``bind`` the graph is structural (``fn=None``).
-    ``bind`` must hold ``M``/``S``/``L``/``Y``/``mu``/``lam`` plus the
-    constants ``rho``/``mu_max``; the tasks update ``L``, ``S``, ``Y``,
-    ``mu`` and deposit ``rank`` and ``res_norm``.
+    ``bind`` must hold the :class:`~repro.rpca.ialm.IALMWorkspace` as
+    ``ws`` plus ``mu``/``lam``/``rho``/``mu_max``; the tasks update the
+    workspace and ``mu`` and deposit ``rank`` and ``res_norm``.
     """
     if m < 1 or n < 1:
         raise ValueError("matrix dimensions must be positive")
@@ -59,26 +58,19 @@ def emit_ialm_layers(m: int, n: int, bind: dict | None = None):
         return f if st is not None else None
 
     def do_qr() -> None:
-        X = st["M"] - st["S"] + st["Y"] / st["mu"]
-        st["Q"], st["R"] = tsqr_qr(X)
+        st["ws"].svt_input(st["mu"])
+        st["Q"], st["R"] = tsqr_qr(st["ws"].X)
 
     def do_svt() -> None:
-        tau = 1.0 / st["mu"]
-        U_small, s, Vt = jacobi_svd(st["R"])
-        U = st["Q"] @ U_small
-        s_thr = shrink(s, tau)
-        rank = int(np.count_nonzero(s_thr))
-        st["L"] = (U[:, :rank] * s_thr[:rank]) @ Vt[:rank]
-        st["rank"] = rank
+        ws = st["ws"]
+        st["rank"] = svt_from_qr(st.pop("Q"), st.pop("R"), 1.0 / st["mu"], ws.X, ws.L)
 
     def do_shrink() -> None:
-        st["S"] = shrink(st["M"] - st["L"] + st["Y"] / st["mu"], st["lam"] / st["mu"])
+        st["ws"].update(st["ws"].L, st["mu"], st["lam"] / st["mu"])
 
     def do_residual() -> None:
-        residual_mat = st["M"] - st["L"] - st["S"]
-        st["Y"] = st["Y"] + st["mu"] * residual_mat
         st["mu"] = min(st["mu"] * st["rho"], st["mu_max"])
-        st["res_norm"] = float(np.linalg.norm(residual_mat))
+        st["res_norm"] = st["ws"].residual_norm()
 
     tg = TaskGraph(name=f"rpca_ialm[{m}x{n}]")
     prev = tg.add_task("qr", ("qr",), payload(do_qr))
@@ -89,11 +81,8 @@ def emit_ialm_layers(m: int, n: int, bind: dict | None = None):
 
 
 def run_ialm_graph(
-    M: np.ndarray,
+    ws: IALMWorkspace,
     *,
-    Y: np.ndarray,
-    S: np.ndarray,
-    L: np.ndarray,
     mu: float,
     mu_max: float,
     lam: float,
@@ -102,7 +91,7 @@ def run_ialm_graph(
     max_iter: int,
     norm_M: float,
     callback: Callable[[int, float], None] | None = None,
-):
+) -> RPCAResult:
     """The IALM loop with each iteration executed as a task graph.
 
     Called by :func:`repro.rpca.ialm.rpca_ialm` (``engine="graph"``)
@@ -111,19 +100,9 @@ def run_ialm_graph(
     loop with the default SVT pipeline.
     """
     from repro.graph.executor import run_task_graph
-    from repro.rpca.ialm import RPCAResult
 
-    st: dict = {
-        "M": M,
-        "Y": Y,
-        "S": S,
-        "L": L,
-        "mu": mu,
-        "mu_max": mu_max,
-        "lam": lam,
-        "rho": rho,
-    }
-    tg = emit_ialm_layers(*M.shape, bind=st)
+    st: dict = {"ws": ws, "mu": mu, "mu_max": mu_max, "lam": lam, "rho": rho}
+    tg = emit_ialm_layers(*ws.M.shape, bind=st)
     residuals: list[float] = []
     ranks: list[int] = []
     converged = False
@@ -139,8 +118,8 @@ def run_ialm_graph(
             converged = True
             break
     return RPCAResult(
-        L=st["L"],
-        S=st["S"],
+        L=ws.L,
+        S=ws.S,
         n_iterations=it,
         converged=converged,
         residuals=residuals,

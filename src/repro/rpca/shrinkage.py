@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["shrink"]
+__all__ = ["shrink", "shrink_into"]
 
 
 def shrink(X: np.ndarray, tau: float) -> np.ndarray:
@@ -22,7 +22,17 @@ def shrink(X: np.ndarray, tau: float) -> np.ndarray:
     if tau < 0:
         raise ValueError("shrinkage threshold must be non-negative")
     X = np.asarray(X, dtype=float)
-    out = np.abs(X, out=np.empty_like(X))  # an array even for 0-d X
+    return shrink_into(X, tau, np.empty_like(X))  # an array even for 0-d X
+
+
+def shrink_into(X: np.ndarray, tau: float, out: np.ndarray) -> np.ndarray:
+    """:func:`shrink` of the float array ``X`` written into ``out``.
+
+    The same four ufuncs in the same order, so the result is bit for bit
+    :func:`shrink`'s.  ``out`` must not overlap ``X``; ``tau`` is not
+    checked.
+    """
+    np.abs(X, out=out)
     out -= tau
     np.maximum(out, 0.0, out=out)
     return np.copysign(out, X, out=out)

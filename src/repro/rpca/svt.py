@@ -4,6 +4,14 @@
 L0 in order to make it low rank" (Section VI-C).  The SVD is computed via
 QR (Section VI-B): any of the library's QR engines can be plugged in,
 which is the knob Table II turns.
+
+The kernels below write into caller-owned buffers, so the IALM loop
+(:mod:`repro.rpca.ialm`), its task graph (:mod:`repro.rpca.graphs`) and
+:func:`singular_value_threshold` run the same code.  The default
+pipeline is ``Q, R = tsqr_qr(X)``, the one-sided Jacobi SVD of ``R``,
+``U = Q @ U_small`` and ``L = (U_r * s_r) @ Vt_r`` — the operations, and
+the operation order, of :func:`~repro.core.ts_svd.tall_skinny_svd`
+followed by the rebuild, so the bits match it.
 """
 
 from __future__ import annotations
@@ -12,13 +20,63 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.ts_svd import tall_skinny_svd
+from repro.core.jacobi_svd import jacobi_svd
+from repro.core.tsqr import tsqr_qr
+from repro.obs import tracer as _obs
 
 from .shrinkage import shrink
 
-__all__ = ["singular_value_threshold"]
+__all__ = ["rebuild_low_rank", "singular_value_threshold", "svt_from_qr", "svt_into"]
 
 SVDFunc = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+
+def rebuild_low_rank(
+    U: np.ndarray, s: np.ndarray, Vt: np.ndarray, tau: float, out: np.ndarray
+) -> int:
+    """Soft-threshold ``s`` by ``tau`` and write ``U_r diag(s_r) Vt_r`` into ``out``.
+
+    Returns the rank ``r``, the number of singular values above ``tau``.
+    ``out`` is written whole (zeros at rank 0) and must not overlap ``U``.
+    """
+    s_thr = shrink(s, tau)
+    rank = int(np.count_nonzero(s_thr))
+    with _obs.span("rpca.rebuild", cat="rpca", rank=rank):
+        np.matmul(U[:, :rank] * s_thr[:rank], Vt[:rank], out=out)
+        _obs.counters(rpca_stream_bytes=out.nbytes)  # write L
+    return rank
+
+
+def svt_from_qr(
+    Q: np.ndarray, R: np.ndarray, tau: float, U: np.ndarray, L: np.ndarray
+) -> int:
+    """Finish the default SVT from the thin QR of its input.
+
+    The small SVD of ``R``, then ``Q @ U_small`` into ``U`` (which may be
+    the factored matrix itself: ``Q`` is its own array) and the rebuild
+    into ``L``.  Returns the rank.
+    """
+    with _obs.span("rpca.small_svd", cat="rpca"):
+        U_small, s, Vt = jacobi_svd(R)
+    with _obs.span("rpca.qu", cat="rpca"):
+        np.matmul(Q, U_small, out=U)  # the Q * U product of Section VI-B
+        _obs.counters(rpca_stream_bytes=Q.nbytes + U.nbytes)  # read Q, write U
+    return rebuild_low_rank(U, s, Vt, tau, L)
+
+
+def svt_into(X: np.ndarray, tau: float, L: np.ndarray, svd: SVDFunc | None = None) -> int:
+    """Singular value threshold of ``X`` written into ``L``; returns the rank.
+
+    With the default SVD, ``X`` (tall, float64, C-contiguous) is scratch:
+    on return it holds the left singular vectors ``Q @ U_small``.  An
+    ``svd`` override reads ``X`` and returns ``(U, s, Vt)`` as
+    ``np.linalg.svd(X, full_matrices=False)`` does.
+    """
+    if svd is None:
+        Q, R = tsqr_qr(X)
+        return svt_from_qr(Q, R, tau, X, L)
+    U, s, Vt = svd(X)
+    return rebuild_low_rank(U, s, Vt, tau, L)
 
 
 def singular_value_threshold(
@@ -31,13 +89,17 @@ def singular_value_threshold(
     Computes the thin SVD of ``X`` (via QR by default — the Figure 11
     pipeline), soft-thresholds the singular values by ``tau`` and
     reassembles.  Returns ``(L, rank)`` where ``rank`` is the number of
-    singular values surviving the threshold.
+    singular values surviving the threshold.  ``X`` is not modified.
     """
     if tau < 0:
         raise ValueError("threshold must be non-negative")
-    svd_fn = svd if svd is not None else tall_skinny_svd
-    U, s, Vt = svd_fn(X)
-    s_thr = shrink(s, tau)
-    rank = int(np.count_nonzero(s_thr))
-    L = (U[:, :rank] * s_thr[:rank]) @ Vt[:rank]
-    return L, rank
+    if svd is not None:
+        U, s, Vt = svd(X)
+        L = np.empty((U.shape[0], Vt.shape[1]))
+        return L, rebuild_low_rank(U, s, Vt, tau, L)
+    X = np.asarray(X, dtype=float)
+    if X.shape[0] < X.shape[1]:
+        raise ValueError("tall_skinny_svd requires m >= n")
+    L = np.empty(X.shape)
+    Q, R = tsqr_qr(X)
+    return L, svt_from_qr(Q, R, tau, np.empty(X.shape), L)

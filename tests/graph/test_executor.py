@@ -192,3 +192,62 @@ def test_form_q_skipping_columns_is_bit_identical(shape, block_rows):
         f.apply_q(ref[:, lo : lo + step])
     assert np.array_equal(form_q_columns(f, workers=3), ref)
     assert np.array_equal(form_q_columns(f, workers=3, threaded=False), ref)
+
+
+def test_threaded_runner_stress_runs_each_task_once_after_its_deps():
+    # More workers than cores and a short switch interval: every task
+    # runs exactly once, after all its dependencies, whether a worker
+    # takes it over from the task it finished or from the shared pool,
+    # and a run nested inside a task (which gets a pool of its own)
+    # completes too.
+    import random
+    import sys
+    import threading
+
+    from repro.graph.executor import run_task_graph
+    from repro.graph.highlevel import TaskGraph
+
+    def random_graph(n, seed, log, lock, nested):
+        rnd = random.Random(seed)
+        tg = TaskGraph(name=f"stress{seed}")
+        keys = []
+        for i in range(n):
+            deps = rnd.sample(keys, min(len(keys), rnd.randint(0, 3)))
+
+            def fn(i=i, deps=tuple(deps)):
+                with lock:
+                    assert all(d in log for d in deps), (i, deps)
+                    assert i not in log, i
+                if nested and i % 25 == 0:
+                    inner_log: dict = {}
+                    run_task_graph(random_graph(20, i, inner_log, threading.Lock(), False), workers=3)
+                    assert len(inner_log) == 20
+                with lock:
+                    log[i] = True
+
+            keys.append(tg.add_task("work", i, fn, deps=deps))
+        return tg
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    errors: list = []
+    logs: list = []
+
+    def body():
+        try:
+            for seed in range(10):
+                log: dict = {}
+                run_task_graph(random_graph(120, seed, log, threading.Lock(), True), workers=8)
+                logs.append(len(log))
+        except BaseException as exc:  # surfaced below
+            errors.append(exc)
+
+    try:
+        th = threading.Thread(target=body)
+        th.start()
+        th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not th.is_alive(), "threaded runner hung"
+    assert not errors, errors
+    assert logs == [120] * 10
