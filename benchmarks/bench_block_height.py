@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Row-block sweeps: TSQR level-0 heights, look-ahead panel widths, IALM chunks.
+"""Row-block sweeps: TSQR level-0 heights, look-ahead panel widths, IALM chunks, geqrt nb.
 
 ``--sweep tsqr`` times ``tsqr`` factor plus ``form_q`` (best of
 ``--reps``) with level-0 blocks of n, 4n, 8n, 16n, 32n, 64n and 128n
@@ -45,6 +45,17 @@ fresh workspace after an untimed pass of each kind, and the table
 reports the best of ``--reps`` rounds; the fastest budget is
 ``repro.rpca.ialm.CHUNK_BYTES``.
 
+``--sweep geqrt`` times LAPACK ``dgeqrt``, the block factor of every
+batched path, at inner block sizes ``nb`` of 8 to ``n`` on the slices
+the two gated workloads factor: TSQR's 3200 x 100 level-0 blocks (34
+per 110592 x 100 factor) and the look-ahead's 512 x 16 blocks (216 per
+16-wide panel).  Every round runs each cell once, each call on a fresh
+copy of the same Gaussian slices (the copies are untimed), and the table
+reports the median and range per slice over ``--reps`` rounds.  The
+kernel runs ``nb = n``: with ``nb < n`` LAPACK returns a blocked
+``(nb, n)`` T, which :func:`repro.smallblas.wy.orgqr_wy` and
+:func:`~repro.smallblas.wy.apply_wy` cannot use as they are.
+
 Usage::
 
     python benchmarks/bench_block_height.py                      # tsqr and lookahead sweeps, a few minutes
@@ -53,6 +64,7 @@ Usage::
     python benchmarks/bench_block_height.py --sweep panel --reps 5     # ~6 min
     python benchmarks/bench_block_height.py --sweep handoff --reps 7   # ~1 min
     python benchmarks/bench_block_height.py --sweep ialm --reps 7      # ~1 min
+    python benchmarks/bench_block_height.py --sweep geqrt --reps 11    # ~1 min
 """
 
 from __future__ import annotations
@@ -90,6 +102,8 @@ HANDOFF_GAPS = (0.0, 0.05, 0.1, 0.2, 0.4)  # idle seconds between the two calls
 REST_S = 1.0
 IALM_SHAPE = (110592, 100)
 IALM_BUDGETS = tuple(16 * 1024 * 2**k for k in range(10))  # 16 KB .. 8 MB per operand chunk
+GEQRT_SLICES = ((3200, 100, 34), (512, 16, 216))  # (rows, cols, slices per factor)
+GEQRT_NBS = (8, 16, 32, 48, 64, None)  # None: nb = n, what the kernel runs
 SEED = 0
 
 
@@ -298,9 +312,44 @@ def sweep_ialm(reps: int) -> None:
               flush=True)
 
 
+def sweep_geqrt(reps: int) -> None:
+    from scipy.linalg import lapack
+
+    rng = np.random.default_rng(SEED)
+    cells = []
+    for m, n, count in GEQRT_SLICES:
+        src = [np.asfortranarray(rng.standard_normal((m, n))) for _ in range(count)]
+        work = [np.empty_like(a, order="F") for a in src]
+        for nb in GEQRT_NBS:
+            if nb is None or nb < n:
+                cells.append(((m, n, count), nb or n, src, work))
+    samples = [[] for _ in cells]
+    for _ in range(reps):
+        for ts, (_, nb, src, work) in zip(samples, cells):
+            for a, w in zip(src, work):
+                np.copyto(w, a)
+            t0 = time.perf_counter()
+            for w in work:
+                lapack.dgeqrt(nb, w, overwrite_a=1)
+            ts.append((time.perf_counter() - t0) / len(work))
+    print(f"`dgeqrt` per slice, µs: median [min–max] of {reps} rounds")
+    print()
+    print("| slice (per factor) | nb | µs per slice | vs nb = n |")
+    print("|---|---|---|---|")
+    kernel = {shape: _median(ts) for (shape, nb, _, _), ts in zip(cells, samples)
+              if nb == shape[1]}
+    for (shape, nb, _, _), ts in zip(cells, samples):
+        m, n, count = shape
+        note = " (kernel)" if nb == n else ""
+        print(f"| {m}×{n} (×{count}) | {nb}{note} | {_median(ts) * 1e6:.0f} "
+              f"[{min(ts) * 1e6:.0f}–{max(ts) * 1e6:.0f}] | "
+              f"{_median(ts) / kernel[shape]:.2f} |")
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--sweep", choices=("tsqr", "lookahead", "panel", "handoff", "ialm", "all"),
+    ap.add_argument("--sweep", choices=("tsqr", "lookahead", "panel", "handoff", "ialm", "geqrt",
+                                        "all"),
                     default="all")
     ap.add_argument("--shape", action="append", metavar="MxN",
                     help="TSQR or panel sweep shape (repeatable; default: the sweep's own)")
@@ -319,6 +368,8 @@ def main() -> int:
         sweep_handoff(args.reps)
     if args.sweep == "ialm":
         sweep_ialm(args.reps)
+    if args.sweep == "geqrt":
+        sweep_geqrt(args.reps)
     return 0
 
 

@@ -199,10 +199,12 @@ def cholqr2_factor(
     if check is not None and m >= 16 * n:
         # Row-sampled condition precheck: ~8n deterministically strided
         # rows cost ~1% of the full Gram, so a wildly ill-conditioned
-        # input can be rejected before any O(mn) work.
+        # input can be rejected before any O(mn) work.  The Gram runs on
+        # the BLAS of the full Gram and the Householder fallback: a NumPy
+        # GEMM here would leave NumPy's pool spinning while they run.
         step = m // (8 * n)
         Ws = A[::step].astype(np.float64, copy=True) / s[None, :]
-        Gs = Ws.T @ Ws
+        Gs = gram(Ws)
         try:
             ds = np.diagonal(_chol_r(Gs, stage="sample"))
             sample = float(ds.max() / ds.min())

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.obs import tracer as _obs
+
 from .dtypes import as_float_array, working_dtype
 
 __all__ = ["jacobi_svd", "svd_via_jacobi"]
@@ -108,45 +110,48 @@ def jacobi_svd(
     dt = working_dtype(A)
     if n == 0:
         return np.zeros((m, 0), dtype=dt), np.zeros(0, dtype=dt), np.zeros((0, 0), dtype=dt)
-    n2 = n + n % 2
-    h = n2 // 2
-    X = np.zeros((n2, m + n), dtype=dt)
-    X[:n, :m] = A.T
-    X[:n, m:] = np.eye(n, dtype=dt)
-    step = _round_robin_step(n2)
-    for _ in range(max_sweeps):
-        off = 0.0
-        for _ in range(n2 - 1):
-            U = X[:, :m]
-            # Rotation angles are computed in float64 for float32 data too.
-            norms = np.einsum("ij,ij->i", U, U).astype(np.float64, copy=False)
-            gamma = np.einsum("ij,ij->i", U[:h], U[h:]).astype(np.float64, copy=False)
-            c, s, round_off = _rotations(norms[:h], norms[h:], gamma, tol)
-            off = max(off, round_off)
-            if c is not None:
-                c = c.astype(dt, copy=False)[:, None]
-                s = s.astype(dt, copy=False)[:, None]
-                top, bot = X[:h], X[h:]
-                s_bot = s * bot
-                bot *= c
-                bot += s * top
-                top *= c
-                top -= s_bot
-            X = X[step]
-        if off <= tol:
-            break
-    else:
-        raise RuntimeError(f"Jacobi SVD did not converge in {max_sweeps} sweeps")
-    X = X[:n]  # a whole sweep restores the column order; drop the pad
-    sing = np.linalg.norm(X[:, :m], axis=1)
-    order = np.argsort(sing)[::-1]
-    sing = sing[order]
-    X = X[order]
-    nonzero = sing > 0
-    X[nonzero, :m] /= sing[nonzero, None]
-    # Columns with zero singular value: leave as zeros (rank-deficient input).
-    X[~nonzero, :m] = 0.0
-    return np.ascontiguousarray(X[:, :m].T), sing, np.ascontiguousarray(X[:, m:])
+    with _obs.span("jacobi_svd", cat="svd", n=n) as span:
+        n2 = n + n % 2
+        h = n2 // 2
+        X = np.zeros((n2, m + n), dtype=dt)
+        X[:n, :m] = A.T
+        X[:n, m:] = np.eye(n, dtype=dt)
+        step = _round_robin_step(n2)
+        for sweeps in range(1, max_sweeps + 1):
+            off = 0.0
+            for _ in range(n2 - 1):
+                U = X[:, :m]
+                # Rotation angles are computed in float64 for float32 data too.
+                norms = np.einsum("ij,ij->i", U, U).astype(np.float64, copy=False)
+                gamma = np.einsum("ij,ij->i", U[:h], U[h:]).astype(np.float64, copy=False)
+                c, s, round_off = _rotations(norms[:h], norms[h:], gamma, tol)
+                off = max(off, round_off)
+                if c is not None:
+                    c = c.astype(dt, copy=False)[:, None]
+                    s = s.astype(dt, copy=False)[:, None]
+                    top, bot = X[:h], X[h:]
+                    s_bot = s * bot
+                    bot *= c
+                    bot += s * top
+                    top *= c
+                    top -= s_bot
+                X = X[step]
+            if off <= tol:
+                break
+        else:
+            raise RuntimeError(f"Jacobi SVD did not converge in {max_sweeps} sweeps")
+        if isinstance(span, _obs.Span):  # a live span (tracing enabled)
+            span.args["sweeps"] = sweeps
+        X = X[:n]  # a whole sweep restores the column order; drop the pad
+        sing = np.linalg.norm(X[:, :m], axis=1)
+        order = np.argsort(sing)[::-1]
+        sing = sing[order]
+        X = X[order]
+        nonzero = sing > 0
+        X[nonzero, :m] /= sing[nonzero, None]
+        # Columns with zero singular value: leave as zeros (rank-deficient input).
+        X[~nonzero, :m] = 0.0
+        return np.ascontiguousarray(X[:, :m].T), sing, np.ascontiguousarray(X[:, m:])
 
 
 def svd_via_jacobi(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

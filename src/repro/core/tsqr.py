@@ -18,7 +18,9 @@ Two numeric execution strategies coexist:
     run through a precomputed :class:`_WyPlan`: fancy-index gather /
     scatter row maps plus cached compact-WY ``(V, T)`` factors, so each
     level of the tree is three batched GEMMs (``C -= V (T' (V' C))``)
-    instead of a Python loop of per-reflector rank-1 updates.  The
+    instead of a Python loop of per-reflector rank-1 updates.  ``V`` is
+    never copied: it is a view of LAPACK's packed output, whose R the
+    factor moved out (:func:`repro.smallblas.wy.v_in_place`).  The
     explicit Q is formed from the same plan the way LAPACK ``orgqr``
     forms it (:func:`_plan_form_q`), on SciPy's BLAS when available.
 
@@ -45,7 +47,9 @@ from .householder import geqr2, orm2r
 from repro.obs import tracer as _obs
 from repro.runtime.policy import ExecutionPolicy
 from repro.smallblas.batched import batched_apply_blocked, batched_geqr2
-from repro.smallblas.wy import apply_wy, blas_name, geqr2_blocked, orgqr_wy, wy_factors
+from repro.smallblas.wy import (
+    apply_wy, blas_name, geqr2_blocked, larft, orgqr_wy, packed_vr, v_in_place,
+)
 from .structured import StructuredStackFactor, structured_stack_qr
 from .tree import TreeSchedule, batch_level, build_tree
 
@@ -101,42 +105,64 @@ def level0_rows(block_rows: int | None, width: int) -> int:
 
 @dataclass
 class _LevelZeroFactor:
-    """Packed Householder factor of one level-0 row block."""
+    """Householder factor of one level-0 row block.
+
+    ``packed`` holds the reflectors below its diagonal.  On the
+    reference path and in loaded factors it is LAPACK's packed layout,
+    R on and above the diagonal, and ``R`` is ``None``.  The batched
+    path keeps its reflectors where LAPACK wrote them: ``packed`` is the
+    unit-lower-trapezoidal ``V``, a view of the factor kernel's output,
+    and the block's R is ``R``.  ``VR`` is the packed layout either way
+    (rebuilt, a copy, on the batched path; no kernel reads it).
+    """
 
     rows: tuple[int, int]  # [start, stop) within the panel
-    VR: np.ndarray
+    packed: np.ndarray
     tau: np.ndarray
+    R: np.ndarray | None = None
+
+    @property
+    def VR(self) -> np.ndarray:
+        """LAPACK's packed layout (rebuilt, a copy, when ``R`` is set)."""
+        return self.packed if self.R is None else packed_vr(self.packed, self.R)
 
     @property
     def r_height(self) -> int:
         """Rows of the upper-trapezoidal R this block passes up the tree."""
-        return min(self.VR.shape[0], self.VR.shape[1])
+        return min(self.packed.shape[0], self.packed.shape[1])
 
 
 @dataclass
 class _TreeFactor:
     """Householder factor of one stacked-R elimination group.
 
-    Either a dense packed ``(VR, tau)`` (the ``factor_tree`` kernel's
-    layout) or a sparsity-exploiting :class:`StructuredStackFactor`
-    (Figure 2(c)'s optional optimization).
+    Either a dense packed factor, stored as :class:`_LevelZeroFactor`
+    stores its own (``packed``, ``tau``, ``R``; ``VR`` is the
+    ``factor_tree`` kernel's layout), or a sparsity-exploiting
+    :class:`StructuredStackFactor` (Figure 2(c)'s optional optimization).
     """
 
     group: tuple[int, ...]  # member level-0 block indices (first survives)
     heights: tuple[int, ...]  # R rows contributed by each member
-    VR: np.ndarray | None = None
+    packed: np.ndarray | None = None
     tau: np.ndarray | None = None
     structured: StructuredStackFactor | None = None
+    R: np.ndarray | None = None
+
+    @property
+    def VR(self) -> np.ndarray | None:
+        """LAPACK's packed layout (rebuilt, a copy, when ``R`` is set)."""
+        return self.packed if self.R is None else packed_vr(self.packed, self.R)
 
     def apply_qt_stack(self, stacked: np.ndarray) -> np.ndarray:
         if self.structured is not None:
             return self.structured.apply_qt(stacked)
-        return orm2r(self.VR, self.tau, stacked, transpose=True)
+        return orm2r(self.packed, self.tau, stacked, transpose=True)
 
     def apply_q_stack(self, stacked: np.ndarray) -> np.ndarray:
         if self.structured is not None:
             return self.structured.apply_q(stacked)
-        return orm2r(self.VR, self.tau, stacked, transpose=False)
+        return orm2r(self.packed, self.tau, stacked, transpose=False)
 
 
 @dataclass
@@ -157,6 +183,8 @@ class _WyPlan:
     dtype: np.dtype
     l0_count: int
     l0_h: int
+    # V: (count, h, k) reflectors; on the batched paths a view of the
+    # factor kernel's packed output (smallblas.wy.v_in_place)
     l0_V: np.ndarray | None
     l0_T: np.ndarray | None
     # (row_start, real_height, V, T); V may be taller than real_height,
@@ -224,31 +252,32 @@ def _convert_plan(src: _WyPlan, dt: np.dtype) -> _WyPlan:
     )
 
 
+def _stacked_wy(packed: list[np.ndarray], taus: list[np.ndarray], dt: np.dtype):
+    """``(V, T)`` for stored factors: one stacked copy, turned into ``V`` in place."""
+    VR = np.stack(packed).astype(dt, copy=False)
+    V = v_in_place(VR)
+    return V, larft(V, np.stack(taus).astype(dt, copy=False))
+
+
 def _plan_from_factors(f: "TSQRFactors", dt: np.dtype) -> _WyPlan:
     """Build an apply plan from stored per-node factors.
 
     Used for factors that were not produced by the batched factorization
     (loaded from disk via :mod:`repro.io`, or factored with
-    ``batched=False`` and then applied with ``batched=True``).
+    ``batched=False`` and then applied with ``batched=True``).  Each
+    batch of same-shape factors is stacked once and that copy is the
+    plan's ``V`` (:func:`~repro.smallblas.wy.v_in_place`).
     """
     count, h = f._uniform_prefix()
     V0 = T0 = None
     if count > 0:
-        VRs = np.stack([f.blocks[i].VR for i in range(count)])
-        taus = np.stack([f.blocks[i].tau for i in range(count)])
-        if VRs.dtype != dt:
-            VRs = VRs.astype(dt)
-            taus = taus.astype(dt)
-        V0, T0 = wy_factors(VRs, taus)
+        V0, T0 = _stacked_wy(
+            [f.blocks[i].packed for i in range(count)], [f.blocks[i].tau for i in range(count)], dt
+        )
     tail = []
     for blk in f.blocks[count:]:
         s, e = blk.rows
-        VR1 = blk.VR[None]
-        tau1 = blk.tau[None]
-        if VR1.dtype != dt:
-            VR1 = VR1.astype(dt)
-            tau1 = tau1.astype(dt)
-        V1, T1 = wy_factors(VR1, tau1)
+        V1, T1 = _stacked_wy([blk.packed], [blk.tau], dt)
         tail.append((s, e - s, V1, T1))
     levels: list[list[tuple]] = []
     for level_factors in f.tree_factors:
@@ -260,12 +289,7 @@ def _plan_from_factors(f: "TSQRFactors", dt: np.dtype) -> _WyPlan:
             else:
                 dense.setdefault(tuple(tf.heights), []).append(tf)
         for sig, tfs in dense.items():
-            VRs = np.stack([tf.VR for tf in tfs])
-            taus = np.stack([tf.tau for tf in tfs])
-            if VRs.dtype != dt:
-                VRs = VRs.astype(dt)
-                taus = taus.astype(dt)
-            V, T = wy_factors(VRs, taus)
+            V, T = _stacked_wy([tf.packed for tf in tfs], [tf.tau for tf in tfs], dt)
             idx = _level_row_index(f.blocks, [tf.group for tf in tfs], sig)
             entries.append(("wy", idx, V, T))
         levels.append(entries)
@@ -462,7 +486,7 @@ class TSQRFactors:
         if ent is None:
             count, h = self._uniform_prefix()
             if count > 1:
-                VRs = np.stack([self.blocks[i].VR for i in range(count)])
+                VRs = np.stack([self.blocks[i].packed for i in range(count)])
                 taus = np.stack([self.blocks[i].tau for i in range(count)])
                 if VRs.dtype != key:
                     VRs = VRs.astype(key)
@@ -483,7 +507,7 @@ class TSQRFactors:
             seg[:] = stacked.reshape(count * h, B.shape[1])
         for blk in self.blocks[count:]:
             s, e = blk.rows
-            orm2r(blk.VR, blk.tau, B[s:e], transpose=transpose)
+            orm2r(blk.packed, blk.tau, B[s:e], transpose=transpose)
 
     def _gather(self, B: np.ndarray, tf: _TreeFactor) -> tuple[np.ndarray, list[tuple[int, int]]]:
         """Collect the distributed row pieces a tree factor touches.
@@ -589,27 +613,22 @@ def _tsqr_batched(
         # ever touch pad rows.
         stack = A[: l0_count * block_rows].reshape(l0_count, block_rows, n)
     with _obs.span("tsqr.level0", cat="factor.level0", blocks=nb, block_rows=block_rows):
-        VRb, taub, Vb, Tb = geqr2_blocked(stack)
+        Vb, Tb, Rb, taub = geqr2_blocked(stack)
     bh = stack.shape[1]
-    k0 = min(bh, n)
 
     blocks: list[_LevelZeroFactor] = []
-    for i, (s, e) in enumerate(ranges[:l0_count]):
-        blocks.append(_LevelZeroFactor(rows=(s, e), VR=VRb[i], tau=taub[i]))
-
-    Rb = np.triu(VRb[:, :k0, :])
     current_r: dict[int, np.ndarray] = {}
-    for i in range(l0_count):
+    for i, (s, e) in enumerate(ranges[:l0_count]):
+        blocks.append(_LevelZeroFactor(rows=(s, e), packed=Vb[i], tau=taub[i], R=Rb[i]))
         current_r[i] = Rb[i]
 
     l0_tail = []
     if ragged:
         s, e = ranges[-1]
         with _obs.span("tsqr.level0", cat="factor.level0", blocks=1, block_rows=block_rows):
-            VRl, taul, Vl, Tl = geqr2_blocked(A[s:e][None, :, :])
-        blocks.append(_LevelZeroFactor(rows=(s, e), VR=VRl[0], tau=taul[0]))
-        kl = min(h_last, n)
-        current_r[nb - 1] = np.triu(VRl[0, :kl, :])
+            Vl, Tl, Rl, taul = geqr2_blocked(A[s:e][None, :, :])
+        blocks.append(_LevelZeroFactor(rows=(s, e), packed=Vl[0], tau=taul[0], R=Rl[0]))
+        current_r[nb - 1] = Rl[0]
         l0_tail.append((s, h_last, Vl, Tl))
 
     tree_factors: list[list[_TreeFactor]] = []
@@ -644,13 +663,11 @@ def _tsqr_batched(
                         [np.vstack([current_r[i] for i in grp]) for grp in groups]
                     )
                 with _obs.span("tsqr.tree", cat="factor.tree", groups=g):
-                    VRt, taut, Vt, Tt = geqr2_blocked(stacked)
-                kt = min(H, n)
-                Rt = np.triu(VRt[:, :kt, :])
+                    Vt, Tt, Rt, taut = geqr2_blocked(stacked)
                 entries.append(("wy", _level_row_index(blocks, groups, sig), Vt, Tt))
                 for gi, (p, grp) in enumerate(zip(poss, groups)):
                     level_factors[p] = _TreeFactor(
-                        group=grp, heights=sig, VR=VRt[gi], tau=taut[gi]
+                        group=grp, heights=sig, packed=Vt[gi], tau=taut[gi], R=Rt[gi]
                     )
                     current_r[grp[0]] = Rt[gi]
                     for dead in grp[1:]:
@@ -670,8 +687,8 @@ def _tsqr_batched(
         dtype=np.dtype(dt),
         l0_count=l0_count,
         l0_h=bh,
-        l0_V=Vb[:l0_count],
-        l0_T=Tb[:l0_count],
+        l0_V=Vb,
+        l0_T=Tb,
         l0_tail=l0_tail,
         levels=plan_levels,
     )
@@ -707,7 +724,7 @@ def _tsqr_reference(
                 VR, tau = VRb[i], taub[i]
             else:
                 VR, tau = geqr2(A[s:e])
-            blk = _LevelZeroFactor(rows=(s, e), VR=VR, tau=tau)
+            blk = _LevelZeroFactor(rows=(s, e), packed=VR, tau=tau)
             blocks.append(blk)
             current_r[i] = np.triu(VR[: blk.r_height, :])
 
@@ -725,7 +742,7 @@ def _tsqr_reference(
                 else:
                     stacked = np.vstack([current_r[i] for i in group])
                     VR, tau = geqr2(stacked)
-                    tf = _TreeFactor(group=group, heights=heights, VR=VR, tau=tau)
+                    tf = _TreeFactor(group=group, heights=heights, packed=VR, tau=tau)
                     new_r = np.triu(VR[: min(stacked.shape[0], n), :])
                 level_factors.append(tf)
                 survivor = group[0]

@@ -28,10 +28,11 @@ Every slice (level-0 block, ragged tail, tree node) is factored by the
 kernel TSQR and the serving coalescer share,
 :func:`repro.smallblas.wy._factor_slices`: LAPACK ``geqrt`` for slices
 of at least ``GEQRT_MIN_ELEMS`` elements, the ``geqrf`` gufunc plus
-``larft`` below that, each returning its compact-WY ``(V, T)`` with the
-factor.  Numerically the executor matches the ``batched`` path at the
-same panel width to roundoff (operation *order* across independent
-tiles differs; an unset width is one panel here and 16 there), and
+``larft`` below that, each returning its R and its compact-WY
+``(V, T)``, ``V`` a view of LAPACK's packed output.  Numerically the
+executor matches the ``batched`` path at the same panel width to
+roundoff (operation *order* across independent tiles differs; an
+unset width is one panel here and 16 there), and
 matches itself exactly across ``threaded=True/False``.  The
 ``structured`` tree elimination is not supported here — use
 :func:`repro.core.caqr.caqr` for that path.
@@ -110,7 +111,6 @@ class _PanelRecipe:
     tail_h: int
     levels: tuple[tuple[_LevelBatch, ...], ...]
     carried: tuple[int, ...]  # per level: alive entries riding along
-    low_mask: np.ndarray  # (width, width) strictly-lower boolean mask
 
 
 _RECIPES: OrderedDict[tuple, _PanelRecipe | None] = OrderedDict()
@@ -175,7 +175,6 @@ def _build_recipe(hp: int, width: int, bh: int, tree_shape: str) -> _PanelRecipe
         tail_h=tail_h,
         levels=tuple(levels),
         carried=tuple(carried),
-        low_mask=~np.triu(np.ones((width, width), dtype=bool)),
     )
 
 
@@ -230,21 +229,21 @@ def _factor_panel(pp: _PanelPlan, Wp: np.ndarray, bh: int, tree_shape: str) -> N
         pp.plan = f._plan_for(Wp.dtype)
         return
     # Level 0: the uniform blocks are one strided view of the panel; only
-    # their R rows are copied out, into the backing slab the tree reads.
+    # their Rs are copied, into the backing slab the tree reads, and the
+    # reflectors stay where LAPACK wrote them.
     if rec.nb == 1:
         stack = Wp[None, :, :]
     else:
         stack = Wp[: rec.l0_count * bh].reshape(rec.l0_count, bh, width)
     with _obs.span("panel.level0", cat="factor.level0", blocks=rec.nb, block_rows=rec.l0_h):
-        h0, _, V0, T0 = _factor_slices(stack)
+        V0, T0, R0, _ = _factor_slices(stack)
         backing = np.empty((rec.nb, width, width), dtype=Wp.dtype)
-        backing[: rec.l0_count] = h0[:, :, :width].transpose(0, 2, 1)
+        backing[: rec.l0_count] = R0
         tail = []
         if rec.ragged:
-            ht, _, Vt, Tt = _factor_slices(Wp[rec.tail_start :][None, :, :])
-            backing[rec.nb - 1] = ht[0, :, :width].T
+            Vt, Tt, Rt, _ = _factor_slices(Wp[rec.tail_start :][None, :, :])
+            backing[rec.nb - 1] = Rt[0]
             tail.append((rec.tail_start, rec.tail_h, Vt, Tt))
-        backing[:, rec.low_mask] = 0.0
     # Tree levels: every stacked-R input is a zero-copy reshape of the
     # backing slab; the outputs become the next slab.
     levels = []
@@ -257,10 +256,8 @@ def _factor_panel(pp: _PanelPlan, Wp: np.ndarray, bh: int, tree_shape: str) -> N
                 src = backing[lb.pos0 : lb.pos0 + lb.g * lb.arity].reshape(
                     lb.g, lb.arity * width, width
                 )
-                hh, _, Vl, Tl = _factor_slices(src)
+                Vl, Tl, Rt, _ = _factor_slices(src)
                 entries.append(("wy", lb.idx, Vl, Tl))
-                Rt = hh[:, :, :width].transpose(0, 2, 1).copy()
-                Rt[:, rec.low_mask] = 0.0
                 outs.append(Rt)
                 used += lb.g * lb.arity
             if len(outs) == 1 and n_ride == 0:

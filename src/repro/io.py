@@ -69,7 +69,9 @@ def _tsqr_from_payload(z, prefix: str = "") -> TSQRFactors:
     blocks = []
     for i in range(n_blocks):
         rows = tuple(int(v) for v in z[f"{prefix}b{i}_rows"])
-        blocks.append(_LevelZeroFactor(rows=rows, VR=z[f"{prefix}b{i}_VR"], tau=z[f"{prefix}b{i}_tau"]))
+        blocks.append(
+            _LevelZeroFactor(rows=rows, packed=z[f"{prefix}b{i}_VR"], tau=z[f"{prefix}b{i}_tau"])
+        )
     tree = build_tree(n_blocks, tree_shape)
     tree_factors = []
     for lvl in range(int(z[f"{prefix}n_levels"])):
@@ -99,7 +101,9 @@ def _tsqr_from_payload(z, prefix: str = "") -> TSQRFactors:
                 level.append(_TreeFactor(group=group, heights=heights, structured=sf))
             else:
                 level.append(
-                    _TreeFactor(group=group, heights=heights, VR=z[base + "VR"], tau=z[base + "tau"])
+                    _TreeFactor(
+                        group=group, heights=heights, packed=z[base + "VR"], tau=z[base + "tau"]
+                    )
                 )
         tree_factors.append(level)
     return TSQRFactors(m=m, n=n, blocks=blocks, tree=tree, tree_factors=tree_factors, R=z[f"{prefix}R"])

@@ -90,6 +90,9 @@ def singular_value_threshold(
     pipeline), soft-thresholds the singular values by ``tau`` and
     reassembles.  Returns ``(L, rank)`` where ``rank`` is the number of
     singular values surviving the threshold.  ``X`` is not modified.
+    A wide ``X`` is solved as its transpose, as
+    :func:`~repro.rpca.ialm.rpca_ialm` solves a wide ``M``: ``L`` is
+    then ``singular_value_threshold(X.T)``'s, transposed.
     """
     if tau < 0:
         raise ValueError("threshold must be non-negative")
@@ -99,7 +102,8 @@ def singular_value_threshold(
         return L, rebuild_low_rank(U, s, Vt, tau, L)
     X = np.asarray(X, dtype=float)
     if X.shape[0] < X.shape[1]:
-        raise ValueError("tall_skinny_svd requires m >= n")
+        L, rank = singular_value_threshold(X.T, tau)
+        return L.T, rank
     L = np.empty(X.shape)
     Q, R = tsqr_qr(X)
     return L, svt_from_qr(Q, R, tau, np.empty(X.shape), L)

@@ -14,17 +14,18 @@ runs the same per-slice factor kernel as the ``geqr2_blocked`` that
 ``QRPlan.factor``'s TSQR calls, and picks LAPACK ``geqrt`` or the
 stacked-QR gufunc plus ``larft`` from the slice shape alone (``m >= n``
 and at least ``GEQRT_MIN_ELEMS`` elements), never from how many slices
-are stacked; the three batched GEMMs of
-:func:`~repro.smallblas.wy.apply_wy` work slice by slice too.  So slice
-``i`` of the stacked result equals what ``QRPlan.factor`` produces for
-request ``i`` alone, bit for bit.  The serving tests pin this on both
-sides of the threshold; it is the contract that lets the coalescer
-merge tenants' requests without changing anyone's answer.
+are stacked.  Both keep the reflectors where LAPACK wrote them, so both
+hand the same strided ``V`` to the three batched GEMMs of
+:func:`~repro.smallblas.wy.apply_wy`, which work slice by slice too.
+So slice ``i`` of the stacked result equals what ``QRPlan.factor``
+produces for request ``i`` alone, bit for bit.  The serving tests pin
+this on both sides of the threshold; it is the contract that lets the
+coalescer merge tenants' requests without changing anyone's answer.
 
 **Why a plan object.**  At serving shapes (hundreds of rows, tens of
-columns) the per-batch Python work — building the reduction tree,
-row-index maps for the scatter/gather levels, boolean triangle masks —
-costs as much as the GEMMs.  :class:`ServingPlan` computes all of it
+columns) the per-batch Python work — building the reduction tree and
+the row-index maps for the scatter/gather levels — costs as much as
+the GEMMs.  :class:`ServingPlan` computes all of it
 once per ``(m, n, dtype, policy)`` and the per-batch path touches only
 arrays.  The input staging buffer is pooled on the plan (the server's
 single worker thread is the only executor), so a steady-state batch
@@ -50,18 +51,12 @@ __all__ = ["ServingPlan", "stacked_qr"]
 SERVING_CHUNK_ELEMS = 1 << 19
 
 
-def _r_from_h(h, kk, rmask):
-    """Upper-triangular ``(b, kk, pw)`` R block from the raw packed factor."""
-    Rt = h[:, :, :kk].transpose(0, 2, 1)
-    return np.where(rmask, Rt, 0.0)
-
-
 class _PanelPlan:
-    """Shape-only metadata for one panel's TSQR: blocks, tree, masks."""
+    """Shape-only metadata for one panel's TSQR: blocks, tree, gather maps."""
 
     __slots__ = (
         "c0", "pw", "r0", "hp", "ranges", "l0", "eff_h", "tail_se",
-        "k0", "vmask0", "rmask0", "vmask_tail", "rmask_tail", "levels",
+        "k0", "levels",
     )
 
     def __init__(self, c0: int, pw: int, hp: int, block_rows: int, tree_shape: str):
@@ -75,16 +70,9 @@ class _PanelPlan:
         self.eff_h = hp if nb == 1 else bh
         self.tail_se = self.ranges[-1] if ragged else None
         self.k0 = min(self.eff_h, pw)
-        self.vmask0 = np.tri(self.eff_h, self.k0, -1, dtype=bool)
-        self.rmask0 = ~np.tri(self.k0, pw, -1, dtype=bool)
-        self.vmask_tail = self.rmask_tail = None
-        if ragged:
-            kl = min(h_last, pw)
-            self.vmask_tail = np.tri(h_last, kl, -1, dtype=bool)
-            self.rmask_tail = ~np.tri(kl, pw, -1, dtype=bool)
         starts = [rg[0] for rg in self.ranges]
-        # The tree's group structure, gather maps and triangle masks are
-        # pure functions of the block heights — precompute every level.
+        # The tree's group structure and gather maps are pure functions
+        # of the block heights — precompute every level.
         heights = {
             i: min(e - s, pw) for i, (s, e) in enumerate(self.ranges)
         }
@@ -111,11 +99,7 @@ class _PanelPlan:
                 for h in sig:
                     offs.append((pos, pos + h))
                     pos += h
-                entries.append((
-                    groups, offs, len(groups), H, kt, rowidx,
-                    np.tri(H, kt, -1, dtype=bool),
-                    ~np.tri(kt, pw, -1, dtype=bool),
-                ))
+                entries.append((groups, offs, len(groups), H, kt, rowidx))
                 for grp in groups:
                     heights[grp[0]] = kt
                     for dead in grp[1:]:
@@ -200,29 +184,26 @@ def _factor_panel(panel, pp: _PanelPlan, r: int) -> dict:
         # A strided view whenever the (requests, blocks) axes merge
         # cleanly; the factor kernel copies each slice either way.
         batch0 = panel[:, : pp.l0 * pp.eff_h, :].reshape(r * pp.l0, pp.eff_h, pw)
-    V0, T0, h0 = geqr2_wy(batch0, pp.vmask0)
+    V0, T0, R0 = geqr2_wy(batch0)
     current = {}
-    R0 = _r_from_h(h0, pp.k0, pp.rmask0).reshape(r, pp.l0, pp.k0, pw)
+    R0 = R0.reshape(r, pp.l0, pp.k0, pw)
     for i in range(pp.l0):
         current[i] = R0[:, i]
     tail = None
     if pp.tail_se is not None:
         s, e = pp.tail_se
-        Vl, Tl, hl = geqr2_wy(panel[:, s:e, :], pp.vmask_tail)
-        current[len(pp.ranges) - 1] = _r_from_h(
-            hl, pp.vmask_tail.shape[1], pp.rmask_tail
-        )
+        Vl, Tl, current[len(pp.ranges) - 1] = geqr2_wy(panel[:, s:e, :])
         tail = (s, e - s, Vl, Tl)
     levels = []
     for entries in pp.levels:
         lvl = []
-        for groups, offs, g, H, kt, rowidx, vmask, rmask in entries:
+        for groups, offs, g, H, kt, rowidx in entries:
             stacked = np.empty((r, g, H, pw), dtype=panel.dtype)
             for gi, grp in enumerate(groups):
                 for i, (o0, o1) in zip(grp, offs):
                     stacked[:, gi, o0:o1] = current[i]
-            Vt, Tt, ht = geqr2_wy(stacked.reshape(r * g, H, pw), vmask)
-            Rt = _r_from_h(ht, kt, rmask).reshape(r, g, kt, pw)
+            Vt, Tt, Rt = geqr2_wy(stacked.reshape(r * g, H, pw))
+            Rt = Rt.reshape(r, g, kt, pw)
             lvl.append((rowidx, Vt, Tt, g))
             for gi, grp in enumerate(groups):
                 current[grp[0]] = Rt[:, gi]

@@ -22,7 +22,7 @@ from .batched import (
     batched_house,
     batched_larft,
 )
-from .wy import apply_wy, extract_v, geqr2_blocked, larft, wy_factors
+from .wy import apply_wy, extract_v, geqr2_blocked, larft
 
 __all__ = [
     "batched_apply_blocked",
@@ -36,7 +36,6 @@ __all__ = [
     "extract_v",
     "geqr2_blocked",
     "larft",
-    "wy_factors",
     "HAVE_BLAS3",
     "gram",
     "tri_inv_upper",

@@ -14,7 +14,10 @@ Everything here accepts strided views (e.g. a trailing-matrix slice
 reshaped into ``(blocks, block_rows, width)`` without a copy) — GEMM
 handles the leading-dimension strides natively, which is what lets the
 level-0 update of :mod:`repro.core.tsqr` run with no gather/scatter
-copies at all.
+copies at all.  The reflectors are such a view too: the factor kernel
+copies R out of LAPACK's packed output and writes ``V``'s unit-lower
+pattern over the triangle R occupied (:func:`v_in_place`), so ``V`` is
+read where LAPACK wrote it and no batched path ever copies it.
 
 The seed einsum kernels are kept untouched as the reference
 implementations; these routines are tested against them block by block.
@@ -37,13 +40,14 @@ from .gram import _blas, _lapack
 __all__ = [
     "GEQRT_MIN_ELEMS",
     "extract_v",
+    "v_in_place",
+    "packed_vr",
     "larft",
     "apply_wy",
     "blas_name",
     "orgqr_wy",
     "geqr2_blocked",
     "geqr2_wy",
-    "wy_factors",
 ]
 
 # One flat scratch allocation per dtype, grown to the high-water mark and
@@ -77,21 +81,50 @@ def _scratch(count: int, dtype: np.dtype) -> np.ndarray:
     return buf
 
 
-def extract_v(VR: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
-    """Unit-lower-trapezoidal ``V`` from a packed ``(batch, m, n)`` stack.
+def extract_v(VR: np.ndarray) -> np.ndarray:
+    """Unit-lower-trapezoidal ``V`` from a packed ``(batch, m, n)`` stack: a copy.
 
     Equivalent to the reference ``_extract_v_batch`` but done with one
     boolean-mask pass instead of ``np.tril`` + diagonal fill per call.
-    ``mask`` is an optional precomputed ``np.tri(m, k, -1, bool)``.
+    No batched path calls it; they read V in place (:func:`v_in_place`).
     """
     b, m, n = VR.shape
     k = min(m, n)
-    if mask is None:
-        mask = np.tri(m, k, -1, dtype=bool)
-    V = np.where(mask, VR[:, :, :k], 0.0)
+    V = np.where(np.tri(m, k, -1, dtype=bool), VR[:, :, :k], 0.0)
     idx = np.arange(k)
     V[:, idx, idx] = 1.0
     return V
+
+
+def v_in_place(VR: np.ndarray) -> np.ndarray:
+    """``V`` from a packed ``(batch, m, n)`` stack, as a view of it.
+
+    Writes ``V``'s unit-lower pattern (ones on the diagonal, zeros above
+    it) over the top ``k x k`` of each slice, where the packed layout
+    holds R, and returns ``VR[:, :, :k]``: the same values as
+    :func:`extract_v`, with the reflectors left where they were.  Copy
+    R out first.
+    """
+    k = min(VR.shape[1], VR.shape[2])
+    top = VR[:, :k, :k]
+    top[:, ~np.tri(k, dtype=bool)] = 0.0
+    idx = np.arange(k)
+    top[:, idx, idx] = 1.0
+    return VR[:, :, :k]
+
+
+def packed_vr(V: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """LAPACK's packed layout rebuilt from ``V`` and ``R`` (a new array).
+
+    The reflectors below the diagonal, R on and above it: the inverse
+    of copying R out and calling :func:`v_in_place`.  Works on one
+    ``(m, k)`` / ``(k, n)`` pair or on stacks of them.
+    """
+    k = V.shape[-1]
+    VR = np.zeros(V.shape[:-1] + R.shape[-1:], dtype=V.dtype)
+    VR[..., :k] = np.tril(V, -1)
+    VR[..., :k, :] += R
+    return VR
 
 
 def larft(V: np.ndarray, tau: np.ndarray, VtV: np.ndarray | None = None) -> np.ndarray:
@@ -133,7 +166,9 @@ def apply_wy(
     ``C_b <- C_b - V_b (T_b' (V_b^T C_b))`` — three batched GEMMs and a
     subtraction.  ``C`` may be any strided ``(batch, m, w)`` view; the
     update writes through it, so callers can pass a reshaped trailing
-    slice and skip gather/scatter entirely.
+    slice and skip gather/scatter entirely.  ``V`` may be strided too:
+    the factor kernel's is a view of LAPACK's output, and ``matmul``
+    hands its Fortran-ordered slices to BLAS with a transpose flag.
 
     The batch is processed in chunks whose temporaries hold at most
     ``chunk_elems`` elements, carved out of the shared scratch buffer.
@@ -199,13 +234,17 @@ def orgqr_wy(V: np.ndarray, T: np.ndarray, C: np.ndarray, out: np.ndarray) -> np
     a separate buffer.
 
     On SciPy's BLAS, ``gemm`` runs once per product per slice on
-    transposed views: a C-ordered array is its own transpose in Fortran
-    order, so nothing is copied and the last GEMM writes ``out`` in
+    Fortran-ordered operands, with transpose flags where the NumPy
+    array is C-ordered (a C-ordered array is its own transpose in
+    Fortran order).  A ``V`` slice from the factor kernel is a Fortran
+    view of LAPACK's output and goes in as it is; only the small top
+    ``r x kk`` block is copied, and the last GEMM writes ``out`` in
     place.  Without the binding (or for other dtypes) the same three
     products run as batched NumPy ``matmul``.
 
     Args:
-        V: ``(batch, h, kk)`` unit-lower-trapezoidal reflectors.
+        V: ``(batch, h, kk)`` unit-lower-trapezoidal reflectors, either
+            slice order.
         T: ``(batch, kk, kk)`` upper-triangular block-reflector factors.
         C: ``(batch, r, w)`` top rows, ``r <= h``; never written.
         out: ``(batch, h, w)`` destination, fully overwritten; must not
@@ -221,26 +260,31 @@ def orgqr_wy(V: np.ndarray, T: np.ndarray, C: np.ndarray, out: np.ndarray) -> np
         return out
     for i in range(V.shape[0]):
         Vi, Ci, Oi = V[i], C[i], out[i]
-        # Fortran view: W^T = (V_top^T C)^T then (T W)^T = W^T T^T.
-        W = gemm(1.0, Ci.T, Vi[:r].T, trans_b=1)
+        # Fortran view: W^T = (V_top^T C)^T, (T W)^T = W^T T^T, out^T = -W^T V^T.
+        top, t_top = _fortran(Vi[:r])
+        W = gemm(1.0, Ci.T, top, trans_b=t_top)
         W = gemm(1.0, W, T[i].T)
-        got = gemm(-1.0, W, Vi.T, beta=0.0, c=Oi.T, overwrite_c=1)
+        full, t_full = _fortran(Vi)
+        got = gemm(-1.0, W, full, trans_b=1 - t_full, beta=0.0, c=Oi.T, overwrite_c=1)
         if not np.shares_memory(got, Oi):  # a strided out was copied
             Oi[:] = got.T
         Oi[:r] += Ci
     return out
 
 
-def wy_factors(VR: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(V, T)`` of the compact-WY form for an already-packed factor."""
-    V = extract_v(VR)
-    return V, larft(V, tau)
+def _fortran(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(b, t)`` with ``a = b`` (``t = 0``) or ``a = b^T`` (``t = 1``).
+
+    ``b`` is Fortran-ordered whenever ``a`` is either order, so f2py
+    hands it to BLAS without a copy.
+    """
+    if a.flags.c_contiguous and not a.flags.f_contiguous:
+        return a.T, 1
+    return a, 0
 
 
-def _factor_slices(
-    A: np.ndarray, vmask: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The per-slice QR kernel behind both batched factor entry points.
+def _factor_slices(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The per-slice QR kernel behind every batched factor.
 
     A slice with ``m >= n`` and at least :data:`GEQRT_MIN_ELEMS` elements
     is factored in place by LAPACK's recursive compact-WY ``geqrt`` with
@@ -251,9 +295,13 @@ def _factor_slices(
     the batch size, and each slice is factored on its own, so stacking
     slices (TSQR blocks, serving requests) never changes their bits.
 
-    Returns ``(h, tau, V, T)``: the ``(batch, n, m)`` packed factor in
-    ``np.linalg.qr(mode="raw")`` layout (each slice column-major), the
-    coefficients, the unit-lower-trapezoidal reflectors and ``T``.
+    LAPACK's packed output is the only storage of the reflectors: R is
+    copied out and :func:`v_in_place` turns the rest into ``V``.
+
+    Returns ``(V, T, R, tau)``: the ``(batch, m, k)`` unit-lower-trapezoidal
+    reflectors, a view of the packed output with each slice in Fortran
+    order; ``T``; the ``(batch, k, n)`` upper-trapezoidal R; and the
+    coefficients.
     """
     b, m, n = A.shape
     T = None
@@ -268,40 +316,34 @@ def _factor_slices(
         tau = T.diagonal(axis1=1, axis2=2).copy()
     else:
         h, tau = np.linalg.qr(A, mode="raw")
-    V = extract_v(h.transpose(0, 2, 1), vmask)
-    return h, tau, V, larft(V, tau) if T is None else T
+    VR = h.transpose(0, 2, 1)
+    R = np.triu(VR[:, : min(m, n), :])
+    V = v_in_place(VR)
+    return V, larft(V, tau) if T is None else T, R, tau
 
 
-def geqr2_wy(
-    A: np.ndarray,
-    vmask: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lean batched QR for stacked *independent* problems: ``(V, T, h)``.
+def geqr2_wy(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lean batched QR for stacked *independent* problems: ``(V, T, R)``.
 
     The same per-slice kernel as :func:`geqr2_blocked` (``geqrt`` for
     slices with ``m >= n`` and at least :data:`GEQRT_MIN_ELEMS` elements,
-    the stacked-QR gufunc plus :func:`larft` otherwise), minus the packed
-    ``VR`` view and ``tau``, which the serving coalescer
-    (:mod:`repro.serving`) never reads: it takes the triangular ``R``
-    block straight from ``h`` through strided views.  Because every slice
-    is factored on its own by a kernel chosen from its shape alone,
-    stacking independent same-shape matrices along the batch axis
-    produces factors bit-identical to factoring each matrix alone, and to
-    what :func:`geqr2_blocked` returns for it — the property the request
-    coalescer is built on.
+    the stacked-QR gufunc plus :func:`larft` otherwise), minus ``tau``,
+    which the serving coalescer (:mod:`repro.serving`) never reads.
+    Because every slice is factored on its own by a kernel chosen from
+    its shape alone, stacking independent same-shape matrices along the
+    batch axis produces factors bit-identical to factoring each matrix
+    alone, and to what :func:`geqr2_blocked` returns for it — the
+    property the request coalescer is built on.
 
     Args:
         A: ``(batch, m, n)`` stack, float32/float64 (other dtypes belong
             in :func:`geqr2_blocked`, which casts them).
-        vmask: optional precomputed ``np.tri(m, k, -1, bool)`` strict
-            lower-trapezoid mask; per-shape callers cache it.
 
     Returns:
-        ``(V, T, h)``: the unit-lower-trapezoidal reflectors ``(batch,
-        m, k)``, the block-reflector ``T`` ``(batch, k, k)``, and the
-        ``(batch, n, m)`` packed factor in ``np.linalg.qr(mode="raw")``
-        layout (rows of ``h`` are columns of VR; ``R`` is its upper
-        ``k x n`` corner, transposed).
+        ``(V, T, R)``: the unit-lower-trapezoidal reflectors ``(batch,
+        m, k)`` (a view of LAPACK's packed output), the block-reflector
+        ``T`` ``(batch, k, k)`` and the upper-trapezoidal ``R`` ``(batch,
+        k, n)``.
     """
     if A.ndim != 3:
         raise ValueError("A must be a (batch, m, n) stack")
@@ -310,8 +352,8 @@ def geqr2_wy(
             f"geqr2_wy covers float32/float64 only, got {A.dtype}; "
             f"use geqr2_blocked"
         )
-    h, _, V, T = _factor_slices(A, vmask)
-    return V, T, h
+    V, T, R, _ = _factor_slices(A)
+    return V, T, R
 
 
 def geqr2_blocked(
@@ -330,15 +372,15 @@ def geqr2_blocked(
     already-reduced columns).  The input is never mutated.
 
     Returns:
-        ``(VR, tau, V, T)``: the packed factor and coefficients laid out
-        as :func:`repro.smallblas.batched.batched_geqr2` lays them out
-        (up to roundoff; ``VR`` is a transposed view of the column-major
-        LAPACK output), plus the assembled ``(batch, m, k)`` reflectors
-        and ``(batch, k, k)`` block-reflector T with ``Q_b = I - V_b T_b
-        V_b^T``.
+        ``(V, T, R, tau)``: the ``(batch, m, k)`` unit-lower-trapezoidal
+        reflectors (a view of LAPACK's packed output), the ``(batch, k,
+        k)`` block-reflector T with ``Q_b = I - V_b T_b V_b^T``, the
+        ``(batch, k, n)`` upper-trapezoidal R and the coefficients.
+        :func:`packed_vr` rebuilds the packed factor that
+        :func:`repro.smallblas.batched.batched_geqr2` returns (equal up
+        to roundoff).
     """
     A = np.asarray(A)
     if A.ndim != 3:
         raise ValueError("A must be a (batch, m, n) stack")
-    h, tau, V, T = _factor_slices(np.asarray(A, dtype=working_dtype(A)))
-    return h.transpose(0, 2, 1), tau, V, T
+    return _factor_slices(np.asarray(A, dtype=working_dtype(A)))

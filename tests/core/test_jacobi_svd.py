@@ -229,3 +229,29 @@ class TestRoundRobinOrdering:
         assert s_ref[0] / s_ref[-1] > 1e12
         U, s, Vt = jacobi_svd(R)
         _check_svd(R, U, s, Vt)
+
+
+class TestJacobiSpan:
+    def test_span_records_columns_and_sweeps(self, rng):
+        from repro import obs
+
+        A = rng.standard_normal((60, 9))
+        with obs.capture() as session:
+            jacobi_svd(A)
+        (span,) = session.trace.by_cat("svd")
+        assert span.name == "jacobi_svd" and span.args["n"] == 9
+        sweeps = span.args["sweeps"]
+        jacobi_svd(A, max_sweeps=sweeps)  # converges in exactly that many
+        with pytest.raises(RuntimeError):
+            jacobi_svd(A, max_sweeps=sweeps - 1)
+
+    def test_span_sits_under_the_svt_small_svd(self, rng):
+        from repro import obs
+        from repro.rpca.svt import singular_value_threshold
+
+        with obs.capture() as session:
+            singular_value_threshold(rng.standard_normal((400, 12)), 0.5)
+        trace = session.trace
+        (span,) = trace.by_cat("svd")
+        (parent,) = [s for s in trace.spans if s.id == span.parent]
+        assert parent.name == "rpca.small_svd" and span.args["n"] == 12

@@ -230,11 +230,12 @@ class TestCompactWY:
 
     def test_apply_wy_matches_reference_and_writes_in_place(self, rng):
         from repro.smallblas.batched import batched_apply_blocked
-        from repro.smallblas.wy import apply_wy, wy_factors
+        from repro.smallblas.wy import apply_wy, extract_v, larft
 
         A = rng.standard_normal((8, 48, 12))
         VR, tau = batched_geqr2(A)
-        V, T = wy_factors(VR, tau)
+        V = extract_v(VR)
+        T = larft(V, tau)
         C = rng.standard_normal((8, 48, 7))
         for transpose in (True, False):
             ref = batched_apply_blocked(VR, tau, C.copy(), transpose=transpose)
@@ -246,11 +247,12 @@ class TestCompactWY:
     def test_apply_wy_through_strided_view(self, rng):
         """The zero-copy reshape path: apply through a view of a 2-D matrix."""
         from repro.smallblas.batched import batched_apply_blocked
-        from repro.smallblas.wy import apply_wy, wy_factors
+        from repro.smallblas.wy import apply_wy, extract_v, larft
 
         A = rng.standard_normal((6, 16, 4))
         VR, tau = batched_geqr2(A)
-        V, T = wy_factors(VR, tau)
+        V = extract_v(VR)
+        T = larft(V, tau)
         B = rng.standard_normal((96, 5))
         tiles = B[:96].reshape(6, 16, 5)
         assert np.shares_memory(tiles, B)
@@ -259,7 +261,7 @@ class TestCompactWY:
         assert np.allclose(B.reshape(6, 16, 5), ref, atol=1e-11)
 
     def test_geqr2_blocked_matches_reference(self, rng):
-        from repro.smallblas.wy import GEQRT_MIN_ELEMS, geqr2_blocked
+        from repro.smallblas.wy import GEQRT_MIN_ELEMS, extract_v, geqr2_blocked, packed_vr
 
         gufunc_shapes = [
             (7, 20, 11),
@@ -285,8 +287,11 @@ class TestCompactWY:
                 A[0, 1:, 0] = 0.0  # already-reduced column
                 A[1, :, :] = 0.0  # fully zero block
             A0 = A.copy()
-            VR, tau, V, T = geqr2_blocked(A)
+            V, T, R, tau = geqr2_blocked(A)
             assert np.array_equal(A, A0), "input must not be mutated"
+            VR = packed_vr(V, R)
+            assert np.array_equal(V, extract_v(VR)), shape  # V is unit lower trapezoidal
+            assert np.array_equal(R, np.triu(R)), shape
             VR0, tau0 = batched_geqr2(A)
             assert np.allclose(VR, VR0, atol=1e-11), shape
             assert np.allclose(tau, tau0, atol=1e-11), shape
@@ -302,28 +307,24 @@ class TestCompactWY:
         # gufunc; geqrt tall; geqrt square
         for b, m, n in [(5, 24, 9), (3, 400, 40), (2, 96, 96)]:
             A = rng.standard_normal((b, m, n))
-            VR, tau, V, T = geqr2_blocked(A)
-            QR = np.concatenate(
-                [np.triu(VR[:, :n, :]), np.zeros((b, m - n, n))], axis=1
-            )
+            V, T, R, tau = geqr2_blocked(A)
+            QR = np.concatenate([R, np.zeros((b, m - n, n))], axis=1)
             apply_wy(V, T, QR, transpose=False)  # Q @ [R; 0] == A
             assert np.allclose(QR, A, atol=1e-11), (b, m, n)
 
     def test_geqr2_blocked_float32(self, rng):
-        from repro.smallblas.wy import apply_wy, geqr2_blocked
+        from repro.smallblas.wy import apply_wy, geqr2_blocked, packed_vr
 
         for b, m, n in [(4, 32, 8), (3, 400, 40)]:  # gufunc; sgeqrt
             A = rng.standard_normal((b, m, n)).astype(np.float32)
             A0 = A.copy()
-            VR, tau, V, T = geqr2_blocked(A)
+            V, T, R, tau = geqr2_blocked(A)
             assert np.array_equal(A, A0)
-            assert VR.dtype == tau.dtype == V.dtype == T.dtype == np.float32
+            assert R.dtype == tau.dtype == V.dtype == T.dtype == np.float32
             VR0, tau0 = batched_geqr2(A)
-            assert np.allclose(VR, VR0, atol=1e-4)
+            assert np.allclose(packed_vr(V, R), VR0, atol=1e-4)
             assert np.array_equal(tau, np.diagonal(T, axis1=1, axis2=2))
-            QR = np.concatenate(
-                [np.triu(VR[:, :n, :]), np.zeros((b, m - n, n), np.float32)], axis=1
-            )
+            QR = np.concatenate([R, np.zeros((b, m - n, n), np.float32)], axis=1)
             apply_wy(V, T, QR, transpose=False)
             assert np.allclose(QR, A, atol=1e-4)
 
@@ -364,14 +365,109 @@ class TestCompactWY:
         from repro.smallblas.wy import geqr2_blocked
 
         for b, m, n in [(2, 0, 3), (2, 3, 0), (0, 4, 3)]:
-            VR, tau, V, T = geqr2_blocked(np.zeros((b, m, n), np.float32))
+            V, T, R, tau = geqr2_blocked(np.zeros((b, m, n), np.float32))
             k = min(m, n)
-            assert VR.shape == (b, m, n) and tau.shape == (b, k)
+            assert R.shape == (b, k, n) and tau.shape == (b, k)
             assert V.shape == (b, m, k) and T.shape == (b, k, k)
-            assert VR.dtype == tau.dtype == V.dtype == T.dtype == np.float32
+            assert R.dtype == tau.dtype == V.dtype == T.dtype == np.float32
 
     def test_geqr2_blocked_rejects_bad_shape(self):
         from repro.smallblas.wy import geqr2_blocked
 
         with np.testing.assert_raises(ValueError):
             geqr2_blocked(np.zeros((4, 5)))
+
+
+class TestPackedStorage:
+    """The kernels read V where LAPACK wrote it: applying Q and forming Q
+    from the factor's own storage match the same kernels on an extracted,
+    C-ordered copy of V."""
+
+    SHAPES = [
+        (3, 20, 7),  # gufunc
+        (2, 64, 16),  # the paper's block, gufunc
+        (3, 400, 40),  # geqrt
+        (2, 9, 9),  # m == n, gufunc
+        (2, 96, 96),  # m == n, geqrt
+        (4, 50, 1),  # n = 1, gufunc
+        (2, 8192, 1),  # n = 1, geqrt
+        (2, 6, 10),  # wide, gufunc
+    ]
+    TOL = {np.float64: 1e-12, np.float32: 2e-4}
+
+    @staticmethod
+    def _factors(rng, shape, dtype):
+        from repro.smallblas.wy import GEQRT_MIN_ELEMS, extract_v, geqr2_blocked, packed_vr
+
+        b, m, n = shape
+        V, T, R, _ = geqr2_blocked(rng.standard_normal(shape).astype(dtype))
+        Vx = extract_v(packed_vr(V, R))
+        assert Vx.flags.c_contiguous and np.array_equal(V, Vx)
+        if m >= n and m * n >= GEQRT_MIN_ELEMS and n > 1:
+            assert V[0].flags.f_contiguous  # a view of geqrt's Fortran output
+        return V, T, Vx
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_apply_wy_through_strided_target(self, rng, shape, dtype):
+        from repro.smallblas.wy import apply_wy
+
+        V, T, Vx = self._factors(rng, shape, dtype)
+        b, m, _ = shape
+        for transpose in (True, False):
+            big = rng.standard_normal((b, m, 10)).astype(dtype)
+            ref = apply_wy(Vx, T, np.ascontiguousarray(big[:, :, ::2]), transpose=transpose)
+            target = big[:, :, ::2]  # every other column: a strided view
+            apply_wy(V, T, target, transpose=transpose)
+            np.testing.assert_allclose(big[:, :, ::2], ref, rtol=0, atol=self.TOL[dtype])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_orgqr_wy_into_strided_out(self, rng, shape, dtype):
+        from repro.smallblas.wy import orgqr_wy
+
+        V, T, Vx = self._factors(rng, shape, dtype)
+        b, m, _ = shape
+        k = V.shape[2]
+        C = rng.standard_normal((b, k, 3)).astype(dtype)
+        ref = orgqr_wy(Vx, T, C, np.empty((b, m, 3), dtype))
+        wide = np.full((b, m, 6), np.nan, dtype)
+        got = orgqr_wy(V, T, C, wide[:, :, ::2])  # strided out
+        np.testing.assert_allclose(got, ref, rtol=0, atol=self.TOL[dtype])
+        assert np.isnan(wide[:, :, 1::2]).all()  # only out was written
+        np.testing.assert_allclose(wide[:, :, ::2], ref, rtol=0, atol=self.TOL[dtype])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize(
+        "m,n,br",
+        [(1100, 20, 64), (4100, 40, None), (130, 1, 64), (300, 16, 33), (96, 96, None)],
+        ids=["ragged", "ragged-default", "n1", "odd-blocks", "square"],
+    )
+    def test_tsqr_plan_matches_extracted_copies(self, rng, m, n, br, dtype):
+        """TSQR's plan (level 0, ragged tail, tree) on its packed storage
+        against the same plan with every V replaced by a C-ordered copy."""
+        import dataclasses
+
+        from repro.core.tsqr import _plan_form_q, apply_wy_plan, tsqr
+
+        A = rng.standard_normal((m, n)).astype(dtype)
+        f = tsqr(A, policy=ExecutionPolicy(block_rows=br))
+        plan = f._plan_for(np.dtype(dtype))
+        copy = np.ascontiguousarray
+        if plan.l0_count:
+            assert np.shares_memory(plan.l0_V, f.blocks[0].packed)
+        px = dataclasses.replace(
+            plan,
+            l0_V=None if plan.l0_V is None else copy(plan.l0_V),
+            l0_tail=[(s, h, copy(V), T) for s, h, V, T in plan.l0_tail],
+            levels=[[(e[0], e[1], copy(e[2]), e[3]) for e in lvl] for lvl in plan.levels],
+        )
+        tol = self.TOL[dtype]
+        k = min(m, n)
+        np.testing.assert_allclose(f.form_q(), _plan_form_q(px, m, k), rtol=0, atol=tol)
+        B = rng.standard_normal((m, 5)).astype(dtype)
+        for transpose in (True, False):
+            ref = B.copy()
+            apply_wy_plan(px, ref, transpose=transpose)
+            got = (f.apply_qt if transpose else f.apply_q)(B.copy())
+            np.testing.assert_allclose(got, ref, rtol=0, atol=tol)

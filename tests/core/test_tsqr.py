@@ -367,3 +367,50 @@ class TestEmptyShapes:
         B = np.arange(3.0 * m, dtype=dtype).reshape(m, 3)
         assert np.array_equal(f.apply_qt(B.copy()), B)
         assert np.array_equal(f.apply_q(B.copy()), B)
+
+
+class TestReflectorStorage:
+    """No batched path copies V out of LAPACK's packed output.
+
+    Peaks are traced NumPy allocations (``tracemalloc``) at a tall shape:
+    the packed copy of A is one m x n array and Q another; everything
+    else (R and T per block, the tree's stacked Rs, Q's top rows) is
+    O(blocks * n^2).  An m x n copy of V would add a whole ``A.nbytes``.
+    """
+
+    M, N = 65536, 64
+    SMALL = 8  # allowance, in units of blocks * n * n elements
+
+    @staticmethod
+    def _peak(fn):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            out = fn()
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.fixture(scope="class")
+    def bounds(self):
+        A = np.random.default_rng(5).standard_normal((self.M, self.N))
+        blocks = -(-self.M // level0_rows(None, self.N))
+        return A, A.nbytes, self.SMALL * blocks * self.N * self.N * A.itemsize
+
+    def test_tsqr_qr(self, bounds):
+        A, mn, small = bounds
+        (Q, R), peak = self._peak(lambda: tsqr_qr(A))
+        assert peak < 2 * mn + small, f"peak {peak / mn:.2f} x A.nbytes"
+        assert factorization_error(A, Q, R) < 1e-14
+
+    def test_one_panel_lookahead(self, bounds):
+        A, mn, small = bounds
+        plan = plan_qr(self.M, self.N, np.float64, ExecutionPolicy(path="lookahead"))
+        f, peak = self._peak(lambda: plan.factor(A))
+        assert len(f.panels) == 1
+        assert peak < mn + small, f"factor peak {peak / mn:.2f} x A.nbytes"
+        del f
+        (Q, R), peak = self._peak(lambda: plan.execute(A))
+        assert peak < 2 * mn + small, f"execute peak {peak / mn:.2f} x A.nbytes"
+        assert np.array_equal(Q, tsqr_qr(A)[0])

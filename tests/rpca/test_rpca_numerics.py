@@ -94,6 +94,19 @@ class TestSVT:
         with pytest.raises(ValueError):
             singular_value_threshold(rng.standard_normal((5, 3)), -1.0)
 
+    @pytest.mark.parametrize("tau", [0.0, 0.5, 1e6])
+    def test_wide_input_is_the_transposed_solve(self, rng, tau):
+        X = rng.standard_normal((12, 40))
+        X0 = X.copy()
+        L, rank = singular_value_threshold(X, tau)
+        Lt, rank_t = singular_value_threshold(X.T, tau)
+        assert np.array_equal(X, X0)
+        assert L.shape == X.shape and rank == rank_t
+        assert np.array_equal(L, Lt.T)
+        U, s, Vt = np.linalg.svd(X, full_matrices=False)
+        assert rank == np.count_nonzero(s > tau)
+        np.testing.assert_allclose(L, (U * np.maximum(s - tau, 0.0)) @ Vt, atol=1e-10)
+
 
 class TestRPCA:
     def test_exact_recovery_low_rank_plus_sparse(self, rng):

@@ -86,6 +86,27 @@ class TestGuardThresholds:
         g("orth1", 1e-8)
 
 
+class TestGramKernel:
+    def test_sample_and_full_gram_go_through_gram(self, monkeypatch):
+        """``auto``'s row-sampled precheck forms its Gram with the kernel
+        the full Gram uses (SciPy ``syrk`` when bound), not NumPy matmul."""
+        import importlib
+
+        cq = importlib.import_module("repro.core.cholesky_qr")
+        real, shapes = cq.gram, []
+
+        def spy(W, dtype=None):
+            shapes.append(W.shape)
+            return real(W, dtype=dtype)
+
+        monkeypatch.setattr(cq, "gram", spy)
+        m, n = 4096, 32
+        f = run_cholqr(_gauss(m, n), ExecutionPolicy(path="auto"))
+        assert not f.fell_back
+        sample_rows = len(range(0, m, m // (8 * n)))
+        assert shapes == [(sample_rows, n), (m, n)]
+
+
 class TestFallbackSemantics:
     def test_explicit_path_refuses_tight_limit(self):
         pol = ExecutionPolicy(path="cholqr2", condition_limit=1.001)

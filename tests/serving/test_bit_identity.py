@@ -112,15 +112,15 @@ def test_geqrt_slices_stack_and_match_plan(gated_server):
 def test_factor_kernel_stack_equals_slices(m, n, dtype):
     """Stacking never changes a slice's factors, on either kernel."""
     A = np.asarray(np.random.default_rng(3).standard_normal((5, m, n)), dtype=dtype)
-    V, T, h = geqr2_wy(A)
-    VR, tau, Vb, Tb = geqr2_blocked(A)
+    V, T, R = geqr2_wy(A)
+    Vb, Tb, Rb, tau = geqr2_blocked(A)
     assert np.array_equal(V, Vb) and np.array_equal(T, Tb)
-    assert np.array_equal(h.transpose(0, 2, 1), VR)
+    assert np.array_equal(R, Rb)
     for i in range(len(A)):
-        Vi, Ti, hi = geqr2_wy(A[i : i + 1])
+        Vi, Ti, Ri = geqr2_wy(A[i : i + 1])
         assert np.array_equal(Vi[0], V[i])
         assert np.array_equal(Ti[0], T[i])
-        assert np.array_equal(hi[0], h[i])
+        assert np.array_equal(Ri[0], R[i])
 
 
 def test_cholqr2_policy_stops_at_shared_plan(gated_server):
