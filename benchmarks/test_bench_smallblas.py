@@ -48,7 +48,7 @@ def test_bench_looped_geqr2(benchmark):
 def crossover_table(monkeypatch):
     """gufunc ``geqrf`` + ``larft`` vs per-slice ``geqrt``, by slice size.
 
-    Both sides run ``geqr2_wy`` (the shared factor kernel) with the
+    Both sides run ``geqr2_blocked`` (the shared factor kernel) with the
     threshold forced one way, timed interleaved (median of
     CROSSOVER_REPS) on a batch of about CROSSOVER_ELEMS elements, so the
     ratio is per element.
@@ -67,7 +67,7 @@ def crossover_table(monkeypatch):
             for side, threshold in (("gufunc", np.inf), ("geqrt", 0)):
                 monkeypatch.setattr(wy, "GEQRT_MIN_ELEMS", threshold)
                 t0 = time.perf_counter()
-                wy.geqr2_wy(S)
+                wy.geqr2_blocked(S)
                 times[side].append(time.perf_counter() - t0)
         g, q = np.median(times["gufunc"]), np.median(times["geqrt"])
         speedup[m, n] = g / q

@@ -10,19 +10,24 @@ from which Q or Q^T can be applied, or the explicit thin Q formed.
 Two numeric execution strategies coexist:
 
 ``batched=True`` (default)
-    The whole hot path is vectorized.  Level 0 is factored as one padded
-    ``(blocks, block_rows, n)`` batch (a short last block is zero-padded —
-    exact, since Householder reflectors never touch all-zero pad rows);
-    every tree level is factored with one blocked batched QR per
-    heights-signature, stacking all nodes of the level.  Q applications
-    run through a precomputed :class:`_WyPlan`: fancy-index gather /
-    scatter row maps plus cached compact-WY ``(V, T)`` factors, so each
-    level of the tree is three batched GEMMs (``C -= V (T' (V' C))``)
-    instead of a Python loop of per-reflector rank-1 updates.  ``V`` is
-    never copied: it is a view of LAPACK's packed output, whose R the
-    factor moved out (:func:`repro.smallblas.wy.v_in_place`).  The
-    explicit Q is formed from the same plan the way LAPACK ``orgqr``
-    forms it (:func:`_plan_form_q`), on SciPy's BLAS when available.
+    The panel engine: :func:`panel_schedule` captures everything
+    shape-dependent once per ``(height, width, block_rows, tree_shape)``
+    (the level-0 blocks, a ragged tail, and each tree level's
+    same-signature batches with their row maps), and :func:`factor_panel`
+    runs it on a ``(r, height, width)`` stack of ``r`` independent
+    panels: one call of the shared slice kernel for the level-0 blocks,
+    one for the tail, and one per batch of each tree level, whose stacked
+    Rs are views of the previous level's output.  No per-block or
+    per-node Python work runs on the factor path.  The result is R and a
+    :class:`_WyPlan` of compact-WY ``(V, T)`` factors, applied by
+    :func:`apply_wy_plan` as three batched GEMMs per level
+    (``C -= V (T' (V' C))``).  ``V`` is never copied: it is a view of
+    LAPACK's packed output, whose R the factor moved out
+    (:func:`repro.smallblas.wy.v_in_place`).  The explicit Q is formed
+    from the same plan the way LAPACK ``orgqr`` forms it
+    (:func:`_plan_form_q`), on SciPy's BLAS when available.  ``tsqr``
+    (and through it CAQR's serial panels), the look-ahead executor and
+    the serving coalescer all run this one engine.
 
 ``batched=False``
     The seed per-node reference path, kept verbatim: per-block loops,
@@ -38,7 +43,8 @@ so both strategies produce the identical launch stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -48,12 +54,15 @@ from repro.obs import tracer as _obs
 from repro.runtime.policy import ExecutionPolicy
 from repro.smallblas.batched import batched_apply_blocked, batched_geqr2
 from repro.smallblas.wy import (
-    apply_wy, blas_name, geqr2_blocked, larft, orgqr_wy, packed_vr, v_in_place,
+    _factor_slices, apply_wy, blas_name, larft, orgqr_wy, packed_vr, v_in_place,
 )
 from .structured import StructuredStackFactor, structured_stack_qr
 from .tree import TreeSchedule, batch_level, build_tree
 
-__all__ = ["row_blocks", "level0_rows", "TSQRFactors", "tsqr", "tsqr_qr", "apply_wy_plan"]
+__all__ = [
+    "row_blocks", "level0_rows", "PanelSchedule", "panel_schedule", "factor_panel",
+    "apply_wy_plan", "TSQRFactors", "tsqr", "tsqr_qr",
+]
 
 # Level-0 height, in panel widths, for an unset block height (every host
 # engine's default) or a requested height below the width.  Blocks much
@@ -171,6 +180,9 @@ class _WyPlan:
 
     Built once per factorization (or lazily for factors loaded from disk)
     and reused by every ``apply_qt`` / ``apply_q`` / ``form_q`` call.
+    The factors of an ``r``-stack (:func:`factor_panel`) hold each
+    batch's slices request by request: request ``i``'s level-0 blocks
+    are ``l0_V[i * l0_count : (i + 1) * l0_count]``.
 
     * Level 0: the uniform block prefix is applied through a zero-copy
       ``(count, h, w)`` reshape of the target's leading rows; a ragged
@@ -187,68 +199,240 @@ class _WyPlan:
     # factor kernel's packed output (smallblas.wy.v_in_place)
     l0_V: np.ndarray | None
     l0_T: np.ndarray | None
-    # (row_start, real_height, V, T); V may be taller than real_height,
-    # in which case the extra reflector rows are exact zeros (padding).
+    # (row_start, height, V, T) of a ragged last block
     l0_tail: list[tuple[int, int, np.ndarray, np.ndarray]]
     # per level: [("wy", idx, V, T) | ("structured", tree_factor, idx)]
     levels: list[list[tuple]]
 
 
-def _member_rows(
-    blocks: list[_LevelZeroFactor], group: tuple[int, ...], heights: tuple[int, ...]
-) -> np.ndarray:
-    """1-D row indices a tree node's stacked R occupies in the panel."""
-    parts = [
-        np.arange(blocks[i].rows[0], blocks[i].rows[0] + h, dtype=np.intp)
-        for i, h in zip(group, heights)
+# ---------------------------------------------------------------------------
+# The panel engine: a shape-only schedule and the runner that factors it ----
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class _TreeBatch:
+    """One tree level's groups of one R-height signature, factored as one stack.
+
+    ``src`` selects the stacked rows from the level's R slab: a slice
+    when the members lie in it in group order (on every built-in tree),
+    an index array otherwise.  ``idx`` maps each group's stacked rows to
+    the panel rows its Q acts on.
+    """
+
+    positions: tuple[int, ...]  # the groups' positions in the tree level
+    heights: tuple[int, ...]  # R rows each member stacks (the signature)
+    src: slice | np.ndarray
+    idx: np.ndarray  # (groups, sum(heights))
+
+
+@dataclass(frozen=True, eq=False)
+class PanelSchedule:
+    """Everything shape-dependent about factoring one panel with TSQR.
+
+    Built by :func:`panel_schedule` and run by :func:`factor_panel`.
+    The R slab of a level holds the live blocks' Rs one under another:
+    level 0's in block order, each later level's as the batches' outputs
+    in batch order followed by the blocks riding along (``carry``).
+    """
+
+    height: int
+    width: int
+    block_rows: int  # effective level-0 height (level0_rows)
+    tree: TreeSchedule
+    ranges: tuple[tuple[int, int], ...]  # level-0 row blocks
+    l0_count: int  # uniform leading blocks, factored as one stack
+    l0_h: int
+    tail: tuple[int, int] | None  # (row_start, rows) of a ragged last block
+    levels: tuple[tuple[_TreeBatch, ...], ...]
+    carry: tuple[slice | np.ndarray | None, ...]  # per level: slab rows riding along
+
+
+def _runs(starts, heights) -> np.ndarray:
+    """The row runs ``[start, start + height)``, concatenated (read-only:
+    cached schedules share them with every caller)."""
+    starts = np.asarray(starts, dtype=np.intp)
+    if len(set(heights)) == 1:
+        rows = (starts[:, None] + np.arange(heights[0], dtype=np.intp)).ravel()
+    else:
+        rows = np.concatenate([np.arange(s, s + h, dtype=np.intp) for s, h in zip(starts, heights)])
+    rows.setflags(write=False)
+    return rows
+
+
+def _as_slice(rows: np.ndarray) -> slice | np.ndarray:
+    """``rows`` as a slice when they are one ascending run (a view, not a gather)."""
+    if (np.diff(rows) == 1).all():
+        return slice(int(rows[0]), int(rows[-1]) + 1)
+    return rows
+
+
+@lru_cache(maxsize=64)
+def panel_schedule(height: int, width: int, block_rows: int, tree_shape: str) -> PanelSchedule:
+    """Capture the TSQR schedule of a ``height x width`` panel (cached).
+
+    ``block_rows`` is the effective level-0 height (:func:`level0_rows`).
+    Pure shape arithmetic: the result serves every matrix, dtype and
+    stack size of the shape, so callers that hold it (plans) never
+    capture again, and a repeated direct call is a cache hit.
+    """
+    ranges = tuple(row_blocks(height, block_rows))
+    nb = len(ranges)
+    s_last, e_last = ranges[-1]
+    tail = (s_last, e_last - s_last) if nb > 1 and e_last - s_last != block_rows else None
+    tree = build_tree(nb, tree_shape)
+    start = [s for s, _ in ranges]
+    h = [min(e - s, width) for s, e in ranges]  # R rows each live block holds
+    order = list(range(nb))  # live blocks, in slab order
+    levels, carry = [], []
+    for level in tree.levels:
+        at = dict(zip(order, np.cumsum([0] + [h[i] for i in order[:-1]]).tolist()))
+        batches = []
+        for sig, poss in batch_level(level, key=lambda grp: tuple(h[i] for i in grp)).items():
+            members = [i for p in poss for i in level[p]]
+            hs = [h[i] for i in members]
+            batches.append(_TreeBatch(
+                positions=tuple(poss),
+                heights=sig,
+                src=_as_slice(_runs([at[i] for i in members], hs)),
+                idx=_runs([start[i] for i in members], hs).reshape(len(poss), sum(sig)),
+            ))
+        grouped = {i for grp in level for i in grp}
+        ride = [i for i in order if i not in grouped]
+        ride_at = [at[i] for i in ride]
+        carry.append(_as_slice(_runs(ride_at, [h[i] for i in ride])) if ride else None)
+        for grp in level:
+            h[grp[0]] = min(sum(h[i] for i in grp), width)
+        order = [level[p][0] for b in batches for p in b.positions] + ride
+        levels.append(tuple(batches))
+    return PanelSchedule(
+        height=height,
+        width=width,
+        block_rows=block_rows,
+        tree=tree,
+        ranges=ranges,
+        l0_count=nb - (tail is not None),
+        l0_h=block_rows if nb > 1 else height,
+        tail=tail,
+        levels=tuple(levels),
+        carry=tuple(carry),
+    )
+
+
+def factor_panel(
+    sched: PanelSchedule, S: np.ndarray, structured: bool = False
+) -> tuple[np.ndarray, _WyPlan, list]:
+    """Factor the ``(r, height, width)`` stack ``S`` of ``r`` panels on ``sched``.
+
+    Every slice (level-0 block, ragged tail, tree node) of every panel
+    is factored by the shared kernel
+    (:func:`~repro.smallblas.wy._factor_slices`), which copies each
+    slice and picks its algorithm from the slice shape alone, so slice
+    ``i`` of the stack gets the bits panel ``i`` gets alone.  Level 0 is
+    one kernel call (a strided view of ``S`` when ``r = 1``), the tail
+    one more, and each tree batch one, reading its stacked Rs as a view
+    of the previous level's output.  ``structured`` eliminates each tree
+    group with :func:`structured_stack_qr` instead (``r = 1`` only).
+
+    Returns ``(R, plan, nodes)``: the ``(r, min(height, width), width)``
+    upper-trapezoidal Rs, the apply plan, and the Rs of every level
+    (level 0's blocks and tail, then each tree batch's, or its
+    structured factors), from which :class:`TSQRFactors` builds its
+    per-node view on demand.
+    """
+    r, _, w = S.shape
+    c, h = sched.l0_count, sched.l0_h
+    args = {"blocks": len(sched.ranges), "block_rows": h, "stack": r}
+    with _obs.span("tsqr.level0", cat="factor.level0", **args):
+        V0, T0, R0, _ = _factor_slices(S[:, : c * h].reshape(r * c, h, w))
+        slab = R0.reshape(r, -1, w)
+        tail, made = [], [R0]
+        if sched.tail is not None:
+            s, ht = sched.tail
+            Vt, Tt, Rt, _ = _factor_slices(S[:, s:])
+            tail.append((s, ht, Vt, Tt))
+            made.append(Rt)
+            slab = np.concatenate([slab, Rt], axis=1)
+    levels, nodes = [], [made]
+    for level, batches, ride in zip(sched.tree.levels, sched.levels, sched.carry):
+        entries, outs, made = [], [], []
+        with _obs.span("tsqr.tree", cat="factor.tree", batches=len(batches), **args):
+            for b in batches:
+                src = slab[:, b.src].reshape(r * len(b.positions), sum(b.heights), w)
+                if structured:
+                    offs = np.cumsum((0,) + b.heights)
+                    tfs = []
+                    for gi, p in enumerate(b.positions):
+                        members = [src[gi, a:e] for a, e in zip(offs[:-1], offs[1:])]
+                        sf = structured_stack_qr(members)
+                        tfs.append(_TreeFactor(group=level[p], heights=b.heights, structured=sf))
+                    entries.extend(("structured", tf, row) for tf, row in zip(tfs, b.idx))
+                    made.append(tfs)
+                    Rl = np.stack([tf.structured.R for tf in tfs])
+                else:
+                    Vl, Tl, Rl, _ = _factor_slices(src)
+                    entries.append(("wy", b.idx, Vl, Tl))
+                    made.append(Rl)
+                outs.append(Rl.reshape(r, -1, w))
+            if ride is not None:
+                outs.append(slab[:, ride])
+            slab = outs[0] if len(outs) == 1 else np.concatenate(outs, axis=1)
+        levels.append(entries)
+        nodes.append(made)
+    plan = _WyPlan(
+        dtype=np.dtype(S.dtype), l0_count=c, l0_h=h, l0_V=V0, l0_T=T0, l0_tail=tail,
+        levels=levels,
+    )
+    return slab, plan, nodes
+
+
+def _node_factors(
+    sched: PanelSchedule, plan: _WyPlan, nodes: list
+) -> tuple[list[_LevelZeroFactor], list[list[_TreeFactor]]]:
+    """Per-block and per-group factor objects of a one-panel engine run.
+
+    Views of the engine's stacks (``tau`` is the diagonal of ``T``, as
+    the slice kernel reports it); read by archives and tests, never by
+    the engine.
+    """
+    Vs = [*plan.l0_V, *(t[2][0] for t in plan.l0_tail)]
+    Ts = [*plan.l0_T, *(t[3][0] for t in plan.l0_tail)]
+    Rs = [R for stack in nodes[0] for R in stack]
+    blocks = [
+        _LevelZeroFactor(rows=rows, packed=V, tau=T.diagonal().copy(), R=R)
+        for rows, V, T, R in zip(sched.ranges, Vs, Ts, Rs)
     ]
-    return np.concatenate(parts)
-
-
-def _level_row_index(
-    blocks: list[_LevelZeroFactor],
-    groups: list[tuple[int, ...]],
-    sig: tuple[int, ...],
-) -> np.ndarray:
-    """``(len(groups), sum(sig))`` gather/scatter map for one level batch."""
-    if len(set(sig)) == 1:
-        hr = sig[0]
-        starts = np.fromiter(
-            (blocks[i].rows[0] for grp in groups for i in grp),
-            dtype=np.intp,
-            count=len(groups) * len(sig),
-        )
-        return (starts[:, None] + np.arange(hr, dtype=np.intp)).reshape(
-            len(groups), len(sig) * hr
-        )
-    return np.stack([_member_rows(blocks, grp, sig) for grp in groups])
+    tree_factors = []
+    tree = zip(sched.tree.levels, sched.levels, plan.levels, nodes[1:])
+    for level, batches, entries, made in tree:
+        out: list = [None] * len(level)
+        for bi, (b, Rl) in enumerate(zip(batches, made)):
+            for gi, p in enumerate(b.positions):
+                if isinstance(Rl, list):  # structured: the factors themselves
+                    out[p] = Rl[gi]
+                else:
+                    _, _, V, T = entries[bi]
+                    out[p] = _TreeFactor(
+                        group=level[p], heights=b.heights, packed=V[gi],
+                        tau=T[gi].diagonal().copy(), R=Rl[gi],
+                    )
+        tree_factors.append(out)
+    return blocks, tree_factors
 
 
 def _convert_plan(src: _WyPlan, dt: np.dtype) -> _WyPlan:
     """Re-key an apply plan to a new working dtype (arrays cast once)."""
 
-    def cast(a: np.ndarray | None) -> np.ndarray | None:
-        return None if a is None else a.astype(dt)
+    def cast(entry: tuple) -> tuple:
+        return entry if entry[0] != "wy" else (*entry[:2], *(a.astype(dt) for a in entry[2:]))
 
-    tail = [(s, h, V.astype(dt), T.astype(dt)) for s, h, V, T in src.l0_tail]
-    levels = []
-    for entries in src.levels:
-        out = []
-        for entry in entries:
-            if entry[0] == "wy":
-                _, idx, V, T = entry
-                out.append(("wy", idx, V.astype(dt), T.astype(dt)))
-            else:
-                out.append(entry)
-        levels.append(out)
-    return _WyPlan(
+    return replace(
+        src,
         dtype=dt,
-        l0_count=src.l0_count,
-        l0_h=src.l0_h,
-        l0_V=cast(src.l0_V),
-        l0_T=cast(src.l0_T),
-        l0_tail=tail,
-        levels=levels,
+        l0_V=None if src.l0_V is None else src.l0_V.astype(dt),
+        l0_T=None if src.l0_T is None else src.l0_T.astype(dt),
+        l0_tail=[(s, h, V.astype(dt), T.astype(dt)) for s, h, V, T in src.l0_tail],
+        levels=[[cast(entry) for entry in entries] for entries in src.levels],
     )
 
 
@@ -262,94 +446,92 @@ def _stacked_wy(packed: list[np.ndarray], taus: list[np.ndarray], dt: np.dtype):
 def _plan_from_factors(f: "TSQRFactors", dt: np.dtype) -> _WyPlan:
     """Build an apply plan from stored per-node factors.
 
-    Used for factors that were not produced by the batched factorization
-    (loaded from disk via :mod:`repro.io`, or factored with
-    ``batched=False`` and then applied with ``batched=True``).  Each
-    batch of same-shape factors is stacked once and that copy is the
-    plan's ``V`` (:func:`~repro.smallblas.wy.v_in_place`).
+    Used for factors that were not produced by the panel engine (loaded
+    from disk via :mod:`repro.io`, or factored with ``batched=False``
+    and then applied with ``batched=True``).  The row maps are the
+    engine's schedule for the same geometry; each batch of same-shape
+    factors is stacked once and that copy is the plan's ``V``
+    (:func:`~repro.smallblas.wy.v_in_place`).
     """
-    count, h = f._uniform_prefix()
-    V0 = T0 = None
-    if count > 0:
-        V0, T0 = _stacked_wy(
-            [f.blocks[i].packed for i in range(count)], [f.blocks[i].tau for i in range(count)], dt
-        )
+    if not f.blocks:
+        return _WyPlan(dtype=dt, l0_count=0, l0_h=0, l0_V=None, l0_T=None, l0_tail=[], levels=[])
+    s0, e0 = f.blocks[0].rows
+    sched = panel_schedule(f.m, f.n, e0 - s0, f.tree.shape)
+    c = sched.l0_count
+    V0, T0 = _stacked_wy([b.packed for b in f.blocks[:c]], [b.tau for b in f.blocks[:c]], dt)
     tail = []
-    for blk in f.blocks[count:]:
-        s, e = blk.rows
-        V1, T1 = _stacked_wy([blk.packed], [blk.tau], dt)
-        tail.append((s, e - s, V1, T1))
+    if sched.tail is not None:
+        blk = f.blocks[-1]
+        tail.append((*sched.tail, *_stacked_wy([blk.packed], [blk.tau], dt)))
     levels: list[list[tuple]] = []
-    for level_factors in f.tree_factors:
+    for batches, level_factors in zip(sched.levels, f.tree_factors):
         entries: list[tuple] = []
-        dense: dict[tuple[int, ...], list[_TreeFactor]] = {}
-        for tf in level_factors:
-            if tf.structured is not None:
-                entries.append(("structured", tf, _member_rows(f.blocks, tf.group, tf.heights)))
+        for b in batches:
+            tfs = [level_factors[p] for p in b.positions]
+            if tfs[0].structured is not None:
+                entries.extend(("structured", tf, row) for tf, row in zip(tfs, b.idx))
             else:
-                dense.setdefault(tuple(tf.heights), []).append(tf)
-        for sig, tfs in dense.items():
-            V, T = _stacked_wy([tf.packed for tf in tfs], [tf.tau for tf in tfs], dt)
-            idx = _level_row_index(f.blocks, [tf.group for tf in tfs], sig)
-            entries.append(("wy", idx, V, T))
+                V, T = _stacked_wy([tf.packed for tf in tfs], [tf.tau for tf in tfs], dt)
+                entries.append(("wy", b.idx, V, T))
         levels.append(entries)
     return _WyPlan(
-        dtype=dt, l0_count=count, l0_h=h, l0_V=V0, l0_T=T0, l0_tail=tail, levels=levels
+        dtype=dt, l0_count=c, l0_h=sched.l0_h, l0_V=V0, l0_T=T0, l0_tail=tail, levels=levels
     )
 
 
-def _plan_apply_level0(plan: _WyPlan, B: np.ndarray, transpose: bool) -> None:
+def _plan_apply_level0(plan: _WyPlan, S: np.ndarray, transpose: bool) -> None:
     """Level-0 compact-WY application (``apply_qt_h``), batched."""
     if _obs.enabled():
-        with _obs.span("apply.level0", cat="apply.level0", cols=int(B.shape[1])):
-            _plan_apply_level0_impl(plan, B, transpose)
+        with _obs.span("apply.level0", cat="apply.level0", cols=int(S.shape[2])):
+            _plan_apply_level0_impl(plan, S, transpose)
         return
-    _plan_apply_level0_impl(plan, B, transpose)
+    _plan_apply_level0_impl(plan, S, transpose)
 
 
-def _plan_apply_level0_impl(plan: _WyPlan, B: np.ndarray, transpose: bool) -> None:
-    w = B.shape[1]
-    if plan.l0_count:
-        count, h = plan.l0_count, plan.l0_h
-        seg = B[: count * h]
-        tiles = seg.reshape(count, h, w)
-        if np.shares_memory(tiles, B):
+def _plan_apply_level0_impl(plan: _WyPlan, S: np.ndarray, transpose: bool) -> None:
+    r, _, w = S.shape
+    c, h = plan.l0_count, plan.l0_h
+    if c:
+        seg = S[:, : c * h]
+        if r == 1 or seg.strides[0] == c * h * seg.strides[1]:
             # Zero-copy: GEMM reads/writes straight through the strided
-            # view — no gather, no scatter.
-            apply_wy(plan.l0_V, plan.l0_T, tiles, transpose=transpose)
+            # view of every request's blocks — no gather, no scatter.
+            apply_wy(plan.l0_V, plan.l0_T, seg.reshape(r * c, h, w), transpose=transpose)
         else:
-            tiles = np.ascontiguousarray(seg).reshape(count, h, w)
-            apply_wy(plan.l0_V, plan.l0_T, tiles, transpose=transpose)
-            seg[:] = tiles.reshape(count * h, w)
-    for start, h_real, V1, T1 in plan.l0_tail:
-        hv = V1.shape[1]
-        if hv == h_real:
-            apply_wy(V1, T1, B[start : start + h_real][None], transpose=transpose)
-        else:
-            # Padded batch of one: the V rows past h_real are exact zeros,
-            # so the update on the pad rows is a no-op.
-            sub = np.zeros((1, hv, w), dtype=B.dtype)
-            sub[0, :h_real] = B[start : start + h_real]
-            apply_wy(V1, T1, sub, transpose=transpose)
-            B[start : start + h_real] = sub[0, :h_real]
+            # The requests' blocks are not one strided run: a view per
+            # request, so each block keeps the strides it has alone.
+            for i in range(r):
+                j = slice(i * c, (i + 1) * c)
+                apply_wy(plan.l0_V[j], plan.l0_T[j], seg[i].reshape(c, h, w), transpose=transpose)
+    for start, ht, Vt, Tt in plan.l0_tail:
+        apply_wy(Vt, Tt, S[:, start : start + ht], transpose=transpose)
 
 
 def apply_wy_plan(plan: _WyPlan, B: np.ndarray, transpose: bool) -> None:
-    """Apply a planned implicit Q (``transpose=True`` for Q^T) to ``B``.
+    """Apply a planned implicit Q (``transpose=True`` for Q^T) to ``B`` in place.
 
-    This is the whole batched application pipeline — level 0 through the
-    tree levels for Q^T, the reverse for Q — factored out so the
-    look-ahead executor (:mod:`repro.graph.executor`) can drive the same
-    arithmetic on trailing-matrix column tiles.
+    The whole batched application pipeline — level 0 through the tree
+    levels for Q^T, the reverse for Q — shared by TSQR's factors, the
+    look-ahead executor's trailing-matrix column tiles and the serving
+    coalescer.  ``B`` is ``(h, w)`` for the plan of one panel, or
+    ``(r, h, w)`` for the plan of an ``r``-stack (:func:`factor_panel`),
+    request ``i``'s rows in ``B[i]``.
+
+    :func:`~repro.smallblas.wy.apply_wy`'s bits depend on its operands'
+    strides, so the layout each slice reaches it with is fixed for any
+    ``r``: level-0 blocks and the tail as strided views of ``B``'s rows,
+    tree nodes as C-contiguous gathers.  Slice ``i`` of a stacked apply
+    therefore equals the apply of request ``i`` alone, bit for bit.
     """
+    S = B if B.ndim == 3 else B[None]
     if transpose:
-        _plan_apply_level0(plan, B, transpose=True)
+        _plan_apply_level0(plan, S, transpose=True)
         for entries in plan.levels:
-            _plan_apply_level(entries, B, transpose=True)
+            _plan_apply_level(entries, S, transpose=True)
     else:
         for entries in reversed(plan.levels):
-            _plan_apply_level(entries, B, transpose=False)
-        _plan_apply_level0(plan, B, transpose=False)
+            _plan_apply_level(entries, S, transpose=False)
+        _plan_apply_level0(plan, S, transpose=False)
 
 
 def _plan_form_q(plan: _WyPlan, m: int, k: int) -> np.ndarray:
@@ -368,8 +550,7 @@ def _plan_form_q(plan: _WyPlan, m: int, k: int) -> np.ndarray:
         dtype=np.intp,
     )
     # Block 0 is the tallest, so its R height bounds every block's top rows.
-    V_first = plan.l0_V if plan.l0_count else plan.l0_tail[0][2]
-    r_max = V_first.shape[2]
+    r_max = plan.l0_V.shape[2]
     top = np.zeros((len(starts), r_max, k), dtype=plan.dtype)
     np.fill_diagonal(top[0], 1.0)
     flat = top.reshape(-1, k)
@@ -386,43 +567,42 @@ def _plan_form_q(plan: _WyPlan, m: int, k: int) -> np.ndarray:
                 flat[pos] = sub
     Q = np.empty((m, k), dtype=plan.dtype)
     count, h = plan.l0_count, plan.l0_h
-    if count:
-        r = plan.l0_V.shape[2]
-        orgqr_wy(plan.l0_V, plan.l0_T, top[:count, :r], Q[: count * h].reshape(count, h, k))
-    for t, (start, h_real, V1, T1) in enumerate(plan.l0_tail, start=count):
-        # V rows past h_real are zero padding: Q's rows need only the real ones.
-        r = min(h_real, V1.shape[2])
-        orgqr_wy(V1[:, :h_real], T1, top[t : t + 1, :r], Q[start : start + h_real][None])
+    orgqr_wy(plan.l0_V, plan.l0_T, top[:count, :r_max], Q[: count * h].reshape(count, h, k))
+    for start, ht, Vt, Tt in plan.l0_tail:
+        orgqr_wy(Vt, Tt, top[count:, : Vt.shape[2]], Q[start : start + ht][None])
     return Q
 
 
-def _plan_apply_level(entries: list[tuple], B: np.ndarray, transpose: bool) -> None:
+def _plan_apply_level(entries: list[tuple], S: np.ndarray, transpose: bool) -> None:
     """One tree level (``apply_qt_tree``): gather, batched WY, scatter."""
     if _obs.enabled():
-        with _obs.span("apply.tree", cat="apply.tree", cols=int(B.shape[1])):
-            _plan_apply_level_impl(entries, B, transpose)
+        with _obs.span("apply.tree", cat="apply.tree", cols=int(S.shape[2])):
+            _plan_apply_level_impl(entries, S, transpose)
         return
-    _plan_apply_level_impl(entries, B, transpose)
+    _plan_apply_level_impl(entries, S, transpose)
 
 
-def _plan_apply_level_impl(entries: list[tuple], B: np.ndarray, transpose: bool) -> None:
+def _plan_apply_level_impl(entries: list[tuple], S: np.ndarray, transpose: bool) -> None:
+    w = S.shape[2]
     for entry in entries:
         if entry[0] == "wy":
             _, idx, V, T = entry
-            sub = B[idx]
-            apply_wy(V, T, sub, transpose=transpose)
-            B[idx] = sub
+            # C-contiguous (r, groups, H, w).  S[:, idx] lays the request
+            # axis innermost, which changes the slices' strides when r > 1
+            # (a no-op copy when r = 1); np.take would first copy all of S.
+            sub = np.ascontiguousarray(S[:, idx])
+            apply_wy(V, T, sub.reshape(-1, idx.shape[1], w), transpose=transpose)
+            S[:, idx] = sub
         else:
             _, tf, idx = entry
-            sub = B[idx]
+            sub = S[0, idx]
             if transpose:
                 tf.apply_qt_stack(sub)
             else:
                 tf.apply_q_stack(sub)
-            B[idx] = sub
+            S[0, idx] = sub
 
 
-@dataclass
 class TSQRFactors:
     """Implicit Q of a TSQR factorization.
 
@@ -435,31 +615,50 @@ class TSQRFactors:
     compact-WY plan path (default) or the seed per-node reference loop.
     Apply plans are cached per working dtype in ``_wy_plan``; factors
     loaded from disk build theirs lazily on first use.
+
+    ``blocks`` (one factor per level-0 row block) and ``tree_factors``
+    (one list per tree level) are the per-node factors.  The reference
+    path and loaded archives pass them in; a panel-engine factorization
+    (``engine``: its schedule, plan and node Rs) builds them on first
+    read, as views of its stacks, so its factor path builds no per-node
+    object.
     """
 
-    m: int
-    n: int
-    blocks: list[_LevelZeroFactor]
-    tree: TreeSchedule
-    tree_factors: list[list[_TreeFactor]]  # one list per tree level
-    R: np.ndarray  # final min(m, n) x n upper-triangular factor
-    batched: bool = True
-    _wy_plan: dict = field(default_factory=dict, repr=False, compare=False)
-    _l0_ref: dict = field(default_factory=dict, repr=False, compare=False)
+    def __init__(
+        self,
+        m: int,
+        n: int,
+        tree: TreeSchedule,
+        R: np.ndarray,
+        blocks: list[_LevelZeroFactor] | None = None,
+        tree_factors: list[list[_TreeFactor]] | None = None,
+        batched: bool = True,
+        engine: tuple[PanelSchedule, _WyPlan, list] | None = None,
+    ) -> None:
+        self.m = m
+        self.n = n
+        self.tree = tree
+        self.R = R  # final min(m, n) x n upper-triangular factor
+        self.batched = batched
+        self._blocks = blocks
+        self._tree_factors = tree_factors
+        self._engine = engine
+        self._wy_plan: dict = {} if engine is None else {engine[1].dtype: engine[1]}
+        self._l0_ref: dict = {}
+
+    @property
+    def blocks(self) -> list[_LevelZeroFactor]:
+        if self._blocks is None:
+            self._blocks, self._tree_factors = _node_factors(*self._engine)
+        return self._blocks
+
+    @property
+    def tree_factors(self) -> list[list[_TreeFactor]]:
+        if self._tree_factors is None:
+            self._blocks, self._tree_factors = _node_factors(*self._engine)
+        return self._tree_factors
 
     # -- internal helpers -------------------------------------------------
-
-    def _uniform_prefix(self) -> tuple[int, int]:
-        """(count, height) of the leading run of equal-height blocks."""
-        if not self.blocks:
-            return 0, 0
-        h = self.blocks[0].rows[1] - self.blocks[0].rows[0]
-        count = 0
-        for blk in self.blocks:
-            if blk.rows[1] - blk.rows[0] != h:
-                break
-            count += 1
-        return count, h
 
     def _plan_for(self, dt: np.dtype) -> _WyPlan:
         """Apply plan for working dtype ``dt`` (cached; built on demand)."""
@@ -484,7 +683,9 @@ class TSQRFactors:
         key = np.dtype(dt)
         ent = self._l0_ref.get(key)
         if ent is None:
-            count, h = self._uniform_prefix()
+            # Only the last row block can be shorter than the first.
+            h = self.blocks[0].rows[1] - self.blocks[0].rows[0] if self.blocks else 0
+            count = sum(b.rows[1] - b.rows[0] == h for b in self.blocks)
             if count > 1:
                 VRs = np.stack([self.blocks[i].packed for i in range(count)])
                 taus = np.stack([self.blocks[i].tau for i in range(count)])
@@ -589,112 +790,6 @@ class TSQRFactors:
             return self.apply_q(Q)
 
 
-def _tsqr_batched(
-    A: np.ndarray,
-    m: int,
-    n: int,
-    block_rows: int,
-    ranges: list[tuple[int, int]],
-    tree: TreeSchedule,
-    structured: bool,
-) -> TSQRFactors:
-    """Fully-batched TSQR: one blocked QR per level, plan prebuilt."""
-    dt = A.dtype
-    nb = len(ranges)
-    h_last = ranges[-1][1] - ranges[-1][0]
-    ragged = nb > 1 and h_last != block_rows
-    l0_count = nb - 1 if ragged else nb
-    if nb == 1:
-        stack = A[None, :, :]
-    else:
-        # The full-height blocks are an axis-0 reshape — a view, no copy.
-        # A ragged last block is factored separately as a batch of one at
-        # its exact height, so neither the factor nor later Q applies
-        # ever touch pad rows.
-        stack = A[: l0_count * block_rows].reshape(l0_count, block_rows, n)
-    with _obs.span("tsqr.level0", cat="factor.level0", blocks=nb, block_rows=block_rows):
-        Vb, Tb, Rb, taub = geqr2_blocked(stack)
-    bh = stack.shape[1]
-
-    blocks: list[_LevelZeroFactor] = []
-    current_r: dict[int, np.ndarray] = {}
-    for i, (s, e) in enumerate(ranges[:l0_count]):
-        blocks.append(_LevelZeroFactor(rows=(s, e), packed=Vb[i], tau=taub[i], R=Rb[i]))
-        current_r[i] = Rb[i]
-
-    l0_tail = []
-    if ragged:
-        s, e = ranges[-1]
-        with _obs.span("tsqr.level0", cat="factor.level0", blocks=1, block_rows=block_rows):
-            Vl, Tl, Rl, taul = geqr2_blocked(A[s:e][None, :, :])
-        blocks.append(_LevelZeroFactor(rows=(s, e), packed=Vl[0], tau=taul[0], R=Rl[0]))
-        current_r[nb - 1] = Rl[0]
-        l0_tail.append((s, h_last, Vl, Tl))
-
-    tree_factors: list[list[_TreeFactor]] = []
-    plan_levels: list[list[tuple]] = []
-    for level in tree.levels:
-        level_factors: list[_TreeFactor | None] = [None] * len(level)
-        entries: list[tuple] = []
-        if structured:
-            for p, group in enumerate(level):
-                heights = tuple(current_r[i].shape[0] for i in group)
-                with _obs.span("tsqr.tree", cat="factor.tree", groups=1):
-                    sf = structured_stack_qr([current_r[i] for i in group])
-                tf = _TreeFactor(group=group, heights=heights, structured=sf)
-                level_factors[p] = tf
-                entries.append(("structured", tf, _member_rows(blocks, group, heights)))
-                current_r[group[0]] = sf.R
-                for dead in group[1:]:
-                    del current_r[dead]
-        else:
-            sig_batches = batch_level(
-                level, key=lambda grp: tuple(current_r[i].shape[0] for i in grp)
-            )
-            for sig, poss in sig_batches.items():
-                groups = [level[p] for p in poss]
-                g = len(groups)
-                H = sum(sig)
-                if len(set(sig)) == 1:
-                    arrs = [current_r[i] for grp in groups for i in grp]
-                    stacked = np.stack(arrs).reshape(g, H, n)
-                else:
-                    stacked = np.stack(
-                        [np.vstack([current_r[i] for i in grp]) for grp in groups]
-                    )
-                with _obs.span("tsqr.tree", cat="factor.tree", groups=g):
-                    Vt, Tt, Rt, taut = geqr2_blocked(stacked)
-                entries.append(("wy", _level_row_index(blocks, groups, sig), Vt, Tt))
-                for gi, (p, grp) in enumerate(zip(poss, groups)):
-                    level_factors[p] = _TreeFactor(
-                        group=grp, heights=sig, packed=Vt[gi], tau=taut[gi], R=Rt[gi]
-                    )
-                    current_r[grp[0]] = Rt[gi]
-                    for dead in grp[1:]:
-                        del current_r[dead]
-        tree_factors.append(list(level_factors))
-        plan_levels.append(entries)
-
-    (survivor_idx,) = list(current_r)
-    R = current_r[survivor_idx]
-    k = min(m, n)
-    if R.shape[0] < k:
-        R = np.vstack([R, np.zeros((k - R.shape[0], n), dtype=R.dtype)])
-    f = TSQRFactors(
-        m=m, n=n, blocks=blocks, tree=tree, tree_factors=tree_factors, R=R[:k], batched=True
-    )
-    f._wy_plan[np.dtype(dt)] = _WyPlan(
-        dtype=np.dtype(dt),
-        l0_count=l0_count,
-        l0_h=bh,
-        l0_V=Vb,
-        l0_T=Tb,
-        l0_tail=l0_tail,
-        levels=plan_levels,
-    )
-    return f
-
-
 def _tsqr_reference(
     A: np.ndarray,
     m: int,
@@ -771,10 +866,10 @@ def _tsqr_impl(
 ) -> TSQRFactors:
     """Factor an *already validated* matrix with TSQR (no guard layer).
 
-    Internal callers (the CAQR panel loop, the look-ahead executor's
-    fallback, the randomized-SVD range finder, :class:`QRPlan`) come in
-    here directly: the matrix was validated exactly once at the public
-    entry point, so this path never re-scans it.
+    Internal callers (the CAQR panel loop, the randomized-SVD range
+    finder, :class:`QRPlan`) come in here directly: the matrix was
+    validated exactly once at the public entry point, so this path never
+    re-scans it.  The batched path is the panel engine on a stack of one.
     """
     m, n = A.shape
     if m == 0 or n == 0:
@@ -787,11 +882,13 @@ def _tsqr_impl(
     # Every level-0 R must be a full n x n triangle so the final R lands
     # contiguously in the first block (see level0_rows).
     block_rows = level0_rows(block_rows, n)
-    ranges = row_blocks(m, block_rows)
-    tree = build_tree(len(ranges), tree_shape)
-    if batched:
-        return _tsqr_batched(A, m, n, block_rows, ranges, tree, structured)
-    return _tsqr_reference(A, m, n, block_rows, ranges, tree, structured)
+    if not batched:
+        ranges = row_blocks(m, block_rows)
+        tree = build_tree(len(ranges), tree_shape)
+        return _tsqr_reference(A, m, n, block_rows, ranges, tree, structured)
+    sched = panel_schedule(m, n, block_rows, tree_shape)
+    R, plan, nodes = factor_panel(sched, A[None], structured)
+    return TSQRFactors(m=m, n=n, tree=sched.tree, R=R[0], engine=(sched, plan, nodes))
 
 
 def tsqr(A: np.ndarray, *, policy: ExecutionPolicy | None = None) -> TSQRFactors:

@@ -3,37 +3,26 @@
 This is the executor half of the launch-graph subsystem: the same
 dependency structure that :mod:`repro.graph.dag` builds for the
 simulator, run for real over the batched compact-WY kernels of
-:mod:`repro.smallblas.wy`.  Two things distinguish it from the serial
-``batched`` path's driver:
+:mod:`repro.smallblas.wy`.  The factorization is a list of tasks — one
+panel factor ``F(p)`` plus one trailing update ``U(p, j)`` per column
+tile — wired with the same data dependencies as the DAG: ``F(p)`` needs
+only the *first-tile* update of panel ``p - 1`` (look-ahead), each
+update needs its panel's factors plus the previous panel's updates on
+its columns.  The tasks run serially in program order or on a thread
+pool; either way every task performs identical arithmetic on identical
+operands, so the two modes are **bit-identical** (tiling is keyed on
+``workers`` alone, never on ``threaded``).
 
-* **Task graph.**  The factorization is a list of tasks — one panel
-  factor ``F(p)`` plus one trailing update ``U(p, j)`` per column tile —
-  wired with the same data dependencies as the DAG: ``F(p)`` needs only
-  the *first-tile* update of panel ``p - 1`` (look-ahead), each update
-  needs its panel's factors plus the previous panel's updates on its
-  columns.  The tasks run serially in program order or on a thread pool;
-  either way every task performs identical arithmetic on identical
-  operands, so the two modes are **bit-identical** (tiling is keyed on
-  ``workers`` alone, never on ``threaded``).
-
-* **Lean replay.**  The panel factorization keeps only what the apply
-  plan needs: level-0 blocks are strided views of the panel, tree-level
-  R stacks are zero-copy reshapes of a contiguous backing array instead
-  of per-node gathers, no per-block/per-node factor objects are built,
-  and the shape-dependent schedule (row maps, batch slicing) is computed
-  once per ``(panel_height, width, block_rows, tree)`` and replayed from
-  an LRU cache — the CUDA-Graphs capture/replay idiom, host-side.
-
-Every slice (level-0 block, ragged tail, tree node) is factored by the
-kernel TSQR and the serving coalescer share,
-:func:`repro.smallblas.wy._factor_slices`: LAPACK ``geqrt`` for slices
-of at least ``GEQRT_MIN_ELEMS`` elements, the ``geqrf`` gufunc plus
-``larft`` below that, each returning its R and its compact-WY
-``(V, T)``, ``V`` a view of LAPACK's packed output.  Numerically the
+Each panel is factored by TSQR's panel engine
+(:func:`repro.core.tsqr.factor_panel`) on the panel schedule the
+captured :class:`LookaheadSchedule` holds
+(:func:`repro.core.tsqr.panel_schedule`, built once per plan), and its
+trailing updates and Q applications replay the engine's apply plan
+(:func:`repro.core.tsqr.apply_wy_plan`).  A run never captures a
+schedule.  Every panel's arithmetic is therefore TSQR's: one panel (an
+unset width on a tall matrix) is ``tsqr_qr`` bit for bit, and the
 executor matches the ``batched`` path at the same panel width to
-roundoff (operation *order* across independent tiles differs; an
-unset width is one panel here and 16 there), and
-matches itself exactly across ``threaded=True/False``.  The
+roundoff (operation *order* across independent tiles differs).  The
 ``structured`` tree elimination is not supported here — use
 :func:`repro.core.caqr.caqr` for that path.
 """
@@ -42,7 +31,6 @@ from __future__ import annotations
 
 import os
 import threading
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -50,15 +38,14 @@ from functools import cached_property
 import numpy as np
 
 from repro.core.dtypes import as_float_array, working_dtype
-from repro.core.tree import batch_level, build_tree
 from repro.core.tsqr import (
-    _plan_form_q, _tsqr_impl, _WyPlan, apply_wy_plan, level0_rows, row_blocks,
+    PanelSchedule, _plan_form_q, _WyPlan, apply_wy_plan, factor_panel, level0_rows,
+    panel_schedule,
 )
 from repro.graph.highlevel import TaskGraph
 from repro.graph.order import static_order
 from repro.obs import tracer as _obs
 from repro.runtime.policy import LOOKAHEAD, ExecutionPolicy
-from repro.smallblas.wy import _factor_slices
 
 __all__ = [
     "LookaheadCAQRFactors",
@@ -71,125 +58,6 @@ __all__ = [
 ]
 
 _MIN_TILE = 16  # narrowest "rest" tile worth a task of its own
-
-
-# ---------------------------------------------------------------------------
-# Panel schedule capture (shape-dependent, cached) ---------------------------
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _LevelBatch:
-    """One same-shape batch of tree groups at one level.
-
-    Attributes:
-        g: number of groups in the batch.
-        arity: stacked Rs per group (all ``height``-uniform).
-        pos0: the batch's first member position in alive order — members
-            occupy ``backing[pos0 : pos0 + g * arity]`` contiguously.
-        idx: ``(g, arity * height)`` panel-row gather map for applies.
-    """
-
-    g: int
-    arity: int
-    pos0: int
-    idx: np.ndarray
-
-
-@dataclass(frozen=True)
-class _PanelRecipe:
-    """Everything shape-dependent about factoring one panel."""
-
-    hp: int
-    width: int
-    bh: int
-    nb: int
-    l0_count: int
-    l0_h: int
-    ragged: bool
-    tail_start: int
-    tail_h: int
-    levels: tuple[tuple[_LevelBatch, ...], ...]
-    carried: tuple[int, ...]  # per level: alive entries riding along
-
-
-_RECIPES: OrderedDict[tuple, _PanelRecipe | None] = OrderedDict()
-_RECIPES_LOCK = threading.Lock()
-_RECIPES_MAX = 64
-
-
-def _build_recipe(hp: int, width: int, bh: int, tree_shape: str) -> _PanelRecipe | None:
-    """Capture the panel schedule, or ``None`` if the shape needs the
-    generic :func:`~repro.core.tsqr.tsqr` fallback (tiny ragged tail, or
-    a tree whose level order is not its batch order)."""
-    ranges = row_blocks(hp, bh)
-    nb = len(ranges)
-    tail_start, tail_stop = ranges[-1]
-    tail_h = tail_stop - tail_start
-    ragged = nb > 1 and tail_h != bh
-    l0_count = nb - 1 if ragged else nb
-    l0_h = bh if nb > 1 else hp
-    if ragged and tail_h < width:
-        # The tail R is shorter than the panel width: heights go ragged
-        # through the whole tree.  Rare (only when the last block is
-        # thinner than the panel) — not worth a lean path.
-        return None
-    tree = build_tree(nb, tree_shape)
-    starts = np.arange(nb, dtype=np.intp) * bh
-    alive = list(range(nb))
-    levels: list[tuple[_LevelBatch, ...]] = []
-    carried: list[int] = []
-    for level in tree.levels:
-        pos_of = {blk: p for p, blk in enumerate(alive)}
-        batches: list[_LevelBatch] = []
-        cursor = 0
-        for arity, poss in batch_level(level).items():
-            groups = [level[p] for p in poss]
-            members = [i for grp in groups for i in grp]
-            mpos = [pos_of[i] for i in members]
-            if mpos != list(range(cursor, cursor + len(members))):
-                return None  # batch not a contiguous alive slice
-            st = starts[np.asarray(members, dtype=np.intp)]
-            idx = (st[:, None] + np.arange(width, dtype=np.intp)).reshape(
-                len(groups), arity * width
-            )
-            batches.append(_LevelBatch(g=len(groups), arity=arity, pos0=cursor, idx=idx))
-            cursor += len(members)
-        ride = alive[cursor:]
-        eliminated = {i for grp in level for i in grp[1:]}
-        next_alive = [grp[0] for grp in level] + ride
-        if [i for i in alive if i not in eliminated] != next_alive:
-            return None  # survivor order differs from concat order
-        levels.append(tuple(batches))
-        carried.append(len(ride))
-        alive = next_alive
-    return _PanelRecipe(
-        hp=hp,
-        width=width,
-        bh=bh,
-        nb=nb,
-        l0_count=l0_count,
-        l0_h=l0_h,
-        ragged=ragged,
-        tail_start=tail_start,
-        tail_h=tail_h,
-        levels=tuple(levels),
-        carried=tuple(carried),
-    )
-
-
-def _recipe(hp: int, width: int, bh: int, tree_shape: str) -> _PanelRecipe | None:
-    key = (hp, width, bh, tree_shape)
-    with _RECIPES_LOCK:
-        if key in _RECIPES:
-            _RECIPES.move_to_end(key)
-            return _RECIPES[key]
-    rec = _build_recipe(hp, width, bh, tree_shape)
-    with _RECIPES_LOCK:
-        _RECIPES[key] = rec
-        while len(_RECIPES) > _RECIPES_MAX:
-            _RECIPES.popitem(last=False)
-    return rec
 
 
 # ---------------------------------------------------------------------------
@@ -208,73 +76,8 @@ class _PanelPlan:
     row_start: int
     col_start: int
     col_stop: int
-    R: np.ndarray | None = None  # (width, width) upper triangular
+    R: np.ndarray | None = None  # (min(rows, width), width) upper trapezoidal
     plan: _WyPlan | None = field(default=None, repr=False)
-
-    def apply_qt(self, B: np.ndarray) -> None:
-        apply_wy_plan(self.plan, B, transpose=True)
-
-    def apply_q(self, B: np.ndarray) -> None:
-        apply_wy_plan(self.plan, B, transpose=False)
-
-
-def _factor_panel(pp: _PanelPlan, Wp: np.ndarray, bh: int, tree_shape: str) -> None:
-    """Factor one panel (TSQR) into ``pp`` — the ``factor`` +
-    ``factor_tree`` launches of the DAG, replayed from the cached recipe."""
-    hp, width = Wp.shape
-    rec = _recipe(hp, width, bh, tree_shape)
-    if rec is None:
-        f = _tsqr_impl(Wp, block_rows=bh, tree_shape=tree_shape, structured=False, batched=True)
-        pp.R = f.R[:width, :]
-        pp.plan = f._plan_for(Wp.dtype)
-        return
-    # Level 0: the uniform blocks are one strided view of the panel; only
-    # their Rs are copied, into the backing slab the tree reads, and the
-    # reflectors stay where LAPACK wrote them.
-    if rec.nb == 1:
-        stack = Wp[None, :, :]
-    else:
-        stack = Wp[: rec.l0_count * bh].reshape(rec.l0_count, bh, width)
-    with _obs.span("panel.level0", cat="factor.level0", blocks=rec.nb, block_rows=rec.l0_h):
-        V0, T0, R0, _ = _factor_slices(stack)
-        backing = np.empty((rec.nb, width, width), dtype=Wp.dtype)
-        backing[: rec.l0_count] = R0
-        tail = []
-        if rec.ragged:
-            Vt, Tt, Rt, _ = _factor_slices(Wp[rec.tail_start :][None, :, :])
-            backing[rec.nb - 1] = Rt[0]
-            tail.append((rec.tail_start, rec.tail_h, Vt, Tt))
-    # Tree levels: every stacked-R input is a zero-copy reshape of the
-    # backing slab; the outputs become the next slab.
-    levels = []
-    for batches, n_ride in zip(rec.levels, rec.carried):
-        entries = []
-        outs = []
-        used = 0
-        with _obs.span("panel.tree", cat="factor.tree", batches=len(batches)):
-            for lb in batches:
-                src = backing[lb.pos0 : lb.pos0 + lb.g * lb.arity].reshape(
-                    lb.g, lb.arity * width, width
-                )
-                Vl, Tl, Rt, _ = _factor_slices(src)
-                entries.append(("wy", lb.idx, Vl, Tl))
-                outs.append(Rt)
-                used += lb.g * lb.arity
-            if len(outs) == 1 and n_ride == 0:
-                backing = outs[0]
-            else:
-                backing = np.concatenate(outs + ([backing[used:]] if n_ride else []))
-        levels.append(entries)
-    pp.R = backing[0]
-    pp.plan = _WyPlan(
-        dtype=np.dtype(Wp.dtype),
-        l0_count=rec.l0_count,
-        l0_h=rec.l0_h,
-        l0_V=V0,
-        l0_T=T0,
-        l0_tail=tail,
-        levels=levels,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -311,14 +114,14 @@ class LookaheadCAQRFactors:
         """Compute ``Q^T B`` in place (B must have ``m`` rows)."""
         B, W = self._check(B)
         for p in self.panels:
-            p.apply_qt(W[p.row_start :, :])
+            apply_wy_plan(p.plan, W[p.row_start :, :], transpose=True)
         return B
 
     def apply_q(self, B: np.ndarray) -> np.ndarray:
         """Compute ``Q B`` in place (B must have ``m`` rows)."""
         B, W = self._check(B)
         for p in reversed(self.panels):
-            p.apply_q(W[p.row_start :, :])
+            apply_wy_plan(p.plan, W[p.row_start :, :], transpose=False)
         return B
 
     def form_q(self) -> np.ndarray:
@@ -339,7 +142,7 @@ class LookaheadCAQRFactors:
         Q = np.zeros((self.m, k), dtype=working_dtype(self.R))
         np.fill_diagonal(Q, 1.0)
         for p in reversed(self.panels):
-            p.apply_q(Q[p.row_start :, p.col_start :])
+            apply_wy_plan(p.plan, Q[p.row_start :, p.col_start :], transpose=False)
         return Q
 
 
@@ -378,7 +181,7 @@ def form_q_columns(
         def run(lo: int, hi: int) -> None:
             for p in reversed(panels):
                 if p.col_start < hi:
-                    p.apply_q(Q[p.row_start :, max(lo, p.col_start) : hi])
+                    apply_wy_plan(p.plan, Q[p.row_start :, max(lo, p.col_start) : hi], False)
     else:
         # Build the apply plan serially up front: the tile applies run
         # concurrently and must only read it.
@@ -604,7 +407,9 @@ class LookaheadSchedule:
     any conforming matrix by :func:`run_lookahead_schedule`.  ``panels``
     holds ``(col_start, width, row_start, block_rows, trailing)`` per
     panel; ``tasks`` is the dependency-wired task list; ``panel_width``
-    is the effective width (the engine's resolution of an unset one).
+    is the effective width (the engine's resolution of an unset one);
+    ``panel_schedules`` holds each panel's TSQR schedule, so a run never
+    captures one.
     """
 
     m: int
@@ -613,6 +418,7 @@ class LookaheadSchedule:
     panels: tuple[tuple[int, int, int, int, int], ...]
     tasks: tuple[_TaskSpec, ...]
     panel_width: int
+    panel_schedules: tuple[PanelSchedule, ...] = field(default=(), repr=False, compare=False)
 
     @property
     def has_updates(self) -> bool:
@@ -679,6 +485,10 @@ def build_lookahead_schedule(m: int, n: int, policy: ExecutionPolicy) -> Lookahe
     sched = LookaheadSchedule(
         m=m, n=n, policy=policy, panels=tuple(panels), tasks=tuple(tasks),
         panel_width=width,
+        panel_schedules=tuple(
+            panel_schedule(m - r0, pw_p, bh, policy.tree_shape)
+            for _c0, pw_p, r0, bh, _wt in panels
+        ),
     )
     sched.compiled_order  # compiled here, at plan time, not on the first run
     return sched
@@ -753,7 +563,6 @@ def run_lookahead_schedule(
         # update (one tall panel) nothing writes W: factor A in place.
         W = A
     dt = np.dtype(working_dtype(W))
-    tree_shape = policy.tree_shape
 
     panels = [
         _PanelPlan(row_start=r0, col_start=c0, col_stop=c0 + pw_p)
@@ -767,13 +576,16 @@ def run_lookahead_schedule(
 
             def fn(pp=pp, c0=c0, pw_p=pw_p, r0=r0, bh=bh, p=ts.panel):
                 with _obs.span("factor", cat="factor", panel=p, rows=m - r0, block_rows=bh):
-                    _factor_panel(pp, W[r0:, c0 : c0 + pw_p], bh, tree_shape)
+                    R, pp.plan, _ = factor_panel(
+                        sched.panel_schedules[p], W[None, r0:, c0 : c0 + pw_p]
+                    )
+                    pp.R = R[0]
 
         else:
 
             def fn(pp=pp, r0=r0, lo=ts.lo, hi=ts.hi, p=ts.panel):
                 with _obs.span("update", cat="update", panel=p, lo=lo, hi=hi):
-                    pp.apply_qt(W[r0:, lo:hi])
+                    apply_wy_plan(pp.plan, W[r0:, lo:hi], transpose=True)
 
         bind.append(fn)
 
@@ -796,7 +608,7 @@ def run_lookahead_schedule(
         n=n,
         panel_width=sched.panel_width,
         block_rows=policy.block_rows,
-        tree_shape=tree_shape,
+        tree_shape=policy.tree_shape,
         panels=panels,
         R=R.astype(dt, copy=False),
         workers=workers,

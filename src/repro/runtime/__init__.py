@@ -11,7 +11,7 @@ A Parla-style policy/plan/execute separation:
   sharded, streaming), which plans, runs, models and compiles it.  No
   other module compares a path name.
 * :func:`plan_qr` / :class:`QRPlan` — everything shape-dependent about a
-  factorization (panel schedule, reduction-tree recipes, look-ahead task
+  factorization (panel partition, TSQR panel schedules, look-ahead task
   DAG, the validated policy) computed once and replayed by
   ``plan.execute(A)`` for repeated bit-identical factorizations;
   ``plan.simulate()`` gives the modeled GPU cost of the same shape.  A

@@ -57,45 +57,34 @@ def _plan_dtype(dtype) -> np.dtype:
     return dt if dt == np.dtype(np.float32) else np.dtype(np.float64)
 
 
-def _panel_specs(m: int, n: int, policy: ExecutionPolicy) -> tuple[PanelSpec, ...]:
-    from repro.core.tree import build_tree
-    from repro.core.tsqr import level0_rows, row_blocks
+def _panel_schedule(height: int, width: int, policy: ExecutionPolicy):
+    """The TSQR panel schedule a ``height x width`` panel runs under ``policy``."""
+    from repro.core.tsqr import level0_rows, panel_schedule
 
+    return panel_schedule(height, width, level0_rows(policy.block_rows, width), policy.tree_shape)
+
+
+def _panel_specs(m: int, n: int, policy: ExecutionPolicy) -> tuple[PanelSpec, ...]:
     k = min(m, n)
     pw = policy.effective_panel_width(m, n)
     specs = []
     for c0 in range(0, k, pw):
         pw_p = min(pw, k - c0)
         r0 = c0  # the grid is redrawn lower by the panel width
-        hp = m - r0
-        bh = level0_rows(policy.block_rows, pw_p)
-        nb = len(row_blocks(hp, bh))
-        tree = build_tree(nb, policy.tree_shape)
+        sched = _panel_schedule(m - r0, pw_p, policy)
         specs.append(
             PanelSpec(
                 col_start=c0,
                 col_stop=c0 + pw_p,
                 row_start=r0,
-                height=hp,
-                block_rows=bh,
-                blocks=nb,
-                tree_levels=len(tree.levels),
+                height=m - r0,
+                block_rows=sched.block_rows,
+                blocks=len(sched.ranges),
+                tree_levels=len(sched.levels),
                 trailing_cols=n - (c0 + pw_p),
             )
         )
     return tuple(specs)
-
-
-def _warm_recipes(schedule) -> tuple:
-    """Capture (and pin) a look-ahead schedule's per-panel tree recipes,
-    so the first execute on the tree replays them instead of capturing."""
-    from repro.graph.executor import _recipe
-
-    tree_shape = schedule.policy.tree_shape
-    return tuple(
-        _recipe(schedule.m - r0, w, bh, tree_shape)
-        for _c0, w, r0, bh, _wt in schedule.panels
-    )
 
 
 def _wy_scratch_bytes(
@@ -107,17 +96,13 @@ def _wy_scratch_bytes(
     arity ``a`` contributes ``(a w) x w + w x w``.  This is the peak
     apply-plan footprint a server would pre-allocate for the shape.
     """
-    from repro.core.tree import build_tree
-
     elems = 0
     for p in panels:
         w = p.width
         elems += p.blocks * (p.block_rows * w + w * w)
-        tree = build_tree(p.blocks, policy.tree_shape)
-        for level in tree.levels:
-            for group in level:
-                a = len(group)
-                elems += a * w * w + w * w
+        for batches in _panel_schedule(p.height, w, policy).levels:
+            for b in batches:
+                elems += len(b.positions) * (len(b.heights) + 1) * w * w
     return elems * itemsize
 
 
@@ -127,8 +112,8 @@ class QRPlan:
     Create with :func:`plan_qr`.  ``execute(A)`` factors any matrix of
     the planned shape/dtype, bit-identical to the corresponding direct
     ``caqr_qr(A, policy=...)`` call; repeated executions skip all
-    planning (panel schedule, look-ahead DAG construction, tree-recipe
-    capture).  ``simulate()`` returns the modeled GPU cost of the same
+    planning (panel partition, look-ahead DAG construction, TSQR panel
+    schedules).  ``simulate()`` returns the modeled GPU cost of the same
     shape under ``policy.config`` / ``policy.device``.  ``panels`` and
     ``wy_scratch_bytes`` describe the plan and are computed on first
     read, so a direct call never pays for them.
@@ -144,8 +129,7 @@ class QRPlan:
         # CholeskyQR2 scratch (the mixed path's float32 Gram cast buffer)
         # is reused across executes but never across threads.
         self._tls = threading.local()
-        # Strong refs in _recipes keep warmed tree recipes alive.
-        self._schedule, self._recipes = self._engine.build(self)
+        self._schedule = self._engine.build(self)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -275,9 +259,9 @@ def plan_qr(
     """Build a reusable :class:`QRPlan` for an ``m x n`` factorization.
 
     Everything shape-dependent that execution needs is computed here,
-    once, by the policy's engine: the per-panel reduction trees
-    (captured into the executor's recipe cache for the look-ahead
-    path), the look-ahead task DAG, the shard or chunk row deal.  The
+    once, by the policy's engine: the per-panel TSQR schedules (held by
+    the look-ahead schedule, so an execute never captures one), the
+    look-ahead task DAG, the shard or chunk row deal.  The
     policy is validated at construction, so ``plan.execute`` never
     re-validates it.
     """

@@ -105,9 +105,9 @@ class Engine:
     permits: tuple[str, ...] = ()
     modeled = True
 
-    def build(self, plan) -> tuple:
-        """Shape-dependent state built once per plan: ``(schedule, recipes)``."""
-        return None, ()
+    def build(self, plan):
+        """Shape-dependent state built once per plan: the engine's schedule."""
+        return None
 
     def panel_width(self, policy, m: int, n: int) -> int:
         """The panel width ``policy`` factors an ``m x n`` matrix with.
@@ -173,10 +173,8 @@ class _Lookahead(Engine):
 
     def build(self, plan):
         from repro.graph.executor import build_lookahead_schedule
-        from repro.runtime.plan import _warm_recipes
 
-        schedule = build_lookahead_schedule(plan.m, plan.n, plan.policy)
-        return schedule, _warm_recipes(schedule)
+        return build_lookahead_schedule(plan.m, plan.n, plan.policy)
 
     def factor(self, plan, A):
         # Looked up at call time: benchmarks wrap this attribute.
@@ -203,15 +201,13 @@ class _CholQR(Engine):
         return super().panel_width(policy, m, n)
 
     def build(self, plan):
-        # A fallback path prebuilds the look-ahead schedule and warms its
-        # tree recipes, so a guarded execute never plans.
+        # A fallback path prebuilds the look-ahead schedule, panel
+        # schedules included, so a guarded execute never plans.
         if not plan.policy.spec.fallback or plan.m < 1 or plan.n < 1:
-            return None, ()
+            return None
         from repro.runtime.cholqr import _fallback_schedule
-        from repro.runtime.plan import _warm_recipes
 
-        schedule = _fallback_schedule(plan.m, plan.n, plan.policy)
-        return schedule, _warm_recipes(schedule)
+        return _fallback_schedule(plan.m, plan.n, plan.policy)
 
     def factor(self, plan, A):
         from repro.runtime.cholqr import run_cholqr
@@ -263,7 +259,7 @@ class _Sharded(Engine):
         from repro.distributed.sharded import build_shard_schedule
 
         p = plan.policy
-        return build_shard_schedule(plan.m, plan.n, p.shards, p.effective_fanin), ()
+        return build_shard_schedule(plan.m, plan.n, p.shards, p.effective_fanin)
 
     def factor(self, plan, A):
         from repro.distributed.sharded import run_sharded
@@ -324,7 +320,7 @@ class _Streaming(Engine):
     def build(self, plan):
         from repro.streaming.qr import build_stream_schedule
 
-        return build_stream_schedule(plan.m, plan.n, plan.policy.chunk_rows), ()
+        return build_stream_schedule(plan.m, plan.n, plan.policy.chunk_rows)
 
     def factor(self, plan, A):
         from repro.streaming.qr import run_streaming_matrix

@@ -47,7 +47,6 @@ __all__ = [
     "blas_name",
     "orgqr_wy",
     "geqr2_blocked",
-    "geqr2_wy",
 ]
 
 # One flat scratch allocation per dtype, grown to the high-water mark and
@@ -66,6 +65,10 @@ _TLS = threading.local()
 # depends on the width, and from 8192 on geqrt wins at every measured
 # shape (1.6-2.8x at TSQR's 3200x100 level-0 blocks).
 GEQRT_MIN_ELEMS = 8192
+
+# Bound on apply_wy's per-chunk GEMM temporaries, in elements (1 MiB of
+# float64): small enough to stay cache-resident.
+_CHUNK_ELEMS = 131072
 
 
 def _scratch(count: int, dtype: np.dtype) -> np.ndarray:
@@ -159,7 +162,6 @@ def apply_wy(
     T: np.ndarray,
     C: np.ndarray,
     transpose: bool = True,
-    chunk_elems: int = 131072,
 ) -> np.ndarray:
     """Apply ``Q`` / ``Q^T`` of ``Q = I - V T V^T`` to each tile, in place.
 
@@ -171,14 +173,21 @@ def apply_wy(
     hands its Fortran-ordered slices to BLAS with a transpose flag.
 
     The batch is processed in chunks whose temporaries hold at most
-    ``chunk_elems`` elements, carved out of the shared scratch buffer.
-    The default keeps a chunk cache-resident, which at paper scale
+    :data:`_CHUNK_ELEMS` elements, carved out of the shared scratch
+    buffer.  That keeps a chunk cache-resident, which at paper scale
     (few huge trailing updates) halves main-memory traffic versus three
-    full-batch GEMMs with materialized intermediates; the serving
-    coalescer, whose updates are many and small, passes a larger bound
-    to buy fewer GEMM dispatches instead.  Chunking splits the batch
-    axis only — each slice's arithmetic is independent of ``chunk_elems``,
-    so results are bitwise identical across settings.
+    full-batch GEMMs with materialized intermediates.  Chunking splits
+    the batch axis only — each slice's arithmetic is independent of the
+    chunk and of the batch size, so results are bitwise identical for
+    any batch.
+
+    The bits *do* depend on the strides of each ``C`` slice: ``matmul``
+    hands a slice's leading dimension and element stride to BLAS, and
+    BLAS kernels sum in a different order for different layouts (with
+    a one-column ``C``, a strided slice and a contiguous copy of it
+    give different bits).  Callers that promise equal bits across two
+    routes must hand every slice over with the same strides on both;
+    :func:`repro.core.tsqr.apply_wy_plan` does that for any stack size.
     """
     Tm = T.transpose(0, 2, 1) if transpose else T
     b, m, k = V.shape
@@ -189,7 +198,7 @@ def apply_wy(
         np.subtract(C, np.matmul(V, W), out=C)
         return C
     per_block = w * (2 * k + m)
-    chunk = max(1, min(b, chunk_elems // max(1, per_block)))
+    chunk = max(1, min(b, _CHUNK_ELEMS // max(1, per_block)))
     buf = _scratch(chunk * per_block, C.dtype)
     for s0 in range(0, b, chunk):
         s1 = min(s0 + chunk, b)
@@ -322,48 +331,14 @@ def _factor_slices(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     return V, larft(V, tau) if T is None else T, R, tau
 
 
-def geqr2_wy(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lean batched QR for stacked *independent* problems: ``(V, T, R)``.
-
-    The same per-slice kernel as :func:`geqr2_blocked` (``geqrt`` for
-    slices with ``m >= n`` and at least :data:`GEQRT_MIN_ELEMS` elements,
-    the stacked-QR gufunc plus :func:`larft` otherwise), minus ``tau``,
-    which the serving coalescer (:mod:`repro.serving`) never reads.
-    Because every slice is factored on its own by a kernel chosen from
-    its shape alone, stacking independent same-shape matrices along the
-    batch axis produces factors bit-identical to factoring each matrix
-    alone, and to what :func:`geqr2_blocked` returns for it — the
-    property the request coalescer is built on.
-
-    Args:
-        A: ``(batch, m, n)`` stack, float32/float64 (other dtypes belong
-            in :func:`geqr2_blocked`, which casts them).
-
-    Returns:
-        ``(V, T, R)``: the unit-lower-trapezoidal reflectors ``(batch,
-        m, k)`` (a view of LAPACK's packed output), the block-reflector
-        ``T`` ``(batch, k, k)`` and the upper-trapezoidal ``R`` ``(batch,
-        k, n)``.
-    """
-    if A.ndim != 3:
-        raise ValueError("A must be a (batch, m, n) stack")
-    if A.dtype not in (np.float32, np.float64):
-        raise TypeError(
-            f"geqr2_wy covers float32/float64 only, got {A.dtype}; "
-            f"use geqr2_blocked"
-        )
-    V, T, R, _ = _factor_slices(A)
-    return V, T, R
-
-
 def geqr2_blocked(
     A: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Batched QR returning the compact-WY factors as byproducts.
 
     Casts to the working dtype (float32 or float64) and factors every
-    slice with the kernel :func:`geqr2_wy` shares: LAPACK's recursive
-    compact-WY ``geqrt`` for slices with ``m >= n`` and at least
+    slice with the shared slice kernel (:func:`_factor_slices`):
+    LAPACK's recursive compact-WY ``geqrt`` for slices with ``m >= n`` and at least
     :data:`GEQRT_MIN_ELEMS` elements (TSQR's tall level-0 blocks and
     the stacked-R tree nodes of wide panels), the stacked-QR gufunc
     (``geqrf``) plus :func:`larft` below that (the paper's 64x16

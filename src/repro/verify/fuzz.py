@@ -43,6 +43,10 @@ through :func:`repro.core.tsqr.tsqr_qr` at the case's geometry, with
 the batched and the structured tree (:data:`TSQR_PATHS`): the QR the
 RPCA SVD runs, with its orgqr-form Q.  Both references are checked for
 the invariants, and well-conditioned ones against ``np.linalg.qr``.
+For each coalescable path (``batched``) the case is also stacked between
+two same-shape matrices through a :class:`~repro.serving.ServingPlan`:
+its slice of ``stacked_qr`` must equal ``plan_qr(...).factor(A)`` bit
+for bit, the serving coalescer's contract.
 
 Any divergence is reported with a minimal standalone repro snippet.
 """
@@ -59,8 +63,10 @@ from repro.core.gram_schmidt import cgs2
 from repro.core.tsqr import tsqr_qr
 from repro.core.validation import sign_canonical
 from repro.runtime.cholqr import count_fallbacks
+from repro.runtime.plan import plan_qr
 from repro.runtime.policy import CHOLQR, ExecutionPolicy, PathSpec
 from repro.runtime.policy import PATHS as ENGINE_TABLE
+from repro.serving import ServingPlan, stacked_qr
 
 from .invariants import launch_fingerprint, qr_invariants, qr_tolerance
 
@@ -218,6 +224,7 @@ class Divergence:
     # "exception" | "invariants" | "vs-numpy" | "pairwise" | "fingerprint"
     # | "fallback" (auto fell back on Gaussian input, or a sweep with
     #   adversarial kinds saw no fallback at all)
+    # | "serving" (a coalesced slice differs from the plan's own factor)
     check: str
     detail: str
 
@@ -267,6 +274,26 @@ def _factor_diff(Q1, R1, Q2, R2, scale: float) -> tuple[float, float]:
     dq = float(np.abs(Q1c - Q2c).max()) if Q1c.size else 0.0
     dr = float(np.abs(R1c - R2c).max()) / scale if R1c.size else 0.0
     return dq, dr
+
+
+def _serving_divergence(case: FuzzCase, name: str, A: np.ndarray) -> list[Divergence]:
+    """``A`` stacked between two same-shape matrices through a
+    :class:`ServingPlan` against ``plan_qr(...).factor(A)``, bit for bit."""
+    m, n = A.shape
+    policy = case.policy(name)
+    f = plan_qr(m, n, A.dtype, policy).factor(A)
+    Q1, R1 = f.form_q(), f.R
+    rng = np.random.default_rng(case.seed + 1)
+    before, after = rng.standard_normal((2, m, n)).astype(A.dtype)
+    Q, R = stacked_qr([before, A, after], ServingPlan(m, n, A.dtype, policy))
+    if np.array_equal(Q[1], Q1) and np.array_equal(R[1], R1):
+        return []
+    dq = float(np.abs(Q[1] - Q1).max())
+    dr = float(np.abs(R[1] - R1).max())
+    return [Divergence(
+        case, name, "serving",
+        f"stacked_qr slice != plan_qr(...).factor: max|dQ|={dq:.3e} max|dR|={dr:.3e}",
+    )]
 
 
 def run_case(case: FuzzCase, paths: list[str] | None = None) -> list[Divergence]:
@@ -349,6 +376,10 @@ def run_case(case: FuzzCase, paths: list[str] | None = None) -> list[Divergence]
     # that the BLAS3 paths must agree with.
     if case.kind == "gauss" and 0 < n <= m:
         reference("cgs2", cgs2, compare=True)
+    # Serving composition: a coalesced slice is the plan's own factor.
+    for name in results:
+        if _spec(name).coalescable and min(m, n) > 0:
+            divs.extend(_serving_divergence(case, name, A))
     # Whole-matrix TSQR, on every case: no engine above runs it unpaneled.
     for name in TSQR_PATHS:
         policy = case.tsqr_policy(name)
@@ -391,6 +422,9 @@ CORE_SHAPES: tuple[tuple[int, int], ...] = (
     # Two 512-row default blocks of a 16-wide panel (8192 elements, so
     # geqrt) plus a ragged tail.
     (1100, 20),
+    # 16-wide panels leave a one-column trailing update whose tree level
+    # is one group: the serving identity's gather-layout case.
+    (130, 17),
 )
 
 # (dtype, order, kind, panel_width, block_rows, tree_shape)
@@ -412,6 +446,10 @@ CORE_VARIANTS: tuple[tuple[str, str, str, int | None, int | None, str], ...] = (
     ("float32", "F", "gauss", 8, 16, "binomial"),
     ("float32", "C", "huge", 4, 16, "quad"),
     ("float32", "C", "tiny", 4, 16, "binary"),
+    # Three-wide panels: 7, 13 and 16 columns are 1 (mod 3), so the last
+    # trailing update is one column wide, where apply_wy's bits depend
+    # on the operand strides (the serving composition identity).
+    ("float64", "C", "gauss", 3, 8, "binary"),
 )
 
 _RANDOM_AXES = {

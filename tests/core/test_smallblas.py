@@ -354,7 +354,7 @@ class TestCompactWY:
             wy.geqr2_blocked(rng.standard_normal((b, t // 16, 16)))
             assert calls == ["dgeqrt"] * b
             calls.clear()
-            wy.geqr2_wy(rng.standard_normal((b, t // 16, 16)).astype(np.float32))
+            wy.geqr2_blocked(rng.standard_normal((b, t // 16, 16)).astype(np.float32))
             assert calls == ["sgeqrt"] * b
             calls.clear()
             wy.geqr2_blocked(rng.standard_normal((b, t // 16 - 1, 16)))

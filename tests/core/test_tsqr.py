@@ -19,7 +19,7 @@ from repro.core.validation import (
 from repro.graph.executor import build_lookahead_schedule
 from repro.runtime import ExecutionPolicy
 from repro.runtime.plan import plan_qr
-from repro.serving.batch import _PanelPlan
+from repro.serving.batch import ServingPlan
 from repro.smallblas import wy
 
 tsqr_mod = importlib.import_module("repro.core.tsqr")
@@ -155,7 +155,11 @@ class TestLevel0Height:
         assert [p.block_rows for p in plan.panels] == [1024, 1024]
         sched = build_lookahead_schedule(5000, 64, policy)
         assert [bh for _, _, _, bh, _ in sched.panels] == [1024, 1024]
-        assert _PanelPlan(0, 32, 5000, 8, "quad").ranges == row_blocks(5000, 1024)
+        batched = ExecutionPolicy(path="batched", panel_width=32, block_rows=8)
+        serving = ServingPlan(5000, 64, np.float64, batched)
+        assert [s.ranges for _, s in serving.panels] == [
+            tuple(row_blocks(5000, 1024)), tuple(row_blocks(4968, 1024))
+        ]
 
 
 class TestTSQRApply:

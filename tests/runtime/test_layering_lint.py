@@ -488,3 +488,86 @@ class TestStreamRule:
         rc, out = self._run_main(tmp_path, monkeypatch, capsys)
         assert rc == 0
         assert "clean" in out
+
+
+class TestTreeWalkRule:
+    """The tree-walk fence: ``batch_level`` and ``_factor_slices`` are
+    imported by TSQR's panel engine and the slice kernels only, so no
+    second TSQR tree driver can grow back elsewhere."""
+
+    def _lint(self):
+        sys.path.insert(0, str(LINT.parent))
+        try:
+            import lint_layering
+        finally:
+            sys.path.pop(0)
+        return lint_layering
+
+    def _run_main(self, tmp_path, monkeypatch, capsys):
+        lint_layering = self._lint()
+        monkeypatch.setattr(lint_layering, "REPO", tmp_path)
+        rc = lint_layering.main()
+        return rc, capsys.readouterr().out
+
+    def test_scanner_flags_both_import_forms(self, tmp_path):
+        f = tmp_path / "mod.py"
+        f.write_text(
+            "from repro.core.tree import batch_level, build_tree\n"
+            "from repro.smallblas import wy\n"
+            "V, T, R, tau = wy._factor_slices(A)\n"
+        )
+        assert self._lint().scan_file(f) == [
+            (1, "batch_level", "tree walk"),
+            (3, "_factor_slices", "tree walk"),
+        ]
+
+    def test_engine_entry_points_are_sanctioned(self, tmp_path):
+        f = tmp_path / "mod.py"
+        f.write_text(
+            "from repro.core.tree import build_tree\n"
+            "from repro.core.tsqr import apply_wy_plan, factor_panel, panel_schedule\n"
+            "from repro.smallblas.wy import apply_wy, geqr2_blocked\n"
+        )
+        assert self._lint().scan_file(f) == []
+
+    def test_injected_tree_walk_is_caught(self, tmp_path, monkeypatch, capsys):
+        bad = tmp_path / "src" / "repro" / "serving"
+        bad.mkdir(parents=True)
+        (bad / "batch.py").write_text(
+            "from repro.core.tree import batch_level\n"
+            "from repro.smallblas.wy import _factor_slices\n"
+        )
+        bench = tmp_path / "benchmarks"
+        bench.mkdir()
+        (bench / "bench_kernel.py").write_text(
+            "import repro.smallblas.wy as wy\n"
+            "wy._factor_slices(S)\n"
+        )
+        core = tmp_path / "src" / "repro" / "core"
+        core.mkdir(parents=True)
+        (core / "tsqr.py").write_text(
+            "from .tree import batch_level\n"
+            "from repro.smallblas.wy import _factor_slices\n"
+        )
+        kernels = tmp_path / "src" / "repro" / "smallblas"
+        kernels.mkdir(parents=True)
+        (kernels / "wy.py").write_text("V, T, R, tau = _factor_slices(A)\n")
+        rc, out = self._run_main(tmp_path, monkeypatch, capsys)
+        assert rc == 1
+        assert "src/repro/serving/batch.py:1: batch_level" in out
+        assert "src/repro/serving/batch.py:2: _factor_slices" in out
+        assert "benchmarks/bench_kernel.py:2: _factor_slices" in out
+        assert "outside repro.core.tsqr" in out
+        assert "core/tsqr.py" not in out and "smallblas/wy.py" not in out
+        assert "3 violation(s)" in out
+
+    def test_engine_only_tree_is_clean(self, tmp_path, monkeypatch, capsys):
+        core = tmp_path / "src" / "repro" / "core"
+        core.mkdir(parents=True)
+        (core / "tsqr.py").write_text(
+            "from .tree import TreeSchedule, batch_level, build_tree\n"
+            "from repro.smallblas.wy import _factor_slices, apply_wy\n"
+        )
+        rc, out = self._run_main(tmp_path, monkeypatch, capsys)
+        assert rc == 0
+        assert "tree walk only in repro.core.tsqr" in out

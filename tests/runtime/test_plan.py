@@ -183,33 +183,34 @@ class TestDefaultGeometry:
         assert [bh for _, _, _, bh, _ in pinned._schedule.panels] == [64] * 7
         assert "64 x7" in pinned.describe()
 
-    def test_auto_plan_warms_fallback_recipes(self, monkeypatch):
-        """plan_qr(path="auto") captures the fallback's tree recipes, so
-        the first guarded fallback replays them instead of capturing."""
-        from collections import OrderedDict
-
-        import repro.graph.executor as executor
+    def test_auto_plan_warms_fallback_recipes(self):
+        """plan_qr(path="auto") captures each fallback panel's TSQR
+        schedule once, and the guarded fallback never captures again."""
+        from repro.core.tsqr import panel_schedule
         from repro.runtime import count_fallbacks
 
-        monkeypatch.setattr(executor, "_RECIPES", OrderedDict())
-        calls = []
-        build = executor._build_recipe
-        monkeypatch.setattr(
-            executor, "_build_recipe", lambda *key: calls.append(key) or build(*key)
-        )
+        def captures():
+            info = panel_schedule.cache_info()
+            return info.misses, info.hits + info.misses
+
+        panel_schedule.cache_clear()
         plan = plan_qr(*self.SHAPE, policy=ExecutionPolicy(path="auto", panel_width=16))
-        assert len(calls) == 3  # one capture per fallback panel
+        assert captures()[0] == 3  # one capture per fallback panel
+        before = captures()
         with count_fallbacks() as fb:
             plan.execute(_graded(*self.SHAPE))
         assert fb.fallbacks == 1
-        assert len(calls) == 3
+        assert captures() == before  # the execute never looks a schedule up
         # Unset, the fallback is one panel: one capture.
-        calls.clear()
+        panel_schedule.cache_clear()
         plan = plan_qr(*self.SHAPE, policy=ExecutionPolicy(path="auto"))
-        assert calls == [(self.SHAPE[0], self.SHAPE[1], 1280, "quad")]
+        assert captures()[0] == 1
+        (sched,) = plan._schedule.panel_schedules
+        assert (sched.height, sched.width, sched.block_rows) == (*self.SHAPE, 1280)
+        before = captures()
         with count_fallbacks() as fb:
             plan.execute(_graded(*self.SHAPE))
-        assert fb.fallbacks == 1 and len(calls) == 1
+        assert fb.fallbacks == 1 and captures() == before
 
 
 class TestOnePanelDefault:

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Layering lint: path names are read in the engine table only.
+"""Layering lint: path names in the engine table, the tree walk in TSQR.
 
 Every execution-path decision goes through the engine table,
 ``PATHS`` in :mod:`repro.runtime.policy`: each of the ten path names
@@ -50,6 +50,16 @@ in-flight window plus the deterministic memory accounting live in the
 streaming package, so a privately built engine would produce rows no
 soak gate ever accounts for.  External code calls ``stream_qr`` /
 ``stream_chunks`` or the policy-routed entry points.
+
+The TSQR tree walk has one owner too: importing
+:func:`repro.core.tree.batch_level` (the same-signature batching of a
+tree level) or :func:`repro.smallblas.wy._factor_slices` (the per-slice
+QR kernel), as ``from ... import name`` or as a module attribute
+(``wy._factor_slices``), anywhere outside :mod:`repro.core.tsqr` and
+``repro.smallblas`` is a violation.  TSQR's panel engine
+(``panel_schedule`` / ``factor_panel`` / ``apply_wy_plan``) is the one
+driver that walks the tree; a second copy of the walk would drift from
+it (the serving coalescer's copy once lost bit identity that way).
 
 AST-based, not regex: only a real comparison node is flagged, so a path
 name inside a string, a docstring or a ``policy=ExecutionPolicy(path=...)``
@@ -106,6 +116,11 @@ GRAPH_CONSTRUCTORS = {"TaskGraph", "Layer"}
 # ExecutionPolicy(path="streaming", chunk_rows=...).
 STREAM_CONSTRUCTORS = {"StreamingQR", "ChunkBuffer"}
 
+# Names whose import is reserved to TSQR's panel engine and the slice
+# kernels it drives: walking the reduction tree (batching a level, factoring
+# its slices) anywhere else is a second tree driver.
+TREE_WALK_NAMES = {"batch_level", "_factor_slices"}
+
 SCAN_ROOTS = ("src/repro", "benchmarks", "examples")
 # Per-rule exemption: only repro.runtime may construct the guard.
 GUARD_EXEMPT = ("src/repro/runtime/",)
@@ -126,6 +141,8 @@ GRAPH_EXEMPT = (
 # Per-rule exemption: only the streaming package may construct the
 # engine and the chunk buffer.
 STREAM_EXEMPT = ("src/repro/streaming/",)
+# Per-rule exemption: the panel engine and the slice kernels.
+TREE_WALK_EXEMPT = ("src/repro/core/tsqr.py", "src/repro/smallblas/")
 
 
 def _callee_name(call: ast.Call) -> str | None:
@@ -147,6 +164,16 @@ def scan_file(path: Path) -> list[tuple[int, str, str]]:
         if isinstance(node, ast.Compare):
             if _compares_path_with_literal(node):
                 hits.append((node.lineno, "path", "path comparison"))
+            continue
+        if isinstance(node, ast.ImportFrom):
+            hits.extend(
+                (node.lineno, alias.name, "tree walk")
+                for alias in node.names
+                if alias.name in TREE_WALK_NAMES
+            )
+            continue
+        if isinstance(node, ast.Attribute) and node.attr in TREE_WALK_NAMES:
+            hits.append((node.lineno, node.attr, "tree walk"))
             continue
         if not isinstance(node, ast.Call):
             continue
@@ -259,6 +286,14 @@ def main() -> int:
                         f"(use stream_qr / stream_chunks, or "
                         f"ExecutionPolicy(path='streaming', chunk_rows=...))"
                     )
+                elif kwargs == "tree walk":
+                    if any(rel.startswith(pref) for pref in TREE_WALK_EXEMPT):
+                        continue  # the panel engine and its slice kernels
+                    violations.append(
+                        f"{rel}:{lineno}: {name} — the TSQR tree walk outside "
+                        f"repro.core.tsqr (factor and apply panels through "
+                        f"panel_schedule / factor_panel / apply_wy_plan)"
+                    )
                 else:  # a file that does not parse
                     violations.append(f"{rel}:{lineno}: {kwargs}")
     if violations:
@@ -270,7 +305,10 @@ def main() -> int:
             "'Execution policy & plans')."
         )
         return 1
-    print("layering lint: clean (path names read only in the engine table)")
+    print(
+        "layering lint: clean (path names read only in the engine table, "
+        "the tree walk only in repro.core.tsqr)"
+    )
     return 0
 
 
