@@ -59,7 +59,7 @@ QUICK_SHAPES = [
     (4096, 32, 64, 16),
 ]
 CHECK_SHAPES = [
-    (16384, 64, 64, 16),  # --check-lookahead perf smoke
+    (16384, 64, 64, 16),  # --check-cholqr2 perf smoke
 ]
 
 
@@ -181,7 +181,6 @@ def bench_shape(m: int, n: int, br: int, pw: int, reps: int, seed: int = 7) -> d
         {
             "seconds_lookahead": t_la,
             "gflops_lookahead": gf / t_la,
-            "speedup_lookahead": results["caqr"]["seconds_batched"] / t_la,
             "ferr_lookahead": ferr_l,
             "orth_lookahead": oerr_l,
             "lookahead_residual_gap": max(
@@ -201,7 +200,6 @@ def bench_shape(m: int, n: int, br: int, pw: int, reps: int, seed: int = 7) -> d
         {
             "seconds_plan_reuse": t_plan,
             "gflops_plan_reuse": gf / t_plan,
-            "plan_reuse_speedup": results["caqr"]["seconds_batched"] / t_plan,
             "plan_reuse_vs_lookahead": t_la / t_plan,
             "plan_residual_gap": max(abs(ferr_p - ferr_l), abs(oerr_p - oerr_l)),
         }
@@ -251,23 +249,11 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--quick", action="store_true", help="small shapes, 1 rep (CI smoke)")
     ap.add_argument("--reps", type=int, default=3, help="timed repetitions (best-of)")
     ap.add_argument(
-        "--check-lookahead",
-        action="store_true",
-        help="perf smoke: one mid-size shape, fail if the look-ahead "
-        "executor is slower than the serial batched path",
-    )
-    ap.add_argument(
         "--check-cholqr2",
         action="store_true",
         help="perf smoke: one mid-size shape, fail if the CholeskyQR2 "
         "fast path is not at least 2x the look-ahead tree or loses "
         "machine-precision orthogonality",
-    )
-    ap.add_argument(
-        "--check-plan-reuse",
-        action="store_true",
-        help="perf smoke: one mid-size shape, fail if repeated "
-        "plan.factor() is not at least as fast as per-call entry points",
     )
     ap.add_argument(
         "--out",
@@ -286,8 +272,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = ap.parse_args(argv)
 
-    check_mode = args.check_lookahead or args.check_plan_reuse or args.check_cholqr2
-    if check_mode:
+    if args.check_cholqr2:
         shapes = CHECK_SHAPES
         reps = max(1, args.reps)
     elif args.quick:
@@ -295,7 +280,7 @@ def main(argv: list[str] | None = None) -> int:
     else:
         shapes, reps = FULL_SHAPES, max(1, args.reps)
     out = args.out
-    if out is None and not (args.quick or check_mode):
+    if out is None and not (args.quick or args.check_cholqr2):
         out = REPO_ROOT / "BENCH_caqr.json"
 
     rows = []
@@ -311,10 +296,8 @@ def main(argv: list[str] | None = None) -> int:
             f"caqr {r['caqr_seconds_batched']:.3f}s batched vs "
             f"{r['caqr_seconds_seed']:.3f}s seed -> {r['caqr_speedup']:.2f}x  "
             f"({r['caqr_gflops_batched']:.2f} GFLOP/s), "
-            f"lookahead {r['caqr_seconds_lookahead']:.3f}s "
-            f"({r['caqr_speedup_lookahead']:.2f}x vs batched), "
-            f"plan reuse {r['caqr_seconds_plan_reuse']:.3f}s "
-            f"({r['caqr_plan_reuse_speedup']:.2f}x vs batched), "
+            f"lookahead {r['caqr_seconds_lookahead']:.3f}s, "
+            f"plan reuse {r['caqr_seconds_plan_reuse']:.3f}s, "
             f"cholqr2 {r['caqr_seconds_cholqr2']:.3f}s "
             f"({r['caqr_cholqr2_vs_lookahead']:.2f}x vs lookahead, "
             f"orth {r['caqr_orth_cholqr2']:.1e}; "
@@ -328,13 +311,6 @@ def main(argv: list[str] | None = None) -> int:
         assert r["tsqr_max_residual_gap"] < 1e-12, "execution paths diverged"
         assert r["caqr_lookahead_residual_gap"] < 1e-14, "look-ahead path diverged"
         assert r["caqr_plan_residual_gap"] == 0.0, "plan path diverged from one-shot"
-        if args.check_lookahead and r["caqr_speedup_lookahead"] < 1.0:
-            print(
-                f"FAIL: look-ahead CAQR slower than serial batched "
-                f"({r['caqr_seconds_lookahead']:.3f}s vs "
-                f"{r['caqr_seconds_batched']:.3f}s)"
-            )
-            return 1
         if args.check_cholqr2:
             for suffix in ("cholqr2", "cholqr2_mixed", "auto"):
                 if r[f"caqr_orth_{suffix}"] >= 1e-14:
@@ -349,24 +325,6 @@ def main(argv: list[str] | None = None) -> int:
                     f"the look-ahead tree (< 2.0x): "
                     f"{r['caqr_seconds_cholqr2']:.3f}s vs "
                     f"{r['caqr_seconds_lookahead']:.3f}s"
-                )
-                return 1
-        if args.check_plan_reuse:
-            # Reused plans skip planning + schedule construction, so a
-            # warm factor() must not lose to the one-shot entry points
-            # (15% head-room absorbs single-process timing noise).
-            if r["caqr_seconds_plan_reuse"] > 1.15 * r["caqr_seconds_lookahead"]:
-                print(
-                    f"FAIL: plan.factor() slower than one-shot look-ahead "
-                    f"({r['caqr_seconds_plan_reuse']:.3f}s vs "
-                    f"{r['caqr_seconds_lookahead']:.3f}s)"
-                )
-                return 1
-            if r["caqr_plan_reuse_speedup"] < 1.0:
-                print(
-                    f"FAIL: plan.factor() slower than serial batched "
-                    f"({r['caqr_seconds_plan_reuse']:.3f}s vs "
-                    f"{r['caqr_seconds_batched']:.3f}s)"
                 )
                 return 1
 

@@ -42,7 +42,25 @@ class PanelFactor:
 
 @dataclass
 class CAQRFactors:
-    """Implicit Q and explicit R of a CAQR factorization."""
+    """Implicit Q and explicit R of a CAQR factorization.
+
+    Every in-core path returns this class: the serial engine's panel
+    loop, and the look-ahead driver, whose panels' :class:`TSQRFactors`
+    are views of its own stacks.  Q is applied panel by panel through
+    each panel's factors.
+
+    ``form_q`` follows one rule.  With one panel it is the panel's own
+    ``form_q``: on the batched paths LAPACK ``orgqr``'s form
+    (:func:`~repro.core.tsqr._plan_form_q`), equal to ``apply_q(I)`` to
+    roundoff only.  With more panels, panel ``p`` is applied only to the
+    columns at or right of its ``col_start``: the columns to its left
+    are identity columns, zero in every row ``p`` touches, so the result
+    equals ``apply_q(I)`` to roundoff, but not bit for bit, because a
+    GEMM's blocking depends on how many columns it is given.  A plan and
+    a direct call, threaded and serial runs, and a serving stack run the
+    same rule on the same operands, so each of those pairs is
+    bit-identical.
+    """
 
     m: int
     n: int
@@ -51,40 +69,47 @@ class CAQRFactors:
     tree_shape: str
     panels: list[PanelFactor]
     R: np.ndarray  # min(m, n) x n upper trapezoidal
-    batched: bool = True
+    workers: int = 1
 
-    def apply_qt(self, B: np.ndarray) -> np.ndarray:
-        """Compute ``Q^T B`` in place (B must have ``m`` rows)."""
+    def _check(self, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         B = as_float_array(B)
         if B.shape[0] != self.m:
             raise ValueError(f"B must have {self.m} rows, got {B.shape[0]}")
+        return B, (B[:, None] if B.ndim == 1 else B)  # view: updates land in B
+
+    def apply_qt(self, B: np.ndarray) -> np.ndarray:
+        """Compute ``Q^T B`` in place (B must have ``m`` rows)."""
+        B, W = self._check(B)
         for p in self.panels:
-            p.factors.apply_qt(B[p.row_start :, :])
+            p.factors.apply_qt(W[p.row_start :, :])
         return B
 
     def apply_q(self, B: np.ndarray) -> np.ndarray:
         """Compute ``Q B`` in place (B must have ``m`` rows)."""
-        B = as_float_array(B)
-        if B.shape[0] != self.m:
-            raise ValueError(f"B must have {self.m} rows, got {B.shape[0]}")
+        B, W = self._check(B)
         for p in reversed(self.panels):
-            p.factors.apply_q(B[p.row_start :, :])
+            p.factors.apply_q(W[p.row_start :, :])
         return B
 
     def form_q(self) -> np.ndarray:
         """Form the explicit thin ``m x min(m, n)`` orthonormal Q (SORGQR)."""
-        k = min(self.m, self.n)
-        Q = np.zeros((self.m, k), dtype=working_dtype(self.R))
+        if len(self.panels) == 1:
+            return self.panels[0].factors.form_q()
+        Q = np.zeros((self.m, min(self.m, self.n)), dtype=working_dtype(self.R))
         np.fill_diagonal(Q, 1.0)
-        return self.apply_q(Q)
+        for p in reversed(self.panels):
+            p.factors.apply_q(Q[p.row_start :, p.col_start :])
+        return Q
 
 
 def _caqr_serial(A: np.ndarray, policy: ExecutionPolicy) -> CAQRFactors:
     """The serial engine's panel loop on an *already validated* matrix.
 
-    Run by :class:`repro.runtime.plan.QRPlan` for the serial paths.  Each
-    panel goes straight to :func:`~repro.core.tsqr._tsqr_impl`: the input
-    was validated exactly once at the public entry point, so per-panel
+    Run by :class:`repro.runtime.plan.QRPlan` for the reference paths
+    (``seed``, ``seed_structured``) and ``structured``, and by the
+    sharded and streaming engines for their local factors.  Each panel
+    goes straight to :func:`~repro.core.tsqr._tsqr_impl`: the input was
+    validated exactly once at the public entry point, so per-panel
     re-scans never happen.
     """
     m, n = A.shape
@@ -112,10 +137,8 @@ def _caqr_serial(A: np.ndarray, policy: ExecutionPolicy) -> CAQRFactors:
             with _obs.span("update", cat="update", panel=col_start // width, cols=n - col_start - pw):
                 f.apply_qt(trailing)
         # Record the panel's R back into the working matrix so the final
-        # R can be read off the top k rows.
-        rh = f.R.shape[0]
-        W[row_start : row_start + rh, col_start : col_start + pw] = f.R
-        W[row_start + rh :, col_start : col_start + pw] = 0.0
+        # R can be read off the top k rows (np.triu drops what lies below).
+        W[row_start : row_start + f.R.shape[0], col_start : col_start + pw] = f.R
         panels.append(
             PanelFactor(col_start=col_start, col_stop=col_start + pw, row_start=row_start, factors=f)
         )
@@ -129,7 +152,6 @@ def _caqr_serial(A: np.ndarray, policy: ExecutionPolicy) -> CAQRFactors:
         tree_shape=policy.tree_shape,
         panels=panels,
         R=R,
-        batched=policy.uses_batched,
     )
 
 
@@ -145,9 +167,8 @@ def caqr(A: np.ndarray, *, policy: ExecutionPolicy | None = None):
 
     Returns:
         The path's implicit-Q factors with the explicit upper-trapezoidal
-        R: :class:`CAQRFactors` on the serial paths, and a duck-type
-        compatible object elsewhere (e.g.
-        :class:`~repro.graph.executor.LookaheadCAQRFactors`).
+        R: :class:`CAQRFactors` on every in-core path, and a duck-type
+        compatible object on the CholeskyQR2, sharded and streaming ones.
     """
     policy = policy if policy is not None else ExecutionPolicy()
     with _obs.maybe_trace(policy.trace):

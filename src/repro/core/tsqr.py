@@ -535,7 +535,8 @@ def apply_wy_plan(plan: _WyPlan, B: np.ndarray, transpose: bool) -> None:
 
 
 def _plan_form_q(plan: _WyPlan, m: int, k: int) -> np.ndarray:
-    """Explicit thin ``m x k`` Q from an apply plan, as LAPACK ``orgqr`` forms it.
+    """Explicit thin ``(r, m, k)`` Qs from the apply plan of an ``r``-stack,
+    as LAPACK ``orgqr`` forms them.
 
     Q is the implicit Q applied to ``[I_k; 0]``, and until level 0 every
     nonzero row of that product lies in the top rows of a level-0 block:
@@ -544,32 +545,41 @@ def _plan_form_q(plan: _WyPlan, m: int, k: int) -> np.ndarray:
     stack of those top rows, and each level-0 block is then formed in
     one pass that writes its rows of Q (:func:`orgqr_wy`), instead of
     applying the block's reflectors to an ``h``-row slab of mostly zeros.
+    Every request's slices reach :func:`orgqr_wy`, which forms them one
+    by one, with the layout they have alone, so ``Q[i]`` is request
+    ``i``'s Q bit for bit.
     """
+    count, h = plan.l0_count, plan.l0_h
+    r = plan.l0_V.shape[0] // count
     starts = np.array(
-        [i * plan.l0_h for i in range(plan.l0_count)] + [s for s, _, _, _ in plan.l0_tail],
-        dtype=np.intp,
+        [i * h for i in range(count)] + [s for s, _, _, _ in plan.l0_tail], dtype=np.intp
     )
     # Block 0 is the tallest, so its R height bounds every block's top rows.
     r_max = plan.l0_V.shape[2]
-    top = np.zeros((len(starts), r_max, k), dtype=plan.dtype)
-    np.fill_diagonal(top[0], 1.0)
-    flat = top.reshape(-1, k)
+    top = np.zeros((r, len(starts), r_max, k), dtype=plan.dtype)
+    diag = np.arange(min(r_max, k))
+    top[:, 0, diag, diag] = 1.0
+    flat = top.reshape(r, -1, k)
     for entries in reversed(plan.levels):
         for entry in entries:
             idx = entry[1] if entry[0] == "wy" else entry[2]
             blk = np.searchsorted(starts, idx, side="right") - 1
             pos = blk * r_max + (idx - starts[blk])
-            sub = flat[pos]
             if entry[0] == "wy":
-                flat[pos] = orgqr_wy(entry[2], entry[3], sub, np.empty_like(sub))
-            else:
+                sub = np.ascontiguousarray(flat[:, pos]).reshape(-1, *pos.shape[1:], k)
+                flat[:, pos] = orgqr_wy(entry[2], entry[3], sub, np.empty_like(sub)).reshape(
+                    r, *pos.shape, k
+                )
+            else:  # structured trees factor one request
+                sub = flat[0, pos]
                 entry[1].apply_q_stack(sub)
-                flat[pos] = sub
-    Q = np.empty((m, k), dtype=plan.dtype)
-    count, h = plan.l0_count, plan.l0_h
-    orgqr_wy(plan.l0_V, plan.l0_T, top[:count, :r_max], Q[: count * h].reshape(count, h, k))
+                flat[0, pos] = sub
+    Q = np.empty((r, m, k), dtype=plan.dtype)
+    for i in range(r):
+        j = slice(i * count, (i + 1) * count)
+        orgqr_wy(plan.l0_V[j], plan.l0_T[j], top[i, :count], Q[i, : count * h].reshape(count, h, k))
     for start, ht, Vt, Tt in plan.l0_tail:
-        orgqr_wy(Vt, Tt, top[count:, : Vt.shape[2]], Q[start : start + ht][None])
+        orgqr_wy(Vt, Tt, top[:, count, : Vt.shape[2]], Q[:, start : start + ht])
     return Q
 
 
@@ -784,7 +794,7 @@ class TSQRFactors:
         blas = blas_name(dt) if self.batched else "numpy"
         with _obs.span("tsqr.form_q", cat="form_q", m=self.m, n=self.n, blas=blas):
             if self.batched and k:
-                return _plan_form_q(self._plan_for(dt), self.m, k)
+                return _plan_form_q(self._plan_for(dt), self.m, k)[0]
             Q = np.zeros((self.m, k), dtype=dt)
             np.fill_diagonal(Q, 1.0)
             return self.apply_q(Q)

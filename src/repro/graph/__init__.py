@@ -34,7 +34,6 @@ from .dag import (
     emit_caqr_layers,
 )
 from .executor import (
-    LookaheadCAQRFactors,
     emit_lookahead_layers,
     form_q_columns,
     run_task_graph,
@@ -48,7 +47,6 @@ __all__ = [
     "LaunchNode",
     "caqr_launch_graph",
     "emit_caqr_layers",
-    "LookaheadCAQRFactors",
     "emit_lookahead_layers",
     "form_q_columns",
     "run_task_graph",

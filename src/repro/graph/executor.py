@@ -20,11 +20,16 @@ captured :class:`LookaheadSchedule` holds
 trailing updates and Q applications replay the engine's apply plan
 (:func:`repro.core.tsqr.apply_wy_plan`).  A run never captures a
 schedule.  Every panel's arithmetic is therefore TSQR's: one panel (an
-unset width on a tall matrix) is ``tsqr_qr`` bit for bit, and the
-executor matches the ``batched`` path at the same panel width to
-roundoff (operation *order* across independent tiles differs).  The
-``structured`` tree elimination is not supported here — use
-:func:`repro.core.caqr.caqr` for that path.
+unset width on a tall matrix) is ``tsqr_qr`` bit for bit.
+
+This is the one CAQR driver of the batched kernels: ``lookahead`` runs
+it at any ``workers``, the default ``batched`` path at one worker, and
+``auto`` on its fallback.  It runs on an ``(r, m, n)`` stack of
+independent requests (:func:`factor_stack`), which is how
+:class:`repro.serving.ServingPlan` coalesces requests, and returns the
+one factor class, :class:`repro.core.caqr.CAQRFactors`.  The
+``structured`` tree elimination is not supported here — that path runs
+the serial engine of :mod:`repro.core.caqr`.
 """
 
 from __future__ import annotations
@@ -37,22 +42,24 @@ from functools import cached_property
 
 import numpy as np
 
-from repro.core.dtypes import as_float_array, working_dtype
+from repro.core.caqr import CAQRFactors, PanelFactor
+from repro.core.dtypes import working_dtype
 from repro.core.tsqr import (
-    PanelSchedule, _plan_form_q, _WyPlan, apply_wy_plan, factor_panel, level0_rows,
-    panel_schedule,
+    PanelSchedule, TSQRFactors, _plan_form_q, _WyPlan, apply_wy_plan, factor_panel,
+    level0_rows, panel_schedule,
 )
 from repro.graph.highlevel import TaskGraph
 from repro.graph.order import static_order
 from repro.obs import tracer as _obs
-from repro.runtime.policy import LOOKAHEAD, ExecutionPolicy
+from repro.runtime.policy import ExecutionPolicy
 
 __all__ = [
-    "LookaheadCAQRFactors",
     "LookaheadSchedule",
     "build_lookahead_schedule",
     "emit_lookahead_layers",
+    "factor_stack",
     "form_q_columns",
+    "form_q_stack",
     "run_lookahead_schedule",
     "run_task_graph",
 ]
@@ -61,89 +68,8 @@ _MIN_TILE = 16  # narrowest "rest" tile worth a task of its own
 
 
 # ---------------------------------------------------------------------------
-# Panel factorization --------------------------------------------------------
+# Explicit Q ------------------------------------------------------------------
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class _PanelPlan:
-    """One factored panel: its R and its compact-WY apply plan.
-
-    The factor task fills both; the trailing updates and every later Q
-    application replay the plan.
-    """
-
-    row_start: int
-    col_start: int
-    col_stop: int
-    R: np.ndarray | None = None  # (min(rows, width), width) upper trapezoidal
-    plan: _WyPlan | None = field(default=None, repr=False)
-
-
-# ---------------------------------------------------------------------------
-# The factor object ----------------------------------------------------------
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class LookaheadCAQRFactors:
-    """Implicit Q and explicit R of a look-ahead CAQR factorization.
-
-    Duck-type compatible with :class:`repro.core.caqr.CAQRFactors`:
-    ``apply_qt`` / ``apply_q`` / ``form_q`` and the explicit ``R``.
-    Q applications run through the same compact-WY plans the trailing
-    updates used.
-    """
-
-    m: int
-    n: int
-    panel_width: int  # effective (an unset request resolved by the engine)
-    block_rows: int | None  # as requested; None is the host default
-    tree_shape: str
-    panels: list[_PanelPlan]
-    R: np.ndarray  # min(m, n) x n upper trapezoidal
-    workers: int = 1
-
-    def _check(self, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        B = as_float_array(B)
-        if B.shape[0] != self.m:
-            raise ValueError(f"B must have {self.m} rows, got {B.shape[0]}")
-        return B, (B[:, None] if B.ndim == 1 else B)
-
-    def apply_qt(self, B: np.ndarray) -> np.ndarray:
-        """Compute ``Q^T B`` in place (B must have ``m`` rows)."""
-        B, W = self._check(B)
-        for p in self.panels:
-            apply_wy_plan(p.plan, W[p.row_start :, :], transpose=True)
-        return B
-
-    def apply_q(self, B: np.ndarray) -> np.ndarray:
-        """Compute ``Q B`` in place (B must have ``m`` rows)."""
-        B, W = self._check(B)
-        for p in reversed(self.panels):
-            apply_wy_plan(p.plan, W[p.row_start :, :], transpose=False)
-        return B
-
-    def form_q(self) -> np.ndarray:
-        """Form the explicit thin ``m x min(m, n)`` orthonormal Q.
-
-        One panel is TSQR of the whole matrix, so its Q is formed as
-        TSQR forms it (:func:`~repro.core.tsqr._plan_form_q`, LAPACK
-        ``orgqr``'s form on the BLAS that factored it): equal to
-        ``tsqr_qr``'s Q bit for bit, and to ``apply_q(I)`` to roundoff.
-        With more panels, panel ``p`` is applied only to the columns at
-        or right of its ``col_start``: every column to its left is still
-        an identity column, exactly zero in the rows ``p`` touches, so
-        the result is bit-identical to ``apply_q(I)``.
-        """
-        k = min(self.m, self.n)
-        if len(self.panels) == 1:
-            return _plan_form_q(self.panels[0].plan, self.m, k)
-        Q = np.zeros((self.m, k), dtype=working_dtype(self.R))
-        np.fill_diagonal(Q, 1.0)
-        for p in reversed(self.panels):
-            apply_wy_plan(p.plan, Q[p.row_start :, p.col_start :], transpose=False)
-        return Q
 
 
 def form_q_columns(
@@ -155,8 +81,8 @@ def form_q_columns(
 
     Q columns are independent under ``apply_q`` (every update touches
     disjoint column slices), so the SORGQR-equivalent parallelizes
-    embarrassingly.  Accepts :class:`LookaheadCAQRFactors` or any factor
-    object with ``m``/``n``/``R``/``apply_q`` (e.g.
+    embarrassingly.  Accepts :class:`~repro.core.caqr.CAQRFactors` or any
+    factor object with ``m``/``n``/``R``/``apply_q`` (e.g.
     :class:`~repro.core.tsqr.TSQRFactors`, which is how the randomized
     range finder threads its Q formation).  As in
     :func:`run_lookahead_schedule`, ``workers`` alone fixes the tiling
@@ -175,19 +101,19 @@ def form_q_columns(
     Q = np.zeros((factors.m, k), dtype=working_dtype(factors.R))
     np.fill_diagonal(Q, 1.0)
     panels = getattr(factors, "panels", None)
+    # Build the apply plans serially up front: the tile applies run
+    # concurrently and must only read them.
+    for f in [p.factors for p in panels] if panels is not None else [factors]:
+        if getattr(f, "batched", False):
+            f._plan_for(np.dtype(Q.dtype))
     if panels is not None:
-        # As in LookaheadCAQRFactors.form_q: a panel skips the tile
-        # columns left of its col_start (and tiles entirely left of it).
+        # As in CAQRFactors.form_q: a panel skips the tile columns left
+        # of its col_start (and tiles entirely left of it).
         def run(lo: int, hi: int) -> None:
             for p in reversed(panels):
                 if p.col_start < hi:
-                    apply_wy_plan(p.plan, Q[p.row_start :, max(lo, p.col_start) : hi], False)
+                    p.factors.apply_q(Q[p.row_start :, max(lo, p.col_start) : hi])
     else:
-        # Build the apply plan serially up front: the tile applies run
-        # concurrently and must only read it.
-        plan_for = getattr(factors, "_plan_for", None)
-        if plan_for is not None and getattr(factors, "batched", False):
-            plan_for(np.dtype(Q.dtype))
         def run(lo: int, hi: int) -> None:
             factors.apply_q(Q[:, lo:hi])
     step = max(_MIN_TILE, -(-k // workers))
@@ -453,7 +379,7 @@ def build_lookahead_schedule(m: int, n: int, policy: ExecutionPolicy) -> Lookahe
     """
     workers = policy.effective_workers
     k = min(m, n)
-    width = LOOKAHEAD.panel_width(policy, m, n)
+    width = policy.effective_panel_width(m, n)
     panels: list[tuple[int, int, int, int, int]] = []
     tasks: list[_TaskSpec] = []
     prev_updates: list[tuple[int, tuple[int, int]]] = []  # (task id, cols)
@@ -533,59 +459,50 @@ def emit_lookahead_layers(
     return tg
 
 
-def run_lookahead_schedule(
-    sched: LookaheadSchedule,
-    A: np.ndarray,
-    threaded: bool | None = None,
-) -> LookaheadCAQRFactors:
-    """Run a captured schedule on one (already validated) matrix.
+def factor_stack(
+    sched: LookaheadSchedule, W: np.ndarray, threaded: bool | None = None
+) -> tuple[np.ndarray, list[tuple[np.ndarray, _WyPlan, list]]]:
+    """Run a captured schedule on the ``(r, m, n)`` stack ``W``, in place.
 
-    ``threaded`` picks the engine only — thread pool vs program-order
-    loop over the *same* tasks — and defaults to ``workers > 1``; either
-    engine produces bit-identical factors.
+    The driver: each factor task runs TSQR's panel engine on the panel
+    columns of all ``r`` requests at once, and each update task applies
+    the panel's plan to its column tile of all of them.  Every slice
+    reaches the kernels with the strides it has alone
+    (:func:`~repro.core.tsqr.factor_panel`,
+    :func:`~repro.core.tsqr.apply_wy_plan`), so request ``i``'s result
+    equals a run on ``W[i]`` alone bit for bit.  ``threaded`` picks the
+    engine only — thread pool vs program-order loop over the *same*
+    tasks — and defaults to ``workers > 1``.
+
+    Returns the ``(r, min(m, n), n)`` Rs and, per panel, what
+    :func:`~repro.core.tsqr.factor_panel` returned: its Rs, apply plan
+    and tree nodes.
     """
     policy = sched.policy
     workers = policy.effective_workers
     if threaded is None:
         threaded = workers > 1
     m, n = sched.m, sched.n
-    if A.shape != (m, n):
+    if W.shape[1:] != (m, n):
         raise ValueError(
-            f"run_lookahead_schedule: matrix shape {A.shape} does not match "
+            f"run_lookahead_schedule: matrix shape {W.shape[1:]} does not match "
             f"the scheduled shape ({m}, {n})"
         )
-    k = min(m, n)
-    if sched.has_updates:
-        with _obs.span("setup", cat="host"):
-            W = A.copy()
-    else:
-        # Panel factors only read their columns, so with no trailing
-        # update (one tall panel) nothing writes W: factor A in place.
-        W = A
-    dt = np.dtype(working_dtype(W))
-
-    panels = [
-        _PanelPlan(row_start=r0, col_start=c0, col_stop=c0 + pw_p)
-        for c0, pw_p, r0, _bh, _wt in sched.panels
-    ]
+    out: list = [None] * len(sched.panels)
     bind: list = []
     for ts in sched.tasks:
         c0, pw_p, r0, bh, _wt = sched.panels[ts.panel]
-        pp = panels[ts.panel]
         if ts.kind == "factor":
 
-            def fn(pp=pp, c0=c0, pw_p=pw_p, r0=r0, bh=bh, p=ts.panel):
+            def fn(c0=c0, pw_p=pw_p, r0=r0, bh=bh, p=ts.panel):
                 with _obs.span("factor", cat="factor", panel=p, rows=m - r0, block_rows=bh):
-                    R, pp.plan, _ = factor_panel(
-                        sched.panel_schedules[p], W[None, r0:, c0 : c0 + pw_p]
-                    )
-                    pp.R = R[0]
+                    out[p] = factor_panel(sched.panel_schedules[p], W[:, r0:, c0 : c0 + pw_p])
 
         else:
 
-            def fn(pp=pp, r0=r0, lo=ts.lo, hi=ts.hi, p=ts.panel):
+            def fn(r0=r0, lo=ts.lo, hi=ts.hi, p=ts.panel):
                 with _obs.span("update", cat="update", panel=p, lo=lo, hi=hi):
-                    apply_wy_plan(pp.plan, W[r0:, lo:hi], transpose=True)
+                    apply_wy_plan(out[p][1], W[:, r0:, lo:hi], transpose=True)
 
         bind.append(fn)
 
@@ -596,20 +513,73 @@ def run_lookahead_schedule(
     _execute([bind[i] for i in order], deps, workers, threaded)
 
     # Assemble R: the trailing updates left every super-diagonal entry in
-    # W; panel diagonal blocks come from the panels' own R factors (the
-    # serial driver's zero-fill + write-back is skipped entirely).
+    # W; panel diagonal blocks come from the panels' own R factors.
     with _obs.span("assemble_r", cat="host"):
-        R = np.triu(W[:k, :])
-        for pp in panels:
-            pw_p = pp.col_stop - pp.col_start
-            R[pp.row_start : pp.row_start + pw_p, pp.col_start : pp.col_stop] = pp.R[:pw_p, :]
-    return LookaheadCAQRFactors(
-        m=m,
-        n=n,
+        R = np.triu(W[:, : min(m, n), :])
+        for (c0, pw_p, r0, _bh, _wt), (Rp, _plan, _nodes) in zip(sched.panels, out):
+            R[:, r0 : r0 + pw_p, c0 : c0 + pw_p] = Rp[:, :pw_p, :]
+    return R, out
+
+
+def form_q_stack(sched: LookaheadSchedule, panels: list, r: int, dtype) -> np.ndarray:
+    """The explicit thin Qs ``(r, m, min(m, n))`` of a :func:`factor_stack` run.
+
+    :meth:`repro.core.caqr.CAQRFactors.form_q`'s rule on every request
+    at once: one panel in TSQR's orgqr form
+    (:func:`~repro.core.tsqr._plan_form_q`), more panels each applied
+    only right of its ``col_start``.  ``panels`` is what
+    :func:`factor_stack` returned for the ``r`` requests; request
+    ``i``'s Q equals ``form_q`` of its factors bit for bit.
+    """
+    m, k = sched.m, min(sched.m, sched.n)
+    if len(panels) == 1:
+        return _plan_form_q(panels[0][1], m, k)
+    Q = np.zeros((r, m, k), dtype=dtype)
+    Q[:, np.arange(k), np.arange(k)] = 1.0
+    for (c0, _pw, r0, _bh, _wt), (_R, plan, _nodes) in zip(reversed(sched.panels), reversed(panels)):
+        apply_wy_plan(plan, Q[:, r0:, c0:], transpose=False)
+    return Q
+
+
+def run_lookahead_schedule(
+    sched: LookaheadSchedule,
+    A: np.ndarray,
+    threaded: bool | None = None,
+) -> CAQRFactors:
+    """Run a captured schedule on one (already validated) matrix.
+
+    :func:`factor_stack` on a stack of one.  Each panel of the returned
+    :class:`~repro.core.caqr.CAQRFactors` holds its
+    :class:`~repro.core.tsqr.TSQRFactors` as views of the engine's
+    stacks.  ``threaded`` picks the engine only and defaults to
+    ``workers > 1``; either engine produces bit-identical factors.
+    """
+    policy = sched.policy
+    if sched.has_updates:
+        with _obs.span("setup", cat="host"):
+            W = A.copy()
+    else:
+        # Panel factors only read their columns, so with no trailing
+        # update (one tall panel) nothing writes W: factor A in place.
+        W = A
+    R, out = factor_stack(sched, W[None], threaded)
+    panels = [
+        PanelFactor(
+            col_start=c0, col_stop=c0 + pw_p, row_start=r0,
+            factors=TSQRFactors(
+                m=sched.m - r0, n=pw_p, tree=ps.tree, R=Rp[0], engine=(ps, plan, nodes)
+            ),
+        )
+        for (c0, pw_p, r0, _bh, _wt), ps, (Rp, plan, nodes)
+        in zip(sched.panels, sched.panel_schedules, out)
+    ]
+    return CAQRFactors(
+        m=sched.m,
+        n=sched.n,
         panel_width=sched.panel_width,
         block_rows=policy.block_rows,
         tree_shape=policy.tree_shape,
         panels=panels,
-        R=R.astype(dt, copy=False),
-        workers=workers,
+        R=R[0],
+        workers=policy.effective_workers,
     )

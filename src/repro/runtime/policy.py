@@ -9,7 +9,8 @@ configuration the cost model should use.  Every entry point takes it as
 
 Path names and engines
 ----------------------
-Ten path names select five engines.  Each engine supplies everything a
+Ten path names select five engines (two instances of the look-ahead
+one: ``batched`` without ``workers``).  Each engine supplies everything a
 :class:`~repro.runtime.plan.QRPlan` does with a path — its plan build,
 ``factor``, ``simulate``, ``task_graph``, the extras ``describe`` prints
 — and the policy fields it requires or permits, which
@@ -21,15 +22,19 @@ each name below is followed by its engine.
 ``seed`` (serial)
     The per-node reference implementation, kept as the correctness
     oracle and benchmark baseline.
-``batched`` (serial)
-    Level-batched compact-WY execution (the default).
+``batched`` (lookahead, one worker)
+    The default: the look-ahead engine's driver
+    (:func:`repro.graph.executor.run_lookahead_schedule`) at one worker,
+    under its panel rule (one panel on a tall matrix, 16 columns on a
+    wide one).  It refuses ``workers > 1`` and is the one path the
+    serving coalescer stacks (``coalescable``).
 ``structured`` (serial)
     Batched execution with the sparsity-exploiting stacked-triangle
     tree elimination.
 ``lookahead`` (lookahead)
-    The task-graph executor (:mod:`repro.graph.executor`); ``workers``
-    sets the column tiling / thread-pool width and ``lookahead_edge``
-    selects the look-ahead dependency edge vs the panel barrier.
+    The same driver with ``workers``: it sets the column tiling /
+    thread-pool width, and ``lookahead_edge`` selects the look-ahead
+    dependency edge vs the panel barrier.
 ``seed_structured`` (serial)
     The oracle combination of the seed loop with the structured tree —
     used by the parity tests; not a production path.
@@ -72,13 +77,14 @@ from typing import Any
 from repro.verify.guards import validate_nonfinite_policy
 
 __all__ = [
-    "CHOLQR", "CHOLQR_PATHS", "ENGINES", "LOOKAHEAD", "PATHS", "PATH_NAMES",
+    "BATCHED", "CHOLQR", "CHOLQR_PATHS", "ENGINES", "LOOKAHEAD", "PATHS", "PATH_NAMES",
     "SERIAL", "SHARDED", "STREAMING", "Engine", "ExecutionPolicy", "PathSpec",
 ]
 
 # The paper's panel width (Section IV's 64 x 16 blocks, sized for the
-# C2050 kernels): what an unset ``panel_width`` means on every engine
-# except the look-ahead one, and on wide matrices there.
+# C2050 kernels): what an unset ``panel_width`` means on a wide matrix,
+# and on every engine except the look-ahead one (``batched``,
+# ``lookahead`` and ``auto``'s fallback), which takes one panel when tall.
 PAPER_PANEL_WIDTH = 16
 
 
@@ -160,7 +166,8 @@ class _Serial(Engine):
 
 
 class _Lookahead(Engine):
-    permits = ("workers",)
+    def __init__(self, permits: tuple[str, ...]) -> None:
+        self.permits = permits
 
     def panel_width(self, policy, m, n):
         # Unset on a tall matrix: one full-width panel, which is TSQR of
@@ -188,7 +195,7 @@ class _Lookahead(Engine):
         return emit_lookahead_layers(plan._schedule)
 
     def detail(self, policy):
-        return f" (workers={policy.effective_workers})"
+        return f" (workers={policy.effective_workers})" if self.permits else ""
 
 
 class _CholQR(Engine):
@@ -366,8 +373,11 @@ class _Streaming(Engine):
         return f" (chunk_rows={policy.chunk_rows})"
 
 
-SERIAL, LOOKAHEAD, CHOLQR, SHARDED, STREAMING = ENGINES = (
-    _Serial(), _Lookahead(), _CholQR(), _Sharded(), _Streaming()
+# ``batched`` is the look-ahead engine at one worker: the same driver,
+# with ``workers`` refused.
+SERIAL, BATCHED, LOOKAHEAD, CHOLQR, SHARDED, STREAMING = ENGINES = (
+    _Serial(), _Lookahead(permits=()), _Lookahead(permits=("workers",)), _CholQR(),
+    _Sharded(), _Streaming(),
 )
 
 
@@ -402,7 +412,7 @@ class PathSpec:
 
 PATHS: dict[str, PathSpec] = {
     "seed": PathSpec(SERIAL, batched=False),
-    "batched": PathSpec(SERIAL, coalescable=True),
+    "batched": PathSpec(BATCHED, coalescable=True),
     "structured": PathSpec(SERIAL, structured=True),
     "lookahead": PathSpec(LOOKAHEAD),
     "seed_structured": PathSpec(SERIAL, batched=False, structured=True),
@@ -457,9 +467,10 @@ class ExecutionPolicy:
             ``panel_width`` is the requested column-panel width; ``None``
             (the default) lets the engine choose
             (:meth:`effective_panel_width`): one full-width panel on the
-            look-ahead engine (and ``auto``'s fallback) when ``m >= n``,
-            the paper's ``PAPER_PANEL_WIDTH = 16`` on a wide matrix and
-            on every other engine.  An explicit width is used as given.
+            look-ahead engine (``batched``, ``lookahead`` and ``auto``'s
+            fallback) when ``m >= n``, the paper's
+            ``PAPER_PANEL_WIDTH = 16`` on a wide matrix and on every
+            other engine.  An explicit width is used as given.
             ``block_rows`` is the requested level-0 row-block height;
             ``None`` (the default) means the host rule of
             :func:`repro.core.tsqr.level0_rows`: blocks

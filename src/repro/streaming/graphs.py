@@ -22,6 +22,7 @@ from .qr import (
     StreamSchedule,
     _merge_triangles,
     build_stream_schedule,
+    chunk_policy,
 )
 
 __all__ = ["emit_streaming_layers", "run_streaming_graph"]
@@ -107,17 +108,10 @@ def run_streaming_graph(A: np.ndarray, policy, workers: int = 1) -> StreamingCAQ
     not a second Q-reconstruction engine.
     """
     from repro.graph.executor import run_task_graph
-    from repro.runtime.policy import ExecutionPolicy
 
     m, n = A.shape
     schedule = build_stream_schedule(m, n, policy.chunk_rows)
-    inner = ExecutionPolicy(
-        path="batched",
-        panel_width=policy.panel_width,
-        block_rows=policy.block_rows,
-        tree_shape=policy.tree_shape,
-        nonfinite="propagate",
-    )
+    inner = chunk_policy(policy, n)
     st: dict = {"A": A, "policy": policy, "inner": inner, "chunks": {}, "rfac": {}, "nodes": {}}
     with _obs.span(
         "streaming", cat="stream", m=m, n=n, chunk_rows=policy.chunk_rows

@@ -2,10 +2,13 @@
 
 This is the "flat tree" regime of Demmel–Grigori–Hoemmen–Langou's
 sequential CAQR (arXiv 0809.2407): the tall matrix arrives chunk by
-chunk, each chunk is factored with the in-core batched CAQR machinery
-(:func:`repro.core.caqr._caqr_serial`, reused verbatim), and the chunk's
-``min(h, n) x n`` triangle folds into the running ``<= n x n`` carry
-through exactly the elimination the TSQR tree nodes use:
+chunk, each chunk is factored with the in-core batched CAQR kernels at
+the streaming engine's panel width (:func:`chunk_policy`: a reusable
+``batched`` plan for full-height chunks, the serial panel loop
+:func:`repro.core.caqr._caqr_serial` for a ragged one, bit for bit the
+same arithmetic), and the chunk's ``min(h, n) x n`` triangle folds into
+the running ``<= n x n`` carry through exactly the elimination the TSQR
+tree nodes use:
 
 * once the carry is a full ``n x n`` triangle (the steady state), the
   fold is :func:`repro.core.structured.structured_stack_qr` — the
@@ -43,6 +46,7 @@ __all__ = [
     "StreamingCAQRFactors",
     "StreamingQR",
     "build_stream_schedule",
+    "chunk_policy",
     "run_streaming_matrix",
     "stream_qr",
 ]
@@ -75,6 +79,23 @@ def build_stream_schedule(m: int, n: int, chunk_rows: int) -> StreamSchedule:
         (s, min(s + chunk_rows, m)) for s in range(0, m, chunk_rows)
     )
     return StreamSchedule(m=m, n=n, chunk_rows=chunk_rows, rows=rows)
+
+
+def chunk_policy(policy: ExecutionPolicy, n: int) -> ExecutionPolicy:
+    """The per-chunk policy of a streaming ``policy`` over ``n`` columns.
+
+    The in-core ``batched`` driver with guards off (chunks are validated
+    once at the stream boundary), pinned to the panel width the
+    streaming engine reports: the driver's own rule would factor a tall
+    chunk as one panel.
+    """
+    return ExecutionPolicy(
+        path="batched",
+        panel_width=policy.effective_panel_width(policy.chunk_rows, n),
+        block_rows=policy.block_rows,
+        tree_shape=policy.tree_shape,
+        nonfinite="propagate",
+    )
 
 
 # -- merge nodes (the chain's "tree") -------------------------------------
@@ -252,15 +273,7 @@ class StreamingQR:
         self.structured_merges = 0
         self.dense_merges = 0
         self.peak_tracked_bytes = 0
-        # The inner per-chunk policy: the in-core batched machinery,
-        # with guards off (chunks are validated once at this boundary).
-        self._inner = ExecutionPolicy(
-            path="batched",
-            panel_width=policy.panel_width,
-            block_rows=policy.block_rows,
-            tree_shape=policy.tree_shape,
-            nonfinite="propagate",
-        )
+        self._inner: ExecutionPolicy | None = None  # chunk_policy, on the first chunk
 
     # -- state views -------------------------------------------------------
 
@@ -361,6 +374,8 @@ class StreamingQR:
     def _factor_chunk(self, chunk: np.ndarray):
         from repro.core.caqr import _caqr_serial
 
+        if self._inner is None:
+            self._inner = chunk_policy(self.policy, self._n)
         if chunk.shape[0] == self.policy.chunk_rows:
             if self._chunk_plan is None:
                 from repro.runtime.plan import plan_qr

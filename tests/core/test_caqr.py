@@ -131,3 +131,45 @@ class TestCAQRApply:
         assert [p.col_start for p in f.panels] == [0, 16, 32, 48]
         # Grid redrawn lower by the panel width each step.
         assert [p.row_start for p in f.panels] == [0, 16, 32, 48]
+
+
+class TestOneFactorClass:
+    """Every in-core path returns CAQRFactors, and each accepts the same calls."""
+
+    PATHS = ["seed", "batched", "structured", "lookahead"]
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_apply_to_a_vector(self, rng, path):
+        A = rng.standard_normal((300, 40))
+        f = caqr(A, policy=ExecutionPolicy(path=path, panel_width=16))
+        b = rng.standard_normal(300)
+        qtb = f.apply_qt(b.copy())
+        assert qtb.shape == (300,)
+        np.testing.assert_array_equal(qtb, f.apply_qt(b.copy()[:, None])[:, 0])
+        np.testing.assert_allclose(f.apply_q(qtb), b, atol=1e-12)
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_form_q_columns_on_any_path(self, rng, path):
+        from repro.graph import form_q_columns
+
+        A = rng.standard_normal((300, 48))
+        f = caqr(A, policy=ExecutionPolicy(path=path, panel_width=16))
+        Q = form_q_columns(f, workers=2)
+        np.testing.assert_array_equal(Q, form_q_columns(f, workers=2, threaded=False))
+        np.testing.assert_allclose(Q, f.form_q(), rtol=0, atol=1e-14)
+
+    def test_default_is_the_lookahead_driver(self, rng, monkeypatch):
+        import repro.graph.executor as executor
+        from repro.core.caqr import CAQRFactors
+        from repro.runtime.policy import PATHS, SERIAL
+
+        calls = []
+        real = executor.run_lookahead_schedule
+        monkeypatch.setattr(
+            executor, "run_lookahead_schedule", lambda *a, **k: calls.append(1) or real(*a, **k)
+        )
+        f = caqr(rng.standard_normal((500, 20)))
+        assert calls == [1] and isinstance(f, CAQRFactors)
+        assert [p for p, spec in PATHS.items() if spec.engine is SERIAL] == [
+            "seed", "structured", "seed_structured"
+        ]

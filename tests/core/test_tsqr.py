@@ -157,7 +157,7 @@ class TestLevel0Height:
         assert [bh for _, _, _, bh, _ in sched.panels] == [1024, 1024]
         batched = ExecutionPolicy(path="batched", panel_width=32, block_rows=8)
         serving = ServingPlan(5000, 64, np.float64, batched)
-        assert [s.ranges for _, s in serving.panels] == [
+        assert [s.ranges for s in serving.schedule.panel_schedules] == [
             tuple(row_blocks(5000, 1024)), tuple(row_blocks(4968, 1024))
         ]
 
@@ -333,22 +333,25 @@ class TestFormQ:
         # Q formation shows up as its own span, not as anonymous applies.
         assert not session.trace.by_cat("apply.level0")
 
-    def test_auto_plan_never_forms_a_tsqr_q(self, rng, monkeypatch):
-        """qr_paper's auto plan, on a Gaussian and a graded input, runs
-        CholeskyQR2 and the look-ahead fallback: neither reaches here."""
+    def test_auto_plan_forms_a_tsqr_q_only_on_fallback(self, rng, monkeypatch):
+        """qr_paper's auto plan: CholeskyQR2 on the Gaussian input forms
+        no TSQR Q, and the look-ahead fallback on the graded one is one
+        panel, whose Q is TSQR's, formed once."""
         from repro.runtime.cholqr import count_fallbacks
 
-        def boom(self):
-            raise AssertionError("TSQRFactors.form_q was called")
-
-        monkeypatch.setattr(tsqr_mod.TSQRFactors, "form_q", boom)
+        calls = []
+        real = tsqr_mod.TSQRFactors.form_q
+        monkeypatch.setattr(
+            tsqr_mod.TSQRFactors, "form_q", lambda self: calls.append(self.m) or real(self)
+        )
         m, n = 110592, 100
         plan = plan_qr(m, n, np.float64, ExecutionPolicy(path="auto"))
         V, _ = np.linalg.qr(rng.standard_normal((n, n)))
         graded = (rng.standard_normal((m, n)) * np.logspace(0, -12, n)) @ V
         with count_fallbacks() as fb:
-            for A in (rng.standard_normal((m, n)), graded):
+            for A, forms in ((rng.standard_normal((m, n)), []), (graded, [m])):
                 Q, R = plan.execute(A)
+                assert calls == forms
                 assert factorization_error(A, Q, R) < 1e-12
                 del Q, R
         assert fb.fallbacks == 1
@@ -418,3 +421,13 @@ class TestReflectorStorage:
         (Q, R), peak = self._peak(lambda: plan.execute(A))
         assert peak < 2 * mn + small, f"execute peak {peak / mn:.2f} x A.nbytes"
         assert np.array_equal(Q, tsqr_qr(A)[0])
+
+    @pytest.mark.parametrize("width,copies", [(None, 1), (16, 2)])
+    def test_default_path_factor(self, bounds, width, copies):
+        """The default path's factor holds the panels' V (one m x n) and,
+        with trailing updates, its working copy of A: no third copy."""
+        A, mn, small = bounds
+        plan = plan_qr(self.M, self.N, np.float64, ExecutionPolicy(panel_width=width))
+        f, peak = self._peak(lambda: plan.factor(A))
+        assert len(f.panels) == (1 if width is None else self.N // width)
+        assert peak < copies * mn + small, f"factor peak {peak / mn:.2f} x A.nbytes"

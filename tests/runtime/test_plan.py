@@ -183,9 +183,11 @@ class TestDefaultGeometry:
         assert [bh for _, _, _, bh, _ in pinned._schedule.panels] == [64] * 7
         assert "64 x7" in pinned.describe()
 
-    def test_auto_plan_warms_fallback_recipes(self):
+    def test_auto_plan_warms_fallback_recipes(self, monkeypatch):
         """plan_qr(path="auto") captures each fallback panel's TSQR
-        schedule once, and the guarded fallback never captures again."""
+        schedule once, and the guarded fallback never captures again;
+        nor does a built look-ahead plan's factor, at any worker count."""
+        import repro.graph.executor as executor
         from repro.core.tsqr import panel_schedule
         from repro.runtime import count_fallbacks
 
@@ -211,6 +213,23 @@ class TestDefaultGeometry:
         with count_fallbacks() as fb:
             plan.execute(_graded(*self.SHAPE))
         assert fb.fallbacks == 1 and captures() == before
+        # batched, and lookahead at one and three workers: factor replays
+        # the plan's schedule, never builds one.
+        builds = []
+        real = executor.build_lookahead_schedule
+        monkeypatch.setattr(
+            executor, "build_lookahead_schedule", lambda *a: builds.append(a) or real(*a)
+        )
+        A = np.random.default_rng(3).standard_normal(self.SHAPE)
+        for kw in ({"path": "batched"}, {"path": "lookahead"},
+                   {"path": "lookahead", "workers": 3}):
+            for width in (None, 16):
+                plan = plan_qr(*self.SHAPE, policy=ExecutionPolicy(panel_width=width, **kw))
+                builds.clear()
+                misses = panel_schedule.cache_info().misses
+                plan.factor(A)
+                assert builds == [], kw
+                assert panel_schedule.cache_info().misses == misses, kw
 
 
 class TestOnePanelDefault:
@@ -293,12 +312,13 @@ class TestOnePanelDefault:
     def test_one_panel_form_q_is_tsqrs(self, monkeypatch):
         """One panel forms Q as TSQR does (to roundoff of ``apply_q(I)``);
         more panels keep the column-skipping ``apply_q``."""
-        import repro.graph.executor as executor
+        import importlib
 
+        tsqr_mod = importlib.import_module("repro.core.tsqr")
         calls = []
-        real = executor._plan_form_q
+        real = tsqr_mod._plan_form_q
         monkeypatch.setattr(
-            executor, "_plan_form_q", lambda *a: calls.append(a[1:]) or real(*a)
+            tsqr_mod, "_plan_form_q", lambda *a: calls.append(a[1:]) or real(*a)
         )
         A = np.random.default_rng(53).standard_normal((20000, 64))
         f = plan_qr(*A.shape, policy=ExecutionPolicy(path="lookahead")).factor(A)
@@ -316,16 +336,18 @@ class TestOnePanelDefault:
         def widths(m, n, **kw):
             return [p.width for p in plan_qr(m, n, policy=ExecutionPolicy(**kw)).panels]
 
-        # Wide: the unset width is the paper's 16, schedule for schedule.
-        for path in ("lookahead", "auto"):
+        # Wide: the unset width is the paper's 16, schedule for schedule,
+        # on the look-ahead engine (batched is that engine at one worker).
+        for path in ("lookahead", "auto", "batched"):
             assert widths(300, 2000, path=path) == [16] * 18 + [12]
+        assert widths(1000, 40, path="batched") == [40]
         unset = build_lookahead_schedule(300, 2000, ExecutionPolicy(path="lookahead"))
         pinned = build_lookahead_schedule(
             300, 2000, ExecutionPolicy(path="lookahead", panel_width=16)
         )
         assert (unset.panels, unset.tasks) == (pinned.panels, pinned.tasks)
         # Every other engine keeps 16 on tall matrices too.
-        for kw in ({"path": "batched"}, {"path": "structured"}, {"path": "seed"},
+        for kw in ({"path": "structured"}, {"path": "seed"},
                    {"path": "sharded", "shards": 2}, {"path": "streaming", "chunk_rows": 512}):
             assert "panel_width=16 " in plan_qr(1000, 40, policy=ExecutionPolicy(**kw)).describe()
             if kw["path"] != "sharded":  # a sharded plan's panels are per rank

@@ -97,3 +97,32 @@ def test_repeated_factorizations_through_one_plan_are_stable():
     Q2, R2 = stacked_qr(mats, plan)
     assert np.array_equal(Q1, Q2)
     assert np.array_equal(R1, R2)
+
+
+def _dispatcher_policy():
+    from repro.dispatch import QRDispatcher
+
+    return QRDispatcher().policy
+
+
+@pytest.mark.parametrize("policy", [ExecutionPolicy, _dispatcher_policy], ids=["default", "dispatcher"])
+@pytest.mark.parametrize("m,n", [(4000, 100), (700, 48), (90, 200)])
+def test_stack_is_the_default_driver(policy, m, n):
+    """A stack runs the default path's driver: one tall panel (Q in
+    TSQR's orgqr form) under ExecutionPolicy(), 16-wide panels under the
+    dispatcher's; slice i is the plan's factor of request i, bit for bit."""
+    policy = policy()
+    rng = np.random.default_rng(17)
+    mats = [rng.standard_normal((m, n)) for _ in range(3)]
+    plan = plan_qr(m, n, policy=policy)
+    f = plan.factor(mats[1])
+    Qe, Re = f.form_q(), f.R
+    if policy.panel_width is None and (m, n) == (4000, 100):
+        assert len(f.panels) == 1
+        # Precondition: the orgqr form is not apply_q(I) bit for bit here.
+        assert not np.array_equal(Qe, f.apply_q(np.eye(m, n)))
+    Q, R = stacked_qr(mats, ServingPlan(m, n, np.float64, policy))
+    assert np.array_equal(Q[1], Qe) and np.array_equal(R[1], Re)
+    for i in (0, 2):
+        g = plan.factor(mats[i])
+        assert np.array_equal(Q[i], g.form_q()) and np.array_equal(R[i], g.R)

@@ -3,16 +3,18 @@
 
 Three fingerprint families, all pure shape arithmetic:
 
-* **Serial launch stream** (``seed`` / ``batched`` / ``structured``) —
+* **Serial launch stream** (``seed`` / ``structured``) —
   :func:`repro.verify.invariants.launch_fingerprint`, the SHA-256 of the
-  modeled kernel-launch sequence.  The three serial paths share one
-  stream by design (strategy never changes the launches), so their
-  golden values coincide; the gate pins that *identity* as well as the
-  values.
-* **Look-ahead task DAG** (``lookahead`` / ``lookahead_mt``) — a SHA-256
-  over :func:`repro.graph.executor.build_lookahead_schedule`'s panel
-  partition and dependency-wired task list.  Tiling is keyed on
-  ``workers``, so the mt variant (workers=3) pins the tiled DAG.
+  modeled kernel-launch sequence.  The serial paths share one stream by
+  design (strategy never changes the launches), so their golden values
+  coincide; the gate pins that *identity* as well as the values.
+* **Look-ahead task DAG** (``batched`` / ``lookahead`` /
+  ``lookahead_mt``) — a SHA-256 over
+  :func:`repro.graph.executor.build_lookahead_schedule`'s panel
+  partition and dependency-wired task list.  ``batched`` is the
+  look-ahead driver at one worker, so its DAG is ``lookahead``'s.
+  Tiling is keyed on ``workers``, so the mt variant (workers=3) pins
+  the tiled DAG.
 * **CholeskyQR2 launch stream** (``cholqr2`` / ``cholqr2_mixed`` /
   ``auto``) — a SHA-256 over
   :func:`repro.caqr_gpu.enumerate_cholqr2_launches`: the O(1) canonical
@@ -81,8 +83,13 @@ SHAPES = [(1024, 256), (4096, 32), (16384, 64), (55296, 100), (110592, 100)]
 BLOCK_ROWS = 64
 PANEL_WIDTH = 16
 
-SERIAL_PATHS = ("seed", "batched", "structured")
-LOOKAHEAD_PATHS = {"lookahead": None, "lookahead_mt": 3}  # name -> workers
+SERIAL_PATHS = ("seed", "structured")
+# name -> (path, workers)
+LOOKAHEAD_PATHS = {
+    "batched": ("batched", None),
+    "lookahead": ("lookahead", None),
+    "lookahead_mt": ("lookahead", 3),
+}
 # name -> (mixed, guard), read from the engine table: every CholeskyQR2
 # path, its mixed-precision flag, and whether its guard precheck launches
 # (the fallback path's).
@@ -152,13 +159,13 @@ def _cholqr_fingerprint(m: int, n: int, cfg, mixed: bool, guard: bool) -> str:
     return h.hexdigest()[:16]
 
 
-def _schedule_fingerprint(m: int, n: int, workers: int | None) -> str:
+def _schedule_fingerprint(m: int, n: int, path: str, workers: int | None) -> str:
     """SHA-256 of the look-ahead panel partition + task DAG."""
     from repro.graph.executor import build_lookahead_schedule
     from repro.runtime import ExecutionPolicy
 
     policy = ExecutionPolicy(
-        path="lookahead",
+        path=path,
         workers=workers,
         panel_width=PANEL_WIDTH,
         block_rows=BLOCK_ROWS,
@@ -187,9 +194,9 @@ def compute_fingerprints() -> dict:
         out[path] = {
             f"{m}x{n}": launch_fingerprint(m, n, cfg)[:16] for m, n in SHAPES
         }
-    for path, workers in LOOKAHEAD_PATHS.items():
-        out[path] = {
-            f"{m}x{n}": _schedule_fingerprint(m, n, workers) for m, n in SHAPES
+    for name, (path, workers) in LOOKAHEAD_PATHS.items():
+        out[name] = {
+            f"{m}x{n}": _schedule_fingerprint(m, n, path, workers) for m, n in SHAPES
         }
     for path, (mixed, guard) in CHOLQR_PATHS.items():
         out[path] = {
