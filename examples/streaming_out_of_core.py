@@ -1,10 +1,11 @@
-"""Single-pass (out-of-core) QR with streaming TSQR.
+"""Single-pass (out-of-core) least squares with streaming QR.
 
 The sequential flat-tree TSQR of Section II-B: row blocks arrive one at
-a time (from disk, a sensor, or another process), each merged into a
-resident n x n triangle — the whole matrix is read exactly once and never
-held in memory.  Demonstrated on an incremental least-squares fit whose
-solution is refreshed after every chunk.
+a time (from disk, a sensor, or another process), are re-blocked into
+fixed-height chunks, and each chunk's R folds into a resident n x n
+triangle — the whole matrix is read exactly once and never held in
+memory.  Demonstrated on a least-squares fit solved from the final
+triangle.
 
 Run:  python examples/streaming_out_of_core.py
 """
@@ -13,17 +14,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.streaming import StreamingTSQR
 from repro.core.triangular import solve_upper
+from repro.runtime import ExecutionPolicy
+from repro.streaming import stream_qr
 
 
-def sensor_chunks(n_chunks: int, chunk_rows: int, coeffs: np.ndarray, rng):
-    """Simulated data source: features + noisy responses, chunk by chunk."""
-    for _ in range(n_chunks):
-        t = rng.uniform(-1, 1, chunk_rows)
+def sensor_blocks(n_blocks: int, block_rows: int, coeffs: np.ndarray, rng):
+    """Simulated data source: rows of ``[features | noisy response]``."""
+    for _ in range(n_blocks):
+        t = rng.uniform(-1, 1, block_rows)
         X = np.vander(t, len(coeffs))
-        y = X @ coeffs + 0.02 * rng.standard_normal(chunk_rows)
-        yield X, y
+        y = X @ coeffs + 0.02 * rng.standard_normal(block_rows)
+        yield np.column_stack([X, y])
 
 
 def main() -> None:
@@ -34,19 +36,22 @@ def main() -> None:
     # Stream the *augmented* matrix [X | y]: its R factor contains both
     # the regression triangle and Q^T y, so the solve needs only the
     # resident (n+1) x (n+1) triangle — classic streaming least squares.
-    stream = StreamingTSQR(n_cols=n_params + 1)
-    rows_seen = 0
-    print("streaming least squares (solution refreshed per chunk):")
-    for i, (X, y) in enumerate(sensor_chunks(12, 5_000, coeffs_true, rng), 1):
-        stream.push(np.column_stack([X, y]))
-        rows_seen += X.shape[0]
-        R = stream.R
-        x_hat = solve_upper(R[:n_params, :n_params], R[:n_params, n_params])
-        err = np.linalg.norm(x_hat - coeffs_true)
-        if i in (1, 2, 4, 8, 12):
-            print(f"  after {rows_seen:6d} rows: coefficient error {err:.2e}")
+    # The producer's 5,000-row blocks are re-blocked into 4,096-row
+    # chunks; the last chunk is ragged.
+    policy = ExecutionPolicy(path="streaming", chunk_rows=4096)
+    sq = stream_qr(sensor_blocks(12, 5_000, coeffs_true, rng), policy=policy)
+    R = sq.R
+    x_hat = solve_upper(R[:n_params, :n_params], R[:n_params, n_params])
 
-    print(f"\nresident state the whole time: one {n_params + 1} x {n_params + 1} triangle")
+    print(
+        f"streamed {sq.rows_seen} rows in {sq.n_chunks} chunks of "
+        f"<= {policy.chunk_rows} rows"
+    )
+    print(
+        f"resident state: one {n_params + 1} x {n_params + 1} triangle "
+        f"(tracked peak {sq.peak_tracked_bytes / 1e6:.2f} MB)"
+    )
+    print(f"coefficient error: {np.linalg.norm(x_hat - coeffs_true):.2e}")
     print(f"final estimate: {np.array2string(x_hat, precision=4)}")
     print(f"ground truth:   {coeffs_true}")
 

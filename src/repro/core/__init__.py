@@ -16,7 +16,6 @@ from .gram_schmidt import cgs2, classical_gram_schmidt, modified_gram_schmidt
 from .householder import geqr2, house, org2r, orm2r, qr_flops
 from .jacobi_svd import jacobi_svd, svd_via_jacobi
 from .randomized_svd import randomized_range_finder, randomized_svd
-from .streaming import StreamingTSQR
 from .structured import structured_stack_qr
 from .lstsq import lstsq_caqr, lstsq_tsqr
 from .pivoted import PivotedQR, numerical_rank, qr_pivoted
@@ -57,7 +56,6 @@ __all__ = [
     "svd_via_jacobi",
     "randomized_range_finder",
     "randomized_svd",
-    "StreamingTSQR",
     "structured_stack_qr",
     "lstsq_caqr",
     "lstsq_tsqr",

@@ -106,11 +106,14 @@ def _caqr_serial(A: np.ndarray, policy: ExecutionPolicy) -> CAQRFactors:
     """The serial engine's panel loop on an *already validated* matrix.
 
     Run by :class:`repro.runtime.plan.QRPlan` for the reference paths
-    (``seed``, ``seed_structured``) and ``structured``, and by the
-    sharded and streaming engines for their local factors.  Each panel
-    goes straight to :func:`~repro.core.tsqr._tsqr_impl`: the input was
-    validated exactly once at the public entry point, so per-panel
-    re-scans never happen.
+    (``seed``, ``seed_structured``) and ``structured`` only: every other
+    path, the sharded ranks' and streaming chunks' local factors
+    included, runs the look-ahead driver
+    (:func:`repro.graph.executor.run_lookahead_schedule`), and
+    ``tools/lint_layering.py`` fails on an import of this function
+    anywhere but the engine table.  Each panel goes straight to
+    :func:`~repro.core.tsqr._tsqr_impl`: the input was validated exactly
+    once at the public entry point, so per-panel re-scans never happen.
     """
     m, n = A.shape
     k = min(m, n)

@@ -7,14 +7,15 @@ messages for column-by-column Householder.  Communication is counted
 exactly and charged a calibrated alpha-beta cost
 (:class:`~repro.distributed.comm.InterconnectModel`).
 
-Two layers:
-
-* :func:`distributed_tsqr` — the classic single-panel parallel TSQR
-  over a binomial tree (one ``geqr2`` per rank, triangles up the tree).
-* :mod:`repro.distributed.sharded` — full sharded CAQR: each rank runs
-  the local batched compact-WY machinery on its row shard, and per-rank
-  R factors reduce through a configurable fan-in tree.  Reached through
-  ``ExecutionPolicy(path="sharded", shards=P, fanin=...)``.
+One execution path, :mod:`repro.distributed.sharded`, reached through
+``ExecutionPolicy(path="sharded", shards=P, fanin=...)``: each rank
+factors its row shard on the look-ahead driver, and the per-rank R
+factors reduce through a fan-in tree over
+:class:`~repro.distributed.comm.FakeComm`.  On a matrix no wider than
+one panel this is the classic parallel TSQR, and fan-in 2 is its
+binomial tree.  :func:`tsqr_message_lower_bound` and
+:func:`householder_message_count` are the analytic message counts the
+tree is measured against.
 """
 
 from .comm import (
@@ -23,7 +24,9 @@ from .comm import (
     CommStats,
     FakeComm,
     InterconnectModel,
+    householder_message_count,
     simulated_network_seconds,
+    tsqr_message_lower_bound,
 )
 from .sharded import (
     ShardedCAQRFactors,
@@ -31,12 +34,6 @@ from .sharded import (
     build_shard_schedule,
     run_sharded,
     sharded_reference_r,
-)
-from .tsqr import (
-    DistributedTSQRResult,
-    distributed_tsqr,
-    householder_message_count,
-    tsqr_message_lower_bound,
 )
 
 __all__ = [
@@ -46,8 +43,6 @@ __all__ = [
     "INTERCONNECTS",
     "DEFAULT_INTERCONNECT",
     "simulated_network_seconds",
-    "DistributedTSQRResult",
-    "distributed_tsqr",
     "householder_message_count",
     "tsqr_message_lower_bound",
     "ShardSchedule",

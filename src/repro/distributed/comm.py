@@ -22,6 +22,7 @@ forwarder happens to be globally busiest.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +33,9 @@ __all__ = [
     "InterconnectModel",
     "INTERCONNECTS",
     "DEFAULT_INTERCONNECT",
+    "householder_message_count",
     "simulated_network_seconds",
+    "tsqr_message_lower_bound",
 ]
 
 
@@ -68,8 +71,9 @@ class InterconnectModel:
 #: Calibrated presets, latency-dominant from left to right.  ``pcie2``
 #: is the multi-GPU-in-one-node setting of the paper's era (Fermi boards
 #: on PCIe 2.0: ~10 us software latency, ~8 GB/s per direction — 1 ns
-#: per 8-byte word); the cluster/ethernet/grid rows mirror the network
-#: models of :mod:`repro.experiments.distributed_study`.
+#: per 8-byte word); the cluster/ethernet/grid rows are the network
+#: models :mod:`repro.experiments.distributed_study` prices the sharded
+#: path's counted traffic under.
 INTERCONNECTS: dict[str, InterconnectModel] = {
     "pcie2": InterconnectModel("pcie2 (10 us, 1 ns/w)", 10.0, 1.0),
     "cluster": InterconnectModel("cluster (1 us, 2 ns/w)", 1.0, 2.0),
@@ -203,3 +207,14 @@ def simulated_network_seconds(
     if critical_path_words is None:
         critical_path_words = comm.critical_path_words()
     return critical_path_messages * alpha_us * 1e-6 + critical_path_words * beta_ns_per_word * 1e-9
+
+
+def tsqr_message_lower_bound(p: int) -> int:
+    """Messages on the critical path of any reduction over P ranks."""
+    return max(0, math.ceil(math.log2(max(p, 1))))
+
+
+def householder_message_count(n: int, p: int) -> int:
+    """ScaLAPACK-style column-by-column Householder: one reduction (and
+    broadcast) per column — Theta(n log P) critical-path messages."""
+    return 2 * n * tsqr_message_lower_bound(p)

@@ -2,15 +2,16 @@
 0809.2407), executed over P simulated ranks.
 
 The tall matrix is partitioned into P contiguous row shards.  Each rank
-factors its shard with the *existing* single-process CAQR machinery
-(panel loop + batched compact-WY kernels, :func:`repro.core.caqr._caqr_serial`
-under the shard's :class:`~repro.runtime.policy.ExecutionPolicy`
-geometry), producing a local upper-trapezoidal R.  The per-rank R
-factors are then eliminated up a configurable fan-in tree over
-:class:`~repro.distributed.comm.FakeComm`: at every round, groups of up
-to ``fanin`` surviving ranks send their packed triangles to the group's
-first member, which stacks and re-factors them — ``ceil(log_fanin P)``
-rounds on the critical path, ``~n(n+1)/2`` words per message.
+factors its shard on the single-process look-ahead driver
+(:func:`repro.graph.executor.run_lookahead_schedule` at one worker,
+with the panels the sharded policy reports: 16 wide unless
+``panel_width`` says otherwise), producing a local upper-trapezoidal R.
+The per-rank R factors are then eliminated up a configurable fan-in
+tree over :class:`~repro.distributed.comm.FakeComm`: at every round,
+groups of up to ``fanin`` surviving ranks send their packed triangles
+to the group's first member, which stacks and re-factors them —
+``ceil(log_fanin P)`` rounds on the critical path, ``~n(n+1)/2`` words
+per message.
 
 Inter-rank traffic is charged through a calibrated alpha-beta
 :class:`~repro.distributed.comm.InterconnectModel`, the same accounting
@@ -46,7 +47,6 @@ __all__ = [
     "build_shard_schedule",
     "emit_sharded_layers",
     "run_sharded",
-    "run_sharded_graph",
     "sharded_reference_r",
 ]
 
@@ -223,14 +223,15 @@ def _trapezoid_pack(R: np.ndarray) -> tuple[np.ndarray, tuple]:
 
 
 def _local_factor(A_shard: np.ndarray, policy) -> tuple:
-    """One rank's local CAQR under the policy geometry.
+    """One rank's local CAQR on the look-ahead driver under the policy.
 
     Returns ``(factors, R)`` with R upper-trapezoidal
     ``min(h, n) x n`` — the block the rank contributes to the tree.
     """
-    from repro.core.caqr import _caqr_serial
+    from repro.graph.executor import build_lookahead_schedule, run_lookahead_schedule
 
-    f = _caqr_serial(A_shard, policy)
+    h, n = A_shard.shape
+    f = run_lookahead_schedule(build_lookahead_schedule(h, n, policy), A_shard)
     return f, np.triu(f.R)
 
 
@@ -284,8 +285,8 @@ def _reduce(
     return current, tree
 
 
-def emit_sharded_layers(schedule: ShardSchedule, bind: dict | None = None):
-    """Compile a :class:`ShardSchedule` into task-graph layers.
+def emit_sharded_layers(schedule: ShardSchedule):
+    """Compile a :class:`ShardSchedule` into structural task-graph layers.
 
     One ``local`` layer (per-rank CAQR, ``device="rank{r}"`` tags in the
     task info) plus one ``round{L}`` layer per fan-in reduction round —
@@ -294,82 +295,24 @@ def emit_sharded_layers(schedule: ShardSchedule, bind: dict | None = None):
     holding the R of its destination and source ranks, so cross-round
     chains are explicit and rounds with disjoint ranks can overlap.
     Registered as the ``sharded_reduction`` producer in
-    :data:`repro.graph.highlevel.PRODUCERS`.
-
-    Without ``bind`` the graph is structural (``fn=None``) — the shape
-    the CI fingerprint gate pins.  With ``bind`` (the state dict set up
-    by :func:`run_sharded_graph`: ``A``, ``policy``, ``comm``, ``n``,
-    ``dtype``, plus empty ``local`` / ``current`` / ``nodes`` dicts),
-    tasks carry closures performing exactly the arithmetic of
-    :func:`run_sharded` — merges within a round touch disjoint ranks, so
-    any topological execution (threaded included) is race-free and
-    bit-identical.
+    :data:`repro.graph.highlevel.PRODUCERS`.  Tasks carry no payload
+    (``fn=None``): the graph is the shape ``QRPlan.task_graph()``
+    returns and the CI fingerprint gate pins, and :func:`run_sharded`
+    runs the same schedule.
     """
     from repro.graph.highlevel import TaskGraph
-
-    st = bind
-
-    def payload(f):
-        return f if st is not None else None
-
-    def mk_local(r: int, s: int, e: int):
-        def run() -> None:
-            with _obs.span("shard.local", cat="shard", rank=r, rows=e - s):
-                f, Rr = _local_factor(st["A"][s:e], st["policy"])
-            st["local"][r] = f
-            st["current"][r] = Rr
-
-        return run
-
-    def mk_merge(level: int, dst: int, srcs: tuple[int, ...]):
-        def run() -> None:
-            current = st["current"]
-            comm = st["comm"]
-            with _obs.span("shard.merge", cat="shard", level=level, rank=dst):
-                blocks = [current[dst]]
-                heights = [current[dst].shape[0]]
-                for src in srcs:
-                    if comm is not None:
-                        packed, idx = _trapezoid_pack(current[src])
-                        comm.send(packed, src=src, dst=dst, tag=level)
-                        received = comm.recv(src=src, dst=dst, tag=level)
-                        Rs = np.zeros(current[src].shape, dtype=st["dtype"])
-                        Rs[idx] = received
-                    else:
-                        Rs = current[src]
-                    blocks.append(Rs)
-                    heights.append(Rs.shape[0])
-                    del current[src]
-                stacked = np.vstack(blocks)
-                VR, tau = geqr2(stacked)
-                kd = min(stacked.shape[0], st["n"])
-                st["nodes"][(level, dst)] = _ShardTreeNode(
-                    level=level,
-                    dst=dst,
-                    srcs=srcs,
-                    heights=tuple(heights),
-                    VR=VR,
-                    tau=tau,
-                )
-                current[dst] = np.triu(VR[:kd, :])
-
-        return run
 
     tg = TaskGraph(name=f"sharded[{schedule.m}x{schedule.n}]p{schedule.shards}f{schedule.fanin}")
     tg.add_layer("local")
     holder: dict[int, tuple] = {}
     for r, (s, e) in enumerate(schedule.rows):
-        holder[r] = tg.add_task(
-            "local", ("local", r), payload(mk_local(r, s, e)), rank=r, rows=(s, e),
-            device=f"rank{r}",
-        )
+        holder[r] = tg.add_task("local", ("local", r), rank=r, rows=(s, e), device=f"rank{r}")
     for level, merges in enumerate(schedule.rounds):
         layer = tg.add_layer(f"round{level}")
         for dst, srcs in merges:
             holder[dst] = tg.add_task(
                 layer,
                 ("merge", level, dst),
-                payload(mk_merge(level, dst, srcs)),
                 deps=[holder[dst]] + [holder[s] for s in srcs],
                 rank=dst,
                 srcs=srcs,
@@ -378,72 +321,11 @@ def emit_sharded_layers(schedule: ShardSchedule, bind: dict | None = None):
     return tg
 
 
-def run_sharded_graph(
-    A: np.ndarray,
-    policy,
-    schedule: ShardSchedule | None = None,
-    workers: int = 1,
-) -> ShardedCAQRFactors:
-    """:func:`run_sharded` compiled to a task graph and run on the shared
-    executor (:func:`repro.graph.executor.run_task_graph`).
-
-    Identical arithmetic merge for merge, so ``R`` (and the whole factor
-    object) is bit-identical to the direct call; ``workers > 1`` runs
-    independent local factorizations and disjoint merges concurrently.
-    """
-    m, n = A.shape
-    if schedule is None:
-        schedule = build_shard_schedule(m, n, policy.shards, policy.effective_fanin)
-    from repro.graph.executor import run_task_graph
-
-    comm = FakeComm(size=schedule.shards) if schedule.shards > 1 else None
-    st: dict = {
-        "A": A,
-        "policy": policy,
-        "comm": comm,
-        "n": n,
-        "dtype": A.dtype,
-        "local": {},
-        "current": {},
-        "nodes": {},
-    }
-    with _obs.span(
-        "sharded", cat="shard", m=m, n=n, shards=schedule.shards, fanin=schedule.fanin
-    ):
-        tg = emit_sharded_layers(schedule, bind=st)
-        run_task_graph(tg, workers=workers)
-        if comm is not None:
-            _obs.counters(
-                shard_messages=comm.total_messages,
-                shard_words=int(comm.total_words),
-            )
-        current = st["current"]
-        if current:
-            R_root = current[0]
-        else:  # m == 0: no ranks dealt, R is the empty trapezoid
-            R_root = np.zeros((0, n), dtype=A.dtype)
-        k = min(m, n)
-        R = np.zeros((k, n), dtype=A.dtype)
-        R[: R_root.shape[0]] = R_root[:k]
-    # Reassemble in round order so the factor object matches the direct
-    # driver's tree list regardless of which order the tasks ran in.
-    tree = [
-        st["nodes"][(level, dst)]
-        for level, merges in enumerate(schedule.rounds)
-        for dst, _srcs in merges
-    ]
-    local = [st["local"][r] for r in range(len(schedule.rows))]
-    return ShardedCAQRFactors(
-        m=m, n=n, schedule=schedule, comm=comm, local=local, tree=tree, R=R
-    )
-
-
 def run_sharded(A: np.ndarray, policy, schedule: ShardSchedule | None = None) -> ShardedCAQRFactors:
     """Factor an *already validated* matrix across ``policy.shards`` ranks.
 
     Called by the ``caqr`` entry point and :class:`~repro.runtime.plan.QRPlan`
-    after the one public-boundary validation, mirroring
-    :func:`repro.core.caqr._caqr_serial`.  Each rank's work and every
+    after the one public-boundary validation.  Each rank's work and every
     reduction round is spanned (``rank=`` / ``level=`` tags) so traces
     attribute time per simulated device.
     """

@@ -3,11 +3,13 @@
 The original TSQR argument (the paper's Section I citations): on P
 processors a reduction-tree QR needs ``log2 P`` critical-path messages
 regardless of the column count, while column-by-column Householder pays
-two collectives per column — ``2 n log2 P``.  This study runs the actual
-simulated algorithm (:mod:`repro.distributed`), counts its traffic, and
-prices both algorithms under alpha-beta network models from fast
-interconnects to grid computing ("where communication is exceptionally
-expensive", the Agullo et al. setting the paper cites).
+two collectives per column — ``2 n log2 P``.  This study factors each
+matrix on the sharded path (``ExecutionPolicy(path="sharded",
+shards=P)``: P simulated ranks, a binomial reduction tree), reads the
+traffic its communicator counted, and prices both algorithms under
+alpha-beta network models from fast interconnects to grid computing
+("where communication is exceptionally expensive", the Agullo et al.
+setting the paper cites).
 """
 
 from __future__ import annotations
@@ -16,22 +18,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.distributed import (
-    distributed_tsqr,
-    householder_message_count,
-    tsqr_message_lower_bound,
-)
+from repro.core.caqr import caqr
+from repro.distributed import INTERCONNECTS, householder_message_count, tsqr_message_lower_bound
+from repro.runtime import ExecutionPolicy
 
 from .report import format_table
 
 __all__ = ["NETWORKS", "DistributedRow", "run", "format_results"]
 
-#: (name, alpha in us, beta in ns/word) — per-message latency dominates
-#: progressively more as we move right.
-NETWORKS = (
-    ("cluster (1 us, 2 ns/w)", 1.0, 2.0),
-    ("ethernet (50 us, 10 ns/w)", 50.0, 10.0),
-    ("grid (10 ms, 100 ns/w)", 10_000.0, 100.0),
+#: (name, alpha in us, beta in ns/word) of the cluster, ethernet and grid
+#: interconnects — per-message latency dominates progressively more as
+#: we move right.
+NETWORKS = tuple(
+    (ic.name, ic.alpha_us, ic.beta_ns_per_word)
+    for ic in (INTERCONNECTS[k] for k in ("cluster", "ethernet", "grid"))
 )
 
 
@@ -54,9 +54,10 @@ def run(
     rng = np.random.default_rng(0)
     for p in ps:
         A = rng.standard_normal((p * rows_per_rank, n))
-        res = distributed_tsqr(A, p)
-        tsqr_msgs = res.rounds
-        tsqr_words = res.rounds * n * (n + 1) / 2.0  # critical path
+        comm = caqr(A, policy=ExecutionPolicy(path="sharded", shards=p)).comm
+        # One rank sends nothing (and builds no communicator).
+        tsqr_msgs = comm.critical_path_messages() if comm is not None else 0
+        tsqr_words = comm.critical_path_words() if comm is not None else 0.0
         hh_msgs = householder_message_count(n, p)
         hh_words = 2.0 * n * tsqr_message_lower_bound(p) * n  # column pieces
         speedups = {}

@@ -20,6 +20,7 @@ from repro.obs import tracer as _obs
 from .qr import (
     StreamingCAQRFactors,
     StreamSchedule,
+    _chunk_factor,
     _merge_triangles,
     build_stream_schedule,
     chunk_policy,
@@ -65,10 +66,8 @@ def emit_streaming_layers(
 
     def mk_factor(i: int):
         def run() -> None:
-            from repro.core.caqr import _caqr_serial
-
             with _obs.span("stream.factor", cat="factor", chunk=i):
-                f = _caqr_serial(st["chunks"][i], st["inner"])
+                f = _chunk_factor(st["chunks"][i], st["inner"])
             st["rfac"][i] = (f, np.triu(f.R))
 
         return run

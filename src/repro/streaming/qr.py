@@ -2,13 +2,13 @@
 
 This is the "flat tree" regime of Demmel–Grigori–Hoemmen–Langou's
 sequential CAQR (arXiv 0809.2407): the tall matrix arrives chunk by
-chunk, each chunk is factored with the in-core batched CAQR kernels at
-the streaming engine's panel width (:func:`chunk_policy`: a reusable
-``batched`` plan for full-height chunks, the serial panel loop
-:func:`repro.core.caqr._caqr_serial` for a ragged one, bit for bit the
-same arithmetic), and the chunk's ``min(h, n) x n`` triangle folds into
-the running ``<= n x n`` carry through exactly the elimination the TSQR
-tree nodes use:
+chunk, each chunk is factored on the in-core look-ahead driver at the
+streaming engine's panel width (:func:`chunk_policy`: a reusable
+``batched`` plan for full-height chunks, a schedule built for the
+chunk's height for a ragged one, bit for bit the same arithmetic), and
+the chunk's ``min(h, n) x n`` triangle folds into the running
+``<= n x n`` carry through exactly the elimination the TSQR tree nodes
+use:
 
 * once the carry is a full ``n x n`` triangle (the steady state), the
   fold is :func:`repro.core.structured.structured_stack_qr` — the
@@ -96,6 +96,15 @@ def chunk_policy(policy: ExecutionPolicy, n: int) -> ExecutionPolicy:
         tree_shape=policy.tree_shape,
         nonfinite="propagate",
     )
+
+
+def _chunk_factor(chunk: np.ndarray, inner: ExecutionPolicy):
+    """One chunk's local CAQR on the look-ahead driver under ``inner``
+    (its :func:`chunk_policy`), with a schedule built for its height."""
+    from repro.graph.executor import build_lookahead_schedule, run_lookahead_schedule
+
+    h, n = chunk.shape
+    return run_lookahead_schedule(build_lookahead_schedule(h, n, inner), chunk)
 
 
 # -- merge nodes (the chain's "tree") -------------------------------------
@@ -372,8 +381,6 @@ class StreamingQR:
         return self
 
     def _factor_chunk(self, chunk: np.ndarray):
-        from repro.core.caqr import _caqr_serial
-
         if self._inner is None:
             self._inner = chunk_policy(self.policy, self._n)
         if chunk.shape[0] == self.policy.chunk_rows:
@@ -384,7 +391,7 @@ class StreamingQR:
                     self.policy.chunk_rows, self._n, self._dtype, self._inner
                 )
             return self._chunk_plan.factor(chunk, validated=True)
-        return _caqr_serial(chunk, self._inner)
+        return _chunk_factor(chunk, self._inner)
 
     def factors(self) -> StreamingCAQRFactors:
         """Snapshot the stream as a :class:`StreamingCAQRFactors`."""

@@ -17,11 +17,11 @@ import pytest
 from repro.core.blocked import blocked_qr
 from repro.core.caqr import caqr_qr
 from repro.core.jacobi_svd import jacobi_svd
-from repro.core.streaming import StreamingTSQR
 from repro.core.tsqr import tsqr_qr
 from repro.core.validation import is_factorization_accurate
 from repro.rpca import rpca_ialm
 from repro.runtime import ExecutionPolicy
+from repro.streaming import StreamingQR
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaN arithmetic is the point
@@ -101,12 +101,15 @@ class TestDegenerateShapes:
 
 class TestMisuse:
     def test_streaming_wrong_width_mid_stream(self, rng):
-        stq = StreamingTSQR(n_cols=4)
-        stq.push(rng.standard_normal((10, 4)))
-        with pytest.raises(ValueError):
-            stq.push(rng.standard_normal((10, 5)))
+        sq = StreamingQR(policy=ExecutionPolicy(path="streaming", chunk_rows=10))
+        sq.push(rng.standard_normal((10, 4)))
+        R = sq.R.copy()
+        with pytest.raises(ValueError, match="column"):
+            sq.push(rng.standard_normal((10, 5)))
         # The stream state is unchanged by the failed push.
-        assert stq.m == 10
+        assert sq.rows_seen == 10
+        assert sq.n_chunks == 1
+        assert np.array_equal(sq.R, R)
 
     def test_simulator_rejects_nonsense(self):
         from repro.caqr_gpu import simulate_caqr

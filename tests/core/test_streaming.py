@@ -1,4 +1,11 @@
-"""Tests of the streaming (single-pass) TSQR."""
+"""Streaming (single-pass) TSQR: row blocks of any height pushed into
+:class:`repro.streaming.StreamingQR`, and the streamed Q.
+
+Blocks whose height is not the policy's ``chunk_rows`` are factored with
+a schedule built for their height, so most pushes here exercise that
+branch; ``tests/streaming/test_streaming_qr.py`` covers the re-blocked
+``stream_qr`` / ``path="streaming"`` surface.
+"""
 
 from __future__ import annotations
 
@@ -6,112 +13,128 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.streaming import StreamingTSQR
+from repro.core.caqr import caqr
+from repro.core.triangular import solve_upper
 from repro.core.validation import sign_canonical
+from repro.runtime import ExecutionPolicy
+from repro.streaming import StreamingQR
 
 
-def push_all(st_obj: StreamingTSQR, A: np.ndarray, sizes: list[int]) -> StreamingTSQR:
+def spolicy(chunk_rows: int = 64) -> ExecutionPolicy:
+    return ExecutionPolicy(path="streaming", chunk_rows=chunk_rows)
+
+
+def push_all(sq: StreamingQR, A: np.ndarray, sizes: list[int]) -> StreamingQR:
     pos = 0
     for h in sizes:
-        st_obj.push(A[pos : pos + h])
+        sq.push(A[pos : pos + h])
         pos += h
     assert pos == A.shape[0]
-    return st_obj
+    return sq
+
+
+def canon_r(R: np.ndarray) -> np.ndarray:
+    _, Rc = sign_canonical(np.eye(min(R.shape)), R)
+    return Rc
+
+
+def assert_r_of(R: np.ndarray, A: np.ndarray) -> None:
+    """``R`` is ``np.linalg.qr``'s R of ``A`` up to row signs."""
+    R_np = np.linalg.qr(A, mode="r")
+    assert R.shape == R_np.shape
+    scale = max(np.linalg.norm(A), 1.0)
+    assert np.abs(canon_r(R) - canon_r(R_np)).max() <= 1e-12 * scale
 
 
 class TestStreamingR:
     def test_matches_batch_qr(self, rng):
         A = rng.standard_normal((500, 12))
-        stq = push_all(StreamingTSQR(n_cols=12), A, [100, 150, 150, 100])
-        R_np = np.triu(np.linalg.qr(A, mode="r"))[:12]
-        assert np.allclose(np.abs(np.diag(stq.R)), np.abs(np.diag(R_np)), atol=1e-10)
+        sq = push_all(StreamingQR(n_cols=12, policy=spolicy()), A, [100, 150, 150, 100])
+        assert_r_of(sq.R, A)
 
     def test_incremental_prefix_property(self, rng):
-        """After each push, R must equal the QR of the prefix seen."""
+        """After every push, R is the R of every row seen so far — the
+        promise that ``sq.R`` can be read between pushes — through both
+        kinds of fold."""
+        # Dense start-up folds: 3-row blocks against n = 8 keep the carry
+        # short for two folds; from the third on the folds are structured.
+        A = rng.standard_normal((30, 8))
+        sq = StreamingQR(n_cols=8, policy=spolicy())
+        for i in range(0, 30, 3):
+            sq.push(A[i : i + 3])
+            assert_r_of(sq.R, A[: i + 3])
+        assert (sq.dense_merges, sq.structured_merges) == (2, 7)
+        # Steady-state structured folds: every block is taller than n
+        # (and chunk_rows tall, so the cached chunk plan factors it).
         A = rng.standard_normal((120, 6))
-        stq = StreamingTSQR(n_cols=6)
+        sq = StreamingQR(n_cols=6, policy=spolicy(30))
         for i in range(0, 120, 30):
-            stq.push(A[i : i + 30])
-            R_np = np.triu(np.linalg.qr(A[: i + 30], mode="r"))[:6]
-            assert np.allclose(np.abs(np.diag(stq.R)), np.abs(np.diag(R_np)), atol=1e-10)
+            sq.push(A[i : i + 30])
+            assert_r_of(sq.R, A[: i + 30])
+        assert (sq.dense_merges, sq.structured_merges) == (0, 3)
 
     def test_single_row_blocks(self, rng):
         A = rng.standard_normal((25, 4))
-        stq = push_all(StreamingTSQR(n_cols=4), A, [1] * 25)
-        R_np = np.triu(np.linalg.qr(A, mode="r"))
-        assert np.allclose(np.abs(np.diag(stq.R)), np.abs(np.diag(R_np)), atol=1e-10)
+        sq = push_all(StreamingQR(n_cols=4, policy=spolicy()), A, [1] * 25)
+        assert_r_of(sq.R, A)
 
     def test_blocks_shorter_than_n(self, rng):
         A = rng.standard_normal((40, 8))
-        stq = push_all(StreamingTSQR(n_cols=8), A, [3, 5, 2, 10, 20])
-        R_np = np.triu(np.linalg.qr(A, mode="r"))
-        assert np.allclose(np.abs(np.diag(stq.R)), np.abs(np.diag(R_np)), atol=1e-10)
+        sq = push_all(StreamingQR(n_cols=8, policy=spolicy()), A, [3, 5, 2, 10, 20])
+        assert_r_of(sq.R, A)
 
     def test_short_total_stream(self, rng):
         A = rng.standard_normal((5, 8))  # fewer rows than columns
-        stq = push_all(StreamingTSQR(n_cols=8), A, [2, 3])
-        assert stq.R.shape == (5, 8)
+        sq = push_all(StreamingQR(n_cols=8, policy=spolicy()), A, [2, 3])
+        assert sq.R.shape == (5, 8)
+        assert_r_of(sq.R, A)
 
-    def test_r_before_push_raises(self):
-        with pytest.raises(ValueError):
-            StreamingTSQR(n_cols=4).R
+    def test_r_before_push_is_empty(self):
+        R = StreamingQR(n_cols=4, policy=spolicy()).R
+        assert R.shape == (0, 4)
 
     def test_bad_block_rejected(self, rng):
-        stq = StreamingTSQR(n_cols=4)
-        with pytest.raises(ValueError):
-            stq.push(rng.standard_normal((3, 5)))
-        with pytest.raises(ValueError):
-            stq.push(rng.standard_normal((0, 4)))
+        sq = StreamingQR(n_cols=4, policy=spolicy())
+        with pytest.raises(ValueError, match="column"):
+            sq.push(rng.standard_normal((3, 5)))
+        assert sq.rows_seen == 0
 
     def test_bookkeeping(self, rng):
-        stq = push_all(StreamingTSQR(n_cols=3), rng.standard_normal((30, 3)), [10, 20])
-        assert stq.m == 30
-        assert stq.n_blocks == 2
+        sq = push_all(StreamingQR(n_cols=3, policy=spolicy()), rng.standard_normal((30, 3)), [10, 20])
+        assert sq.rows_seen == 30
+        assert sq.n_chunks == 2
 
 
 class TestStreamingApply:
+    """The streamed Q (``form_q`` of the retained chunk factors)."""
+
     def test_qt_applied_to_stream_gives_r(self, rng):
         A = rng.standard_normal((200, 10))
-        stq = push_all(StreamingTSQR(n_cols=10), A, [50, 50, 100])
-        out = stq.apply_qt(A.copy())
-        assert np.allclose(np.triu(out[:10]), stq.R, atol=1e-11)
-        assert np.linalg.norm(out[10:]) < 1e-9
+        f = caqr(A, policy=spolicy(50))
+        Q = f.form_q()
+        assert np.allclose(Q.T @ A, f.R, atol=1e-11)
 
     def test_norm_preserved(self, rng):
         A = rng.standard_normal((90, 5))
-        stq = push_all(StreamingTSQR(n_cols=5), A, [30, 30, 30])
-        b = rng.standard_normal(90)
-        qtb = stq.apply_qt(b)
-        assert np.linalg.norm(qtb) == pytest.approx(np.linalg.norm(b))
+        Q = caqr(A, policy=spolicy(30)).form_q()
+        b = A @ rng.standard_normal(5)  # in the range of Q
+        assert np.linalg.norm(Q.T @ b) == pytest.approx(np.linalg.norm(b))
 
     def test_least_squares_through_stream(self, rng):
         A = rng.standard_normal((300, 7))
         x_true = rng.standard_normal(7)
         b = A @ x_true
-        stq = push_all(StreamingTSQR(n_cols=7), A, [100, 100, 100])
-        qtb = stq.apply_qt(b)
-        from repro.core.triangular import solve_upper
-
-        x = solve_upper(stq.R[:7, :7], qtb[:7])
+        f = caqr(A, policy=spolicy(100))
+        x = solve_upper(f.R[:7, :7], f.form_q().T @ b)
         assert np.allclose(x, x_true, atol=1e-9)
-
-    def test_vector_rhs_shape(self, rng):
-        A = rng.standard_normal((40, 4))
-        stq = push_all(StreamingTSQR(n_cols=4), A, [20, 20])
-        out = stq.apply_qt(rng.standard_normal(40))
-        assert out.shape == (40,)
-
-    def test_row_mismatch_rejected(self, rng):
-        stq = push_all(StreamingTSQR(n_cols=4), rng.standard_normal((20, 4)), [20])
-        with pytest.raises(ValueError):
-            stq.apply_qt(np.zeros((19, 2)))
 
     def test_short_first_blocks_apply(self, rng):
         A = rng.standard_normal((40, 8))
-        stq = push_all(StreamingTSQR(n_cols=8), A, [3, 3, 3, 31])
-        out = stq.apply_qt(A.copy())
-        assert np.allclose(np.triu(out[:8]), stq.R, atol=1e-10)
-        assert np.linalg.norm(out[8:]) < 1e-9
+        sq = StreamingQR(n_cols=8, policy=spolicy(), retain_q=True)
+        f = push_all(sq, A, [3, 3, 3, 31]).factors()
+        Q = f.form_q()
+        assert np.allclose(Q.T @ A, f.R, atol=1e-10)
+        assert np.allclose(Q.T @ Q, np.eye(8), atol=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
@@ -121,36 +144,28 @@ class TestStreamingApply:
     splits=st.lists(st.integers(1, 20), min_size=1, max_size=8),
 )
 def test_property_streaming_matches_batch(n, seed, splits):
-    m = sum(splits)
-    A = np.random.default_rng(seed).standard_normal((m, n))
-    stq = StreamingTSQR(n_cols=n)
-    pos = 0
-    for h in splits:
-        stq.push(A[pos : pos + h])
-        pos += h
-    R_np = np.triu(np.linalg.qr(A, mode="r"))
-    k = min(m, n)
-    assert np.allclose(np.abs(np.diag(stq.R)[:k]), np.abs(np.diag(R_np)[:k]), atol=1e-9)
+    A = np.random.default_rng(seed).standard_normal((sum(splits), n))
+    sq = push_all(StreamingQR(n_cols=n, policy=spolicy()), A, splits)
+    assert_r_of(sq.R, A)
 
 
 class TestStreamingDtype:
     def test_dtype_fixed_across_uniform_pushes(self, rng):
-        stq = StreamingTSQR(n_cols=4)
-        stq.push(rng.standard_normal((6, 4)).astype(np.float32))
-        stq.push(rng.standard_normal((6, 4)).astype(np.float32))
-        assert stq.R.dtype == np.float32
-        assert all(step.VR.dtype == np.float32 for step in stq._steps)
+        sq = StreamingQR(n_cols=4, policy=spolicy(), retain_q=True)
+        sq.push(rng.standard_normal((6, 4)).astype(np.float32))
+        sq.push(rng.standard_normal((6, 4)).astype(np.float32))
+        assert sq.R.dtype == np.float32
+        assert all(c.factors.R.dtype == np.float32 for c in sq.factors().chunks)
 
     def test_promotion_mid_stream(self, rng):
-        """A float64 block after float32 pushes promotes the running R
-        exactly once; results match an all-float64 stream to f32 accuracy."""
+        """A float64 block after float32 pushes is refused, not promoted:
+        the stream keeps its float32 state unchanged."""
         A = rng.standard_normal((18, 4))
-        stq = StreamingTSQR(n_cols=4)
-        stq.push(A[:6].astype(np.float32))
-        stq.push(A[6:12])  # promotes
-        stq.push(A[12:])
-        assert stq.R.dtype == np.float64
-        ref = StreamingTSQR(n_cols=4)
-        for i in range(0, 18, 6):
-            ref.push(A[i : i + 6])
-        assert np.allclose(np.abs(stq.R), np.abs(ref.R), atol=1e-5)
+        sq = StreamingQR(n_cols=4, policy=spolicy())
+        sq.push(A[:6].astype(np.float32))
+        R = sq.R.copy()
+        with pytest.raises(TypeError, match="dtype"):
+            sq.push(A[6:12])
+        assert sq.rows_seen == 6
+        assert sq.R.dtype == np.float32
+        assert np.array_equal(sq.R, R)

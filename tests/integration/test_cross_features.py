@@ -10,13 +10,13 @@ import numpy as np
 import pytest
 
 from repro.core.caqr import caqr
-from repro.core.streaming import StreamingTSQR
 from repro.core.tsqr import tsqr, tsqr_qr
 from repro.core.validation import factorization_error, orthogonality_error, sign_canonical
 from repro.dispatch import QRDispatcher
 from repro.io import load_tsqr, save_tsqr
 from repro.kernels.config import REFERENCE_CONFIG, KernelConfig
 from repro.runtime import ExecutionPolicy
+from repro.streaming import stream_qr
 
 
 class TestStructuredCombinations:
@@ -77,20 +77,22 @@ class TestDispatcherCombinations:
 class TestStreamingCombinations:
     def test_streaming_float32(self, rng):
         A = rng.standard_normal((120, 6)).astype(np.float32)
-        stq = StreamingTSQR(n_cols=6)
-        for i in range(0, 120, 40):
-            stq.push(A[i : i + 40])
-        assert stq.R.dtype == np.float32
+        sq = stream_qr(
+            (A[i : i + 40] for i in range(0, 120, 40)),
+            policy=ExecutionPolicy(path="streaming", chunk_rows=40),
+        )
+        assert sq.R.dtype == np.float32
         R64 = np.triu(np.linalg.qr(A.astype(np.float64), mode="r"))
-        assert np.allclose(np.abs(np.diag(stq.R)), np.abs(np.diag(R64)), atol=1e-3)
+        assert np.allclose(np.abs(np.diag(sq.R)), np.abs(np.diag(R64)), atol=1e-3)
 
     def test_streaming_agrees_with_flat_tsqr(self, rng):
         A = rng.standard_normal((160, 8))
-        stq = StreamingTSQR(n_cols=8)
-        for i in range(0, 160, 32):
-            stq.push(A[i : i + 32])
+        sq = stream_qr(
+            (A[i : i + 32] for i in range(0, 160, 32)),
+            policy=ExecutionPolicy(path="streaming", chunk_rows=32),
+        )
         f = tsqr(A, policy=ExecutionPolicy(block_rows=32, tree_shape="flat"))
-        assert np.allclose(np.abs(np.diag(stq.R)), np.abs(np.diag(f.R)), atol=1e-11)
+        assert np.allclose(np.abs(np.diag(sq.R)), np.abs(np.diag(f.R)), atol=1e-11)
 
 
 class TestBatchedPathConsistency:
@@ -155,8 +157,9 @@ class TestEndToEndPipelines:
 
         op = laplacian_1d(300)
         res = sstep_arnoldi(op, rng.standard_normal(300), s=4, n_blocks=3)
-        stq = StreamingTSQR(n_cols=res.V.shape[1])
-        for i in range(0, 300, 100):
-            stq.push(res.V[i : i + 100])
-        d = np.abs(np.diag(stq.R))
+        sq = stream_qr(
+            (res.V[i : i + 100] for i in range(0, 300, 100)),
+            policy=ExecutionPolicy(path="streaming", chunk_rows=100),
+        )
+        d = np.abs(np.diag(sq.R))
         assert np.allclose(d, 1.0, atol=1e-10)  # V orthonormal -> R = I-ish

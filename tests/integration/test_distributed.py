@@ -1,6 +1,9 @@
-"""Tests of the distributed-memory TSQR simulation."""
+"""Tests of distributed-memory TSQR/CAQR: the counted communicator and
+the sharded path (``ExecutionPolicy(path="sharded", shards=P)``)."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -12,7 +15,6 @@ from repro.distributed import (
     INTERCONNECTS,
     FakeComm,
     build_shard_schedule,
-    distributed_tsqr,
     householder_message_count,
     run_sharded,
     sharded_reference_r,
@@ -20,6 +22,10 @@ from repro.distributed import (
     tsqr_message_lower_bound,
 )
 from repro.runtime import ExecutionPolicy, plan_qr
+
+
+def sharded(p: int, **kw) -> ExecutionPolicy:
+    return ExecutionPolicy(path="sharded", shards=p, **kw)
 
 
 class TestFakeComm:
@@ -75,32 +81,35 @@ class TestFakeComm:
 
 
 class TestDistributedTSQR:
+    """The classic parallel TSQR on the sharded path: a matrix no wider
+    than one panel, reduced up the binomial tree (fan-in 2)."""
+
     @pytest.mark.parametrize("p", [1, 2, 3, 4, 7, 8, 16])
     def test_correct_factorization(self, rng, p):
         A = rng.standard_normal((600, 10))
-        res = distributed_tsqr(A, p)
+        f = caqr(A, policy=sharded(p))
         R_np = np.triu(np.linalg.qr(A, mode="r"))
-        assert np.allclose(np.abs(np.diag(res.R)), np.abs(np.diag(R_np)), atol=1e-10)
-        Q = res.form_q()
-        assert np.allclose(Q @ res.R, A, atol=1e-10)
+        assert np.allclose(np.abs(np.diag(f.R)), np.abs(np.diag(R_np)), atol=1e-10)
+        Q = f.form_q()
+        assert np.allclose(Q @ f.R, A, atol=1e-10)
         assert np.allclose(Q.T @ Q, np.eye(10), atol=1e-11)
 
     @pytest.mark.parametrize("p", [2, 4, 8, 16, 32])
     def test_critical_path_is_log_p(self, rng, p):
         A = rng.standard_normal((32 * 8, 4))
-        res = distributed_tsqr(A, p)
-        assert res.rounds == tsqr_message_lower_bound(p)
+        f = caqr(A, policy=sharded(p))
+        assert f.comm.critical_path_messages() == tsqr_message_lower_bound(p)
 
     def test_total_messages_p_minus_1(self, rng):
         """Every rank's R is eliminated exactly once: P - 1 messages."""
         for p in (2, 5, 8, 13):
-            res = distributed_tsqr(rng.standard_normal((13 * 8, 6)), p)
-            assert res.comm.total_messages == p - 1
+            f = caqr(rng.standard_normal((13 * 8, 6)), policy=sharded(p))
+            assert f.comm.total_messages == p - 1
 
     def test_message_size_is_triangle(self, rng):
         n = 8
-        res = distributed_tsqr(rng.standard_normal((64, n)), 4)
-        assert res.comm.total_words == 3 * n * (n + 1) / 2
+        f = caqr(rng.standard_normal((64, n)), policy=sharded(4))
+        assert f.comm.total_words == 3 * n * (n + 1) / 2
 
     def test_tsqr_beats_householder_in_messages(self):
         """The headline distributed claim: log P vs 2 n log P messages."""
@@ -110,19 +119,15 @@ class TestDistributedTSQR:
                 assert tsqr_message_lower_bound(p) * 2 * n == householder_message_count(n, p)
                 assert tsqr_message_lower_bound(p) < householder_message_count(n, p) / 10
 
-    def test_rejects_too_few_rows(self, rng):
+    def test_rejects_bad_args(self):
+        with pytest.raises(ValueError, match="shards"):
+            sharded(0)
         with pytest.raises(ValueError):
-            distributed_tsqr(rng.standard_normal((10, 4)), 4)
-
-    def test_rejects_bad_args(self, rng):
-        with pytest.raises(ValueError):
-            distributed_tsqr(rng.standard_normal((40, 4)), 0)
-        with pytest.raises(ValueError):
-            distributed_tsqr(np.zeros(5), 1)
+            caqr(np.zeros(5), policy=sharded(1))
 
     def test_zero_communication_single_rank(self, rng):
-        res = distributed_tsqr(rng.standard_normal((50, 5)), 1)
-        assert res.comm.total_messages == 0
+        f = caqr(rng.standard_normal((50, 5)), policy=sharded(1))
+        assert f.comm is None
 
 
 @settings(max_examples=20, deadline=None)
@@ -130,38 +135,38 @@ class TestDistributedTSQR:
 def test_property_distributed_matches_serial(p, n, seed):
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((p * n + rng.integers(0, 20), n))
-    res = distributed_tsqr(A, p)
+    f = caqr(A, policy=sharded(p))
     R_np = np.triu(np.linalg.qr(A, mode="r"))[:n]
-    assert np.allclose(np.abs(np.diag(res.R)), np.abs(np.diag(R_np)), atol=1e-9)
+    assert np.allclose(np.abs(np.diag(f.R)), np.abs(np.diag(R_np)), atol=1e-9)
 
 
 class TestGuardsAndDtype:
-    """The satellite fixes: entry-point guards + dtype preservation."""
+    """Entry-point guards and dtype preservation on the sharded path."""
 
     def test_complex_input_rejected(self):
         with pytest.raises(TypeError, match="complex"):
-            distributed_tsqr(np.ones((40, 4), dtype=np.complex128), 2)
+            caqr(np.ones((40, 4), dtype=np.complex128), policy=sharded(2))
 
     def test_nonfinite_rejected_naming_the_entry_point(self, rng):
         A = rng.standard_normal((40, 4))
         A[3, 1] = np.nan
-        with pytest.raises(ValueError, match="distributed_tsqr.*non-finite"):
-            distributed_tsqr(A, 2)
+        with pytest.raises(ValueError, match="caqr.*non-finite"):
+            caqr(A, policy=sharded(2))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_propagate_escape_hatch(self, rng):
         A = rng.standard_normal((40, 4))
         A[3, 1] = np.inf
-        res = distributed_tsqr(A, 2, nonfinite="propagate")
-        assert not np.isfinite(res.R).all()
+        f = caqr(A, policy=sharded(2, nonfinite="propagate"))
+        assert not np.isfinite(f.R).all()
 
     def test_float32_preserved_end_to_end(self, rng):
         A = rng.standard_normal((120, 6)).astype(np.float32)
-        res = distributed_tsqr(A, 4)
-        assert res.R.dtype == np.float32
-        Q = res.form_q()
+        f = caqr(A, policy=sharded(4))
+        assert f.R.dtype == np.float32
+        Q = f.form_q()
         assert Q.dtype == np.float32
-        assert np.allclose(Q @ res.R, A, atol=1e-4)
+        assert np.allclose(Q @ f.R, A, atol=1e-4)
         assert np.allclose(Q.T @ Q, np.eye(6), atol=1e-4)
 
     def test_sharded_guards_route_through_the_caqr_entry(self, rng):
@@ -291,16 +296,21 @@ class TestShardedCAQR:
         assert plan._schedule.fingerprint() == f_direct.schedule.fingerprint()
 
     def test_message_counts_match_the_tree(self, rng):
-        A = rng.standard_normal((96, 6))
-        f = caqr(A, policy=ExecutionPolicy(path="sharded", shards=4))
-        # Binomial tree over 4 ranks: 3 packed-triangle messages over
-        # 2 sequential rounds; every shard is taller than n, so each
+        # Binomial tree over P ranks: P - 1 packed-triangle messages over
+        # ceil(log2 P) sequential rounds, one message per round on the
+        # critical path; every shard is at least n rows tall, so each
         # message is the full n(n+1)/2 triangle.
-        tri_words = 6 * 7 // 2
-        assert f.comm.total_messages == 3
-        assert f.comm.total_words == 3 * tri_words
-        assert f.comm.critical_path_messages() == 2
-        assert f.comm.critical_path_words() == 2 * tri_words
+        n = 6
+        A = rng.standard_normal((96, n))
+        tri_words = n * (n + 1) // 2
+        for p in (2, 3, 4, 5, 8, 13, 16):
+            f = caqr(A, policy=sharded(p))
+            rounds = math.ceil(math.log2(p))
+            assert min(e - s for s, e in f.schedule.rows) >= n, p
+            assert f.comm.critical_path_messages() == rounds, p
+            assert f.comm.total_messages == p - 1, p
+            assert f.comm.total_words == (p - 1) * tri_words, p
+            assert f.comm.critical_path_words() == rounds * tri_words, p
 
     def test_network_seconds_charges_the_interconnect(self, rng):
         A = rng.standard_normal((96, 6))

@@ -571,3 +571,50 @@ class TestTreeWalkRule:
         rc, out = self._run_main(tmp_path, monkeypatch, capsys)
         assert rc == 0
         assert "tree walk only in repro.core.tsqr" in out
+
+
+class TestSerialLoopRule:
+    """The serial-loop fence: ``_caqr_serial`` is imported by the engine
+    table only, so the sharded and streaming local factors (and any new
+    caller) stay on the look-ahead driver."""
+
+    def _lint(self):
+        sys.path.insert(0, str(LINT.parent))
+        try:
+            import lint_layering
+        finally:
+            sys.path.pop(0)
+        return lint_layering
+
+    def test_scanner_flags_both_import_forms(self, tmp_path):
+        f = tmp_path / "mod.py"
+        f.write_text(
+            "from repro.core.caqr import CAQRFactors, _caqr_serial\n"
+            "import repro.core.caqr as caqr_mod\n"
+            "f = caqr_mod._caqr_serial(A, policy)\n"
+        )
+        assert self._lint().scan_file(f) == [
+            (1, "_caqr_serial", "serial loop"),
+            (3, "_caqr_serial", "serial loop"),
+        ]
+
+    def test_injected_serial_loop_is_caught(self, tmp_path, monkeypatch, capsys):
+        lint_layering = self._lint()
+        files = {
+            "src/repro/distributed/sharded.py": "from repro.core.caqr import _caqr_serial\n",
+            "benchmarks/bench_local.py": "from repro.core import caqr\ncaqr._caqr_serial(A, p)\n",
+            "src/repro/core/caqr.py": "def _caqr_serial(A, policy):\n    return _caqr_serial\n",
+            "src/repro/runtime/policy.py": "from repro.core.caqr import _caqr_serial\n",
+        }
+        for rel, text in files.items():
+            path = tmp_path / rel
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+        monkeypatch.setattr(lint_layering, "REPO", tmp_path)
+        assert lint_layering.main() == 1
+        out = capsys.readouterr().out
+        assert "src/repro/distributed/sharded.py:1: _caqr_serial" in out
+        assert "benchmarks/bench_local.py:2: _caqr_serial" in out
+        assert "serial panel loop outside the engine table" in out
+        assert "core/caqr.py" not in out and "runtime/policy.py" not in out
+        assert "2 violation(s)" in out

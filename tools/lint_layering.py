@@ -1,5 +1,6 @@
 #!/usr/bin/env python
-"""Layering lint: path names in the engine table, the tree walk in TSQR.
+"""Layering lint: path names and the serial loop in the engine table, the
+tree walk in TSQR.
 
 Every execution-path decision goes through the engine table,
 ``PATHS`` in :mod:`repro.runtime.policy`: each of the ten path names
@@ -61,6 +62,15 @@ QR kernel), as ``from ... import name`` or as a module attribute
 driver that walks the tree; a second copy of the walk would drift from
 it (the serving coalescer's copy once lost bit identity that way).
 
+So does the serial panel loop: importing
+:func:`repro.core.caqr._caqr_serial`, by name or as a module attribute,
+anywhere outside :mod:`repro.core.caqr` and the engine table
+(:mod:`repro.runtime.policy`, which runs it for ``seed``,
+``seed_structured`` and ``structured``) is a violation.  Every other
+CAQR, the sharded ranks' and streaming chunks' local factors included,
+runs the look-ahead driver (``graph.executor.run_lookahead_schedule``);
+a caller of the serial loop would be a second CAQR driver.
+
 AST-based, not regex: only a real comparison node is flagged, so a path
 name inside a string, a docstring or a ``policy=ExecutionPolicy(path=...)``
 construction never is.
@@ -121,6 +131,17 @@ STREAM_CONSTRUCTORS = {"StreamingQR", "ChunkBuffer"}
 # its slices) anywhere else is a second tree driver.
 TREE_WALK_NAMES = {"batch_level", "_factor_slices"}
 
+# Names whose import is reserved to the serial engine: the panel loop runs
+# the reference paths and ``structured``, and every other CAQR runs the
+# look-ahead driver.
+SERIAL_LOOP_NAMES = {"_caqr_serial"}
+
+# Each fenced import name and the finding it is.
+FENCED_NAMES = {
+    **{name: "tree walk" for name in TREE_WALK_NAMES},
+    **{name: "serial loop" for name in SERIAL_LOOP_NAMES},
+}
+
 SCAN_ROOTS = ("src/repro", "benchmarks", "examples")
 # Per-rule exemption: only repro.runtime may construct the guard.
 GUARD_EXEMPT = ("src/repro/runtime/",)
@@ -143,6 +164,8 @@ GRAPH_EXEMPT = (
 STREAM_EXEMPT = ("src/repro/streaming/",)
 # Per-rule exemption: the panel engine and the slice kernels.
 TREE_WALK_EXEMPT = ("src/repro/core/tsqr.py", "src/repro/smallblas/")
+# Per-rule exemption: the serial loop's module and the engine table.
+SERIAL_LOOP_EXEMPT = ("src/repro/core/caqr.py", "src/repro/runtime/policy.py")
 
 
 def _callee_name(call: ast.Call) -> str | None:
@@ -167,13 +190,13 @@ def scan_file(path: Path) -> list[tuple[int, str, str]]:
             continue
         if isinstance(node, ast.ImportFrom):
             hits.extend(
-                (node.lineno, alias.name, "tree walk")
+                (node.lineno, alias.name, FENCED_NAMES[alias.name])
                 for alias in node.names
-                if alias.name in TREE_WALK_NAMES
+                if alias.name in FENCED_NAMES
             )
             continue
-        if isinstance(node, ast.Attribute) and node.attr in TREE_WALK_NAMES:
-            hits.append((node.lineno, node.attr, "tree walk"))
+        if isinstance(node, ast.Attribute) and node.attr in FENCED_NAMES:
+            hits.append((node.lineno, node.attr, FENCED_NAMES[node.attr]))
             continue
         if not isinstance(node, ast.Call):
             continue
@@ -294,6 +317,14 @@ def main() -> int:
                         f"repro.core.tsqr (factor and apply panels through "
                         f"panel_schedule / factor_panel / apply_wy_plan)"
                     )
+                elif kwargs == "serial loop":
+                    if rel in SERIAL_LOOP_EXEMPT:
+                        continue  # the serial engine and the engine table
+                    violations.append(
+                        f"{rel}:{lineno}: {name} — the serial panel loop outside "
+                        f"the engine table (factor through the look-ahead "
+                        f"driver, graph.executor.run_lookahead_schedule)"
+                    )
                 else:  # a file that does not parse
                     violations.append(f"{rel}:{lineno}: {kwargs}")
     if violations:
@@ -307,7 +338,8 @@ def main() -> int:
         return 1
     print(
         "layering lint: clean (path names read only in the engine table, "
-        "the tree walk only in repro.core.tsqr)"
+        "the tree walk only in repro.core.tsqr, the serial loop only in "
+        "the engine table)"
     )
     return 0
 
