@@ -24,7 +24,7 @@ from repro.runtime.plan import plan_qr
 from repro.runtime.policy import ExecutionPolicy
 from repro.verify.guards import validate_matrix
 
-from .dtypes import as_float_array, working_dtype
+from .dtypes import as_float_array, q_buffer, working_dtype
 from .tsqr import TSQRFactors, _tsqr_impl
 
 __all__ = ["PanelFactor", "CAQRFactors", "caqr", "caqr_qr"]
@@ -91,11 +91,15 @@ class CAQRFactors:
             p.factors.apply_q(W[p.row_start :, :])
         return B
 
-    def form_q(self) -> np.ndarray:
-        """Form the explicit thin ``m x min(m, n)`` orthonormal Q (SORGQR)."""
+    def form_q(self, out: np.ndarray | None = None) -> np.ndarray:
+        """Form the explicit thin ``m x min(m, n)`` orthonormal Q (SORGQR).
+
+        ``out`` (C-contiguous, Q's shape and dtype) receives Q with the
+        bits a new array would get and is returned.
+        """
         if len(self.panels) == 1:
-            return self.panels[0].factors.form_q()
-        Q = np.zeros((self.m, min(self.m, self.n)), dtype=working_dtype(self.R))
+            return self.panels[0].factors.form_q(out=out)
+        Q = q_buffer(out, self.m, min(self.m, self.n), working_dtype(self.R), zeros=True)
         np.fill_diagonal(Q, 1.0)
         for p in reversed(self.panels):
             p.factors.apply_q(Q[p.row_start :, p.col_start :])
@@ -169,9 +173,22 @@ def caqr(A: np.ndarray, *, policy: ExecutionPolicy | None = None):
     :func:`repro.runtime.plan.plan_qr` plan gives the same bits.
 
     Returns:
-        The path's implicit-Q factors with the explicit upper-trapezoidal
-        R: :class:`CAQRFactors` on every in-core path, and a duck-type
-        compatible object on the CholeskyQR2, sharded and streaming ones.
+        The path's factors with the explicit upper-trapezoidal ``R``.
+        Every factor object has ``R`` and ``form_q(out=None)``; the rest
+        depends on the path (``k = min(m, n)``):
+
+        * ``seed``, ``batched``, ``structured``, ``lookahead`` and
+          ``seed_structured``: :class:`CAQRFactors`, whose ``apply_qt``
+          and ``apply_q`` take an ``m``-row ``B`` and update it in place;
+        * ``cholqr2``, ``cholqr2_mixed`` and ``auto``:
+          :class:`~repro.runtime.cholqr.CholQRFactors`, which holds the
+          explicit thin Q: ``apply_qt`` takes ``m`` rows and returns a
+          new ``k``-row block, ``apply_q`` takes ``k`` rows and returns
+          a new ``m``-row one;
+        * ``sharded`` (:class:`~repro.distributed.sharded.ShardedCAQRFactors`)
+          and ``streaming``
+          (:class:`~repro.streaming.qr.StreamingCAQRFactors`): neither
+          ``apply_qt`` nor ``apply_q``.
     """
     policy = policy if policy is not None else ExecutionPolicy()
     with _obs.maybe_trace(policy.trace):

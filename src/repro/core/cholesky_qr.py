@@ -51,6 +51,7 @@ from repro.smallblas.gram import (
     trsm_right_inplace,
 )
 
+from .dtypes import q_buffer
 from .triangular import SingularTriangularError, cholesky
 
 __all__ = [
@@ -169,6 +170,7 @@ def cholqr2_factor(
     mixed: bool = False,
     workspace: CholQRWorkspace | None = None,
     check=None,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, CholQRInfo]:
     """The CholeskyQR2 engine: ``A = Q R`` for validated tall input.
 
@@ -178,7 +180,9 @@ def cholqr2_factor(
     (cheap row-sampled estimate, tall inputs only), ``"condest"`` (the
     first Cholesky factor's diagonal ratio) and ``"orth1"``
     (``||Q1^T Q1 - I||_F``); it may raise to refuse the factorization —
-    the engine never decides acceptability itself.
+    the engine never decides acceptability itself.  ``out`` is an
+    optional C-contiguous ``(m, n)`` array of ``A``'s dtype, not
+    overlapping ``A``, that the working matrix (and so Q) lives in.
 
     Returns ``(Q, R, info)`` with ``Q, R`` in ``A``'s dtype.
     """
@@ -189,21 +193,22 @@ def cholqr2_factor(
     if n == 0 or m == 0:
         k = min(m, n)
         return (
-            np.zeros((m, k), dtype=dtype),
+            q_buffer(out, m, k, dtype, zeros=True),
             np.zeros((k, n), dtype=dtype),
             CholQRInfo(condest=1.0, orth1=0.0, fused=False, mixed=mixed),
         )
 
-    # -- equilibrate: W = A diag(1/s), ||W[:, j]|| ~= 1 --------------------
-    s = _column_scales(A)
     if check is not None and m >= 16 * n:
         # Row-sampled condition precheck: ~8n deterministically strided
         # rows cost ~1% of the full Gram, so a wildly ill-conditioned
-        # input can be rejected before any O(mn) work.  The Gram runs on
-        # the BLAS of the full Gram and the Householder fallback: a NumPy
-        # GEMM here would leave NumPy's pool spinning while they run.
+        # input is rejected before any O(mn) work, the column scales
+        # included: the sample is equilibrated by its own column norms.
+        # The Gram runs on the BLAS of the full Gram and the Householder
+        # fallback: a NumPy GEMM here would leave NumPy's pool spinning
+        # while they run.
         step = m // (8 * n)
-        Ws = A[::step].astype(np.float64, copy=True) / s[None, :]
+        Ws = A[::step].astype(np.float64, copy=True)
+        Ws /= _column_scales(Ws)[None, :]
         Gs = gram(Ws)
         try:
             ds = np.diagonal(_chol_r(Gs, stage="sample"))
@@ -212,8 +217,10 @@ def cholqr2_factor(
             sample = float("inf")
         check("condest_sample", sample)
 
+    # -- equilibrate: W = A diag(1/s), ||W[:, j]|| ~= 1 --------------------
+    s = _column_scales(A)
     s_dt = s.astype(dtype, copy=False)
-    W = np.empty((m, n), dtype=dtype)  # becomes Q in place
+    W = q_buffer(out, m, n, dtype)  # becomes Q in place
     np.divide(A, s_dt[None, :], out=W)
 
     # -- pass 1: G1 = W^T W, R1 = chol(G1) ---------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["working_dtype", "as_float_array", "eps_for"]
+__all__ = ["working_dtype", "as_float_array", "eps_for", "q_buffer"]
 
 
 def working_dtype(*arrays: np.ndarray) -> np.dtype:
@@ -44,6 +44,37 @@ def as_float_array(A, copy: bool = False) -> np.ndarray:
     if copy:
         return np.array(A, dtype=dt, copy=True)
     return A if A.dtype == dt else A.astype(dt)
+
+
+def q_buffer(out, m: int, k: int, dtype, *, zeros: bool = False) -> np.ndarray:
+    """The array an explicit thin ``m x k`` Q is formed in.
+
+    ``out=None`` allocates one (zero-filled with ``zeros``).  A caller's
+    ``out`` must be a writeable C-contiguous ``(m, k)`` array of
+    ``dtype``: Q is written through it with the strides a new array
+    would have, so its bits do not depend on where it lands.  It is
+    checked, zero-filled with ``zeros``, and returned.
+
+    Raises:
+        ValueError: ``out`` has another shape, dtype or layout, or is
+            read-only.
+    """
+    dtype = np.dtype(dtype)
+    if out is None:
+        return np.zeros((m, k), dtype=dtype) if zeros else np.empty((m, k), dtype=dtype)
+    if not isinstance(out, np.ndarray):
+        raise ValueError(f"out must be a NumPy array, got {type(out).__name__}")
+    if out.shape != (m, k):
+        raise ValueError(f"out has shape {out.shape}; Q is ({m}, {k})")
+    if out.dtype != dtype:
+        raise ValueError(f"out has dtype {out.dtype}; Q is {dtype}")
+    if not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous")
+    if not out.flags.writeable:
+        raise ValueError("out is read-only")
+    if zeros:
+        out.fill(0)
+    return out
 
 
 def eps_for(A: np.ndarray) -> float:

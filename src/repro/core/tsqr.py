@@ -48,7 +48,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dtypes import as_float_array, working_dtype
+from .dtypes import as_float_array, q_buffer, working_dtype
 from .householder import geqr2, orm2r
 from repro.obs import tracer as _obs
 from repro.runtime.policy import ExecutionPolicy
@@ -534,9 +534,9 @@ def apply_wy_plan(plan: _WyPlan, B: np.ndarray, transpose: bool) -> None:
         _plan_apply_level0(plan, S, transpose=False)
 
 
-def _plan_form_q(plan: _WyPlan, m: int, k: int) -> np.ndarray:
+def _plan_form_q(plan: _WyPlan, m: int, k: int, out: np.ndarray | None = None) -> np.ndarray:
     """Explicit thin ``(r, m, k)`` Qs from the apply plan of an ``r``-stack,
-    as LAPACK ``orgqr`` forms them.
+    as LAPACK ``orgqr`` forms them, in ``out`` when given (C-contiguous).
 
     Q is the implicit Q applied to ``[I_k; 0]``, and until level 0 every
     nonzero row of that product lies in the top rows of a level-0 block:
@@ -547,7 +547,8 @@ def _plan_form_q(plan: _WyPlan, m: int, k: int) -> np.ndarray:
     applying the block's reflectors to an ``h``-row slab of mostly zeros.
     Every request's slices reach :func:`orgqr_wy`, which forms them one
     by one, with the layout they have alone, so ``Q[i]`` is request
-    ``i``'s Q bit for bit.
+    ``i``'s Q bit for bit, and every block of Q is written in place,
+    so a caller's ``out`` gets the bits a new array would.
     """
     count, h = plan.l0_count, plan.l0_h
     r = plan.l0_V.shape[0] // count
@@ -574,7 +575,7 @@ def _plan_form_q(plan: _WyPlan, m: int, k: int) -> np.ndarray:
                 sub = flat[0, pos]
                 entry[1].apply_q_stack(sub)
                 flat[0, pos] = sub
-    Q = np.empty((r, m, k), dtype=plan.dtype)
+    Q = np.empty((r, m, k), dtype=plan.dtype) if out is None else out
     for i in range(r):
         j = slice(i * count, (i + 1) * count)
         orgqr_wy(plan.l0_V[j], plan.l0_T[j], top[i, :count], Q[i, : count * h].reshape(count, h, k))
@@ -780,22 +781,26 @@ class TSQRFactors:
         self._apply_level0(W, transpose=False)
         return B
 
-    def form_q(self) -> np.ndarray:
+    def form_q(self, out: np.ndarray | None = None) -> np.ndarray:
         """Form the explicit thin ``m x min(m, n)`` orthonormal Q.
 
         The batched path forms Q as LAPACK ``orgqr`` does
         (:func:`_plan_form_q`), on the BLAS that factored it when SciPy's
         binding is importable, so it equals ``apply_q(I)`` to roundoff,
         not bit for bit.  The reference path (``batched=False``) applies
-        Q to the identity.
+        Q to the identity.  ``out`` (C-contiguous, Q's shape and dtype,
+        :func:`~repro.core.dtypes.q_buffer`) receives Q with the same
+        bits and is returned; no other ``m x k`` array is allocated.
         """
         k = min(self.m, self.n)
         dt = np.dtype(working_dtype(self.R))
         blas = blas_name(dt) if self.batched else "numpy"
         with _obs.span("tsqr.form_q", cat="form_q", m=self.m, n=self.n, blas=blas):
             if self.batched and k:
-                return _plan_form_q(self._plan_for(dt), self.m, k)[0]
-            Q = np.zeros((self.m, k), dtype=dt)
+                Q = q_buffer(out, self.m, k, dt)
+                _plan_form_q(self._plan_for(dt), self.m, k, Q[None])
+                return Q
+            Q = q_buffer(out, self.m, k, dt, zeros=True)
             np.fill_diagonal(Q, 1.0)
             return self.apply_q(Q)
 

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.dtypes import q_buffer
 from repro.core.householder import geqr2, orm2r
 from repro.obs import tracer as _obs
 
@@ -155,10 +156,11 @@ class _ShardTreeNode:
 class ShardedCAQRFactors:
     """Implicit Q and explicit R of a sharded CAQR factorization.
 
-    Duck-type compatible with :class:`~repro.core.caqr.CAQRFactors`
-    where the entry points need it (``R``, ``form_q``): the implicit Q
-    is the composition of every rank's local CAQR factors with the
-    fan-in tree eliminations.
+    Shares ``R`` and ``form_q`` with
+    :class:`~repro.core.caqr.CAQRFactors` but has no ``apply_qt`` /
+    ``apply_q``: the implicit Q is the composition of every rank's local
+    CAQR factors with the fan-in tree eliminations, and ``form_q``
+    walks it.
     """
 
     m: int
@@ -181,17 +183,19 @@ class ShardedCAQRFactors:
             self.comm.critical_path_messages(), self.comm.critical_path_words()
         )
 
-    def form_q(self) -> np.ndarray:
+    def form_q(self, out: np.ndarray | None = None) -> np.ndarray:
         """Form the explicit thin ``m x min(m, n)`` orthonormal Q.
 
         Walks the fan-in tree top-down (mirroring the elimination
         order), then applies each rank's local implicit Q to its row
         slice.  All temporaries are allocated in the factorization's
-        working dtype, so float32 survives reconstruction.
+        working dtype, so float32 survives reconstruction.  ``out``
+        (C-contiguous, Q's shape and dtype) receives Q with the same
+        bits and is returned.
         """
         k = min(self.m, self.n)
         dtype = self.R.dtype
-        Q = np.zeros((self.m, k), dtype=dtype)
+        Q = q_buffer(out, self.m, k, dtype, zeros=True)
         if k == 0:
             return Q
         # slots[r]: rank r's coefficient block (its R rows x k).

@@ -7,7 +7,8 @@ same executor (and gets the same per-task obs spans) as CAQR, rSVD and
 the sharded reduction:
 
 * ``qr`` — pass 1 (``X = M - S + Y/mu``) and the tall-skinny QR of X
-  (the step worth 30x end to end per Table II);
+  (the step worth 30x end to end per Table II), on the workspace's plan
+  with Q formed in its ``L`` buffer;
 * ``svt`` — small Jacobi SVD of R, ``Q @ U_small``, soft-threshold and
   rebuild of ``L``;
 * ``shrink`` — pass 2: ``S = shrink(M - L + Y/mu, lam/mu)``, the
@@ -26,8 +27,6 @@ by construction.  Registered as the ``rpca_ialm`` producer in
 from __future__ import annotations
 
 from typing import Callable
-
-from repro.core.tsqr import tsqr_qr
 
 from .ialm import IALMWorkspace, RPCAResult
 from .svt import svt_from_qr
@@ -58,8 +57,9 @@ def emit_ialm_layers(m: int, n: int, bind: dict | None = None):
         return f if st is not None else None
 
     def do_qr() -> None:
-        st["ws"].svt_input(st["mu"])
-        st["Q"], st["R"] = tsqr_qr(st["ws"].X)
+        ws = st["ws"]
+        ws.svt_input(st["mu"])
+        st["Q"], st["R"] = ws.plan.execute(ws.X, validated=True, out=ws.L)
 
     def do_svt() -> None:
         ws = st["ws"]

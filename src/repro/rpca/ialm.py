@@ -10,8 +10,9 @@ worth 30x end to end (Table II).
 
 The elementwise part of an iteration runs in :class:`IALMWorkspace`:
 four m x n buffers allocated once per solve, swept in row chunks whose
-temporaries stay in cache.  Every element goes through the NumPy
-operations of the whole-array loop, in its order::
+temporaries stay in cache.  The workspace also holds the solve's one QR
+plan, and the SVT forms Q in its ``L`` buffer.  Every element goes
+through the NumPy operations of the whole-array loop, in its order::
 
     X = M - S + Y / mu
     L, rank = svt(X, 1 / mu)
@@ -30,6 +31,8 @@ from typing import Callable
 import numpy as np
 
 from repro.obs import tracer as _obs
+from repro.runtime.plan import plan_qr
+from repro.runtime.policy import ExecutionPolicy
 
 from .shrinkage import shrink_into
 from .svt import SVDFunc, svt_into
@@ -67,9 +70,13 @@ class IALMWorkspace:
 
     ``M`` (C-contiguous float64) is only read; ``Y`` (the dual, same
     layout) is taken over.  ``S``, ``L`` and ``X`` are allocated here,
-    once.  ``X`` holds the SVT input, then the left singular vectors
-    ``Q @ U_small``, then the residual ``M - L - S``; no other m x n
-    array outlives a stage.  The passes sweep row chunks of
+    once, and so is ``plan``, the SVT's QR plan
+    (``plan_qr(m, n, float64, ExecutionPolicy())``).  ``X`` holds the SVT
+    input, then the left singular vectors ``Q @ U_small``, then the
+    residual ``M - L - S``; ``L`` holds the SVT's Q
+    (:func:`~repro.rpca.svt.svt_into`), then the new low-rank matrix.
+    No other m x n array outlives a stage, and within the SVT only the
+    QR's reflector stack does.  The passes sweep row chunks of
     ``chunk_bytes`` per operand through two chunk-sized temporaries and
     add the m x n streams they make to the ``rpca_stream_bytes`` obs
     counter.
@@ -82,6 +89,7 @@ class IALMWorkspace:
         self.S = np.zeros_like(M)
         self.L = np.zeros_like(M)
         self.X = np.empty_like(M)
+        self.plan = plan_qr(m, n, np.float64, ExecutionPolicy())
         self.rows = max(1, min(m, chunk_bytes // (n * M.itemsize)))
         self._t1 = np.empty((self.rows, n))
         self._t2 = np.empty((self.rows, n))
@@ -227,7 +235,7 @@ def _solve(M, *, lam, mu, rho, tol, max_iter, svd, svt, callback, engine) -> RPC
             ws.svt_input(mu)
             with _obs.span("rpca.svt", cat="rpca"):
                 if svt is None:
-                    rank = svt_into(ws.X, 1.0 / mu, ws.L, svd=svd)
+                    rank = svt_into(ws.X, 1.0 / mu, ws.L, svd=svd, plan=ws.plan)
                 else:
                     L, rank = svt(ws.X, 1.0 / mu)
                     # Pass 2 overwrites X, S and Y: keep an L that shares

@@ -8,10 +8,15 @@ which is the knob Table II turns.
 The kernels below write into caller-owned buffers, so the IALM loop
 (:mod:`repro.rpca.ialm`), its task graph (:mod:`repro.rpca.graphs`) and
 :func:`singular_value_threshold` run the same code.  The default
-pipeline is ``Q, R = tsqr_qr(X)``, the one-sided Jacobi SVD of ``R``,
-``U = Q @ U_small`` and ``L = (U_r * s_r) @ Vt_r`` — the operations, and
-the operation order, of :func:`~repro.core.ts_svd.tall_skinny_svd`
-followed by the rebuild, so the bits match it.
+pipeline is the thin QR of ``X`` from a :func:`~repro.runtime.plan.plan_qr`
+plan under ``ExecutionPolicy()`` (TSQR of the whole matrix, the bits of
+``tsqr_qr``), with Q formed in the buffer that then receives ``L``; the
+one-sided Jacobi SVD of ``R``; ``U = Q @ U_small``; and
+``L = (U_r * s_r) @ Vt_r`` — the operations, and the operation order, of
+:func:`~repro.core.ts_svd.tall_skinny_svd` followed by the rebuild, so
+the bits match it.  ``tools/lint_layering.py`` keeps the application's
+QR on the plan: nothing under ``repro.rpca`` imports ``tsqr`` or
+``tsqr_qr``.
 """
 
 from __future__ import annotations
@@ -21,8 +26,8 @@ from typing import Callable
 import numpy as np
 
 from repro.core.jacobi_svd import jacobi_svd
-from repro.core.tsqr import tsqr_qr
 from repro.obs import tracer as _obs
+from repro.runtime.plan import QRPlan, plan_qr
 
 from .shrinkage import shrink
 
@@ -53,8 +58,9 @@ def svt_from_qr(
     """Finish the default SVT from the thin QR of its input.
 
     The small SVD of ``R``, then ``Q @ U_small`` into ``U`` (which may be
-    the factored matrix itself: ``Q`` is its own array) and the rebuild
-    into ``L``.  Returns the rank.
+    the factored matrix itself) and the rebuild into ``L`` (which may be
+    ``Q`` itself: Q is last read by the product, before the rebuild
+    writes ``L``).  ``U`` must not overlap ``Q``.  Returns the rank.
     """
     with _obs.span("rpca.small_svd", cat="rpca"):
         U_small, s, Vt = jacobi_svd(R)
@@ -64,16 +70,31 @@ def svt_from_qr(
     return rebuild_low_rank(U, s, Vt, tau, L)
 
 
-def svt_into(X: np.ndarray, tau: float, L: np.ndarray, svd: SVDFunc | None = None) -> int:
+def svt_into(
+    X: np.ndarray,
+    tau: float,
+    L: np.ndarray,
+    svd: SVDFunc | None = None,
+    *,
+    plan: QRPlan,
+) -> int:
     """Singular value threshold of ``X`` written into ``L``; returns the rank.
 
-    With the default SVD, ``X`` (tall, float64, C-contiguous) is scratch:
-    on return it holds the left singular vectors ``Q @ U_small``.  An
-    ``svd`` override reads ``X`` and returns ``(U, s, Vt)`` as
-    ``np.linalg.svd(X, full_matrices=False)`` does.
+    With the default SVD, ``X`` and ``L`` (tall, float64, C-contiguous,
+    not overlapping) are both the SVT's memory, and no other m x n array
+    is allocated for Q: ``L`` receives Q from ``plan.execute(X,
+    validated=True, out=L)``, ``X`` receives ``Q @ U_small``, and ``L``
+    then receives the rebuild.  On return ``X`` holds those left
+    singular vectors and ``L`` the thresholded matrix; ``L``'s old
+    contents are never read.  ``X`` is not scanned for non-finite
+    entries (the IALM validated its input once).  ``plan`` is the QR
+    plan of ``X``'s shape, reused across calls: the IALM workspace
+    builds one per solve.  An ``svd`` override reads ``X`` and returns
+    ``(U, s, Vt)`` as ``np.linalg.svd(X, full_matrices=False)`` does;
+    ``plan`` then goes unused.
     """
     if svd is None:
-        Q, R = tsqr_qr(X)
+        Q, R = plan.execute(X, validated=True, out=L)
         return svt_from_qr(Q, R, tau, X, L)
     U, s, Vt = svd(X)
     return rebuild_low_rank(U, s, Vt, tau, L)
@@ -105,5 +126,5 @@ def singular_value_threshold(
         L, rank = singular_value_threshold(X.T, tau)
         return L.T, rank
     L = np.empty(X.shape)
-    Q, R = tsqr_qr(X)
+    Q, R = plan_qr(*X.shape).execute(X, out=L)  # validates X; Q lives in L
     return L, svt_from_qr(Q, R, tau, np.empty(X.shape), L)

@@ -178,12 +178,14 @@ class CholQRGuard:
 class CholQRFactors:
     """Explicit-Q factors from a CholeskyQR2 run (or its tree fallback).
 
-    Duck-types the implicit-factor objects the other paths return:
-    ``R``, ``form_q()``, and thin-Q ``apply_qt`` / ``apply_q``.  Unlike
-    the Householder factor objects, Q is already explicit, so
-    ``form_q()`` is free and the apply methods are plain GEMMs with the
-    *thin* factor (they take/return ``n``-row coefficient blocks, which
-    is what the least-squares and randomized-SVD pipelines consume).
+    Shares ``R`` and ``form_q(out=None)`` with the Householder factor
+    objects.  Q is already explicit, so ``form_q()`` is free, and the
+    apply methods are plain GEMMs with the *thin* factor, unlike
+    :class:`~repro.core.caqr.CAQRFactors`'s in-place ones:
+    ``apply_qt`` takes ``m`` rows and returns a new ``k``-row
+    coefficient block, and ``apply_q`` takes ``k`` rows and returns a
+    new ``m``-row one (``k = min(m, n)``), which is what the
+    least-squares and randomized-SVD pipelines consume.
     ``fell_back`` / ``fallback_stage`` record whether the guard routed
     this matrix to the tree; ``info`` carries the engine's
     :class:`~repro.core.cholesky_qr.CholQRInfo` when the cheap path ran.
@@ -201,8 +203,18 @@ class CholQRFactors:
     def shape(self) -> tuple[int, int]:
         return (self._q.shape[0], self.R.shape[1])
 
-    def form_q(self) -> np.ndarray:
-        return self._q
+    def form_q(self, out: np.ndarray | None = None) -> np.ndarray:
+        """The explicit thin Q; copied into ``out`` unless Q was formed there.
+
+        A plan's ``execute(A, out=buf)`` factors with Q in ``buf``, so
+        this returns ``buf`` itself without a copy.
+        """
+        if out is None or out is self._q:
+            return self._q
+        from repro.core.dtypes import q_buffer
+
+        np.copyto(q_buffer(out, *self._q.shape, self._q.dtype), self._q)
+        return out
 
     def apply_qt(self, B: np.ndarray) -> np.ndarray:
         return self._q.T @ B
@@ -220,8 +232,8 @@ def _fallback_schedule(m: int, n: int, policy: ExecutionPolicy):
     return build_lookahead_schedule(m, n, tree_policy)
 
 
-def _run_fallback(A, policy, schedule, stage: str):
-    """Factor on the Householder tree after a guard refusal."""
+def _run_fallback(A, policy, schedule, stage: str, q_out=None):
+    """Factor on the Householder tree after a guard refusal (Q in ``q_out``)."""
     from repro.graph.executor import run_lookahead_schedule
 
     _record_fallback(stage)
@@ -236,7 +248,7 @@ def _run_fallback(A, policy, schedule, stage: str):
     ):
         _obs.counters(cholqr_fallbacks=1)
         factors = run_lookahead_schedule(schedule, A)
-        Q = factors.form_q()
+        Q = factors.form_q(out=q_out)
     return CholQRFactors(Q, factors.R, fell_back=True, fallback_stage=stage)
 
 
@@ -246,13 +258,17 @@ def run_cholqr(
     *,
     workspace=None,
     schedule=None,
+    q_out=None,
 ) -> CholQRFactors:
     """Factor validated ``A`` under a CholeskyQR2 policy.
 
     ``workspace`` is an optional
     :class:`~repro.core.cholesky_qr.CholQRWorkspace` (plans pass a
     per-thread one); ``schedule`` is an optional prebuilt look-ahead
-    schedule for the ``auto`` fallback.  Wide matrices factor their
+    schedule for the ``auto`` fallback.  ``q_out`` is an optional
+    C-contiguous ``(m, min(m, n))`` array Q is formed in, on the cheap
+    path and on the fallback alike (it must not overlap ``A``; the
+    plan checks).  Wide matrices factor their
     leading square block on the cheap path and finish the trailing
     columns with one GEMM, exactly like the thin-QR contract of every
     other path.
@@ -269,15 +285,15 @@ def run_cholqr(
             "cholqr.factor", cat="cholqr", m=m, n=n, path=policy.path, mixed=mixed
         ):
             Q, R11, info = cholqr2_factor(
-                left, mixed=mixed, workspace=workspace, check=guard
+                left, mixed=mixed, workspace=workspace, check=guard, out=q_out
             )
     except _FallbackRequested as req:
-        return _run_fallback(A, policy, schedule, req.stage)
+        return _run_fallback(A, policy, schedule, req.stage, q_out)
     except CholeskyBreakdownError as exc:
         if policy.spec.fallback:
             # Breakdown mid-factorization (not a guard refusal): the
             # adaptive path still owes the caller a factorization.
-            return _run_fallback(A, policy, schedule, exc.stage)
+            return _run_fallback(A, policy, schedule, exc.stage, q_out)
         raise
     if n > m:
         R = np.empty((k, n), dtype=A.dtype)

@@ -179,12 +179,21 @@ class QRPlan:
         (``caqr``, the dispatcher) that already validated and normalized
         ``A``, making one scan per matrix the whole-pipeline total.
         """
+        return self._factor(A, validated, None)
+
+    def _factor(self, A: np.ndarray, validated: bool, q_out: np.ndarray | None):
         with _obs.maybe_trace(self.policy.trace):
             A = self._prepare(A, validated)
+            if q_out is not None:
+                from repro.core.dtypes import q_buffer
+
+                q_buffer(q_out, self.m, min(self.m, self.n), self.dtype)
+                if np.shares_memory(q_out, A):
+                    raise ValueError("QRPlan.execute: out overlaps A")
             with _obs.span(
                 "plan.factor", cat="plan", m=self.m, n=self.n, path=self.policy.path
             ):
-                return self._engine.factor(self, A)
+                return self._engine.factor(self, A, q_out)
 
     def _cholqr_workspace(self):
         ws = getattr(self._tls, "ws", None)
@@ -195,10 +204,23 @@ class QRPlan:
             self._tls.ws = ws
         return ws
 
-    def execute(self, A: np.ndarray, validated: bool = False):
-        """Explicit thin ``(Q, R)`` of ``A`` under the plan."""
-        f = self.factor(A, validated=validated)
-        return f.form_q(), f.R
+    def execute(self, A: np.ndarray, validated: bool = False, out: np.ndarray | None = None):
+        """Explicit thin ``(Q, R)`` of ``A`` under the plan.
+
+        ``out=None`` allocates Q.  Otherwise Q is formed in the caller's
+        ``out`` — a writeable C-contiguous ``(m, min(m, n))`` array of
+        the plan's dtype that does not overlap ``A`` (``ValueError``
+        otherwise) — and ``out`` is returned as Q, bit-identical to the
+        allocating call on every path.  The caller owns that memory: the
+        look-ahead paths form Q in it from the reflectors and the
+        CholeskyQR2 paths run their working matrix in it, so neither
+        allocates another ``m x k`` array for Q.  A CholeskyQR2 refusal
+        can leave scratch in ``out``, which ``auto``'s tree fallback then
+        overwrites with Q.  The reflectors are the factorization's own
+        and are freed before this returns.
+        """
+        f = self._factor(A, validated, out)
+        return f.form_q(out=out), f.R
 
     # -- modeled cost ------------------------------------------------------
 

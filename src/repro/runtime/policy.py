@@ -122,7 +122,9 @@ class Engine:
         """
         return PAPER_PANEL_WIDTH if policy.panel_width is None else policy.panel_width
 
-    def factor(self, plan, A):
+    def factor(self, plan, A, q_out=None):
+        """Factor validated ``A``; ``q_out`` is where Q goes if the
+        factorization forms it (CholeskyQR2), else unused."""
         raise NotImplementedError
 
     def simulate(self, m, n, policy, cfg, dev, streams=None):
@@ -159,7 +161,7 @@ class Engine:
 
 
 class _Serial(Engine):
-    def factor(self, plan, A):
+    def factor(self, plan, A, q_out=None):
         from repro.core.caqr import _caqr_serial
 
         return _caqr_serial(A, plan.policy)
@@ -183,7 +185,7 @@ class _Lookahead(Engine):
 
         return build_lookahead_schedule(plan.m, plan.n, plan.policy)
 
-    def factor(self, plan, A):
+    def factor(self, plan, A, q_out=None):
         # Looked up at call time: benchmarks wrap this attribute.
         from repro.graph.executor import run_lookahead_schedule
 
@@ -216,11 +218,12 @@ class _CholQR(Engine):
 
         return _fallback_schedule(plan.m, plan.n, plan.policy)
 
-    def factor(self, plan, A):
+    def factor(self, plan, A, q_out=None):
         from repro.runtime.cholqr import run_cholqr
 
         return run_cholqr(
-            A, plan.policy, workspace=plan._cholqr_workspace(), schedule=plan._schedule
+            A, plan.policy, workspace=plan._cholqr_workspace(), schedule=plan._schedule,
+            q_out=q_out,
         )
 
     def simulate(self, m, n, policy, cfg, dev, streams=None):
@@ -268,7 +271,7 @@ class _Sharded(Engine):
         p = plan.policy
         return build_shard_schedule(plan.m, plan.n, p.shards, p.effective_fanin)
 
-    def factor(self, plan, A):
+    def factor(self, plan, A, q_out=None):
         from repro.distributed.sharded import run_sharded
 
         return run_sharded(A, plan.policy, schedule=plan._schedule)
@@ -329,7 +332,7 @@ class _Streaming(Engine):
 
         return build_stream_schedule(plan.m, plan.n, plan.policy.chunk_rows)
 
-    def factor(self, plan, A):
+    def factor(self, plan, A, q_out=None):
         from repro.streaming.qr import run_streaming_matrix
 
         return run_streaming_matrix(A, plan.policy, schedule=plan._schedule)

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.dtypes import q_buffer
 from repro.core.householder import geqr2, orm2r
 from repro.core.structured import StructuredStackFactor, structured_stack_qr
 from repro.obs import tracer as _obs
@@ -173,11 +174,12 @@ class _ChunkQR:
 class StreamingCAQRFactors:
     """Implicit Q and explicit R of a streamed CAQR factorization.
 
-    Duck-type compatible with :class:`~repro.core.caqr.CAQRFactors`
-    where the entry points need it (``R``, ``form_q``).  ``form_q``
-    needs the retained per-chunk factors (``retain_q=True`` — the
-    default for the in-memory ``caqr(path="streaming")`` entry); a soak
-    run retains nothing and holds only the carry triangle.
+    Shares ``R`` and ``form_q`` with
+    :class:`~repro.core.caqr.CAQRFactors` but has no ``apply_qt`` /
+    ``apply_q``.  ``form_q`` needs the retained per-chunk factors
+    (``retain_q=True`` — the default for the in-memory
+    ``caqr(path="streaming")`` entry); a soak run retains nothing and
+    holds only the carry triangle.
     """
 
     m: int
@@ -188,7 +190,7 @@ class StreamingCAQRFactors:
     merges: list  # merge node per chunk (index 0 is None)
     retained: bool
 
-    def form_q(self) -> np.ndarray:
+    def form_q(self, out: np.ndarray | None = None) -> np.ndarray:
         """Form the explicit thin ``m x min(m, n)`` orthonormal Q.
 
         Walks the merge chain top-down — the exact coefficient walk of
@@ -196,18 +198,19 @@ class StreamingCAQRFactors:
         specialized to a chain: the carry block's coefficients propagate
         backwards through each fold, peeling off every chunk's
         coefficient block, which the chunk's local implicit Q then lifts
-        to its row slice.
+        to its row slice.  ``out`` (C-contiguous, Q's shape and dtype)
+        receives Q with the same bits and is returned.
         """
         k = min(self.m, self.n)
         dtype = self.R.dtype
-        Q = np.zeros((self.m, k), dtype=dtype)
-        if k == 0:
-            return Q
-        if not self.retained:
+        if k and not self.retained:
             raise RuntimeError(
                 "form_q needs the retained per-chunk factors; this "
                 "factorization ran with retain_q=False (R-only soak mode)"
             )
+        Q = q_buffer(out, self.m, k, dtype, zeros=True)
+        if k == 0:
+            return Q
         carry = np.eye(k, dtype=dtype)
         for i in range(len(self.chunks) - 1, 0, -1):
             node = self.merges[i]

@@ -15,6 +15,7 @@ from repro.core.validation import (
     triangularity_error,
 )
 from repro.runtime import ExecutionPolicy
+from repro.verify.fuzz import PATHS as FUZZ_PATHS, policy_for
 
 
 class TestCAQRFactorization:
@@ -173,3 +174,58 @@ class TestOneFactorClass:
         assert [p for p, spec in PATHS.items() if spec.engine is SERIAL] == [
             "seed", "structured", "seed_structured"
         ]
+
+
+# What ``caqr`` returns on each path, as its docstring lists it: the
+# factor class and its ``apply_qt`` / ``apply_q``: in place on an m-row
+# ``B`` ("m"), between m-row and k-row blocks on the explicit thin Q
+# ("k"), or absent (None).  Keyed by the engine table's path names, so
+# a new path fails here until the docstring and this table name it.
+FACTOR_SURFACE = {
+    "seed": ("CAQRFactors", "m"),
+    "batched": ("CAQRFactors", "m"),
+    "structured": ("CAQRFactors", "m"),
+    "lookahead": ("CAQRFactors", "m"),
+    "seed_structured": ("CAQRFactors", "m"),
+    "cholqr2": ("CholQRFactors", "k"),
+    "cholqr2_mixed": ("CholQRFactors", "k"),
+    "auto": ("CholQRFactors", "k"),
+    "sharded": ("ShardedCAQRFactors", None),
+    "streaming": ("StreamingCAQRFactors", None),
+}
+
+
+class TestFactorSurface:
+    """The per-path factor objects ``caqr``'s docstring promises."""
+
+    def test_table_names_every_path(self):
+        from repro.runtime.policy import PATHS
+
+        assert set(FACTOR_SURFACE) == set(PATHS)
+
+    @pytest.mark.parametrize("name", list(FUZZ_PATHS))
+    def test_factors_support_what_the_docstring_says(self, rng, name):
+        policy = policy_for(name, panel_width=None, block_rows=None)
+        cls, apply = FACTOR_SURFACE[policy.path]
+        m, n = 300, 20
+        A = rng.standard_normal((m, n))
+        B = rng.standard_normal((m, 2))
+        f = caqr(A, policy=policy)
+        assert type(f).__name__ == cls
+        Q = f.form_q()
+        assert Q.shape == (m, n) and f.R.shape == (n, n)
+        if apply is None:
+            assert not hasattr(f, "apply_qt") and not hasattr(f, "apply_q")
+        elif apply == "m":
+            C = B.copy()
+            assert f.apply_qt(C) is C and C.shape == (m, 2)
+            np.testing.assert_allclose(C[:n], Q.T @ B, atol=1e-12)
+            assert f.apply_q(C) is C
+            np.testing.assert_allclose(C, B, atol=1e-12)
+        else:
+            Y = f.apply_qt(B)
+            assert Y.shape == (n, 2)
+            np.testing.assert_allclose(Y, Q.T @ B, atol=1e-12)
+            Z = f.apply_q(Y)
+            assert Z.shape == (m, 2)
+            np.testing.assert_allclose(Z, Q @ Y, atol=1e-12)

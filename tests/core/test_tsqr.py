@@ -342,7 +342,8 @@ class TestFormQ:
         calls = []
         real = tsqr_mod.TSQRFactors.form_q
         monkeypatch.setattr(
-            tsqr_mod.TSQRFactors, "form_q", lambda self: calls.append(self.m) or real(self)
+            tsqr_mod.TSQRFactors, "form_q",
+            lambda self, out=None: calls.append(self.m) or real(self, out=out),
         )
         m, n = 110592, 100
         plan = plan_qr(m, n, np.float64, ExecutionPolicy(path="auto"))

@@ -5,7 +5,8 @@ buffers allocated once per solve.  These tests rebuild the iteration
 with plain whole-array NumPy (the arithmetic ``perfbench``'s traced
 ledger recomposes) and require equal bits, then pin what the buffers
 promise: the input is only read, the outputs alias nothing, and a
-steady-state iteration allocates no m x n array outside the QR.
+steady-state iteration allocates one m x n array, the QR's reflector
+stack (Q is formed in the workspace's ``L``).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import pytest
 from repro import obs
 from repro.core.jacobi_svd import jacobi_svd
 from repro.core.tsqr import tsqr_qr
-from repro.rpca import ialm, svt as svt_module
+from repro.rpca import ialm
 from repro.rpca.adaptive import AdaptiveSVT
 from repro.rpca.ialm import rpca_ialm
 from repro.rpca.shrinkage import shrink
@@ -174,33 +175,28 @@ def test_wide_zero_matrix_keeps_orientation():
     assert res.converged and res.L.shape == res.S.shape == (3, 8)
 
 
-def test_steady_state_iteration_allocates_no_full_matrix(monkeypatch):
-    # Track traced memory from the start of an iteration to the QR and
-    # from the QR to the end of the iteration; the QR's own arrays (its Q
-    # lives until Q @ U_small) are left out.  Rank 1 of 40 columns, so
+def test_steady_state_iteration_allocates_no_full_matrix():
+    # Traced growth over each whole iteration, QR included, from its
+    # start to its peak.  After the first, which warms the kernels'
+    # scratch, the QR's reflector stack (one m x n array, freed inside
+    # the plan's execute) is the only m x n allocation: Q is formed in
+    # the workspace's L.  TSQR's per-block n x n factors (R, T, the
+    # stacked Rs, Q's top rows) add about a fifth of a matrix at its
+    # 32n-row level-0 blocks, and more where two blocks' fixed tree
+    # costs dominate, so the matrix has seven.  Rank 1 of 40 columns, so
     # the rebuild's m x rank temporary is a fortieth of a matrix.
-    m, n = 3 * _chunk_rows(40) + 11, 40
+    m, n = 10 * _chunk_rows(40) + 11, 40
     M = _low_rank_plus_sparse(m, n, seed=9, rank=1)
     full = m * n * 8
-    growth: list[tuple[int, int]] = []
+    growth: list[int] = []
     mark = {}
-
-    def traced_qr(X):
-        _, peak = tracemalloc.get_traced_memory()
-        seg_before = peak - mark["start"]
-        Q, R = tsqr_qr(X)
-        tracemalloc.reset_peak()
-        mark["after_qr"] = tracemalloc.get_traced_memory()[0]
-        mark["before"] = seg_before
-        return Q, R
 
     def callback(it, res):
         _, peak = tracemalloc.get_traced_memory()
-        growth.append((mark["before"], peak - mark["after_qr"]))
+        growth.append(peak - mark["start"])
         tracemalloc.reset_peak()
         mark["start"] = tracemalloc.get_traced_memory()[0]
 
-    monkeypatch.setattr(svt_module, "tsqr_qr", traced_qr)
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
@@ -209,9 +205,8 @@ def test_steady_state_iteration_allocates_no_full_matrix(monkeypatch):
     finally:
         tracemalloc.stop()
     assert max(res.ranks[1:]) == 1
-    for before_qr, after_qr in growth[1:]:  # the first iteration warms up
-        assert before_qr < full / 4, f"pass 1 allocated {before_qr / full:.2f} matrices"
-        assert after_qr < full / 4, f"the rest allocated {after_qr / full:.2f} matrices"
+    for g in growth[1:]:  # the first iteration carries the solve's set-up
+        assert g < full + full / 4, f"an iteration allocated {g / full:.2f} matrices"
 
 
 def test_iteration_spans_and_stream_counter():
@@ -236,7 +231,9 @@ def test_iteration_spans_and_stream_counter():
                 return True
         return False
 
-    for name in ("tsqr", "tsqr.form_q", "rpca.small_svd", "rpca.qu", "rpca.rebuild"):
+    for name in ("plan.factor", "tsqr.form_q", "rpca.small_svd", "rpca.qu", "rpca.rebuild"):
         spans = [s for s in t.spans if s.name == name]
         assert spans and all(under_svt(s) for s in spans), name
+    # The solve validated M once; the SVT's QR never re-scans its input.
+    assert not [s for s in t.spans if s.name == "guard.scan" and under_svt(s)]
     assert t.total_counters()["rpca_stream_bytes"] == 2 * 14 * m * n * 8

@@ -191,4 +191,4 @@ class TestRPCA:
         assert len(qr_tasks) == 2
         for task in qr_tasks:
             names = [c.name for c in t.children(task.id)]
-            assert "tsqr" in names and "tsqr.form_q" in names
+            assert "plan.factor" in names and "tsqr.form_q" in names

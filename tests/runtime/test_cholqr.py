@@ -107,6 +107,38 @@ class TestGramKernel:
         assert shapes == [(sample_rows, n), (m, n)]
 
 
+class TestSamplePrecheck:
+    def test_refused_tall_input_skips_the_full_column_scales(self, monkeypatch):
+        """The row-sampled precheck equilibrates the sample by its own
+        column norms and runs before the column scales of all of A, so a
+        tall input it refuses costs no full-size pass; an admitted one
+        computes the full scales once, after it."""
+        import importlib
+
+        cq = importlib.import_module("repro.core.cholesky_qr")
+        real, shapes = cq._column_scales, []
+
+        def spy(A):
+            shapes.append(A.shape)
+            return real(A)
+
+        monkeypatch.setattr(cq, "_column_scales", spy)
+        m, n = 4096, 16
+        sample = (len(range(0, m, m // (8 * n))), n)
+        with count_fallbacks() as counter:
+            f = run_cholqr(_graded(m, n, 1e12), ExecutionPolicy(path="auto"))
+        assert f.fell_back and f.fallback_stage == "condest_sample"
+        assert counter.fallbacks == 1
+        assert shapes == [sample]
+        shapes.clear()
+        with pytest.raises(CholeskyBreakdownError, match="condest_sample"):
+            run_cholqr(_graded(m, n, 1e12), ExecutionPolicy(path="cholqr2"))
+        assert shapes == [sample]
+        shapes.clear()
+        assert not run_cholqr(_gauss(m, n), ExecutionPolicy(path="auto")).fell_back
+        assert shapes == [sample, (m, n)]
+
+
 class TestFallbackSemantics:
     def test_explicit_path_refuses_tight_limit(self):
         pol = ExecutionPolicy(path="cholqr2", condition_limit=1.001)

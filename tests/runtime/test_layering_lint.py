@@ -618,3 +618,51 @@ class TestSerialLoopRule:
         assert "serial panel loop outside the engine table" in out
         assert "core/caqr.py" not in out and "runtime/policy.py" not in out
         assert "2 violation(s)" in out
+
+
+class TestApplicationQRRule:
+    """The application fence: nothing under ``repro.rpca`` imports TSQR's
+    one-shot entry points, so the SVT's QR stays on a ``plan_qr`` plan."""
+
+    def _lint(self):
+        sys.path.insert(0, str(LINT.parent))
+        try:
+            import lint_layering
+        finally:
+            sys.path.pop(0)
+        return lint_layering
+
+    def test_scanner_flags_both_import_forms(self, tmp_path):
+        f = tmp_path / "mod.py"
+        f.write_text(
+            "from repro.core.tsqr import level0_rows, tsqr, tsqr_qr\n"
+            "from repro.runtime.plan import plan_qr\n"
+            "import repro.core.tsqr as tsqr_mod\n"
+            "Q, R = tsqr_mod.tsqr_qr(X)\n"
+        )
+        assert self._lint().scan_file(f) == [
+            (1, "tsqr", "application qr"),
+            (1, "tsqr_qr", "application qr"),
+            (4, "tsqr_qr", "application qr"),
+        ]
+
+    def test_injected_application_qr_is_caught(self, tmp_path, monkeypatch, capsys):
+        lint_layering = self._lint()
+        files = {
+            "src/repro/rpca/svt.py": "from repro.core.tsqr import tsqr_qr\n",
+            "src/repro/rpca/graphs.py": "import numpy as np\nfrom ..core import tsqr\n",
+            "src/repro/core/ts_svd.py": "from .tsqr import tsqr_qr\n",
+            "benchmarks/bench_svd.py": "from repro.core.tsqr import tsqr, tsqr_qr\n",
+        }
+        for rel, text in files.items():
+            path = tmp_path / rel
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+        monkeypatch.setattr(lint_layering, "REPO", tmp_path)
+        assert lint_layering.main() == 1
+        out = capsys.readouterr().out
+        assert "src/repro/rpca/svt.py:1: tsqr_qr" in out
+        assert "src/repro/rpca/graphs.py:2: tsqr" in out
+        assert "get the QR from a plan" in out
+        assert "core/ts_svd.py" not in out and "bench_svd.py" not in out
+        assert "2 violation(s)" in out

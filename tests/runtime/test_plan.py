@@ -318,7 +318,7 @@ class TestOnePanelDefault:
         calls = []
         real = tsqr_mod._plan_form_q
         monkeypatch.setattr(
-            tsqr_mod, "_plan_form_q", lambda *a: calls.append(a[1:]) or real(*a)
+            tsqr_mod, "_plan_form_q", lambda *a: calls.append(a[1:3]) or real(*a)
         )
         A = np.random.default_rng(53).standard_normal((20000, 64))
         f = plan_qr(*A.shape, policy=ExecutionPolicy(path="lookahead")).factor(A)
@@ -429,3 +429,115 @@ class TestDirectIsAPlan:
         assert plan.panels is plan.panels
         assert sorted(set(calls)) == ["_panel_specs", "_wy_scratch_bytes"]
         assert calls.count("_panel_specs") == 1
+
+
+class TestExecuteOut:
+    """``execute(A, out=buf)`` forms Q in ``buf`` on every path."""
+
+    @pytest.mark.parametrize("geom", [{}, GEOM], ids=["default", "narrow"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("shape", [(300, 20), (20, 45)], ids=["tall", "wide"])
+    @pytest.mark.parametrize("name", list(PATHS))
+    def test_out_is_q_bit_for_bit(self, rng, name, shape, dtype, geom):
+        policy = policy_for(
+            name, panel_width=geom.get("panel_width"), block_rows=geom.get("block_rows")
+        )
+        A = rng.standard_normal(shape).astype(dtype)
+        plan = plan_qr(*shape, dtype=dtype, policy=policy)
+        Q, R = plan.execute(A)
+        buf = np.full((shape[0], min(shape)), np.nan, dtype=dtype)
+        Qo, Ro = plan.execute(A, out=buf)
+        assert Qo is buf
+        np.testing.assert_array_equal(Qo, Q)
+        np.testing.assert_array_equal(Ro, R)
+
+    def test_auto_fallback_forms_q_in_out(self):
+        from repro.runtime import count_fallbacks
+
+        A = _graded(4096, 32)
+        plan = plan_qr(*A.shape, policy=ExecutionPolicy(path="auto"))
+        buf = np.full(A.shape, np.nan)
+        with count_fallbacks() as fb:
+            Q, R = plan.execute(A)
+            Qo, Ro = plan.execute(A, out=buf)
+        assert fb.fallbacks == 2 and Qo is buf
+        np.testing.assert_array_equal(Qo, Q)
+        np.testing.assert_array_equal(Ro, R)
+
+    @pytest.mark.parametrize("name", list(PATHS))
+    def test_bad_out_rejected(self, rng, name):
+        A = rng.standard_normal((64, 12))
+        plan = plan_qr(64, 12, policy=policy_for(name, panel_width=None, block_rows=None))
+        frozen = np.empty((64, 12))
+        frozen.flags.writeable = False
+        bad = {
+            "has shape": np.empty((64, 11)),
+            "has dtype": np.empty((64, 12), dtype=np.float32),
+            "C-contiguous": np.empty((64, 12), order="F"),
+            "read-only": frozen,
+        }
+        for match, buf in bad.items():
+            with pytest.raises(ValueError, match=match):
+                plan.execute(A, out=buf)
+        strided = np.empty((64, 24))[:, ::2]
+        with pytest.raises(ValueError, match="C-contiguous"):
+            plan.execute(A, out=strided)
+        # Q written over A (or over part of it) would corrupt the factor.
+        storage = rng.standard_normal(3 * 64 * 12)
+        A = storage[: 64 * 12].reshape(64, 12)
+        before = A.copy()
+        for buf in (A, storage[64 * 6 : 64 * 18].reshape(64, 12)):
+            with pytest.raises(ValueError, match="overlaps A"):
+                plan.execute(A, out=buf)
+        np.testing.assert_array_equal(A, before)
+
+
+class TestExecuteOutAllocates:
+    """With ``out``, the look-ahead paths allocate only the reflector stack
+    (one m x n array) and CholeskyQR2 no m x n array at all: Q is formed
+    in ``out``.  Traced NumPy peaks at TestReflectorStorage's shape and
+    allowance (8 x blocks x n x n elements for the per-block R and T
+    factors, the tree's stacked Rs and Q's top rows)."""
+
+    M, N = 65536, 64
+
+    @pytest.fixture(scope="class")
+    def inputs(self):
+        from repro.core.tsqr import level0_rows
+
+        rng = np.random.default_rng(5)
+        A = rng.standard_normal((self.M, self.N))
+        blocks = -(-self.M // level0_rows(None, self.N))
+        small = 8 * blocks * self.N * self.N * A.itemsize
+        return {"gaussian": A, "graded": _graded(self.M, self.N)}, A.nbytes, small
+
+    @pytest.mark.parametrize(
+        "path,kind,tree",
+        [
+            ("batched", "gaussian", True),
+            ("lookahead", "gaussian", True),
+            ("auto", "gaussian", False),  # CholeskyQR2 admits it
+            ("auto", "graded", True),  # the guard refuses it: tree fallback
+        ],
+        ids=["batched", "lookahead", "auto-cholqr2", "auto-fallback"],
+    )
+    def test_traced_peak(self, inputs, path, kind, tree):
+        import tracemalloc
+
+        from repro.runtime import count_fallbacks
+
+        mats, mn, small = inputs
+        A = mats[kind]
+        plan = plan_qr(self.M, self.N, np.float64, ExecutionPolicy(path=path))
+        buf = np.empty_like(A)
+        plan.execute(A, out=buf)  # warm the kernels' scratch
+        with count_fallbacks() as fb:
+            tracemalloc.start()
+            try:
+                Q, R = plan.execute(A, validated=True, out=buf)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert Q is buf and fb.fallbacks == (path == "auto" and tree)
+        bound = mn + small if tree else small
+        assert peak < bound, f"execute peak {peak / mn:.2f} x A.nbytes"

@@ -71,6 +71,14 @@ CAQR, the sharded ranks' and streaming chunks' local factors included,
 runs the look-ahead driver (``graph.executor.run_lookahead_schedule``);
 a caller of the serial loop would be a second CAQR driver.
 
+The application's QR goes through a plan: importing ``tsqr`` or
+``tsqr_qr`` from :mod:`repro.core.tsqr` (or through the ``repro.core`` /
+``repro`` re-exports), or calling ``tsqr_qr`` as a module attribute,
+anywhere under ``src/repro/rpca/`` is a violation.  The Robust-PCA SVT
+factors through :func:`repro.runtime.plan.plan_qr`, which reuses one plan
+per solve and forms Q in the solver's own buffer; a one-shot TSQR call
+would bypass the engine table and allocate Q afresh every iteration.
+
 AST-based, not regex: only a real comparison node is flagged, so a path
 name inside a string, a docstring or a ``policy=ExecutionPolicy(path=...)``
 construction never is.
@@ -142,6 +150,12 @@ FENCED_NAMES = {
     **{name: "serial loop" for name in SERIAL_LOOP_NAMES},
 }
 
+# TSQR's one-shot entry points, fenced out of the application: its QR
+# comes from a plan (plan_qr).  Matched in imports from repro.core.tsqr
+# and the packages that re-export it; ``tsqr_qr`` also as an attribute.
+APP_QR_NAMES = {"tsqr", "tsqr_qr"}
+APP_QR_SOURCES = {"tsqr", "core", "repro"}  # last module component, any level
+
 SCAN_ROOTS = ("src/repro", "benchmarks", "examples")
 # Per-rule exemption: only repro.runtime may construct the guard.
 GUARD_EXEMPT = ("src/repro/runtime/",)
@@ -166,6 +180,8 @@ STREAM_EXEMPT = ("src/repro/streaming/",)
 TREE_WALK_EXEMPT = ("src/repro/core/tsqr.py", "src/repro/smallblas/")
 # Per-rule exemption: the serial loop's module and the engine table.
 SERIAL_LOOP_EXEMPT = ("src/repro/core/caqr.py", "src/repro/runtime/policy.py")
+# Per-rule scope (the opposite of an exemption): the application package.
+APP_QR_SCOPE = ("src/repro/rpca/",)
 
 
 def _callee_name(call: ast.Call) -> str | None:
@@ -194,9 +210,18 @@ def scan_file(path: Path) -> list[tuple[int, str, str]]:
                 for alias in node.names
                 if alias.name in FENCED_NAMES
             )
+            if (node.module or "repro").rsplit(".", 1)[-1] in APP_QR_SOURCES:
+                hits.extend(
+                    (node.lineno, alias.name, "application qr")
+                    for alias in node.names
+                    if alias.name in APP_QR_NAMES
+                )
             continue
         if isinstance(node, ast.Attribute) and node.attr in FENCED_NAMES:
             hits.append((node.lineno, node.attr, FENCED_NAMES[node.attr]))
+            continue
+        if isinstance(node, ast.Attribute) and node.attr == "tsqr_qr":
+            hits.append((node.lineno, node.attr, "application qr"))
             continue
         if not isinstance(node, ast.Call):
             continue
@@ -325,6 +350,14 @@ def main() -> int:
                         f"the engine table (factor through the look-ahead "
                         f"driver, graph.executor.run_lookahead_schedule)"
                     )
+                elif kwargs == "application qr":
+                    if not rel.startswith(APP_QR_SCOPE):
+                        continue  # only the application is fenced
+                    violations.append(
+                        f"{rel}:{lineno}: {name} — a one-shot TSQR in the "
+                        f"application (get the QR from a plan: "
+                        f"repro.runtime.plan.plan_qr)"
+                    )
                 else:  # a file that does not parse
                     violations.append(f"{rel}:{lineno}: {kwargs}")
     if violations:
@@ -339,7 +372,7 @@ def main() -> int:
     print(
         "layering lint: clean (path names read only in the engine table, "
         "the tree walk only in repro.core.tsqr, the serial loop only in "
-        "the engine table)"
+        "the engine table, the application's QR only through plan_qr)"
     )
     return 0
 
