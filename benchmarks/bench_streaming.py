@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Out-of-core streaming QR soak: throughput, bounded memory, exactness.
 
-One row, four passes — none of which materializes the timed stream:
+One row, three passes — none of which materializes the timed stream:
 
 * **Soak** (timed): generate row blocks on the fly (deterministic per
   block: ``default_rng(seed + block_index)``) and fold them through
@@ -19,9 +19,6 @@ One row, four passes — none of which materializes the timed stream:
 * **Verify**: regenerate the same blocks, stack them once, and compare
   the streamed R against one-shot batched CAQR sign-canonicalized
   (``streaming_r_gap``, normalized by ||A||).
-* **Graph parity**: a short prefix through the registered
-  ``streaming`` task-graph producer must reproduce the direct engine's
-  R bit for bit (``streaming_graph_bit_gap`` == 0.0).
 
 The full run soaks >= 1e6 rows and writes
 ``benchmarks/results/BENCH_streaming.json``; ``--quick`` soaks >= 1e5
@@ -56,11 +53,7 @@ except ImportError:
 from repro.core.caqr import caqr  # noqa: E402
 from repro.core.validation import sign_canonical  # noqa: E402
 from repro.runtime import ExecutionPolicy  # noqa: E402
-from repro.streaming import (  # noqa: E402
-    run_streaming_graph,
-    run_streaming_matrix,
-    stream_qr,
-)
+from repro.streaming import stream_qr  # noqa: E402
 
 FULL_ROWS, QUICK_ROWS = 1_000_000, 120_000
 N_COLS = 64
@@ -69,7 +62,6 @@ BLOCK_ROWS, PANEL_WIDTH = 64, 16
 # Producer blocks deliberately mismatch chunk_rows so every soak also
 # exercises the ingest re-blocking window (ragged folds at the seams).
 SOURCE_BLOCK_ROWS = 2048
-GRAPH_PARITY_CHUNKS = 3  # prefix length for the bit-parity check
 
 
 def _peak_rss_mb() -> float:
@@ -158,14 +150,6 @@ def bench_streaming(
         scale = max(float(np.linalg.norm(A)), 1.0)
         gap = np.abs(_canon_r(sq.R) - _canon_r(one_shot.R)).max() / scale
         row["streaming_r_gap"] = float(gap)
-
-        prefix = A[: GRAPH_PARITY_CHUNKS * chunk_rows]
-        pol = _policy(chunk_rows)
-        direct = run_streaming_matrix(prefix, pol, retain_q=False)
-        graphed = run_streaming_graph(prefix, pol)
-        row["streaming_graph_bit_gap"] = float(
-            np.abs(direct.R - graphed.R).max()
-        )
     return row
 
 
@@ -181,10 +165,7 @@ def format_row(row: dict) -> str:
         f"full/half tracked ratio {row['streaming_bounded_ratio']:.3f}",
     ]
     if "streaming_r_gap" in row:
-        lines.append(
-            f"  R gap vs one-shot CAQR {row['streaming_r_gap']:.3e}  "
-            f"graph bit gap {row['streaming_graph_bit_gap']:g}"
-        )
+        lines.append(f"  R gap vs one-shot CAQR {row['streaming_r_gap']:.3e}")
     return "\n".join(lines)
 
 
@@ -195,8 +176,6 @@ def check_row(row: dict) -> list[str]:
         failures.append(
             f"streamed R gap {row['streaming_r_gap']:.3e} above 1e-12"
         )
-    if row.get("streaming_graph_bit_gap", 0.0) != 0.0:
-        failures.append("graph producer R is not bit-identical")
     if row["streaming_bounded_ratio"] > 1.05:
         failures.append(
             f"tracked peak grew with stream length "

@@ -19,32 +19,25 @@ from typing import Callable
 
 import numpy as np
 
-from .caqr import caqr_qr
 from .jacobi_svd import jacobi_svd
 from .tsqr import tsqr_qr
 
-__all__ = ["tall_skinny_svd", "QR_ENGINES"]
+__all__ = ["tall_skinny_svd"]
 
 QRFunc = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
-
-#: Named QR engines usable as the first step of the tall-skinny SVD.
-QR_ENGINES: dict[str, QRFunc] = {
-    "tsqr": tsqr_qr,
-    "caqr": caqr_qr,
-}
 
 
 def tall_skinny_svd(
     A: np.ndarray,
-    qr: str | QRFunc = "tsqr",
+    qr: QRFunc = tsqr_qr,
     svd_small: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]] = jacobi_svd,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Thin SVD ``A = U diag(s) V^T`` of a tall-skinny matrix via QR.
 
     Args:
         A: ``m x n`` with ``m >= n``.
-        qr: a named engine from :data:`QR_ENGINES` or any callable
-            returning an explicit thin ``(Q, R)``.
+        qr: any callable returning an explicit thin ``(Q, R)``
+            (``tsqr_qr``, ``caqr_qr``, ``cholesky_qr``, ...).
         svd_small: SVD routine for the small ``n x n`` R (default: the
             from-scratch one-sided Jacobi — the "small SVD on the CPU").
 
@@ -55,8 +48,7 @@ def tall_skinny_svd(
     m, n = A.shape
     if m < n:
         raise ValueError("tall_skinny_svd requires m >= n")
-    qr_fn = QR_ENGINES[qr] if isinstance(qr, str) else qr
-    Q, R = qr_fn(A)
+    Q, R = qr(A)
     U_small, s, Vt = svd_small(R)
     U = Q @ U_small  # the Q * U product of Section VI-B
     return U, s, Vt

@@ -299,10 +299,10 @@ def emit_sharded_layers(schedule: ShardSchedule):
     holding the R of its destination and source ranks, so cross-round
     chains are explicit and rounds with disjoint ranks can overlap.
     Registered as the ``sharded_reduction`` producer in
-    :data:`repro.graph.highlevel.PRODUCERS`.  Tasks carry no payload
-    (``fn=None``): the graph is the shape ``QRPlan.task_graph()``
-    returns and the CI fingerprint gate pins, and :func:`run_sharded`
-    runs the same schedule.
+    :data:`repro.graph.highlevel.PRODUCERS`.  The graph is structural:
+    it is the shape ``QRPlan.task_graph()`` returns and the CI
+    fingerprint gate pins, and :func:`run_sharded` runs the same
+    schedule.
     """
     from repro.graph.highlevel import TaskGraph
 

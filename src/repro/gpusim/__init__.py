@@ -23,7 +23,6 @@ from .block_machine import BlockCounters, BlockMachine, SharedMemory
 from .concurrent import (
     ConcurrentTimeline,
     ScheduledLaunch,
-    list_schedule,
     list_schedule_graph,
     occupancy_weight,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "Timeline",
     "ConcurrentTimeline",
     "ScheduledLaunch",
-    "list_schedule",
     "list_schedule_graph",
     "occupancy_weight",
     "BlockCounters",

@@ -1,8 +1,9 @@
-"""Stream-aware list scheduling of a launch DAG (concurrent kernels).
+"""Stream-aware list scheduling of a launch task graph (concurrent kernels).
 
 Fermi-class devices execute kernels from different streams concurrently
 as long as SM resources are free.  This module schedules a dependency
-graph of launches onto ``S`` streams under that resource model:
+graph of launches (a :class:`~repro.graph.highlevel.TaskGraph` whose
+tasks carry launch specs) onto ``S`` streams under that resource model:
 
 * **streams** — each stream is an in-order queue; a launch occupies its
   stream from issue to completion, so at most ``S`` launches run at once.
@@ -14,13 +15,14 @@ graph of launches onto ``S`` streams under that resource model:
   throughput-bound work time-conserving), while small latency-bound
   launches — tree levels, first-tile updates — genuinely overlap.
 
-The scheduler is greedy list scheduling in program order: each launch
-starts at the earliest time that (a) its dependencies have finished,
-(b) some stream is free, and (c) device capacity admits its fraction for
-its *body* — the fixed launch overhead is host/driver issue time, which
-asynchronous stream issue pipelines behind whatever the device is
-already running (the serial stream, by contrast, pays every overhead on
-the critical path — that is much of what overlap buys on large shapes).
+The scheduler is greedy list scheduling in the graph's static order
+(:mod:`repro.graph.order`): each launch starts at the earliest time
+that (a) its dependencies have finished, (b) some stream is free, and
+(c) device capacity admits its fraction for its *body* — the fixed
+launch overhead is host/driver issue time, which asynchronous stream
+issue pipelines behind whatever the device is already running (the
+serial stream, by contrast, pays every overhead on the critical path —
+that is much of what overlap buys on large shapes).
 Durations come from the same :func:`~repro.gpusim.launch.time_launch`
 roofline that prices the serial timeline, so serial and overlapped
 seconds are directly comparable.
@@ -29,7 +31,6 @@ seconds are directly comparable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence
 
 from .device import C2050, DeviceSpec
 from .launch import LaunchSpec, occupancy_blocks_per_sm, time_launch
@@ -38,16 +39,10 @@ __all__ = [
     "ScheduledLaunch",
     "ConcurrentTimeline",
     "occupancy_weight",
-    "list_schedule",
     "list_schedule_graph",
 ]
 
 _EPS = 1e-12
-
-
-class _GraphNode(Protocol):
-    spec: LaunchSpec
-    deps: tuple[int, ...]
 
 
 def occupancy_weight(spec: LaunchSpec, dev: DeviceSpec) -> float:
@@ -139,49 +134,6 @@ def _earliest_capacity_start(
             return t
     # Unreachable: past the last finish nothing is running.
     return max((ev.finish for ev in placed), default=t0)
-
-
-def list_schedule(
-    nodes: Sequence[_GraphNode],
-    dev: DeviceSpec = C2050,
-    streams: int = 4,
-) -> ConcurrentTimeline:
-    """Greedy list schedule of ``nodes`` (program order, ids positional).
-
-    ``nodes`` is any sequence of objects with a ``spec``
-    (:class:`LaunchSpec`) and ``deps`` (ids of earlier nodes); program
-    order must be topological.  Returns the placed schedule; with
-    ``streams=1`` it degenerates to the serial stream of the given nodes.
-    """
-    if streams < 1:
-        raise ValueError("streams must be >= 1")
-    tl = ConcurrentTimeline(device=dev, streams=streams)
-    finish = [0.0] * len(nodes)
-    stream_free = [0.0] * streams
-    for i, node in enumerate(nodes):
-        timing = time_launch(node.spec, dev)
-        dur = timing.seconds
-        ov = timing.overhead_s
-        w = occupancy_weight(node.spec, dev)
-        ready = max((finish[d] for d in node.deps), default=0.0)
-        # Earliest-available stream (ties -> lowest index, deterministic).
-        s = min(range(streams), key=lambda j: (max(stream_free[j], ready), j))
-        t0 = max(stream_free[s], ready)
-        t0 = _earliest_capacity_start(tl.launches, t0, w, ov, dur)
-        ev = ScheduledLaunch(
-            node_id=i,
-            kernel=node.spec.kernel,
-            tag=node.spec.tag,
-            stream=s,
-            start=t0,
-            body_start=t0 + min(ov, dur),
-            finish=t0 + dur,
-            weight=w,
-        )
-        tl.launches.append(ev)
-        finish[i] = ev.finish
-        stream_free[s] = ev.finish
-    return tl
 
 
 def list_schedule_graph(tg, dev: DeviceSpec = C2050, streams: int = 4) -> ConcurrentTimeline:

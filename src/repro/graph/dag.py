@@ -6,8 +6,7 @@ kernels into a :class:`~repro.graph.highlevel.TaskGraph` of three named
 layers carrying their *data* dependencies:
 
 * ``panel`` — the optional transpose preprocess plus the level-0 block
-  Householder factorization of each panel (highest ordering priority:
-  this is the look-ahead edge in layer-annotation form);
+  Householder factorization of each panel;
 * ``tree`` — the R-reduction tree levels
   (``factor -> factor_tree(L0) -> factor_tree(L1) -> ...``: each level
   eliminates the previous level's Rs);
@@ -27,22 +26,22 @@ matrix is still updating.  With ``lookahead=False`` the next panel
 instead depends on *every* update of the previous panel — the serial
 driver's barrier, in graph form.
 
-:func:`caqr_launch_graph` lowers the emitted layers to the positional
-:class:`LaunchGraph` the overlap simulator and structural tests consume.
-The serial enumeration itself is untouched — fingerprints
+Every task carries its :class:`~repro.gpusim.launch.LaunchSpec` and
+its ``panel`` / ``level`` / ``part`` / ``cols`` in ``info``, so the
+graph alone is what the overlap simulator schedules
+(:func:`repro.gpusim.concurrent.list_schedule_graph`) and walks for the
+critical path.  The serial enumeration itself is untouched — fingerprints
 pinned in ``tests/data/fingerprints.json`` hash that stream, and a
-structural test checks the graph merges back into it node for node.
+structural test checks the graph merges back into it launch for launch.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from repro.core.tree import build_tree
 from repro.core.tsqr import level0_rows, row_blocks
 from repro.gpusim.device import C2050, DeviceSpec
-from repro.gpusim.launch import LaunchSpec, time_launch
 from repro.graph.highlevel import TaskGraph
 from repro.kernels.config import REFERENCE_CONFIG, KernelConfig
 from repro.kernels.costs import (
@@ -53,86 +52,7 @@ from repro.kernels.costs import (
     transpose_launch,
 )
 
-__all__ = [
-    "LaunchNode",
-    "LaunchGraph",
-    "emit_caqr_layers",
-    "caqr_launch_graph",
-    "launch_graph_from_tasks",
-]
-
-
-@dataclass(frozen=True)
-class LaunchNode:
-    """One kernel launch with its explicit data dependencies.
-
-    Attributes:
-        id: position in program order (a valid topological order).
-        spec: the unchanged :class:`~repro.gpusim.launch.LaunchSpec`.
-        deps: ids of launches that must finish first (all ``< id``).
-        panel: panel index the launch belongs to.
-        level: tree level for ``factor_tree``/``apply_qt_tree``, else -1.
-        part: ``"t0"`` / ``"rest"`` for split trailing updates, else "".
-        cols: half-open column interval the launch reads+writes —
-            the panel's columns for factor-side kernels, the updated
-            trailing columns for apply-side kernels.
-    """
-
-    id: int
-    spec: LaunchSpec
-    deps: tuple[int, ...]
-    panel: int
-    level: int = -1
-    part: str = ""
-    cols: tuple[int, int] = (0, 0)
-
-    @property
-    def kernel(self) -> str:
-        return self.spec.kernel
-
-
-@dataclass
-class LaunchGraph:
-    """A CAQR launch DAG in program order."""
-
-    m: int
-    n: int
-    config: KernelConfig
-    lookahead: bool
-    nodes: list[LaunchNode] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-    def validate(self) -> None:
-        """Check ids are positional and every edge points backwards."""
-        for pos, node in enumerate(self.nodes):
-            if node.id != pos:
-                raise ValueError(f"node at position {pos} has id {node.id}")
-            for d in node.deps:
-                if not 0 <= d < pos:
-                    raise ValueError(f"node {pos} depends on {d} (not earlier)")
-            if len(set(node.deps)) != len(node.deps):
-                raise ValueError(f"node {pos} has duplicate deps")
-
-    def durations(self, dev: DeviceSpec = C2050) -> list[float]:
-        """Modeled seconds of each launch under the roofline+wave model."""
-        return [time_launch(node.spec, dev).seconds for node in self.nodes]
-
-    def serial_seconds(self, dev: DeviceSpec = C2050) -> float:
-        """Sum of the *split* launch durations (>= the unsplit serial
-        stream: splitting pays one extra launch overhead per update)."""
-        return sum(self.durations(dev))
-
-    def critical_path_seconds(self, dev: DeviceSpec = C2050) -> float:
-        """Longest dependency chain — the overlap lower bound (no
-        schedule on any number of streams can beat it)."""
-        dur = self.durations(dev)
-        finish = [0.0] * len(self.nodes)
-        for node in self.nodes:
-            start = max((finish[d] for d in node.deps), default=0.0)
-            finish[node.id] = start + dur[node.id]
-        return max(finish, default=0.0)
+__all__ = ["emit_caqr_layers"]
 
 
 def _tile_width(wt: int, bh: int, cfg: KernelConfig, dev: DeviceSpec) -> int:
@@ -153,10 +73,8 @@ def emit_caqr_layers(
 ) -> TaskGraph:
     """Compile one CAQR factorization into panel/tree/trailing layers.
 
-    Tasks are emitted in the serial program order (so emission order is
-    already a topological order, and the positional lowering in
-    :func:`launch_graph_from_tasks` reproduces the pre-layer node ids
-    bit for bit).  Keys are structured tuples::
+    Tasks are emitted in the serial program order, so emission order is
+    already a topological order.  Keys are structured tuples::
 
         ("transpose", p)            optional panel preprocess
         ("factor", p)               level-0 panel factorization
@@ -165,9 +83,9 @@ def emit_caqr_layers(
         ("apply_tree", p, lvl, part)  split tree-level trailing update
 
     Every task carries its :class:`~repro.gpusim.launch.LaunchSpec`, so
-    the emitted graph is model-complete: it can be lowered to a
-    :class:`LaunchGraph`, list-scheduled onto streams, or statically
-    ordered, without re-deriving anything.
+    the emitted graph is model-complete: it can be list-scheduled onto
+    streams, walked for its critical path, or statically ordered,
+    without re-deriving anything.
     """
     if m < 1 or n < 1:
         raise ValueError("matrix dimensions must be positive")
@@ -290,56 +208,3 @@ def emit_caqr_layers(
 
     tg.validate()
     return tg
-
-
-def launch_graph_from_tasks(tg: TaskGraph, cfg: KernelConfig, lookahead: bool) -> LaunchGraph:
-    """Lower an emitted CAQR :class:`TaskGraph` to positional launch nodes.
-
-    Keys become emission-order ids; the ``panel`` / ``level`` / ``part``
-    / ``cols`` annotations each task carries in its ``info`` become the
-    node fields — the result is bit-identical to the pre-layer builder.
-    """
-    # The emitter stamps the shape into the graph name; parse it back
-    # rather than threading (m, n) through a second channel.
-    shape = tg.name.split("[", 1)[1].split("]", 1)[0]
-    m, n = (int(v) for v in shape.split("x"))
-    graph = LaunchGraph(m=m, n=n, config=cfg, lookahead=lookahead)
-    ids: dict = {}
-    for t in tg.tasks():
-        if t.spec is None:
-            raise ValueError(f"task {t.key!r} has no launch spec; cannot lower")
-        info = dict(t.info)
-        nid = len(graph.nodes)
-        ids[t.key] = nid
-        graph.nodes.append(
-            LaunchNode(
-                id=nid,
-                spec=t.spec,
-                deps=tuple(ids[d] for d in t.deps),
-                panel=info["panel"],
-                level=info.get("level", -1),
-                part=info.get("part", ""),
-                cols=info["cols"],
-            )
-        )
-    graph.validate()
-    return graph
-
-
-def caqr_launch_graph(
-    m: int,
-    n: int,
-    cfg: KernelConfig = REFERENCE_CONFIG,
-    dev: DeviceSpec = C2050,
-    lookahead: bool = True,
-) -> LaunchGraph:
-    """Build the dependency DAG of a CAQR factorization's launches.
-
-    Emits the panel/tree/trailing layers and lowers them to positional
-    :class:`LaunchNode` s; ``nodes`` is the serial program order (a
-    valid topological order), with trailing updates split into
-    first-tile / rest pairs as described in the module docstring.
-    """
-    return launch_graph_from_tasks(
-        emit_caqr_layers(m, n, cfg, dev, lookahead=lookahead), cfg, lookahead
-    )

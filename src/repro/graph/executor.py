@@ -1,17 +1,18 @@
 """Numeric execution of the CAQR launch DAG — look-ahead CAQR.
 
-This is the executor half of the launch-graph subsystem: the same
-dependency structure that :mod:`repro.graph.dag` builds for the
-simulator, run for real over the batched compact-WY kernels of
+The same dependency structure that :mod:`repro.graph.dag` builds for
+the simulator, run for real over the batched compact-WY kernels of
 :mod:`repro.smallblas.wy`.  The factorization is a list of tasks — one
 panel factor ``F(p)`` plus one trailing update ``U(p, j)`` per column
 tile — wired with the same data dependencies as the DAG: ``F(p)`` needs
 only the *first-tile* update of panel ``p - 1`` (look-ahead), each
 update needs its panel's factors plus the previous panel's updates on
-its columns.  The tasks run serially in program order or on a thread
-pool; either way every task performs identical arithmetic on identical
-operands, so the two modes are **bit-identical** (tiling is keyed on
-``workers`` alone, never on ``threaded``).
+its columns.  The tasks run in the static order of their task graph
+(:func:`emit_lookahead_layers`, compiled once per schedule), serially
+or on a dependency-counting thread pool (:func:`_execute`); either way
+every task performs identical arithmetic on identical operands, so the
+two modes are **bit-identical** (tiling is keyed on ``workers`` alone,
+never on ``threaded``).
 
 Each panel is factored by TSQR's panel engine
 (:func:`repro.core.tsqr.factor_panel`) on the panel schedule the
@@ -61,7 +62,6 @@ __all__ = [
     "form_q_columns",
     "form_q_stack",
     "run_lookahead_schedule",
-    "run_task_graph",
 ]
 
 _MIN_TILE = 16  # narrowest "rest" tile worth a task of its own
@@ -86,10 +86,11 @@ def form_q_columns(
     :class:`~repro.core.tsqr.TSQRFactors`, which is how the randomized
     range finder threads its Q formation).  As in
     :func:`run_lookahead_schedule`, ``workers`` alone fixes the tiling
-    and ``threaded`` picks the engine, so the threaded result is bit-identical to the serial run of the same
-    tiles (and matches the untiled ``form_q`` to roundoff — GEMM
-    accumulation order differs with tile width).  ``workers=None`` uses
-    the factors' worker count (1 if absent); 1 means plain ``form_q``.
+    and ``threaded`` picks the engine, so the threaded result is
+    bit-identical to the serial run of the same tiles (and matches the
+    untiled ``form_q`` to roundoff — GEMM accumulation order differs
+    with tile width).  ``workers=None`` uses the factors' worker count
+    (1 if absent); 1 means plain ``form_q``.
     """
     if workers is None:
         workers = getattr(factors, "workers", 1)
@@ -131,12 +132,6 @@ def form_q_columns(
 # ---------------------------------------------------------------------------
 # The driver -----------------------------------------------------------------
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class _Task:
-    fn: object
-    deps: list[int]
 
 
 def _col_tiles(lo: int, hi: int, first_w: int, workers: int) -> list[tuple[int, int]]:
@@ -190,23 +185,25 @@ def _shared_pool(workers: int) -> ThreadPoolExecutor | None:
     return entry[1]
 
 
-def _run_threaded(tasks: list[_Task], workers: int) -> None:
-    """Dependency-counting execution of ``tasks`` on a thread pool.
+def _run_threaded(fns: list, deps: list, workers: int) -> None:
+    """Dependency-counting execution of ``fns`` on a thread pool.
 
     A worker that finishes a task runs its first newly ready dependent
     itself and submits only the rest, so a dependency chain (factor ->
     first-tile update -> next factor) never waits for a pool hand-off.
+    After a payload raises, the remaining tasks are drained without
+    running, and the first exception is raised once the run is over.
     """
-    n = len(tasks)
+    n = len(fns)
     if n == 0:
         # A degenerate factorization (0 panels) has no tasks; waiting on
         # the completion event would block forever.
         return
     dependents: list[list[int]] = [[] for _ in range(n)]
     indegree = [0] * n
-    for i, t in enumerate(tasks):
-        indegree[i] = len(t.deps)
-        for d in t.deps:
+    for i, d_i in enumerate(deps):
+        indegree[i] = len(d_i)
+        for d in d_i:
             dependents[d].append(i)
     lock = threading.Lock()
     done = threading.Event()
@@ -216,7 +213,7 @@ def _run_threaded(tasks: list[_Task], workers: int) -> None:
         while True:
             try:
                 if state["error"] is None:
-                    tasks[i].fn()
+                    fns[i]()
             except BaseException as exc:  # propagate the first failure
                 with lock:
                     if state["error"] is None:
@@ -254,63 +251,14 @@ def _run_threaded(tasks: list[_Task], workers: int) -> None:
 
 
 def _execute(fns: list, deps: list, workers: int, threaded: bool) -> None:
-    """Run ``fns`` (in static order; ``None`` entries are skipped) whose
-    ``deps`` are positions in that order: serially, or on the pool."""
+    """Run the zero-argument ``fns``, listed in static order, whose
+    ``deps[k]`` are positions in that list: serially in list order, or
+    on the shared pool of ``workers`` threads."""
     if not threaded or workers <= 1:
         for fn in fns:
-            if fn is not None:
-                fn()
+            fn()
         return
-    _run_threaded(
-        [_Task(fn=fn if fn is not None else (lambda: None), deps=d) for fn, d in zip(fns, deps)],
-        workers,
-    )
-
-
-def run_task_graph(
-    tg: TaskGraph,
-    workers: int = 1,
-    threaded: bool | None = None,
-    instrument: bool = False,
-) -> None:
-    """Execute a bound :class:`TaskGraph` — the shared numeric engine.
-
-    Tasks run in the graph's static order (:mod:`repro.graph.order`):
-    serially when ``workers <= 1`` (or ``threaded=False``), else on the
-    dependency-counting thread pool with roots seeded in static order.
-    Dependencies are ordering constraints only — data flows through the
-    producer's closures/bind state — so any topological execution is
-    race-free and the two engines are bit-identical by construction.
-
-    ``instrument=True`` wraps every task in an obs span named after its
-    layer (producers whose closures don't span themselves get per-task
-    attribution for free; the look-ahead driver passes ``False`` because
-    its closures already do).  Tasks with ``fn=None`` (model-only
-    placeholders) are skipped.
-    """
-    if threaded is None:
-        threaded = workers > 1
-    order = static_order(tg)
-
-    def payload(key):
-        t = tg.task(key)
-        fn = t.fn
-        if fn is None:
-            return None
-        if not instrument:
-            return fn
-        def run(t=t, fn=fn):
-            with _obs.span(t.layer, cat=f"graph.{tg.name}", key=repr(t.key)):
-                fn()
-        return run
-
-    pos = {key: i for i, key in enumerate(order)}
-    _execute(
-        [payload(key) for key in order],
-        [[pos[d] for d in tg.task(key).deps] for key in order],
-        workers,
-        threaded,
-    )
+    _run_threaded(fns, deps, workers)
 
 
 @dataclass(frozen=True)
@@ -357,8 +305,7 @@ class LookaheadSchedule:
 
         ``(order, deps)``: ``order[k]`` is the schedule index of the k-th
         task to issue and ``deps[k]`` the positions in ``order`` it waits
-        on — what :func:`run_task_graph` derives from
-        :func:`emit_lookahead_layers` on every call, kept so a run only
+        on, derived from :func:`emit_lookahead_layers` once so a run only
         binds its payloads.
         """
         tg = emit_lookahead_layers(self)
@@ -420,29 +367,21 @@ def build_lookahead_schedule(m: int, n: int, policy: ExecutionPolicy) -> Lookahe
     return sched
 
 
-def emit_lookahead_layers(
-    sched: LookaheadSchedule,
-    bind: list | None = None,
-) -> TaskGraph:
+def emit_lookahead_layers(sched: LookaheadSchedule) -> TaskGraph:
     """Compile a captured :class:`LookaheadSchedule` into a task graph.
 
     Two layers: ``panel`` (the factor tasks, higher ordering priority —
     the look-ahead edge in annotation form) and ``trailing`` (the tiled
     updates).  Keys are ``("factor", p)`` / ``("update", p, lo, hi)``;
     dependencies are the schedule's own, translated from positional ids
-    to keys.  ``bind``, when given, is the per-task payload list in
-    schedule order (as built by :func:`run_lookahead_schedule`); without
-    it the graph is structural — same fingerprint, nothing runnable.
+    to keys.  The driver runs its own payloads in this graph's static
+    order (:attr:`LookaheadSchedule.compiled_order`).
     """
-    if bind is not None and len(bind) != len(sched.tasks):
-        raise ValueError(
-            f"bind has {len(bind)} payload(s) for {len(sched.tasks)} task(s)"
-        )
     tg = TaskGraph(name=f"lookahead[{sched.m}x{sched.n}]")
     tg.add_layer("panel", priority=1)
     tg.add_layer("trailing", priority=0)
     keys: list = []
-    for i, ts in enumerate(sched.tasks):
+    for ts in sched.tasks:
         if ts.kind == "factor":
             layer, key = "panel", ("factor", ts.panel)
         else:
@@ -450,7 +389,6 @@ def emit_lookahead_layers(
         tg.add_task(
             layer,
             key,
-            fn=bind[i] if bind is not None else None,
             deps=[keys[d] for d in ts.deps],
             panel=ts.panel,
             cols=(ts.lo, ts.hi),
@@ -489,7 +427,7 @@ def factor_stack(
             f"the scheduled shape ({m}, {n})"
         )
     out: list = [None] * len(sched.panels)
-    bind: list = []
+    payloads: list = []
     for ts in sched.tasks:
         c0, pw_p, r0, bh, _wt = sched.panels[ts.panel]
         if ts.kind == "factor":
@@ -504,13 +442,13 @@ def factor_stack(
                 with _obs.span("update", cat="update", panel=p, lo=lo, hi=hi):
                     apply_wy_plan(out[p][1], W[:, r0:, lo:hi], transpose=True)
 
-        bind.append(fn)
+        payloads.append(fn)
 
-    # Run the schedule's compiled task graph on the shared engine, in its
-    # static order — serial order and the thread pool execute the same
-    # tasks on the same operands, so both are bit-identical.
+    # Run the payloads in the schedule's compiled static order — serial
+    # order and the thread pool execute the same tasks on the same
+    # operands, so both are bit-identical.
     order, deps = sched.compiled_order
-    _execute([bind[i] for i in order], deps, workers, threaded)
+    _execute([payloads[i] for i in order], deps, workers, threaded)
 
     # Assemble R: the trailing updates left every super-diagonal entry in
     # W; panel diagonal blocks come from the panels' own R factors.

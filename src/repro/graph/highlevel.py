@@ -1,16 +1,15 @@
 """The shared high-level task graph — named layers, key-based dependencies.
 
 Demmel, Grigori, Hoemmen & Langou present TSQR/CAQR explicitly as a DAG
-of block tasks scheduled for minimal communication, and the paper's
-downstream workloads (RPCA iterations, randomized SVD, s-step Krylov
-bases) are more DAGs of the same kernels.  This module is the dask-style
-representation they all compile to:
+of block tasks scheduled for minimal communication.  This module is the
+one structural description of such DAGs — the CAQR launch stream, the
+look-ahead schedule, the sharded reduction and the streaming chunk
+pipeline all compile to it:
 
 * a :class:`Task` is one unit of work with a hashable ``key``, explicit
-  ``deps`` (keys of tasks that must finish first), an optional zero-arg
-  ``fn`` (the numeric payload; ``None`` for model-only graphs), an
-  optional :class:`~repro.gpusim.launch.LaunchSpec` for the simulator,
-  and an ordering ``cost``;
+  ``deps`` (keys of tasks that must finish first), an optional
+  :class:`~repro.gpusim.launch.LaunchSpec` for the simulator, and an
+  ordering ``cost``;
 * a :class:`Layer` is a named group of tasks sharing annotations —
   a ``stream`` hint for the overlap simulator, an ordering ``priority``,
   a default ``cost`` model weight, and a ``device`` tag;
@@ -25,14 +24,13 @@ the fingerprint gate, the docs producer table) has one ground truth.
 Construction of ``TaskGraph``/``Layer`` anywhere outside ``repro.graph``
 and the registered producer modules is a layering-lint violation: the
 graph representation is shared infrastructure, and a privately built
-graph would bypass the ordering pass, the fingerprint pins and the
-per-task obs spans.
+graph would bypass the ordering pass and the fingerprint pins.
 
-Graphs with numeric payloads run on the shared executor
-(:func:`repro.graph.executor.run_task_graph`) — serially in static order
-or on a dependency-counting thread pool, bit-identically either way.
-Model-only graphs (every task carrying a ``spec``) schedule onto S
-concurrent streams with
+A graph carries no payloads: it is a description, not a runner.  The
+look-ahead driver compiles its graph's static order once per schedule
+and runs its own closures in that order
+(:func:`repro.graph.executor.run_lookahead_schedule`); graphs whose
+tasks carry a ``spec`` schedule onto S concurrent streams with
 :func:`repro.gpusim.concurrent.list_schedule_graph`.
 """
 
@@ -104,10 +102,6 @@ class Task:
         deps: keys that must complete before this task may run.
         seq: emission index (global across layers) — the deterministic
             tiebreak of the static ordering pass.
-        fn: zero-argument numeric payload (``None`` in model-only
-            graphs).  Data flows through closures / the producer's bind
-            state, never through the runner: dependencies order tasks,
-            they do not ferry values.
         spec: optional :class:`~repro.gpusim.launch.LaunchSpec` pricing
             this task in the modeled domain.
         cost: optional ordering weight (defaults to the layer's ``cost``
@@ -120,7 +114,6 @@ class Task:
     layer: str
     deps: tuple[Key, ...] = ()
     seq: int = 0
-    fn: Callable[[], Any] | None = field(default=None, compare=False)
     spec: Any | None = None
     cost: float | None = None
     info: tuple[tuple[str, Any], ...] = ()
@@ -164,7 +157,7 @@ class TaskGraph:
         cost: float | None = None,
         device: str | None = None,
     ) -> str:
-        """Declare a layer (idempotent only for annotation-free re-adds)."""
+        """Declare a layer; declaring an existing name raises ``ValueError``."""
         if name in self.layers:
             raise ValueError(f"layer {name!r} already exists")
         self.layers[name] = Layer(
@@ -179,7 +172,6 @@ class TaskGraph:
         self,
         layer: str,
         key: Key,
-        fn: Callable[[], Any] | None = None,
         deps: tuple[Key, ...] | list[Key] = (),
         spec: Any | None = None,
         cost: float | None = None,
@@ -189,10 +181,15 @@ class TaskGraph:
 
         Duplicate dependency keys are collapsed preserving first
         occurrence — emitters may append overlapping dependency lists
-        without bookkeeping.
+        without bookkeeping.  ``info`` is structural data: a callable
+        (a payload) has no stable repr to fingerprint, so it raises
+        ``TypeError``.
         """
         if key in self._tasks:
             raise ValueError(f"duplicate task key {key!r}")
+        for name, value in info.items():
+            if callable(value):
+                raise TypeError(f"task info {name!r} is callable; a task graph holds no payloads")
         if layer not in self.layers:
             self.add_layer(layer)
         task = Task(
@@ -200,7 +197,6 @@ class TaskGraph:
             layer=layer,
             deps=tuple(dict.fromkeys(deps)),
             seq=len(self._tasks),
-            fn=fn,
             spec=spec,
             cost=cost,
             info=tuple(sorted(info.items())),
@@ -282,11 +278,10 @@ class TaskGraph:
     def fingerprint(self) -> str:
         """SHA-256 (truncated) of the graph *structure*.
 
-        Hashes layer names + annotations and every task's key, layer,
-        deps, spec and info — never the ``fn`` payloads, so a graph
-        built with or without numeric bindings fingerprints identically
-        (which is what lets the CI gate pin pipeline graphs as pure
-        shape arithmetic).
+        Hashes the graph name, layer names + annotations and every
+        task's key, layer, deps, spec, cost and info — pure shape
+        arithmetic, which is what lets the CI gate pin graphs without
+        touching a matrix.
         """
         h = hashlib.sha256()
         h.update(self.name.encode())
@@ -319,8 +314,6 @@ class TaskGraph:
 PRODUCERS: dict[str, str] = {
     "caqr": "repro.graph.dag:emit_caqr_layers",
     "lookahead": "repro.graph.executor:emit_lookahead_layers",
-    "rsvd": "repro.core.randomized_svd:emit_rsvd_layers",
-    "rpca_ialm": "repro.rpca.graphs:emit_ialm_layers",
     "sharded_reduction": "repro.distributed.sharded:emit_sharded_layers",
     "streaming": "repro.streaming.graphs:emit_streaming_layers",
 }

@@ -1,9 +1,9 @@
 """Deterministic static ordering for :class:`~repro.graph.highlevel.TaskGraph`.
 
 The pass that replaces implicit program-order scheduling: given a task
-graph, produce one total order that every consumer (the serial runner,
-the threaded executor's root seeding, the multi-stream list scheduler)
-uses.  Dask's ``order.py`` solves the same problem for its schedulers;
+graph, produce one total order that every consumer (the look-ahead
+driver, serially or on its thread pool, the critical-path walk and the
+multi-stream list scheduler) uses.  Dask's ``order.py`` solves the same problem for its schedulers;
 ours is smaller because our graphs are regular, but the contract is the
 same — the order is a function of graph *structure* only:
 

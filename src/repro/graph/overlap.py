@@ -23,10 +23,12 @@ from dataclasses import dataclass, field
 from repro.caqr_gpu import simulate_caqr
 from repro.gpusim.concurrent import ConcurrentTimeline, list_schedule_graph
 from repro.gpusim.device import C2050, DeviceSpec
+from repro.gpusim.launch import time_launch
 from repro.kernels.config import REFERENCE_CONFIG, KernelConfig
 
-from .dag import LaunchGraph, emit_caqr_layers, launch_graph_from_tasks
+from .dag import emit_caqr_layers
 from .highlevel import TaskGraph
+from .order import static_order
 
 __all__ = ["OverlapResult", "simulate_caqr_overlap"]
 
@@ -41,8 +43,7 @@ class OverlapResult:
     device: DeviceSpec
     streams: int
     lookahead: bool
-    graph: LaunchGraph
-    task_graph: TaskGraph | None
+    graph: TaskGraph
     serial_seconds: float
     critical_path_seconds: float
     makespans: dict[int, float] = field(default_factory=dict)  # streams -> raw makespan
@@ -91,7 +92,13 @@ def simulate_caqr_overlap(
         raise ValueError("streams must be >= 1")
     serial = simulate_caqr(m, n, cfg, dev).seconds
     tg = emit_caqr_layers(m, n, cfg, dev, lookahead=lookahead)
-    graph = launch_graph_from_tasks(tg, cfg, lookahead)
+    # Critical path: the longest dependency chain under the modeled
+    # launch durations, the bound no number of streams can beat.
+    finish: dict = {}
+    for key in static_order(tg):
+        task = tg.task(key)
+        start = max((finish[d] for d in task.deps), default=0.0)
+        finish[key] = start + time_launch(task.spec, dev).seconds
     res = OverlapResult(
         m=m,
         n=n,
@@ -99,10 +106,9 @@ def simulate_caqr_overlap(
         device=dev,
         streams=streams,
         lookahead=lookahead,
-        graph=graph,
-        task_graph=tg,
+        graph=tg,
         serial_seconds=serial,
-        critical_path_seconds=graph.critical_path_seconds(dev),
+        critical_path_seconds=max(finish.values(), default=0.0),
     )
     best_tl: ConcurrentTimeline | None = None
     for s in range(2, streams + 1):

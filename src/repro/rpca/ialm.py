@@ -148,7 +148,6 @@ def rpca_ialm(
     svd: SVDFunc | None = None,
     svt: SVTFunc | None = None,
     callback: Callable[[int, float], None] | None = None,
-    engine: str = "direct",
 ) -> RPCAResult:
     """Decompose ``M`` into low-rank ``L`` plus sparse ``S``.
 
@@ -174,37 +173,24 @@ def rpca_ialm(
             partial SVDs.  Takes precedence over ``svd``.  ``X`` is a
             workspace buffer the loop overwrites after the call.
         callback: optional per-iteration hook ``(iteration, residual)``.
-        engine: ``"direct"`` runs the loop inline; ``"graph"`` compiles
-            each iteration to a :class:`~repro.graph.highlevel.TaskGraph`
-            (:mod:`repro.rpca.graphs`) run on the shared executor —
-            bit-identical, with per-task obs spans.  The graph engine
-            fixes the default QR->SVT pipeline, so it rejects ``svd`` /
-            ``svt`` overrides.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.size == 0:
         raise ValueError("M must be a non-empty 2-D matrix")
     if not np.isfinite(M).all():
         raise ValueError("Robust PCA requires finite input (NaN/Inf found)")
-    if engine not in ("direct", "graph"):
-        raise ValueError(f"unknown engine {engine!r}; expected 'direct' or 'graph'")
-    if engine == "graph" and (svd is not None or svt is not None):
-        raise ValueError(
-            "engine='graph' compiles the default QR->SVT pipeline; "
-            "svd/svt overrides need engine='direct'"
-        )
     wide = M.shape[0] < M.shape[1]
     result = _solve(
         np.ascontiguousarray(M.T if wide else M),
         lam=lam, mu=mu, rho=rho, tol=tol, max_iter=max_iter,
-        svd=svd, svt=svt, callback=callback, engine=engine,
+        svd=svd, svt=svt, callback=callback,
     )
     if wide:
         result.L, result.S = result.L.T, result.S.T
     return result
 
 
-def _solve(M, *, lam, mu, rho, tol, max_iter, svd, svt, callback, engine) -> RPCAResult:
+def _solve(M, *, lam, mu, rho, tol, max_iter, svd, svt, callback) -> RPCAResult:
     """The solve on a tall (m >= n), C-contiguous float64 ``M``."""
     m, n = M.shape
     norm_M = np.linalg.norm(M)
@@ -218,13 +204,6 @@ def _solve(M, *, lam, mu, rho, tol, max_iter, svd, svt, callback, engine) -> RPC
     mu_max = mu * 1e7
     # Dual initialization of Lin et al.: Y = M / max(||M||_2, ||M||_inf/lam).
     ws = IALMWorkspace(M, M / max(spectral, np.abs(M).max() / lam))
-    if engine == "graph":
-        from .graphs import run_ialm_graph
-
-        return run_ialm_graph(
-            ws, mu=mu, mu_max=mu_max, lam=lam, rho=rho, tol=tol,
-            max_iter=max_iter, norm_M=norm_M, callback=callback,
-        )
     residuals: list[float] = []
     ranks: list[int] = []
     converged = False

@@ -6,8 +6,8 @@ QR (Section VI-B): any of the library's QR engines can be plugged in,
 which is the knob Table II turns.
 
 The kernels below write into caller-owned buffers, so the IALM loop
-(:mod:`repro.rpca.ialm`), its task graph (:mod:`repro.rpca.graphs`) and
-:func:`singular_value_threshold` run the same code.  The default
+(:mod:`repro.rpca.ialm`) and :func:`singular_value_threshold` run the
+same code.  The default
 pipeline is the thin QR of ``X`` from a :func:`~repro.runtime.plan.plan_qr`
 plan under ``ExecutionPolicy()`` (TSQR of the whole matrix, the bits of
 ``tsqr_qr``), with Q formed in the buffer that then receives ``L``; the

@@ -3,8 +3,8 @@
 The "heavy sustained traffic" tier (ROADMAP item 5): chunked ingestion
 of unbounded row streams (:mod:`~repro.streaming.ingest`), incremental
 row-append QR reusing the in-core CAQR machinery and the tree-node
-eliminations (:mod:`~repro.streaming.qr`), the pipeline compiled to
-shared task-graph layers (:mod:`~repro.streaming.graphs`), and a
+eliminations (:mod:`~repro.streaming.qr`), the pipeline's structural
+task-graph layers (:mod:`~repro.streaming.graphs`), and a
 drift-adaptive online video background model
 (:mod:`~repro.streaming.background`).
 
@@ -15,7 +15,7 @@ video.
 """
 
 from .background import BackgroundChunk, StreamingBackground
-from .graphs import emit_streaming_layers, run_streaming_graph
+from .graphs import emit_streaming_layers
 from .ingest import ChunkBuffer, StreamBackpressure, stream_chunks
 from .qr import (
     DEFAULT_CHUNK_ROWS,
@@ -38,7 +38,6 @@ __all__ = [
     "StreamingQR",
     "build_stream_schedule",
     "emit_streaming_layers",
-    "run_streaming_graph",
     "run_streaming_matrix",
     "stream_chunks",
     "stream_qr",

@@ -5,11 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.randomized_svd import (
-    randomized_range_finder,
-    randomized_svd,
-    randomized_svd_graph,
-)
+from repro import obs
+from repro.core.randomized_svd import randomized_range_finder, randomized_svd
 from repro.runtime import ExecutionPolicy
 
 
@@ -56,16 +53,13 @@ class TestRandomizedSVD:
     def test_default_policy(self, rng):
         # ExecutionPolicy() leaves block_rows unset; the power-iteration
         # shortcut compares n against the level-0 height TSQR would use
-        # for the n x ell sketch (32 * ell rows), on both the direct and
-        # the task-graph pipeline.
+        # for the n x ell sketch (32 * ell rows).
         A = low_rank(rng, 800, 60, 5)
         policy = ExecutionPolicy()
         Q = randomized_range_finder(A, k=5, power_iters=2, policy=policy)
         assert np.allclose(Q.T @ Q, np.eye(Q.shape[1]), atol=1e-10)
         U, s, Vt = randomized_svd(A, k=5, policy=policy)
         assert np.linalg.norm((U * s) @ Vt - A) < 1e-8 * np.linalg.norm(A)
-        Ug, sg, Vtg = randomized_svd_graph(A, k=5, policy=policy)
-        assert np.array_equal(Ug, U) and np.array_equal(sg, s)
 
     def test_truncates_to_k(self, rng):
         A = rng.standard_normal((100, 20))
@@ -102,3 +96,26 @@ class TestRandomizedSVD:
         out1 = randomized_svd(A, k=3, rng=np.random.default_rng(5))
         out2 = randomized_svd(A, k=3, rng=np.random.default_rng(5))
         assert np.array_equal(out1[1], out2[1])
+
+
+def test_stage_spans_and_coverage():
+    # One root ``rsvd`` span per call, its children the pipeline's stages
+    # in order (power_iters=1: sketch, qr, then one power step's project,
+    # qr, sketch, qr; then the projection and the small SVD), covering
+    # the root's wall time.  Tracing leaves the bits alone.
+    A = low_rank(np.random.default_rng(11), 20_000, 60, 6, noise=1e-3)
+    plain = randomized_svd(A, k=6, power_iters=1)
+    with obs.capture() as session:
+        traced = randomized_svd(A, k=6, power_iters=1)
+        Q = randomized_range_finder(A, k=6, power_iters=1)
+    assert all(np.array_equal(a, b) for a, b in zip(traced, plain))
+    t = session.trace
+    roots = [s for s in t.spans if s.name == "rsvd"]
+    assert len(roots) == 2 and all(r.parent is None and r.cat == "rsvd" for r in roots)
+    finder = ["rsvd.sketch", "rsvd.qr", "rsvd.project", "rsvd.qr", "rsvd.sketch", "rsvd.qr"]
+    svd_root, finder_root = sorted(roots, key=lambda s: s.start_ns)
+    assert [c.name for c in t.children(svd_root.id)] == finder + ["rsvd.project", "rsvd.svd"]
+    assert [c.name for c in t.children(finder_root.id)] == finder
+    for root in roots:
+        assert t.coverage(root) >= 0.95
+    assert np.allclose(Q.T @ Q, np.eye(Q.shape[1]), atol=1e-10)

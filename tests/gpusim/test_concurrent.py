@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.gpusim import C2050, list_schedule, occupancy_weight, time_launch
-from repro.graph import caqr_launch_graph, simulate_caqr_overlap
+from repro.gpusim import C2050, list_schedule_graph, occupancy_weight, time_launch
+from repro.graph import emit_caqr_layers, simulate_caqr_overlap
 
 SHAPES = [(1000, 192), (10000, 192), (4096, 64)]
 
@@ -35,9 +35,9 @@ def test_stream_count_monotonicity():
 @pytest.mark.parametrize("m,n", SHAPES)
 @pytest.mark.parametrize("streams", [2, 4])
 def test_schedule_respects_streams_deps_capacity(m, n, streams):
-    g = caqr_launch_graph(m, n)
-    tl = list_schedule(g.nodes, C2050, streams=streams)
-    assert len(tl.launches) == len(g.nodes)
+    tg = emit_caqr_layers(m, n)
+    tl = list_schedule_graph(tg, C2050, streams=streams)
+    assert len(tl.launches) == len(tg)
     # In-order, non-overlapping within each stream.
     per_stream = {}
     for ev in sorted(tl.launches, key=lambda e: e.start):
@@ -49,9 +49,9 @@ def test_schedule_respects_streams_deps_capacity(m, n, streams):
     # Dependencies finish before dependents start.
     finish = {ev.node_id: ev.finish for ev in tl.launches}
     start = {ev.node_id: ev.start for ev in tl.launches}
-    for node in g.nodes:
-        for d in node.deps:
-            assert start[node.id] >= finish[d] - 1e-15
+    for task in tg.tasks():
+        for d in task.deps:
+            assert start[task.seq] >= finish[tg.task(d).seq] - 1e-15
     # Device capacity never exceeded (bodies only).
     assert tl.max_concurrent_weight() <= 1.0 + 1e-9
     # Overhead precedes the body within each launch.
@@ -60,31 +60,31 @@ def test_schedule_respects_streams_deps_capacity(m, n, streams):
 
 
 def test_single_stream_degenerates_to_serial_order():
-    g = caqr_launch_graph(1000, 192)
-    tl = list_schedule(g.nodes, C2050, streams=1)
-    evs = sorted(tl.launches, key=lambda e: e.node_id)
+    tg = emit_caqr_layers(1000, 192)
+    tl = list_schedule_graph(tg, C2050, streams=1)
+    evs = sorted(tl.launches, key=lambda e: e.start)
     for a, b in zip(evs, evs[1:]):
         assert b.start >= a.finish - 1e-15
 
 
 def test_occupancy_weight_bounds():
-    g = caqr_launch_graph(1000, 192)
-    for node in g.nodes:
-        w = occupancy_weight(node.spec, C2050)
+    tg = emit_caqr_layers(1000, 192)
+    for task in tg.tasks():
+        w = occupancy_weight(task.spec, C2050)
         assert 0.0 < w <= 1.0
 
 
 def test_makespan_at_least_longest_launch():
-    g = caqr_launch_graph(4096, 64)
-    tl = list_schedule(g.nodes, C2050, streams=4)
-    longest = max(time_launch(nd.spec, C2050).seconds for nd in g.nodes)
+    tg = emit_caqr_layers(4096, 64)
+    tl = list_schedule_graph(tg, C2050, streams=4)
+    longest = max(time_launch(t.spec, C2050).seconds for t in tg.tasks())
     assert tl.makespan >= longest
     assert 0.0 < tl.utilization() <= 1.0
 
 
 def test_invalid_stream_count():
-    g = caqr_launch_graph(256, 48)
+    tg = emit_caqr_layers(256, 48)
     with pytest.raises(ValueError):
-        list_schedule(g.nodes, C2050, streams=0)
+        list_schedule_graph(tg, C2050, streams=0)
     with pytest.raises(ValueError):
         simulate_caqr_overlap(256, 48, streams=0)

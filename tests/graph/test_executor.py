@@ -245,29 +245,31 @@ def test_threaded_runner_stress_runs_each_task_once_after_its_deps():
     import sys
     import threading
 
-    from repro.graph.executor import run_task_graph
-    from repro.graph.highlevel import TaskGraph
+    from repro.graph.executor import _execute
 
-    def random_graph(n, seed, log, lock, nested):
+    def random_dag(n, seed, log, lock, nested):
+        # Payloads in a topological order with positional deps, as the
+        # driver hands them over.
         rnd = random.Random(seed)
-        tg = TaskGraph(name=f"stress{seed}")
-        keys = []
+        fns, deps = [], []
         for i in range(n):
-            deps = rnd.sample(keys, min(len(keys), rnd.randint(0, 3)))
+            d_i = rnd.sample(range(i), min(i, rnd.randint(0, 3)))
 
-            def fn(i=i, deps=tuple(deps)):
+            def fn(i=i, d_i=tuple(d_i)):
                 with lock:
-                    assert all(d in log for d in deps), (i, deps)
+                    assert all(d in log for d in d_i), (i, d_i)
                     assert i not in log, i
                 if nested and i % 25 == 0:
                     inner_log: dict = {}
-                    run_task_graph(random_graph(20, i, inner_log, threading.Lock(), False), workers=3)
+                    inner = random_dag(20, i, inner_log, threading.Lock(), False)
+                    _execute(*inner, workers=3, threaded=True)
                     assert len(inner_log) == 20
                 with lock:
                     log[i] = True
 
-            keys.append(tg.add_task("work", i, fn, deps=deps))
-        return tg
+            fns.append(fn)
+            deps.append(d_i)
+        return fns, deps
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -278,7 +280,8 @@ def test_threaded_runner_stress_runs_each_task_once_after_its_deps():
         try:
             for seed in range(10):
                 log: dict = {}
-                run_task_graph(random_graph(120, seed, log, threading.Lock(), True), workers=8)
+                fns, deps = random_dag(120, seed, log, threading.Lock(), True)
+                _execute(fns, deps, workers=8, threaded=True)
                 logs.append(len(log))
         except BaseException as exc:  # surfaced below
             errors.append(exc)
@@ -292,3 +295,57 @@ def test_threaded_runner_stress_runs_each_task_once_after_its_deps():
     assert not th.is_alive(), "threaded runner hung"
     assert not errors, errors
     assert logs == [120] * 10
+
+
+def test_threaded_runner_surfaces_a_failure_once():
+    # One payload of a 3-worker run raises: the run returns, raising that
+    # exception once; the failed task's dependents never run their
+    # payloads; and the next run on the same shared pool completes every
+    # task.
+    import threading
+
+    from repro.graph.executor import _execute, _shared_pool
+
+    class Boom(RuntimeError):
+        pass
+
+    # 0 -> {1, 2, 3}; 3 -> {4, 5}; 4 -> 6; {1, 2} -> 7.
+    deps = [[], [0], [0], [0], [3], [3], [4], [1, 2]]
+    ran: set = set()
+    raised: list = []
+    lock = threading.Lock()
+
+    def payload(i):
+        def fn():
+            if i == 3:
+                raised.append(Boom("task 3"))
+                raise raised[-1]
+            with lock:
+                ran.add(i)
+
+        return fn
+
+    caught: list = []
+
+    def body():
+        try:
+            _execute([payload(i) for i in range(len(deps))], deps, workers=3, threaded=True)
+        except Boom as exc:
+            caught.append(exc)
+
+    th = threading.Thread(target=body)
+    th.start()
+    th.join(timeout=60)
+    assert not th.is_alive(), "a failed run must return"
+    assert len(raised) == 1 and caught == raised
+    assert not ran & {4, 5, 6}, ran
+
+    pool = _shared_pool(3)
+    done: list = []
+    _execute(
+        [lambda i=i: done.append(i) for i in range(len(deps))], deps, workers=3, threaded=True
+    )
+    assert sorted(done) == list(range(len(deps)))
+    assert _shared_pool(3) is pool
+    workers = [t for t in threading.enumerate() if t.name.startswith("repro-graph-3_")]
+    assert len(workers) <= 3

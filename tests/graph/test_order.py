@@ -2,9 +2,9 @@
 
 The order replaced implicit program-order scheduling, so these pin its
 contract: valid topological order over every producer's graphs,
-deterministic across runs / interpreters / hash seeds, annotation-aware,
-and — for the CAQR graph — collapsing back onto a single stream
-node-for-node with the serial launch DAG.
+deterministic across runs / interpreters / hash seeds / worker counts,
+annotation-aware, and — for the CAQR graph — collapsing back onto a
+single stream launch for launch.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.graph.dag import caqr_launch_graph, emit_caqr_layers, launch_graph_from_tasks
+from repro.graph.dag import emit_caqr_layers
 from repro.graph.highlevel import TaskGraph, producer
 from repro.graph.order import critical_path_lengths, order_fingerprint, static_order
 
@@ -31,8 +31,7 @@ def _producer_graphs():
     return {
         "caqr": producer("caqr")(4096, 128),
         "caqr_barrier": producer("caqr")(4096, 128, lookahead=False),
-        "rsvd": producer("rsvd")(800, 60, 8, power_iters=2),
-        "rpca_ialm": producer("rpca_ialm")(400, 30),
+        "streaming": producer("streaming")(40000, 64, 4096),
         "sharded": producer("sharded_reduction")(
             build_shard_schedule(8192, 64, shards=6, fanin=2)
         ),
@@ -78,8 +77,11 @@ class TestDeterminism:
         prog = (
             "from repro.graph.highlevel import producer\n"
             "from repro.graph.order import order_fingerprint\n"
+            "from repro.distributed.sharded import build_shard_schedule\n"
             "print(order_fingerprint(producer('caqr')(4096, 128)))\n"
-            "print(order_fingerprint(producer('rsvd')(800, 60, 8, power_iters=2)))\n"
+            "print(order_fingerprint(producer('sharded_reduction')"
+            "(build_shard_schedule(8192, 64, shards=6, fanin=2))))\n"
+            "print(order_fingerprint(producer('streaming')(40000, 64, 4096)))\n"
         )
         outs = []
         for seed in ("0", "1", "31337"):
@@ -96,27 +98,25 @@ class TestDeterminism:
         assert outs[0] == outs[1] == outs[2]
 
     def test_worker_count_does_not_change_execution_set(self):
-        # run_task_graph honors the same static order for any worker
-        # count — the executed sequence at workers=1 IS the static order,
-        # and a threaded run executes the same task set.
-        from repro.graph.executor import run_task_graph
+        # The driver's runner takes payloads in static order with
+        # positional deps: the executed sequence at workers=1 IS the
+        # static order, and a threaded run executes the same task set.
+        from repro.graph.executor import _execute
 
-        log: list = []
         tg = TaskGraph(name="probe")
-        keys = []
         prev = None
         for i in range(6):
-            deps = [prev] if prev is not None else []
-            prev = tg.add_task(
-                "work", ("t", i), (lambda i=i: log.append(("t", i))), deps=deps
-            )
-            keys.append(prev)
-        run_task_graph(tg, workers=1)
-        assert log == static_order(tg)
-        serial = list(log)
+            prev = tg.add_task("work", ("t", i), deps=[prev] if prev is not None else [])
+        order = static_order(tg)
+        pos = {key: k for k, key in enumerate(order)}
+        deps = [[pos[d] for d in tg.task(key).deps] for key in order]
+        log: list = []
+        fns = [lambda key=key: log.append(key) for key in order]
+        _execute(fns, deps, workers=1, threaded=False)
+        assert log == order
         log.clear()
-        run_task_graph(tg, workers=4)
-        assert log == serial  # a chain admits exactly one order
+        _execute(fns, deps, workers=4, threaded=True)
+        assert log == order  # a chain admits exactly one order
 
 
 class TestAnnotations:
@@ -192,31 +192,32 @@ class TestCAQRSerialMerge:
     @pytest.mark.parametrize("shape", [(2048, 128), (16384, 192)])
     @pytest.mark.parametrize("lookahead", [True, False])
     def test_single_stream_matches_serial_launch_dag(self, shape, lookahead):
-        from repro.gpusim import list_schedule_graph
+        from repro.gpusim import list_schedule_graph, time_launch
 
         m, n = shape
         tg = emit_caqr_layers(m, n, lookahead=lookahead)
-        lg = caqr_launch_graph(m, n, lookahead=lookahead)
         tl = list_schedule_graph(tg, streams=1)
-        # Node-for-node: every launch node appears exactly once.
-        assert sorted(ev.node_id for ev in tl.launches) == [
-            node.id for node in lg.nodes
-        ]
-        # The sequence respects the launch DAG's own dependencies.
+        # Launch for launch: every task appears exactly once.
+        assert sorted(ev.node_id for ev in tl.launches) == [t.seq for t in tg.tasks()]
+        # The sequence respects the graph's own dependencies.
         order = [ev.node_id for ev in sorted(tl.launches, key=lambda e: e.start)]
         pos = {nid: i for i, nid in enumerate(order)}
-        for node in lg.nodes:
-            for d in node.deps:
-                assert pos[d] < pos[node.id]
+        for t in tg.tasks():
+            for d in t.deps:
+                assert pos[tg.task(d).seq] < pos[t.seq]
         # One stream, back-to-back: the makespan is the serial runtime.
-        assert tl.makespan == pytest.approx(lg.serial_seconds(tl.device), rel=1e-12)
+        serial = sum(time_launch(t.spec, tl.device).seconds for t in tg.tasks())
+        assert tl.makespan == pytest.approx(serial, rel=1e-12)
 
     def test_lowering_preserves_node_identity(self):
-        from repro.graph.dag import REFERENCE_CONFIG
+        # Scheduling lowers each task to one launch that keeps the task's
+        # emission index as its node id and its spec's kernel and tag.
+        from repro.gpusim import list_schedule_graph
 
         tg = emit_caqr_layers(2048, 128)
-        lg = launch_graph_from_tasks(tg, REFERENCE_CONFIG, True)
-        assert len(lg.nodes) == len(tg)
-        for node, task in zip(lg.nodes, tg.tasks()):
-            assert node.id == task.seq
-            assert node.spec is task.spec
+        tl = list_schedule_graph(tg, streams=4)
+        by_seq = {t.seq: t for t in tg.tasks()}
+        assert sorted(ev.node_id for ev in tl.launches) == sorted(by_seq)
+        for ev in tl.launches:
+            task = by_seq[ev.node_id]
+            assert (ev.kernel, ev.tag) == (task.spec.kernel, task.spec.tag)

@@ -136,12 +136,13 @@ class TestEndToEndPipelines:
 
     def test_rpca_with_custom_qr_engine(self, rng):
         """The full Table II wiring: RPCA whose SVD runs through CAQR."""
+        from repro.core.caqr import caqr_qr
         from repro.core.jacobi_svd import jacobi_svd
         from repro.core.ts_svd import tall_skinny_svd
         from repro.rpca import generate_video, rpca_ialm
 
         def caqr_svd(X):
-            return tall_skinny_svd(X, qr="caqr", svd_small=jacobi_svd)
+            return tall_skinny_svd(X, qr=caqr_qr, svd_small=jacobi_svd)
 
         v = generate_video(height=12, width=16, n_frames=15, seed=9)
         res = rpca_ialm(v.M, tol=1e-5, max_iter=60, svd=caqr_svd)

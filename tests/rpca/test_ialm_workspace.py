@@ -78,6 +78,10 @@ def _chunk_rows(n):
     return ialm.CHUNK_BYTES // (n * 8)
 
 
+def _lapack_svd(A):
+    return np.linalg.svd(A, full_matrices=False)
+
+
 def _assert_same(result, ref):
     L, S, residuals, ranks = ref
     assert result.residuals == residuals
@@ -116,11 +120,8 @@ def test_svd_override_bits():
     m, n = 2 * _chunk_rows(16) + 9, 16
     M = _low_rank_plus_sparse(m, n, seed=2)
 
-    def lapack_svd(A):
-        return np.linalg.svd(A, full_matrices=False)
-
-    _assert_same(rpca_ialm(M, tol=0.0, max_iter=4, svd=lapack_svd),
-                 _reference(M, 4, svd=lapack_svd))
+    _assert_same(rpca_ialm(M, tol=0.0, max_iter=4, svd=_lapack_svd),
+                 _reference(M, 4, svd=_lapack_svd))
 
 
 def test_adaptive_svt_override_bits():
@@ -128,12 +129,6 @@ def test_adaptive_svt_override_bits():
     M = _low_rank_plus_sparse(m, n, seed=3)
     _assert_same(rpca_ialm(M, tol=0.0, max_iter=6, svt=AdaptiveSVT(seed=4)),
                  _reference(M, 6, svt=AdaptiveSVT(seed=4)))
-
-
-def test_graph_engine_bits():
-    m, n = 3 * _chunk_rows(12) + 17, 12
-    M = _low_rank_plus_sparse(m, n, seed=5)
-    _assert_same(rpca_ialm(M, tol=0.0, max_iter=4, engine="graph"), _reference(M, 4))
 
 
 def test_svt_returning_its_input_keeps_l():
@@ -148,22 +143,31 @@ def test_svt_returning_its_input_keeps_l():
     _assert_same(rpca_ialm(M, tol=0.0, max_iter=3, svt=echo), _reference(M, 3, svt=echo))
 
 
-@pytest.mark.parametrize("engine", ["direct", "graph"])
-def test_input_untouched_and_outputs_unaliased(engine):
+# The SVT routes of the loop: the default QR -> Jacobi SVT run inline
+# on the workspace, an ``svd=`` override and an ``svt=`` override.
+ROUTES = {
+    "direct": lambda: {},
+    "svd_override": lambda: {"svd": _lapack_svd},
+    "svt_override": lambda: {"svt": AdaptiveSVT(seed=4)},
+}
+
+
+@pytest.mark.parametrize("route", list(ROUTES))
+def test_input_untouched_and_outputs_unaliased(route):
     M = _low_rank_plus_sparse(2 * _chunk_rows(10) + 1, 10, seed=7)
     before = M.copy()
-    res = rpca_ialm(M, tol=0.0, max_iter=3, engine=engine)
+    res = rpca_ialm(M, tol=0.0, max_iter=3, **ROUTES[route]())
     assert np.array_equal(M, before)
     assert not np.shares_memory(res.L, M)
     assert not np.shares_memory(res.S, M)
     assert not np.shares_memory(res.L, res.S)
 
 
-@pytest.mark.parametrize("engine", ["direct", "graph"])
-def test_wide_input_is_the_transposed_solve(engine):
+@pytest.mark.parametrize("route", list(ROUTES))
+def test_wide_input_is_the_transposed_solve(route):
     M = _low_rank_plus_sparse(900, 30, seed=8)
-    tall = rpca_ialm(M, tol=0.0, max_iter=4, engine=engine)
-    wide = rpca_ialm(M.T, tol=0.0, max_iter=4, engine=engine)
+    tall = rpca_ialm(M, tol=0.0, max_iter=4, **ROUTES[route]())
+    wide = rpca_ialm(M.T, tol=0.0, max_iter=4, **ROUTES[route]())
     assert wide.L.shape == wide.S.shape == (30, 900)
     assert wide.residuals == tall.residuals and wide.ranks == tall.ranks
     assert np.array_equal(wide.L, tall.L.T)

@@ -8,7 +8,6 @@ import pytest
 from repro.rpca.ialm import rpca_ialm
 from repro.rpca.shrinkage import shrink
 from repro.rpca.svt import singular_value_threshold
-from repro.rpca.video import generate_video
 
 
 class TestShrink:
@@ -170,25 +169,3 @@ class TestRPCA:
 
         rpca_ialm(rng.standard_normal((30, 10)), max_iter=3, tol=0.0, svd=probe_svd)
         assert len(calls) == 3
-
-    def test_graph_engine_bit_identical_at_video_shape(self):
-        # 3072 x 72: wider than the 64-row default request, so TSQR runs
-        # 2304-row level-0 blocks (one full block plus a 768-row tail).
-        M = generate_video(48, 64, 72, seed=0).M
-        direct = rpca_ialm(M, tol=0.0, max_iter=4)
-        graph = rpca_ialm(M, tol=0.0, max_iter=4, engine="graph")
-        assert graph.residuals == direct.residuals and graph.ranks == direct.ranks
-        assert np.array_equal(graph.L, direct.L) and np.array_equal(graph.S, direct.S)
-
-    def test_graph_qr_task_separates_factor_from_q(self):
-        from repro import obs
-
-        M = generate_video(48, 64, 72, seed=0).M
-        with obs.capture() as session:
-            rpca_ialm(M, tol=0.0, max_iter=2, engine="graph")
-        t = session.trace
-        qr_tasks = [s for s in t.spans if s.name == "qr"]
-        assert len(qr_tasks) == 2
-        for task in qr_tasks:
-            names = [c.name for c in t.children(task.id)]
-            assert "plan.factor" in names and "tsqr.form_q" in names

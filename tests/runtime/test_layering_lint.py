@@ -229,6 +229,45 @@ def test_removed_entry_points_are_gone():
     assert not hasattr(repro.runtime.policy.ExecutionPolicy, "from_legacy")
 
 
+def test_bound_graph_engines_are_gone():
+    # One structural task graph and one way to run each pipeline: the
+    # positional launch graph, the bound engines and their runner are
+    # deleted, and their options are refused.
+    import numpy as np
+
+    import repro.core.randomized_svd
+    import repro.core.ts_svd
+    import repro.gpusim.concurrent
+    import repro.graph
+    import repro.graph.dag
+    import repro.graph.executor
+    import repro.streaming
+    from repro.graph.executor import build_lookahead_schedule, emit_lookahead_layers
+    from repro.graph.highlevel import PRODUCERS, Task, TaskGraph
+    from repro.rpca.ialm import rpca_ialm
+    from repro.runtime import ExecutionPolicy
+
+    for name in ("LaunchGraph", "LaunchNode", "caqr_launch_graph", "launch_graph_from_tasks"):
+        assert not hasattr(repro.graph, name) and not hasattr(repro.graph.dag, name)
+    assert not hasattr(repro.graph.executor, "run_task_graph")
+    assert not hasattr(repro.gpusim.concurrent, "list_schedule")
+    for name in ("randomized_svd_graph", "emit_rsvd_layers"):
+        assert not hasattr(repro.core.randomized_svd, name)
+    assert not hasattr(repro.streaming, "run_streaming_graph")
+    assert not hasattr(repro.core.ts_svd, "QR_ENGINES")
+    assert "fn" not in Task.__dataclass_fields__
+    with pytest.raises(TypeError, match="fn"):
+        TaskGraph().add_task("work", "k", fn=lambda: None)
+    assert "rsvd" not in PRODUCERS and "rpca_ialm" not in PRODUCERS
+    with pytest.raises(ImportError):
+        import repro.rpca.graphs  # noqa: F401
+    with pytest.raises(TypeError, match="engine"):
+        rpca_ialm(np.eye(4), engine="graph")
+    sched = build_lookahead_schedule(64, 8, ExecutionPolicy(path="lookahead"))
+    with pytest.raises(TypeError, match="bind"):
+        emit_lookahead_layers(sched, bind=[])
+
+
 class TestQueueRuleEndToEnd:
     """Inject a real violation into a synthetic repo tree and run the
     lint's main(): the violation outside ``repro.serving`` must be
@@ -371,16 +410,16 @@ class TestGraphRuleEndToEnd:
         ok = tmp_path / "src" / "repro" / "graph"
         ok.mkdir(parents=True)
         (ok / "dag.py").write_text("tg = TaskGraph(name='caqr')\n")
-        producer = tmp_path / "src" / "repro" / "rpca"
+        producer = tmp_path / "src" / "repro" / "streaming"
         producer.mkdir(parents=True)
-        (producer / "graphs.py").write_text("tg = TaskGraph(name='rpca_ialm')\n")
+        (producer / "graphs.py").write_text("tg = TaskGraph(name='streaming')\n")
         rc, out = self._run_main(tmp_path, monkeypatch, capsys)
         assert rc == 1
         assert "src/repro/serving/rogue.py:2" in out
         assert "outside repro.graph" in out
         assert "PRODUCERS" in out
         assert "graph/dag.py" not in out
-        assert "rpca/graphs.py" not in out
+        assert "streaming/graphs.py" not in out
 
     def test_graph_only_tree_is_clean(self, tmp_path, monkeypatch, capsys):
         ok = tmp_path / "src" / "repro" / "graph"
@@ -650,7 +689,7 @@ class TestApplicationQRRule:
         lint_layering = self._lint()
         files = {
             "src/repro/rpca/svt.py": "from repro.core.tsqr import tsqr_qr\n",
-            "src/repro/rpca/graphs.py": "import numpy as np\nfrom ..core import tsqr\n",
+            "src/repro/rpca/online.py": "import numpy as np\nfrom ..core import tsqr\n",
             "src/repro/core/ts_svd.py": "from .tsqr import tsqr_qr\n",
             "benchmarks/bench_svd.py": "from repro.core.tsqr import tsqr, tsqr_qr\n",
         }
@@ -662,7 +701,7 @@ class TestApplicationQRRule:
         assert lint_layering.main() == 1
         out = capsys.readouterr().out
         assert "src/repro/rpca/svt.py:1: tsqr_qr" in out
-        assert "src/repro/rpca/graphs.py:2: tsqr" in out
+        assert "src/repro/rpca/online.py:2: tsqr" in out
         assert "get the QR from a plan" in out
         assert "core/ts_svd.py" not in out and "bench_svd.py" not in out
         assert "2 violation(s)" in out

@@ -18,7 +18,6 @@ from repro.core.validation import sign_canonical
 from repro.runtime import ExecutionPolicy, plan_qr
 from repro.streaming import (
     build_stream_schedule,
-    run_streaming_graph,
     run_streaming_matrix,
     stream_qr,
 )
@@ -174,24 +173,6 @@ class TestPolicyAndPlan:
 
 
 class TestGraphProducer:
-    def test_graph_r_is_bit_identical(self, rng):
-        cases = [
-            # One panel per chunk, so no chunk runs a trailing update.
-            (rng.standard_normal((50, 7)), 12),
-            # Three 16-wide panels per chunk (trailing updates inside
-            # every chunk) and an 8-row ragged tail.
-            (rng.standard_normal((200, 40)), 64),
-            (rng.standard_normal((90, 20)).astype(np.float32), 32),
-        ]
-        for A, chunk_rows in cases:
-            pol = spolicy(chunk_rows)
-            direct = run_streaming_matrix(A, pol, retain_q=False)
-            assert direct.R.dtype == A.dtype
-            for workers in (1, 3):
-                assert np.array_equal(
-                    run_streaming_graph(A, pol, workers=workers).R, direct.R
-                ), (A.shape, A.dtype, workers)
-
     def test_registered_producer(self):
         from repro.graph.highlevel import PRODUCERS
 

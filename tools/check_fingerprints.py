@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """CI launch-fingerprint drift gate for every execution path.
 
-Three fingerprint families, all pure shape arithmetic:
+The fingerprint families, all pure shape arithmetic:
 
 * **Serial launch stream** (``seed`` / ``structured``) —
   :func:`repro.verify.invariants.launch_fingerprint`, the SHA-256 of the
@@ -27,12 +27,10 @@ Three fingerprint families, all pure shape arithmetic:
   ``plan_qr`` for the reference shard count (4, binomial fan-in).  A
   moved pin means the row partition or tree changed — which silently
   changes which R the "bit-identical" contract pins.
-* **Task-graph layers** (``rsvd_graph`` / ``sharded_graph``) —
-  :meth:`repro.graph.highlevel.TaskGraph.fingerprint` of the rSVD
-  pipeline and the sharded-reduction rounds compiled by their registered
-  producers.  The hash covers layers, keys, deps and annotations but
-  never the numeric payloads, so the structural (unbound) emission pins
-  exactly what the bound execution runs.
+* **Task-graph layers** (``sharded_graph``) —
+  :meth:`repro.graph.highlevel.TaskGraph.fingerprint` of the
+  sharded-reduction rounds compiled by their registered producer.  The
+  hash covers layers, keys, deps and annotations.
 * **Streaming chunk pipeline** (``streaming``) —
   :meth:`repro.graph.highlevel.TaskGraph.fingerprint` of the
   out-of-core chunk/factor/fold layers compiled by
@@ -43,7 +41,7 @@ Three fingerprint families, all pure shape arithmetic:
 * **Static order** (``caqr_order``) —
   :func:`repro.graph.order.order_fingerprint` of the CAQR task graph:
   the deterministic critical-path-aware total order every consumer
-  (serial runner, threaded executor, stream scheduler) issues from.  A
+  (the look-ahead driver, the stream scheduler) issues from.  A
   moved pin means the ordering pass changed its mind — which is a
   scheduling change even when the graph itself did not move.
 
@@ -100,8 +98,6 @@ CHOLQR_PATHS = {
 }
 # name -> (shards, fanin); the reference sharded configuration.
 SHARDED_PATHS = {"sharded": (4, 2)}
-# name -> (k, oversample, power_iters); the rSVD pipeline-graph pin.
-RSVD_GRAPH_PATHS = {"rsvd_graph": (8, 8, 1)}
 # name -> (shards, fanin); the sharded-reduction layer pin (same
 # reference configuration as the schedule pin above, hashed as layers).
 SHARDED_GRAPH_PATHS = {"sharded_graph": (4, 2)}
@@ -116,13 +112,6 @@ def _sharded_fingerprint(m: int, n: int, shards: int, fanin: int) -> str:
     from repro.distributed.sharded import build_shard_schedule
 
     return build_shard_schedule(m, n, shards, fanin).fingerprint()
-
-
-def _rsvd_graph_fingerprint(m: int, n: int, k: int, oversample: int, power: int) -> str:
-    """SHA-256 of the (unbound) rSVD pipeline task graph."""
-    from repro.core.randomized_svd import emit_rsvd_layers
-
-    return emit_rsvd_layers(m, n, k, oversample, power).fingerprint()
 
 
 def _sharded_graph_fingerprint(m: int, n: int, shards: int, fanin: int) -> str:
@@ -206,11 +195,6 @@ def compute_fingerprints() -> dict:
     for path, (shards, fanin) in SHARDED_PATHS.items():
         out[path] = {
             f"{m}x{n}": _sharded_fingerprint(m, n, shards, fanin)
-            for m, n in SHAPES
-        }
-    for path, (k, oversample, power) in RSVD_GRAPH_PATHS.items():
-        out[path] = {
-            f"{m}x{n}": _rsvd_graph_fingerprint(m, n, k, oversample, power)
             for m, n in SHAPES
         }
     for path, (shards, fanin) in SHARDED_GRAPH_PATHS.items():

@@ -168,8 +168,6 @@ COMM_EXEMPT = ("src/repro/distributed/",)
 # tests/runtime/test_layering_lint.py::test_graph_exemptions_cover_producers).
 GRAPH_EXEMPT = (
     "src/repro/graph/",
-    "src/repro/core/randomized_svd.py",
-    "src/repro/rpca/graphs.py",
     "src/repro/distributed/sharded.py",
     "src/repro/streaming/graphs.py",
 )
