@@ -66,22 +66,21 @@ def test_disabled_tracing_overhead_under_budget(archive):
     site_cost = _disabled_site_cost()
     lines = [f"disabled-tracer overhead budget ({M}x{N}, {BUDGET:.0%} cap)"]
     lines.append(f"  per-site disabled cost: {site_cost * 1e9:8.1f} ns")
-    for path, kw in [("batched", {}), ("lookahead", {"workers": 3})]:
-        policy = _policy(path, **kw)
-        sites = _sites_per_call(A, policy)
-        assert not obs.enabled()
-        seconds = _best_time(lambda: caqr(A, policy=policy))
-        overhead = sites * site_cost
-        share = overhead / seconds
-        lines.append(
-            f"  {path:<10} {sites:5d} sites x {site_cost * 1e9:6.1f} ns "
-            f"= {overhead * 1e6:8.1f} us over {seconds * 1e3:8.2f} ms "
-            f"-> {share:.3%}"
-        )
-        assert share < BUDGET, (
-            f"{path}: disabled instrumentation costs {share:.2%} of a "
-            f"{seconds * 1e3:.1f} ms factorization (budget {BUDGET:.0%})"
-        )
+    policy = _policy("batched")
+    sites = _sites_per_call(A, policy)
+    assert not obs.enabled()
+    seconds = _best_time(lambda: caqr(A, policy=policy))
+    overhead = sites * site_cost
+    share = overhead / seconds
+    lines.append(
+        f"  {policy.path:<10} {sites:5d} sites x {site_cost * 1e9:6.1f} ns "
+        f"= {overhead * 1e6:8.1f} us over {seconds * 1e3:8.2f} ms "
+        f"-> {share:.3%}"
+    )
+    assert share < BUDGET, (
+        f"{policy.path}: disabled instrumentation costs {share:.2%} of a "
+        f"{seconds * 1e3:.1f} ms factorization (budget {BUDGET:.0%})"
+    )
     archive("bench_obs_overhead", "\n".join(lines))
 
 

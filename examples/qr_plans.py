@@ -24,7 +24,7 @@ def main() -> None:
     rng = np.random.default_rng(0)
     m, n = 40_000, 64
 
-    # One policy object names the path, the geometry and the workers.
+    # One policy object names the path and the geometry.
     policy = ExecutionPolicy(path="lookahead", panel_width=16, block_rows=64)
 
     plan = plan_qr(m, n, policy=policy)

@@ -68,7 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument(
         "--path", type=str, default="batched", choices=PATH_NAMES, help="execution path"
     )
-    pl.add_argument("--workers", type=int, default=None, help="look-ahead worker count")
     pl.add_argument(
         "--shards", type=int, default=None, help="sharded rank count (path=sharded)"
     )
@@ -92,7 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument(
         "--policy", type=str, default="batched", choices=PATH_NAMES, help="execution path"
     )
-    tr.add_argument("--workers", type=int, default=None, help="look-ahead worker count")
     tr.add_argument("--seed", type=int, default=0, help="matrix RNG seed")
     tr.add_argument(
         "--out", type=str, default=None, help="Chrome trace_event JSON output path"
@@ -185,8 +183,7 @@ def _cmd_trace(args, parser) -> int:
     # The overlay compares with the modeled timeline, so the run takes the
     # modeled config's panel width (unset, a tall look-ahead run would be
     # one panel with no update phase to compare).
-    policy = _policy(parser, path=args.policy, workers=args.workers,
-                     panel_width=REFERENCE_CONFIG.panel_width)
+    policy = _policy(parser, path=args.policy, panel_width=REFERENCE_CONFIG.panel_width)
     A = np.random.default_rng(args.seed).standard_normal((m, n))
     with obs.capture(meta={"shape": f"{m}x{n}", "path": policy.path}) as session:
         plan = plan_qr(m, n, policy=policy)
@@ -293,7 +290,6 @@ def main(argv: list[str] | None = None) -> int:
         policy = _policy(
             parser,
             path=args.path,
-            workers=args.workers,
             shards=args.shards,
             fanin=args.fanin,
             interconnect=args.interconnect,

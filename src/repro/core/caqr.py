@@ -56,10 +56,9 @@ class CAQRFactors:
     columns at or right of its ``col_start``: the columns to its left
     are identity columns, zero in every row ``p`` touches, so the result
     equals ``apply_q(I)`` to roundoff, but not bit for bit, because a
-    GEMM's blocking depends on how many columns it is given.  A plan and
-    a direct call, threaded and serial runs, and a serving stack run the
-    same rule on the same operands, so each of those pairs is
-    bit-identical.
+    GEMM's blocking depends on how many columns it is given.  A plan, a
+    direct call and a serving stack run the same rule on the same
+    operands, so they are bit-identical.
     """
 
     m: int
@@ -69,7 +68,6 @@ class CAQRFactors:
     tree_shape: str
     panels: list[PanelFactor]
     R: np.ndarray  # min(m, n) x n upper trapezoidal
-    workers: int = 1
 
     def _check(self, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         B = as_float_array(B)

@@ -28,8 +28,7 @@ _RSVD_DEFAULT = ExecutionPolicy(block_rows=256)
 
 
 def _tsqr_q(Y: np.ndarray, policy: ExecutionPolicy) -> np.ndarray:
-    """Explicit TSQR Q under ``policy``, threading its column formation
-    when the policy carries workers.
+    """Explicit TSQR Q under ``policy``.
 
     Internal only — the caller validated its input already, so this goes
     straight to :func:`~repro.core.tsqr._tsqr_impl` (no guard re-scan).
@@ -41,10 +40,6 @@ def _tsqr_q(Y: np.ndarray, policy: ExecutionPolicy) -> np.ndarray:
         structured=policy.uses_structured,
         batched=policy.uses_batched,
     )
-    if policy.effective_workers > 1:
-        from repro.graph.executor import form_q_columns
-
-        return form_q_columns(f, workers=policy.effective_workers)
     return f.form_q()
 
 
@@ -88,9 +83,8 @@ def randomized_range_finder(
 
     ``Q = tsqr_qr(A @ Omega)`` with Gaussian ``Omega`` and optional
     power iterations (each one re-orthogonalized through TSQR for
-    stability).  A ``policy`` with ``workers > 1`` threads the explicit-Q
-    formation through :func:`repro.graph.executor.form_q_columns`.  The
-    SVD pipeline computes in float64 regardless of input precision.
+    stability).  The SVD pipeline computes in float64 regardless of input
+    precision.
     """
     policy = policy if policy is not None else _RSVD_DEFAULT
     A = validate_matrix(

@@ -136,29 +136,35 @@ def _earliest_capacity_start(
     return max((ev.finish for ev in placed), default=t0)
 
 
-def list_schedule_graph(tg, dev: DeviceSpec = C2050, streams: int = 4) -> ConcurrentTimeline:
+def list_schedule_graph(
+    tg, dev: DeviceSpec = C2050, streams: int = 4, order=None
+) -> ConcurrentTimeline:
     """Greedy list schedule of a :class:`~repro.graph.highlevel.TaskGraph`.
 
     Launches are issued in the graph's *static order* (the
     critical-path-aware pass from :mod:`repro.graph.order`) rather than
     emission order, so long dependency chains start as early as the
-    stream model allows.  Per-layer ``stream`` annotations pin tasks to
+    stream model allows; ``order`` is that order when the caller has
+    already computed it.  Per-layer ``stream`` annotations pin tasks to
     a stream (modulo ``streams``); unannotated layers take the
     earliest-available stream.  Every task must carry a
     :class:`LaunchSpec`; ``node_id`` in the returned timeline is the
     task's emission index.
     """
-    # Deferred: repro.graph sits above gpusim in the layering; importing
-    # it lazily keeps this module importable on its own and breaks the
-    # import cycle (graph.dag imports gpusim.launch at module scope).
-    from repro.graph.order import static_order
-
     if streams < 1:
         raise ValueError("streams must be >= 1")
+    if order is None:
+        # Deferred: repro.graph sits above gpusim in the layering;
+        # importing it lazily keeps this module importable on its own and
+        # breaks the import cycle (graph.dag imports gpusim.launch at
+        # module scope).
+        from repro.graph.order import static_order
+
+        order = static_order(tg)
     tl = ConcurrentTimeline(device=dev, streams=streams)
     finish: dict = {}
     stream_free = [0.0] * streams
-    for key in static_order(tg):
+    for key in order:
         task = tg.task(key)
         if task.spec is None:
             raise ValueError(f"task {key!r} has no launch spec; cannot schedule")

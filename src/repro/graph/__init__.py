@@ -22,12 +22,12 @@ subsystem makes those dependencies explicit, in one structural form:
   concurrent streams with :mod:`repro.gpusim.concurrent` and reports
   modeled overlap seconds next to serial seconds and the critical path.
 * :mod:`repro.graph.executor` — the look-ahead CAQR driver: it runs its
-  own task closures in its graph's static order, serially or on a
-  dependency-counting thread pool, bit-identically either way.
+  panel factors and trailing updates on one thread, in its graph's
+  static order.
 """
 
 from .dag import emit_caqr_layers
-from .executor import emit_lookahead_layers, form_q_columns
+from .executor import emit_lookahead_layers
 from .highlevel import PRODUCERS, Layer, LayerAnnotations, Task, TaskGraph, producer, producers
 from .order import critical_path_lengths, order_fingerprint, static_order
 from .overlap import OverlapResult, simulate_caqr_overlap
@@ -35,7 +35,6 @@ from .overlap import OverlapResult, simulate_caqr_overlap
 __all__ = [
     "emit_caqr_layers",
     "emit_lookahead_layers",
-    "form_q_columns",
     "PRODUCERS",
     "Layer",
     "LayerAnnotations",

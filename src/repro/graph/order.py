@@ -1,23 +1,24 @@
 """Deterministic static ordering for :class:`~repro.graph.highlevel.TaskGraph`.
 
 The pass that replaces implicit program-order scheduling: given a task
-graph, produce one total order that every consumer (the look-ahead
-driver, serially or on its thread pool, the critical-path walk and the
-multi-stream list scheduler) uses.  Dask's ``order.py`` solves the same problem for its schedulers;
-ours is smaller because our graphs are regular, but the contract is the
-same — the order is a function of graph *structure* only:
+graph, produce one total order that every consumer (the critical-path
+walk and the multi-stream list scheduler) uses.  The look-ahead driver's
+task list is a chain, which this order leaves as it is.  Dask's
+``order.py`` solves the same problem for its schedulers; ours is smaller
+because our graphs are regular, but the contract is the same — the
+order is a function of graph *structure* only:
 
 * it is a valid topological order (dependencies strictly precede
   dependents);
-* it is deterministic across runs, interpreters and worker counts —
-  no hash randomization leaks in because keys are compared only via
-  each task's integer emission index;
+* it is deterministic across runs and interpreters — no hash
+  randomization leaks in because keys are compared only via each task's
+  integer emission index;
 * among ready tasks it prefers, in order: higher layer ``priority``
   (the look-ahead edge: panel factors outrank trailing updates), longer
   critical path to a sink (finish load-bearing chains first so the
-  thread pool / stream scheduler always has work), then earlier
-  emission (the program-order tiebreak that keeps regular graphs in
-  their natural sweep).
+  stream scheduler always has work), then earlier emission (the
+  program-order tiebreak that keeps regular graphs in their natural
+  sweep).
 
 Costs come from :meth:`TaskGraph.ordering_cost` (explicit task cost,
 else layer annotation, else 1.0) — deliberately *not* from the gpusim

@@ -83,9 +83,9 @@ def simulate_caqr_overlap(
     """Model CAQR on ``streams`` concurrent streams.
 
     Emits the panel/tree/trailing task graph (look-ahead edges by
-    default), list-schedules it in static order for every stream count
-    ``2..streams``, and returns the result alongside the serial
-    reference produced by the untouched
+    default), computes its static order once, list-schedules it in that
+    order for every stream count ``2..streams``, and returns the result
+    alongside the serial reference produced by the untouched
     :func:`~repro.caqr_gpu.simulate_caqr`.
     """
     if streams < 1:
@@ -94,8 +94,9 @@ def simulate_caqr_overlap(
     tg = emit_caqr_layers(m, n, cfg, dev, lookahead=lookahead)
     # Critical path: the longest dependency chain under the modeled
     # launch durations, the bound no number of streams can beat.
+    order = static_order(tg)
     finish: dict = {}
-    for key in static_order(tg):
+    for key in order:
         task = tg.task(key)
         start = max((finish[d] for d in task.deps), default=0.0)
         finish[key] = start + time_launch(task.spec, dev).seconds
@@ -112,7 +113,7 @@ def simulate_caqr_overlap(
     )
     best_tl: ConcurrentTimeline | None = None
     for s in range(2, streams + 1):
-        tl = list_schedule_graph(tg, dev, streams=s)
+        tl = list_schedule_graph(tg, dev, streams=s, order=order)
         res.makespans[s] = tl.makespan
         if best_tl is None or tl.makespan < best_tl.makespan:
             best_tl = tl

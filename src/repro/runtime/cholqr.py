@@ -160,7 +160,7 @@ class CholQRGuard:
         raise CholeskyBreakdownError(
             f"cholqr2 guard: {stage} = {value:.3g} exceeds the limit {limit:.3g} "
             f"(input too ill-conditioned for the CholeskyQR2 fast path; use "
-            f"path='auto' or path='lookahead')",
+            f"path='auto' or path='batched')",
             stage=stage,
             condest=value,
         )
@@ -228,7 +228,7 @@ def _fallback_schedule(m: int, n: int, policy: ExecutionPolicy):
 
     from repro.graph.executor import build_lookahead_schedule
 
-    tree_policy = replace(policy, path="lookahead", condition_limit=None)
+    tree_policy = replace(policy, path="batched", condition_limit=None)
     return build_lookahead_schedule(m, n, tree_policy)
 
 

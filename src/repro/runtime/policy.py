@@ -1,16 +1,15 @@
 """Execution policies for the CAQR/TSQR stack.
 
 An :class:`ExecutionPolicy` is the single source of truth for *how* a
-factorization runs: which execution path, what panel/tree geometry, how
-many workers, which non-finite policy, and which modeled device/kernel
-configuration the cost model should use.  Every entry point takes it as
+factorization runs: which execution path, what panel/tree geometry,
+which non-finite policy, and which modeled device/kernel configuration
+the cost model should use.  Every entry point takes it as
 ``policy=``; a direct call such as ``caqr(A, policy=p)`` is
 ``plan_qr(m, n, A.dtype, p).factor(A)``.
 
 Path names and engines
 ----------------------
-Ten path names select five engines (two instances of the look-ahead
-one: ``batched`` without ``workers``).  Each engine supplies everything a
+Ten path names select five engines.  Each engine supplies everything a
 :class:`~repro.runtime.plan.QRPlan` does with a path — its plan build,
 ``factor``, ``simulate``, ``task_graph``, the extras ``describe`` prints
 — and the policy fields it requires or permits, which
@@ -22,19 +21,16 @@ each name below is followed by its engine.
 ``seed`` (serial)
     The per-node reference implementation, kept as the correctness
     oracle and benchmark baseline.
-``batched`` (lookahead, one worker)
+``batched`` (lookahead)
     The default: the look-ahead engine's driver
-    (:func:`repro.graph.executor.run_lookahead_schedule`) at one worker,
-    under its panel rule (one panel on a tall matrix, 16 columns on a
-    wide one).  It refuses ``workers > 1`` and is the one path the
-    serving coalescer stacks (``coalescable``).
+    (:func:`repro.graph.executor.run_lookahead_schedule`), under its
+    panel rule (one panel on a tall matrix, 16 columns on a wide one).
+    It is the one path the serving coalescer stacks (``coalescable``).
 ``structured`` (serial)
     Batched execution with the sparsity-exploiting stacked-triangle
     tree elimination.
 ``lookahead`` (lookahead)
-    The same driver with ``workers``: it sets the column tiling /
-    thread-pool width, and ``lookahead_edge`` selects the look-ahead
-    dependency edge vs the panel barrier.
+    The same engine under its own name (not coalescable).
 ``seed_structured`` (serial)
     The oracle combination of the seed loop with the structured tree —
     used by the parity tests; not a production path.
@@ -49,7 +45,7 @@ each name below is followed by its engine.
     orthogonality.  Guarded at the float32 condition limit.
 ``auto`` (cholqr)
     Adaptive: runs ``cholqr2`` when a cheap condition estimate admits
-    it and transparently falls back to ``lookahead`` otherwise
+    it and transparently falls back to the look-ahead engine otherwise
     (including on Cholesky breakdown mid-factorization).  Never
     raises on ill-conditioned input; ``condition_limit`` overrides the
     guard threshold.
@@ -77,7 +73,7 @@ from typing import Any
 from repro.verify.guards import validate_nonfinite_policy
 
 __all__ = [
-    "BATCHED", "CHOLQR", "CHOLQR_PATHS", "ENGINES", "LOOKAHEAD", "PATHS", "PATH_NAMES",
+    "CHOLQR", "CHOLQR_PATHS", "ENGINES", "LOOKAHEAD", "PATHS", "PATH_NAMES",
     "SERIAL", "SHARDED", "STREAMING", "Engine", "ExecutionPolicy", "PathSpec",
 ]
 
@@ -136,10 +132,7 @@ class Engine:
         from repro.graph.dag import emit_caqr_layers
 
         p = plan.policy
-        return emit_caqr_layers(
-            plan.m, plan.n, p.resolved_config(), p.resolved_device(),
-            lookahead=p.lookahead_edge,
-        )
+        return emit_caqr_layers(plan.m, plan.n, p.resolved_config(), p.resolved_device())
 
     def panels(self, plan) -> tuple:
         from repro.runtime.plan import _panel_specs
@@ -168,9 +161,6 @@ class _Serial(Engine):
 
 
 class _Lookahead(Engine):
-    def __init__(self, permits: tuple[str, ...]) -> None:
-        self.permits = permits
-
     def panel_width(self, policy, m, n):
         # Unset on a tall matrix: one full-width panel, which is TSQR of
         # the whole matrix (no trailing update).  On a 2-core Xeon it beat
@@ -195,9 +185,6 @@ class _Lookahead(Engine):
         from repro.graph.executor import emit_lookahead_layers
 
         return emit_lookahead_layers(plan._schedule)
-
-    def detail(self, policy):
-        return f" (workers={policy.effective_workers})" if self.permits else ""
 
 
 class _CholQR(Engine):
@@ -376,11 +363,8 @@ class _Streaming(Engine):
         return f" (chunk_rows={policy.chunk_rows})"
 
 
-# ``batched`` is the look-ahead engine at one worker: the same driver,
-# with ``workers`` refused.
-SERIAL, BATCHED, LOOKAHEAD, CHOLQR, SHARDED, STREAMING = ENGINES = (
-    _Serial(), _Lookahead(permits=()), _Lookahead(permits=("workers",)), _CholQR(),
-    _Sharded(), _Streaming(),
+SERIAL, LOOKAHEAD, CHOLQR, SHARDED, STREAMING = ENGINES = (
+    _Serial(), _Lookahead(), _CholQR(), _Sharded(), _Streaming(),
 )
 
 
@@ -394,8 +378,7 @@ class PathSpec:
         structured: stacked-triangle tree elimination.
         mixed: float32 first-pass Gram (CholeskyQR2).
         fallback: guard refusals fall back to the look-ahead tree
-            instead of raising, so the path also permits what the
-            look-ahead engine permits.
+            instead of raising.
         coalescable: the serving layer's stacked arithmetic reproduces
             this path bit for bit.
     """
@@ -409,13 +392,12 @@ class PathSpec:
 
     @property
     def permits(self) -> tuple[str, ...]:
-        extra = LOOKAHEAD.permits if self.fallback else ()
-        return self.engine.required + self.engine.permits + extra
+        return self.engine.required + self.engine.permits
 
 
 PATHS: dict[str, PathSpec] = {
     "seed": PathSpec(SERIAL, batched=False),
-    "batched": PathSpec(BATCHED, coalescable=True),
+    "batched": PathSpec(LOOKAHEAD, coalescable=True),
     "structured": PathSpec(SERIAL, structured=True),
     "lookahead": PathSpec(LOOKAHEAD),
     "seed_structured": PathSpec(SERIAL, batched=False, structured=True),
@@ -435,7 +417,7 @@ CHOLQR_PATHS = tuple(name for name, spec in PATHS.items() if spec.engine is CHOL
 
 # Fields only some engines take, in validation order: each engine
 # requires or permits a subset.
-_GATED = ("workers", "condition_limit", "shards", "fanin", "chunk_rows", "interconnect")
+_GATED = ("condition_limit", "shards", "fanin", "chunk_rows", "interconnect")
 # What a required field means, for the "requires" error.
 _REQUIRED_MEANING = {
     "shards": "the simulated rank count",
@@ -443,8 +425,6 @@ _REQUIRED_MEANING = {
 }
 # Out-of-scope errors whose wording names more than the permitting paths.
 _SCOPE_ERRORS = {
-    "workers": "workers > 1 requires path='lookahead' (or 'auto', whose "
-    "fallback is the look-ahead path)",
     "condition_limit": f"condition_limit applies to the CholeskyQR2 paths {CHOLQR_PATHS}",
 }
 
@@ -481,13 +461,6 @@ class ExecutionPolicy:
             is kept whenever it is at least the panel width — the
             paper's 64 x 16, which ``KernelConfig``, the dispatcher and
             serving pin.
-        workers: column tiles per trailing update / thread-pool width for
-            the look-ahead executor (``None`` means 1).  Only meaningful
-            for ``path="lookahead"`` (and the threaded explicit-Q
-            formation in the randomized SVD pipeline).
-        lookahead_edge: wire ``factor(p+1)`` to the previous panel's
-            first-tile update only (the look-ahead edge); ``False``
-            restores the serial panel barrier.  Executor paths only.
         nonfinite: input guard policy (``"raise"`` / ``"propagate"``),
             see :mod:`repro.verify.guards`.
         device / config: modeled-domain device and kernel configuration
@@ -497,8 +470,8 @@ class ExecutionPolicy:
         condition_limit: guard threshold for the CholeskyQR2 paths —
             the largest Gram-diagonal condition estimate the cheap path
             accepts before raising (``cholqr2`` / ``cholqr2_mixed``) or
-            falling back to ``lookahead`` (``auto``).  ``None`` resolves
-            to the dtype-aware default inside
+            falling back to the look-ahead tree (``auto``).  ``None``
+            resolves to the dtype-aware default inside
             :class:`repro.runtime.cholqr.CholQRGuard`.
         shards: simulated rank count for ``path="sharded"`` (required
             there, rejected elsewhere).  The effective count clamps to
@@ -533,8 +506,6 @@ class ExecutionPolicy:
     panel_width: int | None = None
     block_rows: int | None = None
     tree_shape: str = "quad"
-    workers: int | None = None
-    lookahead_edge: bool = True
     nonfinite: str = "raise"
     condition_limit: float | None = None
     shards: int | None = None
@@ -556,15 +527,8 @@ class ExecutionPolicy:
             raise ValueError("panel_width must be positive")
         if self.block_rows is not None and self.block_rows < 1:
             raise ValueError("block_rows must be positive")
-        if self.workers is not None and self.workers < 1:
-            raise ValueError("workers must be positive")
         for name in _GATED:
-            # workers=1 is the serial default every path accepts.
-            is_set = (
-                self.effective_workers > 1
-                if name == "workers"
-                else getattr(self, name) is not None
-            )
+            is_set = getattr(self, name) is not None
             if name in spec.engine.required and not is_set:
                 raise ValueError(
                     f"path={self.path!r} requires {name}= ({_REQUIRED_MEANING[name]})"
@@ -600,10 +564,6 @@ class ExecutionPolicy:
     def engine(self):
         """The :class:`Engine` that plans and runs this path."""
         return self.spec.engine
-
-    @property
-    def effective_workers(self) -> int:
-        return 1 if self.workers is None else self.workers
 
     @property
     def uses_batched(self) -> bool:

@@ -8,11 +8,10 @@ strided views) and matrix kinds (Gaussian, graded spectrum, extreme
 factored through every execution path —
 
 * ``seed``          — the per-node reference loop
-* ``batched``       — level-batched compact-WY (the default)
+* ``batched``       — the look-ahead driver (the default)
 * ``structured``    — sparsity-exploiting stacked-triangle tree
 * ``seed_structured`` — the reference loop with the structured tree
-* ``lookahead``     — the task-graph executor, serial
-* ``lookahead_mt``  — the task-graph executor on a thread pool
+* ``lookahead``     — the look-ahead driver under its own name
 * ``cholqr2``       — BLAS3 CholeskyQR2 (guard *refuses* ill-conditioned)
 * ``cholqr2_mixed`` — CholeskyQR2 with a float32 first-pass Gram
 * ``auto``          — condition-guarded cholqr2 with tree fallback
@@ -93,14 +92,11 @@ __all__ = [
 _REQUIRED_VALUES = {"shards": 3, "chunk_rows": 11}
 
 # ExecutionPolicy field overrides per fuzz identity, keyed by the name
-# the report uses: one per path name of the engine table, plus
-# ``lookahead_mt`` — the same policy path with a thread pool, kept as a
-# distinct identity because it exercises the concurrent executor engine.
+# the report uses: one per path name of the engine table.
 PATHS: dict[str, dict] = {
     name: {"path": name, **{f: _REQUIRED_VALUES[f] for f in spec.engine.required}}
     for name, spec in ENGINE_TABLE.items()
 }
-PATHS["lookahead_mt"] = {"path": "lookahead", "workers": 3}
 
 # Whole-matrix TSQR references: fuzz name -> the policy path whose tree
 # ``tsqr_qr`` runs.  They are not engine-table identities (TSQR is the

@@ -149,16 +149,6 @@ class TestOneFactorClass:
         np.testing.assert_array_equal(qtb, f.apply_qt(b.copy()[:, None])[:, 0])
         np.testing.assert_allclose(f.apply_q(qtb), b, atol=1e-12)
 
-    @pytest.mark.parametrize("path", PATHS)
-    def test_form_q_columns_on_any_path(self, rng, path):
-        from repro.graph import form_q_columns
-
-        A = rng.standard_normal((300, 48))
-        f = caqr(A, policy=ExecutionPolicy(path=path, panel_width=16))
-        Q = form_q_columns(f, workers=2)
-        np.testing.assert_array_equal(Q, form_q_columns(f, workers=2, threaded=False))
-        np.testing.assert_allclose(Q, f.form_q(), rtol=0, atol=1e-14)
-
     def test_default_is_the_lookahead_driver(self, rng, monkeypatch):
         import repro.graph.executor as executor
         from repro.core.caqr import CAQRFactors

@@ -32,6 +32,29 @@ def test_stream_count_monotonicity():
         prev = r.overlap_seconds
 
 
+def test_overlap_computes_the_static_order_once(monkeypatch):
+    # simulate_caqr_overlap orders its graph once and schedules every
+    # stream count in that order; each makespan equals a schedule that
+    # orders the graph afresh.
+    import repro.graph.order as order
+    import repro.graph.overlap as overlap
+
+    calls = []
+    real = order.static_order
+
+    def spy(tg):
+        calls.append(tg)
+        return real(tg)
+
+    monkeypatch.setattr(order, "static_order", spy)
+    monkeypatch.setattr(overlap, "static_order", spy)
+    r = simulate_caqr_overlap(4096, 64, streams=4)
+    assert calls == [r.graph]
+    assert sorted(r.makespans) == [2, 3, 4]
+    for s, makespan in r.makespans.items():
+        assert list_schedule_graph(r.graph, C2050, streams=s).makespan == makespan
+
+
 @pytest.mark.parametrize("m,n", SHAPES)
 @pytest.mark.parametrize("streams", [2, 4])
 def test_schedule_respects_streams_deps_capacity(m, n, streams):

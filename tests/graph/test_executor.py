@@ -1,12 +1,11 @@
-"""Look-ahead executor: correctness vs serial CAQR, bit-identity contracts."""
+"""Look-ahead driver: correctness vs serial CAQR, bit-identity contracts."""
 
 import numpy as np
 import pytest
 
 from repro.core.caqr import caqr
 from repro.core.tsqr import level0_rows
-from repro.graph import form_q_columns
-from repro.graph.executor import _MIN_TILE, build_lookahead_schedule, run_lookahead_schedule
+from repro.graph.executor import build_lookahead_schedule, run_lookahead_schedule
 from repro.runtime import ExecutionPolicy
 
 SHAPES = [
@@ -24,11 +23,11 @@ SHAPES = [
 ]
 
 
-def _lookahead(A, threaded=None, **fields):
-    """The look-ahead executor on one matrix: schedule, then run."""
+def _lookahead(A, **fields):
+    """The look-ahead driver on one matrix: schedule, then run."""
     policy = ExecutionPolicy(path="lookahead", **fields)
     sched = build_lookahead_schedule(*A.shape, policy)
-    return run_lookahead_schedule(sched, A, threaded=threaded)
+    return run_lookahead_schedule(sched, A)
 
 
 # An unset width is one full-width panel on a tall matrix (no trailing
@@ -57,28 +56,6 @@ def test_matches_serial_batched(shape, kw):
     assert np.max(np.abs(f.R - ref.R)) < 1e-14 * np.linalg.norm(A)
 
 
-@pytest.mark.parametrize("shape,kw", SHAPES)
-def test_threaded_bit_identical_to_serial(shape, kw):
-    """Same tiling (workers), different engine (threaded) -> same bits."""
-    rng = np.random.default_rng(3)
-    A = rng.standard_normal(shape)
-    kw = {**MULTI, **kw}
-    ft = _lookahead(A, workers=3, threaded=True, **kw)
-    fs = _lookahead(A, workers=3, threaded=False, **kw)
-    assert np.array_equal(ft.R, fs.R)
-    assert np.array_equal(ft.form_q(), fs.form_q())
-
-
-def test_lookahead_false_matches_lookahead_true():
-    rng = np.random.default_rng(11)
-    A = rng.standard_normal((600, 96))
-    fa = _lookahead(A, workers=3, lookahead_edge=True, **MULTI)
-    fb = _lookahead(A, workers=3, lookahead_edge=False, **MULTI)
-    # The barrier graph runs the same tasks in a compatible order; the
-    # per-task arithmetic is identical, so so are the results.
-    assert np.array_equal(fa.R, fb.R)
-
-
 def test_apply_qt_apply_q_match_reference():
     rng = np.random.default_rng(5)
     A = rng.standard_normal((800, 64))
@@ -93,31 +70,10 @@ def test_apply_qt_apply_q_match_reference():
     assert np.allclose(out, b)
 
 
-def test_form_q_columns_bit_identity_and_accuracy():
-    rng = np.random.default_rng(9)
-    A = rng.standard_normal((700, 90))
-    ft = _lookahead(A, workers=3, **MULTI)
-    Qt = form_q_columns(ft, workers=3, threaded=True)
-    Qs = form_q_columns(ft, workers=3, threaded=False)
-    assert np.array_equal(Qt, Qs)
-    assert np.allclose(Qt, ft.form_q(), atol=1e-12)
-
-
-def test_form_q_columns_tsqr_factors():
-    from repro.core.tsqr import tsqr
-
-    rng = np.random.default_rng(13)
-    A = rng.standard_normal((900, 70))
-    f = tsqr(A)
-    Qc = form_q_columns(f, workers=3)
-    assert np.allclose(Qc, f.form_q(), atol=1e-12)
-    assert np.allclose(Qc @ f.R, A, atol=1e-10)
-
-
 def test_float32_supported():
     rng = np.random.default_rng(17)
     A = rng.standard_normal((500, 60)).astype(np.float32)
-    f = _lookahead(A, workers=2)
+    f = _lookahead(A)
     assert f.R.dtype == np.float32
     Q = f.form_q()
     assert Q.dtype == np.float32
@@ -127,11 +83,11 @@ def test_float32_supported():
 def test_plumbed_through_caqr():
     rng = np.random.default_rng(19)
     A = rng.standard_normal((400, 60))
-    f = caqr(A, policy=ExecutionPolicy(path="lookahead", workers=2))
+    f = caqr(A, policy=ExecutionPolicy(path="lookahead"))
     resid, orth = _residuals(A, f)
     assert resid < 1e-13 and orth < 1e-12
-    # caqr runs the same schedule: bit-identical to the executor itself.
-    direct = _lookahead(A, workers=2)
+    # caqr runs the same schedule: bit-identical to the driver itself.
+    direct = _lookahead(A)
     assert np.array_equal(f.R, direct.R)
     assert np.array_equal(f.form_q(), direct.form_q())
 
@@ -143,8 +99,6 @@ def test_bad_inputs():
         caqr(rng.standard_normal(8), policy=lookahead)
     with pytest.raises(ValueError):
         ExecutionPolicy(path="lookahead", panel_width=0)
-    with pytest.raises(ValueError):
-        ExecutionPolicy(path="lookahead", workers=0)
     with pytest.raises(ValueError, match="does not match the scheduled shape"):
         run_lookahead_schedule(build_lookahead_schedule(8, 4, lookahead), np.zeros((8, 5)))
     f = _lookahead(rng.standard_normal((64, 8)))
@@ -185,14 +139,6 @@ def test_form_q_skipping_columns_matches_apply_q(shape, block_rows):
     assert len(f.panels) > 1
     k = min(shape)
     assert np.array_equal(f.form_q(), f.apply_q(np.eye(shape[0], k)))
-    # The tiled formation skips per tile: each tile equals apply_q on the
-    # same identity columns.
-    ref = np.eye(shape[0], k)
-    step = max(_MIN_TILE, -(-k // 3))
-    for lo in range(0, k, step):
-        f.apply_q(ref[:, lo : lo + step])
-    assert np.array_equal(form_q_columns(f, workers=3), ref)
-    assert np.array_equal(form_q_columns(f, workers=3, threaded=False), ref)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -214,9 +160,9 @@ def test_form_q_skipping_columns_within_two_eps(shape, block_rows, dtype, seed):
 
 
 def test_one_worker_factor_counts(monkeypatch):
-    """At one worker a factor runs one panel factor per panel and one
-    whole-width trailing update per panel with columns to its right:
-    4 and 3 at 16384 x 64 with 16-wide panels, on batched and lookahead."""
+    """A factor runs one panel factor per panel and one whole-width
+    trailing update per panel with columns to its right: 4 and 3 at
+    16384 x 64 with 16-wide panels, on batched and lookahead."""
     import repro.graph.executor as executor
     from repro.runtime import plan_qr
 
@@ -233,119 +179,3 @@ def test_one_worker_factor_counts(monkeypatch):
         counts.update(factor_panel=0, apply_wy_plan=0)
         plan.factor(A)
         assert counts == {"factor_panel": 4, "apply_wy_plan": 3}, path
-
-
-def test_threaded_runner_stress_runs_each_task_once_after_its_deps():
-    # More workers than cores and a short switch interval: every task
-    # runs exactly once, after all its dependencies, whether a worker
-    # takes it over from the task it finished or from the shared pool,
-    # and a run nested inside a task (which gets a pool of its own)
-    # completes too.
-    import random
-    import sys
-    import threading
-
-    from repro.graph.executor import _execute
-
-    def random_dag(n, seed, log, lock, nested):
-        # Payloads in a topological order with positional deps, as the
-        # driver hands them over.
-        rnd = random.Random(seed)
-        fns, deps = [], []
-        for i in range(n):
-            d_i = rnd.sample(range(i), min(i, rnd.randint(0, 3)))
-
-            def fn(i=i, d_i=tuple(d_i)):
-                with lock:
-                    assert all(d in log for d in d_i), (i, d_i)
-                    assert i not in log, i
-                if nested and i % 25 == 0:
-                    inner_log: dict = {}
-                    inner = random_dag(20, i, inner_log, threading.Lock(), False)
-                    _execute(*inner, workers=3, threaded=True)
-                    assert len(inner_log) == 20
-                with lock:
-                    log[i] = True
-
-            fns.append(fn)
-            deps.append(d_i)
-        return fns, deps
-
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    errors: list = []
-    logs: list = []
-
-    def body():
-        try:
-            for seed in range(10):
-                log: dict = {}
-                fns, deps = random_dag(120, seed, log, threading.Lock(), True)
-                _execute(fns, deps, workers=8, threaded=True)
-                logs.append(len(log))
-        except BaseException as exc:  # surfaced below
-            errors.append(exc)
-
-    try:
-        th = threading.Thread(target=body)
-        th.start()
-        th.join(timeout=120)
-    finally:
-        sys.setswitchinterval(old)
-    assert not th.is_alive(), "threaded runner hung"
-    assert not errors, errors
-    assert logs == [120] * 10
-
-
-def test_threaded_runner_surfaces_a_failure_once():
-    # One payload of a 3-worker run raises: the run returns, raising that
-    # exception once; the failed task's dependents never run their
-    # payloads; and the next run on the same shared pool completes every
-    # task.
-    import threading
-
-    from repro.graph.executor import _execute, _shared_pool
-
-    class Boom(RuntimeError):
-        pass
-
-    # 0 -> {1, 2, 3}; 3 -> {4, 5}; 4 -> 6; {1, 2} -> 7.
-    deps = [[], [0], [0], [0], [3], [3], [4], [1, 2]]
-    ran: set = set()
-    raised: list = []
-    lock = threading.Lock()
-
-    def payload(i):
-        def fn():
-            if i == 3:
-                raised.append(Boom("task 3"))
-                raise raised[-1]
-            with lock:
-                ran.add(i)
-
-        return fn
-
-    caught: list = []
-
-    def body():
-        try:
-            _execute([payload(i) for i in range(len(deps))], deps, workers=3, threaded=True)
-        except Boom as exc:
-            caught.append(exc)
-
-    th = threading.Thread(target=body)
-    th.start()
-    th.join(timeout=60)
-    assert not th.is_alive(), "a failed run must return"
-    assert len(raised) == 1 and caught == raised
-    assert not ran & {4, 5, 6}, ran
-
-    pool = _shared_pool(3)
-    done: list = []
-    _execute(
-        [lambda i=i: done.append(i) for i in range(len(deps))], deps, workers=3, threaded=True
-    )
-    assert sorted(done) == list(range(len(deps)))
-    assert _shared_pool(3) is pool
-    workers = [t for t in threading.enumerate() if t.name.startswith("repro-graph-3_")]
-    assert len(workers) <= 3

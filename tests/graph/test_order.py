@@ -2,9 +2,9 @@
 
 The order replaced implicit program-order scheduling, so these pin its
 contract: valid topological order over every producer's graphs,
-deterministic across runs / interpreters / hash seeds / worker counts,
-annotation-aware, and — for the CAQR graph — collapsing back onto a
-single stream launch for launch.
+deterministic across runs / interpreters / hash seeds, equal to the
+look-ahead driver's task order, annotation-aware, and — for the CAQR
+graph — collapsing back onto a single stream launch for launch.
 """
 
 from __future__ import annotations
@@ -97,26 +97,25 @@ class TestDeterminism:
             outs.append(proc.stdout)
         assert outs[0] == outs[1] == outs[2]
 
-    def test_worker_count_does_not_change_execution_set(self):
-        # The driver's runner takes payloads in static order with
-        # positional deps: the executed sequence at workers=1 IS the
-        # static order, and a threaded run executes the same task set.
-        from repro.graph.executor import _execute
+    def test_driver_task_order_is_the_static_order(self):
+        # The look-ahead driver runs its schedule's tasks in list order;
+        # that must be its task graph's static order at every shape,
+        # width and block height, wide and degenerate shapes included.
+        from repro.graph.executor import build_lookahead_schedule, emit_lookahead_layers
+        from repro.runtime.policy import ExecutionPolicy
+        from tests.graph.test_executor import SHAPES
 
-        tg = TaskGraph(name="probe")
-        prev = None
-        for i in range(6):
-            prev = tg.add_task("work", ("t", i), deps=[prev] if prev is not None else [])
-        order = static_order(tg)
-        pos = {key: k for k, key in enumerate(order)}
-        deps = [[pos[d] for d in tg.task(key).deps] for key in order]
-        log: list = []
-        fns = [lambda key=key: log.append(key) for key in order]
-        _execute(fns, deps, workers=1, threaded=False)
-        assert log == order
-        log.clear()
-        _execute(fns, deps, workers=4, threaded=True)
-        assert log == order  # a chain admits exactly one order
+        shapes = SHAPES + [((0, 5), {}), ((5, 0), {}), ((0, 0), {}), ((1, 1), {}), ((3, 7), {})]
+        for (m, n), kw in shapes:
+            for width in (None, 1, 7, 16):
+                for block_rows in (None, 8, 64):
+                    fields = {**kw, "panel_width": width, "block_rows": block_rows}
+                    sched = build_lookahead_schedule(
+                        m, n, ExecutionPolicy(path="lookahead", **fields)
+                    )
+                    tg = emit_lookahead_layers(sched)
+                    seqs = [tg.task(key).seq for key in static_order(tg)]
+                    assert seqs == list(range(len(sched.tasks))), ((m, n), fields)
 
 
 class TestAnnotations:

@@ -104,6 +104,19 @@ class TestPathChoices:
         assert exc.value.code == 2
         assert "requires shards=" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["plan", "--m", "64", "--n", "8"], ["trace", "--shape", "256x16"]],
+        ids=["plan", "trace"],
+    )
+    def test_workers_flag_is_gone(self, capsys, argv):
+        # The look-ahead driver runs on one thread; no command takes a
+        # worker count.
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--workers", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
     def test_plan_seed_structured(self, capsys):
         assert main(["plan", "--m", "1000", "--n", "40", "--path", "seed_structured"]) == 0
         assert "seed_structured" in capsys.readouterr().out

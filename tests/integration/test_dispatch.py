@@ -116,7 +116,7 @@ class TestLookaheadPlumbing:
     def test_qr_forwards_execution_options(self, rng):
         from repro.runtime import ExecutionPolicy
 
-        policy = ExecutionPolicy(path="lookahead", workers=2, block_rows=64)
+        policy = ExecutionPolicy(path="lookahead", block_rows=64)
         d = QRDispatcher(policy=policy)
         assert d.policy is policy
         A = rng.standard_normal((2000, 24))
@@ -137,7 +137,6 @@ class TestLookaheadPlumbing:
         overlap = QRDispatcher(
             policy=ExecutionPolicy(
                 path="lookahead",
-                workers=2,
                 panel_width=cfg.panel_width,
                 block_rows=cfg.block_rows,
                 tree_shape=cfg.tree_shape,

@@ -19,7 +19,7 @@ def traced_run():
     A = rng.standard_normal((2048, 96))
     # The modeled timeline runs the paper's 16-wide panels; so does the
     # measured run (unset, the width would be one 96-column panel).
-    policy = ExecutionPolicy(path="lookahead", workers=3, panel_width=16)
+    policy = ExecutionPolicy(path="lookahead", panel_width=16)
     with obs.capture(meta={"case": "export-test"}) as session:
         plan = plan_qr(*A.shape, policy=policy)
         plan.factor(A)

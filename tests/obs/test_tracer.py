@@ -150,15 +150,6 @@ def test_coverage_serial_paths(rng):
         assert cov >= 0.90, f"{path}: instrumentation gap ({cov:.1%})"
 
 
-def test_coverage_threaded_lookahead(rng):
-    A = rng.standard_normal((4096, 128))
-    # 16-wide panels, so the pool runs tiled trailing updates.
-    policy = ExecutionPolicy(path="lookahead", workers=3, panel_width=16)
-    cov, t = _best_coverage(A, policy)
-    assert len(t.thread_names) > 1  # pool workers were attributed
-    assert cov >= 0.90
-
-
 def test_tracing_does_not_change_results(rng):
     A = rng.standard_normal((1024, 64))
     f_plain = caqr(A)

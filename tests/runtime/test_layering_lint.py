@@ -174,10 +174,13 @@ REMOVED_KEYWORDS = {
     "randomized_svd": ("batched", "workers", "nonfinite"),
     "QRDispatcher": ("batched", "lookahead", "workers", "nonfinite"),
     "AdaptiveSVT": ("batched", "workers", "nonfinite"),
+    # The look-ahead driver's thread count and its barrier switch.
+    "ExecutionPolicy": ("workers", "lookahead_edge"),
 }
 LEGACY_VALUES = {
     "panel_width": 4, "block_rows": 8, "tree_shape": "binary", "structured": True,
     "batched": False, "lookahead": True, "workers": 2, "nonfinite": "propagate",
+    "lookahead_edge": False,
 }
 
 
@@ -190,6 +193,7 @@ def _entry_point(name):
     from repro.core.tsqr import tsqr, tsqr_qr
     from repro.dispatch import QRDispatcher
     from repro.rpca.adaptive import AdaptiveSVT
+    from repro.runtime import ExecutionPolicy
 
     A = np.random.default_rng(0).standard_normal((64, 8))
     return {
@@ -202,6 +206,7 @@ def _entry_point(name):
         "randomized_svd": lambda **kw: randomized_svd(A, 2, **kw),
         "QRDispatcher": lambda **kw: QRDispatcher(**kw),
         "AdaptiveSVT": lambda **kw: AdaptiveSVT(**kw),
+        "ExecutionPolicy": lambda **kw: ExecutionPolicy(path="lookahead", **kw),
     }[name]
 
 
@@ -266,6 +271,84 @@ def test_bound_graph_engines_are_gone():
     sched = build_lookahead_schedule(64, 8, ExecutionPolicy(path="lookahead"))
     with pytest.raises(TypeError, match="bind"):
         emit_lookahead_layers(sched, bind=[])
+
+
+def test_look_ahead_threads_are_gone():
+    # The look-ahead driver runs on one thread: its pool, column tiling,
+    # threaded Q formation and worker count are deleted.
+    import repro.graph
+    import repro.graph.executor
+    from repro.core.caqr import CAQRFactors
+    from repro.graph.executor import LookaheadSchedule
+    from repro.runtime import ExecutionPolicy
+
+    assert not hasattr(repro.graph, "form_q_columns")
+    for name in ("form_q_columns", "_shared_pool", "_run_threaded", "_execute",
+                 "_col_tiles", "_MIN_TILE"):
+        assert not hasattr(repro.graph.executor, name), name
+    assert not hasattr(LookaheadSchedule, "compiled_order")
+    assert "workers" not in CAQRFactors.__dataclass_fields__
+    assert not hasattr(ExecutionPolicy, "effective_workers")
+    assert len(ExecutionPolicy.__dataclass_fields__) == 14
+
+
+class TestThreadRuleEndToEnd:
+    """The thread fence: a thread or process pool started under
+    ``src/repro/`` outside ``repro.serving`` is flagged; the serving
+    worker, and threads outside the library, are not."""
+
+    def _run_main(self, tmp_path, monkeypatch, capsys):
+        sys.path.insert(0, str(LINT.parent))
+        try:
+            import lint_layering
+        finally:
+            sys.path.pop(0)
+        monkeypatch.setattr(lint_layering, "REPO", tmp_path)
+        rc = lint_layering.main()
+        return rc, capsys.readouterr().out
+
+    def test_scanner_flags_only_library_files(self, tmp_path):
+        sys.path.insert(0, str(LINT.parent))
+        try:
+            import lint_layering
+        finally:
+            sys.path.pop(0)
+        f = tmp_path / "mod.py"
+        f.write_text("import threading\nth = threading.Thread(target=print)\n")
+        assert lint_layering.scan_file(f, "src/repro/graph/mod.py") == [
+            (2, "Thread", "thread construction")
+        ]
+        assert lint_layering.scan_file(f, "src/repro/serving/mod.py") == []
+        assert lint_layering.scan_file(f, "benchmarks/mod.py") == []
+        assert lint_layering.scan_file(f) == []
+
+    def test_injected_thread_violations_are_caught(self, tmp_path, monkeypatch, capsys):
+        bad = tmp_path / "src" / "repro" / "graph"
+        bad.mkdir(parents=True)
+        (bad / "executor.py").write_text(
+            "import threading\n"
+            "from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor\n"
+            "pool = ThreadPoolExecutor(max_workers=2)\n"
+            "procs = ProcessPoolExecutor()\n"
+            "th = threading.Thread(target=print)\n"
+        )
+        ok = tmp_path / "src" / "repro" / "serving"
+        ok.mkdir(parents=True)
+        (ok / "server.py").write_text(
+            "import threading\nworker = threading.Thread(target=print)\n"
+        )
+        bench = tmp_path / "benchmarks"
+        bench.mkdir()
+        (bench / "bench.py").write_text(
+            "from concurrent.futures import ThreadPoolExecutor\n"
+            "pool = ThreadPoolExecutor(max_workers=8)\n"
+        )
+        rc, out = self._run_main(tmp_path, monkeypatch, capsys)
+        assert rc == 1
+        for line, name in ((3, "ThreadPoolExecutor"), (4, "ProcessPoolExecutor"), (5, "Thread")):
+            assert f"src/repro/graph/executor.py:{line}: {name}(...)" in out
+        assert "3 violation(s)" in out
+        assert "serving/server.py" not in out and "bench.py" not in out
 
 
 class TestQueueRuleEndToEnd:

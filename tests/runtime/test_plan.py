@@ -129,10 +129,10 @@ class TestPlanMetadata:
             plan_qr(0, 5).simulate()
 
     def test_describe_mentions_path_and_shape(self):
-        policy = ExecutionPolicy(path="lookahead", workers=2)
+        policy = ExecutionPolicy(path="lookahead")
         text = plan_qr(4096, 64, policy=policy).describe()
         assert "4096 x 64" in text
-        assert "lookahead" in text and "workers=2" in text
+        assert "lookahead" in text
 
     def test_wy_scratch_positive_for_nonempty(self):
         assert plan_qr(256, 32).wy_scratch_bytes > 0
@@ -213,16 +213,15 @@ class TestDefaultGeometry:
         with count_fallbacks() as fb:
             plan.execute(_graded(*self.SHAPE))
         assert fb.fallbacks == 1 and captures() == before
-        # batched, and lookahead at one and three workers: factor replays
-        # the plan's schedule, never builds one.
+        # batched and lookahead: factor replays the plan's schedule, never
+        # builds one.
         builds = []
         real = executor.build_lookahead_schedule
         monkeypatch.setattr(
             executor, "build_lookahead_schedule", lambda *a: builds.append(a) or real(*a)
         )
         A = np.random.default_rng(3).standard_normal(self.SHAPE)
-        for kw in ({"path": "batched"}, {"path": "lookahead"},
-                   {"path": "lookahead", "workers": 3}):
+        for kw in ({"path": "batched"}, {"path": "lookahead"}):
             for width in (None, 16):
                 plan = plan_qr(*self.SHAPE, policy=ExecutionPolicy(panel_width=width, **kw))
                 builds.clear()

@@ -19,7 +19,6 @@ class TestValidation:
         p = ExecutionPolicy()
         assert p.path == "batched"
         assert p.uses_batched and not p.uses_structured
-        assert p.effective_workers == 1
 
     def test_unknown_path_rejected(self):
         with pytest.raises(ValueError, match="unknown execution path"):
@@ -27,15 +26,11 @@ class TestValidation:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"panel_width": 0}, {"block_rows": 0}, {"workers": 0}],
+        [{"panel_width": 0}, {"block_rows": 0}],
     )
     def test_positive_geometry_required(self, kwargs):
         with pytest.raises(ValueError):
-            ExecutionPolicy(path="lookahead" if "workers" in kwargs else "batched", **kwargs)
-
-    def test_workers_require_lookahead(self):
-        with pytest.raises(ValueError, match="requires path='lookahead'"):
-            ExecutionPolicy(path="batched", workers=3)
+            ExecutionPolicy(path="batched", **kwargs)
 
     def test_bad_nonfinite_policy_is_guard_error(self):
         with pytest.raises(GuardError):
@@ -79,7 +74,7 @@ class TestEngineTable:
         spec = PATHS[name]
         base = {f: 2 for f in spec.engine.required}
         for field, value in (
-            ("workers", 2), ("condition_limit", 10.0), ("shards", 2),
+            ("condition_limit", 10.0), ("shards", 2),
             ("fanin", 2), ("chunk_rows", 8), ("interconnect", "pcie2"),
         ):
             if field in spec.engine.required:

@@ -49,15 +49,12 @@ def test_float32_degenerate_shapes(rng, path_policy, m, n):
 
 
 def test_wide_matrix_with_lookahead(rng):
-    """m < n through the task-graph executor (panels stop at min(m, n))."""
+    """m < n through the look-ahead driver (panels stop at min(m, n))."""
     A = rng.standard_normal((4, 19))
-    for workers in (None, 3):
-        policy = ExecutionPolicy(
-            path="lookahead", panel_width=3, block_rows=4, workers=workers
-        )
-        Q, R = caqr_qr(A, policy=policy)
-        assert Q.shape == (4, 4) and R.shape == (4, 19)
-        check_qr(A, Q, R)
+    policy = ExecutionPolicy(path="lookahead", panel_width=3, block_rows=4)
+    Q, R = caqr_qr(A, policy=policy)
+    assert Q.shape == (4, 4) and R.shape == (4, 19)
+    check_qr(A, Q, R)
 
 
 def test_panel_wider_than_matrix(rng, path_policy):

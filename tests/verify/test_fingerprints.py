@@ -38,7 +38,6 @@ def test_golden_file_is_committed():
         "batched",
         "structured",
         "lookahead",
-        "lookahead_mt",
         "cholqr2",
         "cholqr2_mixed",
         "auto",
@@ -58,20 +57,10 @@ def test_fingerprints_match_golden(checker):
 
 def test_serial_paths_share_one_stream(checker):
     """Strategy never changes the modeled launches, and ``batched`` is
-    the look-ahead driver at one worker — pinned identities."""
+    the look-ahead driver — pinned identities."""
     fresh = checker.compute_fingerprints()
     assert fresh["seed"] == fresh["structured"]
     assert fresh["batched"] == fresh["lookahead"]
-
-
-def test_lookahead_tiling_changes_the_dag(checker):
-    """workers=3 tiles the trailing updates: the mt DAG must differ from
-    the untiled one wherever a trailing matrix exists."""
-    fresh = checker.compute_fingerprints()
-    multi_panel = [s for s in fresh["lookahead"] if s != "4096x32"]
-    assert any(
-        fresh["lookahead"][s] != fresh["lookahead_mt"][s] for s in multi_panel
-    )
 
 
 def test_cholqr_paths_pin_distinct_streams(checker):

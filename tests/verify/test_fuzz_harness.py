@@ -28,7 +28,7 @@ class TestGridIsClean:
         for name in PATH_NAMES:
             assert fuzz.PATHS[name]["path"] == name
             fuzz.policy_for(name)  # the fuzz supplies every required field
-        assert set(fuzz.PATHS) == set(PATH_NAMES) | {"lookahead_mt"}
+        assert set(fuzz.PATHS) == set(PATH_NAMES)
 
     def test_random_cases_sample(self):
         # A slice of the randomized portion (the full grid runs in CI).

@@ -24,12 +24,14 @@ class TestLookaheadZeroPanelDeadlock:
     forever on inputs producing zero panels (0 rows, 0 columns): the
     thread pool waited on a completion event that no task would ever
     set.  Found by the fuzz grid's first case, ``FuzzCase(0, 5)`` on
-    path ``lookahead_mt``."""
+    the threaded look-ahead identity.  The driver now runs on one thread
+    and the pool is gone; the zero-panel run still goes through the
+    look-ahead path under a timeout, so a hang would show as a failure."""
 
     @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
     def test_degenerate_threaded_lookahead_completes(self, shape):
         ex = ThreadPoolExecutor(1)
-        policy = ExecutionPolicy(path="lookahead", workers=3)
+        policy = ExecutionPolicy(path="lookahead")
         fut = ex.submit(caqr_qr, np.zeros(shape), policy=policy)
         try:
             Q, R = fut.result(timeout=30)  # deadlock -> TimeoutError, not a hang

@@ -8,13 +8,10 @@ The fingerprint families, all pure shape arithmetic:
   modeled kernel-launch sequence.  The serial paths share one stream by
   design (strategy never changes the launches), so their golden values
   coincide; the gate pins that *identity* as well as the values.
-* **Look-ahead task DAG** (``batched`` / ``lookahead`` /
-  ``lookahead_mt``) — a SHA-256 over
-  :func:`repro.graph.executor.build_lookahead_schedule`'s panel
-  partition and dependency-wired task list.  ``batched`` is the
-  look-ahead driver at one worker, so its DAG is ``lookahead``'s.
-  Tiling is keyed on ``workers``, so the mt variant (workers=3) pins
-  the tiled DAG.
+* **Look-ahead task DAG** (``batched`` / ``lookahead``) — a SHA-256
+  over :func:`repro.graph.executor.build_lookahead_schedule`'s panel
+  partition and dependency-wired task list.  ``batched`` and
+  ``lookahead`` name the same driver, so their DAGs are equal.
 * **CholeskyQR2 launch stream** (``cholqr2`` / ``cholqr2_mixed`` /
   ``auto``) — a SHA-256 over
   :func:`repro.caqr_gpu.enumerate_cholqr2_launches`: the O(1) canonical
@@ -82,12 +79,7 @@ BLOCK_ROWS = 64
 PANEL_WIDTH = 16
 
 SERIAL_PATHS = ("seed", "structured")
-# name -> (path, workers)
-LOOKAHEAD_PATHS = {
-    "batched": ("batched", None),
-    "lookahead": ("lookahead", None),
-    "lookahead_mt": ("lookahead", 3),
-}
+LOOKAHEAD_PATHS = ("batched", "lookahead")
 # name -> (mixed, guard), read from the engine table: every CholeskyQR2
 # path, its mixed-precision flag, and whether its guard precheck launches
 # (the fallback path's).
@@ -148,17 +140,12 @@ def _cholqr_fingerprint(m: int, n: int, cfg, mixed: bool, guard: bool) -> str:
     return h.hexdigest()[:16]
 
 
-def _schedule_fingerprint(m: int, n: int, path: str, workers: int | None) -> str:
+def _schedule_fingerprint(m: int, n: int, path: str) -> str:
     """SHA-256 of the look-ahead panel partition + task DAG."""
     from repro.graph.executor import build_lookahead_schedule
     from repro.runtime import ExecutionPolicy
 
-    policy = ExecutionPolicy(
-        path=path,
-        workers=workers,
-        panel_width=PANEL_WIDTH,
-        block_rows=BLOCK_ROWS,
-    )
+    policy = ExecutionPolicy(path=path, panel_width=PANEL_WIDTH, block_rows=BLOCK_ROWS)
     sched = build_lookahead_schedule(m, n, policy)
     h = hashlib.sha256()
     # The schedule's panel tuples carry row/column offsets but not the
@@ -183,10 +170,8 @@ def compute_fingerprints() -> dict:
         out[path] = {
             f"{m}x{n}": launch_fingerprint(m, n, cfg)[:16] for m, n in SHAPES
         }
-    for name, (path, workers) in LOOKAHEAD_PATHS.items():
-        out[name] = {
-            f"{m}x{n}": _schedule_fingerprint(m, n, path, workers) for m, n in SHAPES
-        }
+    for path in LOOKAHEAD_PATHS:
+        out[path] = {f"{m}x{n}": _schedule_fingerprint(m, n, path) for m, n in SHAPES}
     for path, (mixed, guard) in CHOLQR_PATHS.items():
         out[path] = {
             f"{m}x{n}": _cholqr_fingerprint(m, n, cfg, mixed, guard)

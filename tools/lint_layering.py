@@ -1,6 +1,6 @@
 #!/usr/bin/env python
 """Layering lint: path names and the serial loop in the engine table, the
-tree walk in TSQR.
+tree walk in TSQR, threads in serving.
 
 Every execution-path decision goes through the engine table,
 ``PATHS`` in :mod:`repro.runtime.policy`: each of the ten path names
@@ -79,6 +79,16 @@ factors through :func:`repro.runtime.plan.plan_qr`, which reuses one plan
 per solve and forms Q in the solver's own buffer; a one-shot TSQR call
 would bypass the engine table and allocate Q afresh every iteration.
 
+The library starts one kind of thread: the serving request worker.
+Constructing a ``ThreadPoolExecutor``, a ``ProcessPoolExecutor`` or a
+``threading.Thread`` (also as a bare ``Thread(...)``) anywhere under
+``src/repro/`` outside ``repro.serving`` is a violation.  On a 2-core
+host the look-ahead driver's thread pool was no faster than one thread
+at any shape measured, and 1.4-2.1x slower on wide ones
+(``benchmarks/results/workers_grid.txt``): the host's parallelism is
+OpenBLAS's, inside each kernel call.  This rule is scoped
+by file, so :func:`scan_file` takes the file's repo-relative path.
+
 AST-based, not regex: only a real comparison node is flagged, so a path
 name inside a string, a docstring or a ``policy=ExecutionPolicy(path=...)``
 construction never is.
@@ -156,6 +166,10 @@ FENCED_NAMES = {
 APP_QR_NAMES = {"tsqr", "tsqr_qr"}
 APP_QR_SOURCES = {"tsqr", "core", "repro"}  # last module component, any level
 
+# Thread and process constructors, fenced out of the library: the serving
+# request worker is the only thread it starts.
+THREAD_CONSTRUCTORS = {"ThreadPoolExecutor", "ProcessPoolExecutor", "Thread"}
+
 SCAN_ROOTS = ("src/repro", "benchmarks", "examples")
 # Per-rule exemption: only repro.runtime may construct the guard.
 GUARD_EXEMPT = ("src/repro/runtime/",)
@@ -180,6 +194,9 @@ TREE_WALK_EXEMPT = ("src/repro/core/tsqr.py", "src/repro/smallblas/")
 SERIAL_LOOP_EXEMPT = ("src/repro/core/caqr.py", "src/repro/runtime/policy.py")
 # Per-rule scope (the opposite of an exemption): the application package.
 APP_QR_SCOPE = ("src/repro/rpca/",)
+# Per-rule scope and exemption: the library, except the serving package.
+THREAD_SCOPE = "src/repro/"
+THREAD_EXEMPT = "src/repro/serving/"
 
 
 def _callee_name(call: ast.Call) -> str | None:
@@ -191,11 +208,16 @@ def _callee_name(call: ast.Call) -> str | None:
     return None
 
 
-def scan_file(path: Path) -> list[tuple[int, str, str]]:
+def scan_file(path: Path, rel: str | None = None) -> list[tuple[int, str, str]]:
+    """Findings of one file; ``rel`` is its repo-relative path, which
+    decides whether the thread rule applies (``None``: it does not)."""
     try:
         tree = ast.parse(path.read_text(), filename=str(path))
     except SyntaxError as exc:  # a broken file is its own finding
         return [(exc.lineno or 0, "<syntax>", str(exc))]
+    threads_fenced = (
+        rel is not None and rel.startswith(THREAD_SCOPE) and not rel.startswith(THREAD_EXEMPT)
+    )
     hits = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Compare):
@@ -236,6 +258,8 @@ def scan_file(path: Path) -> list[tuple[int, str, str]]:
             hits.append((node.lineno, name, "graph construction"))
         elif name in STREAM_CONSTRUCTORS:
             hits.append((node.lineno, name, "stream construction"))
+        elif name in THREAD_CONSTRUCTORS and threads_fenced:
+            hits.append((node.lineno, name, "thread construction"))
     return sorted(hits)
 
 
@@ -283,7 +307,7 @@ def main() -> int:
             continue
         for path in sorted(base.rglob("*.py")):
             rel = path.relative_to(REPO).as_posix()
-            for lineno, name, kwargs in scan_file(path):
+            for lineno, name, kwargs in scan_file(path, rel):
                 if kwargs == "path comparison":
                     if rel == TABLE_MODULE:
                         continue  # the engine table owns the path names
@@ -348,6 +372,12 @@ def main() -> int:
                         f"the engine table (factor through the look-ahead "
                         f"driver, graph.executor.run_lookahead_schedule)"
                     )
+                elif kwargs == "thread construction":
+                    violations.append(
+                        f"{rel}:{lineno}: {name}(...) — a thread started outside "
+                        f"repro.serving (the library runs on one thread; its "
+                        f"parallelism is the BLAS's)"
+                    )
                 elif kwargs == "application qr":
                     if not rel.startswith(APP_QR_SCOPE):
                         continue  # only the application is fenced
@@ -370,7 +400,8 @@ def main() -> int:
     print(
         "layering lint: clean (path names read only in the engine table, "
         "the tree walk only in repro.core.tsqr, the serial loop only in "
-        "the engine table, the application's QR only through plan_qr)"
+        "the engine table, the application's QR only through plan_qr, "
+        "threads only in repro.serving)"
     )
     return 0
 
