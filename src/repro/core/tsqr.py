@@ -21,13 +21,15 @@ Two numeric execution strategies coexist:
     per-node Python work runs on the factor path.  The result is R and a
     :class:`_WyPlan` of compact-WY ``(V, T)`` factors, applied by
     :func:`apply_wy_plan` as three batched GEMMs per level
-    (``C -= V (T' (V' C))``).  ``V`` is never copied: it is a view of
-    LAPACK's packed output, whose R the factor moved out
+    (``C -= V (T' (V' C))``).  ``V`` is never copied whole: it is a view
+    of LAPACK's packed output, whose R the factor moved out
     (:func:`repro.smallblas.wy.v_in_place`).  The explicit Q is formed
     from the same plan the way LAPACK ``orgqr`` forms it
-    (:func:`_plan_form_q`), on SciPy's BLAS when available.  ``tsqr``
-    (and through it CAQR's serial panels), the look-ahead executor and
-    the serving coalescer all run this one engine.
+    (:func:`_plan_form_q`), on SciPy's BLAS when available, and, where
+    the factors are discarded, over the level-0 reflectors in the
+    buffer they were factored in (:func:`factor_panel`'s ``home``).
+    ``tsqr`` (and through it CAQR's serial panels), the look-ahead
+    executor and the serving coalescer all run this one engine.
 
 ``batched=False``
     The seed per-node reference path, kept verbatim: per-block loops,
@@ -54,7 +56,8 @@ from repro.obs import tracer as _obs
 from repro.runtime.policy import ExecutionPolicy
 from repro.smallblas.batched import batched_apply_blocked, batched_geqr2
 from repro.smallblas.wy import (
-    _factor_slices, apply_wy, blas_name, larft, orgqr_wy, packed_vr, v_in_place,
+    _factor_slices, apply_wy, blas_name, larft, orgqr_wy, packed_vr, scratch_copy, takes_geqrt,
+    v_in_place,
 )
 from .structured import StructuredStackFactor, structured_stack_qr
 from .tree import TreeSchedule, batch_level, build_tree
@@ -203,6 +206,11 @@ class _WyPlan:
     l0_tail: list[tuple[int, int, np.ndarray, np.ndarray]]
     # per level: [("wy", idx, V, T) | ("structured", tree_factor, idx)]
     levels: list[list[tuple]]
+    # The (height, width) Q buffer the level-0 reflectors were factored
+    # in (factor_panel's ``home``), and whether the uniform blocks and the
+    # ragged tail live there (geqrt slices do); None when neither does
+    home: np.ndarray | None = None
+    homed: tuple[bool, bool] = (False, False)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +328,7 @@ def panel_schedule(height: int, width: int, block_rows: int, tree_shape: str) ->
 
 
 def factor_panel(
-    sched: PanelSchedule, S: np.ndarray, structured: bool = False
+    sched: PanelSchedule, S: np.ndarray, structured: bool = False, home: np.ndarray | None = None
 ) -> tuple[np.ndarray, _WyPlan, list]:
     """Factor the ``(r, height, width)`` stack ``S`` of ``r`` panels on ``sched``.
 
@@ -339,17 +347,32 @@ def factor_panel(
     (level 0's blocks and tail, then each tree batch's, or its
     structured factors), from which :class:`TSQRFactors` builds its
     per-node view on demand.
+
+    ``home`` (``r = 1`` and ``height >= width`` only) is the C-contiguous
+    ``(height, width)`` buffer Q will be formed in: the level-0 slices
+    that the kernel factors with ``geqrt`` are factored there, slice
+    ``i``'s packed ``(width, h)`` output in exactly the elements of Q's
+    rows ``[i h, (i + 1) h)``, and the tail's in the rows after them.
+    The plan records it, and :meth:`TSQRFactors.form_q` into ``home``
+    forms Q over them (:func:`_plan_form_q`).
     """
     r, _, w = S.shape
     c, h = sched.l0_count, sched.l0_h
+    flat = None if home is None else home.reshape(-1)
+    homed = (
+        flat is not None and takes_geqrt(h, w),
+        flat is not None and sched.tail is not None and takes_geqrt(sched.tail[1], w),
+    )
     args = {"blocks": len(sched.ranges), "block_rows": h, "stack": r}
     with _obs.span("tsqr.level0", cat="factor.level0", **args):
-        V0, T0, R0, _ = _factor_slices(S[:, : c * h].reshape(r * c, h, w))
+        V0, T0, R0, _ = _factor_slices(
+            S[:, : c * h].reshape(r * c, h, w), flat[: c * h * w] if homed[0] else None
+        )
         slab = R0.reshape(r, -1, w)
         tail, made = [], [R0]
         if sched.tail is not None:
             s, ht = sched.tail
-            Vt, Tt, Rt, _ = _factor_slices(S[:, s:])
+            Vt, Tt, Rt, _ = _factor_slices(S[:, s:], flat[s * w :] if homed[1] else None)
             tail.append((s, ht, Vt, Tt))
             made.append(Rt)
             slab = np.concatenate([slab, Rt], axis=1)
@@ -381,7 +404,7 @@ def factor_panel(
         nodes.append(made)
     plan = _WyPlan(
         dtype=np.dtype(S.dtype), l0_count=c, l0_h=h, l0_V=V0, l0_T=T0, l0_tail=tail,
-        levels=levels,
+        levels=levels, home=home if any(homed) else None, homed=homed,
     )
     return slab, plan, nodes
 
@@ -429,6 +452,8 @@ def _convert_plan(src: _WyPlan, dt: np.dtype) -> _WyPlan:
     return replace(
         src,
         dtype=dt,
+        home=None,
+        homed=(False, False),
         l0_V=None if src.l0_V is None else src.l0_V.astype(dt),
         l0_T=None if src.l0_T is None else src.l0_T.astype(dt),
         l0_tail=[(s, h, V.astype(dt), T.astype(dt)) for s, h, V, T in src.l0_tail],
@@ -534,7 +559,9 @@ def apply_wy_plan(plan: _WyPlan, B: np.ndarray, transpose: bool) -> None:
         _plan_apply_level0(plan, S, transpose=False)
 
 
-def _plan_form_q(plan: _WyPlan, m: int, k: int, out: np.ndarray | None = None) -> np.ndarray:
+def _plan_form_q(
+    plan: _WyPlan, m: int, k: int, out: np.ndarray | None = None, over: bool = False
+) -> np.ndarray:
     """Explicit thin ``(r, m, k)`` Qs from the apply plan of an ``r``-stack,
     as LAPACK ``orgqr`` forms them, in ``out`` when given (C-contiguous).
 
@@ -549,6 +576,16 @@ def _plan_form_q(plan: _WyPlan, m: int, k: int, out: np.ndarray | None = None) -
     by one, with the layout they have alone, so ``Q[i]`` is request
     ``i``'s Q bit for bit, and every block of Q is written in place,
     so a caller's ``out`` gets the bits a new array would.
+
+    ``over`` says ``out`` is the buffer the level-0 reflectors were
+    factored in (``plan.home``, a stack of one), as LAPACK ``orgqr``
+    forms Q in the storage of ``geqrf``'s reflectors.  Each block whose
+    V lives there is then formed from a copy of that V alone, made in
+    the shared scratch with V's Fortran layout
+    (:func:`~repro.smallblas.wy.scratch_copy`), just before its rows of
+    Q overwrite it: the GEMMs read the same operands, so Q has the same
+    bits, and no second ``m x k`` array is needed.  The plan's
+    reflectors are gone afterwards.
     """
     count, h = plan.l0_count, plan.l0_h
     r = plan.l0_V.shape[0] // count
@@ -576,12 +613,27 @@ def _plan_form_q(plan: _WyPlan, m: int, k: int, out: np.ndarray | None = None) -
                 entry[1].apply_q_stack(sub)
                 flat[0, pos] = sub
     Q = np.empty((r, m, k), dtype=plan.dtype) if out is None else out
+    l0_over, tail_over = (over and homed for homed in plan.homed)
     for i in range(r):
         j = slice(i * count, (i + 1) * count)
-        orgqr_wy(plan.l0_V[j], plan.l0_T[j], top[i, :count], Q[i, : count * h].reshape(count, h, k))
+        _orgqr_blocks(
+            plan.l0_V[j], plan.l0_T[j], top[i, :count], Q[i, : count * h].reshape(count, h, k),
+            l0_over,
+        )
     for start, ht, Vt, Tt in plan.l0_tail:
-        orgqr_wy(Vt, Tt, top[:, count, : Vt.shape[2]], Q[:, start : start + ht])
+        _orgqr_blocks(Vt, Tt, top[:, count, : Vt.shape[2]], Q[:, start : start + ht], tail_over)
     return Q
+
+
+def _orgqr_blocks(V, T, C, out, over: bool) -> None:
+    """:func:`orgqr_wy` into ``out``; with ``over``, each slice of ``V``
+    lives in its slice of ``out`` and is copied out just before that
+    slice is written."""
+    if not over:
+        orgqr_wy(V, T, C, out)
+        return
+    for i in range(V.shape[0]):
+        orgqr_wy(scratch_copy(V[i])[None], T[i : i + 1], C[i : i + 1], out[i : i + 1])
 
 
 def _plan_apply_level(entries: list[tuple], S: np.ndarray, transpose: bool) -> None:
@@ -633,6 +685,11 @@ class TSQRFactors:
     (``engine``: its schedule, plan and node Rs) builds them on first
     read, as views of its stacks, so its factor path builds no per-node
     object.
+
+    A factorization whose level-0 reflectors were factored in Q's buffer
+    (``factor_panel(home=)``) is spent once ``form_q`` forms Q in that
+    buffer: Q has overwritten the reflectors, and every later apply,
+    ``form_q`` or per-node read raises ``ValueError``.
     """
 
     def __init__(
@@ -656,18 +713,28 @@ class TSQRFactors:
         self._engine = engine
         self._wy_plan: dict = {} if engine is None else {engine[1].dtype: engine[1]}
         self._l0_ref: dict = {}
+        self._spent = False
 
     @property
     def blocks(self) -> list[_LevelZeroFactor]:
+        self._live()
         if self._blocks is None:
             self._blocks, self._tree_factors = _node_factors(*self._engine)
         return self._blocks
 
     @property
     def tree_factors(self) -> list[list[_TreeFactor]]:
+        self._live()
         if self._tree_factors is None:
             self._blocks, self._tree_factors = _node_factors(*self._engine)
         return self._tree_factors
+
+    def _live(self) -> None:
+        if self._spent:
+            raise ValueError(
+                "TSQRFactors: the reflectors were overwritten: Q was formed in the "
+                "buffer they were factored in; factor the matrix again"
+            )
 
     # -- internal helpers -------------------------------------------------
 
@@ -747,6 +814,7 @@ class TSQRFactors:
 
     def apply_qt(self, B: np.ndarray) -> np.ndarray:
         """Compute ``Q^T B`` in place (B must have ``m`` rows)."""
+        self._live()
         B = as_float_array(B)
         if B.shape[0] != self.m:
             raise ValueError(f"B must have {self.m} rows, got {B.shape[0]}")
@@ -766,6 +834,7 @@ class TSQRFactors:
 
     def apply_q(self, B: np.ndarray) -> np.ndarray:
         """Compute ``Q B`` in place (B must have ``m`` rows)."""
+        self._live()
         B = as_float_array(B)
         if B.shape[0] != self.m:
             raise ValueError(f"B must have {self.m} rows, got {B.shape[0]}")
@@ -791,14 +860,25 @@ class TSQRFactors:
         Q to the identity.  ``out`` (C-contiguous, Q's shape and dtype,
         :func:`~repro.core.dtypes.q_buffer`) receives Q with the same
         bits and is returned; no other ``m x k`` array is allocated.
+        When ``out`` is the buffer the level-0 reflectors were factored
+        in, Q is formed over them (the span's ``in_place``), and the
+        factors are spent.
         """
+        self._live()
         k = min(self.m, self.n)
         dt = np.dtype(working_dtype(self.R))
         blas = blas_name(dt) if self.batched else "numpy"
-        with _obs.span("tsqr.form_q", cat="form_q", m=self.m, n=self.n, blas=blas):
+        over = out is not None and self._engine is not None and out is self._engine[1].home
+        with _obs.span(
+            "tsqr.form_q", cat="form_q", m=self.m, n=self.n, blas=blas, in_place=over
+        ):
             if self.batched and k:
                 Q = q_buffer(out, self.m, k, dt)
-                _plan_form_q(self._plan_for(dt), self.m, k, Q[None])
+                _plan_form_q(self._plan_for(dt), self.m, k, Q[None], over)
+                if over:
+                    self._spent = True
+                    self._engine = self._blocks = self._tree_factors = None
+                    self._wy_plan = {}
                 return Q
             Q = q_buffer(out, self.m, k, dt, zeros=True)
             np.fill_diagonal(Q, 1.0)
@@ -878,13 +958,16 @@ def _tsqr_impl(
     tree_shape: str,
     structured: bool,
     batched: bool,
+    home: np.ndarray | None = None,
 ) -> TSQRFactors:
     """Factor an *already validated* matrix with TSQR (no guard layer).
 
     Internal callers (the CAQR panel loop, the randomized-SVD range
     finder, :class:`QRPlan`) come in here directly: the matrix was
     validated exactly once at the public entry point, so this path never
-    re-scans it.  The batched path is the panel engine on a stack of one.
+    re-scans it.  The batched path is the panel engine on a stack of one,
+    with ``home`` (a tall matrix only) the buffer Q will be formed in
+    (:func:`factor_panel`).
     """
     m, n = A.shape
     if m == 0 or n == 0:
@@ -902,8 +985,36 @@ def _tsqr_impl(
         tree = build_tree(len(ranges), tree_shape)
         return _tsqr_reference(A, m, n, block_rows, ranges, tree, structured)
     sched = panel_schedule(m, n, block_rows, tree_shape)
-    R, plan, nodes = factor_panel(sched, A[None], structured)
+    R, plan, nodes = factor_panel(sched, A[None], structured, home)
     return TSQRFactors(m=m, n=n, tree=sched.tree, R=R[0], engine=(sched, plan, nodes))
+
+
+def _tsqr(
+    A: np.ndarray, policy: ExecutionPolicy | None, q_home: bool = False
+) -> tuple[TSQRFactors, np.ndarray | None]:
+    """Validate ``A`` and factor it; with ``q_home``, on the batched paths
+    of a tall matrix, also allocate Q's buffer once the guard scan is
+    done and factor the level-0 reflectors into it.  Returns the factors
+    and that buffer (or ``None``)."""
+    from repro.verify.guards import validate_matrix
+
+    policy = policy if policy is not None else ExecutionPolicy()
+    with _obs.maybe_trace(policy.trace):
+        A = validate_matrix(A, where="tsqr", nonfinite=policy.nonfinite)
+        m, n = A.shape
+        home = None
+        if q_home and policy.uses_batched and m >= n > 0:
+            home = np.empty((m, n), dtype=A.dtype)
+        with _obs.span("tsqr", cat="factor", m=m, n=n, path=policy.path):
+            f = _tsqr_impl(
+                A,
+                block_rows=policy.block_rows,
+                tree_shape=policy.tree_shape,
+                structured=policy.uses_structured,
+                batched=policy.uses_batched,
+                home=home,
+            )
+        return f, home
 
 
 def tsqr(A: np.ndarray, *, policy: ExecutionPolicy | None = None) -> TSQRFactors:
@@ -924,26 +1035,18 @@ def tsqr(A: np.ndarray, *, policy: ExecutionPolicy | None = None) -> TSQRFactors
     Returns:
         A :class:`TSQRFactors` holding the implicit Q and the final R.
     """
-    from repro.verify.guards import validate_matrix
-
-    policy = policy if policy is not None else ExecutionPolicy()
-    with _obs.maybe_trace(policy.trace):
-        A = validate_matrix(A, where="tsqr", nonfinite=policy.nonfinite)
-        with _obs.span(
-            "tsqr", cat="factor", m=A.shape[0], n=A.shape[1], path=policy.path
-        ):
-            return _tsqr_impl(
-                A,
-                block_rows=policy.block_rows,
-                tree_shape=policy.tree_shape,
-                structured=policy.uses_structured,
-                batched=policy.uses_batched,
-            )
+    return _tsqr(A, policy)[0]
 
 
 def tsqr_qr(
     A: np.ndarray, *, policy: ExecutionPolicy | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Convenience: explicit thin ``(Q, R)`` via TSQR."""
-    f = tsqr(A, policy=policy)
-    return f.form_q(), f.R
+    """Convenience: explicit thin ``(Q, R)`` via TSQR.
+
+    The factors are discarded, so on the batched paths of a tall matrix
+    the level-0 reflectors are factored in Q's buffer and Q is formed
+    over them: one ``m x n`` array, with the bits of
+    ``tsqr(A).form_q()``.
+    """
+    f, home = _tsqr(A, policy, q_home=True)
+    return f.form_q(out=home), f.R

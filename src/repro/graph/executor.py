@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.caqr import CAQRFactors, PanelFactor
+from repro.core.dtypes import q_buffer
 from repro.core.tsqr import (
     PanelSchedule, TSQRFactors, _plan_form_q, _WyPlan, apply_wy_plan, factor_panel,
     level0_rows, panel_schedule,
@@ -163,7 +164,7 @@ def emit_lookahead_layers(sched: LookaheadSchedule) -> TaskGraph:
 
 
 def factor_stack(
-    sched: LookaheadSchedule, W: np.ndarray
+    sched: LookaheadSchedule, W: np.ndarray, home: np.ndarray | None = None
 ) -> tuple[np.ndarray, list[tuple[np.ndarray, _WyPlan, list]]]:
     """Run a captured schedule on the ``(r, m, n)`` stack ``W``, in place.
 
@@ -177,7 +178,8 @@ def factor_stack(
 
     Returns the ``(r, min(m, n), n)`` Rs and, per panel, what
     :func:`~repro.core.tsqr.factor_panel` returned: its Rs, apply plan
-    and tree nodes.
+    and tree nodes.  ``home`` (one panel of one request) is Q's buffer,
+    which that panel factors its level-0 reflectors in.
     """
     m, n = sched.m, sched.n
     if W.shape[1:] != (m, n):
@@ -191,7 +193,9 @@ def factor_stack(
         c0, pw_p, r0, bh, _wt = sched.panels[p]
         if ts.kind == "factor":
             with _obs.span("factor", cat="factor", panel=p, rows=m - r0, block_rows=bh):
-                out[p] = factor_panel(sched.panel_schedules[p], W[:, r0:, c0 : c0 + pw_p])
+                out[p] = factor_panel(
+                    sched.panel_schedules[p], W[:, r0:, c0 : c0 + pw_p], home=home
+                )
         else:
             with _obs.span("update", cat="update", panel=p, lo=ts.lo, hi=ts.hi):
                 apply_wy_plan(out[p][1], W[:, r0:, ts.lo : ts.hi], transpose=True)
@@ -225,23 +229,40 @@ def form_q_stack(sched: LookaheadSchedule, panels: list, r: int, dtype) -> np.nd
     return Q
 
 
-def run_lookahead_schedule(sched: LookaheadSchedule, A: np.ndarray) -> CAQRFactors:
+def run_lookahead_schedule(
+    sched: LookaheadSchedule, A: np.ndarray, q_out: np.ndarray | None = None
+) -> CAQRFactors:
     """Run a captured schedule on one (already validated) matrix.
 
     :func:`factor_stack` on a stack of one.  Each panel of the returned
     :class:`~repro.core.caqr.CAQRFactors` holds its
     :class:`~repro.core.tsqr.TSQRFactors` as views of the engine's
     stacks.
+
+    ``q_out`` is the buffer the caller forms Q in next
+    (``form_q(out=q_out)``): a C-contiguous ``(m, min(m, n))`` array of
+    ``A``'s dtype that does not overlap ``A``.  One panel factors its
+    level-0 reflectors in it, so Q is formed over them and the factors
+    are spent after that (:class:`~repro.core.tsqr.TSQRFactors`).  With
+    trailing updates on a tall matrix it holds the working copy of ``A``
+    instead: R is read from it before ``form_q`` zero-fills it.
     """
     policy = sched.policy
+    if q_out is not None:
+        q_buffer(q_out, sched.m, min(sched.m, sched.n), A.dtype)
+    home = None
     if sched.has_updates:
         with _obs.span("setup", cat="host"):
-            W = A.copy()
+            if q_out is not None and q_out.shape == A.shape:
+                W = q_out
+                np.copyto(W, A)
+            else:
+                W = A.copy()
     else:
         # Panel factors only read their columns, so with no trailing
         # update (one tall panel) nothing writes W: factor A in place.
-        W = A
-    R, out = factor_stack(sched, W[None])
+        W, home = A, q_out
+    R, out = factor_stack(sched, W[None], home=home)
     panels = [
         PanelFactor(
             col_start=c0, col_stop=c0 + pw_p, row_start=r0,

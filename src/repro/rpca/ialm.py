@@ -11,7 +11,8 @@ worth 30x end to end (Table II).
 The elementwise part of an iteration runs in :class:`IALMWorkspace`:
 four m x n buffers allocated once per solve, swept in row chunks whose
 temporaries stay in cache.  The workspace also holds the solve's one QR
-plan, and the SVT forms Q in its ``L`` buffer.  Every element goes
+plan, and the SVT factors in its ``L`` buffer and forms Q there, so an
+iteration allocates no m x n array.  Every element goes
 through the NumPy operations of the whole-array loop, in its order::
 
     X = M - S + Y / mu
@@ -73,10 +74,11 @@ class IALMWorkspace:
     once, and so is ``plan``, the SVT's QR plan
     (``plan_qr(m, n, float64, ExecutionPolicy())``).  ``X`` holds the SVT
     input, then the left singular vectors ``Q @ U_small``, then the
-    residual ``M - L - S``; ``L`` holds the SVT's Q
-    (:func:`~repro.rpca.svt.svt_into`), then the new low-rank matrix.
-    No other m x n array outlives a stage, and within the SVT only the
-    QR's reflector stack does.  The passes sweep row chunks of
+    residual ``M - L - S``; ``L`` holds the QR's level-0 reflectors,
+    then Q formed over them (:func:`~repro.rpca.svt.svt_into`), then the
+    new low-rank matrix.  No other m x n array is allocated, within the
+    SVT either: what the QR allocates is its per-block n x n factors.
+    The passes sweep row chunks of
     ``chunk_bytes`` per operand through two chunk-sized temporaries and
     add the m x n streams they make to the ``rpca_stream_bytes`` obs
     counter.

@@ -10,7 +10,8 @@ The kernels below write into caller-owned buffers, so the IALM loop
 same code.  The default
 pipeline is the thin QR of ``X`` from a :func:`~repro.runtime.plan.plan_qr`
 plan under ``ExecutionPolicy()`` (TSQR of the whole matrix, the bits of
-``tsqr_qr``), with Q formed in the buffer that then receives ``L``; the
+``tsqr_qr``), factored in the buffer that then receives ``L`` and with
+Q formed there over its reflectors; the
 one-sided Jacobi SVD of ``R``; ``U = Q @ U_small``; and
 ``L = (U_r * s_r) @ Vt_r`` — the operations, and the operation order, of
 :func:`~repro.core.ts_svd.tall_skinny_svd` followed by the rebuild, so
@@ -81,10 +82,11 @@ def svt_into(
     """Singular value threshold of ``X`` written into ``L``; returns the rank.
 
     With the default SVD, ``X`` and ``L`` (tall, float64, C-contiguous,
-    not overlapping) are both the SVT's memory, and no other m x n array
-    is allocated for Q: ``L`` receives Q from ``plan.execute(X,
-    validated=True, out=L)``, ``X`` receives ``Q @ U_small``, and ``L``
-    then receives the rebuild.  On return ``X`` holds those left
+    not overlapping) are the SVT's whole m x n memory: ``plan.execute(X,
+    validated=True, out=L)`` factors TSQR's level-0 reflectors in ``L``
+    and forms Q over them there, ``X`` receives ``Q @ U_small``, and
+    ``L`` then receives the rebuild; no other m x n array is
+    allocated.  On return ``X`` holds those left
     singular vectors and ``L`` the thresholded matrix; ``L``'s old
     contents are never read.  ``X`` is not scanned for non-finite
     entries (the IALM validated its input once).  ``plan`` is the QR

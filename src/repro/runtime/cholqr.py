@@ -233,13 +233,20 @@ def _fallback_schedule(m: int, n: int, policy: ExecutionPolicy):
 
 
 def _run_fallback(A, policy, schedule, stage: str, q_out=None):
-    """Factor on the Householder tree after a guard refusal (Q in ``q_out``)."""
+    """Factor on the Householder tree after a guard refusal (Q in ``q_out``).
+
+    The tree works in Q's buffer (:func:`run_lookahead_schedule`): one
+    panel forms Q over its level-0 reflectors, so without ``q_out`` its
+    buffer is allocated here, before the factor.
+    """
     from repro.graph.executor import run_lookahead_schedule
 
     _record_fallback(stage)
     m, n = A.shape
     if schedule is None:
         schedule = _fallback_schedule(m, n, policy)
+    if q_out is None and not schedule.has_updates:
+        q_out = np.empty((m, n), dtype=A.dtype)
     # The span names the tree's geometry: panel count and level-0 height
     # (a refusal needs a nonempty matrix, so there is a first panel).
     with _obs.span(
@@ -247,7 +254,7 @@ def _run_fallback(A, policy, schedule, stage: str, q_out=None):
         panels=len(schedule.panels), block_rows=schedule.panels[0][3],
     ):
         _obs.counters(cholqr_fallbacks=1)
-        factors = run_lookahead_schedule(schedule, A)
+        factors = run_lookahead_schedule(schedule, A, q_out=q_out)
         Q = factors.form_q(out=q_out)
     return CholQRFactors(Q, factors.R, fell_back=True, fallback_stage=stage)
 
@@ -280,6 +287,7 @@ def run_cholqr(
     guard = CholQRGuard.for_policy(policy, A.dtype)
     mixed = policy.spec.mixed
     left = A if n <= m else np.ascontiguousarray(A[:, :m])
+    stage = None
     try:
         with _obs.span(
             "cholqr.factor", cat="cholqr", m=m, n=n, path=policy.path, mixed=mixed
@@ -288,13 +296,17 @@ def run_cholqr(
                 left, mixed=mixed, workspace=workspace, check=guard, out=q_out
             )
     except _FallbackRequested as req:
-        return _run_fallback(A, policy, schedule, req.stage, q_out)
+        stage = req.stage
     except CholeskyBreakdownError as exc:
-        if policy.spec.fallback:
-            # Breakdown mid-factorization (not a guard refusal): the
-            # adaptive path still owes the caller a factorization.
-            return _run_fallback(A, policy, schedule, exc.stage, q_out)
-        raise
+        if not policy.spec.fallback:
+            raise
+        # Breakdown mid-factorization (not a guard refusal): the
+        # adaptive path still owes the caller a factorization.
+        stage = exc.stage
+    if stage is not None:
+        # Out of the handlers, so the refused attempt's frames, and any
+        # working matrix it allocated, are gone before the tree runs.
+        return _run_fallback(A, policy, schedule, stage, q_out)
     if n > m:
         R = np.empty((k, n), dtype=A.dtype)
         R[:, :m] = R11

@@ -179,21 +179,29 @@ class QRPlan:
         (``caqr``, the dispatcher) that already validated and normalized
         ``A``, making one scan per matrix the whole-pipeline total.
         """
-        return self._factor(A, validated, None)
+        return self._factor(A, validated, None)[0]
 
-    def _factor(self, A: np.ndarray, validated: bool, q_out: np.ndarray | None):
+    def _factor(self, A: np.ndarray, validated: bool, q_out: np.ndarray | None,
+                form: bool = False):
+        """Factor ``A`` with Q's buffer ``q_out``; returns the factors and
+        the buffer.  ``form`` (``execute``: Q is formed next) allocates the
+        buffer, once the guard scan is done, for an engine that factors
+        in it."""
         with _obs.maybe_trace(self.policy.trace):
             A = self._prepare(A, validated)
+            k = min(self.m, self.n)
             if q_out is not None:
                 from repro.core.dtypes import q_buffer
 
-                q_buffer(q_out, self.m, min(self.m, self.n), self.dtype)
+                q_buffer(q_out, self.m, k, self.dtype)
                 if np.shares_memory(q_out, A):
                     raise ValueError("QRPlan.execute: out overlaps A")
+            elif form and self._engine.factors_in_q(self):
+                q_out = np.empty((self.m, k), dtype=self.dtype)
             with _obs.span(
                 "plan.factor", cat="plan", m=self.m, n=self.n, path=self.policy.path
             ):
-                return self._engine.factor(self, A, q_out)
+                return self._engine.factor(self, A, q_out), q_out
 
     def _cholqr_workspace(self):
         ws = getattr(self._tls, "ws", None)
@@ -211,16 +219,24 @@ class QRPlan:
         ``out`` — a writeable C-contiguous ``(m, min(m, n))`` array of
         the plan's dtype that does not overlap ``A`` (``ValueError``
         otherwise) — and ``out`` is returned as Q, bit-identical to the
-        allocating call on every path.  The caller owns that memory: the
-        look-ahead paths form Q in it from the reflectors and the
-        CholeskyQR2 paths run their working matrix in it, so neither
-        allocates another ``m x k`` array for Q.  A CholeskyQR2 refusal
-        can leave scratch in ``out``, which ``auto``'s tree fallback then
-        overwrites with Q.  The reflectors are the factorization's own
-        and are freed before this returns.
+        allocating call on every path.
+
+        Engines that work in Q's buffer while they factor get it, ``out``
+        or one allocated after the guard scan: a one-panel look-ahead
+        factorization (``batched``, ``lookahead`` and ``auto``'s tree
+        fallback on a tall matrix) factors its level-0 reflectors there
+        and forms Q over them, as LAPACK ``orgqr`` does, and the
+        CholeskyQR2 paths run their working matrix there.  So neither
+        holds a second ``m x k`` array.  With ``out`` on a tall matrix,
+        a look-ahead factorization with trailing updates keeps its
+        working copy of ``A`` in ``out`` too.  A CholeskyQR2 refusal can
+        leave scratch in ``out``, which ``auto``'s tree fallback then
+        overwrites.  Every other engine forms Q after factoring; its
+        reflectors are the factorization's own and are freed before
+        this returns.
         """
-        f = self._factor(A, validated, out)
-        return f.form_q(out=out), f.R
+        f, Q = self._factor(A, validated, out, form=True)
+        return f.form_q(out=Q), f.R
 
     # -- modeled cost ------------------------------------------------------
 

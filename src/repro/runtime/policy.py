@@ -119,9 +119,14 @@ class Engine:
         return PAPER_PANEL_WIDTH if policy.panel_width is None else policy.panel_width
 
     def factor(self, plan, A, q_out=None):
-        """Factor validated ``A``; ``q_out`` is where Q goes if the
-        factorization forms it (CholeskyQR2), else unused."""
+        """Factor validated ``A``; ``q_out`` is the buffer Q is formed in
+        next, which the engine may work in while it factors."""
         raise NotImplementedError
+
+    def factors_in_q(self, plan) -> bool:
+        """Whether ``factor`` works in Q's buffer, so that an ``execute``
+        without ``out`` allocates Q before factoring, not after."""
+        return False
 
     def simulate(self, m, n, policy, cfg, dev, streams=None):
         from repro.caqr_gpu import simulate_caqr
@@ -179,7 +184,12 @@ class _Lookahead(Engine):
         # Looked up at call time: benchmarks wrap this attribute.
         from repro.graph.executor import run_lookahead_schedule
 
-        return run_lookahead_schedule(plan._schedule, A)
+        return run_lookahead_schedule(plan._schedule, A, q_out=q_out)
+
+    def factors_in_q(self, plan):
+        # One panel factors its level-0 reflectors in Q's buffer.  With
+        # trailing updates the working copy is freed before Q is formed.
+        return not plan._schedule.has_updates
 
     def task_graph(self, plan):
         from repro.graph.executor import emit_lookahead_layers
@@ -212,6 +222,11 @@ class _CholQR(Engine):
             A, plan.policy, workspace=plan._cholqr_workspace(), schedule=plan._schedule,
             q_out=q_out,
         )
+
+    def factors_in_q(self, plan):
+        # The working matrix is Q (on a wide matrix, of the leading
+        # square block, and a fallback's working copy would not fit).
+        return plan.m >= plan.n
 
     def simulate(self, m, n, policy, cfg, dev, streams=None):
         # O(1) launches on one stream: ``streams`` has no effect.

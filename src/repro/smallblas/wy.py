@@ -17,7 +17,9 @@ level-0 update of :mod:`repro.core.tsqr` run with no gather/scatter
 copies at all.  The reflectors are such a view too: the factor kernel
 copies R out of LAPACK's packed output and writes ``V``'s unit-lower
 pattern over the triangle R occupied (:func:`v_in_place`), so ``V`` is
-read where LAPACK wrote it and no batched path ever copies it.
+read where LAPACK wrote it and no batched path ever copies it whole:
+forming Q over the reflectors copies one block's ``V`` at a time to the
+scratch (:func:`scratch_copy`).
 
 The seed einsum kernels are kept untouched as the reference
 implementations; these routines are tested against them block by block.
@@ -46,6 +48,8 @@ __all__ = [
     "apply_wy",
     "blas_name",
     "orgqr_wy",
+    "scratch_copy",
+    "takes_geqrt",
     "geqr2_blocked",
 ]
 
@@ -82,6 +86,18 @@ def _scratch(count: int, dtype: np.dtype) -> np.ndarray:
         buf = np.empty(max(count, 1), dtype=dtype)
         work[key] = buf
     return buf
+
+
+def scratch_copy(V: np.ndarray) -> np.ndarray:
+    """A copy of the Fortran-ordered 2-D ``V`` in the shared scratch buffer.
+
+    It has ``V``'s shape and strides, so a GEMM reads it as it would
+    read ``V``; it is valid until the scratch's next user.
+    """
+    rows, cols = V.shape
+    out = _scratch(V.size, V.dtype)[: V.size].reshape(cols, rows).T
+    np.copyto(out, V)
+    return out
 
 
 def extract_v(VR: np.ndarray) -> np.ndarray:
@@ -292,30 +308,48 @@ def _fortran(a: np.ndarray) -> tuple[np.ndarray, int]:
     return a, 0
 
 
-def _factor_slices(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def takes_geqrt(m: int, n: int) -> bool:
+    """Whether the slice kernel factors an ``m x n`` slice with ``geqrt``.
+
+    Those slices can be factored in a caller's buffer
+    (:func:`_factor_slices`'s ``out``); the others run the gufunc, which
+    allocates its own.
+    """
+    return _lapack is not None and m >= n and m * n >= GEQRT_MIN_ELEMS
+
+
+def _factor_slices(
+    A: np.ndarray, out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The per-slice QR kernel behind every batched factor.
 
     A slice with ``m >= n`` and at least :data:`GEQRT_MIN_ELEMS` elements
-    is factored in place by LAPACK's recursive compact-WY ``geqrt`` with
-    ``nb = n``: one BLAS3 call per slice that also returns the whole
-    ``T``, so ``tau = diag(T)`` and :func:`larft` never runs.  Smaller
-    or wide slices go through the stacked-QR gufunc (``geqrf``) plus
-    :func:`larft`.  The choice depends on the slice shape only, never on
-    the batch size, and each slice is factored on its own, so stacking
-    slices (TSQR blocks, serving requests) never changes their bits.
+    (:func:`takes_geqrt`) is factored in place by LAPACK's recursive
+    compact-WY ``geqrt`` with ``nb = n``: one BLAS3 call per slice that
+    also returns the whole ``T``, so ``tau = diag(T)`` and :func:`larft`
+    never runs.  Smaller or wide slices go through the stacked-QR gufunc
+    (``geqrf``) plus :func:`larft`.  The choice depends on the slice
+    shape only, never on the batch size, and each slice is factored on
+    its own, so stacking slices (TSQR blocks, serving requests) never
+    changes their bits.
 
     LAPACK's packed output is the only storage of the reflectors: R is
-    copied out and :func:`v_in_place` turns the rest into ``V``.
+    copied out and :func:`v_in_place` turns the rest into ``V``.  The
+    ``geqrt`` slices are factored in a C-ordered ``(batch, n, m)`` array,
+    or, given ``out`` (a C-contiguous array of ``A.size`` elements, read
+    only for those slices), in ``out`` with that same layout, so the bits
+    do not depend on where they land.  TSQR passes the rows of Q the
+    slices' rows become, and forms Q over the reflectors.
 
     Returns ``(V, T, R, tau)``: the ``(batch, m, k)`` unit-lower-trapezoidal
-    reflectors, a view of the packed output with each slice in Fortran
-    order; ``T``; the ``(batch, k, n)`` upper-trapezoidal R; and the
-    coefficients.
+    reflectors, a view of the packed output (each ``geqrt`` slice in
+    Fortran order); ``T``; the ``(batch, k, n)`` upper-trapezoidal R; and
+    the coefficients.
     """
     b, m, n = A.shape
     T = None
-    if _lapack is not None and m >= n and m * n >= GEQRT_MIN_ELEMS:
-        h = np.empty((b, n, m), dtype=A.dtype)
+    if takes_geqrt(m, n):
+        h = np.empty((b, n, m), dtype=A.dtype) if out is None else out.reshape(b, n, m)
         np.copyto(h.transpose(0, 2, 1), A)
         T = np.empty((b, n, n), dtype=A.dtype)
         geqrt = _lapack.dgeqrt if A.dtype == np.float64 else _lapack.sgeqrt

@@ -45,7 +45,11 @@ the invariants, and well-conditioned ones against ``np.linalg.qr``.
 For each coalescable path (``batched``) the case is also stacked between
 two same-shape matrices through a :class:`~repro.serving.ServingPlan`:
 its slice of ``stacked_qr`` must equal ``plan_qr(...).factor(A)`` bit
-for bit, the serving coalescer's contract.
+for bit, the serving coalescer's contract.  On every path,
+``plan.execute(A)`` and ``plan.execute(A, out=buf)`` must equal
+``caqr(A, policy).form_q()`` and ``.R`` bit for bit: an execute hands Q's
+buffer to the engine, which can factor in it and form Q over its own
+reflectors, while the factors ``caqr`` returns keep theirs.
 
 Any divergence is reported with a minimal standalone repro snippet.
 """
@@ -58,6 +62,7 @@ import numpy as np
 
 from repro.core.caqr import caqr_qr
 from repro.core.cholesky_qr import CholeskyBreakdownError
+from repro.core.dtypes import working_dtype
 from repro.core.gram_schmidt import cgs2
 from repro.core.tsqr import tsqr_qr
 from repro.core.validation import sign_canonical
@@ -221,6 +226,8 @@ class Divergence:
     # | "fallback" (auto fell back on Gaussian input, or a sweep with
     #   adversarial kinds saw no fallback at all)
     # | "serving" (a coalesced slice differs from the plan's own factor)
+    # | "execute" (plan.execute(A), with or without out=, differs from
+    #   caqr(A, policy).form_q() and .R)
     check: str
     detail: str
 
@@ -290,6 +297,33 @@ def _serving_divergence(case: FuzzCase, name: str, A: np.ndarray) -> list[Diverg
         case, name, "serving",
         f"stacked_qr slice != plan_qr(...).factor: max|dQ|={dq:.3e} max|dR|={dr:.3e}",
     )]
+
+
+def _execute_divergence(
+    case: FuzzCase, name: str, A: np.ndarray, Q: np.ndarray, R: np.ndarray
+) -> list[Divergence]:
+    """``plan.execute(A)`` and ``plan.execute(A, out=buf)`` against the
+    ``caqr(A, policy).form_q()`` and ``.R`` of the same policy, bit for bit."""
+    m, n = A.shape
+    plan = plan_qr(m, n, working_dtype(A), case.policy(name))
+    buf = np.full((m, min(m, n)), np.nan, dtype=plan.dtype)
+    divs = []
+    for route, out in (("execute(A)", None), ("execute(A, out=buf)", buf)):
+        try:
+            Qe, Re = plan.execute(A, out=out)
+        except Exception as exc:
+            divs.append(Divergence(case, name, "execute", f"{route}: {type(exc).__name__}: {exc}"))
+            continue
+        if out is not None and Qe is not out:
+            divs.append(Divergence(case, name, "execute", f"{route} did not return out as Q"))
+        elif not (np.array_equal(Qe, Q) and np.array_equal(Re, R)):
+            dq = float(np.abs(Qe - Q).max()) if Q.size else 0.0
+            dr = float(np.abs(Re - R).max()) if R.size else 0.0
+            divs.append(Divergence(
+                case, name, "execute",
+                f"{route} != caqr(A, policy).form_q(), .R: max|dQ|={dq:.3e} max|dR|={dr:.3e}",
+            ))
+    return divs
 
 
 def run_case(case: FuzzCase, paths: list[str] | None = None) -> list[Divergence]:
@@ -363,6 +397,7 @@ def run_case(case: FuzzCase, paths: list[str] | None = None) -> list[Divergence]
         if failures:
             divs.append(Divergence(case, name, "invariants", "; ".join(failures)))
             continue
+        divs.extend(_execute_divergence(case, name, A, Q, R))
         results[name] = (Q, R)
         if well_conditioned:
             vs_numpy(name, Q, R)

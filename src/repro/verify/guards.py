@@ -91,26 +91,41 @@ def validate_nonfinite_policy(nonfinite: str, where: str = "validate_matrix") ->
     return nonfinite
 
 
+# Bytes of input the non-finite scan reads per row chunk: its boolean
+# mask is an eighth of that (of float64) and stays in cache, where a
+# whole-matrix mask would be 0.125 x A.nbytes.
+SCAN_CHUNK_BYTES = 256 * 1024
+
+
 def _raise_on_nonfinite(A: np.ndarray, where: str) -> None:
     for counter in _COUNTERS:
         counter.scans += 1
     if A.size == 0:
         return
+    m, n = A.shape
+    rows = max(1, SCAN_CHUNK_BYTES // (n * A.itemsize))
+    starts = range(0, m, rows)
     # The scan is the guard layer's whole O(mn) cost — span it so traces
     # show where (and how often) inputs are being re-scanned.
     with _obs.span("guard.scan", cat="guard", where=where):
         _obs.counters(guard_scans=1, guard_scan_bytes=int(A.nbytes))
-        finite = np.isfinite(A)
-        ok = bool(finite.all())
+        mask = np.empty((min(rows, m), n), dtype=bool)
+        ok = all(
+            np.isfinite(A[r0 : r0 + rows], out=mask[: min(rows, m - r0)]).all() for r0 in starts
+        )
     if ok:
         return
-    bad = np.argwhere(~finite)
-    idx = tuple(int(x) for x in bad[0])
-    value = A[idx]
-    kind = "nan" if np.isnan(value) else "inf"
+    # Only on failure: count every non-finite entry and find the first.
+    count, first = 0, None
+    for r0 in starts:
+        bad = np.argwhere(~np.isfinite(A[r0 : r0 + rows]))
+        if first is None and len(bad):
+            first = (r0 + int(bad[0, 0]), int(bad[0, 1]))
+        count += len(bad)
+    kind = "nan" if np.isnan(A[first]) else "inf"
     raise ValueError(
-        f"{where}: input contains {bad.shape[0]} non-finite entr"
-        f"{'y' if bad.shape[0] == 1 else 'ies'}; first is {kind} at index {idx}. "
+        f"{where}: input contains {count} non-finite entr"
+        f"{'y' if count == 1 else 'ies'}; first is {kind} at index {first}. "
         "Pass nonfinite='propagate' to skip this check."
     )
 

@@ -381,9 +381,11 @@ class TestReflectorStorage:
     """No batched path copies V out of LAPACK's packed output.
 
     Peaks are traced NumPy allocations (``tracemalloc``) at a tall shape:
-    the packed copy of A is one m x n array and Q another; everything
-    else (R and T per block, the tree's stacked Rs, Q's top rows) is
-    O(blocks * n^2).  An m x n copy of V would add a whole ``A.nbytes``.
+    the packed copy of A is one m x n array, and where the factors are
+    not kept, Q is formed over it, in the same memory; everything else
+    (R and T per block, the tree's stacked Rs, Q's top rows, one block's
+    V copied to the scratch) is O(blocks * n^2).  An m x n copy of V, or
+    a Q beside the reflectors, would add a whole ``A.nbytes``.
     """
 
     M, N = 65536, 64
@@ -409,7 +411,7 @@ class TestReflectorStorage:
     def test_tsqr_qr(self, bounds):
         A, mn, small = bounds
         (Q, R), peak = self._peak(lambda: tsqr_qr(A))
-        assert peak < 2 * mn + small, f"peak {peak / mn:.2f} x A.nbytes"
+        assert peak < mn + small, f"peak {peak / mn:.2f} x A.nbytes"
         assert factorization_error(A, Q, R) < 1e-14
 
     def test_one_panel_lookahead(self, bounds):
@@ -420,7 +422,7 @@ class TestReflectorStorage:
         assert peak < mn + small, f"factor peak {peak / mn:.2f} x A.nbytes"
         del f
         (Q, R), peak = self._peak(lambda: plan.execute(A))
-        assert peak < 2 * mn + small, f"execute peak {peak / mn:.2f} x A.nbytes"
+        assert peak < mn + small, f"execute peak {peak / mn:.2f} x A.nbytes"
         assert np.array_equal(Q, tsqr_qr(A)[0])
 
     @pytest.mark.parametrize("width,copies", [(None, 1), (16, 2)])
@@ -432,3 +434,141 @@ class TestReflectorStorage:
         f, peak = self._peak(lambda: plan.factor(A))
         assert len(f.panels) == (1 if width is None else self.N // width)
         assert peak < copies * mn + small, f"factor peak {peak / mn:.2f} x A.nbytes"
+
+
+def _layout(A: np.ndarray, order: str) -> np.ndarray:
+    if order == "F":
+        return np.asfortranarray(A)
+    if order == "strided":
+        buf = np.zeros((2 * A.shape[0], 2 * A.shape[1]), dtype=A.dtype)
+        view = buf[::2, ::2]
+        view[...] = A
+        return view
+    return A
+
+
+def _graded_input(m: int, n: int, seed: int = 11) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    V, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return (rng.standard_normal((m, n)) * np.logspace(0, -12, n)) @ V
+
+
+class TestFormQOverReflectors:
+    """Q formed over the level-0 reflectors it replaces (``orgqr``'s way)
+    has the bits of Q formed beside them.
+
+    ``tsqr_qr``, ``execute(A)`` and ``execute(A, out=buf)`` of a one-panel
+    look-ahead plan (``batched``, ``lookahead``, ``auto``'s fallback)
+    factor the level-0 blocks in Q's buffer; ``plan.factor(A).form_q()``
+    keeps the factors and forms Q in a new array.  Shapes at the default
+    32n-row blocks: uniform ``geqrt`` blocks with a ``geqrt`` tail, with a
+    tail small enough for the gufunc, with a tail shorter than the width,
+    a single block, and a single gufunc block (nothing lives in Q).
+    """
+
+    SHAPES = {
+        "geqrt_tail": (5 * 1280 + 811, 40),
+        "gufunc_tail": (2 * 640 + 37, 20),
+        "tail_below_width": (2 * 640 + 3, 20),
+        "single_block": (600, 20),
+        "exact_blocks": (4 * 640, 20),
+        "gufunc_block": (300, 10),
+    }
+    IN_PLACE = {"gufunc_block": False}
+
+    @staticmethod
+    def _form_q_spans(session):
+        return [s.args["in_place"] for s in session.trace.by_cat("form_q")]
+
+    @pytest.mark.parametrize("order", ["C", "F", "strided"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("shape", list(SHAPES))
+    def test_execute_equals_factor_then_form_q(self, rng, shape, dtype, order):
+        m, n = self.SHAPES[shape]
+        A = _layout(rng.standard_normal((m, n)).astype(dtype), order)
+        in_place = self.IN_PLACE.get(shape, True)
+        for path in ("batched", "lookahead"):
+            plan = plan_qr(m, n, dtype, ExecutionPolicy(path=path))
+            f = plan.factor(A)
+            Q_ref, R_ref = f.form_q(), f.R
+            with obs.capture() as session:
+                Q, R = plan.execute(A)
+            assert self._form_q_spans(session) == [in_place]
+            assert np.array_equal(Q, Q_ref) and np.array_equal(R, R_ref)
+            buf = np.full((m, n), np.nan, dtype=dtype)
+            Q, R = plan.execute(A, out=buf)
+            assert Q is buf
+            assert np.array_equal(Q, Q_ref) and np.array_equal(R, R_ref)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("shape", ["geqrt_tail", "gufunc_tail", "single_block"])
+    def test_auto_fallback_equals_tree_factor(self, shape, dtype):
+        from repro.runtime import count_fallbacks
+
+        m, n = self.SHAPES[shape]
+        A = _graded_input(m, n).astype(dtype)
+        f = plan_qr(m, n, dtype, ExecutionPolicy()).factor(A)
+        auto = plan_qr(m, n, dtype, ExecutionPolicy(path="auto"))
+        buf = np.empty((m, n), dtype=dtype)
+        with count_fallbacks() as fb, obs.capture() as session:
+            results = [auto.execute(A), auto.execute(A, out=buf), auto.factor(A)]
+        assert fb.fallbacks == 3
+        assert self._form_q_spans(session) == [True] * 3
+        Q_ref = f.form_q()
+        for Q, R in results[:2]:
+            assert np.array_equal(Q, Q_ref) and np.array_equal(R, f.R)
+        assert np.array_equal(results[2].form_q(), Q_ref)
+
+    @pytest.mark.parametrize("path", ["batched", "structured"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("shape", list(SHAPES))
+    def test_tsqr_qr_equals_tsqr_form_q(self, rng, shape, dtype, path):
+        m, n = self.SHAPES[shape]
+        A = rng.standard_normal((m, n)).astype(dtype)
+        policy = ExecutionPolicy(path=path)
+        f = tsqr(A, policy=policy)
+        with obs.capture() as session:
+            Q, R = tsqr_qr(A, policy=policy)
+        assert self._form_q_spans(session) == [self.IN_PLACE.get(shape, True)]
+        assert np.array_equal(Q, f.form_q()) and np.array_equal(R, f.R)
+
+
+class TestSpentFactors:
+    """Factors whose reflectors Q has overwritten refuse every further use."""
+
+    def test_formed_over_raises(self, rng):
+        from repro.graph.executor import run_lookahead_schedule
+
+        A = rng.standard_normal((2 * 640 + 37, 20))
+        ref = plan_qr(*A.shape).factor(A)
+        buf = np.empty_like(A)
+        f = run_lookahead_schedule(build_lookahead_schedule(*A.shape, ExecutionPolicy()), A, buf)
+        assert f.form_q(out=buf) is buf
+        assert np.array_equal(buf, ref.form_q())
+        B = rng.standard_normal((A.shape[0], 3))
+        panel = f.panels[0].factors
+        uses = {
+            "apply_qt": lambda: f.apply_qt(B.copy()),
+            "apply_q": lambda: f.apply_q(B.copy()),
+            "form_q": f.form_q,
+            "form_q(out)": lambda: f.form_q(out=buf),
+            "blocks": lambda: panel.blocks,
+            "tree_factors": lambda: panel.tree_factors,
+        }
+        for name, use in uses.items():
+            with pytest.raises(ValueError, match="reflectors were overwritten"):
+                use()
+
+    def test_kept_factors_form_and_apply_again(self, rng):
+        A = rng.standard_normal((2 * 640 + 37, 20))
+        f = plan_qr(*A.shape).factor(A)
+        Q1 = f.form_q()
+        buf = np.empty_like(Q1)
+        assert f.form_q(out=buf) is buf
+        Q2 = f.form_q()
+        assert np.array_equal(Q1, buf) and np.array_equal(Q1, Q2)
+        C = f.apply_qt(A.copy())
+        assert np.abs(C[:20] - f.R).max() < 1e-13 * np.abs(f.R).max()
+        assert np.abs(C[20:]).max() < 1e-13 * np.abs(f.R).max()
+        assert np.array_equal(f.form_q(), Q1)
+        assert len(f.panels[0].factors.blocks) == 3

@@ -492,10 +492,13 @@ class TestExecuteOut:
 
 
 class TestExecuteOutAllocates:
-    """With ``out``, the look-ahead paths allocate only the reflector stack
-    (one m x n array) and CholeskyQR2 no m x n array at all: Q is formed
-    in ``out``.  Traced NumPy peaks at TestReflectorStorage's shape and
-    allowance (8 x blocks x n x n elements for the per-block R and T
+    """With ``out``, no path here allocates an m x n array: one look-ahead
+    panel factors its level-0 reflectors in ``out`` and forms Q over
+    them, and CholeskyQR2 runs its working matrix there.  With 16-wide
+    panels the look-ahead engine keeps its working copy of A in ``out``,
+    so only the panels' reflector stacks (one m x n array between them)
+    are allocated.  Traced NumPy peaks at TestReflectorStorage's shape
+    and allowance (8 x blocks x n x n elements for the per-block R and T
     factors, the tree's stacked Rs and Q's top rows)."""
 
     M, N = 65536, 64
@@ -511,23 +514,25 @@ class TestExecuteOutAllocates:
         return {"gaussian": A, "graded": _graded(self.M, self.N)}, A.nbytes, small
 
     @pytest.mark.parametrize(
-        "path,kind,tree",
+        "path,kind,tree,width",
         [
-            ("batched", "gaussian", True),
-            ("lookahead", "gaussian", True),
-            ("auto", "gaussian", False),  # CholeskyQR2 admits it
-            ("auto", "graded", True),  # the guard refuses it: tree fallback
+            ("batched", "gaussian", True, None),
+            ("lookahead", "gaussian", True, None),
+            ("auto", "gaussian", False, None),  # CholeskyQR2 admits it
+            ("auto", "graded", True, None),  # the guard refuses it: tree fallback
+            ("batched", "gaussian", True, 16),  # four panels, trailing updates
         ],
-        ids=["batched", "lookahead", "auto-cholqr2", "auto-fallback"],
+        ids=["batched", "lookahead", "auto-cholqr2", "auto-fallback", "batched-w16"],
     )
-    def test_traced_peak(self, inputs, path, kind, tree):
+    def test_traced_peak(self, inputs, path, kind, tree, width):
         import tracemalloc
 
         from repro.runtime import count_fallbacks
 
         mats, mn, small = inputs
         A = mats[kind]
-        plan = plan_qr(self.M, self.N, np.float64, ExecutionPolicy(path=path))
+        policy = ExecutionPolicy(path=path, panel_width=width)
+        plan = plan_qr(self.M, self.N, np.float64, policy)
         buf = np.empty_like(A)
         plan.execute(A, out=buf)  # warm the kernels' scratch
         with count_fallbacks() as fb:
@@ -538,5 +543,6 @@ class TestExecuteOutAllocates:
             finally:
                 tracemalloc.stop()
         assert Q is buf and fb.fallbacks == (path == "auto" and tree)
-        bound = mn + small if tree else small
+        assert len(plan.panels) == (1 if width is None else self.N // width)
+        bound = mn + small if width is not None else small
         assert peak < bound, f"execute peak {peak / mn:.2f} x A.nbytes"

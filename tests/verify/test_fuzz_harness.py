@@ -85,6 +85,25 @@ class TestHarnessDetects:
         assert divs, "harness failed to flag a corrupted factorization"
         assert any(d.check in ("vs-numpy", "pairwise", "invariants") for d in divs)
 
+    def test_broken_execute_is_reported(self, monkeypatch):
+        """An execute whose Q is one ulp off ``caqr(A).form_q()`` diverges,
+        which no tolerance-based check would notice."""
+        from repro.runtime.plan import QRPlan
+
+        real = QRPlan.execute
+
+        def corrupted(self, A, validated=False, out=None):
+            Q, R = real(self, A, validated, out)
+            if out is not None and self.policy.path == "lookahead":
+                Q[0, 0] = np.nextafter(Q[0, 0], np.inf)
+            return Q, R
+
+        monkeypatch.setattr(QRPlan, "execute", corrupted)
+        case = FuzzCase(1100, 20, panel_width=None, block_rows=None)
+        divs = run_case(case, paths=["batched", "lookahead"])
+        assert [(d.path, d.check) for d in divs] == [("lookahead", "execute")]
+        assert "execute(A, out=buf)" in divs[0].detail
+
     def test_broken_tsqr_is_reported(self, monkeypatch):
         """Whole-matrix TSQR is checked on every case, each tree apart."""
         real = fuzz.tsqr_qr

@@ -140,3 +140,69 @@ class TestNormalization:
         A[0, 0] = np.nan
         with pytest.raises(ValueError, match="cholesky_qr"):
             cholesky_qr(A)
+
+
+def _whole_matrix_message(A: np.ndarray, where: str) -> str:
+    """The guard's message as a whole-matrix mask computes it (the reference)."""
+    bad = np.argwhere(~np.isfinite(A))
+    idx = tuple(int(x) for x in bad[0])
+    kind = "nan" if np.isnan(A[idx]) else "inf"
+    return (
+        f"{where}: input contains {bad.shape[0]} non-finite entr"
+        f"{'y' if bad.shape[0] == 1 else 'ies'}; first is {kind} at index {idx}. "
+        "Pass nonfinite='propagate' to skip this check."
+    )
+
+
+class TestChunkedScan:
+    """The non-finite scan reads row chunks of about 256 KiB: no m x n
+    mask, and the same message as a whole-matrix scan."""
+
+    def test_traced_peak_under_a_mebibyte(self, rng):
+        import tracemalloc
+
+        A = rng.standard_normal((65536, 64))
+        tracemalloc.start()
+        try:
+            validate_matrix(A, where="t")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, f"scan peak {peak} bytes"
+
+    # 20000 x 40 float64: 819 rows per chunk.
+    PLANTS = {
+        "first_row": [(0, 5, np.nan)],
+        "last_row": [(19999, 39, np.inf)],
+        "middle_chunk": [(10 * 819 + 17, 9, -np.inf)],
+        "chunk_edges": [(818, 39, np.inf), (819, 0, np.nan)],
+        "several_chunks": [(19000, 1, np.nan), (300, 30, -np.inf), (5000, 0, np.inf),
+                           (300, 2, np.nan)],
+    }
+
+    @pytest.mark.parametrize("order", ["C", "F", "strided"])
+    @pytest.mark.parametrize("plant", list(PLANTS))
+    def test_message_equals_whole_matrix_scan(self, rng, plant, order):
+        A = rng.standard_normal((20000, 40))
+        for i, j, value in self.PLANTS[plant]:
+            A[i, j] = value
+        if order == "F":
+            A = np.asfortranarray(A)
+        elif order == "strided":
+            buf = np.zeros((40000, 80))
+            buf[::2, ::2] = A
+            A = buf[::2, ::2]
+        with pytest.raises(ValueError) as err:
+            validate_matrix(A, where="QRPlan.execute")
+        assert str(err.value) == _whole_matrix_message(A, "QRPlan.execute")
+
+    @pytest.mark.parametrize("shape", [(3, 50000), (1, 7), (7, 1)])
+    def test_rows_wider_than_a_chunk(self, rng, shape):
+        A = rng.standard_normal(shape).astype(np.float32)
+        A[-1, -1] = np.nan
+        A[0, -1] = np.inf
+        with pytest.raises(ValueError) as err:
+            validate_matrix(A, where="t")
+        assert str(err.value) == _whole_matrix_message(A, "t")
+        A[...] = 1.0
+        assert validate_matrix(A, where="t") is A
