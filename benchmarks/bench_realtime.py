@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Real-time (host NumPy) CAQR benchmark: batched vs seed per-node path.
+"""Real-time (host NumPy) CAQR benchmark: batched vs the per-node reference.
 
 The repo has two speed domains: the *simulated* C2050 timeline (what the
 paper measures, produced by :mod:`repro.gpusim`) and the *host* wall
@@ -7,12 +7,14 @@ clock of the NumPy execution path that actually computes the numbers.
 This benchmark measures the second one — the thing the batched
 tree-level kernels and compact-WY trailing updates accelerate — and
 verifies, per shape, that the speed came for free: identical launch
-stream and residuals matching the seed path to near machine precision.
+stream and residuals matching the per-node reference to near machine
+precision.
 
-Protocol: both paths get one untimed warmup call, then the minimum of
+Protocol: both get one untimed warmup call, then the minimum of
 ``--reps`` timed runs is reported (standard min-of-N for a
-single-process, single-core measurement).  The seed per-node execution
-path is kept callable as ``path="seed"`` precisely so this
+single-process, single-core measurement).  The per-node reference is
+the test oracle, ``tests/reference_qr.py`` (the seed implementation,
+kept outside the library); its rows keep the ``*_seed`` keys so this
 comparison stays honest as the batched path evolves.
 
 Beyond the per-call paths, the benchmark times ``plan.factor`` on a
@@ -42,12 +44,14 @@ try:  # self-locating: only extend sys.path when repro is not installed
     import repro  # noqa: F401
 except ImportError:
     sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT))  # the per-node reference, tests/reference_qr.py
 
 from repro.caqr_gpu import enumerate_caqr_launches  # noqa: E402
 from repro.core.caqr import caqr  # noqa: E402
 from repro.core.tsqr import tsqr  # noqa: E402
 from repro.kernels.config import KernelConfig  # noqa: E402
 from repro.runtime import ExecutionPolicy, plan_qr  # noqa: E402
+from tests import reference_qr  # noqa: E402
 
 # (m, n, block_rows, panel_width)
 FULL_SHAPES = [
@@ -149,8 +153,10 @@ def bench_shape(m: int, n: int, br: int, pw: int, reps: int, seed: int = 7) -> d
 
     results: dict[str, dict] = {}
     for op, run in [
-        ("caqr", lambda b: caqr(A, policy=path_policy("batched" if b else "seed"))),
-        ("tsqr", lambda b: tsqr(A, policy=path_policy("batched" if b else "seed"))),
+        ("caqr", lambda b: caqr(A, policy=path_policy("batched")) if b
+         else reference_qr.caqr(A, panel_width=pw, block_rows=br)),
+        ("tsqr", lambda b: tsqr(A, policy=path_policy("batched")) if b
+         else reference_qr.tsqr(A, block_rows=br)),
     ]:
         t_batched = time_best(lambda: run(True), reps)
         t_seed = time_best(lambda: run(False), reps)

@@ -25,7 +25,7 @@ from repro.runtime.policy import ExecutionPolicy
 from repro.verify.guards import validate_matrix
 
 from .dtypes import as_float_array, q_buffer, working_dtype
-from .tsqr import TSQRFactors, _tsqr_impl
+from .tsqr import TSQRFactors
 
 __all__ = ["PanelFactor", "CAQRFactors", "caqr", "caqr_qr"]
 
@@ -44,13 +44,13 @@ class PanelFactor:
 class CAQRFactors:
     """Implicit Q and explicit R of a CAQR factorization.
 
-    Every in-core path returns this class: the serial engine's panel
-    loop, and the look-ahead driver, whose panels' :class:`TSQRFactors`
-    are views of its own stacks.  Q is applied panel by panel through
-    each panel's factors.
+    Every in-core path returns this class from the one CAQR driver
+    (:func:`repro.graph.executor.run_lookahead_schedule`), whose panels'
+    :class:`TSQRFactors` are views of its own stacks.  Q is applied panel
+    by panel through each panel's factors.
 
     ``form_q`` follows one rule.  With one panel it is the panel's own
-    ``form_q``: on the batched paths LAPACK ``orgqr``'s form
+    ``form_q``: LAPACK ``orgqr``'s form
     (:func:`~repro.core.tsqr._plan_form_q`), equal to ``apply_q(I)`` to
     roundoff only.  With more panels, panel ``p`` is applied only to the
     columns at or right of its ``col_start``: the columns to its left
@@ -104,68 +104,12 @@ class CAQRFactors:
         return Q
 
 
-def _caqr_serial(A: np.ndarray, policy: ExecutionPolicy) -> CAQRFactors:
-    """The serial engine's panel loop on an *already validated* matrix.
-
-    Run by :class:`repro.runtime.plan.QRPlan` for the reference paths
-    (``seed``, ``seed_structured``) and ``structured`` only: every other
-    path, the sharded ranks' and streaming chunks' local factors
-    included, runs the look-ahead driver
-    (:func:`repro.graph.executor.run_lookahead_schedule`), and
-    ``tools/lint_layering.py`` fails on an import of this function
-    anywhere but the engine table.  Each panel goes straight to
-    :func:`~repro.core.tsqr._tsqr_impl`: the input was validated exactly
-    once at the public entry point, so per-panel re-scans never happen.
-    """
-    m, n = A.shape
-    k = min(m, n)
-    with _obs.span("setup", cat="host"):
-        W = A.copy()
-    width = policy.effective_panel_width(m, n)
-    panels: list[PanelFactor] = []
-    for col_start in range(0, k, width):
-        pw = min(width, k - col_start)
-        row_start = col_start  # grid redrawn lower by the panel width
-        panel_view = W[row_start:, col_start : col_start + pw]
-        with _obs.span("factor", cat="factor", panel=col_start // width, rows=m - row_start):
-            f = _tsqr_impl(
-                panel_view,
-                block_rows=policy.block_rows,
-                tree_shape=policy.tree_shape,
-                structured=policy.uses_structured,
-                batched=policy.uses_batched,
-            )
-        # The trailing matrix update: apply Q^T of the panel across the
-        # remaining columns (apply_qt_h + apply_qt_tree in the GPU code).
-        trailing = W[row_start:, col_start + pw :]
-        if trailing.size:
-            with _obs.span("update", cat="update", panel=col_start // width, cols=n - col_start - pw):
-                f.apply_qt(trailing)
-        # Record the panel's R back into the working matrix so the final
-        # R can be read off the top k rows (np.triu drops what lies below).
-        W[row_start : row_start + f.R.shape[0], col_start : col_start + pw] = f.R
-        panels.append(
-            PanelFactor(col_start=col_start, col_stop=col_start + pw, row_start=row_start, factors=f)
-        )
-    with _obs.span("assemble_r", cat="host"):
-        R = np.triu(W[:k, :])
-    return CAQRFactors(
-        m=m,
-        n=n,
-        panel_width=width,
-        block_rows=policy.block_rows,
-        tree_shape=policy.tree_shape,
-        panels=panels,
-        R=R,
-    )
-
-
 def caqr(A: np.ndarray, *, policy: ExecutionPolicy | None = None):
     """Factor a matrix with CAQR (Figure 3 / the host pseudocode of Figure 4).
 
     ``policy`` (an :class:`~repro.runtime.policy.ExecutionPolicy`, default
-    ``ExecutionPolicy()``) names the execution path, panel geometry,
-    worker count and guard behaviour.  The matrix is validated once here,
+    ``ExecutionPolicy()``) names the execution path, panel geometry and
+    guard behaviour.  The matrix is validated once here,
     then factored by a one-shot plan: ``caqr(A, policy=p)`` is exactly
     ``plan_qr(m, n, A.dtype, p).factor(A)``, so a reusable
     :func:`repro.runtime.plan.plan_qr` plan gives the same bits.
@@ -175,9 +119,9 @@ def caqr(A: np.ndarray, *, policy: ExecutionPolicy | None = None):
         Every factor object has ``R`` and ``form_q(out=None)``; the rest
         depends on the path (``k = min(m, n)``):
 
-        * ``seed``, ``batched``, ``structured``, ``lookahead`` and
-          ``seed_structured``: :class:`CAQRFactors`, whose ``apply_qt``
-          and ``apply_q`` take an ``m``-row ``B`` and update it in place;
+        * ``batched``, ``structured`` and ``lookahead``:
+          :class:`CAQRFactors`, whose ``apply_qt`` and ``apply_q`` take
+          an ``m``-row ``B`` and update it in place;
         * ``cholqr2``, ``cholqr2_mixed`` and ``auto``:
           :class:`~repro.runtime.cholqr.CholQRFactors`, which holds the
           explicit thin Q: ``apply_qt`` takes ``m`` rows and returns a

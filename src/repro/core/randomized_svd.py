@@ -38,7 +38,6 @@ def _tsqr_q(Y: np.ndarray, policy: ExecutionPolicy) -> np.ndarray:
         block_rows=policy.block_rows,
         tree_shape=policy.tree_shape,
         structured=policy.uses_structured,
-        batched=policy.uses_batched,
     )
     return f.form_q()
 

@@ -7,40 +7,31 @@ The Q factor is left *implicit* as the collection of per-block and
 per-tree-node Householder factors (the "series of small Us" of Figure 2),
 from which Q or Q^T can be applied, or the explicit thin Q formed.
 
-Two numeric execution strategies coexist:
-
-``batched=True`` (default)
-    The panel engine: :func:`panel_schedule` captures everything
-    shape-dependent once per ``(height, width, block_rows, tree_shape)``
-    (the level-0 blocks, a ragged tail, and each tree level's
-    same-signature batches with their row maps), and :func:`factor_panel`
-    runs it on a ``(r, height, width)`` stack of ``r`` independent
-    panels: one call of the shared slice kernel for the level-0 blocks,
-    one for the tail, and one per batch of each tree level, whose stacked
-    Rs are views of the previous level's output.  No per-block or
-    per-node Python work runs on the factor path.  The result is R and a
-    :class:`_WyPlan` of compact-WY ``(V, T)`` factors, applied by
-    :func:`apply_wy_plan` as three batched GEMMs per level
-    (``C -= V (T' (V' C))``).  ``V`` is never copied whole: it is a view
-    of LAPACK's packed output, whose R the factor moved out
-    (:func:`repro.smallblas.wy.v_in_place`).  The explicit Q is formed
-    from the same plan the way LAPACK ``orgqr`` forms it
-    (:func:`_plan_form_q`), on SciPy's BLAS when available, and, where
-    the factors are discarded, over the level-0 reflectors in the
-    buffer they were factored in (:func:`factor_panel`'s ``home``).
-    ``tsqr`` (and through it CAQR's serial panels), the look-ahead
-    executor and the serving coalescer all run this one engine.
-
-``batched=False``
-    The seed per-node reference path, kept verbatim: per-block loops,
-    ``np.vstack`` gathers and BLAS2 reflector sweeps.  It is the
-    correctness oracle for the property tests and the baseline the
-    real-time benchmark measures speedups against.
+One engine runs it.  :func:`panel_schedule` captures everything
+shape-dependent once per ``(height, width, block_rows, tree_shape)``
+(the level-0 blocks, a ragged tail, and each tree level's same-signature
+batches with their row maps), and :func:`factor_panel` runs it on a
+``(r, height, width)`` stack of ``r`` independent panels: one call of
+the shared slice kernel for the level-0 blocks, one for the tail, and
+one per batch of each tree level, whose stacked Rs are views of the
+previous level's output.  The tree merges take one of two kernels: the
+dense slice kernel, under which no per-block or per-node Python work runs
+on the factor path, or Figure 2(c)'s structured elimination of the
+stacked triangles (``structured``), one group at a time.  The result is
+R and a :class:`_WyPlan` of compact-WY ``(V, T)`` factors, applied by
+:func:`apply_wy_plan` as three batched GEMMs per level
+(``C -= V (T' (V' C))``).  ``V`` is never copied whole: it is a view of
+LAPACK's packed output, whose R the factor moved out
+(:func:`repro.smallblas.wy.v_in_place`).  The explicit Q is formed
+from the same plan the way LAPACK ``orgqr`` forms it
+(:func:`_plan_form_q`), on SciPy's BLAS when available, and, where the
+factors are discarded, over the level-0 reflectors in the buffer they
+were factored in (:func:`factor_panel`'s ``home``).  ``tsqr``, the
+look-ahead CAQR driver and the serving coalescer all run this engine.
 
 This module is the pure-numerics implementation; the GPU-simulated
 execution (launch costs, timing) reuses these factor objects through
-:mod:`repro.caqr_gpu` — the simulator timeline depends only on shapes,
-so both strategies produce the identical launch stream.
+:mod:`repro.caqr_gpu` — the simulator timeline depends only on shapes.
 """
 
 from __future__ import annotations
@@ -51,10 +42,8 @@ from functools import lru_cache
 import numpy as np
 
 from .dtypes import as_float_array, q_buffer, working_dtype
-from .householder import geqr2, orm2r
 from repro.obs import tracer as _obs
 from repro.runtime.policy import ExecutionPolicy
-from repro.smallblas.batched import batched_apply_blocked, batched_geqr2
 from repro.smallblas.wy import (
     _factor_slices, apply_wy, blas_name, larft, orgqr_wy, packed_vr, scratch_copy, takes_geqrt,
     v_in_place,
@@ -119,13 +108,13 @@ def level0_rows(block_rows: int | None, width: int) -> int:
 class _LevelZeroFactor:
     """Householder factor of one level-0 row block.
 
-    ``packed`` holds the reflectors below its diagonal.  On the
-    reference path and in loaded factors it is LAPACK's packed layout,
-    R on and above the diagonal, and ``R`` is ``None``.  The batched
-    path keeps its reflectors where LAPACK wrote them: ``packed`` is the
-    unit-lower-trapezoidal ``V``, a view of the factor kernel's output,
-    and the block's R is ``R``.  ``VR`` is the packed layout either way
-    (rebuilt, a copy, on the batched path; no kernel reads it).
+    ``packed`` holds the reflectors below its diagonal.  In loaded
+    factors it is LAPACK's packed layout, R on and above the diagonal,
+    and ``R`` is ``None``.  The engine keeps its reflectors where LAPACK
+    wrote them: ``packed`` is the unit-lower-trapezoidal ``V``, a view of
+    the factor kernel's output, and the block's R is ``R``.  ``VR`` is
+    the packed layout either way (rebuilt, a copy, from the engine's
+    factors; no kernel reads it).
     """
 
     rows: tuple[int, int]  # [start, stop) within the panel
@@ -152,6 +141,8 @@ class _TreeFactor:
     stores its own (``packed``, ``tau``, ``R``; ``VR`` is the
     ``factor_tree`` kernel's layout), or a sparsity-exploiting
     :class:`StructuredStackFactor` (Figure 2(c)'s optional optimization).
+    The apply plan stacks dense factors into compact-WY batches and
+    applies a structured one node by node.
     """
 
     group: tuple[int, ...]  # member level-0 block indices (first survives)
@@ -165,16 +156,6 @@ class _TreeFactor:
     def VR(self) -> np.ndarray | None:
         """LAPACK's packed layout (rebuilt, a copy, when ``R`` is set)."""
         return self.packed if self.R is None else packed_vr(self.packed, self.R)
-
-    def apply_qt_stack(self, stacked: np.ndarray) -> np.ndarray:
-        if self.structured is not None:
-            return self.structured.apply_qt(stacked)
-        return orm2r(self.packed, self.tau, stacked, transpose=True)
-
-    def apply_q_stack(self, stacked: np.ndarray) -> np.ndarray:
-        if self.structured is not None:
-            return self.structured.apply_q(stacked)
-        return orm2r(self.packed, self.tau, stacked, transpose=False)
 
 
 @dataclass
@@ -198,8 +179,8 @@ class _WyPlan:
     dtype: np.dtype
     l0_count: int
     l0_h: int
-    # V: (count, h, k) reflectors; on the batched paths a view of the
-    # factor kernel's packed output (smallblas.wy.v_in_place)
+    # V: (count, h, k) reflectors; from the engine, a view of the factor
+    # kernel's packed output (smallblas.wy.v_in_place)
     l0_V: np.ndarray | None
     l0_T: np.ndarray | None
     # (row_start, height, V, T) of a ragged last block
@@ -472,8 +453,8 @@ def _plan_from_factors(f: "TSQRFactors", dt: np.dtype) -> _WyPlan:
     """Build an apply plan from stored per-node factors.
 
     Used for factors that were not produced by the panel engine (loaded
-    from disk via :mod:`repro.io`, or factored with ``batched=False``
-    and then applied with ``batched=True``).  The row maps are the
+    from disk via :mod:`repro.io`, or any per-node factors passed as
+    ``blocks`` and ``tree_factors``).  The row maps are the
     engine's schedule for the same geometry; each batch of same-shape
     factors is stacked once and that copy is the plan's ``V``
     (:func:`~repro.smallblas.wy.v_in_place`).
@@ -537,10 +518,10 @@ def apply_wy_plan(plan: _WyPlan, B: np.ndarray, transpose: bool) -> None:
 
     The whole batched application pipeline — level 0 through the tree
     levels for Q^T, the reverse for Q — shared by TSQR's factors, the
-    look-ahead executor's trailing-matrix column tiles and the serving
-    coalescer.  ``B`` is ``(h, w)`` for the plan of one panel, or
-    ``(r, h, w)`` for the plan of an ``r``-stack (:func:`factor_panel`),
-    request ``i``'s rows in ``B[i]``.
+    look-ahead driver's trailing updates and the serving coalescer.
+    ``B`` is ``(h, w)`` for the plan of one panel, or ``(r, h, w)`` for
+    the plan of an ``r``-stack (:func:`factor_panel`), request ``i``'s
+    rows in ``B[i]``.
 
     :func:`~repro.smallblas.wy.apply_wy`'s bits depend on its operands'
     strides, so the layout each slice reaches it with is fixed for any
@@ -610,7 +591,7 @@ def _plan_form_q(
                 )
             else:  # structured trees factor one request
                 sub = flat[0, pos]
-                entry[1].apply_q_stack(sub)
+                entry[1].structured.apply_q(sub)
                 flat[0, pos] = sub
     Q = np.empty((r, m, k), dtype=plan.dtype) if out is None else out
     l0_over, tail_over = (over and homed for homed in plan.homed)
@@ -660,9 +641,9 @@ def _plan_apply_level_impl(entries: list[tuple], S: np.ndarray, transpose: bool)
             _, tf, idx = entry
             sub = S[0, idx]
             if transpose:
-                tf.apply_qt_stack(sub)
+                tf.structured.apply_qt(sub)
             else:
-                tf.apply_q_stack(sub)
+                tf.structured.apply_q(sub)
             S[0, idx] = sub
 
 
@@ -674,14 +655,13 @@ class TSQRFactors:
     and ``apply_qt_tree`` for the tree factors) and forming the explicit
     thin Q (the SORGQR-equivalent).
 
-    ``batched`` selects the execution strategy for applications: the
-    compact-WY plan path (default) or the seed per-node reference loop.
-    Apply plans are cached per working dtype in ``_wy_plan``; factors
-    loaded from disk build theirs lazily on first use.
+    Q is applied through a compact-WY plan (:func:`apply_wy_plan`),
+    cached per working dtype in ``_wy_plan``; factors loaded from disk
+    build theirs lazily on first use.
 
     ``blocks`` (one factor per level-0 row block) and ``tree_factors``
-    (one list per tree level) are the per-node factors.  The reference
-    path and loaded archives pass them in; a panel-engine factorization
+    (one list per tree level) are the per-node factors.  Loaded archives
+    pass them in; a panel-engine factorization
     (``engine``: its schedule, plan and node Rs) builds them on first
     read, as views of its stacks, so its factor path builds no per-node
     object.
@@ -700,19 +680,16 @@ class TSQRFactors:
         R: np.ndarray,
         blocks: list[_LevelZeroFactor] | None = None,
         tree_factors: list[list[_TreeFactor]] | None = None,
-        batched: bool = True,
         engine: tuple[PanelSchedule, _WyPlan, list] | None = None,
     ) -> None:
         self.m = m
         self.n = n
         self.tree = tree
         self.R = R  # final min(m, n) x n upper-triangular factor
-        self.batched = batched
         self._blocks = blocks
         self._tree_factors = tree_factors
         self._engine = engine
         self._wy_plan: dict = {} if engine is None else {engine[1].dtype: engine[1]}
-        self._l0_ref: dict = {}
         self._spent = False
 
     @property
@@ -752,112 +729,32 @@ class TSQRFactors:
             self._wy_plan[dt] = plan
         return plan
 
-    def _level0_ref(self, dt: np.dtype):
-        """Dtype-normalized stacked level-0 factors for the reference path.
-
-        The seed rebuilt (and re-``astype``d) these stacks on every apply;
-        they are now normalized once per dtype and cached.
-        """
-        key = np.dtype(dt)
-        ent = self._l0_ref.get(key)
-        if ent is None:
-            # Only the last row block can be shorter than the first.
-            h = self.blocks[0].rows[1] - self.blocks[0].rows[0] if self.blocks else 0
-            count = sum(b.rows[1] - b.rows[0] == h for b in self.blocks)
-            if count > 1:
-                VRs = np.stack([self.blocks[i].packed for i in range(count)])
-                taus = np.stack([self.blocks[i].tau for i in range(count)])
-                if VRs.dtype != key:
-                    VRs = VRs.astype(key)
-                    taus = taus.astype(key)
-                ent = (count, h, np.ascontiguousarray(VRs), np.ascontiguousarray(taus))
-            else:
-                ent = (0, h, None, None)
-            self._l0_ref[key] = ent
-        return ent
-
-    def _apply_level0(self, B: np.ndarray, transpose: bool) -> None:
-        """Level-0 application, batched over the uniform block prefix."""
-        count, h, VRs, taus = self._level0_ref(B.dtype)
-        if count:
-            seg = B[: count * h]
-            stacked = np.ascontiguousarray(seg).reshape(count, h, B.shape[1])
-            batched_apply_blocked(VRs, taus, stacked, transpose=transpose)
-            seg[:] = stacked.reshape(count * h, B.shape[1])
-        for blk in self.blocks[count:]:
-            s, e = blk.rows
-            orm2r(blk.packed, blk.tau, B[s:e], transpose=transpose)
-
-    def _gather(self, B: np.ndarray, tf: _TreeFactor) -> tuple[np.ndarray, list[tuple[int, int]]]:
-        """Collect the distributed row pieces a tree factor touches.
-
-        This mirrors ``apply_qt_tree``: "collect the distributed components
-        of the trailing matrix to be updated" (Section IV-D.4).
-        """
-        pieces = []
-        ranges = []
-        for idx, h in zip(tf.group, tf.heights):
-            start = self.blocks[idx].rows[0]
-            ranges.append((start, start + h))
-            pieces.append(B[start : start + h])
-        return np.vstack(pieces), ranges
-
-    @staticmethod
-    def _scatter(B: np.ndarray, stacked: np.ndarray, ranges: list[tuple[int, int]]) -> None:
-        pos = 0
-        for start, stop in ranges:
-            h = stop - start
-            B[start:stop] = stacked[pos : pos + h]
-            pos += h
+    def _apply(self, B: np.ndarray, transpose: bool) -> np.ndarray:
+        self._live()
+        B = as_float_array(B)
+        if B.shape[0] != self.m:
+            raise ValueError(f"B must have {self.m} rows, got {B.shape[0]}")
+        W = B[:, None] if B.ndim == 1 else B  # view: updates land in B
+        apply_wy_plan(self._plan_for(W.dtype), W, transpose=transpose)
+        return B
 
     # -- public API --------------------------------------------------------
 
     def apply_qt(self, B: np.ndarray) -> np.ndarray:
         """Compute ``Q^T B`` in place (B must have ``m`` rows)."""
-        self._live()
-        B = as_float_array(B)
-        if B.shape[0] != self.m:
-            raise ValueError(f"B must have {self.m} rows, got {B.shape[0]}")
-        W = B[:, None] if B.ndim == 1 else B  # view: updates land in B
-        if self.batched:
-            apply_wy_plan(self._plan_for(W.dtype), W, transpose=True)
-            return B
-        # Level 0: independent per-block applications (apply_qt_h).
-        self._apply_level0(W, transpose=True)
-        # Tree levels, bottom-up (apply_qt_tree).
-        for level_factors in self.tree_factors:
-            for tf in level_factors:
-                stacked, ranges = self._gather(W, tf)
-                tf.apply_qt_stack(stacked)
-                self._scatter(W, stacked, ranges)
-        return B
+        return self._apply(B, transpose=True)
 
     def apply_q(self, B: np.ndarray) -> np.ndarray:
         """Compute ``Q B`` in place (B must have ``m`` rows)."""
-        self._live()
-        B = as_float_array(B)
-        if B.shape[0] != self.m:
-            raise ValueError(f"B must have {self.m} rows, got {B.shape[0]}")
-        W = B[:, None] if B.ndim == 1 else B  # view: updates land in B
-        if self.batched:
-            apply_wy_plan(self._plan_for(W.dtype), W, transpose=False)
-            return B
-        for level_factors in reversed(self.tree_factors):
-            for tf in level_factors:
-                stacked, ranges = self._gather(W, tf)
-                tf.apply_q_stack(stacked)
-                self._scatter(W, stacked, ranges)
-        self._apply_level0(W, transpose=False)
-        return B
+        return self._apply(B, transpose=False)
 
     def form_q(self, out: np.ndarray | None = None) -> np.ndarray:
         """Form the explicit thin ``m x min(m, n)`` orthonormal Q.
 
-        The batched path forms Q as LAPACK ``orgqr`` does
-        (:func:`_plan_form_q`), on the BLAS that factored it when SciPy's
-        binding is importable, so it equals ``apply_q(I)`` to roundoff,
-        not bit for bit.  The reference path (``batched=False``) applies
-        Q to the identity.  ``out`` (C-contiguous, Q's shape and dtype,
+        Q is formed as LAPACK ``orgqr`` forms it (:func:`_plan_form_q`),
+        on the BLAS that factored it when SciPy's binding is importable,
+        so it equals ``apply_q(I)`` to roundoff, not bit for bit.
+        ``out`` (C-contiguous, Q's shape and dtype,
         :func:`~repro.core.dtypes.q_buffer`) receives Q with the same
         bits and is returned; no other ``m x k`` array is allocated.
         When ``out`` is the buffer the level-0 reflectors were factored
@@ -867,89 +764,18 @@ class TSQRFactors:
         self._live()
         k = min(self.m, self.n)
         dt = np.dtype(working_dtype(self.R))
-        blas = blas_name(dt) if self.batched else "numpy"
         over = out is not None and self._engine is not None and out is self._engine[1].home
         with _obs.span(
-            "tsqr.form_q", cat="form_q", m=self.m, n=self.n, blas=blas, in_place=over
+            "tsqr.form_q", cat="form_q", m=self.m, n=self.n, blas=blas_name(dt), in_place=over
         ):
-            if self.batched and k:
-                Q = q_buffer(out, self.m, k, dt)
+            Q = q_buffer(out, self.m, k, dt)
+            if k:
                 _plan_form_q(self._plan_for(dt), self.m, k, Q[None], over)
-                if over:
-                    self._spent = True
-                    self._engine = self._blocks = self._tree_factors = None
-                    self._wy_plan = {}
-                return Q
-            Q = q_buffer(out, self.m, k, dt, zeros=True)
-            np.fill_diagonal(Q, 1.0)
-            return self.apply_q(Q)
-
-
-def _tsqr_reference(
-    A: np.ndarray,
-    m: int,
-    n: int,
-    block_rows: int,
-    ranges: list[tuple[int, int]],
-    tree: TreeSchedule,
-    structured: bool,
-) -> TSQRFactors:
-    """The seed per-node factorization path (correctness oracle)."""
-    # Level 0: factor every row block independently.  Full-height blocks
-    # are factored through the batched kernel (one "thread block" per
-    # small QR, vectorized across the batch — Section I's many-small-QRs
-    # observation); only a ragged last block falls back to the scalar path.
-    blocks = []
-    current_r: dict[int, np.ndarray] = {}
-    n_full = sum(1 for (s, e) in ranges if e - s == block_rows)
-    with _obs.span("tsqr.level0", cat="factor.level0", blocks=len(ranges), block_rows=block_rows):
-        if n_full > 1 and m >= block_rows:
-            stack = np.ascontiguousarray(A[: n_full * block_rows]).reshape(n_full, block_rows, n)
-            VRb, taub = batched_geqr2(stack)
-        else:
-            n_full = 0
-            VRb = taub = None
-        for i, (s, e) in enumerate(ranges):
-            if i < n_full:
-                VR, tau = VRb[i], taub[i]
-            else:
-                VR, tau = geqr2(A[s:e])
-            blk = _LevelZeroFactor(rows=(s, e), packed=VR, tau=tau)
-            blocks.append(blk)
-            current_r[i] = np.triu(VR[: blk.r_height, :])
-
-    # Tree reduction: stack surviving Rs and factor the stacks.
-    tree_factors: list[list[_TreeFactor]] = []
-    for level in tree.levels:
-        level_factors = []
-        with _obs.span("tsqr.tree", cat="factor.tree", groups=len(level)):
-            for group in level:
-                heights = tuple(current_r[i].shape[0] for i in group)
-                if structured:
-                    sf = structured_stack_qr([current_r[i] for i in group])
-                    tf = _TreeFactor(group=group, heights=heights, structured=sf)
-                    new_r = sf.R
-                else:
-                    stacked = np.vstack([current_r[i] for i in group])
-                    VR, tau = geqr2(stacked)
-                    tf = _TreeFactor(group=group, heights=heights, packed=VR, tau=tau)
-                    new_r = np.triu(VR[: min(stacked.shape[0], n), :])
-                level_factors.append(tf)
-                survivor = group[0]
-                current_r[survivor] = new_r
-                for dead in group[1:]:
-                    del current_r[dead]
-        tree_factors.append(level_factors)
-
-    (survivor_idx,) = list(current_r)
-    R = current_r[survivor_idx]
-    # Pad R to min(m, n) rows in the degenerate case of very short matrices.
-    k = min(m, n)
-    if R.shape[0] < k:
-        R = np.vstack([R, np.zeros((k - R.shape[0], n), dtype=R.dtype)])
-    return TSQRFactors(
-        m=m, n=n, blocks=blocks, tree=tree, tree_factors=tree_factors, R=R[:k], batched=False
-    )
+            if over:
+                self._spent = True
+                self._engine = self._blocks = self._tree_factors = None
+                self._wy_plan = {}
+            return Q
 
 
 def _tsqr_impl(
@@ -957,17 +783,15 @@ def _tsqr_impl(
     block_rows: int,
     tree_shape: str,
     structured: bool,
-    batched: bool,
     home: np.ndarray | None = None,
 ) -> TSQRFactors:
     """Factor an *already validated* matrix with TSQR (no guard layer).
 
-    Internal callers (the CAQR panel loop, the randomized-SVD range
-    finder, :class:`QRPlan`) come in here directly: the matrix was
-    validated exactly once at the public entry point, so this path never
-    re-scans it.  The batched path is the panel engine on a stack of one,
-    with ``home`` (a tall matrix only) the buffer Q will be formed in
-    (:func:`factor_panel`).
+    Internal callers (the randomized-SVD range finder) come in here
+    directly: the matrix was validated exactly once at the public entry
+    point, so this path never re-scans it.  It is the panel engine on a
+    stack of one, with ``home`` (a tall matrix only) the buffer Q will
+    be formed in (:func:`factor_panel`).
     """
     m, n = A.shape
     if m == 0 or n == 0:
@@ -975,15 +799,11 @@ def _tsqr_impl(
         # np.linalg.qr's reduced shapes.
         return TSQRFactors(
             m=m, n=n, blocks=[], tree=build_tree(0, tree_shape), tree_factors=[],
-            R=np.zeros((min(m, n), n), dtype=working_dtype(A)), batched=batched,
+            R=np.zeros((min(m, n), n), dtype=working_dtype(A)),
         )
     # Every level-0 R must be a full n x n triangle so the final R lands
     # contiguously in the first block (see level0_rows).
     block_rows = level0_rows(block_rows, n)
-    if not batched:
-        ranges = row_blocks(m, block_rows)
-        tree = build_tree(len(ranges), tree_shape)
-        return _tsqr_reference(A, m, n, block_rows, ranges, tree, structured)
     sched = panel_schedule(m, n, block_rows, tree_shape)
     R, plan, nodes = factor_panel(sched, A[None], structured, home)
     return TSQRFactors(m=m, n=n, tree=sched.tree, R=R[0], engine=(sched, plan, nodes))
@@ -992,10 +812,10 @@ def _tsqr_impl(
 def _tsqr(
     A: np.ndarray, policy: ExecutionPolicy | None, q_home: bool = False
 ) -> tuple[TSQRFactors, np.ndarray | None]:
-    """Validate ``A`` and factor it; with ``q_home``, on the batched paths
-    of a tall matrix, also allocate Q's buffer once the guard scan is
-    done and factor the level-0 reflectors into it.  Returns the factors
-    and that buffer (or ``None``)."""
+    """Validate ``A`` and factor it; with ``q_home``, on a tall matrix,
+    also allocate Q's buffer once the guard scan is done and factor the
+    level-0 reflectors into it.  Returns the factors and that buffer (or
+    ``None``)."""
     from repro.verify.guards import validate_matrix
 
     policy = policy if policy is not None else ExecutionPolicy()
@@ -1003,7 +823,7 @@ def _tsqr(
         A = validate_matrix(A, where="tsqr", nonfinite=policy.nonfinite)
         m, n = A.shape
         home = None
-        if q_home and policy.uses_batched and m >= n > 0:
+        if q_home and m >= n > 0:
             home = np.empty((m, n), dtype=A.dtype)
         with _obs.span("tsqr", cat="factor", m=m, n=n, path=policy.path):
             f = _tsqr_impl(
@@ -1011,7 +831,6 @@ def _tsqr(
                 block_rows=policy.block_rows,
                 tree_shape=policy.tree_shape,
                 structured=policy.uses_structured,
-                batched=policy.uses_batched,
                 home=home,
             )
         return f, home
@@ -1027,8 +846,7 @@ def tsqr(A: np.ndarray, *, policy: ExecutionPolicy | None = None) -> TSQRFactors
             TSQR reads its level-0 ``block_rows`` (unset or below ``n``
             gets ``32 * n``-row blocks, :func:`level0_rows`), its
             ``tree_shape`` (see :mod:`repro.core.tree`), its ``nonfinite``
-            guard, and whether its path is batched (``seed`` paths run
-            the per-node reference) and structured (the
+            guard, and whether its path is structured (the
             sparsity-exploiting stacked-triangle elimination, ~3x fewer
             tree flops).
 
@@ -1043,10 +861,9 @@ def tsqr_qr(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Convenience: explicit thin ``(Q, R)`` via TSQR.
 
-    The factors are discarded, so on the batched paths of a tall matrix
-    the level-0 reflectors are factored in Q's buffer and Q is formed
-    over them: one ``m x n`` array, with the bits of
-    ``tsqr(A).form_q()``.
+    The factors are discarded, so on a tall matrix the level-0
+    reflectors are factored in Q's buffer and Q is formed over them: one
+    ``m x n`` array, with the bits of ``tsqr(A).form_q()``.
     """
     f, home = _tsqr(A, policy, q_home=True)
     return f.form_q(out=home), f.R

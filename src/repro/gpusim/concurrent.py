@@ -113,14 +113,17 @@ def _earliest_capacity_start(
     host time and occupies no device capacity)."""
     if dur <= ov or weight <= 0.0:
         return t0
+    # A body that finishes by t0 + ov lies before every candidate window,
+    # so it loads none of them.
+    live = [ev for ev in placed if ev.finish > t0 + ov]
 
     def fits(t: float) -> bool:
         # Concurrent weight is piecewise constant; it changes only at
         # body starts, so checking the window start and every body start
         # inside the window bounds the maximum.
-        points = [t + ov] + [ev.body_start for ev in placed if t + ov < ev.body_start < t + dur]
+        points = [t + ov] + [ev.body_start for ev in live if t + ov < ev.body_start < t + dur]
         for p in points:
-            load = sum(ev.weight for ev in placed if ev.body_start <= p < ev.finish)
+            load = sum(ev.weight for ev in live if ev.body_start <= p < ev.finish)
             if load + weight > 1.0 + _EPS:
                 return False
         return True

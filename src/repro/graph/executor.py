@@ -22,14 +22,15 @@ trailing updates and Q applications replay the engine's apply plan
 schedule.  Every panel's arithmetic is therefore TSQR's: one panel (an
 unset width on a tall matrix) is ``tsqr_qr`` bit for bit.
 
-This is the one CAQR driver of the batched kernels: the default
-``batched`` path, ``lookahead`` and ``auto``'s fallback run it.  It runs
-on an ``(r, m, n)`` stack of independent requests
-(:func:`factor_stack`), which is how :class:`repro.serving.ServingPlan`
-coalesces requests, and returns the one factor class,
-:class:`repro.core.caqr.CAQRFactors`.  The ``structured`` tree
-elimination is not supported here — that path runs the serial engine of
-:mod:`repro.core.caqr`.
+This is the one CAQR driver: the default ``batched`` path,
+``structured``, ``lookahead`` and ``auto``'s fallback run it, and so do
+the sharded ranks' and streaming chunks' local factors.  It runs on an
+``(r, m, n)`` stack of independent requests (:func:`factor_stack`),
+which is how :class:`repro.serving.ServingPlan` coalesces requests, and
+returns the one factor class, :class:`repro.core.caqr.CAQRFactors`.
+``structured`` merges the tree's stacked triangles with Figure 2(c)'s
+structured elimination, which factors one request at a time, so that
+path is not coalescable.
 """
 
 from __future__ import annotations
@@ -194,7 +195,8 @@ def factor_stack(
         if ts.kind == "factor":
             with _obs.span("factor", cat="factor", panel=p, rows=m - r0, block_rows=bh):
                 out[p] = factor_panel(
-                    sched.panel_schedules[p], W[:, r0:, c0 : c0 + pw_p], home=home
+                    sched.panel_schedules[p], W[:, r0:, c0 : c0 + pw_p],
+                    structured=sched.policy.uses_structured, home=home,
                 )
         else:
             with _obs.span("update", cat="update", panel=p, lo=ts.lo, hi=ts.hi):

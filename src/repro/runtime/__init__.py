@@ -3,13 +3,13 @@
 A Parla-style policy/plan/execute separation:
 
 * :class:`ExecutionPolicy` — a frozen dataclass naming the execution
-  path, its geometry, worker count, numerics policy and the modeled
-  device/kernel configuration.  Every entry point takes ``policy=``.
+  path, its geometry, numerics policy and the modeled device/kernel
+  configuration.  Every entry point takes ``policy=``.
 * :data:`~repro.runtime.policy.PATHS` — the engine table, next to the
-  policy that validates against it: each of the ten path names maps to
-  one of five engines (serial Householder, look-ahead, CholeskyQR2,
-  sharded, streaming), which plans, runs, models and compiles it.  No
-  other module compares a path name.
+  policy that validates against it: each of the eight path names maps
+  to one of four engines (look-ahead, CholeskyQR2, sharded, streaming),
+  which plans, runs, models and compiles it.  No other module compares
+  a path name.
 * :func:`plan_qr` / :class:`QRPlan` — everything shape-dependent about a
   factorization (panel partition, TSQR panel schedules, look-ahead task
   DAG, the validated policy) computed once and replayed by

@@ -256,9 +256,8 @@ class QRPlan:
         """The plan's :class:`~repro.graph.highlevel.TaskGraph` (structural).
 
         Compiled by the producer matching the plan's engine: the captured
-        look-ahead schedule, the prebuilt shard-reduction schedule, the
-        streaming chunk pipeline, or the CAQR panel/tree/trailing layers
-        for the serial strategies.  The graph is structural — the
+        look-ahead schedule, the prebuilt shard-reduction schedule or the
+        streaming chunk pipeline.  The graph is structural — the
         schedulable / fingerprintable shape of the plan, not a second
         execution engine (``factor`` is the way to run a plan).
         CholeskyQR2 paths are O(1) launch chains with no graph form.

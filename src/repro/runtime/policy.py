@@ -9,7 +9,7 @@ the cost model should use.  Every entry point takes it as
 
 Path names and engines
 ----------------------
-Ten path names select five engines.  Each engine supplies everything a
+Eight path names select four engines.  Each engine supplies everything a
 :class:`~repro.runtime.plan.QRPlan` does with a path — its plan build,
 ``factor``, ``simulate``, ``task_graph``, the extras ``describe`` prints
 — and the policy fields it requires or permits, which
@@ -18,22 +18,17 @@ Ten path names select five engines.  Each engine supplies everything a
 name.  The table, :data:`PATHS`, is the one place path names are read;
 each name below is followed by its engine.
 
-``seed`` (serial)
-    The per-node reference implementation, kept as the correctness
-    oracle and benchmark baseline.
 ``batched`` (lookahead)
     The default: the look-ahead engine's driver
     (:func:`repro.graph.executor.run_lookahead_schedule`), under its
     panel rule (one panel on a tall matrix, 16 columns on a wide one).
     It is the one path the serving coalescer stacks (``coalescable``).
-``structured`` (serial)
-    Batched execution with the sparsity-exploiting stacked-triangle
-    tree elimination.
+``structured`` (lookahead)
+    The same driver with Figure 2(c)'s sparsity-exploiting
+    stacked-triangle elimination as the tree-merge kernel (not
+    coalescable: the structured merge factors one request at a time).
 ``lookahead`` (lookahead)
     The same engine under its own name (not coalescable).
-``seed_structured`` (serial)
-    The oracle combination of the seed loop with the structured tree —
-    used by the parity tests; not a production path.
 ``cholqr2`` (cholqr)
     The BLAS3 fast path: CholeskyQR2 (two Gram/Cholesky/triangular
     passes, ~4mn^2 flops, O(1) kernel launches).  Condition-guarded —
@@ -74,13 +69,14 @@ from repro.verify.guards import validate_nonfinite_policy
 
 __all__ = [
     "CHOLQR", "CHOLQR_PATHS", "ENGINES", "LOOKAHEAD", "PATHS", "PATH_NAMES",
-    "SERIAL", "SHARDED", "STREAMING", "Engine", "ExecutionPolicy", "PathSpec",
+    "SHARDED", "STREAMING", "Engine", "ExecutionPolicy", "PathSpec",
 ]
 
 # The paper's panel width (Section IV's 64 x 16 blocks, sized for the
 # C2050 kernels): what an unset ``panel_width`` means on a wide matrix,
 # and on every engine except the look-ahead one (``batched``,
-# ``lookahead`` and ``auto``'s fallback), which takes one panel when tall.
+# ``structured``, ``lookahead`` and ``auto``'s fallback), which takes one
+# panel when tall.
 PAPER_PANEL_WIDTH = 16
 
 
@@ -98,9 +94,8 @@ class Engine:
     ``required`` policy fields must be set for the engine's paths and
     ``permits`` fields may be; every other gated field is refused.
     ``modeled`` says whether ``simulate`` has a timeline to return.  The
-    defaults are in-core CAQR's (launch-stream model, panel/tree/trailing
-    layers, one panel spec per column panel), which the serial and
-    look-ahead engines share.
+    defaults are in-core CAQR's (launch-stream model, one panel spec per
+    column panel), which the look-ahead engine runs.
     """
 
     required: tuple[str, ...] = ()
@@ -133,12 +128,6 @@ class Engine:
 
         return simulate_caqr(m, n, cfg, dev, streams=streams)
 
-    def task_graph(self, plan):
-        from repro.graph.dag import emit_caqr_layers
-
-        p = plan.policy
-        return emit_caqr_layers(plan.m, plan.n, p.resolved_config(), p.resolved_device())
-
     def panels(self, plan) -> tuple:
         from repro.runtime.plan import _panel_specs
 
@@ -156,13 +145,6 @@ class Engine:
     def detail(self, policy) -> str:
         """The ``describe`` suffix after the path name."""
         return ""
-
-
-class _Serial(Engine):
-    def factor(self, plan, A, q_out=None):
-        from repro.core.caqr import _caqr_serial
-
-        return _caqr_serial(A, plan.policy)
 
 
 class _Lookahead(Engine):
@@ -378,8 +360,8 @@ class _Streaming(Engine):
         return f" (chunk_rows={policy.chunk_rows})"
 
 
-SERIAL, LOOKAHEAD, CHOLQR, SHARDED, STREAMING = ENGINES = (
-    _Serial(), _Lookahead(), _CholQR(), _Sharded(), _Streaming(),
+LOOKAHEAD, CHOLQR, SHARDED, STREAMING = ENGINES = (
+    _Lookahead(), _CholQR(), _Sharded(), _Streaming(),
 )
 
 
@@ -389,7 +371,6 @@ class PathSpec:
 
     Attributes:
         engine: the :class:`Engine` that plans and runs the path.
-        batched: compact-WY batched kernels (``False``: the seed loop).
         structured: stacked-triangle tree elimination.
         mixed: float32 first-pass Gram (CholeskyQR2).
         fallback: guard refusals fall back to the look-ahead tree
@@ -399,7 +380,6 @@ class PathSpec:
     """
 
     engine: Engine
-    batched: bool = True
     structured: bool = False
     mixed: bool = False
     fallback: bool = False
@@ -411,11 +391,9 @@ class PathSpec:
 
 
 PATHS: dict[str, PathSpec] = {
-    "seed": PathSpec(SERIAL, batched=False),
     "batched": PathSpec(LOOKAHEAD, coalescable=True),
-    "structured": PathSpec(SERIAL, structured=True),
+    "structured": PathSpec(LOOKAHEAD, structured=True),
     "lookahead": PathSpec(LOOKAHEAD),
-    "seed_structured": PathSpec(SERIAL, batched=False, structured=True),
     "cholqr2": PathSpec(CHOLQR),
     "cholqr2_mixed": PathSpec(CHOLQR, mixed=True),
     "auto": PathSpec(CHOLQR, fallback=True),
@@ -465,8 +443,8 @@ class ExecutionPolicy:
             ``panel_width`` is the requested column-panel width; ``None``
             (the default) lets the engine choose
             (:meth:`effective_panel_width`): one full-width panel on the
-            look-ahead engine (``batched``, ``lookahead`` and ``auto``'s
-            fallback) when ``m >= n``, the paper's
+            look-ahead engine (``batched``, ``structured``, ``lookahead``
+            and ``auto``'s fallback) when ``m >= n``, the paper's
             ``PAPER_PANEL_WIDTH = 16`` on a wide matrix and on every
             other engine.  An explicit width is used as given.
             ``block_rows`` is the requested level-0 row-block height;
@@ -579,11 +557,6 @@ class ExecutionPolicy:
     def engine(self):
         """The :class:`Engine` that plans and runs this path."""
         return self.spec.engine
-
-    @property
-    def uses_batched(self) -> bool:
-        """Whether the compact-WY batched kernels run (vs the seed loop)."""
-        return self.spec.batched
 
     @property
     def uses_structured(self) -> bool:

@@ -57,8 +57,8 @@ __all__ = [
 # reused by every apply_wy call.  The GEMM temporaries at paper scale are
 # ~100 MB per trailing update; reusing one buffer instead of allocating
 # fresh (page-faulting) memory each call is worth ~2x on a cold run.
-# Thread-local so the look-ahead executor can run independent trailing
-# updates concurrently without sharing (and corrupting) the buffer.
+# Thread-local so the serving worker, the one other thread the library
+# starts, never shares (and corrupts) a caller's buffer.
 _TLS = threading.local()
 
 # Smallest slice (m * n elements, m >= n) factored by LAPACK geqrt rather

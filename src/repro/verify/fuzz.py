@@ -7,10 +7,8 @@ strided views) and matrix kinds (Gaussian, graded spectrum, extreme
 "huge"/"tiny" scales that stress the rescaled reflector path), each
 factored through every execution path —
 
-* ``seed``          — the per-node reference loop
 * ``batched``       — the look-ahead driver (the default)
-* ``structured``    — sparsity-exploiting stacked-triangle tree
-* ``seed_structured`` — the reference loop with the structured tree
+* ``structured``    — the driver with the stacked-triangle tree merges
 * ``lookahead``     — the look-ahead driver under its own name
 * ``cholqr2``       — BLAS3 CholeskyQR2 (guard *refuses* ill-conditioned)
 * ``cholqr2_mixed`` — CholeskyQR2 with a float32 first-pass Gram
@@ -26,7 +24,7 @@ triangularity, shape/dtype contracts vs ``np.linalg.qr``), direct
 factor agreement with ``np.linalg.qr`` after sign canonicalization
 (well-conditioned matrices only — forward R/Q perturbation bounds carry
 a condition-number factor, so graded matrices check invariants only),
-and pairwise agreement between paths.  The serial launch-stream
+and pairwise agreement between paths.  The modeled CAQR launch-stream
 fingerprint is asserted stable for every factorable shape in the grid.
 
 The CholeskyQR2 paths carry extra differential semantics: a

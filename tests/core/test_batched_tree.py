@@ -1,9 +1,10 @@
-"""Batched tree-level execution vs the per-node reference path.
+"""Batched tree-level execution vs the per-node reference.
 
 The ``batched`` path (the default) must be a pure
 performance transformation: same block structure, same tree, same
 factors up to roundoff, same results from every application method, on
-every ragged/edge shape.  The per-node ``seed`` path is the oracle.
+every ragged/edge shape.  The per-node reference of
+:mod:`tests.reference_qr` is the oracle.
 """
 
 from __future__ import annotations
@@ -12,9 +13,10 @@ import numpy as np
 import pytest
 
 from repro.core.caqr import caqr, caqr_qr
-from repro.core.tsqr import tsqr, tsqr_qr
+from repro.core.tsqr import TSQRFactors, tsqr, tsqr_qr
 from repro.io import load_tsqr, save_tsqr
 from repro.runtime import ExecutionPolicy
+from tests import reference_qr
 
 ATOL = 1e-10
 
@@ -39,9 +41,8 @@ def _pair(rng, m, n, br, shape, structured):
     A = rng.standard_normal((m, n))
     geometry = {"block_rows": br, "tree_shape": shape}
     batched = "structured" if structured else "batched"
-    seed = "seed_structured" if structured else "seed"
     fb = tsqr(A, policy=ExecutionPolicy(path=batched, **geometry))
-    fr = tsqr(A, policy=ExecutionPolicy(path=seed, **geometry))
+    fr = reference_qr.tsqr(A, structured=structured, **geometry)
     return A, fb, fr
 
 
@@ -92,31 +93,35 @@ class TestApplyParity:
     def test_vector_rhs(self, rng):
         A = rng.standard_normal((301, 9))
         fb = tsqr(A, policy=ExecutionPolicy(block_rows=64))
-        fr = tsqr(A, policy=ExecutionPolicy(path="seed", block_rows=64))
+        fr = reference_qr.tsqr(A, block_rows=64)
         b = rng.standard_normal(301)
         out = fb.apply_qt(b.copy())
         np.testing.assert_allclose(out, fr.apply_qt(b.copy()), atol=ATOL)
         assert out.ndim == 1
 
     def test_flag_flip_after_factorization(self, rng):
-        """A reference-built factor applied with batched=True (and vice
-        versa) builds the missing plan lazily and agrees."""
+        """Per-node reference factors wrapped in ``TSQRFactors``, as
+        :mod:`repro.io` wraps a loaded archive, build their apply plan
+        lazily and agree with the reference's own per-node apply."""
         A = rng.standard_normal((301, 12))
         B = rng.standard_normal((301, 4))
-        fb = tsqr(A, policy=ExecutionPolicy(block_rows=64))
-        fr = tsqr(A, policy=ExecutionPolicy(path="seed", block_rows=64))
-        fr.batched = True
-        fb.batched = False
-        np.testing.assert_allclose(
-            fr.apply_qt(B.copy()), fb.apply_qt(B.copy()), atol=ATOL
+        fr = reference_qr.tsqr(A, block_rows=64)
+        wrapped = TSQRFactors(
+            m=fr.m, n=fr.n, tree=fr.tree, R=fr.R, blocks=fr.blocks, tree_factors=fr.tree_factors
         )
-        np.testing.assert_allclose(fr.form_q(), fb.form_q(), atol=ATOL)
+        np.testing.assert_allclose(
+            wrapped.apply_qt(B.copy()), fr.apply_qt(B.copy()), atol=ATOL
+        )
+        np.testing.assert_allclose(
+            wrapped.apply_q(B.copy()), fr.apply_q(B.copy()), atol=ATOL
+        )
+        np.testing.assert_allclose(wrapped.form_q(), fr.form_q(), atol=ATOL)
 
     def test_float32_input(self, rng):
         A = rng.standard_normal((300, 10)).astype(np.float32)
         B = rng.standard_normal((300, 3)).astype(np.float32)
         fb = tsqr(A, policy=ExecutionPolicy(block_rows=64))
-        fr = tsqr(A, policy=ExecutionPolicy(path="seed", block_rows=64))
+        fr = reference_qr.tsqr(A, block_rows=64)
         assert fb.R.dtype == np.float32
         np.testing.assert_allclose(fb.R, fr.R, atol=1e-4)
         np.testing.assert_allclose(
@@ -161,7 +166,7 @@ class TestCAQRParity:
     def test_caqr_batched_vs_reference(self, rng, m, n, br, pw):
         A = rng.standard_normal((m, n))
         fb = caqr(A, policy=ExecutionPolicy(panel_width=pw, block_rows=br))
-        fr = caqr(A, policy=ExecutionPolicy(path="seed", panel_width=pw, block_rows=br))
+        fr = reference_qr.caqr(A, panel_width=pw, block_rows=br)
         np.testing.assert_allclose(fb.R, fr.R, atol=ATOL)
         B = rng.standard_normal((m, 4))
         np.testing.assert_allclose(
@@ -186,8 +191,9 @@ class TestCAQRParity:
         # The factor structure the launches describe is the same object
         # both paths produce: same blocks, same tree groups.
         A = rng.standard_normal((301, 37))
-        fb = caqr(A, policy=ExecutionPolicy())
-        fr = caqr(A, policy=ExecutionPolicy(path="seed"))
+        fb = caqr(A, policy=ExecutionPolicy(panel_width=16))
+        fr = reference_qr.caqr(A)
+        assert len(fb.panels) == len(fr.panels)
         for pb, pr in zip(fb.panels, fr.panels):
             assert [b.rows for b in pb.factors.blocks] == [
                 b.rows for b in pr.factors.blocks

@@ -16,6 +16,7 @@ from repro.core.validation import (
 )
 from repro.runtime import ExecutionPolicy
 from repro.verify.fuzz import PATHS as FUZZ_PATHS, policy_for
+from tests import reference_qr
 
 
 class TestCAQRFactorization:
@@ -135,14 +136,19 @@ class TestCAQRApply:
 
 
 class TestOneFactorClass:
-    """Every in-core path returns CAQRFactors, and each accepts the same calls."""
+    """Every in-core path returns CAQRFactors, and each accepts the same
+    calls; so does the per-node reference (``seed``), whose panels hold
+    its own TSQR factors."""
 
     PATHS = ["seed", "batched", "structured", "lookahead"]
 
     @pytest.mark.parametrize("path", PATHS)
     def test_apply_to_a_vector(self, rng, path):
         A = rng.standard_normal((300, 40))
-        f = caqr(A, policy=ExecutionPolicy(path=path, panel_width=16))
+        if path == "seed":
+            f = reference_qr.caqr(A, panel_width=16)
+        else:
+            f = caqr(A, policy=ExecutionPolicy(path=path, panel_width=16))
         b = rng.standard_normal(300)
         qtb = f.apply_qt(b.copy())
         assert qtb.shape == (300,)
@@ -152,7 +158,7 @@ class TestOneFactorClass:
     def test_default_is_the_lookahead_driver(self, rng, monkeypatch):
         import repro.graph.executor as executor
         from repro.core.caqr import CAQRFactors
-        from repro.runtime.policy import PATHS, SERIAL
+        from repro.runtime.policy import LOOKAHEAD, PATHS
 
         calls = []
         real = executor.run_lookahead_schedule
@@ -161,8 +167,8 @@ class TestOneFactorClass:
         )
         f = caqr(rng.standard_normal((500, 20)))
         assert calls == [1] and isinstance(f, CAQRFactors)
-        assert [p for p, spec in PATHS.items() if spec.engine is SERIAL] == [
-            "seed", "structured", "seed_structured"
+        assert [p for p, spec in PATHS.items() if spec.engine is LOOKAHEAD] == [
+            "batched", "structured", "lookahead"
         ]
 
 
@@ -172,11 +178,9 @@ class TestOneFactorClass:
 # ("k"), or absent (None).  Keyed by the engine table's path names, so
 # a new path fails here until the docstring and this table name it.
 FACTOR_SURFACE = {
-    "seed": ("CAQRFactors", "m"),
     "batched": ("CAQRFactors", "m"),
     "structured": ("CAQRFactors", "m"),
     "lookahead": ("CAQRFactors", "m"),
-    "seed_structured": ("CAQRFactors", "m"),
     "cholqr2": ("CholQRFactors", "k"),
     "cholqr2_mixed": ("CholQRFactors", "k"),
     "auto": ("CholQRFactors", "k"),

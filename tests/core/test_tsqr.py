@@ -21,8 +21,22 @@ from repro.runtime import ExecutionPolicy
 from repro.runtime.plan import plan_qr
 from repro.serving.batch import ServingPlan
 from repro.smallblas import wy
+from tests import reference_qr
 
 tsqr_mod = importlib.import_module("repro.core.tsqr")
+
+
+def _tsqr(A, path, **geometry):
+    """TSQR under ``path``; ``seed`` names the per-node reference."""
+    if path == "seed":
+        return reference_qr.tsqr(A, **geometry)
+    return tsqr(A, policy=ExecutionPolicy(path=path, **geometry))
+
+
+def _tsqr_qr(A, path, **geometry):
+    if path == "seed":
+        return reference_qr.tsqr_qr(A, **geometry)
+    return tsqr_qr(A, policy=ExecutionPolicy(path=path, **geometry))
 
 
 class TestRowBlocks:
@@ -125,7 +139,7 @@ class TestLevel0Height:
     def test_ragged_tail_shorter_than_width(self, rng, path):
         # 512-row blocks leave a 10-row tail whose R is a 10 x 16 trapezoid.
         A = rng.standard_normal((1034, 16))
-        f = tsqr(A, policy=ExecutionPolicy(path=path, block_rows=8))
+        f = _tsqr(A, path, block_rows=8)
         assert [b.rows for b in f.blocks] == [(0, 512), (512, 1024), (1024, 1034)]
         assert f.tree.n_levels == 1
         Q = f.form_q()
@@ -275,7 +289,7 @@ class TestFormQ:
         assert factorization_error(A, Q, g.R) < 1e-13
 
     def test_reference_path_keeps_apply_q_identity(self, rng):
-        f = tsqr(rng.standard_normal((1000, 13)), policy=ExecutionPolicy(path="seed", block_rows=64))
+        f = reference_qr.tsqr(rng.standard_normal((1000, 13)), block_rows=64)
         assert np.array_equal(f.form_q(), _identity_q(f))
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -365,11 +379,11 @@ class TestEmptyShapes:
     def test_matches_numpy_shapes(self, dtype, path, m, n):
         A = np.zeros((m, n), dtype=dtype)
         Qn, Rn = np.linalg.qr(A)
-        f = tsqr(A, policy=ExecutionPolicy(path=path))
+        f = _tsqr(A, path)
         Q = f.form_q()
         assert Q.shape == Qn.shape and f.R.shape == Rn.shape
         assert Q.dtype == dtype and f.R.dtype == dtype
-        Q, R = tsqr_qr(A, policy=ExecutionPolicy(path=path))
+        Q, R = _tsqr_qr(A, path)
         assert Q.shape == Qn.shape and R.shape == Rn.shape
         # No reflectors: Q and Q^T act as the identity.
         B = np.arange(3.0 * m, dtype=dtype).reshape(m, 3)

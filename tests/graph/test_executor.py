@@ -1,4 +1,4 @@
-"""Look-ahead driver: correctness vs serial CAQR, bit-identity contracts."""
+"""Look-ahead driver: correctness vs the per-node reference CAQR, bit-identity contracts."""
 
 import numpy as np
 import pytest
@@ -7,6 +7,7 @@ from repro.core.caqr import caqr
 from repro.core.tsqr import level0_rows
 from repro.graph.executor import build_lookahead_schedule, run_lookahead_schedule
 from repro.runtime import ExecutionPolicy
+from tests import reference_qr
 
 SHAPES = [
     ((1000, 50), {}),
@@ -61,7 +62,7 @@ def test_apply_qt_apply_q_match_reference():
     A = rng.standard_normal((800, 64))
     B = rng.standard_normal((800, 5))
     f = _lookahead(A, **MULTI)
-    ref = caqr(A, policy=ExecutionPolicy(path="seed", **MULTI))
+    ref = reference_qr.caqr(A, **MULTI)
     assert np.max(np.abs(f.apply_qt(B.copy()) - ref.apply_qt(B.copy()))) < 1e-12
     assert np.max(np.abs(f.apply_q(B.copy()) - ref.apply_q(B.copy()))) < 1e-12
     # 1-D right-hand side round-trips like the reference factors.

@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+REPO = Path(__file__).resolve().parents[2]
 
 
 class TestParser:
@@ -71,6 +78,16 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "PCIe latency" in out and "DRAM bandwidth" in out
 
+    def test_overlap_matches_committed_table(self):
+        # The modeled overlap table is pure shape arithmetic: a host-side
+        # change that moves one byte of it changed the model.
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        out = subprocess.run(
+            [sys.executable, "-m", "repro", "overlap"],
+            cwd=REPO, env=env, capture_output=True, check=True,
+        ).stdout
+        assert out == (REPO / "benchmarks" / "results" / "overlap.txt").read_bytes()
+
 
 class TestPathChoices:
     """``plan --path`` and ``trace --policy`` take their names from the
@@ -117,6 +134,10 @@ class TestPathChoices:
         assert exc.value.code == 2
         assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
-    def test_plan_seed_structured(self, capsys):
-        assert main(["plan", "--m", "1000", "--n", "40", "--path", "seed_structured"]) == 0
-        assert "seed_structured" in capsys.readouterr().out
+    @pytest.mark.parametrize("path", ["seed", "seed_structured"])
+    def test_plan_seed_paths_are_refused(self, capsys, path):
+        # The per-node reference lives in tests/, not in the engine table.
+        with pytest.raises(SystemExit) as exc:
+            main(["plan", "--m", "1000", "--n", "40", "--path", path])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err

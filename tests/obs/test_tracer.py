@@ -145,7 +145,7 @@ def _best_coverage(A, policy, attempts=3):
 
 def test_coverage_serial_paths(rng):
     A = rng.standard_normal((2048, 96))
-    for path in ("seed", "batched", "structured", "lookahead"):
+    for path in ("batched", "structured", "lookahead"):
         cov, _ = _best_coverage(A, ExecutionPolicy(path=path))
         assert cov >= 0.90, f"{path}: instrumentation gap ({cov:.1%})"
 

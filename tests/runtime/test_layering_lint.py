@@ -292,6 +292,34 @@ def test_look_ahead_threads_are_gone():
     assert len(ExecutionPolicy.__dataclass_fields__) == 14
 
 
+def test_serial_engine_is_gone():
+    # One CAQR driver and one TSQR strategy: the serial panel loop, the
+    # per-node reference strategy and the seed paths are deleted (the
+    # per-node oracle lives in tests/reference_qr.py).
+    import repro.core.caqr
+    import repro.core.tsqr
+    import repro.runtime.policy
+    from repro.core.tsqr import TSQRFactors
+    from repro.runtime import ExecutionPolicy
+    from repro.runtime.policy import ENGINES, PATHS, PathSpec
+
+    assert not hasattr(repro.core.caqr, "_caqr_serial")
+    for name in ("_tsqr_reference", "_level0_ref", "_apply_level0", "_gather", "_scatter"):
+        assert not hasattr(repro.core.tsqr, name) and not hasattr(TSQRFactors, name), name
+    assert not hasattr(TSQRFactors, "batched")
+    assert "batched" not in TSQRFactors.__init__.__code__.co_varnames
+    assert not hasattr(ExecutionPolicy, "uses_batched")
+    assert "batched" not in PathSpec.__dataclass_fields__
+    for name in ("SERIAL", "_Serial"):
+        assert not hasattr(repro.runtime.policy, name)
+    assert len(PATHS) == 8 and len({spec.engine for spec in PATHS.values()}) == 4
+    assert len(ENGINES) == 4
+    for name in ("seed", "seed_structured"):
+        with pytest.raises(ValueError, match="unknown execution path"):
+            ExecutionPolicy(path=name)
+    assert len(ExecutionPolicy.__dataclass_fields__) == 14
+
+
 class TestThreadRuleEndToEnd:
     """The thread fence: a thread or process pool started under
     ``src/repro/`` outside ``repro.serving`` is flagged; the serving
@@ -693,53 +721,6 @@ class TestTreeWalkRule:
         rc, out = self._run_main(tmp_path, monkeypatch, capsys)
         assert rc == 0
         assert "tree walk only in repro.core.tsqr" in out
-
-
-class TestSerialLoopRule:
-    """The serial-loop fence: ``_caqr_serial`` is imported by the engine
-    table only, so the sharded and streaming local factors (and any new
-    caller) stay on the look-ahead driver."""
-
-    def _lint(self):
-        sys.path.insert(0, str(LINT.parent))
-        try:
-            import lint_layering
-        finally:
-            sys.path.pop(0)
-        return lint_layering
-
-    def test_scanner_flags_both_import_forms(self, tmp_path):
-        f = tmp_path / "mod.py"
-        f.write_text(
-            "from repro.core.caqr import CAQRFactors, _caqr_serial\n"
-            "import repro.core.caqr as caqr_mod\n"
-            "f = caqr_mod._caqr_serial(A, policy)\n"
-        )
-        assert self._lint().scan_file(f) == [
-            (1, "_caqr_serial", "serial loop"),
-            (3, "_caqr_serial", "serial loop"),
-        ]
-
-    def test_injected_serial_loop_is_caught(self, tmp_path, monkeypatch, capsys):
-        lint_layering = self._lint()
-        files = {
-            "src/repro/distributed/sharded.py": "from repro.core.caqr import _caqr_serial\n",
-            "benchmarks/bench_local.py": "from repro.core import caqr\ncaqr._caqr_serial(A, p)\n",
-            "src/repro/core/caqr.py": "def _caqr_serial(A, policy):\n    return _caqr_serial\n",
-            "src/repro/runtime/policy.py": "from repro.core.caqr import _caqr_serial\n",
-        }
-        for rel, text in files.items():
-            path = tmp_path / rel
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(text)
-        monkeypatch.setattr(lint_layering, "REPO", tmp_path)
-        assert lint_layering.main() == 1
-        out = capsys.readouterr().out
-        assert "src/repro/distributed/sharded.py:1: _caqr_serial" in out
-        assert "benchmarks/bench_local.py:2: _caqr_serial" in out
-        assert "serial panel loop outside the engine table" in out
-        assert "core/caqr.py" not in out and "runtime/policy.py" not in out
-        assert "2 violation(s)" in out
 
 
 class TestApplicationQRRule:

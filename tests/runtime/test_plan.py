@@ -336,18 +336,19 @@ class TestOnePanelDefault:
             return [p.width for p in plan_qr(m, n, policy=ExecutionPolicy(**kw)).panels]
 
         # Wide: the unset width is the paper's 16, schedule for schedule,
-        # on the look-ahead engine (batched is that engine at one worker).
-        for path in ("lookahead", "auto", "batched"):
+        # on the look-ahead engine (batched and structured are that engine).
+        for path in ("lookahead", "auto", "batched", "structured"):
             assert widths(300, 2000, path=path) == [16] * 18 + [12]
+        # Tall: one panel on the look-ahead engine, structured included.
         assert widths(1000, 40, path="batched") == [40]
+        assert widths(1000, 40, path="structured") == [40]
         unset = build_lookahead_schedule(300, 2000, ExecutionPolicy(path="lookahead"))
         pinned = build_lookahead_schedule(
             300, 2000, ExecutionPolicy(path="lookahead", panel_width=16)
         )
         assert (unset.panels, unset.tasks) == (pinned.panels, pinned.tasks)
         # Every other engine keeps 16 on tall matrices too.
-        for kw in ({"path": "structured"}, {"path": "seed"},
-                   {"path": "sharded", "shards": 2}, {"path": "streaming", "chunk_rows": 512}):
+        for kw in ({"path": "sharded", "shards": 2}, {"path": "streaming", "chunk_rows": 512}):
             assert "panel_width=16 " in plan_qr(1000, 40, policy=ExecutionPolicy(**kw)).describe()
             if kw["path"] != "sharded":  # a sharded plan's panels are per rank
                 assert widths(1000, 40, **kw)[:2] == [16, 16], kw

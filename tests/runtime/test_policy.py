@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.runtime import ExecutionPolicy
-from repro.runtime.policy import CHOLQR, CHOLQR_PATHS, ENGINES, PATH_NAMES, PATHS
+from repro.runtime.policy import CHOLQR, CHOLQR_PATHS, ENGINES, LOOKAHEAD, PATH_NAMES, PATHS
 from repro.verify.guards import GuardError
 
 
@@ -18,7 +18,7 @@ class TestValidation:
     def test_default_is_batched(self):
         p = ExecutionPolicy()
         assert p.path == "batched"
-        assert p.uses_batched and not p.uses_structured
+        assert p.engine is LOOKAHEAD and not p.uses_structured
 
     def test_unknown_path_rejected(self):
         with pytest.raises(ValueError, match="unknown execution path"):
@@ -38,13 +38,13 @@ class TestValidation:
 
     def test_frozen(self):
         with pytest.raises(AttributeError):
-            ExecutionPolicy().path = "seed"  # type: ignore[misc]
+            ExecutionPolicy().path = "lookahead"  # type: ignore[misc]
 
     def test_structured_flags(self):
-        assert ExecutionPolicy(path="structured").uses_structured
-        assert ExecutionPolicy(path="structured").uses_batched
-        assert ExecutionPolicy(path="seed_structured").uses_structured
-        assert not ExecutionPolicy(path="seed_structured").uses_batched
+        p = ExecutionPolicy(path="structured")
+        assert p.uses_structured and p.engine is LOOKAHEAD
+        assert not p.spec.coalescable
+        assert [name for name, spec in PATHS.items() if spec.structured] == ["structured"]
 
     def test_with_nonfinite_returns_self_when_unchanged(self):
         p = ExecutionPolicy()
@@ -55,7 +55,7 @@ class TestValidation:
 class TestEngineTable:
     def test_every_path_maps_to_one_engine(self):
         assert set(PATH_NAMES) == set(PATHS)
-        assert len(PATH_NAMES) == 10
+        assert len(PATH_NAMES) == 8
         assert {spec.engine for spec in PATHS.values()} == set(ENGINES)
         for name, spec in PATHS.items():
             fields = {f: 2 for f in spec.engine.required}
@@ -64,7 +64,6 @@ class TestEngineTable:
     def test_flags_drive_the_policy_views(self):
         for name, spec in PATHS.items():
             p = ExecutionPolicy(path=name, **{f: 2 for f in spec.engine.required})
-            assert p.uses_batched == spec.batched
             assert p.uses_structured == spec.structured
             assert p.uses_cholqr == (spec.engine is CHOLQR)
         assert CHOLQR_PATHS == ("cholqr2", "cholqr2_mixed", "auto")

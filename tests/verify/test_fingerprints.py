@@ -1,10 +1,11 @@
 """Golden launch/schedule fingerprints — the tier-1 face of the CI gate.
 
-The committed ``tests/data/fingerprints.json`` pins the modeled launch
-stream (serial paths) and the look-ahead task DAG (executor paths) for
-a grid of reference shapes; ``tools/check_fingerprints.py`` recomputes
-and diffs them in CI.  This test keeps the same check inside `pytest`
-so drift is caught before a PR ever reaches the workflow.
+The committed ``tests/data/fingerprints.json`` pins the modeled CAQR
+launch stream (``caqr_launches``) and the look-ahead task DAG (every
+look-ahead path) for a grid of reference shapes;
+``tools/check_fingerprints.py`` recomputes and diffs them in CI.  This
+test keeps the same check inside `pytest` so drift is caught before a
+PR ever reaches the workflow.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ def test_golden_file_is_committed():
     assert GOLDEN.exists(), "tests/data/fingerprints.json missing"
     data = json.loads(GOLDEN.read_text())
     assert set(data) == {
-        "seed",
+        "caqr_launches",
         "batched",
         "structured",
         "lookahead",
@@ -56,11 +57,14 @@ def test_fingerprints_match_golden(checker):
 
 
 def test_serial_paths_share_one_stream(checker):
-    """Strategy never changes the modeled launches, and ``batched`` is
-    the look-ahead driver — pinned identities."""
+    """``batched``, ``structured`` and ``lookahead`` are the one
+    look-ahead driver (the tree-merge kernel never changes the DAG), and
+    the modeled launch stream is pinned once — pinned identities."""
     fresh = checker.compute_fingerprints()
-    assert fresh["seed"] == fresh["structured"]
+    assert checker.LOOKAHEAD_PATHS == ("batched", "structured", "lookahead")
+    assert fresh["structured"] == fresh["batched"]
     assert fresh["batched"] == fresh["lookahead"]
+    assert sum(len(pins) for pins in fresh.values()) == 55
 
 
 def test_cholqr_paths_pin_distinct_streams(checker):

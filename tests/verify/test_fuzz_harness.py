@@ -75,13 +75,13 @@ class TestHarnessDetects:
 
         def corrupted(A, **kw):
             Q, R = real(A, **kw)
-            if kw["policy"].path == "seed" and R.size:
+            if kw["policy"].path == "lookahead" and R.size:
                 R = R.copy()
                 R[0, 0] *= 1.0 + 1e-3
             return Q, R
 
         monkeypatch.setattr(fuzz, "caqr_qr", corrupted)
-        divs = run_case(FuzzCase(40, 8, panel_width=4, block_rows=8), paths=["seed", "batched"])
+        divs = run_case(FuzzCase(40, 8, panel_width=4, block_rows=8), paths=["lookahead", "batched"])
         assert divs, "harness failed to flag a corrupted factorization"
         assert any(d.check in ("vs-numpy", "pairwise", "invariants") for d in divs)
 

@@ -17,6 +17,14 @@ from repro.core.householder import house
 from repro.runtime import ExecutionPolicy
 from repro.smallblas.batched import batched_house
 from repro.verify.invariants import check_qr, qr_invariants
+from tests import reference_qr
+
+
+def _caqr_qr(A, path, **geometry):
+    """CAQR's ``(Q, R)`` under ``path``; ``seed`` names the per-node reference."""
+    if path == "seed":
+        return reference_qr.caqr_qr(A, **geometry)
+    return caqr_qr(A, policy=ExecutionPolicy(path=path, **geometry))
 
 
 class TestLookaheadZeroPanelDeadlock:
@@ -56,8 +64,7 @@ class TestFloat32ReflectorOverflow:
     @pytest.mark.parametrize("path", ["seed", "batched", "structured", "lookahead"])
     def test_huge_float32_stays_finite(self, path):
         A = self._huge()
-        policy = ExecutionPolicy(path=path, panel_width=4, block_rows=16)
-        Q, R = caqr_qr(A, policy=policy)
+        Q, R = _caqr_qr(A, path, panel_width=4, block_rows=16)
         check_qr(A, Q, R)
 
     def test_house_rescales(self):
@@ -89,8 +96,7 @@ class TestFloat32ReflectorUnderflow:
         rng = np.random.default_rng(7)
         A = (1e-30 * rng.standard_normal((60, 6))).astype(np.float32)
         for path in ("seed", "batched", "structured"):
-            policy = ExecutionPolicy(path=path, panel_width=3, block_rows=12)
-            Q, R = caqr_qr(A, policy=policy)
+            Q, R = _caqr_qr(A, path, panel_width=3, block_rows=12)
             check_qr(A, Q, R)
 
 

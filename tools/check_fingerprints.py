@@ -1,17 +1,19 @@
 #!/usr/bin/env python
 """CI launch-fingerprint drift gate for every execution path.
 
-The fingerprint families, all pure shape arithmetic:
+The fingerprint families, all pure shape arithmetic, each keyed by
+what it pins:
 
-* **Serial launch stream** (``seed`` / ``structured``) —
+* **CAQR launch stream** (``caqr_launches``) —
   :func:`repro.verify.invariants.launch_fingerprint`, the SHA-256 of the
-  modeled kernel-launch sequence.  The serial paths share one stream by
-  design (strategy never changes the launches), so their golden values
-  coincide; the gate pins that *identity* as well as the values.
-* **Look-ahead task DAG** (``batched`` / ``lookahead``) — a SHA-256
-  over :func:`repro.graph.executor.build_lookahead_schedule`'s panel
-  partition and dependency-wired task list.  ``batched`` and
-  ``lookahead`` name the same driver, so their DAGs are equal.
+  modeled C2050 kernel-launch sequence that ``plan.simulate()`` times
+  for the look-ahead paths.
+* **Look-ahead task DAG** (``batched`` / ``structured`` /
+  ``lookahead``, every path of the engine table's look-ahead engine) —
+  a SHA-256 over
+  :func:`repro.graph.executor.build_lookahead_schedule`'s panel
+  partition and dependency-wired task list.  The three name one
+  driver, so their DAGs are equal; the gate pins that identity.
 * **CholeskyQR2 launch stream** (``cholqr2`` / ``cholqr2_mixed`` /
   ``auto``) — a SHA-256 over
   :func:`repro.caqr_gpu.enumerate_cholqr2_launches`: the O(1) canonical
@@ -67,7 +69,7 @@ try:  # self-locating: only extend sys.path when repro is not installed
 except ImportError:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.runtime.policy import CHOLQR, PATHS as _ENGINE_PATHS  # noqa: E402
+from repro.runtime.policy import CHOLQR, LOOKAHEAD, PATHS as _ENGINE_PATHS  # noqa: E402
 
 GOLDEN = REPO_ROOT / "tests" / "data" / "fingerprints.json"
 
@@ -78,8 +80,12 @@ SHAPES = [(1024, 256), (4096, 32), (16384, 64), (55296, 100), (110592, 100)]
 BLOCK_ROWS = 64
 PANEL_WIDTH = 16
 
-SERIAL_PATHS = ("seed", "structured")
-LOOKAHEAD_PATHS = ("batched", "lookahead")
+# The modeled CAQR launch stream, pinned once under a name of its own.
+LAUNCH_FAMILY = "caqr_launches"
+# Every path the look-ahead engine runs, read from the engine table.
+LOOKAHEAD_PATHS = tuple(
+    name for name, spec in _ENGINE_PATHS.items() if spec.engine is LOOKAHEAD
+)
 # name -> (mixed, guard), read from the engine table: every CholeskyQR2
 # path, its mixed-precision flag, and whether its guard precheck launches
 # (the fallback path's).
@@ -163,13 +169,9 @@ def compute_fingerprints() -> dict:
     from repro.verify.invariants import launch_fingerprint
 
     cfg = KernelConfig(block_rows=BLOCK_ROWS, panel_width=PANEL_WIDTH)
-    out: dict[str, dict[str, str]] = {}
-    for path in SERIAL_PATHS:
-        # One launch stream for all serial strategies — recomputed per
-        # path anyway so a future per-path divergence cannot hide.
-        out[path] = {
-            f"{m}x{n}": launch_fingerprint(m, n, cfg)[:16] for m, n in SHAPES
-        }
+    out: dict[str, dict[str, str]] = {
+        LAUNCH_FAMILY: {f"{m}x{n}": launch_fingerprint(m, n, cfg)[:16] for m, n in SHAPES}
+    }
     for path in LOOKAHEAD_PATHS:
         out[path] = {f"{m}x{n}": _schedule_fingerprint(m, n, path) for m, n in SHAPES}
     for path, (mixed, guard) in CHOLQR_PATHS.items():
@@ -246,7 +248,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 1
     print(f"fingerprints: all {n_pins} pins stable across "
-          f"{len(fresh)} paths x {len(SHAPES)} shapes")
+          f"{len(fresh)} families x {len(SHAPES)} shapes")
     return 0
 
 

@@ -1,9 +1,9 @@
 #!/usr/bin/env python
-"""Layering lint: path names and the serial loop in the engine table, the
-tree walk in TSQR, threads in serving.
+"""Layering lint: path names in the engine table, the tree walk in TSQR,
+threads in serving.
 
 Every execution-path decision goes through the engine table,
-``PATHS`` in :mod:`repro.runtime.policy`: each of the ten path names
+``PATHS`` in :mod:`repro.runtime.policy`: each of the eight path names
 maps to one engine and a few flags there, and every other module asks
 the policy (``policy.engine``, ``policy.spec``, ``policy.uses_*``)
 instead of spelling a path name.  So a ``.path`` attribute compared
@@ -61,15 +61,6 @@ QR kernel), as ``from ... import name`` or as a module attribute
 (``panel_schedule`` / ``factor_panel`` / ``apply_wy_plan``) is the one
 driver that walks the tree; a second copy of the walk would drift from
 it (the serving coalescer's copy once lost bit identity that way).
-
-So does the serial panel loop: importing
-:func:`repro.core.caqr._caqr_serial`, by name or as a module attribute,
-anywhere outside :mod:`repro.core.caqr` and the engine table
-(:mod:`repro.runtime.policy`, which runs it for ``seed``,
-``seed_structured`` and ``structured``) is a violation.  Every other
-CAQR, the sharded ranks' and streaming chunks' local factors included,
-runs the look-ahead driver (``graph.executor.run_lookahead_schedule``);
-a caller of the serial loop would be a second CAQR driver.
 
 The application's QR goes through a plan: importing ``tsqr`` or
 ``tsqr_qr`` from :mod:`repro.core.tsqr` (or through the ``repro.core`` /
@@ -149,16 +140,8 @@ STREAM_CONSTRUCTORS = {"StreamingQR", "ChunkBuffer"}
 # its slices) anywhere else is a second tree driver.
 TREE_WALK_NAMES = {"batch_level", "_factor_slices"}
 
-# Names whose import is reserved to the serial engine: the panel loop runs
-# the reference paths and ``structured``, and every other CAQR runs the
-# look-ahead driver.
-SERIAL_LOOP_NAMES = {"_caqr_serial"}
-
 # Each fenced import name and the finding it is.
-FENCED_NAMES = {
-    **{name: "tree walk" for name in TREE_WALK_NAMES},
-    **{name: "serial loop" for name in SERIAL_LOOP_NAMES},
-}
+FENCED_NAMES = {name: "tree walk" for name in TREE_WALK_NAMES}
 
 # TSQR's one-shot entry points, fenced out of the application: its QR
 # comes from a plan (plan_qr).  Matched in imports from repro.core.tsqr
@@ -190,8 +173,6 @@ GRAPH_EXEMPT = (
 STREAM_EXEMPT = ("src/repro/streaming/",)
 # Per-rule exemption: the panel engine and the slice kernels.
 TREE_WALK_EXEMPT = ("src/repro/core/tsqr.py", "src/repro/smallblas/")
-# Per-rule exemption: the serial loop's module and the engine table.
-SERIAL_LOOP_EXEMPT = ("src/repro/core/caqr.py", "src/repro/runtime/policy.py")
 # Per-rule scope (the opposite of an exemption): the application package.
 APP_QR_SCOPE = ("src/repro/rpca/",)
 # Per-rule scope and exemption: the library, except the serving package.
@@ -364,14 +345,6 @@ def main() -> int:
                         f"repro.core.tsqr (factor and apply panels through "
                         f"panel_schedule / factor_panel / apply_wy_plan)"
                     )
-                elif kwargs == "serial loop":
-                    if rel in SERIAL_LOOP_EXEMPT:
-                        continue  # the serial engine and the engine table
-                    violations.append(
-                        f"{rel}:{lineno}: {name} — the serial panel loop outside "
-                        f"the engine table (factor through the look-ahead "
-                        f"driver, graph.executor.run_lookahead_schedule)"
-                    )
                 elif kwargs == "thread construction":
                     violations.append(
                         f"{rel}:{lineno}: {name}(...) — a thread started outside "
@@ -399,9 +372,8 @@ def main() -> int:
         return 1
     print(
         "layering lint: clean (path names read only in the engine table, "
-        "the tree walk only in repro.core.tsqr, the serial loop only in "
-        "the engine table, the application's QR only through plan_qr, "
-        "threads only in repro.serving)"
+        "the tree walk only in repro.core.tsqr, the application's QR only "
+        "through plan_qr, threads only in repro.serving)"
     )
     return 0
 
