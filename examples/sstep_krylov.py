@@ -48,7 +48,7 @@ def main() -> None:
     Q = f.form_q()
     print(f"TSQR orthogonality error:  {orthogonality_error(Q):.2e}")
     print(f"TSQR factorization error:  {factorization_error(K, Q, f.R):.2e}")
-    print(f"reduction-tree levels:     {f.tree.n_levels} (quad tree over {len(f.blocks)} blocks)")
+    print(f"reduction-tree levels:     {f.tree.n_levels} (quad tree over {f.tree.n_blocks} blocks)")
 
     # The communication argument at this shape: modeled GPU times.
     r = simulate_caqr(n_rows, s)

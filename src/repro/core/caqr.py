@@ -44,10 +44,10 @@ class PanelFactor:
 class CAQRFactors:
     """Implicit Q and explicit R of a CAQR factorization.
 
-    Every in-core path returns this class from the one CAQR driver
+    Every look-ahead path returns this class from the one CAQR driver
     (:func:`repro.graph.executor.run_lookahead_schedule`), whose panels'
-    :class:`TSQRFactors` are views of its own stacks.  Q is applied panel
-    by panel through each panel's factors.
+    :class:`TSQRFactors` hold the apply plans it built.  Q is applied
+    panel by panel through each panel's factors.
 
     ``form_q`` follows one rule.  With one panel it is the panel's own
     ``form_q``: LAPACK ``orgqr``'s form

@@ -5,7 +5,9 @@ factored independently (the paper's ``factor`` kernel), and the resulting
 R factors are eliminated up a reduction tree (the ``factor_tree`` kernel).
 The Q factor is left *implicit* as the collection of per-block and
 per-tree-node Householder factors (the "series of small Us" of Figure 2),
-from which Q or Q^T can be applied, or the explicit thin Q formed.
+from which Q or Q^T can be applied, or the explicit thin Q formed.  They
+are held in one form, the apply plan (:class:`_WyPlan`): compact-WY
+stacks per tree level, which :mod:`repro.io` archives as they are.
 
 One engine runs it.  :func:`panel_schedule` captures everything
 shape-dependent once per ``(height, width, block_rows, tree_shape)``
@@ -36,7 +38,7 @@ execution (launch costs, timing) reuses these factor objects through
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -44,11 +46,8 @@ import numpy as np
 from .dtypes import as_float_array, q_buffer, working_dtype
 from repro.obs import tracer as _obs
 from repro.runtime.policy import ExecutionPolicy
-from repro.smallblas.wy import (
-    _factor_slices, apply_wy, blas_name, larft, orgqr_wy, packed_vr, scratch_copy, takes_geqrt,
-    v_in_place,
-)
-from .structured import StructuredStackFactor, structured_stack_qr
+from repro.smallblas.wy import _factor_slices, apply_wy, blas_name, orgqr_wy, takes_geqrt
+from .structured import structured_stack_qr
 from .tree import TreeSchedule, batch_level, build_tree
 
 __all__ = [
@@ -105,88 +104,37 @@ def level0_rows(block_rows: int | None, width: int) -> int:
 
 
 @dataclass
-class _LevelZeroFactor:
-    """Householder factor of one level-0 row block.
-
-    ``packed`` holds the reflectors below its diagonal.  In loaded
-    factors it is LAPACK's packed layout, R on and above the diagonal,
-    and ``R`` is ``None``.  The engine keeps its reflectors where LAPACK
-    wrote them: ``packed`` is the unit-lower-trapezoidal ``V``, a view of
-    the factor kernel's output, and the block's R is ``R``.  ``VR`` is
-    the packed layout either way (rebuilt, a copy, from the engine's
-    factors; no kernel reads it).
-    """
-
-    rows: tuple[int, int]  # [start, stop) within the panel
-    packed: np.ndarray
-    tau: np.ndarray
-    R: np.ndarray | None = None
-
-    @property
-    def VR(self) -> np.ndarray:
-        """LAPACK's packed layout (rebuilt, a copy, when ``R`` is set)."""
-        return self.packed if self.R is None else packed_vr(self.packed, self.R)
-
-    @property
-    def r_height(self) -> int:
-        """Rows of the upper-trapezoidal R this block passes up the tree."""
-        return min(self.packed.shape[0], self.packed.shape[1])
-
-
-@dataclass
-class _TreeFactor:
-    """Householder factor of one stacked-R elimination group.
-
-    Either a dense packed factor, stored as :class:`_LevelZeroFactor`
-    stores its own (``packed``, ``tau``, ``R``; ``VR`` is the
-    ``factor_tree`` kernel's layout), or a sparsity-exploiting
-    :class:`StructuredStackFactor` (Figure 2(c)'s optional optimization).
-    The apply plan stacks dense factors into compact-WY batches and
-    applies a structured one node by node.
-    """
-
-    group: tuple[int, ...]  # member level-0 block indices (first survives)
-    heights: tuple[int, ...]  # R rows contributed by each member
-    packed: np.ndarray | None = None
-    tau: np.ndarray | None = None
-    structured: StructuredStackFactor | None = None
-    R: np.ndarray | None = None
-
-    @property
-    def VR(self) -> np.ndarray | None:
-        """LAPACK's packed layout (rebuilt, a copy, when ``R`` is set)."""
-        return self.packed if self.R is None else packed_vr(self.packed, self.R)
-
-
-@dataclass
 class _WyPlan:
-    """Precomputed batched application schedule for one dtype.
+    """TSQR's factors: the batched application schedule of one dtype.
 
-    Built once per factorization (or lazily for factors loaded from disk)
-    and reused by every ``apply_qt`` / ``apply_q`` / ``form_q`` call.
-    The factors of an ``r``-stack (:func:`factor_panel`) hold each
-    batch's slices request by request: request ``i``'s level-0 blocks
-    are ``l0_V[i * l0_count : (i + 1) * l0_count]``.
+    :func:`factor_panel` builds it (:mod:`repro.io` loads a saved one),
+    and every ``apply_qt`` / ``apply_q`` / ``form_q`` call reuses it.
+    The factors of an ``r``-stack hold each batch's slices request by
+    request: request ``i``'s level-0 blocks are
+    ``l0_V[i * l0_count : (i + 1) * l0_count]``.
 
     * Level 0: the uniform block prefix is applied through a zero-copy
       ``(count, h, w)`` reshape of the target's leading rows; a ragged
       tail block is applied as an exact-height batch of one.
     * Each tree level is a list of entries, one per heights-signature
       batch: a ``(nodes, H)`` fancy-index row map plus the stacked
-      compact-WY ``(V, T)``.  Entries within a level touch disjoint rows.
+      compact-WY ``(V, T)``, or, under ``structured``, one per group: a
+      :class:`~repro.core.structured.StructuredStackFactor` and its row
+      map.  Entries within a level touch disjoint rows.
     """
 
     dtype: np.dtype
-    l0_count: int
-    l0_h: int
+    # The defaults are the plan of an empty matrix: no reflectors.
+    l0_count: int = 0
+    l0_h: int = 0
     # V: (count, h, k) reflectors; from the engine, a view of the factor
     # kernel's packed output (smallblas.wy.v_in_place)
-    l0_V: np.ndarray | None
-    l0_T: np.ndarray | None
+    l0_V: np.ndarray | None = None
+    l0_T: np.ndarray | None = None
     # (row_start, height, V, T) of a ragged last block
-    l0_tail: list[tuple[int, int, np.ndarray, np.ndarray]]
-    # per level: [("wy", idx, V, T) | ("structured", tree_factor, idx)]
-    levels: list[list[tuple]]
+    l0_tail: list[tuple[int, int, np.ndarray, np.ndarray]] = field(default_factory=list)
+    # per level: [("wy", idx, V, T) | ("structured", sf, idx)]
+    levels: list[list[tuple]] = field(default_factory=list)
     # The (height, width) Q buffer the level-0 reflectors were factored
     # in (factor_panel's ``home``), and whether the uniform blocks and the
     # ragged tail live there (geqrt slices do); None when neither does
@@ -310,7 +258,7 @@ def panel_schedule(height: int, width: int, block_rows: int, tree_shape: str) ->
 
 def factor_panel(
     sched: PanelSchedule, S: np.ndarray, structured: bool = False, home: np.ndarray | None = None
-) -> tuple[np.ndarray, _WyPlan, list]:
+) -> tuple[np.ndarray, _WyPlan]:
     """Factor the ``(r, height, width)`` stack ``S`` of ``r`` panels on ``sched``.
 
     Every slice (level-0 block, ragged tail, tree node) of every panel
@@ -323,11 +271,9 @@ def factor_panel(
     of the previous level's output.  ``structured`` eliminates each tree
     group with :func:`structured_stack_qr` instead (``r = 1`` only).
 
-    Returns ``(R, plan, nodes)``: the ``(r, min(height, width), width)``
-    upper-trapezoidal Rs, the apply plan, and the Rs of every level
-    (level 0's blocks and tail, then each tree batch's, or its
-    structured factors), from which :class:`TSQRFactors` builds its
-    per-node view on demand.
+    Returns ``(R, plan)``: the ``(r, min(height, width), width)``
+    upper-trapezoidal Rs and the apply plan.  A level's R stack is read
+    only by the next level, so none outlives the call.
 
     ``home`` (``r = 1`` and ``height >= width`` only) is the C-contiguous
     ``(height, width)`` buffer Q will be formed in: the level-0 slices
@@ -350,78 +296,39 @@ def factor_panel(
             S[:, : c * h].reshape(r * c, h, w), flat[: c * h * w] if homed[0] else None
         )
         slab = R0.reshape(r, -1, w)
-        tail, made = [], [R0]
+        tail = []
         if sched.tail is not None:
             s, ht = sched.tail
             Vt, Tt, Rt, _ = _factor_slices(S[:, s:], flat[s * w :] if homed[1] else None)
             tail.append((s, ht, Vt, Tt))
-            made.append(Rt)
             slab = np.concatenate([slab, Rt], axis=1)
-    levels, nodes = [], [made]
-    for level, batches, ride in zip(sched.tree.levels, sched.levels, sched.carry):
-        entries, outs, made = [], [], []
+    levels = []
+    for batches, ride in zip(sched.levels, sched.carry):
+        entries, outs = [], []
         with _obs.span("tsqr.tree", cat="factor.tree", batches=len(batches), **args):
             for b in batches:
                 src = slab[:, b.src].reshape(r * len(b.positions), sum(b.heights), w)
                 if structured:
                     offs = np.cumsum((0,) + b.heights)
-                    tfs = []
-                    for gi, p in enumerate(b.positions):
-                        members = [src[gi, a:e] for a, e in zip(offs[:-1], offs[1:])]
-                        sf = structured_stack_qr(members)
-                        tfs.append(_TreeFactor(group=level[p], heights=b.heights, structured=sf))
-                    entries.extend(("structured", tf, row) for tf, row in zip(tfs, b.idx))
-                    made.append(tfs)
-                    Rl = np.stack([tf.structured.R for tf in tfs])
+                    sfs = [
+                        structured_stack_qr([grp[a:e] for a, e in zip(offs[:-1], offs[1:])])
+                        for grp in src
+                    ]
+                    entries.extend(("structured", sf, row) for sf, row in zip(sfs, b.idx))
+                    Rl = np.stack([sf.R for sf in sfs])
                 else:
                     Vl, Tl, Rl, _ = _factor_slices(src)
                     entries.append(("wy", b.idx, Vl, Tl))
-                    made.append(Rl)
                 outs.append(Rl.reshape(r, -1, w))
             if ride is not None:
                 outs.append(slab[:, ride])
             slab = outs[0] if len(outs) == 1 else np.concatenate(outs, axis=1)
         levels.append(entries)
-        nodes.append(made)
     plan = _WyPlan(
         dtype=np.dtype(S.dtype), l0_count=c, l0_h=h, l0_V=V0, l0_T=T0, l0_tail=tail,
         levels=levels, home=home if any(homed) else None, homed=homed,
     )
-    return slab, plan, nodes
-
-
-def _node_factors(
-    sched: PanelSchedule, plan: _WyPlan, nodes: list
-) -> tuple[list[_LevelZeroFactor], list[list[_TreeFactor]]]:
-    """Per-block and per-group factor objects of a one-panel engine run.
-
-    Views of the engine's stacks (``tau`` is the diagonal of ``T``, as
-    the slice kernel reports it); read by archives and tests, never by
-    the engine.
-    """
-    Vs = [*plan.l0_V, *(t[2][0] for t in plan.l0_tail)]
-    Ts = [*plan.l0_T, *(t[3][0] for t in plan.l0_tail)]
-    Rs = [R for stack in nodes[0] for R in stack]
-    blocks = [
-        _LevelZeroFactor(rows=rows, packed=V, tau=T.diagonal().copy(), R=R)
-        for rows, V, T, R in zip(sched.ranges, Vs, Ts, Rs)
-    ]
-    tree_factors = []
-    tree = zip(sched.tree.levels, sched.levels, plan.levels, nodes[1:])
-    for level, batches, entries, made in tree:
-        out: list = [None] * len(level)
-        for bi, (b, Rl) in enumerate(zip(batches, made)):
-            for gi, p in enumerate(b.positions):
-                if isinstance(Rl, list):  # structured: the factors themselves
-                    out[p] = Rl[gi]
-                else:
-                    _, _, V, T = entries[bi]
-                    out[p] = _TreeFactor(
-                        group=level[p], heights=b.heights, packed=V[gi],
-                        tau=T[gi].diagonal().copy(), R=Rl[gi],
-                    )
-        tree_factors.append(out)
-    return blocks, tree_factors
+    return slab, plan
 
 
 def _convert_plan(src: _WyPlan, dt: np.dtype) -> _WyPlan:
@@ -439,49 +346,6 @@ def _convert_plan(src: _WyPlan, dt: np.dtype) -> _WyPlan:
         l0_T=None if src.l0_T is None else src.l0_T.astype(dt),
         l0_tail=[(s, h, V.astype(dt), T.astype(dt)) for s, h, V, T in src.l0_tail],
         levels=[[cast(entry) for entry in entries] for entries in src.levels],
-    )
-
-
-def _stacked_wy(packed: list[np.ndarray], taus: list[np.ndarray], dt: np.dtype):
-    """``(V, T)`` for stored factors: one stacked copy, turned into ``V`` in place."""
-    VR = np.stack(packed).astype(dt, copy=False)
-    V = v_in_place(VR)
-    return V, larft(V, np.stack(taus).astype(dt, copy=False))
-
-
-def _plan_from_factors(f: "TSQRFactors", dt: np.dtype) -> _WyPlan:
-    """Build an apply plan from stored per-node factors.
-
-    Used for factors that were not produced by the panel engine (loaded
-    from disk via :mod:`repro.io`, or any per-node factors passed as
-    ``blocks`` and ``tree_factors``).  The row maps are the
-    engine's schedule for the same geometry; each batch of same-shape
-    factors is stacked once and that copy is the plan's ``V``
-    (:func:`~repro.smallblas.wy.v_in_place`).
-    """
-    if not f.blocks:
-        return _WyPlan(dtype=dt, l0_count=0, l0_h=0, l0_V=None, l0_T=None, l0_tail=[], levels=[])
-    s0, e0 = f.blocks[0].rows
-    sched = panel_schedule(f.m, f.n, e0 - s0, f.tree.shape)
-    c = sched.l0_count
-    V0, T0 = _stacked_wy([b.packed for b in f.blocks[:c]], [b.tau for b in f.blocks[:c]], dt)
-    tail = []
-    if sched.tail is not None:
-        blk = f.blocks[-1]
-        tail.append((*sched.tail, *_stacked_wy([blk.packed], [blk.tau], dt)))
-    levels: list[list[tuple]] = []
-    for batches, level_factors in zip(sched.levels, f.tree_factors):
-        entries: list[tuple] = []
-        for b in batches:
-            tfs = [level_factors[p] for p in b.positions]
-            if tfs[0].structured is not None:
-                entries.extend(("structured", tf, row) for tf, row in zip(tfs, b.idx))
-            else:
-                V, T = _stacked_wy([tf.packed for tf in tfs], [tf.tau for tf in tfs], dt)
-                entries.append(("wy", b.idx, V, T))
-        levels.append(entries)
-    return _WyPlan(
-        dtype=dt, l0_count=c, l0_h=sched.l0_h, l0_V=V0, l0_T=T0, l0_tail=tail, levels=levels
     )
 
 
@@ -561,12 +425,11 @@ def _plan_form_q(
     ``over`` says ``out`` is the buffer the level-0 reflectors were
     factored in (``plan.home``, a stack of one), as LAPACK ``orgqr``
     forms Q in the storage of ``geqrf``'s reflectors.  Each block whose
-    V lives there is then formed from a copy of that V alone, made in
-    the shared scratch with V's Fortran layout
-    (:func:`~repro.smallblas.wy.scratch_copy`), just before its rows of
-    Q overwrite it: the GEMMs read the same operands, so Q has the same
-    bits, and no second ``m x k`` array is needed.  The plan's
-    reflectors are gone afterwards.
+    V lives there is then formed from a copy of that V alone, made with
+    V's Fortran layout in one block-sized buffer that is freed on
+    return, just before its rows of Q overwrite it: the GEMMs read the
+    same operands, so Q has the same bits, and no second ``m x k``
+    array is needed.  The plan's reflectors are gone afterwards.
     """
     count, h = plan.l0_count, plan.l0_h
     r = plan.l0_V.shape[0] // count
@@ -591,7 +454,7 @@ def _plan_form_q(
                 )
             else:  # structured trees factor one request
                 sub = flat[0, pos]
-                entry[1].structured.apply_q(sub)
+                entry[1].apply_q(sub)
                 flat[0, pos] = sub
     Q = np.empty((r, m, k), dtype=plan.dtype) if out is None else out
     l0_over, tail_over = (over and homed for homed in plan.homed)
@@ -609,12 +472,16 @@ def _plan_form_q(
 def _orgqr_blocks(V, T, C, out, over: bool) -> None:
     """:func:`orgqr_wy` into ``out``; with ``over``, each slice of ``V``
     lives in its slice of ``out`` and is copied out just before that
-    slice is written."""
+    slice is written, into one buffer with the Fortran layout of
+    ``geqrt``'s slices."""
     if not over:
         orgqr_wy(V, T, C, out)
         return
+    _, h, k = V.shape
+    Vi = np.empty((1, k, h), dtype=V.dtype).transpose(0, 2, 1)
     for i in range(V.shape[0]):
-        orgqr_wy(scratch_copy(V[i])[None], T[i : i + 1], C[i : i + 1], out[i : i + 1])
+        np.copyto(Vi[0], V[i])
+        orgqr_wy(Vi, T[i : i + 1], C[i : i + 1], out[i : i + 1])
 
 
 def _plan_apply_level(entries: list[tuple], S: np.ndarray, transpose: bool) -> None:
@@ -638,12 +505,12 @@ def _plan_apply_level_impl(entries: list[tuple], S: np.ndarray, transpose: bool)
             apply_wy(V, T, sub.reshape(-1, idx.shape[1], w), transpose=transpose)
             S[:, idx] = sub
         else:
-            _, tf, idx = entry
+            _, sf, idx = entry
             sub = S[0, idx]
             if transpose:
-                tf.structured.apply_qt(sub)
+                sf.apply_qt(sub)
             else:
-                tf.structured.apply_q(sub)
+                sf.apply_q(sub)
             S[0, idx] = sub
 
 
@@ -655,56 +522,29 @@ class TSQRFactors:
     and ``apply_qt_tree`` for the tree factors) and forming the explicit
     thin Q (the SORGQR-equivalent).
 
-    Q is applied through a compact-WY plan (:func:`apply_wy_plan`),
-    cached per working dtype in ``_wy_plan``; factors loaded from disk
-    build theirs lazily on first use.
-
-    ``blocks`` (one factor per level-0 row block) and ``tree_factors``
-    (one list per tree level) are the per-node factors.  Loaded archives
-    pass them in; a panel-engine factorization
-    (``engine``: its schedule, plan and node Rs) builds them on first
-    read, as views of its stacks, so its factor path builds no per-node
-    object.
+    Q is held in one form, the panel engine's apply plan (``plan``, a
+    :class:`_WyPlan` in R's working dtype), applied by
+    :func:`apply_wy_plan`; a ``B`` of another dtype gets a cast copy of
+    the plan, made once.  :mod:`repro.io` archives the plan as it is.
 
     A factorization whose level-0 reflectors were factored in Q's buffer
     (``factor_panel(home=)``) is spent once ``form_q`` forms Q in that
     buffer: Q has overwritten the reflectors, and every later apply,
-    ``form_q`` or per-node read raises ``ValueError``.
+    ``form_q`` or read of ``plan`` raises ``ValueError``.
     """
 
-    def __init__(
-        self,
-        m: int,
-        n: int,
-        tree: TreeSchedule,
-        R: np.ndarray,
-        blocks: list[_LevelZeroFactor] | None = None,
-        tree_factors: list[list[_TreeFactor]] | None = None,
-        engine: tuple[PanelSchedule, _WyPlan, list] | None = None,
-    ) -> None:
+    def __init__(self, m: int, n: int, tree: TreeSchedule, R: np.ndarray, plan: _WyPlan) -> None:
         self.m = m
         self.n = n
         self.tree = tree
         self.R = R  # final min(m, n) x n upper-triangular factor
-        self._blocks = blocks
-        self._tree_factors = tree_factors
-        self._engine = engine
-        self._wy_plan: dict = {} if engine is None else {engine[1].dtype: engine[1]}
+        self._wy_plan: dict = {plan.dtype: plan}  # per working dtype
         self._spent = False
 
     @property
-    def blocks(self) -> list[_LevelZeroFactor]:
-        self._live()
-        if self._blocks is None:
-            self._blocks, self._tree_factors = _node_factors(*self._engine)
-        return self._blocks
-
-    @property
-    def tree_factors(self) -> list[list[_TreeFactor]]:
-        self._live()
-        if self._tree_factors is None:
-            self._blocks, self._tree_factors = _node_factors(*self._engine)
-        return self._tree_factors
+    def plan(self) -> _WyPlan:
+        """The apply plan, in R's working dtype."""
+        return self._plan_for(working_dtype(self.R))
 
     def _live(self) -> None:
         if self._spent:
@@ -716,21 +556,15 @@ class TSQRFactors:
     # -- internal helpers -------------------------------------------------
 
     def _plan_for(self, dt: np.dtype) -> _WyPlan:
-        """Apply plan for working dtype ``dt`` (cached; built on demand)."""
+        """Apply plan for working dtype ``dt`` (another dtype's cast once, cached)."""
+        self._live()
         dt = np.dtype(dt)
         plan = self._wy_plan.get(dt)
         if plan is None:
-            fdt = np.dtype(working_dtype(self.R))
-            src = self._wy_plan.get(fdt)
-            if src is None:
-                src = _plan_from_factors(self, fdt)
-                self._wy_plan[fdt] = src
-            plan = src if dt == fdt else _convert_plan(src, dt)
-            self._wy_plan[dt] = plan
+            plan = self._wy_plan[dt] = _convert_plan(self.plan, dt)
         return plan
 
     def _apply(self, B: np.ndarray, transpose: bool) -> np.ndarray:
-        self._live()
         B = as_float_array(B)
         if B.shape[0] != self.m:
             raise ValueError(f"B must have {self.m} rows, got {B.shape[0]}")
@@ -761,19 +595,18 @@ class TSQRFactors:
         in, Q is formed over them (the span's ``in_place``), and the
         factors are spent.
         """
-        self._live()
+        plan = self.plan
         k = min(self.m, self.n)
-        dt = np.dtype(working_dtype(self.R))
-        over = out is not None and self._engine is not None and out is self._engine[1].home
+        over = out is not None and out is plan.home
         with _obs.span(
-            "tsqr.form_q", cat="form_q", m=self.m, n=self.n, blas=blas_name(dt), in_place=over
+            "tsqr.form_q", cat="form_q", m=self.m, n=self.n, blas=blas_name(plan.dtype),
+            in_place=over,
         ):
-            Q = q_buffer(out, self.m, k, dt)
+            Q = q_buffer(out, self.m, k, plan.dtype)
             if k:
-                _plan_form_q(self._plan_for(dt), self.m, k, Q[None], over)
+                _plan_form_q(plan, self.m, k, Q[None], over)
             if over:
                 self._spent = True
-                self._engine = self._blocks = self._tree_factors = None
                 self._wy_plan = {}
             return Q
 
@@ -797,16 +630,17 @@ def _tsqr_impl(
     if m == 0 or n == 0:
         # No reflectors: Q is the identity and R is empty, in
         # np.linalg.qr's reduced shapes.
+        dt = np.dtype(working_dtype(A))
         return TSQRFactors(
-            m=m, n=n, blocks=[], tree=build_tree(0, tree_shape), tree_factors=[],
-            R=np.zeros((min(m, n), n), dtype=working_dtype(A)),
+            m=m, n=n, tree=build_tree(0, tree_shape), R=np.zeros((min(m, n), n), dtype=dt),
+            plan=_WyPlan(dtype=dt),
         )
     # Every level-0 R must be a full n x n triangle so the final R lands
     # contiguously in the first block (see level0_rows).
     block_rows = level0_rows(block_rows, n)
     sched = panel_schedule(m, n, block_rows, tree_shape)
-    R, plan, nodes = factor_panel(sched, A[None], structured, home)
-    return TSQRFactors(m=m, n=n, tree=sched.tree, R=R[0], engine=(sched, plan, nodes))
+    R, plan = factor_panel(sched, A[None], structured, home)
+    return TSQRFactors(m=m, n=n, tree=sched.tree, R=R[0], plan=plan)
 
 
 def _tsqr(

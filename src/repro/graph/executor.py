@@ -166,7 +166,7 @@ def emit_lookahead_layers(sched: LookaheadSchedule) -> TaskGraph:
 
 def factor_stack(
     sched: LookaheadSchedule, W: np.ndarray, home: np.ndarray | None = None
-) -> tuple[np.ndarray, list[tuple[np.ndarray, _WyPlan, list]]]:
+) -> tuple[np.ndarray, list[tuple[np.ndarray, _WyPlan]]]:
     """Run a captured schedule on the ``(r, m, n)`` stack ``W``, in place.
 
     The driver: each factor task runs TSQR's panel engine on the panel
@@ -178,9 +178,9 @@ def factor_stack(
     equals a run on ``W[i]`` alone bit for bit.
 
     Returns the ``(r, min(m, n), n)`` Rs and, per panel, what
-    :func:`~repro.core.tsqr.factor_panel` returned: its Rs, apply plan
-    and tree nodes.  ``home`` (one panel of one request) is Q's buffer,
-    which that panel factors its level-0 reflectors in.
+    :func:`~repro.core.tsqr.factor_panel` returned: its Rs and apply
+    plan.  ``home`` (one panel of one request) is Q's buffer, which that
+    panel factors its level-0 reflectors in.
     """
     m, n = sched.m, sched.n
     if W.shape[1:] != (m, n):
@@ -206,7 +206,7 @@ def factor_stack(
     # W; panel diagonal blocks come from the panels' own R factors.
     with _obs.span("assemble_r", cat="host"):
         R = np.triu(W[:, : min(m, n), :])
-        for (c0, pw_p, r0, _bh, _wt), (Rp, _plan, _nodes) in zip(sched.panels, out):
+        for (c0, pw_p, r0, _bh, _wt), (Rp, _plan) in zip(sched.panels, out):
             R[:, r0 : r0 + pw_p, c0 : c0 + pw_p] = Rp[:, :pw_p, :]
     return R, out
 
@@ -226,7 +226,7 @@ def form_q_stack(sched: LookaheadSchedule, panels: list, r: int, dtype) -> np.nd
         return _plan_form_q(panels[0][1], m, k)
     Q = np.zeros((r, m, k), dtype=dtype)
     Q[:, np.arange(k), np.arange(k)] = 1.0
-    for (c0, _pw, r0, _bh, _wt), (_R, plan, _nodes) in zip(reversed(sched.panels), reversed(panels)):
+    for (c0, _pw, r0, _bh, _wt), (_R, plan) in zip(reversed(sched.panels), reversed(panels)):
         apply_wy_plan(plan, Q[:, r0:, c0:], transpose=False)
     return Q
 
@@ -238,8 +238,8 @@ def run_lookahead_schedule(
 
     :func:`factor_stack` on a stack of one.  Each panel of the returned
     :class:`~repro.core.caqr.CAQRFactors` holds its
-    :class:`~repro.core.tsqr.TSQRFactors` as views of the engine's
-    stacks.
+    :class:`~repro.core.tsqr.TSQRFactors`: the panel's R and the apply
+    plan the engine built.
 
     ``q_out`` is the buffer the caller forms Q in next
     (``form_q(out=q_out)``): a C-contiguous ``(m, min(m, n))`` array of
@@ -268,11 +268,9 @@ def run_lookahead_schedule(
     panels = [
         PanelFactor(
             col_start=c0, col_stop=c0 + pw_p, row_start=r0,
-            factors=TSQRFactors(
-                m=sched.m - r0, n=pw_p, tree=ps.tree, R=Rp[0], engine=(ps, plan, nodes)
-            ),
+            factors=TSQRFactors(m=sched.m - r0, n=pw_p, tree=ps.tree, R=Rp[0], plan=plan),
         )
-        for (c0, pw_p, r0, _bh, _wt), ps, (Rp, plan, nodes)
+        for (c0, pw_p, r0, _bh, _wt), ps, (Rp, plan)
         in zip(sched.panels, sched.panel_schedules, out)
     ]
     return CAQRFactors(

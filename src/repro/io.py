@@ -3,125 +3,174 @@
 A factorization of a million-row matrix is expensive; downstream users
 (least-squares solves, repeated Q applications) should not redo it.
 These helpers persist :class:`~repro.core.tsqr.TSQRFactors` and
-:class:`~repro.core.caqr.CAQRFactors` to NumPy ``.npz`` archives and
-restore them fully functional (apply Q/Q^T, form Q).
+:class:`~repro.core.caqr.CAQRFactors` (the look-ahead engine's factors)
+to NumPy ``.npz`` archives and restore them fully functional (apply
+Q/Q^T, form Q).
 
-Structured-tree factors store sparse reflectors and are rebuilt from
-their row-support arrays on load.
+Format version 2 stores each TSQR factorization's apply plan as it is:
+R, the level-0 height, the tree shape, the level-0 and ragged-tail
+``(V, T)`` stacks, and per tree entry its stacked ``(V, T)`` or its
+structured reflectors.  The row maps are shape arithmetic and are
+rebuilt on load from :func:`~repro.core.tsqr.panel_schedule`.  Each
+``V`` is stored with the layout it had, its slice order and leading
+dimension (a ``V`` is a view of LAPACK's packed output, whose strides
+the GEMMs' bits depend on), so a loaded factorization applies and
+forms Q with the bits of the one that was saved.  Version-1 archives
+(per-node factors) are refused.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
 from .core.caqr import CAQRFactors, PanelFactor
 from .core.structured import StructuredStackFactor, _SparseReflector
 from .core.tree import build_tree
-from .core.tsqr import TSQRFactors, _LevelZeroFactor, _TreeFactor
+from .core.tsqr import TSQRFactors, _WyPlan, panel_schedule
 
 __all__ = ["save_tsqr", "load_tsqr", "save_caqr", "load_caqr"]
 
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
+
+
+def _check_version(meta: np.ndarray) -> list[int]:
+    """The archive's metadata after its version, which must be this one's."""
+    version, *rest = (int(v) for v in meta)
+    if version != _FORMAT_VERSION:
+        raise ValueError(f"unsupported factor-archive version {version}")
+    return rest
+
+
+def _put_v(d: dict, key: str, V: np.ndarray) -> None:
+    """Store ``(batch, h, k)`` reflectors with their slice order and leading dimension."""
+    fortran = V.strides[2] != V.itemsize
+    ld = (V.strides[2] if fortran else V.strides[1]) // V.itemsize
+    d[key] = V
+    d[key + "_layout"] = np.array([fortran, ld], dtype=np.int64)
+
+
+def _get_v(z, key: str) -> np.ndarray:
+    """Reflectors stored by :func:`_put_v`, laid out again as they were."""
+    V = z[key]
+    fortran, ld = (int(v) for v in z[key + "_layout"])
+    b, h, k = V.shape
+    if fortran:
+        out = np.empty((b, k, ld), dtype=V.dtype)[:, :, :h].transpose(0, 2, 1)
+    else:
+        out = np.empty((b, h, ld), dtype=V.dtype)[:, :, :k]
+    out[...] = V
+    return out
+
+
+def _put_structured(d: dict, base: str, sf: StructuredStackFactor) -> None:
+    d[base + "s_meta"] = np.array([sf.total_rows, sf.n, len(sf.reflectors)], dtype=np.int64)
+    d[base + "s_heights"] = np.array(sf.heights, dtype=np.int64)
+    d[base + "s_R"] = sf.R
+    d[base + "s_flops"] = np.array(sf.flops)
+    for ri, r in enumerate(sf.reflectors):
+        d[base + f"s_r{ri}_rows"] = r.rows
+        d[base + f"s_r{ri}_v"] = r.v
+        d[base + f"s_r{ri}_tau"] = np.array(r.tau)
+
+
+def _get_structured(z, base: str) -> StructuredStackFactor:
+    total, sn, n_ref = (int(v) for v in z[base + "s_meta"])
+    return StructuredStackFactor(
+        total_rows=total,
+        n=sn,
+        heights=tuple(int(v) for v in z[base + "s_heights"]),
+        reflectors=[
+            _SparseReflector(
+                rows=z[base + f"s_r{ri}_rows"],
+                v=z[base + f"s_r{ri}_v"],
+                tau=float(z[base + f"s_r{ri}_tau"]),
+            )
+            for ri in range(n_ref)
+        ],
+        R=z[base + "s_R"],
+        flops=float(z[base + "s_flops"]),
+    )
 
 
 def _tsqr_payload(f: TSQRFactors, prefix: str = "") -> dict:
+    plan = f.plan
     d: dict = {
-        f"{prefix}meta": np.array([_FORMAT_VERSION, f.m, f.n, len(f.blocks)], dtype=np.int64),
+        f"{prefix}meta": np.array([_FORMAT_VERSION, f.m, f.n, plan.l0_h], dtype=np.int64),
         f"{prefix}tree_shape": np.array(f.tree.shape),
         f"{prefix}R": f.R,
     }
-    for i, blk in enumerate(f.blocks):
-        d[f"{prefix}b{i}_rows"] = np.array(blk.rows, dtype=np.int64)
-        d[f"{prefix}b{i}_VR"] = blk.VR
-        d[f"{prefix}b{i}_tau"] = blk.tau
-    d[f"{prefix}n_levels"] = np.array(len(f.tree_factors), dtype=np.int64)
-    for lvl, level in enumerate(f.tree_factors):
-        d[f"{prefix}L{lvl}_count"] = np.array(len(level), dtype=np.int64)
-        for g, tf in enumerate(level):
-            base = f"{prefix}L{lvl}g{g}_"
-            d[base + "group"] = np.array(tf.group, dtype=np.int64)
-            d[base + "heights"] = np.array(tf.heights, dtype=np.int64)
-            if tf.structured is not None:
-                sf = tf.structured
-                d[base + "structured"] = np.array(1, dtype=np.int64)
-                d[base + "s_meta"] = np.array([sf.total_rows, sf.n, len(sf.reflectors)], dtype=np.int64)
-                d[base + "s_heights"] = np.array(sf.heights, dtype=np.int64)
-                d[base + "s_R"] = sf.R
-                d[base + "s_flops"] = np.array(sf.flops)
-                for ri, r in enumerate(sf.reflectors):
-                    d[base + f"s_r{ri}_rows"] = r.rows
-                    d[base + f"s_r{ri}_v"] = r.v
-                    d[base + f"s_r{ri}_tau"] = np.array(r.tau)
+    if plan.l0_V is not None:
+        _put_v(d, f"{prefix}l0_V", plan.l0_V)
+        d[f"{prefix}l0_T"] = plan.l0_T
+    for _s, _h, Vt, Tt in plan.l0_tail:
+        _put_v(d, f"{prefix}tail_V", Vt)
+        d[f"{prefix}tail_T"] = Tt
+    for lvl, entries in enumerate(plan.levels):
+        for e, entry in enumerate(entries):
+            base = f"{prefix}L{lvl}e{e}_"
+            if entry[0] == "wy":
+                _put_v(d, base + "V", entry[2])
+                d[base + "T"] = entry[3]
             else:
-                d[base + "structured"] = np.array(0, dtype=np.int64)
-                d[base + "VR"] = tf.VR
-                d[base + "tau"] = tf.tau
+                _put_structured(d, base, entry[1])
     return d
 
 
 def _tsqr_from_payload(z, prefix: str = "") -> TSQRFactors:
-    version, m, n, n_blocks = (int(v) for v in z[f"{prefix}meta"])
-    if version != _FORMAT_VERSION:
-        raise ValueError(f"unsupported factor-archive version {version}")
+    m, n, l0_h = _check_version(z[f"{prefix}meta"])
     tree_shape = str(z[f"{prefix}tree_shape"])
-    blocks = []
-    for i in range(n_blocks):
-        rows = tuple(int(v) for v in z[f"{prefix}b{i}_rows"])
-        blocks.append(
-            _LevelZeroFactor(rows=rows, packed=z[f"{prefix}b{i}_VR"], tau=z[f"{prefix}b{i}_tau"])
+    R = z[f"{prefix}R"]
+    if m == 0 or n == 0:  # no reflectors: the empty plan
+        return TSQRFactors(m, n, build_tree(0, tree_shape), R, _WyPlan(dtype=R.dtype))
+    sched = panel_schedule(m, n, l0_h, tree_shape)
+    tail = []
+    if sched.tail is not None:
+        tail.append((*sched.tail, _get_v(z, f"{prefix}tail_V"), z[f"{prefix}tail_T"]))
+    levels = []
+    for lvl, batches in enumerate(sched.levels):
+        entries = []
+        for b in batches:
+            base = f"{prefix}L{lvl}e{len(entries)}_"
+            if base + "V" in z:
+                entries.append(("wy", b.idx, _get_v(z, base + "V"), z[base + "T"]))
+                continue
+            for row in b.idx:  # structured: one entry per group
+                base = f"{prefix}L{lvl}e{len(entries)}_"
+                entries.append(("structured", _get_structured(z, base), row))
+        levels.append(entries)
+    plan = _WyPlan(
+        dtype=R.dtype, l0_count=sched.l0_count, l0_h=sched.l0_h,
+        l0_V=_get_v(z, f"{prefix}l0_V"), l0_T=z[f"{prefix}l0_T"], l0_tail=tail, levels=levels,
+    )
+    return TSQRFactors(m=m, n=n, tree=sched.tree, R=R, plan=plan)
+
+
+def save_tsqr(path: str | Path | BinaryIO, factors: TSQRFactors) -> None:
+    """Persist a TSQR factorization to a ``.npz`` archive (a path or a file)."""
+    if not isinstance(factors, TSQRFactors):
+        raise TypeError(
+            f"save_tsqr: cannot archive {type(factors).__name__}; "
+            "TSQR archives hold TSQRFactors"
         )
-    tree = build_tree(n_blocks, tree_shape)
-    tree_factors = []
-    for lvl in range(int(z[f"{prefix}n_levels"])):
-        level = []
-        for g in range(int(z[f"{prefix}L{lvl}_count"])):
-            base = f"{prefix}L{lvl}g{g}_"
-            group = tuple(int(v) for v in z[base + "group"])
-            heights = tuple(int(v) for v in z[base + "heights"])
-            if int(z[base + "structured"]):
-                total, sn, n_ref = (int(v) for v in z[base + "s_meta"])
-                refl = [
-                    _SparseReflector(
-                        rows=z[base + f"s_r{ri}_rows"],
-                        v=z[base + f"s_r{ri}_v"],
-                        tau=float(z[base + f"s_r{ri}_tau"]),
-                    )
-                    for ri in range(n_ref)
-                ]
-                sf = StructuredStackFactor(
-                    total_rows=total,
-                    n=sn,
-                    heights=tuple(int(v) for v in z[base + "s_heights"]),
-                    reflectors=refl,
-                    R=z[base + "s_R"],
-                    flops=float(z[base + "s_flops"]),
-                )
-                level.append(_TreeFactor(group=group, heights=heights, structured=sf))
-            else:
-                level.append(
-                    _TreeFactor(
-                        group=group, heights=heights, packed=z[base + "VR"], tau=z[base + "tau"]
-                    )
-                )
-        tree_factors.append(level)
-    return TSQRFactors(m=m, n=n, blocks=blocks, tree=tree, tree_factors=tree_factors, R=z[f"{prefix}R"])
-
-
-def save_tsqr(path: str | Path, factors: TSQRFactors) -> None:
-    """Persist a TSQR factorization to a ``.npz`` archive."""
     np.savez_compressed(path, **_tsqr_payload(factors))
 
 
-def load_tsqr(path: str | Path) -> TSQRFactors:
+def load_tsqr(path: str | Path | BinaryIO) -> TSQRFactors:
     """Restore a TSQR factorization saved by :func:`save_tsqr`."""
     with np.load(path, allow_pickle=False) as z:
         return _tsqr_from_payload(z)
 
 
-def save_caqr(path: str | Path, factors: CAQRFactors) -> None:
-    """Persist a CAQR factorization to a ``.npz`` archive."""
+def save_caqr(path: str | Path | BinaryIO, factors: CAQRFactors) -> None:
+    """Persist a CAQR factorization to a ``.npz`` archive (a path or a file)."""
+    if not isinstance(factors, CAQRFactors):
+        raise TypeError(
+            f"save_caqr: cannot archive {type(factors).__name__}; "
+            "archives hold the look-ahead engine's CAQRFactors"
+        )
     # An unset block_rows (the host default) is stored as 0, which no
     # explicit height can be, and loads back as None.
     br = 0 if factors.block_rows is None else factors.block_rows
@@ -139,12 +188,10 @@ def save_caqr(path: str | Path, factors: CAQRFactors) -> None:
     np.savez_compressed(path, **d)
 
 
-def load_caqr(path: str | Path) -> CAQRFactors:
+def load_caqr(path: str | Path | BinaryIO) -> CAQRFactors:
     """Restore a CAQR factorization saved by :func:`save_caqr`."""
     with np.load(path, allow_pickle=False) as z:
-        version, m, n, pw, br, n_panels = (int(v) for v in z["caqr_meta"])
-        if version != _FORMAT_VERSION:
-            raise ValueError(f"unsupported factor-archive version {version}")
+        m, n, pw, br, n_panels = _check_version(z["caqr_meta"])
         panels = []
         for i in range(n_panels):
             c0, c1, r0 = (int(v) for v in z[f"p{i}_cols"])

@@ -18,8 +18,7 @@ copies at all.  The reflectors are such a view too: the factor kernel
 copies R out of LAPACK's packed output and writes ``V``'s unit-lower
 pattern over the triangle R occupied (:func:`v_in_place`), so ``V`` is
 read where LAPACK wrote it and no batched path ever copies it whole:
-forming Q over the reflectors copies one block's ``V`` at a time to the
-scratch (:func:`scratch_copy`).
+forming Q over the reflectors copies one block's ``V`` at a time.
 
 The seed einsum kernels are kept untouched as the reference
 implementations; these routines are tested against them block by block.
@@ -43,12 +42,10 @@ __all__ = [
     "GEQRT_MIN_ELEMS",
     "extract_v",
     "v_in_place",
-    "packed_vr",
     "larft",
     "apply_wy",
     "blas_name",
     "orgqr_wy",
-    "scratch_copy",
     "takes_geqrt",
     "geqr2_blocked",
 ]
@@ -88,18 +85,6 @@ def _scratch(count: int, dtype: np.dtype) -> np.ndarray:
     return buf
 
 
-def scratch_copy(V: np.ndarray) -> np.ndarray:
-    """A copy of the Fortran-ordered 2-D ``V`` in the shared scratch buffer.
-
-    It has ``V``'s shape and strides, so a GEMM reads it as it would
-    read ``V``; it is valid until the scratch's next user.
-    """
-    rows, cols = V.shape
-    out = _scratch(V.size, V.dtype)[: V.size].reshape(cols, rows).T
-    np.copyto(out, V)
-    return out
-
-
 def extract_v(VR: np.ndarray) -> np.ndarray:
     """Unit-lower-trapezoidal ``V`` from a packed ``(batch, m, n)`` stack: a copy.
 
@@ -130,20 +115,6 @@ def v_in_place(VR: np.ndarray) -> np.ndarray:
     idx = np.arange(k)
     top[:, idx, idx] = 1.0
     return VR[:, :, :k]
-
-
-def packed_vr(V: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """LAPACK's packed layout rebuilt from ``V`` and ``R`` (a new array).
-
-    The reflectors below the diagonal, R on and above it: the inverse
-    of copying R out and calling :func:`v_in_place`.  Works on one
-    ``(m, k)`` / ``(k, n)`` pair or on stacks of them.
-    """
-    k = V.shape[-1]
-    VR = np.zeros(V.shape[:-1] + R.shape[-1:], dtype=V.dtype)
-    VR[..., :k] = np.tril(V, -1)
-    VR[..., :k, :] += R
-    return VR
 
 
 def larft(V: np.ndarray, tau: np.ndarray, VtV: np.ndarray | None = None) -> np.ndarray:
@@ -385,9 +356,9 @@ def geqr2_blocked(
         reflectors (a view of LAPACK's packed output), the ``(batch, k,
         k)`` block-reflector T with ``Q_b = I - V_b T_b V_b^T``, the
         ``(batch, k, n)`` upper-trapezoidal R and the coefficients.
-        :func:`packed_vr` rebuilds the packed factor that
-        :func:`repro.smallblas.batched.batched_geqr2` returns (equal up
-        to roundoff).
+        ``V`` below its diagonal and ``R`` on and above it are the
+        packed factor that :func:`repro.smallblas.batched.batched_geqr2`
+        returns (equal up to roundoff).
     """
     A = np.asarray(A)
     if A.ndim != 3:

@@ -47,26 +47,31 @@ for bit, the serving coalescer's contract.  On every path,
 ``plan.execute(A)`` and ``plan.execute(A, out=buf)`` must equal
 ``caqr(A, policy).form_q()`` and ``.R`` bit for bit: an execute hands Q's
 buffer to the engine, which can factor in it and form Q over its own
-reflectors, while the factors ``caqr`` returns keep theirs.
+reflectors, while the factors ``caqr`` returns keep theirs.  On every
+path of the look-ahead engine those factors also go through an
+in-memory :mod:`repro.io` archive: the loaded R, ``form_q()`` and
+``apply_qt`` of a seeded block must equal the originals' bit for bit.
 
 Any divergence is reported with a minimal standalone repro snippet.
 """
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.core.caqr import caqr_qr
+from repro.core.caqr import caqr
 from repro.core.cholesky_qr import CholeskyBreakdownError
 from repro.core.dtypes import working_dtype
 from repro.core.gram_schmidt import cgs2
 from repro.core.tsqr import tsqr_qr
 from repro.core.validation import sign_canonical
+from repro.io import load_caqr, save_caqr
 from repro.runtime.cholqr import count_fallbacks
 from repro.runtime.plan import plan_qr
-from repro.runtime.policy import CHOLQR, ExecutionPolicy, PathSpec
+from repro.runtime.policy import CHOLQR, LOOKAHEAD, ExecutionPolicy, PathSpec
 from repro.runtime.policy import PATHS as ENGINE_TABLE
 from repro.serving import ServingPlan, stacked_qr
 
@@ -226,6 +231,7 @@ class Divergence:
     # | "serving" (a coalesced slice differs from the plan's own factor)
     # | "execute" (plan.execute(A), with or without out=, differs from
     #   caqr(A, policy).form_q() and .R)
+    # | "archive" (the factors' save_caqr/load_caqr round trip lost bits)
     check: str
     detail: str
 
@@ -324,6 +330,22 @@ def _execute_divergence(
     return divs
 
 
+def _archive_divergence(case: FuzzCase, name: str, f, Q: np.ndarray) -> list[Divergence]:
+    """``f`` (with ``Q = f.form_q()``) through an in-memory archive: the
+    loaded R, ``form_q()`` and ``apply_qt`` of a seeded block, bit for bit."""
+    B = np.random.default_rng(case.seed + 2).standard_normal((case.m, 3)).astype(f.R.dtype)
+    buf = io.BytesIO()
+    try:
+        save_caqr(buf, f)
+        buf.seek(0)
+        g = load_caqr(buf)
+        same = np.array_equal(g.R, f.R) and np.array_equal(g.form_q(), Q)
+        same = same and np.array_equal(g.apply_qt(B.copy()), f.apply_qt(B))
+    except Exception as exc:
+        return [Divergence(case, name, "archive", f"{type(exc).__name__}: {exc}")]
+    return [] if same else [Divergence(case, name, "archive", "loaded R, Q or Q^T B differ")]
+
+
 def run_case(case: FuzzCase, paths: list[str] | None = None) -> list[Divergence]:
     """Run every requested path on one case; return all divergences."""
     names = list(PATHS) if paths is None else list(paths)
@@ -366,7 +388,8 @@ def run_case(case: FuzzCase, paths: list[str] | None = None) -> list[Divergence]
     for name in names:
         try:
             with count_fallbacks() as counter:
-                Q, R = caqr_qr(A, policy=case.policy(name))
+                f = caqr(A, policy=case.policy(name))  # caqr_qr, keeping the factors
+                Q, R = f.form_q(), f.R
         except CholeskyBreakdownError as exc:
             # Explicit cholqr paths contractually refuse input their
             # guard deems too ill-conditioned — an accepted refusal on
@@ -396,6 +419,8 @@ def run_case(case: FuzzCase, paths: list[str] | None = None) -> list[Divergence]
             divs.append(Divergence(case, name, "invariants", "; ".join(failures)))
             continue
         divs.extend(_execute_divergence(case, name, A, Q, R))
+        if _spec(name).engine is LOOKAHEAD:
+            divs.extend(_archive_divergence(case, name, f, Q))
         results[name] = (Q, R)
         if well_conditioned:
             vs_numpy(name, Q, R)

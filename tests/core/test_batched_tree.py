@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 from repro.core.caqr import caqr, caqr_qr
-from repro.core.tsqr import TSQRFactors, tsqr, tsqr_qr
+from repro.core.tsqr import level0_rows, panel_schedule, tsqr, tsqr_qr
 from repro.io import load_tsqr, save_tsqr
 from repro.runtime import ExecutionPolicy
+from repro.smallblas.wy import larft
 from tests import reference_qr
 
 ATOL = 1e-10
@@ -46,29 +47,57 @@ def _pair(rng, m, n, br, shape, structured):
     return A, fb, fr
 
 
+def _assert_wy_matches(V, T, packed, tau):
+    """A plan's compact-WY ``(V, T)`` of one node against the oracle's
+    packed reflectors: the same unit-lower ``V``, and the ``T`` that
+    LAPACK ``larft`` builds from them."""
+    k = V.shape[1]
+    V_ref = np.tril(packed[:, :k], -1) + np.eye(*V.shape)
+    np.testing.assert_allclose(V, V_ref, atol=ATOL)
+    np.testing.assert_allclose(T.diagonal(), tau, atol=ATOL)
+    np.testing.assert_allclose(T, larft(V_ref[None], tau[None])[0], atol=ATOL)
+
+
 class TestFactorParity:
+    """The apply plan's stacks hold the oracle's per-node factors."""
+
     @pytest.mark.parametrize("m,n,br,shape,structured", SHAPES)
     def test_blocks_match_per_node(self, rng, m, n, br, shape, structured):
-        """Every level-0 block factor matches the reference block-by-block."""
+        """Every level-0 block's ``(V, T)`` matches the reference block by block."""
         _, fb, fr = _pair(rng, m, n, br, shape, structured)
-        assert len(fb.blocks) == len(fr.blocks)
-        for bb, br_ in zip(fb.blocks, fr.blocks):
-            assert bb.rows == br_.rows
-            assert bb.VR.shape == br_.VR.shape
-            np.testing.assert_allclose(bb.VR, br_.VR, atol=ATOL)
-            np.testing.assert_allclose(bb.tau, br_.tau, atol=ATOL)
+        plan = fb.plan
+        h = plan.l0_h
+        nodes = [((i * h, (i + 1) * h), plan.l0_V[i], plan.l0_T[i]) for i in range(plan.l0_count)]
+        nodes += [((s, s + ht), Vt[0], Tt[0]) for s, ht, Vt, Tt in plan.l0_tail]
+        assert len(nodes) == len(fr.blocks) == fb.tree.n_blocks
+        for (rows, V, T), blk in zip(nodes, fr.blocks):
+            assert rows == blk.rows
+            _assert_wy_matches(V, T, blk.packed, blk.tau)
 
     @pytest.mark.parametrize("m,n,br,shape,structured", SHAPES)
     def test_tree_factors_match_per_node(self, rng, m, n, br, shape, structured):
+        """Every tree node's ``(V, T)``, or structured factor, matches the
+        reference group by group; the schedule places the plan's entries."""
         _, fb, fr = _pair(rng, m, n, br, shape, structured)
         assert fb.tree.levels == fr.tree.levels
-        for lb, lr in zip(fb.tree_factors, fr.tree_factors):
-            for tb, tr in zip(lb, lr):
-                assert tb.group == tr.group
-                assert tb.heights == tr.heights
-                if tb.structured is None:
-                    np.testing.assert_allclose(tb.VR, tr.VR, atol=ATOL)
-                    np.testing.assert_allclose(tb.tau, tr.tau, atol=ATOL)
+        sched = panel_schedule(m, n, level0_rows(br, n), shape)
+        assert len(fb.plan.levels) == len(sched.levels) == len(fr.tree_factors)
+        for batches, entries, level in zip(sched.levels, fb.plan.levels, fr.tree_factors):
+            groups = [(b, p) for b in batches for p in b.positions]
+            assert sorted(p for _, p in groups) == list(range(len(level)))
+            if structured:  # one entry per group, in batch order
+                assert len(entries) == len(groups)
+                for (b, p), (kind, sf, _) in zip(groups, entries):
+                    assert kind == "structured" and level[p].structured is not None
+                    assert b.heights == level[p].heights == sf.heights
+                    np.testing.assert_allclose(sf.R, level[p].structured.R, atol=ATOL)
+                continue
+            assert len(entries) == len(batches)  # one stacked entry per batch
+            for b, (kind, _, V, T) in zip(batches, entries):
+                assert kind == "wy"
+                for gi, p in enumerate(b.positions):
+                    assert b.heights == level[p].heights
+                    _assert_wy_matches(V[gi], T[gi], level[p].packed, level[p].tau)
 
     @pytest.mark.parametrize("m,n,br,shape,structured", SHAPES)
     def test_r_matches(self, rng, m, n, br, shape, structured):
@@ -98,24 +127,6 @@ class TestApplyParity:
         out = fb.apply_qt(b.copy())
         np.testing.assert_allclose(out, fr.apply_qt(b.copy()), atol=ATOL)
         assert out.ndim == 1
-
-    def test_flag_flip_after_factorization(self, rng):
-        """Per-node reference factors wrapped in ``TSQRFactors``, as
-        :mod:`repro.io` wraps a loaded archive, build their apply plan
-        lazily and agree with the reference's own per-node apply."""
-        A = rng.standard_normal((301, 12))
-        B = rng.standard_normal((301, 4))
-        fr = reference_qr.tsqr(A, block_rows=64)
-        wrapped = TSQRFactors(
-            m=fr.m, n=fr.n, tree=fr.tree, R=fr.R, blocks=fr.blocks, tree_factors=fr.tree_factors
-        )
-        np.testing.assert_allclose(
-            wrapped.apply_qt(B.copy()), fr.apply_qt(B.copy()), atol=ATOL
-        )
-        np.testing.assert_allclose(
-            wrapped.apply_q(B.copy()), fr.apply_q(B.copy()), atol=ATOL
-        )
-        np.testing.assert_allclose(wrapped.form_q(), fr.form_q(), atol=ATOL)
 
     def test_float32_input(self, rng):
         A = rng.standard_normal((300, 10)).astype(np.float32)
@@ -189,15 +200,13 @@ class TestCAQRParity:
         again = list(enumerate_caqr_launches(301, 37, REFERENCE_CONFIG))
         assert launches == again
         # The factor structure the launches describe is the same object
-        # both paths produce: same blocks, same tree groups.
+        # both paths produce: same block count, same tree groups.
         A = rng.standard_normal((301, 37))
         fb = caqr(A, policy=ExecutionPolicy(panel_width=16))
         fr = reference_qr.caqr(A)
         assert len(fb.panels) == len(fr.panels)
         for pb, pr in zip(fb.panels, fr.panels):
-            assert [b.rows for b in pb.factors.blocks] == [
-                b.rows for b in pr.factors.blocks
-            ]
+            assert pb.factors.tree.n_blocks == len(pr.factors.blocks)
             assert pb.factors.tree.levels == pr.factors.tree.levels
 
 

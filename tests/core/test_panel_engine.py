@@ -43,7 +43,7 @@ def test_stack_slice_equals_single_panel(h, w, bh, tree, cols, dtype, r):
     # The panel and its trailing columns share rows, as in CAQR's
     # working matrix: the targets are strided views of it.
     W = np.random.default_rng(h + w + r).standard_normal((r, h, w + cols)).astype(dtype)
-    R, plan, _ = factor_panel(sched, W[:, :, :w])
+    R, plan = factor_panel(sched, W[:, :, :w])
     assert R.shape == (r, min(h, w), w) and R.dtype == dtype
     for transpose in (True, False):
         stacked = W.copy()
@@ -52,7 +52,7 @@ def test_stack_slice_equals_single_panel(h, w, bh, tree, cols, dtype, r):
         Q[:, np.arange(min(h, w)), np.arange(min(h, w))] = 1.0
         apply_wy_plan(plan, Q, transpose=transpose)
         for i in range(r):
-            Ri, plan_i, _ = factor_panel(sched, W[i : i + 1, :, :w])
+            Ri, plan_i = factor_panel(sched, W[i : i + 1, :, :w])
             assert np.array_equal(R[i], Ri[0])
             alone = W[i].copy()
             apply_wy_plan(plan_i, alone[:, w:], transpose=transpose)

@@ -17,6 +17,17 @@ from repro.smallblas import (
 )
 
 
+def packed_vr(V: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """LAPACK's packed layout rebuilt from a batched factor's ``V`` and
+    ``R`` (a new array): the reflectors below the diagonal, R on and
+    above it."""
+    k = V.shape[-1]
+    VR = np.zeros(V.shape[:-1] + R.shape[-1:], dtype=V.dtype)
+    VR[..., :k] = np.tril(V, -1)
+    VR[..., :k, :] += R
+    return VR
+
+
 class TestBatchedHouse:
     def test_matches_scalar(self, rng):
         X = rng.standard_normal((50, 9))
@@ -261,7 +272,7 @@ class TestCompactWY:
         assert np.allclose(B.reshape(6, 16, 5), ref, atol=1e-11)
 
     def test_geqr2_blocked_matches_reference(self, rng):
-        from repro.smallblas.wy import GEQRT_MIN_ELEMS, extract_v, geqr2_blocked, packed_vr
+        from repro.smallblas.wy import GEQRT_MIN_ELEMS, extract_v, geqr2_blocked
 
         gufunc_shapes = [
             (7, 20, 11),
@@ -313,7 +324,7 @@ class TestCompactWY:
             assert np.allclose(QR, A, atol=1e-11), (b, m, n)
 
     def test_geqr2_blocked_float32(self, rng):
-        from repro.smallblas.wy import apply_wy, geqr2_blocked, packed_vr
+        from repro.smallblas.wy import apply_wy, geqr2_blocked
 
         for b, m, n in [(4, 32, 8), (3, 400, 40)]:  # gufunc; sgeqrt
             A = rng.standard_normal((b, m, n)).astype(np.float32)
@@ -397,7 +408,7 @@ class TestPackedStorage:
 
     @staticmethod
     def _factors(rng, shape, dtype):
-        from repro.smallblas.wy import GEQRT_MIN_ELEMS, extract_v, geqr2_blocked, packed_vr
+        from repro.smallblas.wy import GEQRT_MIN_ELEMS, extract_v, geqr2_blocked
 
         b, m, n = shape
         V, T, R, _ = geqr2_blocked(rng.standard_normal(shape).astype(dtype))
@@ -452,10 +463,9 @@ class TestPackedStorage:
 
         A = rng.standard_normal((m, n)).astype(dtype)
         f = tsqr(A, policy=ExecutionPolicy(block_rows=br))
-        plan = f._plan_for(np.dtype(dtype))
+        plan = f.plan
         copy = np.ascontiguousarray
-        if plan.l0_count:
-            assert np.shares_memory(plan.l0_V, f.blocks[0].packed)
+        assert plan.l0_V.base is not None  # a view of the factor kernel's output
         px = dataclasses.replace(
             plan,
             l0_V=None if plan.l0_V is None else copy(plan.l0_V),

@@ -39,6 +39,18 @@ def _tsqr_qr(A, path, **geometry):
     return tsqr_qr(A, policy=ExecutionPolicy(path=path, **geometry))
 
 
+def _block_rows(f):
+    """Level-0 row blocks: the oracle's records, or the apply plan's
+    uniform blocks and ragged tail."""
+    if isinstance(f, reference_qr.ReferenceTSQRFactors):
+        return [b.rows for b in f.blocks]
+    p = f.plan
+    uniform = [(i * p.l0_h, (i + 1) * p.l0_h) for i in range(p.l0_count)]
+    rows = uniform + [(s, s + h) for s, h, _, _ in p.l0_tail]
+    assert len(rows) == f.tree.n_blocks
+    return rows
+
+
 class TestRowBlocks:
     def test_exact_division(self):
         assert row_blocks(128, 64) == [(0, 64), (64, 128)]
@@ -78,7 +90,7 @@ class TestTSQRFactorization:
         # block_rows=8 < n=16: level-0 blocks of 32 * 16 = 512 rows.
         A = rng.standard_normal((2000, 16))
         f = tsqr(A, policy=ExecutionPolicy(block_rows=8))
-        assert [b.rows for b in f.blocks] == row_blocks(2000, 512)
+        assert _block_rows(f) == row_blocks(2000, 512)
         assert f.tree.n_levels == 1  # four blocks, one quad-tree merge
         Q = f.form_q()
         assert factorization_error(A, Q, f.R) < 1e-13
@@ -88,7 +100,7 @@ class TestTSQRFactorization:
         A = rng.standard_normal((40, 10))
         f = tsqr(A, policy=ExecutionPolicy(block_rows=64))
         assert f.tree.n_levels == 0
-        assert len(f.blocks) == 1
+        assert f.tree.n_blocks == 1 and _block_rows(f) == [(0, 40)]
         assert factorization_error(A, f.form_q(), f.R) < 1e-13
 
     def test_wide_matrix(self, rng):
@@ -133,14 +145,14 @@ class TestLevel0Height:
     @pytest.mark.parametrize("m,n,br", [(1000, 16, 64), (100, 16, 16), (130, 16, 64)])
     def test_geometry_unchanged_when_block_rows_covers_width(self, rng, m, n, br):
         f = tsqr(rng.standard_normal((m, n)), policy=ExecutionPolicy(block_rows=br))
-        assert [b.rows for b in f.blocks] == row_blocks(m, br)
+        assert _block_rows(f) == row_blocks(m, br)
 
     @pytest.mark.parametrize("path", ["batched", "seed", "structured"])
     def test_ragged_tail_shorter_than_width(self, rng, path):
         # 512-row blocks leave a 10-row tail whose R is a 10 x 16 trapezoid.
         A = rng.standard_normal((1034, 16))
         f = _tsqr(A, path, block_rows=8)
-        assert [b.rows for b in f.blocks] == [(0, 512), (512, 1024), (1024, 1034)]
+        assert _block_rows(f) == [(0, 512), (512, 1024), (1024, 1034)]
         assert f.tree.n_levels == 1
         Q = f.form_q()
         assert factorization_error(A, Q, f.R) < 1e-13
@@ -154,8 +166,9 @@ class TestLevel0Height:
         # rows plus a 1792-row tail, reduced by a three-level quad tree.
         A = rng.standard_normal((110592, 100))
         f = tsqr(A)
-        assert len(f.blocks) == 35 and f.blocks[0].rows == (0, 3200)
-        assert f.blocks[-1].rows == (108800, 110592)
+        rows = _block_rows(f)
+        assert len(rows) == 35 and rows[0] == (0, 3200)
+        assert rows[-1] == (108800, 110592)
         assert f.tree.n_levels == 3
         Q = f.form_q()
         assert factorization_error(A, Q, f.R) <= 1e-14
@@ -232,9 +245,9 @@ class TestTreeShapeEquivalence:
         # 64x16 blocks: 4 Rs fit per block -> quad groups.
         policy = ExecutionPolicy(block_rows=64, tree_shape="quad")
         f = tsqr(rng.standard_normal((1024, 16)), policy=policy)
-        for level in f.tree_factors:
-            for tf in level:
-                assert len(tf.group) <= 4
+        for level in f.tree.levels:
+            for group in level:
+                assert len(group) <= 4
 
 
 # Roundoff bound for comparing two Q formations and for the QR checks.
@@ -398,8 +411,8 @@ class TestReflectorStorage:
     the packed copy of A is one m x n array, and where the factors are
     not kept, Q is formed over it, in the same memory; everything else
     (R and T per block, the tree's stacked Rs, Q's top rows, one block's
-    V copied to the scratch) is O(blocks * n^2).  An m x n copy of V, or
-    a Q beside the reflectors, would add a whole ``A.nbytes``.
+    V copied out) is O(blocks * n^2).  An m x n copy of V, or a Q beside
+    the reflectors, would add a whole ``A.nbytes``.
     """
 
     M, N = 65536, 64
@@ -448,6 +461,41 @@ class TestReflectorStorage:
         f, peak = self._peak(lambda: plan.factor(A))
         assert len(f.panels) == (1 if width is None else self.N // width)
         assert peak < copies * mn + small, f"factor peak {peak / mn:.2f} x A.nbytes"
+
+    def test_kept_factors_hold_the_plan_only(self, bounds):
+        """A kept ``tsqr(A)`` holds its V (one m x n) and the plan's
+        per-block T and tree factors, about 0.085 of one more: no level's
+        R stack outlives the factor (1.126 x while they were kept)."""
+        import tracemalloc
+
+        A, mn, _ = bounds
+        tracemalloc.start()
+        try:
+            f = tsqr(A)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= 1.09 * mn, f"kept {held / mn:.3f} x A.nbytes"
+        assert f.R.shape == (self.N, self.N)
+
+    def test_forming_q_over_leaves_no_v_in_the_scratch(self):
+        """Forming Q over the reflectors copies each block's V into a
+        buffer freed on return: the thread's shared ``apply_wy`` scratch
+        keeps none of it (it kept one block of V: at 2048 x 2048, one
+        block, the whole 32 MiB)."""
+        import threading
+
+        held = []
+
+        def run():
+            A = np.random.default_rng(0).standard_normal((2048, 2048))
+            plan_qr(2048, 2048).execute(A)
+            held.append(sum(b.size for b in getattr(wy._TLS, "work", {}).values()))
+
+        worker = threading.Thread(target=run)  # a fresh thread: an empty scratch
+        worker.start()
+        worker.join()
+        assert held and held[0] <= wy._CHUNK_ELEMS, held
 
 
 def _layout(A: np.ndarray, order: str) -> np.ndarray:
@@ -566,8 +614,7 @@ class TestSpentFactors:
             "apply_q": lambda: f.apply_q(B.copy()),
             "form_q": f.form_q,
             "form_q(out)": lambda: f.form_q(out=buf),
-            "blocks": lambda: panel.blocks,
-            "tree_factors": lambda: panel.tree_factors,
+            "plan": lambda: panel.plan,
         }
         for name, use in uses.items():
             with pytest.raises(ValueError, match="reflectors were overwritten"):
@@ -585,4 +632,4 @@ class TestSpentFactors:
         assert np.abs(C[:20] - f.R).max() < 1e-13 * np.abs(f.R).max()
         assert np.abs(C[20:]).max() < 1e-13 * np.abs(f.R).max()
         assert np.array_equal(f.form_q(), Q1)
-        assert len(f.panels[0].factors.blocks) == 3
+        assert f.panels[0].factors.tree.n_blocks == 3

@@ -74,12 +74,12 @@ class TestStructuralParity:
         for p_idx, panel in enumerate(factors.panels):
             tag = f"panel{p_idx}"
             f_spec = next(s for s in specs if s.kernel == "factor" and s.tag == tag)
-            assert f_spec.n_blocks == len(panel.factors.blocks)
+            assert f_spec.n_blocks == panel.factors.tree.n_blocks
             tree_specs = [
                 s for s in specs if s.kernel == "factor_tree" and s.tag.startswith(tag + "/")
             ]
             assert len(tree_specs) == panel.factors.tree.n_levels
-            for spec, level in zip(tree_specs, panel.factors.tree_factors):
+            for spec, level in zip(tree_specs, panel.factors.tree.levels):
                 assert spec.n_blocks == len(level)
 
     def test_executed_numerics_correct(self, rng):

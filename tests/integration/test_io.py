@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import io
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,79 @@ from repro.core.caqr import caqr
 from repro.core.tsqr import tsqr
 from repro.io import load_caqr, load_tsqr, save_caqr, save_tsqr
 from repro.runtime import ExecutionPolicy
+from repro.runtime.policy import LOOKAHEAD, PATHS
+from repro.verify.fuzz import policy_for
+
+# Tall, ragged (one tail thinner than the width), geqrt level-0 blocks
+# and geqrt tree nodes, one block, one column, square, wide, degenerate.
+ARCHIVE_SHAPES = [
+    (1100, 20), (1034, 16), (130, 16), (1300, 48), (40, 10), (300, 1),
+    (32, 32), (10, 25), (77, 100), (0, 5), (5, 0), (0, 0),
+]
+
+
+def _roundtrip(save, load, f):
+    buf = io.BytesIO()
+    save(buf, f)
+    buf.seek(0)
+    return load(buf)
+
+
+class TestBitIdenticalArchives:
+    """A loaded factorization is the saved one: the archive holds the
+    apply plan's arrays with their layouts, so R, ``form_q``,
+    ``apply_qt`` and ``apply_q`` keep every bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("tree", ["quad", "binary", "flat"])
+    @pytest.mark.parametrize("br", [None, 64, 8])
+    @pytest.mark.parametrize("path", ["batched", "structured"])
+    @pytest.mark.parametrize("entry", ["tsqr", "caqr"])
+    def test_roundtrip_keeps_the_bits(self, entry, path, br, tree, dtype):
+        rng = np.random.default_rng(br or 0)
+        for m, n in ARCHIVE_SHAPES:
+            A = rng.standard_normal((m, n)).astype(dtype)
+            if entry == "tsqr":
+                policy = ExecutionPolicy(path=path, block_rows=br, tree_shape=tree)
+                f, save, load = tsqr(A, policy=policy), save_tsqr, load_tsqr
+            else:
+                policy = ExecutionPolicy(path=path, panel_width=16, block_rows=br, tree_shape=tree)
+                f, save, load = caqr(A, policy=policy), save_caqr, load_caqr
+            g = _roundtrip(save, load, f)
+            B = rng.standard_normal((m, 3)).astype(dtype)
+            assert np.array_equal(g.R, f.R) and g.R.dtype == f.R.dtype, (m, n)
+            assert np.array_equal(g.form_q(), f.form_q()), (m, n)
+            assert np.array_equal(g.apply_qt(B.copy()), f.apply_qt(B.copy())), (m, n)
+            assert np.array_equal(g.apply_q(B.copy()), f.apply_q(B.copy())), (m, n)
+
+    def test_version_1_archive_is_refused(self, tmp_path):
+        np.savez(
+            tmp_path / "v1.npz", meta=np.array([1, 300, 12, 5]), tree_shape=np.array("quad"),
+            R=np.zeros((12, 12)), b0_rows=np.array([0, 64]),
+        )
+        with pytest.raises(ValueError, match="version 1"):
+            load_tsqr(tmp_path / "v1.npz")
+        np.savez(
+            tmp_path / "v1caqr.npz", caqr_meta=np.array([1, 300, 12, 4, 64, 3]),
+            caqr_tree_shape=np.array("quad"), caqr_R=np.zeros((12, 12)),
+        )
+        with pytest.raises(ValueError, match="version 1"):
+            load_caqr(tmp_path / "v1caqr.npz")
+
+
+@pytest.mark.parametrize(
+    "name", [name for name, spec in PATHS.items() if spec.engine is not LOOKAHEAD]
+)
+def test_archives_refuse_other_engines_factors(rng, name):
+    """Only the look-ahead engine's factors are archived; the others'
+    are refused with a TypeError that names their class."""
+    A = rng.standard_normal((300, 12))
+    f = caqr(A, policy=policy_for(name))
+    cls = type(f).__name__
+    with pytest.raises(TypeError, match=f"cannot archive {cls}; archives hold the look-ahead"):
+        save_caqr(io.BytesIO(), f)
+    with pytest.raises(TypeError, match=f"cannot archive {cls}; TSQR archives hold TSQRFactors"):
+        save_tsqr(io.BytesIO(), f)
 
 
 class TestTSQRRoundtrip:
@@ -41,7 +116,7 @@ class TestTSQRRoundtrip:
         g = load_tsqr(path)
         assert np.allclose(g.form_q() @ g.R, A, atol=1e-11)
         # The structured reflectors really survived (not silently dense).
-        assert any(tf.structured is not None for lvl in g.tree_factors for tf in lvl)
+        assert any(e[0] == "structured" for lvl in g.plan.levels for e in lvl)
 
     def test_single_block(self, rng, tmp_path):
         A = rng.standard_normal((20, 6))
@@ -80,7 +155,7 @@ class TestCAQRRoundtrip:
         A = rng.standard_normal((1100, 20))
         f = caqr(A)
         assert f.block_rows is None and len(f.panels) == 1
-        assert f.panels[0].factors.blocks[0].rows == (0, 640)
+        assert f.panels[0].factors.plan.l0_h == 640
         path = tmp_path / "default.npz"
         save_caqr(path, f)
         g = load_caqr(path)

@@ -9,10 +9,9 @@ engine of :mod:`repro.core.tsqr`, on one CAQR driver
 it against this independent implementation, and
 ``benchmarks/bench_realtime.py`` times it for its ``*_seed`` rows.
 
-The factors are the library's own per-node records
-(``_LevelZeroFactor``, ``_TreeFactor``), so
-``TSQRFactors(blocks=, tree_factors=)`` wraps them the way
-:mod:`repro.io` wraps a loaded archive.
+The factors are per-node records (:class:`LevelZeroFactor`,
+:class:`TreeFactor`) in LAPACK's packed layout; the library holds the
+same reflectors only as its apply plan's stacks.
 
 Usage: ``tsqr(A, block_rows=64)``, ``caqr(A, panel_width=16)``, and the
 ``(Q, R)`` forms ``tsqr_qr`` / ``caqr_qr``.  Each validates its input as
@@ -21,22 +20,53 @@ the library's entry points do.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from repro.core.caqr import CAQRFactors, PanelFactor
 from repro.core.dtypes import as_float_array, q_buffer, working_dtype
 from repro.core.householder import geqr2, orm2r
-from repro.core.structured import structured_stack_qr
+from repro.core.structured import StructuredStackFactor, structured_stack_qr
 from repro.core.tree import TreeSchedule, build_tree
-from repro.core.tsqr import _LevelZeroFactor, _TreeFactor, level0_rows, row_blocks
+from repro.core.tsqr import level0_rows, row_blocks
 from repro.runtime.policy import PAPER_PANEL_WIDTH
 from repro.smallblas.batched import batched_apply_blocked, batched_geqr2
 from repro.verify.guards import validate_matrix
 
-__all__ = ["ReferenceTSQRFactors", "caqr", "caqr_qr", "tsqr", "tsqr_qr"]
+__all__ = [
+    "LevelZeroFactor", "ReferenceTSQRFactors", "TreeFactor", "caqr", "caqr_qr", "tsqr", "tsqr_qr",
+]
 
 
-def _apply_tree_factor(tf: _TreeFactor, stacked: np.ndarray, transpose: bool) -> np.ndarray:
+@dataclass
+class LevelZeroFactor:
+    """Householder factor of one level-0 row block, in LAPACK's packed
+    layout: the reflectors below the diagonal, R on and above it."""
+
+    rows: tuple[int, int]  # [start, stop) within the panel
+    packed: np.ndarray
+    tau: np.ndarray
+
+    @property
+    def r_height(self) -> int:
+        """Rows of the upper-trapezoidal R this block passes up the tree."""
+        return min(self.packed.shape[0], self.packed.shape[1])
+
+
+@dataclass
+class TreeFactor:
+    """Householder factor of one stacked-R elimination group: a dense
+    packed factor (``packed``, ``tau``) or a structured one."""
+
+    group: tuple[int, ...]  # member level-0 block indices (first survives)
+    heights: tuple[int, ...]  # R rows contributed by each member
+    packed: np.ndarray | None = None
+    tau: np.ndarray | None = None
+    structured: StructuredStackFactor | None = None
+
+
+def _apply_tree_factor(tf: TreeFactor, stacked: np.ndarray, transpose: bool) -> np.ndarray:
     if tf.structured is not None:
         return tf.structured.apply_qt(stacked) if transpose else tf.structured.apply_q(stacked)
     return orm2r(tf.packed, tf.tau, stacked, transpose=transpose)
@@ -57,8 +87,8 @@ class ReferenceTSQRFactors:
         n: int,
         tree: TreeSchedule,
         R: np.ndarray,
-        blocks: list[_LevelZeroFactor],
-        tree_factors: list[list[_TreeFactor]],
+        blocks: list[LevelZeroFactor],
+        tree_factors: list[list[TreeFactor]],
     ) -> None:
         self.m = m
         self.n = n
@@ -100,7 +130,7 @@ class ReferenceTSQRFactors:
             s, e = blk.rows
             orm2r(blk.packed, blk.tau, B[s:e], transpose=transpose)
 
-    def _gather(self, B: np.ndarray, tf: _TreeFactor) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    def _gather(self, B: np.ndarray, tf: TreeFactor) -> tuple[np.ndarray, list[tuple[int, int]]]:
         """Collect the distributed row pieces a tree factor touches.
 
         This mirrors ``apply_qt_tree``: "collect the distributed components
@@ -187,24 +217,24 @@ def _factor(
             VR, tau = VRb[i], taub[i]
         else:
             VR, tau = geqr2(A[s:e])
-        blk = _LevelZeroFactor(rows=(s, e), packed=VR, tau=tau)
+        blk = LevelZeroFactor(rows=(s, e), packed=VR, tau=tau)
         blocks.append(blk)
         current_r[i] = np.triu(VR[: blk.r_height, :])
 
     # Tree reduction: stack surviving Rs and factor the stacks.
-    tree_factors: list[list[_TreeFactor]] = []
+    tree_factors: list[list[TreeFactor]] = []
     for level in tree.levels:
         level_factors = []
         for group in level:
             heights = tuple(current_r[i].shape[0] for i in group)
             if structured:
                 sf = structured_stack_qr([current_r[i] for i in group])
-                tf = _TreeFactor(group=group, heights=heights, structured=sf)
+                tf = TreeFactor(group=group, heights=heights, structured=sf)
                 new_r = sf.R
             else:
                 stacked = np.vstack([current_r[i] for i in group])
                 VR, tau = geqr2(stacked)
-                tf = _TreeFactor(group=group, heights=heights, packed=VR, tau=tau)
+                tf = TreeFactor(group=group, heights=heights, packed=VR, tau=tau)
                 new_r = np.triu(VR[: min(stacked.shape[0], n), :])
             level_factors.append(tf)
             survivor = group[0]

@@ -184,8 +184,10 @@ def _steady_state_growth(m, n):
 
     Measured over each whole iteration, QR included, from its start to
     its peak; the first iteration carries the solve's set-up and warms
-    the kernels' scratch (one level-0 block's V copy included).  Rank 1,
-    so the rebuild's m x rank temporary is 1/n of a matrix.
+    the kernels' scratch.  Forming Q over the reflectors copies one
+    level-0 block's V at a time into a buffer of its own, so every
+    iteration's peak holds one block of V.  Rank 1, so the rebuild's
+    m x rank temporary is 1/n of a matrix.
     """
     M = _low_rank_plus_sparse(m, n, seed=9, rank=1)
     growth: list[int] = []
@@ -213,16 +215,18 @@ def test_steady_state_iteration_allocates_no_full_matrix():
     # workspace's L and forms Q over them there.  What is left is TSQR's
     # per-block n x n factors (R, T, the stacked Rs, Q's top rows), about
     # a fifth of a matrix at its 32n-row level-0 blocks and more where
-    # the tree's fixed costs weigh (0.23 here, seven blocks), and the
-    # rebuild's temporary, a fortieth.  A second m x n array, such as a
-    # Q beside the reflectors, would cost a whole matrix more.
+    # the tree's fixed costs weigh, the copy of one block's V (a seventh
+    # here: 0.32 in all, seven blocks), and the rebuild's temporary, a
+    # fortieth.  A second m x n array, such as a Q beside the
+    # reflectors, would cost a whole matrix more.
     for g in _steady_state_growth(10 * _chunk_rows(40) + 11, 40):
         assert g < 0.5, f"an iteration allocated {g:.2f} matrices"
 
 
 def test_steady_state_iteration_at_many_blocks():
     # 32 blocks of 1280 rows and a ragged tail: the per-block factors
-    # settle near 0.22 of a matrix (0.219 at 110592 x 100).
+    # and one block's V settle near 0.18 of a matrix (0.178 at
+    # 110592 x 100).
     for g in _steady_state_growth(32 * 32 * 40 + 17, 40):
         assert g < 0.3, f"an iteration allocated {g:.2f} matrices"
 

@@ -320,6 +320,31 @@ def test_serial_engine_is_gone():
     assert len(ExecutionPolicy.__dataclass_fields__) == 14
 
 
+def test_per_node_view_is_gone():
+    # One TSQR factor representation: the apply plan.  The per-node
+    # records live in the test oracle (tests/reference_qr.py), and
+    # archives store the plan itself.
+    import inspect
+
+    import numpy as np
+
+    import repro.core.tsqr
+    import repro.smallblas.wy
+    from repro.core.tsqr import TSQRFactors, factor_panel, panel_schedule
+
+    for name in (
+        "_LevelZeroFactor", "_TreeFactor", "_node_factors", "_plan_from_factors", "_stacked_wy",
+    ):
+        assert not hasattr(repro.core.tsqr, name), name
+    assert not hasattr(TSQRFactors, "blocks") and not hasattr(TSQRFactors, "tree_factors")
+    params = list(inspect.signature(TSQRFactors).parameters)
+    assert params == ["m", "n", "tree", "R", "plan"]
+    for name in ("packed_vr", "scratch_copy"):
+        assert not hasattr(repro.smallblas.wy, name), name
+    out = factor_panel(panel_schedule(130, 4, 64, "quad"), np.ones((1, 130, 4)))
+    assert len(out) == 2
+
+
 class TestThreadRuleEndToEnd:
     """The thread fence: a thread or process pool started under
     ``src/repro/`` outside ``repro.serving`` is flagged; the serving

@@ -71,16 +71,16 @@ class TestHarnessDetects:
 
     def test_broken_path_is_reported(self, monkeypatch):
         """Feed the harness a path that corrupts R; it must diverge."""
-        real = fuzz.caqr_qr
+        real = fuzz.caqr
 
         def corrupted(A, **kw):
-            Q, R = real(A, **kw)
-            if kw["policy"].path == "lookahead" and R.size:
-                R = R.copy()
-                R[0, 0] *= 1.0 + 1e-3
-            return Q, R
+            f = real(A, **kw)
+            if kw["policy"].path == "lookahead" and f.R.size:
+                f.R = f.R.copy()
+                f.R[0, 0] *= 1.0 + 1e-3
+            return f
 
-        monkeypatch.setattr(fuzz, "caqr_qr", corrupted)
+        monkeypatch.setattr(fuzz, "caqr", corrupted)
         divs = run_case(FuzzCase(40, 8, panel_width=4, block_rows=8), paths=["lookahead", "batched"])
         assert divs, "harness failed to flag a corrupted factorization"
         assert any(d.check in ("vs-numpy", "pairwise", "invariants") for d in divs)
@@ -147,7 +147,7 @@ class TestHarnessDetects:
         def boom(A, **kw):
             raise RuntimeError("injected")
 
-        monkeypatch.setattr(fuzz, "caqr_qr", boom)
+        monkeypatch.setattr(fuzz, "caqr", boom)
         divs = run_case(FuzzCase(16, 4), paths=["batched"])
         assert len(divs) == 1 and divs[0].check == "exception"
         assert "injected" in divs[0].detail
