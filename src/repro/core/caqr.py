@@ -25,9 +25,9 @@ from repro.runtime.policy import ExecutionPolicy
 from repro.verify.guards import validate_matrix
 
 from .dtypes import as_float_array, q_buffer, working_dtype
-from .tsqr import TSQRFactors
+from .tsqr import TSQRFactors, apply_merges
 
-__all__ = ["PanelFactor", "CAQRFactors", "caqr", "caqr_qr"]
+__all__ = ["PanelFactor", "CAQRFactors", "MergedCAQRFactors", "caqr", "caqr_qr"]
 
 
 @dataclass
@@ -104,6 +104,59 @@ class CAQRFactors:
         return Q
 
 
+@dataclass
+class MergedCAQRFactors:
+    """Implicit Q and explicit R of row blocks factored apart whose Rs
+    are merged up a tree: the sharded and the streaming factors.
+
+    That is TSQR on another tree (Demmel et al., arXiv 0809.2407): its
+    leaves are whole row blocks with their own :class:`CAQRFactors`
+    (``blocks``, each with its first row), and its merges are TSQR tree
+    entries (:func:`~repro.core.tsqr.merge_rs`), one list per level
+    (``levels``).  Q^T applies every block's local factors, then the
+    levels in order; Q the reverse, in place on ``m`` rows.  The merged
+    R always lands in rows ``[0, k)``, so ``form_q`` is
+    ``apply_q([I_k; 0])``.
+    """
+
+    m: int
+    n: int
+    R: np.ndarray  # min(m, n) x n upper trapezoidal
+    blocks: list[tuple[int, CAQRFactors]]
+    levels: list[list[tuple]]
+
+    def _apply(self, B: np.ndarray, transpose: bool) -> np.ndarray:
+        B = as_float_array(B)
+        if B.shape[0] != self.m:
+            raise ValueError(f"B must have {self.m} rows, got {B.shape[0]}")
+        W = B[:, None] if B.ndim == 1 else B  # view: updates land in B
+        if transpose:
+            for start, f in self.blocks:
+                f.apply_qt(W[start : start + f.m])
+            apply_merges(self.levels, W, transpose=True)
+        else:
+            apply_merges(self.levels, W, transpose=False)
+            for start, f in self.blocks:
+                f.apply_q(W[start : start + f.m])
+        return B
+
+    def apply_qt(self, B: np.ndarray) -> np.ndarray:
+        """Compute ``Q^T B`` in place (B must have ``m`` rows)."""
+        return self._apply(B, transpose=True)
+
+    def apply_q(self, B: np.ndarray) -> np.ndarray:
+        """Compute ``Q B`` in place (B must have ``m`` rows)."""
+        return self._apply(B, transpose=False)
+
+    def form_q(self, out: np.ndarray | None = None) -> np.ndarray:
+        """Form the explicit thin ``m x min(m, n)`` orthonormal Q, as
+        ``apply_q([I_k; 0])``, in ``out`` when given (C-contiguous, Q's
+        shape and dtype)."""
+        Q = q_buffer(out, self.m, min(self.m, self.n), self.R.dtype, zeros=True)
+        np.fill_diagonal(Q, 1.0)
+        return self.apply_q(Q)
+
+
 def caqr(A: np.ndarray, *, policy: ExecutionPolicy | None = None):
     """Factor a matrix with CAQR (Figure 3 / the host pseudocode of Figure 4).
 
@@ -120,17 +173,16 @@ def caqr(A: np.ndarray, *, policy: ExecutionPolicy | None = None):
         depends on the path (``k = min(m, n)``):
 
         * ``batched``, ``structured`` and ``lookahead``:
-          :class:`CAQRFactors`, whose ``apply_qt`` and ``apply_q`` take
-          an ``m``-row ``B`` and update it in place;
+          :class:`CAQRFactors`; ``sharded``
+          (:class:`~repro.distributed.sharded.ShardedCAQRFactors`) and
+          ``streaming`` (:class:`~repro.streaming.qr.StreamingCAQRFactors`,
+          a :class:`MergedCAQRFactors` each): their ``apply_qt`` and
+          ``apply_q`` take an ``m``-row ``B`` and update it in place;
         * ``cholqr2``, ``cholqr2_mixed`` and ``auto``:
           :class:`~repro.runtime.cholqr.CholQRFactors`, which holds the
           explicit thin Q: ``apply_qt`` takes ``m`` rows and returns a
           new ``k``-row block, ``apply_q`` takes ``k`` rows and returns
-          a new ``m``-row one;
-        * ``sharded`` (:class:`~repro.distributed.sharded.ShardedCAQRFactors`)
-          and ``streaming``
-          (:class:`~repro.streaming.qr.StreamingCAQRFactors`): neither
-          ``apply_qt`` nor ``apply_q``.
+          a new ``m``-row one.
     """
     policy = policy if policy is not None else ExecutionPolicy()
     with _obs.maybe_trace(policy.trace):

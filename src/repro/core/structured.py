@@ -9,8 +9,11 @@ the reflector support and the trailing update to ``~(2/3) q n^3`` flops
 — a ~3x arithmetic saving at tree nodes.
 
 The factor object stores sparse reflectors (support indices + values)
-and applies Q/Q^T to conformal stacked matrices, so it can drop into the
-TSQR tree as an alternative to the dense packed form.
+and applies Q/Q^T to conformal stacked matrices.  The TSQR tree takes
+the elimination as its merge kernel but keeps the dense compact-WY form
+of every merge: :meth:`StructuredStackFactor.dense_reflectors` writes
+the sparse reflectors out as a unit-lower ``V``, so this module is the
+only one that knows the sparse format.
 """
 
 from __future__ import annotations
@@ -71,6 +74,20 @@ class StructuredStackFactor:
             w = sub.T @ r.v
             B[r.rows] = sub - r.tau * np.outer(r.v, w)
         return B
+
+    def dense_reflectors(self) -> tuple[np.ndarray, np.ndarray]:
+        """The reflectors as a dense ``(total_rows, k)`` ``V`` and their ``tau``.
+
+        Reflector ``j`` pivots on stacked row ``j`` (``v[0] == 1``) and
+        its support lies below that row, so ``V`` is unit lower
+        trapezoidal: the compact-WY form ``Q = I - V T V^T`` with
+        ``T = larft(V, tau)``.  Both arrays are in R's dtype.
+        """
+        dt = self.R.dtype
+        V = np.zeros((self.total_rows, len(self.reflectors)), dtype=dt)
+        for j, r in enumerate(self.reflectors):
+            V[r.rows, j] = r.v
+        return V, np.array([r.tau for r in self.reflectors], dtype=dt)
 
 
 def _support_rows(j: int, heights: Sequence[int], offsets: Sequence[int]) -> np.ndarray:

@@ -16,20 +16,27 @@ batches with their row maps), and :func:`factor_panel` runs it on a
 ``(r, height, width)`` stack of ``r`` independent panels: one call of
 the shared slice kernel for the level-0 blocks, one for the tail, and
 one per batch of each tree level, whose stacked Rs are views of the
-previous level's output.  The tree merges take one of two kernels: the
+previous level's output.  The tree merges take one of two kernels, the
 dense slice kernel, under which no per-block or per-node Python work runs
 on the factor path, or Figure 2(c)'s structured elimination of the
-stacked triangles (``structured``), one group at a time.  The result is
-R and a :class:`_WyPlan` of compact-WY ``(V, T)`` factors, applied by
-:func:`apply_wy_plan` as three batched GEMMs per level
-(``C -= V (T' (V' C))``).  ``V`` is never copied whole: it is a view of
-LAPACK's packed output, whose R the factor moved out
+stacked triangles (``structured``, one group at a time), but every merge
+gives one kind of entry: a batch's row map and its stacked compact-WY
+``(V, T)``.  The result is R and a :class:`_WyPlan` of compact-WY
+factors, applied by :func:`apply_wy_plan` as three batched GEMMs per
+level (``C -= V (T' (V' C))``).  ``V`` is never copied whole: it is a
+view of LAPACK's packed output, whose R the factor moved out
 (:func:`repro.smallblas.wy.v_in_place`).  The explicit Q is formed
 from the same plan the way LAPACK ``orgqr`` forms it
 (:func:`_plan_form_q`), on SciPy's BLAS when available, and, where the
 factors are discarded, over the level-0 reflectors in the buffer they
 were factored in (:func:`factor_panel`'s ``home``).  ``tsqr``, the
 look-ahead CAQR driver and the serving coalescer all run this engine.
+
+The sharded fan-in and the streaming fold are TSQR on other trees, whose
+leaves are whole row blocks with their own CAQR factors (Demmel et al.,
+arXiv 0809.2407).  They merge through :func:`merge_rs`, on the same
+slice kernel, into the same entries, and apply them with
+:func:`apply_merges`.
 
 This module is the pure-numerics implementation; the GPU-simulated
 execution (launch costs, timing) reuses these factor objects through
@@ -46,13 +53,13 @@ import numpy as np
 from .dtypes import as_float_array, q_buffer, working_dtype
 from repro.obs import tracer as _obs
 from repro.runtime.policy import ExecutionPolicy
-from repro.smallblas.wy import _factor_slices, apply_wy, blas_name, orgqr_wy, takes_geqrt
+from repro.smallblas.wy import _factor_slices, apply_wy, blas_name, larft, orgqr_wy, takes_geqrt
 from .structured import structured_stack_qr
 from .tree import TreeSchedule, batch_level, build_tree
 
 __all__ = [
     "row_blocks", "level0_rows", "PanelSchedule", "panel_schedule", "factor_panel",
-    "apply_wy_plan", "TSQRFactors", "tsqr", "tsqr_qr",
+    "apply_wy_plan", "merge_rs", "apply_merges", "TSQRFactors", "tsqr", "tsqr_qr",
 ]
 
 # Level-0 height, in panel widths, for an unset block height (every host
@@ -116,11 +123,10 @@ class _WyPlan:
     * Level 0: the uniform block prefix is applied through a zero-copy
       ``(count, h, w)`` reshape of the target's leading rows; a ragged
       tail block is applied as an exact-height batch of one.
-    * Each tree level is a list of entries, one per heights-signature
-      batch: a ``(nodes, H)`` fancy-index row map plus the stacked
-      compact-WY ``(V, T)``, or, under ``structured``, one per group: a
-      :class:`~repro.core.structured.StructuredStackFactor` and its row
-      map.  Entries within a level touch disjoint rows.
+    * Each tree level is a list of entries ``(idx, V, T)``, one per
+      heights-signature batch: a ``(nodes, H)`` fancy-index row map and
+      the stacked compact-WY factors, whichever kernel merged them.
+      Entries within a level touch disjoint rows.
     """
 
     dtype: np.dtype
@@ -133,7 +139,7 @@ class _WyPlan:
     l0_T: np.ndarray | None = None
     # (row_start, height, V, T) of a ragged last block
     l0_tail: list[tuple[int, int, np.ndarray, np.ndarray]] = field(default_factory=list)
-    # per level: [("wy", idx, V, T) | ("structured", sf, idx)]
+    # per level: [(idx, V, T)]
     levels: list[list[tuple]] = field(default_factory=list)
     # The (height, width) Q buffer the level-0 reflectors were factored
     # in (factor_panel's ``home``), and whether the uniform blocks and the
@@ -269,7 +275,8 @@ def factor_panel(
     one kernel call (a strided view of ``S`` when ``r = 1``), the tail
     one more, and each tree batch one, reading its stacked Rs as a view
     of the previous level's output.  ``structured`` eliminates each tree
-    group with :func:`structured_stack_qr` instead (``r = 1`` only).
+    group with :func:`structured_stack_qr` instead, and the batch's
+    entry stacks the groups' reflectors as compact-WY factors.
 
     Returns ``(R, plan)``: the ``(r, min(height, width), width)``
     upper-trapezoidal Rs and the apply plan.  A level's R stack is read
@@ -314,11 +321,12 @@ def factor_panel(
                         structured_stack_qr([grp[a:e] for a, e in zip(offs[:-1], offs[1:])])
                         for grp in src
                     ]
-                    entries.extend(("structured", sf, row) for sf, row in zip(sfs, b.idx))
+                    Vl, taul = (np.stack(a) for a in zip(*(sf.dense_reflectors() for sf in sfs)))
+                    Tl = larft(Vl, taul)
                     Rl = np.stack([sf.R for sf in sfs])
                 else:
                     Vl, Tl, Rl, _ = _factor_slices(src)
-                    entries.append(("wy", b.idx, Vl, Tl))
+                entries.append((b.idx, Vl, Tl))
                 outs.append(Rl.reshape(r, -1, w))
             if ride is not None:
                 outs.append(slab[:, ride])
@@ -331,12 +339,38 @@ def factor_panel(
     return slab, plan
 
 
+def merge_rs(Rs: list[np.ndarray], starts: list[int]) -> tuple[np.ndarray, tuple]:
+    """Merge the stacked upper-trapezoidal ``Rs`` as one tree node.
+
+    A tree merge outside a panel schedule (the sharded fan-in rounds,
+    the streaming folds), on the shared slice kernel.  As in a panel's
+    tree, each R lies in the top rows of its row block: ``R_i`` in the
+    rows from ``starts[i]`` on, and the merged R lands in the first
+    member's.  Returns the merged ``min(H, n) x n`` R and the tree entry
+    ``(idx, V, T)``, with ``idx`` the global rows of the stack, which
+    :func:`apply_merges` applies.
+    """
+    idx = _runs(starts, [R.shape[0] for R in Rs])[None]
+    V, T, R, _ = _factor_slices(np.concatenate(Rs)[None])
+    return R[0], (idx, V, T)
+
+
+def apply_merges(levels: list[list[tuple]], B: np.ndarray, transpose: bool) -> None:
+    """Apply the Q^T (``transpose``: the levels in order) or Q (in reverse)
+    of :func:`merge_rs` entries to the 2-D ``B`` in place.  A ``B`` of
+    another dtype gets per-call casts of the factors."""
+    S = B[None]
+    for entries in levels if transpose else levels[::-1]:
+        _plan_apply_level(_cast_entries(entries, B.dtype), S, transpose)
+
+
+def _cast_entries(entries: list[tuple], dt: np.dtype) -> list[tuple]:
+    """A tree level's entries in dtype ``dt`` (the same arrays when they are)."""
+    return [(idx, V.astype(dt, copy=False), T.astype(dt, copy=False)) for idx, V, T in entries]
+
+
 def _convert_plan(src: _WyPlan, dt: np.dtype) -> _WyPlan:
-    """Re-key an apply plan to a new working dtype (arrays cast once)."""
-
-    def cast(entry: tuple) -> tuple:
-        return entry if entry[0] != "wy" else (*entry[:2], *(a.astype(dt) for a in entry[2:]))
-
+    """An apply plan's copy in another working dtype (arrays cast)."""
     return replace(
         src,
         dtype=dt,
@@ -345,7 +379,7 @@ def _convert_plan(src: _WyPlan, dt: np.dtype) -> _WyPlan:
         l0_V=None if src.l0_V is None else src.l0_V.astype(dt),
         l0_T=None if src.l0_T is None else src.l0_T.astype(dt),
         l0_tail=[(s, h, V.astype(dt), T.astype(dt)) for s, h, V, T in src.l0_tail],
-        levels=[[cast(entry) for entry in entries] for entries in src.levels],
+        levels=[_cast_entries(entries, dt) for entries in src.levels],
     )
 
 
@@ -443,19 +477,11 @@ def _plan_form_q(
     top[:, 0, diag, diag] = 1.0
     flat = top.reshape(r, -1, k)
     for entries in reversed(plan.levels):
-        for entry in entries:
-            idx = entry[1] if entry[0] == "wy" else entry[2]
+        for idx, V, T in entries:
             blk = np.searchsorted(starts, idx, side="right") - 1
             pos = blk * r_max + (idx - starts[blk])
-            if entry[0] == "wy":
-                sub = np.ascontiguousarray(flat[:, pos]).reshape(-1, *pos.shape[1:], k)
-                flat[:, pos] = orgqr_wy(entry[2], entry[3], sub, np.empty_like(sub)).reshape(
-                    r, *pos.shape, k
-                )
-            else:  # structured trees factor one request
-                sub = flat[0, pos]
-                entry[1].apply_q(sub)
-                flat[0, pos] = sub
+            sub = np.ascontiguousarray(flat[:, pos]).reshape(-1, *pos.shape[1:], k)
+            flat[:, pos] = orgqr_wy(V, T, sub, np.empty_like(sub)).reshape(r, *pos.shape, k)
     Q = np.empty((r, m, k), dtype=plan.dtype) if out is None else out
     l0_over, tail_over = (over and homed for homed in plan.homed)
     for i in range(r):
@@ -495,23 +521,13 @@ def _plan_apply_level(entries: list[tuple], S: np.ndarray, transpose: bool) -> N
 
 def _plan_apply_level_impl(entries: list[tuple], S: np.ndarray, transpose: bool) -> None:
     w = S.shape[2]
-    for entry in entries:
-        if entry[0] == "wy":
-            _, idx, V, T = entry
-            # C-contiguous (r, groups, H, w).  S[:, idx] lays the request
-            # axis innermost, which changes the slices' strides when r > 1
-            # (a no-op copy when r = 1); np.take would first copy all of S.
-            sub = np.ascontiguousarray(S[:, idx])
-            apply_wy(V, T, sub.reshape(-1, idx.shape[1], w), transpose=transpose)
-            S[:, idx] = sub
-        else:
-            _, sf, idx = entry
-            sub = S[0, idx]
-            if transpose:
-                sf.apply_qt(sub)
-            else:
-                sf.apply_q(sub)
-            S[0, idx] = sub
+    for idx, V, T in entries:
+        # C-contiguous (r, groups, H, w).  S[:, idx] lays the request
+        # axis innermost, which changes the slices' strides when r > 1
+        # (a no-op copy when r = 1); np.take would first copy all of S.
+        sub = np.ascontiguousarray(S[:, idx])
+        apply_wy(V, T, sub.reshape(len(V), idx.shape[1], w), transpose=transpose)
+        S[:, idx] = sub
 
 
 class TSQRFactors:
@@ -525,7 +541,8 @@ class TSQRFactors:
     Q is held in one form, the panel engine's apply plan (``plan``, a
     :class:`_WyPlan` in R's working dtype), applied by
     :func:`apply_wy_plan`; a ``B`` of another dtype gets a cast copy of
-    the plan, made once.  :mod:`repro.io` archives the plan as it is.
+    the plan, made per call and dropped with it.  :mod:`repro.io`
+    archives the plan as it is.
 
     A factorization whose level-0 reflectors were factored in Q's buffer
     (``factor_panel(home=)``) is spent once ``form_q`` forms Q in that
@@ -538,13 +555,14 @@ class TSQRFactors:
         self.n = n
         self.tree = tree
         self.R = R  # final min(m, n) x n upper-triangular factor
-        self._wy_plan: dict = {plan.dtype: plan}  # per working dtype
+        self._plan: _WyPlan | None = plan
         self._spent = False
 
     @property
     def plan(self) -> _WyPlan:
         """The apply plan, in R's working dtype."""
-        return self._plan_for(working_dtype(self.R))
+        self._live()
+        return self._plan
 
     def _live(self) -> None:
         if self._spent:
@@ -556,13 +574,9 @@ class TSQRFactors:
     # -- internal helpers -------------------------------------------------
 
     def _plan_for(self, dt: np.dtype) -> _WyPlan:
-        """Apply plan for working dtype ``dt`` (another dtype's cast once, cached)."""
-        self._live()
-        dt = np.dtype(dt)
-        plan = self._wy_plan.get(dt)
-        if plan is None:
-            plan = self._wy_plan[dt] = _convert_plan(self.plan, dt)
-        return plan
+        """Apply plan for working dtype ``dt`` (another dtype's: a cast copy)."""
+        plan = self.plan
+        return plan if plan.dtype == dt else _convert_plan(plan, dt)
 
     def _apply(self, B: np.ndarray, transpose: bool) -> np.ndarray:
         B = as_float_array(B)
@@ -607,7 +621,7 @@ class TSQRFactors:
                 _plan_form_q(plan, self.m, k, Q[None], over)
             if over:
                 self._spent = True
-                self._wy_plan = {}
+                self._plan = None
             return Q
 
 

@@ -11,7 +11,11 @@ tree over :class:`~repro.distributed.comm.FakeComm`: at every round,
 groups of up to ``fanin`` surviving ranks send their packed triangles
 to the group's first member, which stacks and re-factors them —
 ``ceil(log_fanin P)`` rounds on the critical path, ``~n(n+1)/2`` words
-per message.
+per message.  Each merge is a TSQR tree node
+(:func:`repro.core.tsqr.merge_rs`), so the factors
+(:class:`ShardedCAQRFactors`) apply Q and Q^T in place on ``m`` rows
+like every in-core factorization: the ranks' local factors, then the
+rounds.
 
 Inter-rank traffic is charged through a calibrated alpha-beta
 :class:`~repro.distributed.comm.InterconnectModel`, the same accounting
@@ -36,8 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.dtypes import q_buffer
-from repro.core.householder import geqr2, orm2r
+from repro.core.caqr import MergedCAQRFactors
+from repro.core.tsqr import merge_rs
 from repro.obs import tracer as _obs
 
 from .comm import FakeComm, InterconnectModel
@@ -141,35 +145,13 @@ def build_shard_schedule(m: int, n: int, shards: int, fanin: int = 2) -> ShardSc
 
 
 @dataclass
-class _ShardTreeNode:
-    """Householder factor of one fan-in merge of stacked R factors."""
+class ShardedCAQRFactors(MergedCAQRFactors):
+    """Implicit Q and explicit R of a sharded CAQR factorization: the
+    ranks' local CAQR factors (``blocks``) and one merge level per
+    fan-in round (``levels``).  R is held by rank 0."""
 
-    level: int
-    dst: int
-    srcs: tuple[int, ...]
-    heights: tuple[int, ...]  # R rows contributed by dst, then each src
-    VR: np.ndarray
-    tau: np.ndarray
-
-
-@dataclass
-class ShardedCAQRFactors:
-    """Implicit Q and explicit R of a sharded CAQR factorization.
-
-    Shares ``R`` and ``form_q`` with
-    :class:`~repro.core.caqr.CAQRFactors` but has no ``apply_qt`` /
-    ``apply_q``: the implicit Q is the composition of every rank's local
-    CAQR factors with the fan-in tree eliminations, and ``form_q``
-    walks it.
-    """
-
-    m: int
-    n: int
     schedule: ShardSchedule
     comm: FakeComm | None
-    local: list  # per-rank CAQRFactors
-    tree: list[_ShardTreeNode]
-    R: np.ndarray  # min(m, n) x n upper trapezoidal (held by rank 0)
 
     @property
     def shards(self) -> int:
@@ -182,42 +164,6 @@ class ShardedCAQRFactors:
         return interconnect.seconds(
             self.comm.critical_path_messages(), self.comm.critical_path_words()
         )
-
-    def form_q(self, out: np.ndarray | None = None) -> np.ndarray:
-        """Form the explicit thin ``m x min(m, n)`` orthonormal Q.
-
-        Walks the fan-in tree top-down (mirroring the elimination
-        order), then applies each rank's local implicit Q to its row
-        slice.  All temporaries are allocated in the factorization's
-        working dtype, so float32 survives reconstruction.  ``out``
-        (C-contiguous, Q's shape and dtype) receives Q with the same
-        bits and is returned.
-        """
-        k = min(self.m, self.n)
-        dtype = self.R.dtype
-        Q = q_buffer(out, self.m, k, dtype, zeros=True)
-        if k == 0:
-            return Q
-        # slots[r]: rank r's coefficient block (its R rows x k).
-        slots: dict[int, np.ndarray] = {0: np.eye(k, dtype=dtype)}
-        for node in sorted(self.tree, key=lambda t: -t.level):
-            cur = slots[node.dst]
-            stacked = np.zeros((sum(node.heights), k), dtype=dtype)
-            stacked[: cur.shape[0]] = cur
-            orm2r(node.VR, node.tau, stacked, transpose=False)
-            ofs = 0
-            for rank, h in zip((node.dst,) + node.srcs, node.heights):
-                slots[rank] = stacked[ofs : ofs + h]
-                ofs += h
-        for r, (s, e) in enumerate(self.schedule.rows):
-            f = self.local[r]
-            h = e - s
-            block = np.zeros((h, k), dtype=dtype)
-            kr = min(h, self.n)
-            block[:kr] = slots[r][:kr]
-            f.apply_q(block)
-            Q[s:e] = block
-        return Q
 
 
 def _trapezoid_pack(R: np.ndarray) -> tuple[np.ndarray, tuple]:
@@ -240,53 +186,38 @@ def _local_factor(A_shard: np.ndarray, policy) -> tuple:
 
 
 def _reduce(
-    schedule: ShardSchedule,
-    current: dict[int, np.ndarray],
-    comm: FakeComm | None,
-    n: int,
-    dtype,
-) -> tuple[dict[int, np.ndarray], list[_ShardTreeNode]]:
-    """Run the fan-in rounds; returns surviving R(s) and the tree factors.
+    schedule: ShardSchedule, current: dict[int, np.ndarray], comm: FakeComm | None
+) -> tuple[dict[int, np.ndarray], list[list[tuple]]]:
+    """Run the fan-in rounds; returns the surviving R(s) and one merge
+    level per round (:func:`~repro.core.tsqr.merge_rs` entries).
 
-    With a communicator, every source rank packs its trapezoid and
-    sends it (tagged with the round index, so per-level critical-path
-    accounting works); without one, the same arrays are handed over
-    directly — the arithmetic is identical either way, which is the
-    bit-identity contract :func:`sharded_reference_r` pins.
+    Every rank's R lies in the top rows of its row range, and a merged
+    R in its destination's, so each merge's row map is the ranks' row
+    starts.  With a communicator, every source rank packs its trapezoid
+    and sends it (tagged with the round index, so per-level
+    critical-path accounting works); without one, the same arrays are
+    handed over directly — the arithmetic is identical either way,
+    which is the bit-identity contract :func:`sharded_reference_r` pins.
     """
-    tree: list[_ShardTreeNode] = []
+    levels = []
     for level, merges in enumerate(schedule.rounds):
         with _obs.span("shard.reduce", cat="shard", level=level, merges=len(merges)):
+            entries = []
             for dst, srcs in merges:
                 blocks = [current[dst]]
-                heights = [current[dst].shape[0]]
                 for src in srcs:
+                    Rs = current.pop(src)
                     if comm is not None:
-                        packed, idx = _trapezoid_pack(current[src])
+                        packed, idx = _trapezoid_pack(Rs)
                         comm.send(packed, src=src, dst=dst, tag=level)
-                        received = comm.recv(src=src, dst=dst, tag=level)
-                        Rs = np.zeros(current[src].shape, dtype=dtype)
-                        Rs[idx] = received
-                    else:
-                        Rs = current[src]
+                        Rs = np.zeros_like(Rs)
+                        Rs[idx] = comm.recv(src=src, dst=dst, tag=level)
                     blocks.append(Rs)
-                    heights.append(Rs.shape[0])
-                    del current[src]
-                stacked = np.vstack(blocks)
-                VR, tau = geqr2(stacked)
-                kd = min(stacked.shape[0], n)
-                tree.append(
-                    _ShardTreeNode(
-                        level=level,
-                        dst=dst,
-                        srcs=srcs,
-                        heights=tuple(heights),
-                        VR=VR,
-                        tau=tau,
-                    )
-                )
-                current[dst] = np.triu(VR[:kd, :])
-    return current, tree
+                starts = [schedule.rows[r][0] for r in (dst, *srcs)]
+                current[dst], entry = merge_rs(blocks, starts)
+                entries.append(entry)
+            levels.append(entries)
+    return current, levels
 
 
 def emit_sharded_layers(schedule: ShardSchedule):
@@ -345,9 +276,9 @@ def run_sharded(A: np.ndarray, policy, schedule: ShardSchedule | None = None) ->
         for r, (s, e) in enumerate(schedule.rows):
             with _obs.span("shard.local", cat="shard", rank=r, rows=e - s):
                 f, Rr = _local_factor(A[s:e], policy)
-            local.append(f)
+            local.append((s, f))
             current[r] = Rr
-        current, tree = _reduce(schedule, current, comm, n, A.dtype)
+        current, levels = _reduce(schedule, current, comm)
         if comm is not None:
             _obs.counters(
                 shard_messages=comm.total_messages,
@@ -361,7 +292,7 @@ def run_sharded(A: np.ndarray, policy, schedule: ShardSchedule | None = None) ->
         R = np.zeros((k, n), dtype=A.dtype)
         R[: R_root.shape[0]] = R_root[:k]
     return ShardedCAQRFactors(
-        m=m, n=n, schedule=schedule, comm=comm, local=local, tree=tree, R=R
+        m=m, n=n, R=R, blocks=local, levels=levels, schedule=schedule, comm=comm
     )
 
 
@@ -380,7 +311,7 @@ def sharded_reference_r(A: np.ndarray, policy, schedule: ShardSchedule | None = 
     for r, (s, e) in enumerate(schedule.rows):
         _f, Rr = _local_factor(A[s:e], policy)
         current[r] = Rr
-    current, _tree = _reduce(schedule, current, None, n, A.dtype)
+    current, _levels = _reduce(schedule, current, None)
     R_root = current[0] if current else np.zeros((0, n), dtype=A.dtype)
     k = min(m, n)
     R = np.zeros((k, n), dtype=A.dtype)

@@ -7,16 +7,17 @@ These helpers persist :class:`~repro.core.tsqr.TSQRFactors` and
 to NumPy ``.npz`` archives and restore them fully functional (apply
 Q/Q^T, form Q).
 
-Format version 2 stores each TSQR factorization's apply plan as it is:
+Format version 3 stores each TSQR factorization's apply plan as it is:
 R, the level-0 height, the tree shape, the level-0 and ragged-tail
-``(V, T)`` stacks, and per tree entry its stacked ``(V, T)`` or its
-structured reflectors.  The row maps are shape arithmetic and are
-rebuilt on load from :func:`~repro.core.tsqr.panel_schedule`.  Each
-``V`` is stored with the layout it had, its slice order and leading
-dimension (a ``V`` is a view of LAPACK's packed output, whose strides
-the GEMMs' bits depend on), so a loaded factorization applies and
-forms Q with the bits of the one that was saved.  Version-1 archives
-(per-node factors) are refused.
+``(V, T)`` stacks, and per tree entry its stacked ``(V, T)`` (whichever
+kernel merged it: a ``structured`` archive has the members of a dense
+one).  The row maps are shape arithmetic and are rebuilt on load from
+:func:`~repro.core.tsqr.panel_schedule`.  Each ``V`` is stored with the
+layout it had, its slice order and leading dimension (a ``V`` is a view
+of LAPACK's packed output, whose strides the GEMMs' bits depend on), so
+a loaded factorization applies and forms Q with the bits of the one
+that was saved.  Archives of versions 1 (per-node factors) and 2
+(structured merges as sparse reflectors) are refused.
 """
 
 from __future__ import annotations
@@ -27,13 +28,12 @@ from typing import BinaryIO
 import numpy as np
 
 from .core.caqr import CAQRFactors, PanelFactor
-from .core.structured import StructuredStackFactor, _SparseReflector
 from .core.tree import build_tree
 from .core.tsqr import TSQRFactors, _WyPlan, panel_schedule
 
 __all__ = ["save_tsqr", "load_tsqr", "save_caqr", "load_caqr"]
 
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
 
 
 def _check_version(meta: np.ndarray) -> list[int]:
@@ -65,36 +65,6 @@ def _get_v(z, key: str) -> np.ndarray:
     return out
 
 
-def _put_structured(d: dict, base: str, sf: StructuredStackFactor) -> None:
-    d[base + "s_meta"] = np.array([sf.total_rows, sf.n, len(sf.reflectors)], dtype=np.int64)
-    d[base + "s_heights"] = np.array(sf.heights, dtype=np.int64)
-    d[base + "s_R"] = sf.R
-    d[base + "s_flops"] = np.array(sf.flops)
-    for ri, r in enumerate(sf.reflectors):
-        d[base + f"s_r{ri}_rows"] = r.rows
-        d[base + f"s_r{ri}_v"] = r.v
-        d[base + f"s_r{ri}_tau"] = np.array(r.tau)
-
-
-def _get_structured(z, base: str) -> StructuredStackFactor:
-    total, sn, n_ref = (int(v) for v in z[base + "s_meta"])
-    return StructuredStackFactor(
-        total_rows=total,
-        n=sn,
-        heights=tuple(int(v) for v in z[base + "s_heights"]),
-        reflectors=[
-            _SparseReflector(
-                rows=z[base + f"s_r{ri}_rows"],
-                v=z[base + f"s_r{ri}_v"],
-                tau=float(z[base + f"s_r{ri}_tau"]),
-            )
-            for ri in range(n_ref)
-        ],
-        R=z[base + "s_R"],
-        flops=float(z[base + "s_flops"]),
-    )
-
-
 def _tsqr_payload(f: TSQRFactors, prefix: str = "") -> dict:
     plan = f.plan
     d: dict = {
@@ -109,13 +79,9 @@ def _tsqr_payload(f: TSQRFactors, prefix: str = "") -> dict:
         _put_v(d, f"{prefix}tail_V", Vt)
         d[f"{prefix}tail_T"] = Tt
     for lvl, entries in enumerate(plan.levels):
-        for e, entry in enumerate(entries):
-            base = f"{prefix}L{lvl}e{e}_"
-            if entry[0] == "wy":
-                _put_v(d, base + "V", entry[2])
-                d[base + "T"] = entry[3]
-            else:
-                _put_structured(d, base, entry[1])
+        for e, (_idx, V, T) in enumerate(entries):
+            _put_v(d, f"{prefix}L{lvl}e{e}_V", V)
+            d[f"{prefix}L{lvl}e{e}_T"] = T
     return d
 
 
@@ -129,18 +95,13 @@ def _tsqr_from_payload(z, prefix: str = "") -> TSQRFactors:
     tail = []
     if sched.tail is not None:
         tail.append((*sched.tail, _get_v(z, f"{prefix}tail_V"), z[f"{prefix}tail_T"]))
-    levels = []
-    for lvl, batches in enumerate(sched.levels):
-        entries = []
-        for b in batches:
-            base = f"{prefix}L{lvl}e{len(entries)}_"
-            if base + "V" in z:
-                entries.append(("wy", b.idx, _get_v(z, base + "V"), z[base + "T"]))
-                continue
-            for row in b.idx:  # structured: one entry per group
-                base = f"{prefix}L{lvl}e{len(entries)}_"
-                entries.append(("structured", _get_structured(z, base), row))
-        levels.append(entries)
+    levels = [
+        [
+            (b.idx, _get_v(z, f"{prefix}L{lvl}e{e}_V"), z[f"{prefix}L{lvl}e{e}_T"])
+            for e, b in enumerate(batches)
+        ]
+        for lvl, batches in enumerate(sched.levels)
+    ]
     plan = _WyPlan(
         dtype=R.dtype, l0_count=sched.l0_count, l0_h=sched.l0_h,
         l0_V=_get_v(z, f"{prefix}l0_V"), l0_T=z[f"{prefix}l0_T"], l0_tail=tail, levels=levels,

@@ -25,8 +25,9 @@ each name below is followed by its engine.
     It is the one path the serving coalescer stacks (``coalescable``).
 ``structured`` (lookahead)
     The same driver with Figure 2(c)'s sparsity-exploiting
-    stacked-triangle elimination as the tree-merge kernel (not
-    coalescable: the structured merge factors one request at a time).
+    stacked-triangle elimination as the tree-merge kernel, one group at
+    a time; its merges are kept as compact-WY factors like the dense
+    ones (not coalescable).
 ``lookahead`` (lookahead)
     The same engine under its own name (not coalescable).
 ``cholqr2`` (cholqr)
@@ -48,16 +49,16 @@ each name below is followed by its engine.
     Multi-device parallel CAQR (:mod:`repro.distributed.sharded`): the
     matrix is row-partitioned across ``shards`` simulated ranks, each
     runs the local batched compact-WY machinery, and per-rank R factors
-    reduce through a ``fanin``-ary tree over ``FakeComm``, with traffic
-    charged to a calibrated ``interconnect`` alpha-beta model.
+    reduce through a ``fanin``-ary tree of TSQR merges over
+    ``FakeComm``, with traffic charged to a calibrated ``interconnect``
+    alpha-beta model.
     Requires ``shards=``; ``fanin`` and ``interconnect`` are optional.
 ``streaming`` (streaming)
     Out-of-core sequential CAQR (:mod:`repro.streaming`): the tall axis
     is cut into ``chunk_rows``-row chunks, each chunk runs the local
     batched compact-WY machinery, and the chunk's R folds into the
-    running n x n triangle through the same stacked-triangle
-    elimination the tree nodes use — so resident memory is bounded by
-    the chunk, not the stream.  Requires ``chunk_rows=``.
+    running n x n triangle as one TSQR tree merge — so resident memory
+    is bounded by the chunk, not the stream.  Requires ``chunk_rows=``.
 """
 
 from __future__ import annotations
@@ -482,12 +483,6 @@ class ExecutionPolicy:
             this is the knob that trades per-chunk arithmetic
             efficiency against resident memory — the streaming path
             never holds more than one chunk plus the n x n carry.
-        coalesce: whether a serving front end (:mod:`repro.serving`) may
-            merge same-shape requests under this policy into one stacked
-            batched invocation.  ``False`` forces per-request dispatch —
-            results are bit-identical either way, so this is a latency /
-            isolation knob, not a numerics one.  Ignored outside the
-            serving layer.
         trace: optional :class:`repro.obs.TraceSession`; every
             policy-accepting entry point activates it for the duration of
             the call (``obs.maybe_trace``), so spans from each
@@ -505,7 +500,6 @@ class ExecutionPolicy:
     fanin: int | None = None
     interconnect: str | None = None
     chunk_rows: int | None = None
-    coalesce: bool = True
     device: Any | None = field(default=None, compare=False)
     config: Any | None = field(default=None, compare=False)
     trace: Any | None = field(default=None, compare=False, repr=False)

@@ -6,8 +6,8 @@
 groups the window's requests by ``(m, n, dtype, policy)`` and executes
 each group as far up the *degradation ladder* as it qualifies:
 
-1. **Coalesced** — two or more same-key requests under a ``batched``-path
-   policy with ``coalesce=True``: stacked into one ``(r, m, n)`` array
+1. **Coalesced** — two or more same-key requests under a coalescable
+   (``batched``-path) policy: stacked into one ``(r, m, n)`` array
    and factored by :class:`~repro.serving.batch.ServingPlan` in a single
    batched compact-WY pass.  Per-request results are bit-identical to
    uncoalesced ``QRDispatcher.qr`` (see :mod:`repro.serving.batch`), so
@@ -275,7 +275,7 @@ class QRServer:
     def _stack_eligible(
         self, m: int, n: int, dtstr: str, policy, pol, count: int
     ) -> bool:
-        if count < 2 or not pol.coalesce or not pol.spec.coalescable:
+        if count < 2 or not pol.spec.coalescable:
             return False
         if pol.nonfinite != "raise":
             # "propagate" semantics are per-matrix; keep NaN traffic out

@@ -7,25 +7,17 @@ streaming engine's panel width (:func:`chunk_policy`: a reusable
 ``batched`` plan for full-height chunks, a schedule built for the
 chunk's height for a ragged one, bit for bit the same arithmetic), and
 the chunk's ``min(h, n) x n`` triangle folds into the running
-``<= n x n`` carry through exactly the elimination the TSQR tree nodes
-use:
-
-* once the carry is a full ``n x n`` triangle (the steady state), the
-  fold is :func:`repro.core.structured.structured_stack_qr` — the
-  sparsity-exploiting stacked-triangle elimination at ~1/3 the dense
-  flops;
-* while the carry is still shorter than ``n`` (start-up on very short
-  chunks), the fold is the dense ``geqr2`` merge, byte-for-byte the
-  arithmetic of one :func:`repro.distributed.sharded._reduce` node.
+``<= n x n`` carry as one TSQR tree merge
+(:func:`repro.core.tsqr.merge_rs`, the node the sharded fan-in rounds
+run too): the chain is a maximally unbalanced tree.
 
 Resident state between chunks is the carry triangle alone, so memory is
 bounded by ``chunk_rows x n`` regardless of how many rows stream past —
 the property the soak gate (``tools/check_bench.py --check-streaming``)
 pins.  With ``retain_q=True`` every chunk's implicit-Q factors and every
-merge's reflectors are kept, and :meth:`StreamingCAQRFactors.form_q`
-reconstructs the explicit thin Q by the same top-down coefficient walk
-:meth:`repro.distributed.sharded.ShardedCAQRFactors.form_q` does over
-its tree — the chain here is just a maximally unbalanced tree.
+fold's tree entry are kept, and :class:`StreamingCAQRFactors` applies Q
+and Q^T in place on ``m`` rows and forms Q
+(:class:`~repro.core.caqr.MergedCAQRFactors`).
 """
 
 from __future__ import annotations
@@ -34,9 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.dtypes import q_buffer
-from repro.core.householder import geqr2, orm2r
-from repro.core.structured import StructuredStackFactor, structured_stack_qr
+from repro.core.caqr import MergedCAQRFactors
+from repro.core.tsqr import merge_rs
 from repro.obs import tracer as _obs
 from repro.runtime.policy import STREAMING, ExecutionPolicy
 from repro.verify.guards import validate_stream_chunk
@@ -108,128 +99,31 @@ def _chunk_factor(chunk: np.ndarray, inner: ExecutionPolicy):
     return run_lookahead_schedule(build_lookahead_schedule(h, n, inner), chunk)
 
 
-# -- merge nodes (the chain's "tree") -------------------------------------
-
-
-@dataclass
-class _DenseMergeNode:
-    """One dense ``geqr2`` fold — the sharded ``_reduce`` arithmetic."""
-
-    heights: tuple[int, int]  # (carry rows, chunk-R rows)
-    VR: np.ndarray
-    tau: np.ndarray
-
-    def apply_q_stack(self, stacked: np.ndarray) -> np.ndarray:
-        orm2r(self.VR, self.tau, stacked, transpose=False)
-        return stacked
-
-
-@dataclass
-class _StructuredMergeNode:
-    """One sparsity-aware fold — the tree-node stacked-triangle QR."""
-
-    heights: tuple[int, int]
-    factor: StructuredStackFactor
-
-    def apply_q_stack(self, stacked: np.ndarray) -> np.ndarray:
-        return self.factor.apply_q(stacked)
-
-
-def _merge_triangles(r_run: np.ndarray, r_chunk: np.ndarray):
-    """Fold a chunk's triangle into the carry; returns ``(node, new_R)``.
-
-    Structured elimination requires the first stacked block to carry the
-    pivot rows, so it runs exactly when the carry is already full height
-    (``>= n`` rows — the steady state); the start-up folds use the dense
-    merge.  Either way ``new_R`` is the ``min(total, n) x n`` triangle
-    of the stacked pair — a valid R of the rows seen so far.
-    """
-    r_b, n = r_run.shape
-    kc = r_chunk.shape[0]
-    if r_b >= min(n, r_b + kc):
-        f = structured_stack_qr([r_run, r_chunk])
-        return _StructuredMergeNode(heights=(r_b, kc), factor=f), f.R
-    stacked = np.vstack([r_run, r_chunk])
-    VR, tau = geqr2(stacked)
-    kd = min(stacked.shape[0], n)
-    node = _DenseMergeNode(heights=(r_b, kc), VR=VR, tau=tau)
-    return node, np.triu(VR[:kd, :])
-
-
 # -- the retained factorization -------------------------------------------
 
 
 @dataclass
-class _ChunkQR:
-    """One chunk's position and (optionally retained) local factors."""
+class StreamingCAQRFactors(MergedCAQRFactors):
+    """Implicit Q and explicit R of a streamed CAQR factorization: the
+    chunks' local CAQR factors (``blocks``) and one merge level per fold
+    (``levels``).
 
-    index: int
-    row_start: int
-    height: int
-    kc: int  # rows its local R contributed to the fold
-    factors: object | None  # CAQRFactors when retained
-
-
-@dataclass
-class StreamingCAQRFactors:
-    """Implicit Q and explicit R of a streamed CAQR factorization.
-
-    Shares ``R`` and ``form_q`` with
-    :class:`~repro.core.caqr.CAQRFactors` but has no ``apply_qt`` /
-    ``apply_q``.  ``form_q`` needs the retained per-chunk factors
-    (``retain_q=True`` — the default for the in-memory
-    ``caqr(path="streaming")`` entry); a soak run retains nothing and
-    holds only the carry triangle.
+    Applying Q needs them retained (``retain_q=True`` — the default for
+    the in-memory ``caqr(path="streaming")`` entry); a soak run retains
+    nothing and holds only the carry triangle, and its ``apply_qt``,
+    ``apply_q`` and ``form_q`` raise ``RuntimeError``.
     """
 
-    m: int
-    n: int
     chunk_rows: int
-    R: np.ndarray  # min(m, n) x n upper trapezoidal
-    chunks: list[_ChunkQR]
-    merges: list  # merge node per chunk (index 0 is None)
     retained: bool
 
-    def form_q(self, out: np.ndarray | None = None) -> np.ndarray:
-        """Form the explicit thin ``m x min(m, n)`` orthonormal Q.
-
-        Walks the merge chain top-down — the exact coefficient walk of
-        :meth:`~repro.distributed.sharded.ShardedCAQRFactors.form_q`,
-        specialized to a chain: the carry block's coefficients propagate
-        backwards through each fold, peeling off every chunk's
-        coefficient block, which the chunk's local implicit Q then lifts
-        to its row slice.  ``out`` (C-contiguous, Q's shape and dtype)
-        receives Q with the same bits and is returned.
-        """
-        k = min(self.m, self.n)
-        dtype = self.R.dtype
-        if k and not self.retained:
+    def _apply(self, B: np.ndarray, transpose: bool) -> np.ndarray:
+        if min(self.m, self.n) and not self.retained:
             raise RuntimeError(
-                "form_q needs the retained per-chunk factors; this "
+                "applying Q needs the retained per-chunk factors; this "
                 "factorization ran with retain_q=False (R-only soak mode)"
             )
-        Q = q_buffer(out, self.m, k, dtype, zeros=True)
-        if k == 0:
-            return Q
-        carry = np.eye(k, dtype=dtype)
-        for i in range(len(self.chunks) - 1, 0, -1):
-            node = self.merges[i]
-            r_b, kc = node.heights
-            stacked = np.zeros((r_b + kc, k), dtype=dtype)
-            stacked[: carry.shape[0]] = carry
-            node.apply_q_stack(stacked)
-            carry = stacked[:r_b]
-            c = self.chunks[i]
-            block = np.zeros((c.height, k), dtype=dtype)
-            block[:kc] = stacked[r_b:]
-            c.factors.apply_q(block)
-            Q[c.row_start : c.row_start + c.height] = block
-        c0 = self.chunks[0]
-        block = np.zeros((c0.height, k), dtype=dtype)
-        block[: c0.kc] = carry[: c0.kc]
-        c0.factors.apply_q(block)
-        Q[c0.row_start : c0.row_start + c0.height] = block
-        return Q
+        return super()._apply(B, transpose)
 
 
 # -- the streaming engine -------------------------------------------------
@@ -254,9 +148,9 @@ class StreamingQR:
             the reusable per-chunk plan; pushed chunks of exactly that
             height go through the plan, others (e.g. the ragged tail)
             are factored directly.
-        retain_q: keep every chunk's implicit-Q factors and merge
-            reflectors so :meth:`factors` can ``form_q`` — memory then
-            grows with the stream.  ``False`` (soak mode) keeps only
+        retain_q: keep every chunk's implicit-Q factors and every
+            fold's tree entry so the :meth:`factors` apply Q — memory
+            then grows with the stream.  ``False`` (soak mode) keeps only
             the carry triangle: memory is bounded by one chunk.
     """
 
@@ -278,12 +172,11 @@ class StreamingQR:
         self._dtype: np.dtype | None = None
         self._R: np.ndarray | None = None
         self._rows = 0
-        self._chunks: list[_ChunkQR] = []
-        self._merges: list = []
+        self._chunks = 0
+        self._blocks: list = []  # (row_start, CAQRFactors) per chunk, when retained
+        self._levels: list = []  # one merge level per fold, when retained
         self._chunk_plan = None  # reusable plan for full-height chunks
         self._retained_bytes = 0
-        self.structured_merges = 0
-        self.dense_merges = 0
         self.peak_tracked_bytes = 0
         self._inner: ExecutionPolicy | None = None  # chunk_policy, on the first chunk
 
@@ -299,7 +192,7 @@ class StreamingQR:
 
     @property
     def n_chunks(self) -> int:
-        return len(self._chunks)
+        return self._chunks
 
     @property
     def R(self) -> np.ndarray:
@@ -338,7 +231,7 @@ class StreamingQR:
         if h == 0 or self._n == 0:
             self._rows += h
             return self
-        idx = len(self._chunks)
+        idx = self._chunks
         itemsize = self._dtype.itemsize
         resident_before = self.resident_tracked_bytes
         with _obs.span("stream.push", cat="stream", chunk=idx, rows=h):
@@ -348,28 +241,20 @@ class StreamingQR:
             kc = int(rc.shape[0])
             r_b = 0 if self._R is None else int(self._R.shape[0])
             if self._R is None:
-                node = None
                 self._R = rc
             else:
+                # The carry lies in rows [0, r_b), the chunk's R in the
+                # top rows of its own row range.
                 with _obs.span(
                     "stream.merge", cat="stream", chunk=idx, carry=r_b, rows=kc
                 ):
-                    node, self._R = _merge_triangles(self._R, rc)
-                if isinstance(node, _StructuredMergeNode):
-                    self.structured_merges += 1
-                else:
-                    self.dense_merges += 1
+                    self._R, entry = merge_rs([self._R, rc], [0, self._rows])
+                if self.retain_q:
+                    self._levels.append([entry])
+            if self.retain_q:
+                self._blocks.append((self._rows, f))
             self._rows += h
-            self._chunks.append(
-                _ChunkQR(
-                    index=idx,
-                    row_start=self._rows - h,
-                    height=h,
-                    kc=kc,
-                    factors=f if self.retain_q else None,
-                )
-            )
-            self._merges.append(node if self.retain_q else None)
+            self._chunks += 1
             _obs.counters(stream_rows=h, stream_chunks=1)
         # Deterministic peak accounting: carry + transients of this push
         # (the chunk, its working copy + factors, the merge stack).  A
@@ -408,10 +293,10 @@ class StreamingQR:
         return StreamingCAQRFactors(
             m=self._rows,
             n=n,
-            chunk_rows=self.policy.chunk_rows,
             R=R,
-            chunks=self._chunks,
-            merges=self._merges,
+            blocks=list(self._blocks),  # a snapshot: later pushes do not reach it
+            levels=list(self._levels),
+            chunk_rows=self.policy.chunk_rows,
             retained=self.retain_q,
         )
 

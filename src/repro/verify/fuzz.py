@@ -51,6 +51,10 @@ reflectors, while the factors ``caqr`` returns keep theirs.  On every
 path of the look-ahead engine those factors also go through an
 in-memory :mod:`repro.io` archive: the loaded R, ``form_q()`` and
 ``apply_qt`` of a seeded block must equal the originals' bit for bit.
+Every path whose factors apply Q in place on ``m`` rows (the look-ahead,
+sharded and streaming engines) is also checked against itself: within
+:func:`~repro.verify.invariants.qr_tolerance`, ``apply_q(apply_qt(B))``
+must give back a seeded ``B`` and ``apply_qt(A)[:k]`` must give R.
 
 Any divergence is reported with a minimal standalone repro snippet.
 """
@@ -71,7 +75,7 @@ from repro.core.validation import sign_canonical
 from repro.io import load_caqr, save_caqr
 from repro.runtime.cholqr import count_fallbacks
 from repro.runtime.plan import plan_qr
-from repro.runtime.policy import CHOLQR, LOOKAHEAD, ExecutionPolicy, PathSpec
+from repro.runtime.policy import CHOLQR, LOOKAHEAD, SHARDED, STREAMING, ExecutionPolicy, PathSpec
 from repro.runtime.policy import PATHS as ENGINE_TABLE
 from repro.serving import ServingPlan, stacked_qr
 
@@ -94,9 +98,9 @@ __all__ = [
 # 3 ranks (uneven deals on most shapes) over the default binomial fan-in;
 # the effective rank count clamps to the row count, so degenerate grid
 # shapes run too.  Streaming: an 11-row chunk leaves a ragged tail on
-# most grid shapes and forces chunks narrower than the panel width,
-# exercising both merge regimes (dense start-up + structured steady
-# state) against the in-core paths.
+# most grid shapes and forces chunks narrower than the panel width, so
+# the folds run with a short carry and with a full one against the
+# in-core paths.
 _REQUIRED_VALUES = {"shards": 3, "chunk_rows": 11}
 
 # ExecutionPolicy field overrides per fuzz identity, keyed by the name
@@ -232,6 +236,7 @@ class Divergence:
     # | "execute" (plan.execute(A), with or without out=, differs from
     #   caqr(A, policy).form_q() and .R)
     # | "archive" (the factors' save_caqr/load_caqr round trip lost bits)
+    # | "apply" (apply_q(apply_qt(B)) != B, or apply_qt(A)[:k] != R)
     check: str
     detail: str
 
@@ -346,6 +351,32 @@ def _archive_divergence(case: FuzzCase, name: str, f, Q: np.ndarray) -> list[Div
     return [] if same else [Divergence(case, name, "archive", "loaded R, Q or Q^T B differ")]
 
 
+# The engines whose factors apply Q and Q^T in place on m rows.
+_IN_PLACE = (LOOKAHEAD, SHARDED, STREAMING)
+
+
+def _apply_divergence(case: FuzzCase, name: str, A: np.ndarray, f, scale: float) -> list[Divergence]:
+    """``f`` against itself, within ``qr_tolerance``: ``apply_q(apply_qt(B))``
+    of a seeded block is B, and ``apply_qt(A)[:k]`` is R (over ``||A||``)."""
+    m, k = case.m, min(case.m, case.n)
+    dt = f.R.dtype
+    B = np.random.default_rng(case.seed + 3).standard_normal((m, 3)).astype(dt)
+    try:
+        back = f.apply_q(f.apply_qt(B.copy()))
+        QtA = f.apply_qt(np.array(A, dtype=dt))
+    except Exception as exc:
+        return [Divergence(case, name, "apply", f"{type(exc).__name__}: {exc}")]
+    db = float(np.abs(back.astype(np.float64) - B).max()) if B.size else 0.0
+    dr = float(np.abs(QtA[:k].astype(np.float64) - f.R).max()) / scale if f.R.size else 0.0
+    tol = qr_tolerance(m, case.n, dt)
+    if db <= tol and dr <= tol:
+        return []
+    return [Divergence(
+        case, name, "apply",
+        f"max|Q Q^T B - B|={db:.3e} max|(Q^T A)[:k] - R|/||A||={dr:.3e} > tol {tol:.3e}",
+    )]
+
+
 def run_case(case: FuzzCase, paths: list[str] | None = None) -> list[Divergence]:
     """Run every requested path on one case; return all divergences."""
     names = list(PATHS) if paths is None else list(paths)
@@ -421,6 +452,8 @@ def run_case(case: FuzzCase, paths: list[str] | None = None) -> list[Divergence]
         divs.extend(_execute_divergence(case, name, A, Q, R))
         if _spec(name).engine is LOOKAHEAD:
             divs.extend(_archive_divergence(case, name, f, Q))
+        if _spec(name).engine in _IN_PLACE:
+            divs.extend(_apply_divergence(case, name, A, f, scale))
         results[name] = (Q, R)
         if well_conditioned:
             vs_numpy(name, Q, R)

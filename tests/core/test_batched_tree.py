@@ -76,8 +76,10 @@ class TestFactorParity:
 
     @pytest.mark.parametrize("m,n,br,shape,structured", SHAPES)
     def test_tree_factors_match_per_node(self, rng, m, n, br, shape, structured):
-        """Every tree node's ``(V, T)``, or structured factor, matches the
-        reference group by group; the schedule places the plan's entries."""
+        """Every tree node's ``(V, T)`` matches the reference group by
+        group, whichever kernel merged it (a structured node's V is its
+        sparse reflectors written out dense); the schedule places the
+        plan's entries."""
         _, fb, fr = _pair(rng, m, n, br, shape, structured)
         assert fb.tree.levels == fr.tree.levels
         sched = panel_schedule(m, n, level0_rows(br, n), shape)
@@ -85,19 +87,19 @@ class TestFactorParity:
         for batches, entries, level in zip(sched.levels, fb.plan.levels, fr.tree_factors):
             groups = [(b, p) for b in batches for p in b.positions]
             assert sorted(p for _, p in groups) == list(range(len(level)))
-            if structured:  # one entry per group, in batch order
-                assert len(entries) == len(groups)
-                for (b, p), (kind, sf, _) in zip(groups, entries):
-                    assert kind == "structured" and level[p].structured is not None
-                    assert b.heights == level[p].heights == sf.heights
-                    np.testing.assert_allclose(sf.R, level[p].structured.R, atol=ATOL)
-                continue
             assert len(entries) == len(batches)  # one stacked entry per batch
-            for b, (kind, _, V, T) in zip(batches, entries):
-                assert kind == "wy"
+            for b, (idx, V, T) in zip(batches, entries):
+                assert idx is b.idx
                 for gi, p in enumerate(b.positions):
                     assert b.heights == level[p].heights
-                    _assert_wy_matches(V[gi], T[gi], level[p].packed, level[p].tau)
+                    if structured:
+                        V_ref, tau = level[p].structured.dense_reflectors()
+                        np.testing.assert_allclose(V[gi], V_ref, atol=ATOL)
+                        np.testing.assert_allclose(
+                            T[gi], larft(V_ref[None], tau[None])[0], atol=ATOL
+                        )
+                    else:
+                        _assert_wy_matches(V[gi], T[gi], level[p].packed, level[p].tau)
 
     @pytest.mark.parametrize("m,n,br,shape,structured", SHAPES)
     def test_r_matches(self, rng, m, n, br, shape, structured):

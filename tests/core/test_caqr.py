@@ -184,8 +184,8 @@ FACTOR_SURFACE = {
     "cholqr2": ("CholQRFactors", "k"),
     "cholqr2_mixed": ("CholQRFactors", "k"),
     "auto": ("CholQRFactors", "k"),
-    "sharded": ("ShardedCAQRFactors", None),
-    "streaming": ("StreamingCAQRFactors", None),
+    "sharded": ("ShardedCAQRFactors", "m"),
+    "streaming": ("StreamingCAQRFactors", "m"),
 }
 
 

@@ -5,11 +5,23 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.lstsq import lstsq_caqr, lstsq_tsqr, residual_norm
+from repro.core.caqr import caqr
+from repro.core.lstsq import _solve_from_factors, lstsq_caqr, lstsq_tsqr, residual_norm
+from repro.runtime import ExecutionPolicy
+
+
+def lstsq_sharded(A, b):
+    """Through ``ShardedCAQRFactors``: Q^T applied in place on m rows."""
+    return _solve_from_factors(caqr(A, policy=ExecutionPolicy(path="sharded", shards=3)), b)
+
+
+def lstsq_streaming(A, b):
+    """Through ``StreamingCAQRFactors``, 64-row chunks and a ragged tail."""
+    return _solve_from_factors(caqr(A, policy=ExecutionPolicy(path="streaming", chunk_rows=64)), b)
 
 
 class TestLstsq:
-    @pytest.mark.parametrize("solver", [lstsq_tsqr, lstsq_caqr])
+    @pytest.mark.parametrize("solver", [lstsq_tsqr, lstsq_caqr, lstsq_sharded, lstsq_streaming])
     def test_matches_numpy(self, rng, solver):
         A = rng.standard_normal((500, 15))
         b = rng.standard_normal(500)

@@ -470,7 +470,7 @@ class TestPackedStorage:
             plan,
             l0_V=None if plan.l0_V is None else copy(plan.l0_V),
             l0_tail=[(s, h, copy(V), T) for s, h, V, T in plan.l0_tail],
-            levels=[[(e[0], e[1], copy(e[2]), e[3]) for e in lvl] for lvl in plan.levels],
+            levels=[[(idx, copy(V), T) for idx, V, T in lvl] for lvl in plan.levels],
         )
         tol = self.TOL[dtype]
         k = min(m, n)

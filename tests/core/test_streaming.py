@@ -54,24 +54,24 @@ class TestStreamingR:
 
     def test_incremental_prefix_property(self, rng):
         """After every push, R is the R of every row seen so far — the
-        promise that ``sq.R`` can be read between pushes — through both
-        kinds of fold."""
-        # Dense start-up folds: 3-row blocks against n = 8 keep the carry
-        # short for two folds; from the third on the folds are structured.
+        promise that ``sq.R`` can be read between pushes — with a short
+        carry and with a full one."""
+        # Start-up folds: 3-row blocks against n = 8 keep the carry short
+        # for two folds; from the third on it is a full triangle.
         A = rng.standard_normal((30, 8))
         sq = StreamingQR(n_cols=8, policy=spolicy())
         for i in range(0, 30, 3):
             sq.push(A[i : i + 3])
             assert_r_of(sq.R, A[: i + 3])
-        assert (sq.dense_merges, sq.structured_merges) == (2, 7)
-        # Steady-state structured folds: every block is taller than n
-        # (and chunk_rows tall, so the cached chunk plan factors it).
+        assert sq.n_chunks == 10
+        # Steady-state folds: every block is taller than n (and
+        # chunk_rows tall, so the cached chunk plan factors it).
         A = rng.standard_normal((120, 6))
         sq = StreamingQR(n_cols=6, policy=spolicy(30))
         for i in range(0, 120, 30):
             sq.push(A[i : i + 30])
             assert_r_of(sq.R, A[: i + 30])
-        assert (sq.dense_merges, sq.structured_merges) == (0, 3)
+        assert sq.n_chunks == 4
 
     def test_single_row_blocks(self, rng):
         A = rng.standard_normal((25, 4))
@@ -135,6 +135,8 @@ class TestStreamingApply:
         Q = f.form_q()
         assert np.allclose(Q.T @ A, f.R, atol=1e-10)
         assert np.allclose(Q.T @ Q, np.eye(8), atol=1e-12)
+        sq.push(rng.standard_normal((5, 8)))  # f is a snapshot: later pushes do not reach it
+        assert np.array_equal(f.form_q(), Q)
 
 
 @settings(max_examples=25, deadline=None)
@@ -155,7 +157,7 @@ class TestStreamingDtype:
         sq.push(rng.standard_normal((6, 4)).astype(np.float32))
         sq.push(rng.standard_normal((6, 4)).astype(np.float32))
         assert sq.R.dtype == np.float32
-        assert all(c.factors.R.dtype == np.float32 for c in sq.factors().chunks)
+        assert all(f.R.dtype == np.float32 for _, f in sq.factors().blocks)
 
     def test_promotion_mid_stream(self, rng):
         """A float64 block after float32 pushes is refused, not promoted:

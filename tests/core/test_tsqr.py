@@ -478,6 +478,29 @@ class TestReflectorStorage:
         assert held <= 1.09 * mn, f"kept {held / mn:.3f} x A.nbytes"
         assert f.R.shape == (self.N, self.N)
 
+    def test_other_dtype_apply_keeps_no_cast_plan(self, bounds):
+        """A ``B`` of another dtype is applied through a cast copy of the
+        plan made for that call: the factors keep none of it (a float32
+        copy of every V and T stayed with them, 0.550 x A.nbytes).  The
+        apply runs on its own thread, whose ``apply_wy`` scratch goes
+        with it."""
+        import threading
+        import tracemalloc
+
+        A, mn, _ = bounds
+        f = tsqr(A)
+        B = np.ones((self.M, 1), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            worker = threading.Thread(target=f.apply_qt, args=(B,))
+            worker.start()
+            worker.join()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 0.01 * mn, f"held {held / mn:.3f} x A.nbytes"
+        assert np.allclose(B[: self.N, 0], f.apply_qt(np.ones(self.M))[: self.N], atol=1e-3)
+
     def test_forming_q_over_leaves_no_v_in_the_scratch(self):
         """Forming Q over the reflectors copies each block's V into a
         buffer freed on return: the thread's shared ``apply_wy`` scratch

@@ -115,8 +115,11 @@ class TestTSQRRoundtrip:
         save_tsqr(path, f)
         g = load_tsqr(path)
         assert np.allclose(g.form_q() @ g.R, A, atol=1e-11)
-        # The structured reflectors really survived (not silently dense).
-        assert any(e[0] == "structured" for lvl in g.plan.levels for e in lvl)
+        # The structured merges' reflectors survived as they were.
+        pairs = [(e, d) for la, lb in zip(f.plan.levels, g.plan.levels) for e, d in zip(la, lb)]
+        assert pairs and len(pairs) == sum(map(len, f.plan.levels))
+        for (_, V, T), (_, W, U) in pairs:
+            assert np.array_equal(V, W) and np.array_equal(T, U)
 
     def test_single_block(self, rng, tmp_path):
         A = rng.standard_normal((20, 6))

@@ -174,13 +174,14 @@ REMOVED_KEYWORDS = {
     "randomized_svd": ("batched", "workers", "nonfinite"),
     "QRDispatcher": ("batched", "lookahead", "workers", "nonfinite"),
     "AdaptiveSVT": ("batched", "workers", "nonfinite"),
-    # The look-ahead driver's thread count and its barrier switch.
-    "ExecutionPolicy": ("workers", "lookahead_edge"),
+    # The look-ahead driver's thread count and its barrier switch, and
+    # the serving opt-out (path="lookahead" is the non-coalescable name).
+    "ExecutionPolicy": ("workers", "lookahead_edge", "coalesce"),
 }
 LEGACY_VALUES = {
     "panel_width": 4, "block_rows": 8, "tree_shape": "binary", "structured": True,
     "batched": False, "lookahead": True, "workers": 2, "nonfinite": "propagate",
-    "lookahead_edge": False,
+    "lookahead_edge": False, "coalesce": False,
 }
 
 
@@ -289,7 +290,7 @@ def test_look_ahead_threads_are_gone():
     assert not hasattr(LookaheadSchedule, "compiled_order")
     assert "workers" not in CAQRFactors.__dataclass_fields__
     assert not hasattr(ExecutionPolicy, "effective_workers")
-    assert len(ExecutionPolicy.__dataclass_fields__) == 14
+    assert len(ExecutionPolicy.__dataclass_fields__) == 13
 
 
 def test_serial_engine_is_gone():
@@ -317,7 +318,7 @@ def test_serial_engine_is_gone():
     for name in ("seed", "seed_structured"):
         with pytest.raises(ValueError, match="unknown execution path"):
             ExecutionPolicy(path=name)
-    assert len(ExecutionPolicy.__dataclass_fields__) == 14
+    assert len(ExecutionPolicy.__dataclass_fields__) == 13
 
 
 def test_per_node_view_is_gone():
@@ -343,6 +344,106 @@ def test_per_node_view_is_gone():
         assert not hasattr(repro.smallblas.wy, name), name
     out = factor_panel(panel_schedule(130, 4, 64, "quad"), np.ones((1, 130, 4)))
     assert len(out) == 2
+
+
+def test_second_merge_forms_are_gone():
+    # One tree-merge representation: TSQR's compact-WY entry.  The
+    # structured entry kind, the sharded and streaming merge nodes, their
+    # Q walks and the streaming merge counters are deleted, and the
+    # archive format moved to 3.
+    import numpy as np
+
+    import repro.distributed.sharded
+    import repro.io
+    import repro.streaming.qr
+    from repro.core.caqr import MergedCAQRFactors
+    from repro.core.tsqr import tsqr
+    from repro.runtime import ExecutionPolicy
+    from repro.distributed.sharded import ShardedCAQRFactors
+    from repro.streaming import StreamingQR
+    from repro.streaming.qr import StreamingCAQRFactors
+
+    assert not hasattr(repro.distributed.sharded, "_ShardTreeNode")
+    for name in ("_DenseMergeNode", "_StructuredMergeNode", "_merge_triangles", "_ChunkQR"):
+        assert not hasattr(repro.streaming.qr, name), name
+    for name in ("_put_structured", "_get_structured"):
+        assert not hasattr(repro.io, name), name
+    assert repro.io._FORMAT_VERSION == 3
+    sq = StreamingQR(n_cols=4)
+    assert not hasattr(sq, "structured_merges") and not hasattr(sq, "dense_merges")
+    for cls in (ShardedCAQRFactors, StreamingCAQRFactors):
+        assert issubclass(cls, MergedCAQRFactors)
+        assert cls.form_q is MergedCAQRFactors.form_q
+        assert cls.apply_qt is MergedCAQRFactors.apply_qt
+    for name in ("geqr2", "orm2r", "structured_stack_qr"):
+        assert not hasattr(repro.distributed.sharded, name), name
+        assert not hasattr(repro.streaming.qr, name), name
+    # A structured tree keeps the dense trees' entries: (idx, V, T).
+    A = np.random.default_rng(0).standard_normal((300, 8))
+    plan = tsqr(A, policy=ExecutionPolicy(path="structured", block_rows=32)).plan
+    entries = [e for level in plan.levels for e in level]
+    assert entries and all(
+        len(e) == 3 and all(isinstance(a, np.ndarray) for a in e) for e in entries
+    )
+
+
+class TestMergeKernelRule:
+    """The merge-kernel fence: the from-scratch ``geqr2`` / ``orm2r`` and
+    ``structured_stack_qr`` are imported in ``repro.core`` and
+    ``repro.kernels`` only; a merge elsewhere in the library is
+    ``merge_rs``."""
+
+    def _lint(self):
+        sys.path.insert(0, str(LINT.parent))
+        try:
+            import lint_layering
+        finally:
+            sys.path.pop(0)
+        return lint_layering
+
+    def test_scanner_flags_the_kernels(self, tmp_path):
+        f = tmp_path / "mod.py"
+        f.write_text(
+            "from repro.core.householder import geqr2, house, orm2r\n"
+            "from repro.core.structured import structured_stack_qr\n"
+            "from repro.core.tsqr import merge_rs\n"
+            "from repro.smallblas.wy import geqr2_blocked\n"
+        )
+        assert self._lint().scan_file(f) == [
+            (1, "geqr2", "merge kernel"),
+            (1, "orm2r", "merge kernel"),
+            (2, "structured_stack_qr", "merge kernel"),
+        ]
+
+    def test_injected_merge_kernels_are_caught(self, tmp_path, monkeypatch, capsys):
+        lint_layering = self._lint()
+        files = {
+            "src/repro/distributed/sharded.py": "from repro.core.householder import geqr2, orm2r\n",
+            "src/repro/streaming/qr.py": (
+                "import numpy as np\n"
+                "from repro.core.structured import structured_stack_qr\n"
+                "import repro.core.householder as hh\n"
+                "VR, tau = hh.geqr2(S)\n"
+            ),
+            "src/repro/core/tsqr.py": "from .structured import structured_stack_qr\n",
+            "src/repro/kernels/factor.py": "from repro.core.householder import geqr2\n",
+            "benchmarks/bench_kernel.py": "from repro.core.householder import geqr2, orm2r\n",
+        }
+        for rel, text in files.items():
+            path = tmp_path / rel
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+        monkeypatch.setattr(lint_layering, "REPO", tmp_path)
+        assert lint_layering.main() == 1
+        out = capsys.readouterr().out
+        assert "src/repro/distributed/sharded.py:1: geqr2" in out
+        assert "src/repro/distributed/sharded.py:1: orm2r" in out
+        assert "src/repro/streaming/qr.py:2: structured_stack_qr" in out
+        assert "src/repro/streaming/qr.py:4: geqr2" in out
+        assert "merge stacked Rs with repro.core.tsqr.merge_rs" in out
+        assert "core/tsqr.py" not in out and "kernels/factor.py" not in out
+        assert "bench_kernel.py" not in out
+        assert "4 violation(s)" in out
 
 
 class TestThreadRuleEndToEnd:

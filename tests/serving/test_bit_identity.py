@@ -159,10 +159,12 @@ def test_cholqr2_policy_stops_at_shared_plan(gated_server):
 
 
 def test_coalesce_false_opts_out_without_changing_results(gated_server):
-    """``coalesce=False`` is a routing knob, never a numerics one."""
-    policy = ExecutionPolicy(path="batched", coalesce=False)
+    """A tenant opts out of stacking with ``path="lookahead"``: the same
+    engine as ``batched``, not coalescable, so it routes per request and
+    gets the ``batched`` bits."""
+    policy = ExecutionPolicy(path="lookahead")
     mats = _mats(4)
-    plan = plan_qr(M, N, policy=policy)
+    plan = plan_qr(M, N, policy=ExecutionPolicy(path="batched"))
     expected = [plan.factor(A.copy()) for A in mats]
 
     gated_server.hold()

@@ -202,15 +202,22 @@ class TestBoundedMemory:
         assert kept.resident_tracked_bytes > A[:16].nbytes
 
     def test_merge_kinds_partition_the_chunks(self, rng):
-        # Full-height carry from chunk 1 on: all folds are structured.
-        tall = stream_qr(iter([rng.standard_normal((64, 8))]), policy=spolicy(16))
-        assert (tall.structured_merges, tall.dense_merges) == (3, 0)
+        """Every chunk after the first folds into the carry once, by one
+        kind of merge, whether the carry is still short or full height."""
+        from repro.obs import tracer as obs
+
+        def carries(A, chunk_rows):
+            with obs.capture() as session:
+                sq = stream_qr(iter([A]), policy=spolicy(chunk_rows))
+            folds = [s.args for s in session.trace.spans if s.name == "stream.merge"]
+            assert [f["chunk"] for f in folds] == list(range(1, sq.n_chunks))
+            return [f["carry"] for f in folds]
+
+        # Full-height carry from chunk 1 on.
+        assert carries(rng.standard_normal((64, 8)), 16) == [8, 8, 8]
         # 2-row chunks against n=8: the carry stays short for the first
-        # folds, so start-up merges are dense.
-        short = stream_qr(iter([rng.standard_normal((16, 8))]), policy=spolicy(2))
-        assert short.dense_merges == 3  # carries of 2, 4, 6 rows
-        assert short.structured_merges == 4
-        assert short.n_chunks == 8
+        # folds (2, 4, 6 rows), then holds the full triangle.
+        assert carries(rng.standard_normal((16, 8)), 2) == [2, 4, 6, 8, 8, 8, 8]
 
 
 class TestDegenerateStreams:

@@ -1,6 +1,6 @@
 #!/usr/bin/env python
-"""Layering lint: path names in the engine table, the tree walk in TSQR,
-threads in serving.
+"""Layering lint: path names in the engine table, the tree walk and the
+tree merge in TSQR, threads in serving.
 
 Every execution-path decision goes through the engine table,
 ``PATHS`` in :mod:`repro.runtime.policy`: each of the eight path names
@@ -61,6 +61,16 @@ QR kernel), as ``from ... import name`` or as a module attribute
 (``panel_schedule`` / ``factor_panel`` / ``apply_wy_plan``) is the one
 driver that walks the tree; a second copy of the walk would drift from
 it (the serving coalescer's copy once lost bit identity that way).
+
+The tree merge has one form, too: importing the from-scratch NumPy
+:func:`repro.core.householder.geqr2` / ``orm2r`` or
+:func:`repro.core.structured.structured_stack_qr` anywhere under
+``src/repro/`` outside ``repro.core`` and ``repro.kernels`` is a
+violation.  A merge of stacked Rs anywhere else (the sharded fan-in, the
+streaming fold) goes through :func:`repro.core.tsqr.merge_rs` and keeps
+TSQR's compact-WY entry; with a private ``geqr2`` merge each such
+factor grew its own Q walk and applied nothing.  The benchmarks, which
+time those kernels, are not in scope.  This rule is scoped by file too.
 
 The application's QR goes through a plan: importing ``tsqr`` or
 ``tsqr_qr`` from :mod:`repro.core.tsqr` (or through the ``repro.core`` /
@@ -140,8 +150,13 @@ STREAM_CONSTRUCTORS = {"StreamingQR", "ChunkBuffer"}
 # its slices) anywhere else is a second tree driver.
 TREE_WALK_NAMES = {"batch_level", "_factor_slices"}
 
+# The from-scratch merge kernels, fenced out of the library outside
+# repro.core and repro.kernels: a tree merge elsewhere is merge_rs.
+MERGE_KERNEL_NAMES = {"geqr2", "orm2r", "structured_stack_qr"}
+
 # Each fenced import name and the finding it is.
 FENCED_NAMES = {name: "tree walk" for name in TREE_WALK_NAMES}
+FENCED_NAMES.update({name: "merge kernel" for name in MERGE_KERNEL_NAMES})
 
 # TSQR's one-shot entry points, fenced out of the application: its QR
 # comes from a plan (plan_qr).  Matched in imports from repro.core.tsqr
@@ -178,6 +193,10 @@ APP_QR_SCOPE = ("src/repro/rpca/",)
 # Per-rule scope and exemption: the library, except the serving package.
 THREAD_SCOPE = "src/repro/"
 THREAD_EXEMPT = "src/repro/serving/"
+# Per-rule scope and exemption: the library, except the numerics that
+# own the merge kernels.
+MERGE_KERNEL_SCOPE = "src/repro/"
+MERGE_KERNEL_EXEMPT = ("src/repro/core/", "src/repro/kernels/")
 
 
 def _callee_name(call: ast.Call) -> str | None:
@@ -345,6 +364,16 @@ def main() -> int:
                         f"repro.core.tsqr (factor and apply panels through "
                         f"panel_schedule / factor_panel / apply_wy_plan)"
                     )
+                elif kwargs == "merge kernel":
+                    if not rel.startswith(MERGE_KERNEL_SCOPE) or rel.startswith(
+                        MERGE_KERNEL_EXEMPT
+                    ):
+                        continue  # the numerics and everything outside the library
+                    violations.append(
+                        f"{rel}:{lineno}: {name} — a from-scratch merge kernel "
+                        f"outside repro.core (merge stacked Rs with "
+                        f"repro.core.tsqr.merge_rs)"
+                    )
                 elif kwargs == "thread construction":
                     violations.append(
                         f"{rel}:{lineno}: {name}(...) — a thread started outside "
@@ -372,8 +401,9 @@ def main() -> int:
         return 1
     print(
         "layering lint: clean (path names read only in the engine table, "
-        "the tree walk only in repro.core.tsqr, the application's QR only "
-        "through plan_qr, threads only in repro.serving)"
+        "the tree walk only in repro.core.tsqr, merges only through its "
+        "merge_rs, the application's QR only through plan_qr, threads only "
+        "in repro.serving)"
     )
     return 0
 
