@@ -13,8 +13,14 @@ tall-skinny path: two BLAS3 passes (~4mn^2 flops, O(1) kernel launches)
 vs the reduction tree's ~100 launches.  :func:`cholqr2_factor` is that
 engine, promoted from background demo to a first-class execution path:
 
-* column equilibration in float64 (huge/tiny inputs factor without
-  overflow — the scale folds back into R);
+* column equilibration read off the Gram's diagonal: the Gram of A as
+  given yields the column scales ``s``, the n x n Gram is equilibrated
+  (``G / s s^T``) and ``diag(1/s)`` folds into the triangular factor the
+  ``trmm`` applies, so no m x n pass measures or divides the columns.
+  A diagonal that is non-finite or below ``m * tiny / eps`` in the
+  Gram's dtype (squares that overflowed or underflowed: huge/tiny
+  inputs, or a float32 cast that overflows) equilibrates A first, by
+  float64 column norms; either way ``s`` folds back into R;
 * Gram accumulation / triangular multiplies via :mod:`repro.smallblas`
   (single ``syrk``/``trmm`` calls when SciPy's BLAS is importable,
   blocked NumPy otherwise);
@@ -29,7 +35,12 @@ engine, promoted from background demo to a first-class execution path:
 * breakdown *signaling*: a failed Cholesky raises
   :class:`CholeskyBreakdownError` carrying the stage and condition
   estimate, so the runtime layer can fall back to the Householder tree
-  instead of surfacing a bare linear-algebra error.
+  instead of surfacing a bare linear-algebra error;
+* obs spans ``cholqr.sample``, ``cholqr.gram`` and ``cholqr.form_q``
+  (the second pass and the triangular multiplies), and the
+  ``cholqr_stream_bytes`` counter of every pass over an m x n operand:
+  5 x ``A.nbytes`` for an in-range float64 input on the fused branch
+  (copy, Gram, ``trmm``).
 
 The engine makes **no** accept/reject decisions itself: the ``check``
 callback (owned by :class:`repro.runtime.cholqr.CholQRGuard`) sees the
@@ -44,6 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.obs import tracer as _obs
 from repro.smallblas.gram import (
     gram,
     tri_inv_upper,
@@ -146,9 +158,12 @@ def _chol_r(G: np.ndarray, *, stage: str) -> np.ndarray:
 def _column_scales(A: np.ndarray) -> np.ndarray:
     """Float64 column norms with overflow/underflow protection.
 
-    The plain sum-of-squares accumulates in float64, which covers every
-    float32 input; float64 data near 1e150 squares past the float64
-    range, so those columns are re-measured under a max-abs pre-scale.
+    The engine's equilibrate-first route, for inputs whose Gram diagonal
+    is out of range; it counts its m x n passes.  The plain
+    sum-of-squares accumulates in float64, which covers every float32
+    input; float64 data near 1e160 squares past the float64 range (or
+    near 1e-170 to zero), so those columns are re-measured under a
+    max-abs pre-scale.
     Exactly zero columns get scale 1.0 (the Gram pivot then reports the
     rank deficiency as a breakdown instead of a 0/0).
     """
@@ -161,7 +176,64 @@ def _column_scales(A: np.ndarray) -> np.ndarray:
             s = c * np.sqrt(np.einsum("ij,ij->j", B, B, dtype=np.float64))
         s[s == 0.0] = 1.0
         s[~np.isfinite(s)] = 1.0
+        # max-abs pass (|A| written and read back), A / c, its squares
+        _obs.counters(cholqr_stream_bytes=6 * A.nbytes)
+    _obs.counters(cholqr_stream_bytes=A.nbytes)  # the sum of squares
     return s
+
+
+def _equilibrate(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(G / s s^T, s)`` in float64, ``s`` the square roots of ``G``'s
+    diagonal: the Gram of the column-equilibrated matrix, without
+    touching the matrix.  A zero column keeps scale 1.0, so its zero
+    pivot reports the rank deficiency as a breakdown."""
+    s = np.sqrt(np.diagonal(G).astype(np.float64))
+    s[s == 0.0] = 1.0
+    return G / np.outer(s, s), s
+
+
+def _gram_pass(W: np.ndarray, dtype, cast: np.ndarray | None = None) -> np.ndarray:
+    """``gram(W)`` accumulated in ``dtype``, its m x n streams counted.
+
+    The mixed path accumulates a float32 Gram of float64 ``W`` from
+    ``cast``, a float32 buffer of ``W``'s shape, refilled here.
+    """
+    if cast is not None:
+        with np.errstate(over="ignore"):  # an overflow shows as an inf diagonal
+            np.copyto(cast, W)
+        _obs.counters(cholqr_stream_bytes=W.nbytes + cast.nbytes)
+        W = cast
+    _obs.counters(cholqr_stream_bytes=W.nbytes)
+    return gram(W, dtype=dtype)
+
+
+def _scaled_gram(W: np.ndarray, dtype, cast: np.ndarray | None = None):
+    """Pass 1's equilibrated Gram and column scales: ``(G, s, prescaled)``.
+
+    ``W`` holds a copy of the input.  Its own Gram gives ``s`` and the
+    equilibrated Gram, and ``W`` is left as it is (``prescaled`` False:
+    the caller folds ``diag(1/s)`` into its triangular multiply).  A
+    diagonal that is non-finite, or below ``m * tiny / eps`` in the
+    Gram's dtype, holds squares that overflowed or underflowed; then
+    ``W`` is divided by its float64 column norms first and its Gram
+    taken again (``prescaled`` True).
+    """
+    G = _gram_pass(W, dtype, cast)
+    d = np.diagonal(G)
+    fi = np.finfo(G.dtype)
+    if np.isfinite(d).all() and d.min() >= W.shape[0] * float(fi.tiny) / float(fi.eps):
+        G, s = _equilibrate(G)
+        return G, s, False
+    s = _column_scales(W)
+    W /= s.astype(W.dtype, copy=False)[None, :]
+    _obs.counters(cholqr_stream_bytes=2 * W.nbytes)
+    return _gram_pass(W, dtype, cast), s, True
+
+
+def _trmm_pass(W: np.ndarray, X: np.ndarray) -> None:
+    """``W <- W X`` in place, its m x n streams counted."""
+    trmm_right_inplace(W, np.ascontiguousarray(X, dtype=W.dtype))
+    _obs.counters(cholqr_stream_bytes=2 * W.nbytes)
 
 
 def cholqr2_factor(
@@ -201,38 +273,38 @@ def cholqr2_factor(
     if check is not None and m >= 16 * n:
         # Row-sampled condition precheck: ~8n deterministically strided
         # rows cost ~1% of the full Gram, so a wildly ill-conditioned
-        # input is rejected before any O(mn) work, the column scales
-        # included: the sample is equilibrated by its own column norms.
-        # The Gram runs on the BLAS of the full Gram and the Householder
-        # fallback: a NumPy GEMM here would leave NumPy's pool spinning
-        # while they run.
-        step = m // (8 * n)
-        Ws = A[::step].astype(np.float64, copy=True)
-        Ws /= _column_scales(Ws)[None, :]
-        Gs = gram(Ws)
-        try:
-            ds = np.diagonal(_chol_r(Gs, stage="sample"))
-            sample = float(ds.max() / ds.min())
-        except CholeskyBreakdownError:
-            sample = float("inf")
+        # input is rejected before any O(mn) work.  The sample is
+        # scaled by its columns' max-abs, so its float64 Gram cannot
+        # overflow or underflow, and equilibrated through that Gram's
+        # diagonal.  The Gram runs on the BLAS of the full Gram and the
+        # Householder fallback: a NumPy GEMM here would leave NumPy's
+        # pool spinning while they run.
+        with _obs.span("cholqr.sample", cat="cholqr"):
+            step = m // (8 * n)
+            Ws = A[::step].astype(np.float64, copy=True)
+            c = np.abs(Ws).max(axis=0)
+            Ws /= np.where(c > 0.0, c, 1.0)[None, :]
+            Gs, _ = _equilibrate(gram(Ws))
+            try:
+                ds = np.diagonal(_chol_r(Gs, stage="sample"))
+                sample = float(ds.max() / ds.min())
+            except CholeskyBreakdownError:
+                sample = float("inf")
         check("condest_sample", sample)
 
-    # -- equilibrate: W = A diag(1/s), ||W[:, j]|| ~= 1 --------------------
-    s = _column_scales(A)
-    s_dt = s.astype(dtype, copy=False)
-    W = q_buffer(out, m, n, dtype)  # becomes Q in place
-    np.divide(A, s_dt[None, :], out=W)
-
-    # -- pass 1: G1 = W^T W, R1 = chol(G1) ---------------------------------
-    if mixed and dtype == np.float64:
-        cast = None
-        if workspace is not None:
-            cast = workspace.array("gram32", (m, n), np.float32)
-            np.copyto(cast, W)
-        G1 = gram(cast if cast is not None else W, dtype=np.float32)
-    else:
-        mixed = False  # float32 input: the Gram is already single precision
-        G1 = gram(W)
+    # -- pass 1: W = A (becomes Q in place), G1 = Gram of W diag(1/s) ----
+    mixed = mixed and dtype == np.float64  # float32 data: single-precision Gram already
+    cast = None
+    if mixed:  # the float32 Gram is accumulated from a cast buffer
+        cast = (workspace or CholQRWorkspace()).array("gram32", (m, n), np.float32)
+    W = q_buffer(out, m, n, dtype)
+    with _obs.span("cholqr.gram", cat="cholqr", mixed=mixed) as span:
+        np.copyto(W, A)
+        _obs.counters(cholqr_stream_bytes=A.nbytes + W.nbytes)
+        G1, s, prescaled = _scaled_gram(W, np.float32 if mixed else dtype, cast)
+        if isinstance(span, _obs.Span):  # a live span (tracing enabled)
+            span.args["prescaled"] = prescaled
+    del cast  # without a workspace, freed before the second pass
     try:
         R1 = _chol_r(G1, stage="gram")
     except CholeskyBreakdownError as exc:
@@ -244,38 +316,41 @@ def cholqr2_factor(
         check("condest", condest)
 
     X1 = tri_inv_upper(R1)  # float64 upper triangular
+    # W still holds A unless it was prescaled: A diag(1/s) R1^{-1} is
+    # one triangular multiply by diag(1/s) R1^{-1}.
+    unscale = 1.0 if prescaled else 1.0 / s[:, None]
 
     fused = not mixed and condest <= FUSED_COND_LIMIT
-    if fused:
-        # -- fused pass 2: all small n x n algebra, one big trmm -----------
-        # G2 = R1^{-T} (W^T W) R1^{-1} = Q1^T Q1 exactly, without the
-        # second syrk over m rows.
-        G1_64 = np.ascontiguousarray(G1, dtype=np.float64)
-        G2 = X1.T @ G1_64 @ X1
-        orth1 = float(np.linalg.norm(G2 - np.eye(n), "fro"))
-        if check is not None:
-            check("orth1", orth1)
-        try:
-            R2 = _chol_r(G2, stage="reorth")
-        except CholeskyBreakdownError as exc:
-            exc.condest = condest
-            raise
-        Xc = np.ascontiguousarray(X1 @ tri_inv_upper(R2), dtype=dtype)
-        trmm_right_inplace(W, Xc)  # W <- W (R1^{-1} R2^{-1}) = Q
-    else:
-        # -- true two-pass: reorthogonalize through a second full Gram -----
-        trmm_right_inplace(W, np.ascontiguousarray(X1, dtype=dtype))  # Q1
-        G2 = gram(W, dtype=dtype)  # float64 reorthogonalization for mixed
-        G2_64 = np.ascontiguousarray(G2, dtype=np.float64)
-        orth1 = float(np.linalg.norm(G2_64 - np.eye(n), "fro"))
-        if check is not None:
-            check("orth1", orth1)
-        try:
-            R2 = _chol_r(G2_64, stage="reorth")
-        except CholeskyBreakdownError as exc:
-            exc.condest = condest
-            raise
-        trmm_right_inplace(W, np.ascontiguousarray(tri_inv_upper(R2), dtype=dtype))
+    with _obs.span("cholqr.form_q", cat="cholqr", fused=fused):
+        if fused:
+            # -- fused pass 2: all small n x n algebra, one big trmm -------
+            # G2 = R1^{-T} G1 R1^{-1} = Q1^T Q1 exactly, without the
+            # second syrk over m rows.
+            G1_64 = np.ascontiguousarray(G1, dtype=np.float64)
+            G2 = X1.T @ G1_64 @ X1
+            orth1 = float(np.linalg.norm(G2 - np.eye(n), "fro"))
+            if check is not None:
+                check("orth1", orth1)
+            try:
+                R2 = _chol_r(G2, stage="reorth")
+            except CholeskyBreakdownError as exc:
+                exc.condest = condest
+                raise
+            _trmm_pass(W, unscale * (X1 @ tri_inv_upper(R2)))  # W <- Q
+        else:
+            # -- true two-pass: reorthogonalize through a second full Gram -
+            _trmm_pass(W, unscale * X1)  # Q1
+            G2 = _gram_pass(W, dtype)  # float64 reorthogonalization for mixed
+            G2_64 = np.ascontiguousarray(G2, dtype=np.float64)
+            orth1 = float(np.linalg.norm(G2_64 - np.eye(n), "fro"))
+            if check is not None:
+                check("orth1", orth1)
+            try:
+                R2 = _chol_r(G2_64, stage="reorth")
+            except CholeskyBreakdownError as exc:
+                exc.condest = condest
+                raise
+            _trmm_pass(W, tri_inv_upper(R2))
 
     # A = W diag(s) and W = Q R2 R1, so R = (R2 R1) diag(s).
     R = np.ascontiguousarray((R2 @ R1) * s[None, :], dtype=dtype)

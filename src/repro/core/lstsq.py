@@ -22,13 +22,18 @@ __all__ = ["lstsq_tsqr", "lstsq_caqr", "residual_norm"]
 
 
 def _solve_from_factors(factors, b: np.ndarray) -> np.ndarray:
-    m, n = factors.m, factors.n
+    """Solve with any factor class: ``m`` comes from ``b``, ``n`` from R.
+
+    The Householder factors apply Qᵀ in place and return the block; the
+    CholeskyQR2 factors return a new k-row block.  Either way the
+    returned block is the one read.
+    """
+    b = np.asarray(b, dtype=float)
+    m, n = b.shape[0], factors.R.shape[1]
     if m < n:
         raise ValueError("least squares solver requires m >= n")
-    b = np.asarray(b, dtype=float)
     squeeze = b.ndim == 1
-    B = b.reshape(m, -1).astype(float, copy=True)
-    factors.apply_qt(B)
+    B = factors.apply_qt(b.reshape(m, -1).astype(float, copy=True))
     X = solve_upper(factors.R[:n, :n], B[:n])
     return X.ravel() if squeeze else X
 

@@ -286,7 +286,7 @@ def run_cholqr(
     k = min(m, n)
     guard = CholQRGuard.for_policy(policy, A.dtype)
     mixed = policy.spec.mixed
-    left = A if n <= m else np.ascontiguousarray(A[:, :m])
+    left = A if n <= m else A[:, :m]  # the engine copies it into Q's buffer
     stage = None
     try:
         with _obs.span(

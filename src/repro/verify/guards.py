@@ -91,10 +91,15 @@ def validate_nonfinite_policy(nonfinite: str, where: str = "validate_matrix") ->
     return nonfinite
 
 
-# Bytes of input the non-finite scan reads per row chunk: its boolean
-# mask is an eighth of that (of float64) and stays in cache, where a
+# Bytes of input the non-finite scan reads per chunk: its boolean mask
+# is an eighth of that (of float64) and stays in cache, where a
 # whole-matrix mask would be 0.125 x A.nbytes.
 SCAN_CHUNK_BYTES = 256 * 1024
+
+
+def _row_chunks(A: np.ndarray) -> range:
+    """Row starts of the scan's chunks of ``SCAN_CHUNK_BYTES`` of ``A``."""
+    return range(0, A.shape[0], max(1, SCAN_CHUNK_BYTES // (A.shape[1] * A.itemsize)))
 
 
 def _raise_on_nonfinite(A: np.ndarray, where: str) -> None:
@@ -102,23 +107,29 @@ def _raise_on_nonfinite(A: np.ndarray, where: str) -> None:
         counter.scans += 1
     if A.size == 0:
         return
-    m, n = A.shape
-    rows = max(1, SCAN_CHUNK_BYTES // (n * A.itemsize))
-    starts = range(0, m, rows)
+    # Chunks follow memory order: an F-ordered array is scanned as its
+    # C-ordered transpose, by columns, where its row chunks would be
+    # strided.  C-ordered and strided arrays are scanned by rows.
+    S = A.T if A.flags.f_contiguous and not A.flags.c_contiguous else A
+    starts = _row_chunks(S)
+    rows = starts.step
     # The scan is the guard layer's whole O(mn) cost — span it so traces
     # show where (and how often) inputs are being re-scanned.
     with _obs.span("guard.scan", cat="guard", where=where):
         _obs.counters(guard_scans=1, guard_scan_bytes=int(A.nbytes))
-        mask = np.empty((min(rows, m), n), dtype=bool)
+        mask = np.empty((min(rows, S.shape[0]), S.shape[1]), dtype=bool)
         ok = all(
-            np.isfinite(A[r0 : r0 + rows], out=mask[: min(rows, m - r0)]).all() for r0 in starts
+            np.isfinite(S[r0 : r0 + rows], out=mask[: min(rows, S.shape[0] - r0)]).all()
+            for r0 in starts
         )
     if ok:
         return
-    # Only on failure: count every non-finite entry and find the first.
+    # Only on failure: count every non-finite entry and find the first
+    # in row-major order, by row chunks whatever the layout.
     count, first = 0, None
+    starts = _row_chunks(A)
     for r0 in starts:
-        bad = np.argwhere(~np.isfinite(A[r0 : r0 + rows]))
+        bad = np.argwhere(~np.isfinite(A[r0 : r0 + starts.step]))
         if first is None and len(bad):
             first = (r0 + int(bad[0, 0]), int(bad[0, 1]))
         count += len(bad)

@@ -8,6 +8,7 @@ import pytest
 from repro.core.caqr import caqr
 from repro.core.lstsq import _solve_from_factors, lstsq_caqr, lstsq_tsqr, residual_norm
 from repro.runtime import ExecutionPolicy
+from repro.verify.fuzz import PATHS
 
 
 def lstsq_sharded(A, b):
@@ -28,6 +29,16 @@ class TestLstsq:
         x = solver(A, b)
         x_np = np.linalg.lstsq(A, b, rcond=None)[0]
         assert np.allclose(x, x_np, atol=1e-9)
+
+    @pytest.mark.parametrize("path", list(PATHS))
+    def test_every_path_matches_numpy(self, rng, path):
+        """``caqr`` through each engine-table path, thin-Q factors included."""
+        A = rng.standard_normal((500, 15))
+        b = rng.standard_normal((500, 2))
+        policy = ExecutionPolicy(**PATHS[path])
+        for rhs in (b, b[:, 0]):
+            x = _solve_from_factors(caqr(A, policy=policy), rhs)
+            assert np.allclose(x, np.linalg.lstsq(A, rhs, rcond=None)[0], atol=1e-9)
 
     @pytest.mark.parametrize("solver", [lstsq_tsqr, lstsq_caqr])
     def test_exact_solution_recovered(self, rng, solver):

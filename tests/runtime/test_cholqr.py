@@ -23,6 +23,7 @@ from repro.runtime.cholqr import (
     _FallbackRequested,
     run_cholqr,
 )
+from repro.verify.invariants import qr_tolerance
 
 
 def _gauss(m, n, seed=0, dtype=np.float64):
@@ -109,34 +110,175 @@ class TestGramKernel:
 
 class TestSamplePrecheck:
     def test_refused_tall_input_skips_the_full_column_scales(self, monkeypatch):
-        """The row-sampled precheck equilibrates the sample by its own
-        column norms and runs before the column scales of all of A, so a
-        tall input it refuses costs no full-size pass; an admitted one
-        computes the full scales once, after it."""
-        import importlib
-
-        cq = importlib.import_module("repro.core.cholesky_qr")
-        real, shapes = cq._column_scales, []
-
-        def spy(A):
-            shapes.append(A.shape)
-            return real(A)
-
-        monkeypatch.setattr(cq, "_column_scales", spy)
+        """No column-norm pass runs on an in-range input, refused or not:
+        the row-sampled precheck equilibrates the sample through its own
+        Gram's diagonal, and an admitted input's scales are read off the
+        full Gram's diagonal."""
+        shapes = _spy_column_scales(monkeypatch)
         m, n = 4096, 16
-        sample = (len(range(0, m, m // (8 * n))), n)
         with count_fallbacks() as counter:
             f = run_cholqr(_graded(m, n, 1e12), ExecutionPolicy(path="auto"))
         assert f.fell_back and f.fallback_stage == "condest_sample"
         assert counter.fallbacks == 1
-        assert shapes == [sample]
-        shapes.clear()
         with pytest.raises(CholeskyBreakdownError, match="condest_sample"):
             run_cholqr(_graded(m, n, 1e12), ExecutionPolicy(path="cholqr2"))
-        assert shapes == [sample]
-        shapes.clear()
         assert not run_cholqr(_gauss(m, n), ExecutionPolicy(path="auto")).fell_back
-        assert shapes == [sample, (m, n)]
+        assert shapes == []
+
+
+def _spy_column_scales(monkeypatch) -> list:
+    """Record the shape of every ``_column_scales`` call."""
+    import importlib
+
+    cq = importlib.import_module("repro.core.cholesky_qr")
+    real, shapes = cq._column_scales, []
+
+    def spy(A):
+        shapes.append(A.shape)
+        return real(A)
+
+    monkeypatch.setattr(cq, "_column_scales", spy)
+    return shapes
+
+
+# (dtype, path, column scale) of inputs whose Gram diagonal is in range
+# in the Gram's dtype, and of inputs whose squares overflow or
+# underflow there (a float32 Gram of a 1e40 float64 cast is inf).
+IN_RANGE = {
+    "float64": (np.float64, "auto", 1.0),
+    "float32": (np.float32, "auto", 1.0),
+    "mixed": (np.float64, "cholqr2_mixed", 1.0),
+    "float64-1e+100": (np.float64, "auto", 1e100),
+    "float64-1e-100": (np.float64, "auto", 1e-100),
+    "float64-columns-1e+-100": (np.float64, "auto", np.logspace(-100, 100, 32)),
+}
+OUT_OF_RANGE = {
+    "float64-1e-160": (np.float64, "auto", 1e-160),
+    "float32-1e+30": (np.float32, "auto", 1e30),
+    "float32-1e-30": (np.float32, "auto", 1e-30),
+    "mixed-cast-overflow": (np.float64, "cholqr2_mixed", 1e40),
+}
+
+
+def _scaled(dtype, scale, m=4096, n=32):
+    return (_gauss(m, n) * scale).astype(dtype)
+
+
+class TestScalesFromTheGram:
+    """The column scales are read off the Gram's diagonal; only squares
+    that overflow or underflow in the Gram's dtype equilibrate A first."""
+
+    @pytest.mark.parametrize("case", list(IN_RANGE))
+    def test_in_range_inputs_run_no_column_norm_pass(self, monkeypatch, case):
+        dtype, path, scale = IN_RANGE[case]
+        shapes = _spy_column_scales(monkeypatch)
+        A = _scaled(dtype, scale)
+        f = run_cholqr(A, ExecutionPolicy(path=path))
+        assert not f.fell_back and shapes == []
+        tol = qr_tolerance(*A.shape, dtype)
+        Q, R = f.form_q().astype(np.float64), f.R.astype(np.float64)
+        assert np.linalg.norm(A - Q @ R) <= tol * np.linalg.norm(A)
+        assert np.linalg.norm(Q.T @ Q - np.eye(A.shape[1])) <= tol
+
+    @pytest.mark.parametrize("case", list(OUT_OF_RANGE))
+    def test_out_of_range_inputs_equilibrate_first_once(self, monkeypatch, case):
+        dtype, path, scale = OUT_OF_RANGE[case]
+        shapes = _spy_column_scales(monkeypatch)
+        A = _scaled(dtype, scale)
+        f = run_cholqr(A, ExecutionPolicy(path=path))
+        assert not f.fell_back and shapes == [A.shape]
+        # Norms in float64 of the unscaled problem: the scale cancels.
+        tol = qr_tolerance(*A.shape, dtype)
+        A64 = A.astype(np.float64) / scale
+        Q, R = f.form_q().astype(np.float64), f.R.astype(np.float64) / scale
+        assert np.linalg.norm(A64 - Q @ R) <= tol * np.linalg.norm(A64)
+        assert np.linalg.norm(Q.T @ Q - np.eye(A.shape[1])) <= tol
+
+    @pytest.mark.parametrize("col_scales", [False, True], ids=["plain", "scaled-1e+-100"])
+    @pytest.mark.parametrize("cond", [1e2, 1e3, 1e4, 1e5, 1e6])
+    def test_condest_matches_equilibrate_first(self, cond, col_scales):
+        """On a graded ladder, with columns spread over 1e-100..1e100 or
+        not, the first-pass estimate equals the one of A divided by its
+        column norms to 4 significant digits."""
+        m, n = 4096, 32
+        A = _graded(m, n, cond)
+        if col_scales:
+            A = A * np.logspace(-100, 100, n)
+        s = np.linalg.norm(A, axis=0)
+        W = A / s
+        d = np.diagonal(np.linalg.cholesky(W.T @ W))
+        reference = d.max() / d.min()
+        f = run_cholqr(A, ExecutionPolicy(path="cholqr2"))
+        assert f.info.condest == pytest.approx(reference, rel=5e-4)
+        tol = qr_tolerance(m, n, np.float64)
+        Q = f.form_q()
+        assert np.linalg.norm((A - Q @ f.R) / s) <= tol * np.linalg.norm(W)
+        assert np.linalg.norm(Q.T @ Q - np.eye(n)) <= tol
+
+
+class TestStreamedBytes:
+    """``cholqr_stream_bytes`` counts every pass over an m x n operand
+    (A, Q's buffer, the float32 cast), in multiples of ``A.nbytes``."""
+
+    @staticmethod
+    def _passes(A, path):
+        from repro import obs
+
+        with obs.capture() as session:
+            f = run_cholqr(A, ExecutionPolicy(path=path))
+        t = session.trace
+        return f, t, t.total_counters().get("cholqr_stream_bytes", 0) / A.nbytes
+
+    def test_fused_in_range_is_five_passes_with_spans(self):
+        # Copy A into W (read, write), its Gram (read), one trmm (read,
+        # write); the parent's engine made 6 (no copy, but a norm pass
+        # and a divide).
+        A = _gauss(4096, 32)
+        f, t, passes = self._passes(A, "auto")
+        assert f.info.fused and passes == 5
+        (factor,) = [s for s in t.spans if s.name == "cholqr.factor"]
+        children = [c.name for c in t.children(factor.id)]
+        assert children == ["cholqr.sample", "cholqr.gram", "cholqr.form_q"]
+        gram = [s for s in t.spans if s.name == "cholqr.gram"][0]
+        assert gram.args["prescaled"] is False
+        assert gram.counters["cholqr_stream_bytes"] == 3 * A.nbytes
+
+    def test_refusal_at_the_sample_streams_nothing(self):
+        f, t, passes = self._passes(_graded(4096, 32, 1e12), "auto")
+        assert f.fell_back and f.fallback_stage == "condest_sample"
+        assert passes == 0
+        assert not [s for s in t.spans if s.name == "cholqr.gram"]
+
+    @pytest.mark.parametrize(
+        "case,expected",
+        [
+            # copy 2, Gram 1, trmm 2, Gram 1, trmm 2
+            ("two-pass", 8),
+            # copy 2, float32 cast 1.5 and its Gram 0.5, then two-pass 5
+            ("mixed", 9),
+            # float32 bytes: the same five passes as float64
+            ("float32", 5),
+            # + norms 1, divide 2, Gram 1 before the trmm
+            ("float64-1e-160", 9),
+            # + norms re-measured under a max-abs pre-scale: 6 more
+            ("float64-1e-170", 15),
+            ("float32-1e+30", 9),
+            # copy 2, cast + Gram 2, norms 1, divide 2, cast + Gram 2, then 5
+            ("mixed-cast-overflow", 14),
+        ],
+    )
+    def test_branch_counts(self, case, expected):
+        A, path = {
+            "two-pass": (_graded(4096, 32, 1e4), "cholqr2"),
+            "mixed": (_gauss(4096, 32), "cholqr2_mixed"),
+            "float32": (_gauss(4096, 32, dtype=np.float32), "auto"),
+            "float64-1e-160": (_scaled(np.float64, 1e-160), "auto"),
+            "float64-1e-170": (_scaled(np.float64, 1e-170), "auto"),
+            "float32-1e+30": (_scaled(np.float32, 1e30), "auto"),
+            "mixed-cast-overflow": (_scaled(np.float64, 1e40), "cholqr2_mixed"),
+        }[case]
+        f, _, passes = self._passes(A, path)
+        assert not f.fell_back and passes == expected
 
 
 class TestFallbackSemantics:

@@ -196,6 +196,25 @@ class TestChunkedScan:
             validate_matrix(A, where="QRPlan.execute")
         assert str(err.value) == _whole_matrix_message(A, "QRPlan.execute")
 
+    def test_fortran_order_scans_columns_and_locates_the_nan(self, rng, monkeypatch):
+        """An F-ordered input is scanned in memory order, a contiguous chunk
+        of whole columns at a time, and a NaN is still reported at its
+        (row, col)."""
+        A = np.asfortranarray(rng.standard_normal((65536, 64)))
+        real, chunks = np.isfinite, []
+
+        def spy(x, *args, **kwargs):
+            chunks.append((x.shape, x.flags.c_contiguous))
+            return real(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", spy)
+        assert validate_matrix(A, where="t") is A
+        # 512 KiB columns: one per 256 KiB chunk, read in memory order.
+        assert chunks == [((1, 65536), True)] * 64
+        A[40000, 37] = np.nan
+        with pytest.raises(ValueError, match=r"first is nan at index \(40000, 37\)"):
+            validate_matrix(A, where="t")
+
     @pytest.mark.parametrize("shape", [(3, 50000), (1, 7), (7, 1)])
     def test_rows_wider_than_a_chunk(self, rng, shape):
         A = rng.standard_normal(shape).astype(np.float32)
